@@ -25,6 +25,12 @@
 //!   explicit flushes alike) serialize through the buffer's drain lock and
 //!   re-ship the collected items as singles.
 //!
+//! **Local bypass** (same-process traffic, `local_bypass` on) skips all of
+//! the above: items stage in per-destination-worker buffers that never
+//! outlive the scheduling quantum that filled them — at quantum end, or at
+//! `g`, each is sealed into a slab and shipped as one [`TAG_SLAB_WORKER`]
+//! descriptor.  Schemes without an arena (NoAgg, PP) ship singles.
+//!
 //! Every delivery failure path funnels through [`drop_envelope`], which
 //! charges the dropped items *and* returns slab storage to the owning arena
 //! — the bookkeeping the crash-cleanup audit verifies.
@@ -185,6 +191,11 @@ pub(super) struct ProcCtx<'w> {
     bufs_worker: Vec<Vec<Item<Payload>>>,
     /// WPs/WsP: per-destination-process buffers.
     bufs_proc: Vec<Vec<Item<Payload>>>,
+    /// Local-bypass staging, per destination worker (empty without the
+    /// bypass or without an arena to seal into).  Unlike the aggregation
+    /// buffers above these are plumbing, not the scheme: they never outlive
+    /// the quantum that filled them ([`ProcCtx::flush_local`]).
+    bufs_local: Vec<Vec<Item<Payload>>>,
     /// Per-destination overflow stash, retried every quantum (ring-full
     /// backpressure without blocking).
     stash: Vec<VecDeque<WireEnvelope>>,
@@ -229,6 +240,11 @@ impl<'w> ProcCtx<'w> {
             },
             bufs_proc: if matches!(scheme, Scheme::WPs | Scheme::WsP) {
                 (0..world.procs).map(|_| Vec::new()).collect()
+            } else {
+                Vec::new()
+            },
+            bufs_local: if world.tram.local_bypass && !world.arenas.is_empty() {
+                (0..world.workers).map(|_| Vec::new()).collect()
             } else {
                 Vec::new()
             },
@@ -327,11 +343,13 @@ impl<'w> ProcCtx<'w> {
 
     /// Seal `buf` into a slab of this worker's arena and ship the descriptor
     /// to `dst`; a dry arena degrades to singles (a throughput dip recorded
-    /// in `arena_claim_misses`, never a loss).
-    fn ship_slab(&mut self, dst: usize, tag: u32, buf: &mut Vec<Item<Payload>>) {
+    /// in `arena_claim_misses`, never a loss).  Returns the number of
+    /// envelopes shipped; whether they count as wire messages is the
+    /// caller's call (local-bypass batches do not).
+    fn ship_slab(&mut self, dst: usize, tag: u32, buf: &mut Vec<Item<Payload>>) -> u64 {
         let me = self.me.0 as usize;
         let arena = self.world.arenas[me];
-        if let Some(slab) = arena.try_claim() {
+        let envelopes = if let Some(slab) = arena.try_claim() {
             self.counters.incr("arena_claims");
             for (i, item) in buf.iter().enumerate() {
                 // SAFETY: `try_claim` granted exclusive ownership of `slab`;
@@ -339,8 +357,6 @@ impl<'w> ProcCtx<'w> {
                 unsafe { arena.write(slab, i, *item) };
             }
             let handle = arena.seal(slab, buf.len() as u32);
-            self.counters.incr("wire_messages");
-            self.counters.add("wire_items", buf.len() as u64);
             self.push_env(
                 dst,
                 WireEnvelope::slab(
@@ -352,21 +368,52 @@ impl<'w> ProcCtx<'w> {
                     handle.generation,
                 ),
             );
+            1
         } else {
             self.counters.incr("arena_claim_misses");
-            for item in buf.drain(..) {
-                self.ship_single(item);
+            for &item in buf.iter() {
+                self.push_env(item.dest.0 as usize, WireEnvelope::single(item));
             }
-        }
+            buf.len() as u64
+        };
         buf.clear();
+        envelopes
+    }
+
+    /// [`ProcCtx::ship_slab`] for aggregated traffic, which crosses a
+    /// modelled process boundary and is accounted as wire messages.
+    fn ship_wire_slab(&mut self, dst: usize, tag: u32, buf: &mut Vec<Item<Payload>>) {
+        self.counters.add("wire_items", buf.len() as u64);
+        let envelopes = self.ship_slab(dst, tag, buf);
+        self.counters.add("wire_messages", envelopes);
     }
 
     fn emit_worker(&mut self, dst: usize) {
         let mut buf = std::mem::take(&mut self.bufs_worker[dst]);
         if !buf.is_empty() {
-            self.ship_slab(dst, TAG_SLAB_WORKER, &mut buf);
+            self.ship_wire_slab(dst, TAG_SLAB_WORKER, &mut buf);
         }
         self.bufs_worker[dst] = buf;
+    }
+
+    /// Ship the local-bypass batch staged for worker `dst`.
+    fn emit_local(&mut self, dst: usize) {
+        let mut buf = std::mem::take(&mut self.bufs_local[dst]);
+        if !buf.is_empty() {
+            self.counters.incr("local_batches");
+            self.counters.add("local_deliveries", buf.len() as u64);
+            self.ship_slab(dst, TAG_SLAB_WORKER, &mut buf);
+        }
+        self.bufs_local[dst] = buf;
+    }
+
+    /// Quantum end: ship every non-empty local-bypass batch.  Runs once per
+    /// loop iteration, busy or idle, so a same-process item waits for the
+    /// rest of its own quantum and nothing else.
+    pub(super) fn flush_local(&mut self) {
+        for dst in 0..self.bufs_local.len() {
+            self.emit_local(dst);
+        }
     }
 
     fn emit_proc(&mut self, dst_proc: usize) {
@@ -383,7 +430,7 @@ impl<'w> ProcCtx<'w> {
                 .world
                 .topo
                 .group_receiver(self.my_proc, ProcId(dst_proc as u32));
-            self.ship_slab(receiver.0 as usize, tag, &mut buf);
+            self.ship_wire_slab(receiver.0 as usize, tag, &mut buf);
         }
         self.bufs_proc[dst_proc] = buf;
     }
@@ -456,6 +503,7 @@ impl<'w> ProcCtx<'w> {
         self.stash_len == 0
             && self.bufs_worker.iter().all(Vec::is_empty)
             && self.bufs_proc.iter().all(Vec::is_empty)
+            && self.bufs_local.iter().all(Vec::is_empty)
     }
 
     /// Panic path: abandon all unshipped production, counting every item
@@ -466,7 +514,7 @@ impl<'w> ProcCtx<'w> {
             dropped += buf.len() as u64;
             buf.clear();
         }
-        for buf in &mut self.bufs_proc {
+        for buf in self.bufs_proc.iter_mut().chain(&mut self.bufs_local) {
             dropped += buf.len() as u64;
             buf.clear();
         }
@@ -514,8 +562,17 @@ impl RunCtx for ProcCtx<'_> {
             // envelope as wire traffic (it crosses an OS-process boundary
             // here, but not a *modelled* one — matching the threaded
             // backend's accounting).
-            self.counters.incr("local_deliveries");
-            self.push_env(dest.0 as usize, WireEnvelope::single(item));
+            let dst = dest.0 as usize;
+            if self.bufs_local.is_empty() {
+                // No arena to seal a batch into (NoAgg, PP): singles.
+                self.counters.incr("local_deliveries");
+                self.push_env(dst, WireEnvelope::single(item));
+                return;
+            }
+            self.bufs_local[dst].push(item);
+            if self.bufs_local[dst].len() >= self.g {
+                self.emit_local(dst);
+            }
             return;
         }
         match self.scheme {
@@ -539,6 +596,9 @@ impl RunCtx for ProcCtx<'_> {
     }
 
     fn flush(&mut self) {
+        // An explicit flush means "everything I sent is on its way": the
+        // local-bypass batches too.
+        self.flush_local();
         self.flush_emits += 1;
         self.status()
             .flush_emits
@@ -779,6 +839,9 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
         if !did_work && !quiescing && !throttled && !app.local_done() {
             did_work = app.on_idle(ctx);
         }
+        // Quantum end, busy or idle: no local-bypass batch outlives the
+        // iteration that filled it.
+        ctx.flush_local();
         let done = (app.local_done() || quiesced) && ctx.buffers_empty();
         ctx.status()
             .stash

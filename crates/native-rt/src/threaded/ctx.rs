@@ -59,13 +59,16 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// PP only: this worker's adaptive-timeout controller (worker-owned
     /// aggregators embed their own inside `tramlib`).
     pub(crate) pp_adaptive: Option<AdaptiveTimeout>,
-    /// Per-destination-worker local-bypass batches (same-process traffic),
-    /// indexed by destination worker.  Shipped when a batch reaches
-    /// `local_batch_items` or the worker runs out of other work.
+    /// Per-destination-worker local-bypass staging batches (same-process
+    /// traffic), indexed by destination worker.  A staging buffer never
+    /// outlives the scheduling quantum that filled it: every non-empty
+    /// batch ships at the end of each loop iteration, busy or idle
+    /// ([`NativeWorkerCtx::flush_local`]), and inside a quantum only when it
+    /// reaches the run's own `buffer_items`.
     pub(crate) local_out: Vec<Batch>,
-    /// Spare batch vectors recycled from delivered local batches.
+    /// Spare batch vectors recycled from delivered local and downlink
+    /// batches; the staging buffers (local and wire) draw from them.
     pub(crate) spare_batches: Vec<Batch>,
-    pub(crate) local_batch_items: usize,
     /// Cached wall-clock offset, refreshed once per delivered batch / loop
     /// iteration instead of per item: at millions of items per second the
     /// two per-item clock reads (creation stamp + latency span) would
@@ -136,15 +139,13 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// from `my_node`, which is the NUMA node of the host thread.
     pub(crate) my_cluster_node: u32,
     /// Node tier only: items bound for workers on other cluster nodes,
-    /// buffered here and shipped to the local leader's uplink in batches.
-    /// Every item in it was already counted sent (publish-before-ship).
+    /// staged here and shipped to the local leader's uplink under the same
+    /// quantum rule as `local_out`.  Every item in it was already counted
+    /// sent (publish-before-ship).
     pub(crate) wire_out: Batch,
     /// Node tier only: wire batches whose uplink ring was full, retried by
     /// [`NativeWorkerCtx::flush_wire_stash`] every loop iteration.
     pub(crate) wire_stash: VecDeque<Batch>,
-    /// Ship threshold for `wire_out` — the node tier's local aggregation
-    /// grain (the leader re-aggregates per destination node on top).
-    pub(crate) wire_batch_items: usize,
     /// Distribution of delivered-batch sizes (items per handler call) — the
     /// per-scheme evidence for throughput ceilings (NoAgg delivers single
     /// items; aggregated schemes deliver whole buffers).
@@ -182,11 +183,16 @@ impl<'a> NativeWorkerCtx<'a> {
             } else {
                 None
             },
-            local_out: (0..shared.topo.total_workers())
-                .map(|_| Vec::new())
-                .collect(),
+            // No lanes without the bypass: the per-quantum flush then has
+            // nothing to walk.
+            local_out: if shared.tram.local_bypass {
+                (0..shared.topo.total_workers())
+                    .map(|_| Vec::new())
+                    .collect()
+            } else {
+                Vec::new()
+            },
             spare_batches: Vec::new(),
-            local_batch_items: shared.local_batch_items,
             now_cache: 0,
             pending_sent: 0,
             pending_delivered: 0,
@@ -214,7 +220,6 @@ impl<'a> NativeWorkerCtx<'a> {
             my_cluster_node: shared.topo.node_of_worker(me).0,
             wire_out: Vec::new(),
             wire_stash: VecDeque::new(),
-            wire_batch_items: shared.local_batch_items.max(64),
             batch_len: QuantileSketch::default(),
             singles_delivered: 0,
         }
@@ -412,19 +417,23 @@ impl<'a> NativeWorkerCtx<'a> {
                 }
             }
         }
-        if self.wire_out.len() >= self.wire_batch_items {
+        if self.wire_out.len() >= self.shared.tram.buffer_items {
             self.ship_wire();
         }
     }
 
     /// Push the pending wire batch onto this worker's uplink ring (stashing
-    /// it when the ring is full — the leader may be mid-drain).
+    /// it when the ring is full — the leader may be mid-drain).  The next
+    /// wire batch fills a recycled vector: downlink deliveries refill
+    /// `spare_batches`, so symmetric cross-node traffic allocates nothing
+    /// here however small the per-quantum batches get.
     pub(crate) fn ship_wire(&mut self) {
         if self.wire_out.is_empty() {
             return;
         }
         self.publish_sent();
-        let batch = std::mem::take(&mut self.wire_out);
+        let spare = self.spare_batches.pop().unwrap_or_default();
+        let batch = std::mem::replace(&mut self.wire_out, spare);
         let plane = self
             .shared
             .node_plane
@@ -512,28 +521,23 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Queue one same-process item for its destination worker.  Items ride in
+    /// Stage one same-process item for its destination worker.  Items ride in
     /// per-destination batches (one plane operation per batch, not per item);
-    /// partial batches are shipped by [`NativeWorkerCtx::flush_local`]
-    /// whenever the worker runs out of other work, so nothing is ever
-    /// stranded.
+    /// [`NativeWorkerCtx::flush_local`] ships every batch at the end of the
+    /// quantum, so an item waits for the rest of its own quantum and nothing
+    /// else.
     pub(crate) fn deliver_local(&mut self, item: Item<Payload>) {
-        self.counters.incr("local_deliveries");
         let dest = item.dest.idx();
         let batch = &mut self.local_out[dest];
-        if batch.is_empty() && batch.capacity() == 0 {
+        if batch.capacity() == 0 {
             if let Some(spare) = self.spare_batches.pop() {
                 *batch = spare;
             } else if let Some(agg) = self.aggregator.as_mut() {
                 *batch = agg.take_pooled();
             }
-            if batch.capacity() == 0 {
-                // One allocation per batch, not log2(batch) doublings.
-                batch.reserve_exact(self.local_batch_items);
-            }
         }
         batch.push(item);
-        if batch.len() >= self.local_batch_items {
+        if batch.len() >= self.shared.tram.buffer_items {
             self.ship_local(dest);
         }
     }
@@ -546,6 +550,7 @@ impl<'a> NativeWorkerCtx<'a> {
         self.publish_sent();
         let batch = std::mem::take(&mut self.local_out[dest]);
         self.counters.incr("local_batches");
+        self.counters.add("local_deliveries", batch.len() as u64);
         match &self.shared.plane {
             // Send fails only after an aborted (watchdog) run tears the
             // receiver down; the report is already unclean then.
@@ -556,9 +561,12 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Ship every pending local-bypass batch (and, on the node tier, the
-    /// partial wire batch — an idle worker must never strand cross-node
-    /// items in its outbound buffer).
+    /// Quantum end: ship every non-empty staging buffer — the local-bypass
+    /// batches and, on the node tier, the wire batch.  Runs once per loop
+    /// iteration whether or not the iteration did work: a worker whose
+    /// `on_idle` never returns `false` is never idle, and its peers must not
+    /// wait on it for that.  With nothing staged this is one length check
+    /// per destination worker (none at all with the bypass off).
     pub(crate) fn flush_local(&mut self) {
         for dest in 0..self.local_out.len() {
             self.ship_local(dest);

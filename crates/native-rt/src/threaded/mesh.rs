@@ -263,6 +263,17 @@ fn mesh_loop(
         // timeout policy): a worker kept busy by incoming requests must still
         // age out its partially-filled response buffers.
         ctx.poll_timeout();
+        if !did_work && idle_rounds == 0 {
+            // Transition into idle: the same point at which the simulator
+            // flushes, once per idle quantum (an idle PP worker must not
+            // continuously seal-flush the buffers its peers are filling).
+            ctx.flush_on_idle();
+        }
+        // Quantum end, busy or idle: no staging buffer (local-bypass batch,
+        // wire batch) outlives the iteration that filled it.  Last, so that
+        // cross-node messages the timeout poll and the idle flush just
+        // emitted leave with this quantum too, not after the nap.
+        ctx.flush_local();
         if did_work {
             // A busy iteration spans a whole inbox quantum, so a stash-retry
             // skip counted across busy iterations would starve consumers of
@@ -273,16 +284,6 @@ fn mesh_loop(
             idle_rounds = 0;
             continue;
         }
-        // Out of other work: ship any partial local-bypass batches so peers
-        // (and the quiescence check) are never left waiting on them.
-        ctx.flush_local();
-        if idle_rounds == 0 {
-            // Transition into idle: the same point at which the simulator
-            // flushes, once per idle quantum (an idle PP worker must not
-            // continuously seal-flush the buffers its peers are filling).
-            ctx.flush_on_idle();
-        }
-        ctx.poll_timeout();
         idle_rounds += 1;
         if throttled || idle_rounds <= IDLE_YIELDS {
             // Throttled is not idle: the stash is waiting on consumers, who

@@ -134,9 +134,10 @@ pub(crate) enum Spent {
     Slab(SlabHandle),
 }
 
-/// How many spare delivered-batch vectors a worker keeps for its own
-/// local-bypass batches before handing further returns to the aggregator
-/// pool (or dropping them).
+/// How many spare batch vectors a worker keeps for its own staging buffers
+/// (local-bypass and wire batches) before handing further returns to the
+/// aggregator pool (or dropping them); a node leader keeps as many emptied
+/// uplink vectors for its downlink batches.
 pub(crate) const SPARE_BATCHES: usize = 32;
 
 /// Generation backpressure: once this many envelopes sit in a mesh worker's
@@ -163,10 +164,6 @@ pub struct NativeBackendConfig {
     /// rings automatically: `max(64, 4096 / workers)` per pair, so total
     /// mesh memory stays flat as the cluster grows.
     pub mesh_ring_capacity: usize,
-    /// Same-process (local bypass) deliveries are shipped in batches of up to
-    /// this many items per destination worker; a worker's partial batches are
-    /// flushed whenever it runs out of other work.  1 restores per-item sends.
-    pub local_batch_items: usize,
     /// Watchdog: if the run is not quiescent after this much wall-clock time
     /// it is aborted and reported as not clean.
     pub max_wall: Duration,
@@ -209,8 +206,8 @@ pub struct NativeBackendConfig {
 
 impl NativeBackendConfig {
     /// Defaults for `tram`: the simulator's default seed, the mesh topology
-    /// with auto-sized rings and slab arenas, 4096-batch star rings, 32-item
-    /// local-bypass batches and a 60 s watchdog.
+    /// with auto-sized rings and slab arenas, 4096-batch star rings and a
+    /// 60 s watchdog.
     pub fn new(tram: TramConfig) -> Self {
         Self::from_common(CommonConfig::new(tram))
     }
@@ -221,7 +218,6 @@ impl NativeBackendConfig {
             common,
             ring_capacity: 4096,
             mesh_ring_capacity: 0,
-            local_batch_items: 32,
             max_wall: Duration::from_secs(60),
             delivery: DeliveryTopology::Mesh,
             message_store: MessageStore::default(),
@@ -237,13 +233,6 @@ impl NativeBackendConfig {
     /// Override the experiment seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.common.seed = seed;
-        self
-    }
-
-    /// Override the local-bypass batch size.
-    pub fn with_local_batch_items(mut self, items: usize) -> Self {
-        assert!(items > 0, "local batches must hold at least one item");
-        self.local_batch_items = items;
         self
     }
 
@@ -472,7 +461,6 @@ pub(crate) struct Shared {
     pub(crate) tram: TramConfig,
     pub(crate) topo: Topology,
     pub(crate) seed: u64,
-    pub(crate) local_batch_items: usize,
     /// Wall-clock origin; `now_ns` values are offsets from it.
     pub(crate) epoch: Instant,
     /// Start barrier: workers spin on this after setup so the measured run
@@ -621,10 +609,6 @@ pub fn run_threaded(
     let workers = topo.total_workers() as usize;
     assert!(workers > 0, "topology must have at least one worker");
     assert!(config.ring_capacity > 0, "ring capacity must be positive");
-    assert!(
-        config.local_batch_items > 0,
-        "local batches must hold at least one item"
-    );
 
     // Star-only plumbing: the collector channel and the per-worker local
     // bypass channels (mesh traffic rides the per-pair rings instead).
@@ -743,7 +727,6 @@ pub fn run_threaded(
         tram: config.common.tram,
         topo,
         seed: config.common.seed,
-        local_batch_items: config.local_batch_items,
         epoch: Instant::now(),
         go: AtomicBool::new(false),
         stop: AtomicBool::new(false),
@@ -1359,6 +1342,8 @@ mod tests {
 
     #[test]
     fn local_bypass_ships_batches_not_items() {
+        // The quantum rule: what a chunked generator sends to one local
+        // destination within a quantum leaves as one batch...
         let report = run(Scheme::WPs, 500, 21);
         assert!(report.clean());
         let items = report.counter("local_deliveries");
@@ -1368,6 +1353,34 @@ mod tests {
             batches < items,
             "batching must coalesce local sends: {batches} batches for {items} items"
         );
+        // ...and no batch grows past the run's own buffer size: one process,
+        // so every item is local, 32 sends per destination per quantum into
+        // 8-item buffers.
+        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
+            let tram = TramConfig::new(Scheme::WPs, Topology::smp(1, 1, 2)).with_buffer_items(8);
+            let report = run_threaded(
+                NativeBackendConfig::new(tram).with_delivery(delivery),
+                |w| {
+                    Box::new(RandomUpdates {
+                        me: w,
+                        remaining: 640,
+                        chunk: 64,
+                        flushed: false,
+                    })
+                },
+            );
+            assert!(report.clean(), "{delivery:?}");
+            assert_eq!(report.counter("local_deliveries"), 1280, "{delivery:?}");
+            assert!(
+                report.delivery_batch_len.max() <= 8.0,
+                "{delivery:?}: a {}-item batch outgrew the 8-item buffer",
+                report.delivery_batch_len.max()
+            );
+            assert!(
+                report.counter("local_batches") < 1280,
+                "{delivery:?}: per-item shipping"
+            );
+        }
     }
 
     #[test]

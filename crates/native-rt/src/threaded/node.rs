@@ -52,7 +52,7 @@ use transport::{
     Transport, WireFault, WireFaultInjector, WireFaultKind,
 };
 
-use super::{Batch, Shared};
+use super::{Batch, Shared, SPARE_BATCHES};
 
 /// Capacity (in batches) of each worker↔leader ring.  Batches are whole
 /// vectors, so a few hundred slots buffer tens of thousands of items.
@@ -208,6 +208,12 @@ struct Leader<'a> {
     my_workers: Vec<usize>,
     /// Per-local-worker downlink batches waiting for ring space.
     pending_down: Vec<VecDeque<Batch>>,
+    /// Per-worker buckets of the frame being regrouped (empty between
+    /// frames).
+    regroup: Vec<Batch>,
+    /// Emptied uplink vectors, reused as the next downlink batches: with
+    /// traffic in both directions the leader allocates no batch vectors.
+    spare_batches: Vec<Batch>,
     /// Frames held by a delay fault: (release deadline, destination, frame).
     delayed: Vec<(Instant, u32, Frame)>,
     /// The monitor raised `stop`: peers are tearing down too, so socket
@@ -279,6 +285,8 @@ pub(crate) fn leader_main(shared: &Shared, node: u32, transport: Box<dyn Transpo
             .collect(),
         my_workers,
         pending_down: (0..workers_total).map(|_| VecDeque::new()).collect(),
+        regroup: (0..workers_total).map(|_| Vec::new()).collect(),
+        spare_batches: Vec::new(),
         delayed: Vec::new(),
         stopping: false,
         last_iter: now0,
@@ -425,7 +433,7 @@ impl<'a> Leader<'a> {
         let mut did_work = false;
         for wi in 0..self.my_workers.len() {
             let w = self.my_workers[wi];
-            while let Some(batch) = self.plane.uplink[w].pop() {
+            while let Some(mut batch) = self.plane.uplink[w].pop() {
                 did_work = true;
                 for item in &batch {
                     let dst_node = self.shared.topo.node_of_worker(item.dest).0;
@@ -445,8 +453,10 @@ impl<'a> Leader<'a> {
                         created_at_ns: item.created_at_ns,
                     });
                 }
-                // The batch vector was allocated by the worker for the wire;
-                // dropping it here is the cross-node copy cost.
+                if self.spare_batches.len() < SPARE_BATCHES {
+                    batch.clear();
+                    self.spare_batches.push(batch);
+                }
             }
         }
         did_work
@@ -479,35 +489,44 @@ impl<'a> Leader<'a> {
                     seq,
                     items,
                 };
-                state.unacked.insert(seq, frame.clone());
                 did_work = true;
-                self.send_first_time(peer, frame);
+                self.send_first_time(peer, &frame);
+                // Into the resend buffer only now, by move: the wire took
+                // the frame by reference, so the fast path copies no items.
+                self.peers[peer as usize]
+                    .as_mut()
+                    .expect("peer state")
+                    .unacked
+                    .insert(seq, frame);
+                self.arm_rto(peer);
             }
         }
         did_work
     }
 
-    /// First transmission of a batch frame: ask the injector for a verdict,
-    /// then arm the retransmit timer.  Retransmits bypass the injector (a
-    /// dropped frame must not be dropped forever) — except under partition,
-    /// which [`Leader::wire_send`] latches for *all* traffic.
-    fn send_first_time(&mut self, peer: u32, frame: Frame) {
+    /// First transmission of a batch frame: ask the injector for a verdict
+    /// (the caller files the frame in the resend buffer and arms the
+    /// retransmit timer).  Retransmits bypass the injector (a dropped frame
+    /// must not be dropped forever) — except under partition, which
+    /// [`Leader::wire_send`] latches for *all* traffic.
+    fn send_first_time(&mut self, peer: u32, frame: &Frame) {
         let verdict = self.injector.on_batch_send();
         if !matches!(verdict, SendVerdict::Deliver) {
             self.diag.wire_faults_fired = self.injector.fired();
         }
         match verdict {
-            SendVerdict::Deliver => self.wire_send(peer, &frame),
+            SendVerdict::Deliver => self.wire_send(peer, frame),
             // The frame stays in the resend buffer; the ack timeout
             // retransmits it.
             SendVerdict::Drop => {}
+            // The one verdict that needs a second owner of the items.
             SendVerdict::Delay { micros } => {
                 let at = Instant::now() + Duration::from_micros(micros);
-                self.delayed.push((at, peer, frame));
+                self.delayed.push((at, peer, frame.clone()));
             }
             SendVerdict::Duplicate => {
-                self.wire_send(peer, &frame);
-                self.wire_send(peer, &frame);
+                self.wire_send(peer, frame);
+                self.wire_send(peer, frame);
             }
             SendVerdict::Disconnect => {
                 self.cut_link(peer, "disconnect fault");
@@ -523,7 +542,6 @@ impl<'a> Leader<'a> {
                 }
             }
         }
-        self.arm_rto(peer);
     }
 
     /// Ensure a retransmit deadline is armed while frames are in flight.
@@ -678,7 +696,8 @@ impl<'a> Leader<'a> {
             .fetch_add(frame.items.len() as u64, Ordering::AcqRel);
         self.diag.items_received += frame.items.len() as u64;
         // Regroup per destination worker — the node tier's grouping pass.
-        let mut buckets: BTreeMap<usize, Batch> = BTreeMap::new();
+        // Buckets start from recycled uplink vectors and grow on demand;
+        // none is sized to the whole frame.
         for wire in &frame.items {
             let dest = WorkerId(wire.dest as u32);
             debug_assert_eq!(
@@ -686,17 +705,20 @@ impl<'a> Leader<'a> {
                 self.node,
                 "frame item routed to the wrong node"
             );
-            buckets
-                .entry(dest.idx())
-                .or_insert_with(|| Vec::with_capacity(frame.items.len()))
-                .push(Item::new(
-                    dest,
-                    Payload::new(wire.a, wire.b),
-                    wire.created_at_ns,
-                ));
+            let bucket = &mut self.regroup[dest.idx()];
+            if bucket.capacity() == 0 {
+                *bucket = self.spare_batches.pop().unwrap_or_default();
+            }
+            bucket.push(Item::new(
+                dest,
+                Payload::new(wire.a, wire.b),
+                wire.created_at_ns,
+            ));
         }
-        for (w, batch) in buckets {
-            self.pending_down[w].push_back(batch);
+        for &w in &self.my_workers {
+            if !self.regroup[w].is_empty() {
+                self.pending_down[w].push_back(std::mem::take(&mut self.regroup[w]));
+            }
         }
         let ack = Frame::control(FrameKind::Ack, self.session, self.node, src, contiguous);
         self.wire_send(src, &ack);

@@ -145,13 +145,13 @@ fn star_loop(
         ctx.publish_sent();
         shared.workers_done[me.idx()].store(app.local_done() || quiesced, Ordering::Release);
         ctx.publish_delivered();
+        // Quantum end, busy or idle: no local-bypass batch outlives the
+        // iteration that filled it (same rule as the mesh loop).
+        ctx.flush_local();
         if did_work {
             idle_rounds = 0;
             continue;
         }
-        // Out of other work: ship any partial local-bypass batches so peers
-        // (and the quiescence check) are never left waiting on them.
-        ctx.flush_local();
         if idle_rounds == 0 {
             // Transition into idle: the same point at which the simulator
             // flushes, once per idle quantum.  Flushing on every backoff

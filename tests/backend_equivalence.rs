@@ -65,6 +65,14 @@ fn main() {
             "node_tier_wire_matches_the_in_process_cluster",
             node_tier_wire_matches_the_in_process_cluster,
         ),
+        (
+            "default_bypass_matches_on_a_one_process_cluster",
+            default_bypass_matches_on_a_one_process_cluster,
+        ),
+        (
+            "hot_worker_ping_pong_finishes_on_every_engine",
+            hot_worker_ping_pong_finishes_on_every_engine,
+        ),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -267,6 +275,150 @@ fn node_tier_wire_matches_the_in_process_cluster() {
             "{scheme}: the node tier changed what the application computed"
         );
     }
+}
+
+fn default_bypass_matches_on_a_one_process_cluster() {
+    // 1 process x 4 workers with the default config: every item takes the
+    // local bypass, so this pins the staging buffers of both native engines
+    // (threaded batches, process-mode slabs) against the simulator.
+    let run = |backend: Backend| {
+        let report = histogram_spec(Scheme::WPs, 42)
+            .cluster(ClusterSpec::smp(1, 1, 4))
+            .backend(backend)
+            .run();
+        if backend != Backend::Sim {
+            assert_eq!(
+                report.counter("local_deliveries"),
+                report.items_sent,
+                "{backend}: every item must take the bypass"
+            );
+            assert_eq!(report.counter("wire_items"), 0, "{backend}");
+        }
+        collect(backend, report, Scheme::WPs)
+    };
+    let sim = run(Backend::Sim);
+    assert!(sim.applied > 0, "empty run proves nothing");
+    assert_eq!(run(Backend::Native), sim, "threaded bypass diverged");
+    assert_eq!(run(Backend::Process), sim, "process bypass diverged");
+}
+
+/// Two workers bat `BALLS` items back and forth for `HOPS` hops each while
+/// `on_idle` keeps reporting work: the workers are never idle, and there are
+/// never enough items in flight to fill any batch.  Only a runtime that
+/// ships its staging buffers at the end of every quantum lets a ball move.
+struct PingPong {
+    peer: WorkerId,
+    serve: bool,
+    received: u64,
+}
+
+const BALLS: u64 = 4;
+const HOPS: u64 = 1_000;
+
+impl WorkerApp for PingPong {
+    fn on_item(&mut self, item: Payload, _created: u64, ctx: &mut dyn RunCtx) {
+        self.received += 1;
+        if item.a > 0 {
+            ctx.send(self.peer, Payload::new(item.a - 1, item.b));
+        }
+    }
+
+    fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
+        if self.serve {
+            self.serve = false;
+            for ball in 0..BALLS {
+                ctx.send(self.peer, Payload::new(HOPS - 1, ball));
+            }
+        }
+        true
+    }
+
+    fn local_done(&self) -> bool {
+        // Hops alternate between the two workers, starting at the peer.
+        self.received == BALLS * HOPS / 2
+    }
+
+    fn on_finalize(&mut self, counters: &mut smp_aggregation::metrics::Counters) {
+        counters.add("pong_received", self.received);
+    }
+}
+
+fn hot_worker_ping_pong_finishes_on_every_engine() {
+    use smp_aggregation::apps::common::run_app_native;
+    use smp_aggregation::runtime_api::DeliveryTopology;
+    use std::time::Duration;
+
+    let watchdog = Duration::from_secs(30);
+    let make_app = |me: WorkerId| -> Box<dyn WorkerApp> {
+        Box::new(PingPong {
+            peer: WorkerId(1 - me.0),
+            serve: me.0 == 0,
+            received: 0,
+        })
+    };
+    let check = |label: &str, report: RunReport| {
+        assert!(
+            report.clean(),
+            "{label}: a hot ping-pong must finish, got {}",
+            report.outcome.signature()
+        );
+        assert_eq!(report.counter("pong_received"), BALLS * HOPS, "{label}");
+        assert!(
+            report.total_time_ns < watchdog.as_nanos() as u64 / 3,
+            "{label}: {} ms is the watchdog's doing, not the runtime's",
+            report.total_time_ns / 1_000_000
+        );
+    };
+
+    // Same process, default config: every hop rides the local bypass.
+    let local = sim_config(
+        ClusterSpec::smp(1, 1, 2),
+        Scheme::WPs,
+        64,
+        16,
+        FlushPolicy::EXPLICIT_ONLY,
+        7,
+    );
+    for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
+        let report = run_app_native(
+            local,
+            |native| native.with_delivery(delivery).with_max_wall(watchdog),
+            make_app,
+        );
+        check(&format!("threaded/{delivery:?}"), report);
+    }
+    let report = run_process(
+        ProcessBackendConfig::from_common(local.common).with_max_wall(watchdog),
+        make_app,
+    );
+    assert!(
+        report.counter("local_batches") > 0,
+        "process: no bypass batches"
+    );
+    check("process", report);
+
+    // 2 nodes x 1 worker over the simulated wire: every hop crosses the
+    // uplink staging buffer (NoAgg, so nothing else holds an item back).
+    let wired = sim_config(
+        ClusterSpec::smp(2, 1, 1),
+        Scheme::NoAgg,
+        64,
+        16,
+        FlushPolicy::EXPLICIT_ONLY,
+        7,
+    );
+    let report = run_app_native(
+        wired,
+        |native| {
+            native
+                .with_transport(Some(TransportKind::Sim))
+                .with_max_wall(watchdog)
+        },
+        make_app,
+    );
+    let shipped: u64 = report.node_reports.iter().map(|d| d.items_shipped).sum();
+    assert_eq!(shipped, BALLS * HOPS, "wire: every hop crosses the wire");
+    check("wire/sim", report);
 }
 
 fn run_app_dispatches_every_backend() {

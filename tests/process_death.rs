@@ -115,6 +115,46 @@ fn sigkill_pp_aborts_and_reclaims() {
     sigkill_aborts_with_victims_signal(Scheme::PP);
 }
 
+fn sigkill_with_bypass_staging_settles_exactly() {
+    // One process, default config: every item a worker sends sits in its
+    // private local-bypass staging buffers until the quantum ends and then
+    // rides a slab of its arena.  A SIGKILL strands both; settlement must
+    // still close the ledger and take every slab back.  (The bypass moves
+    // tens of millions of items a second: the run must be long enough for
+    // the supervisor's kill to land inside it.)
+    let dir = seg_dir("bypass");
+    let report = RunSpec::for_app(
+        HistogramConfig::new(ClusterSpec::smp(1, 1, 4), Scheme::WPs)
+            .with_updates(1_000_000)
+            .with_seed(13),
+    )
+    .backend(Backend::Process)
+    .buffer(64)
+    .faults(FaultPlan::seeded(13).kill_at_items(2, 1_000))
+    .max_wall(Duration::from_secs(30))
+    .run();
+    assert!(
+        matches!(report.outcome, RunOutcome::Aborted { .. }),
+        "kill must abort, got {}",
+        report.outcome.signature()
+    );
+    assert!(
+        report.counter("local_batches") > 0,
+        "the bypass must have shipped batches before the kill"
+    );
+    assert_eq!(report.counter("wire_items"), 0, "all traffic is local");
+    assert!(report.counter("items_dropped") > 0);
+    assert_conserved_and_reclaimed(&report, "bypass/WPs");
+    let sweep = shmem::segment::scan_orphans(&dir).expect("scan the run's marker dir");
+    assert_eq!(
+        sweep,
+        shmem::segment::OrphanSweep::default(),
+        "an aborted run must leave no segment marker behind"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    seg_dir("default");
+}
+
 fn randomized_sigkill_stress_conserves_across_schemes() {
     // Sweep victim, trigger point and scheme; whatever the dead worker held
     // (private buffers, sealed slabs in flight, claim-buffer slots, the PP
@@ -340,6 +380,10 @@ fn main() {
         (
             "sigkill_pp_aborts_and_reclaims",
             sigkill_pp_aborts_and_reclaims,
+        ),
+        (
+            "sigkill_with_bypass_staging_settles_exactly",
+            sigkill_with_bypass_staging_settles_exactly,
         ),
         (
             "randomized_sigkill_stress_conserves_across_schemes",
