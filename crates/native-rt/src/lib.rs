@@ -37,6 +37,7 @@ pub mod affinity;
 pub mod micro;
 pub mod numa;
 pub mod process;
+pub(crate) mod quantum;
 pub mod signals;
 #[cfg(all(
     target_os = "linux",

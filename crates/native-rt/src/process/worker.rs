@@ -31,6 +31,11 @@
 //! `g`, each is sealed into a slab and shipped as one [`TAG_SLAB_WORKER`]
 //! descriptor.  Schemes without an arena (NoAgg, PP) ship singles.
 //!
+//! **Partial aggregation buffers** ship on an explicit flush and, under
+//! `FlushPolicy::on_idle`, on a quiet quantum into a drained lane — the rule
+//! of [`crate::quantum`], shared with the threaded engine.  This engine
+//! polls no timeout.
+//!
 //! Every delivery failure path funnels through [`drop_envelope`], which
 //! charges the dropped items *and* returns slab storage to the owning arena
 //! — the bookkeeping the crash-cleanup audit verifies.
@@ -48,6 +53,7 @@ use sim_core::StreamRng;
 use tramlib::{Item, Scheme, TramConfig};
 
 use super::layout::{self, RunCtl, WorkerStatus};
+use crate::quantum::{self, QuietTracker, SelfClocked};
 use crate::sys;
 use crate::threaded::STASH_THROTTLE;
 
@@ -204,8 +210,14 @@ pub(super) struct ProcCtx<'w> {
     drain_buf: Vec<Item<Payload>>,
     /// Reusable grouping-run scratch: `(dest, start, len)`.
     ranges: Vec<(u32, u32, u32)>,
-    /// Explicit/idle/timeout flushes emitted (fault-trigger clock).
+    /// Flush-triggered messages emitted — buffers shipped by an explicit or
+    /// quiet-quantum flush, not by filling up (fault-trigger clock; the
+    /// threaded engine counts the same thing).
     pub(super) flush_emits: u64,
+    /// PP only: a quiet-quantum flush of the process-shared claim buffers is
+    /// due (set on the first quiet quantum after a non-quiet one, cleared
+    /// once no buffer had to be held back).
+    pp_flush_due: bool,
     /// Local mirror of the shared `sent` counter (fault-trigger clock).
     pub(super) local_sent: u64,
     /// Cached dead mask, refreshed once per quantum (and on PP spins).
@@ -253,6 +265,7 @@ impl<'w> ProcCtx<'w> {
             drain_buf: Vec::new(),
             ranges: Vec::new(),
             flush_emits: 0,
+            pp_flush_due: false,
             local_sent: 0,
             dead: 0,
             sibling_mask,
@@ -474,10 +487,11 @@ impl<'w> ProcCtx<'w> {
 
     /// Take the drain lock and seal-flush `claim`, re-shipping the collected
     /// items as singles.  Losing the lock race is fine: the holder's swap
-    /// covers every slot claimed before it, including ours.
-    fn drain_claim(&mut self, claim: SegClaim<Item<Payload>>) {
+    /// covers every slot claimed before it, including ours.  Returns whether
+    /// this call shipped anything.
+    fn drain_claim(&mut self, claim: SegClaim<Item<Payload>>) -> bool {
         if !claim.try_begin_drain(self.me.0) {
-            return;
+            return false;
         }
         let mut out = std::mem::take(&mut self.drain_buf);
         out.clear();
@@ -491,10 +505,95 @@ impl<'w> ProcCtx<'w> {
         // send was already counted, so charge the drop here.
         self.add_dropped(skipped);
         self.counters.incr("pp_seal_flushes");
+        let shipped = !out.is_empty();
         for item in out.drain(..) {
             self.ship_single(item);
         }
         self.drain_buf = out;
+        shipped
+    }
+
+    /// The process engine's gate of the self-clocked flush
+    /// ([`quantum::lane_drained`]): is everything this worker shipped toward
+    /// worker `dst` consumed?  A dead destination holds nothing back —
+    /// shipping to it is a counted drop.
+    fn lane_drained(&self, dst: usize) -> bool {
+        self.is_dead(dst)
+            || quantum::lane_drained(
+                self.world.ring(self.me.0 as usize, dst).len(),
+                self.stash[dst].len(),
+            )
+    }
+
+    /// Ship every non-empty aggregation buffer — with `gated`, only those
+    /// whose lane toward their receiver is drained.  Counts one flush-
+    /// triggered message per buffer shipped; returns whether a buffer was
+    /// held back.
+    fn flush_buffers(&mut self, gated: bool) -> bool {
+        let before = self.flush_emits;
+        let mut held = false;
+        match self.scheme {
+            Scheme::NoAgg => {}
+            Scheme::WW => {
+                for dst in 0..self.world.workers {
+                    if self.bufs_worker[dst].is_empty() {
+                        continue;
+                    }
+                    if gated && !self.lane_drained(dst) {
+                        held = true;
+                        continue;
+                    }
+                    self.emit_worker(dst);
+                    self.flush_emits += 1;
+                }
+            }
+            Scheme::WPs | Scheme::WsP => {
+                for dst_proc in 0..self.world.procs {
+                    if self.bufs_proc[dst_proc].is_empty() {
+                        continue;
+                    }
+                    let receiver = self
+                        .world
+                        .topo
+                        .group_receiver(self.my_proc, ProcId(dst_proc as u32));
+                    if gated && !self.lane_drained(receiver.0 as usize) {
+                        held = true;
+                        continue;
+                    }
+                    self.emit_proc(dst_proc);
+                    self.flush_emits += 1;
+                }
+            }
+            Scheme::PP => {
+                let topo = self.world.topo;
+                let src_proc = self.my_proc.0 as usize;
+                for dst_proc in 0..self.world.procs {
+                    let claim = self.world.claim(src_proc, dst_proc);
+                    if claim.claim_count() == 0 {
+                        continue;
+                    }
+                    // A drained claim buffer re-ships as singles: its lanes
+                    // are the rings toward every worker of the destination.
+                    if gated
+                        && !topo
+                            .workers_of(ProcId(dst_proc as u32))
+                            .all(|w| self.lane_drained(w.0 as usize))
+                    {
+                        held = true;
+                        continue;
+                    }
+                    if self.drain_claim(claim) {
+                        self.flush_emits += 1;
+                    }
+                }
+            }
+        }
+        if self.flush_emits != before {
+            self.status()
+                .flush_emits
+                .store(self.flush_emits, Ordering::Relaxed);
+        }
+        held
     }
 
     /// Are all private buffers empty?  Gates the done flag: nothing this
@@ -599,37 +698,29 @@ impl RunCtx for ProcCtx<'_> {
         // An explicit flush means "everything I sent is on its way": the
         // local-bypass batches too.
         self.flush_local();
-        self.flush_emits += 1;
-        self.status()
-            .flush_emits
-            .store(self.flush_emits, Ordering::Relaxed);
-        match self.scheme {
-            Scheme::NoAgg => {}
-            Scheme::WW => {
-                for dst in 0..self.world.workers {
-                    self.emit_worker(dst);
-                }
-            }
-            Scheme::WPs | Scheme::WsP => {
-                for dst_proc in 0..self.world.procs {
-                    self.emit_proc(dst_proc);
-                }
-            }
-            Scheme::PP => {
-                let src_proc = self.my_proc.0 as usize;
-                for dst_proc in 0..self.world.procs {
-                    let claim = self.world.claim(src_proc, dst_proc);
-                    if claim.claim_count() > 0 {
-                        self.drain_claim(claim);
-                    }
-                }
-            }
-        }
+        self.flush_buffers(false);
     }
 
     fn flush_on_idle(&mut self) {
         if self.world.tram.flush_policy.on_idle {
-            self.flush();
+            self.flush_buffers(false);
+        }
+    }
+}
+
+impl SelfClocked for ProcCtx<'_> {
+    fn items_sent(&self) -> u64 {
+        self.local_sent
+    }
+
+    fn flush_quiet(&mut self, first: bool) {
+        if self.scheme != Scheme::PP {
+            self.flush_buffers(true);
+        } else if first || self.pp_flush_due {
+            // Edge-triggered: the shared claim buffers are drained once per
+            // burst of activity of *this* worker, retried only while the
+            // gate holds one back.
+            self.pp_flush_due = self.flush_buffers(true);
         }
     }
 }
@@ -797,7 +888,8 @@ impl ChildFaults {
 }
 
 /// The healthy scheduling loop of one worker process: drain inboxes,
-/// generate work, honour quiesce, back off when idle.
+/// generate work, honour quiesce, ship partial buffers on quiet quanta, back
+/// off when idle.
 fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
     let me = ctx.me.0 as usize;
     let ctl = world.ctl();
@@ -805,6 +897,7 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
     let mut inbox: Vec<WireEnvelope> = Vec::with_capacity(INBOX_BUDGET);
     let mut beats = 0u64;
     let mut idle_rounds = 0u32;
+    let mut quiet = QuietTracker::new(world.tram.flush_policy.on_idle);
     let mut quiesced = false;
     loop {
         if ctl.stop.load(Ordering::Acquire) != 0 {
@@ -836,9 +929,15 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
             did_work = true;
         }
         let throttled = ctx.stash_len >= STASH_THROTTLE;
+        // What the quantum moved, before the app has its say: `on_idle`'s
+        // return value decides napping below, never flushing.
+        let moved = did_work;
         if !did_work && !quiescing && !throttled && !app.local_done() {
             did_work = app.on_idle(ctx);
         }
+        // The self-clocked flush (`crate::quantum`): on a quiet quantum a
+        // partial buffer ships if its lane is drained.
+        quiet.end_quantum(ctx, moved);
         // Quantum end, busy or idle: no local-bypass batch outlives the
         // iteration that filled it.
         ctx.flush_local();
@@ -850,9 +949,6 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
         if did_work {
             idle_rounds = 0;
             continue;
-        }
-        if idle_rounds == 0 {
-            ctx.flush_on_idle();
         }
         idle_rounds += 1;
         if idle_rounds < 64 {

@@ -20,6 +20,7 @@ use tramlib::{
 };
 
 use super::{Batch, Envelope, Plane, Shared, Spent, SPARE_BATCHES};
+use crate::quantum::{self, SelfClocked};
 
 /// Upper bound, in consecutive *idle* loop iterations, of the stash retry
 /// backoff (see [`NativeWorkerCtx::flush_stash_backoff`]).  The mesh loop
@@ -59,6 +60,10 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// PP only: this worker's adaptive-timeout controller (worker-owned
     /// aggregators embed their own inside `tramlib`).
     pub(crate) pp_adaptive: Option<AdaptiveTimeout>,
+    /// PP only: a quiet-quantum flush of the process-shared buffers is due.
+    /// Set on the first quiet quantum after a non-quiet one, cleared once no
+    /// buffer had to be held back (see [`SelfClocked::flush_quiet`]).
+    pub(crate) pp_flush_due: bool,
     /// Per-destination-worker local-bypass staging batches (same-process
     /// traffic), indexed by destination worker.  A staging buffer never
     /// outlives the scheduling quantum that filled it: every non-empty
@@ -84,6 +89,10 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// buffer can be sealed and emitted by a *sibling* worker before this
     /// worker publishes, so it must be counted at insert time.
     pub(crate) pending_sent: u64,
+    /// Every item this worker has handed to `send`, published or not: the
+    /// worker's own monotone send clock (quiet-quantum detection, the
+    /// `item=<n>` fault trigger).
+    pub(crate) local_sent: u64,
     /// Delivered items not yet published to the shared counter; published
     /// once per scheduling loop, strictly after [`NativeWorkerCtx::
     /// publish_sent`], so a delivered item's handler-generated sends are
@@ -183,6 +192,7 @@ impl<'a> NativeWorkerCtx<'a> {
             } else {
                 None
             },
+            pp_flush_due: false,
             // No lanes without the bypass: the per-quantum flush then has
             // nothing to walk.
             local_out: if shared.tram.local_bypass {
@@ -195,6 +205,7 @@ impl<'a> NativeWorkerCtx<'a> {
             spare_batches: Vec::new(),
             now_cache: 0,
             pending_sent: 0,
+            local_sent: 0,
             pending_delivered: 0,
             pending_dropped: 0,
             stash: (0..stash_lanes).map(|_| VecDeque::new()).collect(),
@@ -263,6 +274,36 @@ impl<'a> NativeWorkerCtx<'a> {
         self.now_cache = self.shared.now_ns();
     }
 
+    /// The worker a message for `dest` is shipped to.  Same spread rule as
+    /// the simulator: the (src proc, dst proc) pair pins the worker that
+    /// runs the grouping pass of a process-addressed message.
+    fn receiver_of(&self, dest: MessageDest) -> WorkerId {
+        match dest {
+            MessageDest::Worker(w) => w,
+            MessageDest::Process(p) => self.shared.topo.group_receiver(self.my_proc, p),
+        }
+    }
+
+    /// The mesh gate of the self-clocked flush ([`quantum::lane_drained`]):
+    /// is everything this worker shipped toward `dest`'s receiver consumed?
+    ///
+    /// For a receiver on another cluster node the lane is the uplink, and
+    /// its consumer is the node leader: a poller that naps between polls,
+    /// takes everything queued when it wakes and re-aggregates per node.
+    /// Batches still queued there say where the leader is in its nap, not
+    /// that it is behind, and a buffer held back for them misses the next
+    /// poll — so only a *full* uplink (batches stashed behind it) holds.
+    fn lane_drained(&self, dest: MessageDest) -> bool {
+        let target = self.receiver_of(dest);
+        if self.shared.node_plane.is_some()
+            && self.shared.topo.node_of_worker(target).0 != self.my_cluster_node
+        {
+            return self.wire_stash.is_empty();
+        }
+        let ring = self.shared.plane.mesh().ring(self.me.idx(), target.idx());
+        quantum::lane_drained(ring.len(), self.stash[target.idx()].len())
+    }
+
     /// Hand an aggregated message to the delivery plane, recording the wire
     /// counters the simulator records in its routing layer.
     pub(crate) fn emit(&mut self, message: OutboundMessage<Payload>) {
@@ -281,12 +322,7 @@ impl<'a> NativeWorkerCtx<'a> {
                 let _ = star.msg_tx.send(message);
             }
             Plane::Mesh(_) => {
-                let target = match message.dest {
-                    MessageDest::Worker(w) => w,
-                    // Same spread rule as the simulator: the (src proc, dst
-                    // proc) pair pins the worker that runs the grouping pass.
-                    MessageDest::Process(p) => self.shared.topo.group_receiver(self.my_proc, p),
-                };
+                let target = self.receiver_of(message.dest);
                 // Single-item worker-addressed messages (NoAgg) ride inline;
                 // their vector is recycled here, where it came from.
                 if message.items.len() == 1 && matches!(message.dest, MessageDest::Worker(_)) {
@@ -315,12 +351,7 @@ impl<'a> NativeWorkerCtx<'a> {
             self.counters.incr("wire_messages_flush");
             self.flush_emits += 1;
         }
-        let target = match sealed.dest {
-            MessageDest::Worker(w) => w,
-            // Same spread rule as the simulator: the (src proc, dst proc)
-            // pair pins the worker that runs the grouping pass.
-            MessageDest::Process(p) => self.shared.topo.group_receiver(self.my_proc, p),
-        };
+        let target = self.receiver_of(sealed.dest);
         self.push_mesh(target, Envelope::Slab(sealed));
     }
 
@@ -831,6 +862,51 @@ impl<'a> NativeWorkerCtx<'a> {
         self.pp_oldest_ns = None;
     }
 
+    /// Idle-flush the shared PP buffers whose destination `release` lets go;
+    /// empty buffers are left unsealed.  Returns whether any non-empty buffer
+    /// was held back.
+    fn flush_pp_where(&mut self, release: impl Fn(&Self, MessageDest) -> bool) -> bool {
+        let shared = self.shared;
+        let mut held = false;
+        for dst in 0..shared.pp[self.my_proc.idx()].len() {
+            let buffer = &shared.pp[self.my_proc.idx()][dst];
+            if buffer.claim_count() == 0 {
+                continue;
+            }
+            let dst_proc = ProcId(dst as u32);
+            if release(self, MessageDest::Process(dst_proc)) {
+                self.emit_pp(dst_proc, buffer.seal_flush(), EmitReason::IdleFlush);
+            } else {
+                held = true;
+            }
+        }
+        if !held {
+            self.pp_oldest_ns = None;
+        }
+        held
+    }
+
+    /// The idle flush, behind a per-destination gate: under
+    /// `FlushPolicy::on_idle`, ship every non-empty aggregation buffer whose
+    /// destination `release` lets go.  Returns whether a PP buffer was held
+    /// back (worker-owned buffers need no such memory: they are retried on
+    /// every quiet quantum).
+    fn flush_idle_where(&mut self, release: impl Fn(&Self, MessageDest) -> bool) -> bool {
+        if self.shared.tram.scheme == Scheme::PP {
+            return self.shared.tram.flush_policy.on_idle && self.flush_pp_where(release);
+        }
+        if let Some(mut agg) = self.aggregator.take() {
+            match self.arena {
+                Some(arena) => {
+                    agg.flush_on_idle_slab_where(arena, self, release, Self::emit_any);
+                }
+                None => agg.flush_on_idle_where(self, release, Self::emit),
+            }
+            self.aggregator = Some(agg);
+        }
+        false
+    }
+
     /// Emit messages whose buffer timeout has expired.  Worker-owned
     /// aggregators track per-buffer ages themselves; for PP — whose shared
     /// claim buffers keep no per-item timestamps — the poll works from this
@@ -937,6 +1013,7 @@ impl RunCtx for NativeWorkerCtx<'_> {
     fn send(&mut self, dest: WorkerId, payload: Payload) {
         let created = self.now_cache;
         let item = Item::new(dest, payload, created);
+        self.local_sent += 1;
         if self.shared.tram.scheme == Scheme::PP {
             // Counted eagerly: a sibling worker may seal and emit this item
             // before our next publish (see the `pending_sent` docs).
@@ -988,18 +1065,23 @@ impl RunCtx for NativeWorkerCtx<'_> {
     }
 
     fn flush_on_idle(&mut self) {
-        if self.shared.tram.scheme == Scheme::PP {
-            if self.shared.tram.flush_policy.on_idle {
-                self.flush_pp(EmitReason::IdleFlush);
-            }
-            return;
-        }
-        if let Some(mut agg) = self.aggregator.take() {
-            match self.arena {
-                Some(arena) => agg.flush_on_idle_slab_each(arena, |message| self.emit_any(message)),
-                None => agg.flush_on_idle_each(|message| self.emit(message)),
-            }
-            self.aggregator = Some(agg);
+        self.flush_idle_where(|_, _| true);
+    }
+}
+
+impl SelfClocked for NativeWorkerCtx<'_> {
+    fn items_sent(&self) -> u64 {
+        self.local_sent
+    }
+
+    fn flush_quiet(&mut self, first: bool) {
+        if self.shared.tram.scheme != Scheme::PP {
+            self.flush_idle_where(Self::lane_drained);
+        } else if first || self.pp_flush_due {
+            // Edge-triggered: the shared buffers are flushed once per burst
+            // of activity of *this* worker, retried only while the gate
+            // holds one back.
+            self.pp_flush_due = self.flush_idle_where(Self::lane_drained);
         }
     }
 }

@@ -85,21 +85,12 @@ impl ActiveFaults {
         if self.burst_quanta > 0 {
             self.burst_quanta -= 1;
         }
-        let mut sent = None;
         for i in 0..self.faults.len() {
             if self.faults[i].fired {
                 continue;
             }
             let due = match self.faults[i].trigger {
-                FaultTrigger::Items(n) => {
-                    // Own published sends plus the batched, not-yet-published
-                    // remainder: the worker's true monotone send count.
-                    let sent = *sent.get_or_insert_with(|| {
-                        ctx.shared.items_sent[ctx.me.idx()].load(Ordering::Relaxed)
-                            + ctx.pending_sent
-                    });
-                    sent >= n
-                }
+                FaultTrigger::Items(n) => ctx.local_sent >= n,
                 FaultTrigger::Flushes(n) => ctx.flush_emits >= n,
                 // Wire faults are node-scoped: `FaultPlan::for_worker` filters
                 // them out, so a worker never compiles one in.

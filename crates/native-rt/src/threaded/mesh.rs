@@ -28,9 +28,10 @@ use tramlib::{MessageDest, PooledReceiver, SlabSealed};
 use super::ctx::{deliver_batch, deliver_slice};
 use super::faults::ActiveFaults;
 use super::{Envelope, NativeWorkerCtx, Shared, WorkerOutput};
+use crate::quantum::QuietTracker;
 
 /// Max envelopes drained from one source ring per loop iteration, so a
-/// single hot source cannot starve the others (or the idle-flush path).
+/// single hot source cannot starve the others.
 /// Also a term of the arena sizing: a consumer can hold this many popped
 /// envelopes (slabs among them) mid-processing.
 pub(crate) const INBOX_BUDGET: usize = 128;
@@ -47,7 +48,8 @@ const IDLE_NAP: Duration = Duration::from_micros(50);
 const IDLE_NAP_MAX_DOUBLINGS: u32 = 3;
 
 /// One worker PE on the mesh: retry stashed pushes, reclaim returned
-/// vectors, drain inbox rings, generate work, idle-flush, back off.
+/// vectors, drain inbox rings, generate work, ship partial buffers on quiet
+/// quanta, back off.
 ///
 /// The scheduling loop (and the application code it calls) runs inside a
 /// `catch_unwind` boundary: a panic — injected by a `FaultPlan` or genuine —
@@ -154,6 +156,7 @@ fn mesh_loop(
     let mesh = shared.plane.mesh();
     let me_i = me.idx();
     let mut idle_rounds = 0u32;
+    let mut quiet = QuietTracker::new(shared.tram.flush_policy.on_idle);
     let mut iteration = 0u32;
     let mut beats = 0u64;
     let mut done_stored = false;
@@ -245,6 +248,9 @@ fn mesh_loop(
         // backpressure that keeps in-flight storage bounded.
         let throttled =
             ctx.stash_len >= super::STASH_THROTTLE || ctx.wire_stash.len() >= super::STASH_THROTTLE;
+        // What the quantum moved, before the app has its say: `on_idle`'s
+        // return value decides napping below, never flushing.
+        let moved = did_work;
         if !did_work && !quiescing && !app.local_done() && !throttled {
             did_work = app.on_idle(ctx);
         }
@@ -263,15 +269,12 @@ fn mesh_loop(
         // timeout policy): a worker kept busy by incoming requests must still
         // age out its partially-filled response buffers.
         ctx.poll_timeout();
-        if !did_work && idle_rounds == 0 {
-            // Transition into idle: the same point at which the simulator
-            // flushes, once per idle quantum (an idle PP worker must not
-            // continuously seal-flush the buffers its peers are filling).
-            ctx.flush_on_idle();
-        }
+        // The self-clocked flush (`crate::quantum`): on a quiet quantum a
+        // partial buffer ships if its lane is drained.
+        quiet.end_quantum(ctx, moved);
         // Quantum end, busy or idle: no staging buffer (local-bypass batch,
         // wire batch) outlives the iteration that filled it.  Last, so that
-        // cross-node messages the timeout poll and the idle flush just
+        // cross-node messages the timeout poll and the quiet flush just
         // emitted leave with this quantum too, not after the nap.
         ctx.flush_local();
         if did_work {

@@ -139,7 +139,10 @@ pub trait RunCtx {
     fn flush(&mut self);
 
     /// Idle flush: only flushes if the configured [`tramlib::FlushPolicy`]
-    /// enables flushing on idle.  Called by the backends themselves when a
-    /// worker goes idle; applications rarely need it directly.
+    /// enables flushing on idle, and then flushes every buffer.  Applications
+    /// rarely need it: the simulator calls it when a worker's event queue
+    /// runs dry, and the native engines decide for themselves when a partial
+    /// buffer ships (on a quiet scheduling quantum, into a drained ring),
+    /// without going through this method.
     fn flush_on_idle(&mut self);
 }

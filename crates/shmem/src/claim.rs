@@ -87,6 +87,13 @@ impl<T> ClaimBuffer<T> {
         self.capacity
     }
 
+    /// Raw claim cursor (racy snapshot): 0 means nothing is buffered,
+    /// `>= capacity` means sealed.  Lets a caller skip the seal of an empty
+    /// buffer, which would turn concurrent inserters away for nothing.
+    pub fn claim_count(&self) -> u64 {
+        self.claim.load(Ordering::Acquire)
+    }
+
     /// How many times the buffer has been sealed and reopened.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)

@@ -410,17 +410,30 @@ impl<T: Clone> Aggregator<T> {
         }
     }
 
-    /// Drain every non-empty buffer, handing one (resized) message per
-    /// destination to `sink`.  `reason` records why (explicit, idle, timeout).
-    fn drain_all_each(&mut self, reason: EmitReason, mut sink: impl FnMut(OutboundMessage<T>)) {
+    /// Drain every non-empty buffer whose destination `release` lets go,
+    /// handing one (resized) message per destination to `sink`.  `reason`
+    /// records why (explicit, idle).  A held buffer is not touched: it keeps
+    /// its items, their order and its oldest-insert stamp.  `cx` is the
+    /// caller's state, threaded through so the gate can read what the sink
+    /// mutates.
+    fn drain_where<C>(
+        &mut self,
+        reason: EmitReason,
+        cx: &mut C,
+        release: impl Fn(&C, MessageDest) -> bool,
+        mut sink: impl FnMut(&mut C, OutboundMessage<T>),
+    ) {
         for slot in 0..self.buffers.len() {
             match self.buffers[slot].as_ref() {
                 Some(buffer) if !buffer.is_empty() => {}
                 _ => continue,
             }
-            let items = self.drain_slot(slot);
             let dest = self.dest_for_slot(slot);
-            sink(self.make_message(dest, items, reason));
+            if !release(cx, dest) {
+                continue;
+            }
+            let items = self.drain_slot(slot);
+            sink(cx, self.make_message(dest, items, reason));
         }
     }
 
@@ -438,23 +451,42 @@ impl<T: Clone> Aggregator<T> {
     /// [`Aggregator::flush`] without the intermediate message vector: each
     /// drained message goes straight to `sink` (the native runtime's
     /// flush-to-ring fast path).
-    pub fn flush_each(&mut self, sink: impl FnMut(OutboundMessage<T>)) {
+    pub fn flush_each(&mut self, mut sink: impl FnMut(OutboundMessage<T>)) {
         self.stats.record_flush_call();
-        self.drain_all_each(EmitReason::ExplicitFlush, sink);
+        self.drain_where(
+            EmitReason::ExplicitFlush,
+            &mut sink,
+            |_, _| true,
+            |sink, m| sink(m),
+        );
     }
 
     /// Idle flush: called by the runtime when the owning worker has no work.
     /// Only drains if the flush policy enables flushing on idle.
     pub fn flush_on_idle(&mut self) -> Vec<OutboundMessage<T>> {
         let mut out = Vec::new();
-        self.flush_on_idle_each(|m| out.push(m));
+        self.flush_on_idle_where(&mut out, |_, _| true, |out, m| out.push(m));
         out
     }
 
-    /// [`Aggregator::flush_on_idle`] with messages handed straight to `sink`.
-    pub fn flush_on_idle_each(&mut self, sink: impl FnMut(OutboundMessage<T>)) {
+    /// Idle flush behind a per-destination gate, with messages handed
+    /// straight to `sink`: a non-empty buffer ships
+    /// (as [`EmitReason::IdleFlush`]) only if `release` lets its destination
+    /// go; a held buffer keeps filling — same items, same order, same
+    /// oldest-insert stamp — until it is full, times out, or a later call
+    /// releases it.  The native runtime's gate is Nagle's rule on the ring
+    /// toward the destination's receiver: release when nothing this worker
+    /// shipped there is still unconsumed.  Only drains if the flush policy
+    /// enables flushing on idle.  `cx` is handed to both callbacks, so the
+    /// gate can read the state the sink mutates.
+    pub fn flush_on_idle_where<C>(
+        &mut self,
+        cx: &mut C,
+        release: impl Fn(&C, MessageDest) -> bool,
+        sink: impl FnMut(&mut C, OutboundMessage<T>),
+    ) {
         if self.config.flush_policy.on_idle {
-            self.drain_all_each(EmitReason::IdleFlush, sink);
+            self.drain_where(EmitReason::IdleFlush, cx, release, sink);
         }
     }
 
@@ -670,25 +702,38 @@ impl<T: Copy> Aggregator<T> {
         })
     }
 
-    /// Drain every non-empty slot (active slabs and fallback vectors alike),
-    /// handing one resized message per destination to `sink`.
-    fn drain_all_slab_each(
+    /// Drain every non-empty slot (active slab or fallback vector — never
+    /// both) whose destination `release` lets go, handing one resized message
+    /// per destination to `sink`.  The slab-path twin of
+    /// [`Aggregator::drain_where`]: a held slot keeps its slab, fill level
+    /// and oldest-insert stamp.
+    fn drain_slab_where<C>(
         &mut self,
         arena: &SlabArena<Item<T>>,
         reason: EmitReason,
-        mut sink: impl FnMut(EmittedMessage<T>),
+        cx: &mut C,
+        release: impl Fn(&C, MessageDest) -> bool,
+        mut sink: impl FnMut(&mut C, EmittedMessage<T>),
     ) {
         for slot in 0..self.slabs.len() {
-            if let Some((slab, len)) = self.slabs[slot].take() {
-                sink(self.seal_slab(arena, slot, slab, len, reason));
+            let vec_pending = self.buffers[slot].as_ref().is_some_and(|b| !b.is_empty());
+            if self.slabs[slot].is_none() && !vec_pending {
+                continue;
             }
-            match self.buffers[slot].as_ref() {
-                Some(buffer) if !buffer.is_empty() => {}
-                _ => continue,
-            }
-            let items = self.drain_slot(slot);
             let dest = self.dest_for_slot(slot);
-            sink(EmittedMessage::Vec(self.make_message(dest, items, reason)));
+            if !release(cx, dest) {
+                continue;
+            }
+            if let Some((slab, len)) = self.slabs[slot].take() {
+                sink(cx, self.seal_slab(arena, slot, slab, len, reason));
+            }
+            if vec_pending {
+                let items = self.drain_slot(slot);
+                sink(
+                    cx,
+                    EmittedMessage::Vec(self.make_message(dest, items, reason)),
+                );
+            }
         }
     }
 
@@ -697,20 +742,29 @@ impl<T: Copy> Aggregator<T> {
     pub fn flush_slab_each(
         &mut self,
         arena: &SlabArena<Item<T>>,
-        sink: impl FnMut(EmittedMessage<T>),
+        mut sink: impl FnMut(EmittedMessage<T>),
     ) {
         self.stats.record_flush_call();
-        self.drain_all_slab_each(arena, EmitReason::ExplicitFlush, sink);
+        self.drain_slab_where(
+            arena,
+            EmitReason::ExplicitFlush,
+            &mut sink,
+            |_, _| true,
+            |sink, m| sink(m),
+        );
     }
 
-    /// Idle flush on the slab path (only drains if the policy enables it).
-    pub fn flush_on_idle_slab_each(
+    /// [`Aggregator::flush_on_idle_where`] on the slab path: a released slot
+    /// seals its slab as an `IdleFlush` message, a held slot keeps its slab.
+    pub fn flush_on_idle_slab_where<C>(
         &mut self,
         arena: &SlabArena<Item<T>>,
-        sink: impl FnMut(EmittedMessage<T>),
+        cx: &mut C,
+        release: impl Fn(&C, MessageDest) -> bool,
+        sink: impl FnMut(&mut C, EmittedMessage<T>),
     ) {
         if self.config.flush_policy.on_idle {
-            self.drain_all_slab_each(arena, EmitReason::IdleFlush, sink);
+            self.drain_slab_where(arena, EmitReason::IdleFlush, cx, release, sink);
         }
     }
 
@@ -979,6 +1033,53 @@ mod tests {
         assert_eq!(msgs[0].reason, EmitReason::IdleFlush);
     }
 
+    /// On-idle flushing with a 1 µs timeout as the backstop.
+    fn idle_policy() -> crate::FlushPolicy {
+        crate::FlushPolicy {
+            on_idle: true,
+            ..crate::FlushPolicy::with_timeout(1_000)
+        }
+    }
+
+    #[test]
+    fn gated_idle_flush_holds_one_destination_and_releases_the_other() {
+        let cfg = config(Scheme::WPs).with_flush_policy(idle_policy());
+        let mut agg = Aggregator::new(cfg, Owner::Worker(WorkerId(0)));
+        agg.insert_at(Item::new(WorkerId(4), 1u32, 100), 100); // proc 2
+        agg.insert_at(Item::new(WorkerId(6), 2, 200), 200); // proc 3
+        agg.insert_at(Item::new(WorkerId(5), 3, 300), 300); // proc 2
+        let proc3 = MessageDest::Process(ProcId(3));
+        // The gate reads the caller's state; the sink writes it.
+        let mut cx = (proc3, Vec::new());
+        agg.flush_on_idle_where(&mut cx, |cx, dest| dest == cx.0, |cx, m| cx.1.push(m));
+        let released = cx.1;
+        assert_eq!(released.len(), 1);
+        assert_eq!(released[0].dest, proc3);
+        assert_eq!(released[0].reason, EmitReason::IdleFlush);
+        assert_eq!(released[0].items[0].data, 2);
+        // The held buffer is untouched: items, oldest-insert stamp, order.
+        assert_eq!(agg.buffered_items(), 2);
+        assert_eq!(agg.next_timeout_deadline(), Some(1_100));
+        let full = agg
+            .insert_at(Item::new(WorkerId(4), 4, 400), 400)
+            .message
+            .expect("the held buffer fills");
+        assert_eq!(full.reason, EmitReason::BufferFull);
+        let data: Vec<u32> = full.items.iter().map(|i| i.data).collect();
+        assert_eq!(data, vec![1, 3, 4]);
+        assert_eq!(agg.stats().counters().get("messages_idle_flush"), 1);
+
+        // Without the policy the gate is never consulted.
+        let mut agg = Aggregator::new(config(Scheme::WPs), Owner::Worker(WorkerId(0)));
+        agg.insert(item(4, 1));
+        agg.flush_on_idle_where(
+            &mut (),
+            |(), _| panic!("gate consulted"),
+            |(), _| panic!("emitted"),
+        );
+        assert_eq!(agg.buffered_items(), 1);
+    }
+
     #[test]
     fn timeout_flush_only_past_deadline() {
         let cfg = config(Scheme::WPs).with_flush_policy(crate::FlushPolicy::with_timeout(1_000));
@@ -1220,6 +1321,75 @@ mod tests {
             "steady state must never fall back: {stats:?}"
         );
         assert!(stats.claims >= 66);
+    }
+
+    #[test]
+    fn gated_idle_flush_on_the_slab_path_keeps_a_held_slab_filling() {
+        let arena = slab_arena(3);
+        let cfg = config(Scheme::WPs).with_flush_policy(idle_policy());
+        let mut agg = Aggregator::new(cfg, Owner::Worker(WorkerId(0)));
+        agg.insert_slab_at(&arena, item(4, 1), 100); // proc 2
+        agg.insert_slab_at(&arena, item(6, 2), 200); // proc 3
+        agg.insert_slab_at(&arena, item(5, 3), 300); // proc 2
+        assert_eq!(arena.free_slabs(), 6);
+        let proc3 = MessageDest::Process(ProcId(3));
+        let mut released = Vec::new();
+        agg.flush_on_idle_slab_where(
+            &arena,
+            &mut released,
+            |_, dest| dest == proc3,
+            |out, m| out.push(m),
+        );
+        assert_eq!(released.len(), 1);
+        match &released[0] {
+            EmittedMessage::Slab(sealed) => {
+                assert_eq!(sealed.dest, proc3);
+                assert_eq!(sealed.reason, EmitReason::IdleFlush);
+            }
+            EmittedMessage::Vec(_) => panic!("expected a slab"),
+        }
+        assert_eq!(read_slab(&arena, &released[0]), vec![(6, 2)]);
+        // The held slot keeps its slab, fill level and oldest-insert stamp,
+        // and fills up in insertion order.
+        assert_eq!(arena.free_slabs(), 7);
+        assert_eq!(agg.buffered_items(), 2);
+        assert_eq!(agg.next_timeout_deadline(), Some(1_100));
+        let full = agg
+            .insert_slab_at(&arena, item(4, 4), 400)
+            .message
+            .expect("the held slab fills");
+        assert_eq!(read_slab(&arena, &full), vec![(4, 1), (5, 3), (4, 4)]);
+        assert_eq!(agg.stats().counters().get("messages_idle_flush"), 1);
+        assert_eq!(agg.stats().messages_full(), 1);
+        assert_eq!(arena.stats().misses, 0);
+    }
+
+    #[test]
+    fn slab_steady_state_stays_miss_free_under_gated_idle_flushes() {
+        // A gate that opens on every other poll, polled after every insert:
+        // slabs leave half-filled or full, and every one comes home before
+        // the arena could run dry.
+        let arena = slab_arena(3);
+        let cfg = config(Scheme::WPs).with_flush_policy(idle_policy());
+        let mut agg = Aggregator::new(cfg, Owner::Worker(WorkerId(0)));
+        let mut delivered = Vec::new();
+        for round in 0..200u32 {
+            if let Some(msg) = agg.insert_slab_at(&arena, item(4, round), 0).message {
+                delivered.extend(read_slab(&arena, &msg));
+            }
+            agg.flush_on_idle_slab_where(
+                &arena,
+                &mut delivered,
+                |_, _| round % 2 == 1,
+                |out, msg| out.extend(read_slab(&arena, &msg)),
+            );
+        }
+        agg.flush_slab_each(&arena, |msg| delivered.extend(read_slab(&arena, &msg)));
+        // Per-destination order survives every mix of held and released.
+        let data: Vec<u32> = delivered.iter().map(|&(_, v)| v).collect();
+        assert_eq!(data, (0..200).collect::<Vec<u32>>());
+        assert_eq!(arena.stats().misses, 0);
+        assert_eq!(arena.free_slabs(), 8);
     }
 
     #[test]

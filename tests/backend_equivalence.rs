@@ -302,13 +302,15 @@ fn default_bypass_matches_on_a_one_process_cluster() {
     assert_eq!(run(Backend::Process), sim, "process bypass diverged");
 }
 
-/// Two workers bat `BALLS` items back and forth for `HOPS` hops each while
+/// Two workers bat `balls` items back and forth for `HOPS` hops each while
 /// `on_idle` keeps reporting work: the workers are never idle, and there are
-/// never enough items in flight to fill any batch.  Only a runtime that
-/// ships its staging buffers at the end of every quantum lets a ball move.
+/// never enough items in flight to fill any batch or buffer.  Only a runtime
+/// that ships its staging buffers at the end of every quantum, and its
+/// partial aggregation buffers on a quiet one, lets a ball move.
 struct PingPong {
     peer: WorkerId,
     serve: bool,
+    balls: u64,
     received: u64,
 }
 
@@ -326,7 +328,7 @@ impl WorkerApp for PingPong {
     fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
         if self.serve {
             self.serve = false;
-            for ball in 0..BALLS {
+            for ball in 0..self.balls {
                 ctx.send(self.peer, Payload::new(HOPS - 1, ball));
             }
         }
@@ -335,7 +337,7 @@ impl WorkerApp for PingPong {
 
     fn local_done(&self) -> bool {
         // Hops alternate between the two workers, starting at the peer.
-        self.received == BALLS * HOPS / 2
+        self.received == self.balls * HOPS / 2
     }
 
     fn on_finalize(&mut self, counters: &mut smp_aggregation::metrics::Counters) {
@@ -349,26 +351,31 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
     use std::time::Duration;
 
     let watchdog = Duration::from_secs(30);
-    let make_app = |me: WorkerId| -> Box<dyn WorkerApp> {
-        Box::new(PingPong {
-            peer: WorkerId(1 - me.0),
-            serve: me.0 == 0,
-            received: 0,
-        })
+    let app_with = |balls: u64| {
+        move |me: WorkerId| -> Box<dyn WorkerApp> {
+            Box::new(PingPong {
+                peer: WorkerId(1 - me.0),
+                serve: me.0 == 0,
+                balls,
+                received: 0,
+            })
+        }
     };
-    let check = |label: &str, report: RunReport| {
+    let make_app = app_with(BALLS);
+    let check_balls = |label: &str, report: &RunReport, balls: u64| {
         assert!(
             report.clean(),
             "{label}: a hot ping-pong must finish, got {}",
             report.outcome.signature()
         );
-        assert_eq!(report.counter("pong_received"), BALLS * HOPS, "{label}");
+        assert_eq!(report.counter("pong_received"), balls * HOPS, "{label}");
         assert!(
             report.total_time_ns < watchdog.as_nanos() as u64 / 3,
             "{label}: {} ms is the watchdog's doing, not the runtime's",
             report.total_time_ns / 1_000_000
         );
     };
+    let check = |label: &str, report: RunReport| check_balls(label, &report, BALLS);
 
     // Same process, default config: every hop rides the local bypass.
     let local = sim_config(
@@ -419,6 +426,49 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
     let shipped: u64 = report.node_reports.iter().map(|d| d.items_shipped).sum();
     assert_eq!(shipped, BALLS * HOPS, "wire: every hop crosses the wire");
     check("wire/sim", report);
+
+    // Aggregated, bypass off, a window of one: every hop sits alone in a WPs
+    // buffer that never fills, its timeout (10 s) is a third of the watchdog,
+    // and `on_idle` never says "idle".  Only the quiet-quantum flush moves
+    // the ball — one idle-flush message per hop, no timeout-flush message.
+    let policy = FlushPolicy {
+        on_idle: true,
+        ..FlushPolicy::with_timeout(10_000_000_000)
+    };
+    let aggregated = |cluster: ClusterSpec| {
+        let mut sim = sim_config(cluster, Scheme::WPs, 64, 16, policy, 7);
+        sim.common.tram = sim.common.tram.with_local_bypass(false);
+        sim
+    };
+    let check_quiet = |label: &str, report: RunReport| {
+        check_balls(label, &report, 1);
+        let tram = report.tram.counters();
+        assert_eq!(tram.get("messages_idle_flush"), HOPS, "{label}");
+        assert_eq!(tram.get("messages_timeout_flush"), 0, "{label}");
+    };
+    let one_proc = aggregated(ClusterSpec::smp(1, 1, 2));
+    let report = run_app_native(
+        one_proc,
+        |native| native.with_max_wall(watchdog),
+        app_with(1),
+    );
+    check_quiet("aggregated/mesh", report);
+    let report = run_process(
+        ProcessBackendConfig::from_common(one_proc.common).with_max_wall(watchdog),
+        app_with(1),
+    );
+    assert_eq!(report.counter("wire_messages"), HOPS, "aggregated/process");
+    check_balls("aggregated/process", &report, 1);
+    let report = run_app_native(
+        aggregated(ClusterSpec::smp(2, 1, 1)),
+        |native| {
+            native
+                .with_transport(Some(TransportKind::Sim))
+                .with_max_wall(watchdog)
+        },
+        app_with(1),
+    );
+    check_quiet("aggregated/wire/sim", report);
 }
 
 fn run_app_dispatches_every_backend() {
