@@ -163,6 +163,13 @@ fn mesh_loop(
     let mut quiesced = false;
     // Reused drain buffer: one batched head publication per source ring.
     let mut inbox: Vec<Envelope> = Vec::with_capacity(INBOX_BUDGET);
+    // Node tier: while this loop runs and is not napping, the worker counts
+    // as awake for its node's leader and pumps it on unmoved quanta.  The
+    // handle drops with the loop — `stop`, or an unwind into quarantine.
+    let helper = shared
+        .node_plane
+        .as_ref()
+        .map(|plane| plane.helper(shared.topo.node_of_worker(me).0));
     loop {
         // Checked every iteration (not just on the idle path) so the watchdog
         // can abort even a worker whose on_idle never stops returning true.
@@ -277,6 +284,15 @@ fn mesh_loop(
         // cross-node messages the timeout poll and the quiet flush just
         // emitted leave with this quantum too, not after the nap.
         ctx.flush_local();
+        // Node tier: a quantum that moved nothing inbound has time to pump
+        // the node's wire itself, so what it just shipped leaves now and
+        // what is waiting on the socket is in the downlink next quantum —
+        // neither waits for the leader thread to wake.
+        if !moved {
+            if let Some(helper) = &helper {
+                did_work |= helper.help(shared);
+            }
+        }
         if did_work {
             // A busy iteration spans a whole inbox quantum, so a stash-retry
             // skip counted across busy iterations would starve consumers of
@@ -295,7 +311,11 @@ fn mesh_loop(
             std::thread::yield_now();
         } else {
             let doublings = (idle_rounds - IDLE_YIELDS - 1).min(IDLE_NAP_MAX_DOUBLINGS);
-            std::thread::sleep(IDLE_NAP * (1 << doublings));
+            let nap = IDLE_NAP * (1 << doublings);
+            match &helper {
+                Some(helper) => helper.nap(nap),
+                None => std::thread::sleep(nap),
+            }
         }
     }
 }

@@ -889,6 +889,10 @@ pub fn run_threaded(
         // notice `stop` within one idle nap) is not part of the run.
         total_time_ns = start.elapsed().as_nanos() as u64;
         shared.stop.store(true, Ordering::Release);
+        // A leader standing down for its workers sleeps on a park, not a nap.
+        if let Some(plane) = &shared.node_plane {
+            plane.unpark_leaders();
+        }
         // Joins must not unwind: the containment boundary already converts
         // worker panics into quarantines, so a join failure here means a
         // panic *outside* that boundary (setup/teardown) — fold it into the

@@ -108,6 +108,14 @@ pub struct NodeDiag {
     /// Modeled one-way wire nanoseconds (simulated transport only; 0 on
     /// real sockets).
     pub modeled_wire_ns: u64,
+    /// Pumps of this node's wire state run by its leader thread.
+    pub pumps_by_leader: u64,
+    /// Pumps run by the node's own workers, helping at the end of a quantum
+    /// that moved nothing inbound.
+    pub pumps_by_worker: u64,
+    /// Times the leader thread parked instead of napping because a local
+    /// worker was awake and pumping.
+    pub leader_standdowns: u64,
     /// Per-peer link state at teardown.
     pub links: Vec<LinkReport>,
 }
@@ -116,7 +124,7 @@ impl std::fmt::Display for NodeDiag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "node {} [{}] frames={}tx/{}rx retx={} hb_miss={} dup={} items={}out/{}in dropped={} faults={} links=[",
+            "node {} [{}] frames={}tx/{}rx retx={} hb_miss={} dup={} items={}out/{}in dropped={} faults={} pumps={}leader/{}worker standdowns={} links=[",
             self.node,
             self.transport,
             self.frames_sent,
@@ -128,6 +136,9 @@ impl std::fmt::Display for NodeDiag {
             self.items_received,
             self.items_dropped,
             self.wire_faults_fired,
+            self.pumps_by_leader,
+            self.pumps_by_worker,
+            self.leader_standdowns,
         )?;
         for (i, link) in self.links.iter().enumerate() {
             if i > 0 {
@@ -444,7 +455,7 @@ impl RunReport {
                     s.push(',');
                 }
                 s.push_str(&format!(
-                    "{{\"node\":{},\"transport\":\"{}\",\"frames_sent\":{},\"frames_received\":{},\"retransmits\":{},\"heartbeat_misses\":{},\"duplicates_rejected\":{},\"items_shipped\":{},\"items_received\":{},\"items_dropped\":{},\"wire_faults_fired\":{},\"links_up\":{}}}",
+                    "{{\"node\":{},\"transport\":\"{}\",\"frames_sent\":{},\"frames_received\":{},\"retransmits\":{},\"heartbeat_misses\":{},\"duplicates_rejected\":{},\"items_shipped\":{},\"items_received\":{},\"items_dropped\":{},\"wire_faults_fired\":{},\"pumps_by_leader\":{},\"pumps_by_worker\":{},\"leader_standdowns\":{},\"links_up\":{}}}",
                     n.node,
                     n.transport,
                     n.frames_sent,
@@ -456,6 +467,9 @@ impl RunReport {
                     n.items_received,
                     n.items_dropped,
                     n.wire_faults_fired,
+                    n.pumps_by_leader,
+                    n.pumps_by_worker,
+                    n.leader_standdowns,
                     n.links.iter().filter(|l| l.up).count()
                 ));
             }
@@ -614,6 +628,9 @@ mod tests {
             items_shipped: 300,
             items_received: 250,
             items_dropped: 50,
+            pumps_by_leader: 7,
+            pumps_by_worker: 40,
+            leader_standdowns: 2,
             links: vec![
                 LinkReport {
                     peer: 0,
@@ -631,11 +648,13 @@ mod tests {
         let line = diag.to_string();
         assert!(line.contains("node 1 [tcp]"));
         assert!(line.contains("retx=1"));
+        assert!(line.contains("pumps=7leader/40worker standdowns=2"));
         assert!(line.contains("links=[0:up, 2:cut(heartbeat timeout)]"));
         r.node_reports = vec![diag.clone()];
         assert!(r.summary().contains("node 1 [tcp]"));
         let json = r.to_json();
         assert!(json.contains("\"nodes\":[{\"node\":1,\"transport\":\"tcp\""));
+        assert!(json.contains("\"pumps_by_worker\":40"));
         assert!(json.contains("\"links_up\":1"));
         let in_diag = RunDiagnostics {
             node_reports: vec![diag],

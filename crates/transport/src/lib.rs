@@ -79,8 +79,9 @@ impl std::fmt::Display for TransportError {
 /// A byte mover between node leaders.
 ///
 /// One endpoint per node; `send`/`try_recv` address peers by node id.
-/// Implementations must be usable from a single leader thread
-/// (`&mut self` everywhere) and must *surface* link failures as
+/// Implementations are driven by one thread at a time (`&mut self`
+/// everywhere; `native-rt` keeps the endpoint behind its node's leader lock)
+/// and must *surface* link failures as
 /// [`TransportError`] rather than blocking forever — the leader turns
 /// those into link cuts and ledger settlement.
 pub trait Transport: Send {

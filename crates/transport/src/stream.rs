@@ -53,6 +53,8 @@ pub struct StreamMesh<S> {
     conns: Vec<Option<Conn<S>>>,
     rr: usize,
     read_buf: Box<[u8]>,
+    /// Encode scratch, reused by every `send`.
+    encode_buf: Vec<u8>,
 }
 
 impl<S: Read + Write + Send> StreamMesh<S> {
@@ -74,6 +76,7 @@ impl<S: Read + Write + Send> StreamMesh<S> {
                 .collect(),
             rr: 0,
             read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
+            encode_buf: Vec::new(),
         }
     }
 
@@ -156,9 +159,9 @@ impl<S: Read + Write + Send> Transport for StreamMesh<S> {
             Some(c) if c.open => c,
             _ => return Err(TransportError::PeerClosed(dst)),
         };
-        let mut bytes = Vec::with_capacity(frame.wire_bytes());
-        frame.encode_into(&mut bytes);
-        Self::write_nonblocking(conn, dst, &bytes)
+        self.encode_buf.clear();
+        frame.encode_into(&mut self.encode_buf);
+        Self::write_nonblocking(conn, dst, &self.encode_buf)
     }
 
     fn try_recv(&mut self) -> Result<Option<Frame>, TransportError> {

@@ -414,18 +414,24 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
         FlushPolicy::EXPLICIT_ONLY,
         7,
     );
-    let report = run_app_native(
-        wired,
-        |native| {
-            native
-                .with_transport(Some(TransportKind::Sim))
-                .with_max_wall(watchdog)
-        },
-        make_app,
-    );
-    let shipped: u64 = report.node_reports.iter().map(|d| d.items_shipped).sum();
-    assert_eq!(shipped, BALLS * HOPS, "wire: every hop crosses the wire");
-    check("wire/sim", report);
+    let over_the_wire = |sim, balls: u64| {
+        run_app_native(
+            sim,
+            |native| {
+                native
+                    .with_transport(Some(TransportKind::Sim))
+                    .with_max_wall(watchdog)
+            },
+            app_with(balls),
+        )
+    };
+    let wire_case = |label: &str| {
+        let report = over_the_wire(wired, BALLS);
+        let shipped: u64 = report.node_reports.iter().map(|d| d.items_shipped).sum();
+        assert_eq!(shipped, BALLS * HOPS, "{label}: every hop crosses the wire");
+        check(label, report);
+    };
+    wire_case("wire/sim");
 
     // Aggregated, bypass off, a window of one: every hop sits alone in a WPs
     // buffer that never fills, its timeout (10 s) is a third of the watchdog,
@@ -459,16 +465,25 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
     );
     assert_eq!(report.counter("wire_messages"), HOPS, "aggregated/process");
     check_balls("aggregated/process", &report, 1);
-    let report = run_app_native(
-        aggregated(ClusterSpec::smp(2, 1, 1)),
-        |native| {
-            native
-                .with_transport(Some(TransportKind::Sim))
-                .with_max_wall(watchdog)
-        },
-        app_with(1),
-    );
-    check_quiet("aggregated/wire/sim", report);
+    let aggregated_wire_case = |label: &str| {
+        check_quiet(
+            label,
+            over_the_wire(aggregated(ClusterSpec::smp(2, 1, 1)), 1),
+        );
+    };
+    aggregated_wire_case("aggregated/wire/sim");
+
+    // Both wire cases again with the run's four threads (two hot workers,
+    // two leaders) sharing one CPU: a worker helping its leader only ever
+    // `try_lock`s, so it can neither wait on a preempted holder nor keep the
+    // leader thread from its turn.
+    let pinned = common::on_one_cpu(|| {
+        wire_case("wire/sim/one cpu");
+        aggregated_wire_case("aggregated/wire/sim/one cpu");
+    });
+    if !pinned {
+        println!("hot ping-pong on one CPU skipped: cannot pin here");
+    }
 }
 
 fn run_app_dispatches_every_backend() {

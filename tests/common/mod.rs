@@ -1,4 +1,5 @@
-//! Minimal sequential test runner for `harness = false` integration tests.
+//! Helpers shared by the integration suites: a minimal sequential test
+//! runner for `harness = false` binaries, and a one-CPU harness.
 //!
 //! The multi-process backend forks without exec'ing, which requires the
 //! forking thread to be the process's *only* thread — libtest runs every
@@ -12,6 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Run `tests` sequentially on the calling thread; honours an optional
 /// substring filter from argv (flags are ignored) and exits non-zero if any
 /// case fails.
+#[allow(dead_code)] // only the `harness = false` suites drive their own cases
 pub(crate) fn run(tests: &[(&str, fn())]) {
     let filter: Option<String> = std::env::args().skip(1).find(|a| !a.starts_with('-'));
     let selected: Vec<_> = tests
@@ -56,4 +58,25 @@ pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Run `case` with every thread it spawns confined to one CPU — what
+/// `taskset -c 0` does to a whole process, for one case: the mask is set on
+/// a thread of its own, and the threads a run spawns from it inherit it.
+/// Returns `false`, having run nothing, where the kernel refuses the mask.
+#[allow(dead_code)] // not every suite has a one-CPU case
+pub(crate) fn on_one_cpu(case: impl FnOnce() + Send) -> bool {
+    std::thread::scope(|scope| {
+        let pinned = scope.spawn(|| {
+            let pinned = smp_aggregation::native_rt::pin_current_thread(0);
+            if pinned {
+                case();
+            }
+            pinned
+        });
+        match pinned.join() {
+            Ok(pinned) => pinned,
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
 }

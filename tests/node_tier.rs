@@ -3,11 +3,12 @@
 //! when the wire misbehaves, the run must settle with exact books instead of
 //! wedging.
 //!
-//! Three layers of acceptance:
+//! Four layers of acceptance:
 //!
-//! 1. **Equivalence** — a 2-node cluster over loopback TCP (and over the
-//!    deterministic simulated transport) computes bit-identical application
-//!    results to the same cluster run entirely in-process, for every scheme.
+//! 1. **Equivalence** — a 2-node cluster over loopback TCP, Unix-domain
+//!    sockets and the deterministic simulated transport computes bit-identical
+//!    application results to the same cluster run entirely in-process, for
+//!    every scheme — also with every thread of the run sharing one CPU.
 //! 2. **Recoverable faults** — seeded `drop`/`delay`/`duplicate` wire faults
 //!    end `Degraded` with zero items lost: retransmission and receive-side
 //!    dedup absorb them completely.
@@ -15,7 +16,16 @@
 //!    conservation ledger exact (`sent == delivered + dropped`), zero leaked
 //!    slabs, per-node diagnostics attached, and a deterministic outcome
 //!    signature per seed (asserted by running every fault class twice).
+//! 4. **Who pumps** — hot workers pump their own node's wire; workers that
+//!    cannot (parked in a handler) are carried by the leader thread alone.
 
+mod common;
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use smp_aggregation::apps::common::run_app_native;
 use smp_aggregation::prelude::*;
 
 /// Backend-independent observable result of a histogram run.
@@ -52,8 +62,10 @@ fn spec(scheme: Scheme, seed: u64) -> RunSpec {
     .backend(Backend::Native)
 }
 
-#[test]
-fn two_node_wire_runs_match_in_process_for_every_scheme() {
+/// Every scheme over every transport against the same cluster run entirely
+/// in-process.
+fn wire_runs_match_in_process() {
+    let transports = [TransportKind::Sim, TransportKind::Tcp, TransportKind::Uds];
     for scheme in Scheme::ALL {
         let reference = spec(scheme, 42).run();
         assert!(
@@ -61,7 +73,10 @@ fn two_node_wire_runs_match_in_process_for_every_scheme() {
             "{scheme}: in-process reference run not clean"
         );
         let reference = totals(&reference);
-        for transport in [TransportKind::Sim, TransportKind::Tcp] {
+        for transport in transports {
+            if transport == TransportKind::Uds && !cfg!(unix) {
+                continue;
+            }
             let report = spec(scheme, 42).transport(transport).run();
             assert!(
                 report.clean(),
@@ -90,14 +105,18 @@ fn two_node_wire_runs_match_in_process_for_every_scheme() {
 }
 
 #[test]
-fn uds_transport_matches_in_process() {
-    if !cfg!(unix) {
-        return;
+fn two_node_wire_runs_match_in_process_for_every_scheme() {
+    wire_runs_match_in_process();
+}
+
+#[test]
+fn two_node_wire_runs_match_in_process_on_one_cpu() {
+    // 8 workers and 2 leaders on one core: a helping worker only ever
+    // `try_lock`s its leader, so it can neither wait on a preempted holder
+    // nor keep the leader thread from its turn.
+    if !common::on_one_cpu(wire_runs_match_in_process) {
+        println!("skipped: cannot pin to one CPU here");
     }
-    let reference = totals(&spec(Scheme::WsP, 42).run());
-    let report = spec(Scheme::WsP, 42).transport(TransportKind::Uds).run();
-    assert!(report.clean(), "uds run not clean");
-    assert_eq!(totals(&report), reference, "uds run diverged");
 }
 
 #[test]
@@ -262,4 +281,167 @@ fn backoff_schedules_are_deterministic_per_seed() {
     );
     let schedule = collect(42);
     assert!(!schedule.is_empty());
+}
+
+/// Worker 0 (node 0) sends `REQUESTS` requests to worker 1 (node 1), which
+/// echoes each one back.
+struct Echo {
+    me: WorkerId,
+    to_send: u64,
+    served: u64,
+    responses: u64,
+    checksum: u64,
+    /// Requests worker 1 has served so far, as worker 0 can see them.
+    served_seen: Arc<AtomicU64>,
+    /// Worker 0 issues everything from inside one handler call and stays in
+    /// it until worker 1 has served the lot.
+    held: bool,
+}
+
+const REQUESTS: u64 = 640;
+const RESPONSE: u64 = 1 << 63;
+
+impl Echo {
+    fn request(&mut self, ctx: &mut dyn RunCtx) {
+        self.to_send -= 1;
+        ctx.send(WorkerId(1), Payload::new(self.to_send * 7 + 1, 0));
+    }
+}
+
+fn spin_for(pause: Duration) {
+    let until = Instant::now() + pause;
+    while Instant::now() < until {
+        std::hint::spin_loop();
+    }
+}
+
+impl WorkerApp for Echo {
+    fn on_item(&mut self, item: Payload, _created: u64, ctx: &mut dyn RunCtx) {
+        if item.a & RESPONSE == 0 {
+            self.served += 1;
+            self.served_seen.fetch_add(1, Ordering::Release);
+            ctx.send(WorkerId(0), Payload::new(item.a | RESPONSE, 0));
+        } else {
+            self.responses += 1;
+            self.checksum += item.a & !RESPONSE;
+        }
+    }
+
+    fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
+        if self.me.0 == 0 && self.held && self.to_send > 0 {
+            // A worker parked in a long handler: it ships a wire batch every
+            // `buffer_items` sends and never reaches the end of a quantum,
+            // so nobody on this node can pump but the leader thread.
+            while self.to_send > 0 {
+                self.request(ctx);
+                if self.to_send % 16 == 0 {
+                    spin_for(Duration::from_micros(200));
+                }
+            }
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while self.served_seen.load(Ordering::Acquire) < REQUESTS {
+                assert!(
+                    Instant::now() < deadline,
+                    "requests stuck behind a worker that cannot pump"
+                );
+                std::hint::spin_loop();
+            }
+        } else if self.me.0 == 0 {
+            // A window of four: the run is a few hundred round trips long.
+            while self.to_send > 0 && REQUESTS - self.to_send - self.responses < 4 {
+                self.request(ctx);
+            }
+        }
+        // Hot: never tell the runtime there is nothing to do.
+        true
+    }
+
+    fn local_done(&self) -> bool {
+        if self.me.0 == 0 {
+            self.responses == REQUESTS
+        } else {
+            self.served == REQUESTS
+        }
+    }
+
+    fn on_finalize(&mut self, counters: &mut smp_aggregation::metrics::Counters) {
+        counters.add("echo_served", self.served);
+        counters.add("echo_responses", self.responses);
+        counters.add("echo_checksum", self.checksum);
+    }
+}
+
+#[test]
+fn hot_workers_pump_and_the_leader_thread_alone_suffices() {
+    let run = |held: bool| {
+        let served_seen = Arc::new(AtomicU64::new(0));
+        // NoAgg, explicit flush only: nothing but the uplink staging buffer
+        // (16 items) and the wire tier sits between a send and its delivery.
+        let config = sim_config(
+            ClusterSpec::smp(2, 1, 1),
+            Scheme::NoAgg,
+            16,
+            16,
+            FlushPolicy::EXPLICIT_ONLY,
+            5,
+        );
+        let report = run_app_native(
+            config,
+            |native| {
+                native
+                    .with_transport(Some(TransportKind::Tcp))
+                    .with_max_wall(Duration::from_secs(30))
+            },
+            |me| {
+                Box::new(Echo {
+                    me,
+                    to_send: if me.0 == 0 { REQUESTS } else { 0 },
+                    served: 0,
+                    responses: 0,
+                    checksum: 0,
+                    served_seen: Arc::clone(&served_seen),
+                    held,
+                })
+            },
+        );
+        assert_eq!(
+            report.outcome.signature(),
+            "clean",
+            "held={held}: {}",
+            report.summary()
+        );
+        let app_totals = (
+            report.counter("echo_served"),
+            report.counter("echo_responses"),
+            report.counter("echo_checksum"),
+            report.items_sent,
+            report.items_delivered,
+        );
+        (app_totals, report.node_reports)
+    };
+
+    let (hot_totals, hot_nodes) = run(false);
+    assert_eq!(hot_totals.0, REQUESTS);
+    assert_eq!(hot_totals.1, REQUESTS);
+    let by_worker: u64 = hot_nodes.iter().map(|d| d.pumps_by_worker).sum();
+    let by_leader: u64 = hot_nodes.iter().map(|d| d.pumps_by_leader).sum();
+    assert!(
+        by_worker > by_leader,
+        "hot workers should do most of the pumping: {by_worker} by workers, {by_leader} by leaders"
+    );
+    assert!(
+        hot_nodes.iter().any(|d| d.leader_standdowns > 0),
+        "a leader whose worker is awake and pumping stands down"
+    );
+
+    // Worker 0 sits in one handler call until worker 1 has served every
+    // request: node 0's wire is pumped by its leader thread or not at all.
+    let (held_totals, held_nodes) = run(true);
+    assert_eq!(
+        held_totals, hot_totals,
+        "who pumps must not change the result"
+    );
+    // (Had it not been, the handler's deadline would have aborted the run.)
+    assert!(held_nodes[0].pumps_by_leader > 0);
+    assert_eq!(held_nodes[0].items_shipped, REQUESTS);
 }
