@@ -311,9 +311,21 @@ fn sssp_reports(
         .collect()
 }
 
-/// Figures 14 & 15: SSSP on a small graph — time and normalized wasted updates
-/// as the number of processes grows.
-pub fn fig14_15_sssp_small(effort: Effort) -> (Series, Series) {
+/// The y-value of Figs. 15 and 17: wasted updates per reached vertex.
+///
+/// The denominator is fixed by the graph and the source, so the value moves
+/// only with the number of stale updates — what a scheme's item latency
+/// changes.  Wasted updates per *relaxation* does not: every relaxation
+/// sends one update per out-edge, and every update that arrives either
+/// relaxes or is wasted, so that ratio is the relaxed vertices' mean
+/// out-degree minus one (≈ 7 at degree 8) for every scheme.
+pub fn wasted_per_reached(report: &smp_sim::RunReport) -> f64 {
+    report.counter("sssp_wasted_updates") as f64 / report.counter("sssp_reached").max(1) as f64
+}
+
+/// The runs behind Figs. 14 and 15: the process counts of the x-axis and one
+/// report per (scheme, process count).
+fn fig14_15_runs(effort: Effort, schemes: &[Scheme]) -> (Vec<u32>, Vec<Vec<smp_sim::RunReport>>) {
     let vertices = effort.pick(20_000, 120_000);
     let degree = 8;
     let buffer = effort.pick(64, 128);
@@ -323,8 +335,15 @@ pub fn fig14_15_sssp_small(effort: Effort) -> (Series, Series) {
         .iter()
         .map(|&p| ClusterSpec::smp((p / 4).max(1), 4.min(p), 4))
         .collect();
+    let reports = sssp_reports(&clusters, schemes, vertices, degree, buffer);
+    (proc_counts, reports)
+}
+
+/// Figures 14 & 15: SSSP on a small graph — time and normalized wasted updates
+/// ([`wasted_per_reached`]) as the number of processes grows.
+pub fn fig14_15_sssp_small(effort: Effort) -> (Series, Series) {
     let schemes = [Scheme::WW, Scheme::WPs, Scheme::PP];
-    let reports = sssp_reports(&clusters, &schemes, vertices, degree, buffer);
+    let (proc_counts, reports) = fig14_15_runs(effort, &schemes);
 
     let mut time = Series::new("Fig. 14: SSSP small graph - total time", "processes");
     let mut wasted = Series::new(
@@ -341,20 +360,14 @@ pub fn fig14_15_sssp_small(effort: Effort) -> (Series, Series) {
         );
         wasted.add_column(
             scheme.label(),
-            reports[si]
-                .iter()
-                .map(|r| {
-                    let wasted = r.counter("sssp_wasted_updates") as f64;
-                    let relax = r.counter("sssp_relaxations").max(1) as f64;
-                    wasted / relax
-                })
-                .collect(),
+            reports[si].iter().map(wasted_per_reached).collect(),
         );
     }
     (time, wasted)
 }
 
-/// Figures 16 & 17: SSSP on a large graph — time and wasted updates, 1–8 nodes.
+/// Figures 16 & 17: SSSP on a large graph — time and wasted updates
+/// ([`wasted_per_reached`]), 1–8 nodes.
 pub fn fig16_17_sssp_large(effort: Effort) -> (Series, Series) {
     let vertices = effort.pick(40_000, 250_000);
     let degree = 8;
@@ -379,14 +392,7 @@ pub fn fig16_17_sssp_large(effort: Effort) -> (Series, Series) {
         );
         wasted.add_column(
             scheme.label(),
-            reports[si]
-                .iter()
-                .map(|r| {
-                    let wasted = r.counter("sssp_wasted_updates") as f64;
-                    let relax = r.counter("sssp_relaxations").max(1) as f64;
-                    wasted / relax
-                })
-                .collect(),
+            reports[si].iter().map(wasted_per_reached).collect(),
         );
     }
     (time, wasted)
@@ -579,6 +585,51 @@ mod tests {
         assert_eq!(time.len(), wasted.len());
         assert!(time.column("WW").unwrap().iter().all(|&t| t > 0.0));
         assert!(wasted.column("PP").unwrap().iter().all(|&w| w >= 0.0));
+    }
+
+    #[test]
+    fn fig15_metric_separates_schemes_whose_latency_differs() {
+        // Fig. 15's smoke runs, plus NoAgg: the plotted schemes' latencies
+        // sit within 2x of each other at this size, NoAgg's do not.  Wherever
+        // two schemes' item latencies are more than 2x apart, the plotted
+        // waste must tell them apart; the per-relaxation ratio it replaced
+        // reads ≈ 7 for every one of them.
+        let schemes = [Scheme::WW, Scheme::WPs, Scheme::PP, Scheme::NoAgg];
+        let (proc_counts, reports) = fig14_15_runs(Effort::Smoke, &schemes);
+        let per_relaxation = |r: &smp_sim::RunReport| {
+            r.counter("sssp_wasted_updates") as f64 / r.counter("sssp_relaxations") as f64
+        };
+        let apart = |a: f64, b: f64, share: f64| (a - b).abs() > share * a.max(b);
+        let mut pairs = 0;
+        for x in 0..proc_counts.len() {
+            for a in 0..schemes.len() {
+                for b in a + 1..schemes.len() {
+                    let (ra, rb) = (&reports[a][x], &reports[b][x]);
+                    let (la, lb) = (ra.item_latency.mean(), rb.item_latency.mean());
+                    if !apart(la, lb, 0.5) {
+                        continue;
+                    }
+                    pairs += 1;
+                    let label = format!(
+                        "{} vs {} at {} procs",
+                        schemes[a], schemes[b], proc_counts[x]
+                    );
+                    let (wa, wb) = (wasted_per_reached(ra), wasted_per_reached(rb));
+                    assert!(
+                        apart(wa, wb, 0.05),
+                        "{label}: latency {la:.0} vs {lb:.0} ns, waste {wa:.3} vs {wb:.3}"
+                    );
+                    assert!(
+                        !apart(per_relaxation(ra), per_relaxation(rb), 0.01),
+                        "{label}"
+                    );
+                }
+            }
+        }
+        assert!(
+            pairs > 0,
+            "no scheme pair is 2x apart in latency: the test proves nothing"
+        );
     }
 
     #[test]

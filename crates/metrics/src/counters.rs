@@ -32,12 +32,17 @@ impl Counters {
         Self::default()
     }
 
-    /// Index of `name`, comparing pointers before bytes (`&'static str`
-    /// literals from the same call site share an address).
+    /// Index of `name`: a pointer-equality pass over every entry first
+    /// (`&'static str` literals from the same call site share an address),
+    /// and only on a miss a byte comparison pass — so entries the scan passes
+    /// on the way to a repeat caller's slot cost an address compare, not a
+    /// `memcmp` against a same-length name.
     fn find(&self, name: &str) -> Option<usize> {
+        let ptr = name as *const str;
         self.entries
             .iter()
-            .position(|(n, _)| std::ptr::eq(*n as *const str, name as *const str) || *n == name)
+            .position(|(n, _)| std::ptr::eq(*n as *const str, ptr))
+            .or_else(|| self.entries.iter().position(|(n, _)| *n == name))
     }
 
     /// Mutable slot for `name`, creating it at the back if absent; hits swap
@@ -264,5 +269,35 @@ mod tests {
         c.add("runtime_name", 2);
         let dynamic = String::from("runtime_name");
         assert_eq!(c.get(&dynamic), 2);
+    }
+
+    #[test]
+    fn equal_bytes_at_distinct_addresses_share_one_entry() {
+        // Two `&'static str` with the same bytes at different addresses miss
+        // the pointer pass and must still meet in the byte pass.
+        let a: &'static str = Box::leak(String::from("twin").into_boxed_str());
+        let b: &'static str = Box::leak(String::from("twin").into_boxed_str());
+        assert!(!std::ptr::eq(a, b));
+        let mut c = Counters::new();
+        c.add("other", 1);
+        c.add(a, 2);
+        c.add(b, 3);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(a), 5);
+        assert_eq!(c.get(b), 5);
+    }
+
+    #[test]
+    fn hits_move_one_slot_towards_the_front() {
+        let mut c = Counters::new();
+        c.add("a", 1);
+        c.add("b", 1);
+        c.add("c", 1);
+        c.incr("c");
+        let order: Vec<_> = c.entries.iter().map(|(n, _)| *n).collect();
+        assert_eq!(order, ["a", "c", "b"]);
+        c.incr("c");
+        c.incr("c");
+        assert_eq!(c.entries[0], ("c", 4));
     }
 }

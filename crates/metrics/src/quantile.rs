@@ -97,6 +97,16 @@ impl QuantileSketch {
         *self.bucket_mut(key) += n;
     }
 
+    /// Record a dense per-value tally: `counts[x]` samples of value `x`.
+    /// The result is the sketch one `record` per sample would have built —
+    /// bucket counts, count, min and max alike — for callers that count
+    /// small integer samples (batch lengths) on a hot path and fold once.
+    pub fn record_counts(&mut self, counts: &[u64]) {
+        for (x, &n) in counts.iter().enumerate() {
+            self.record_n(x as f64, n);
+        }
+    }
+
     /// Merge another sketch (must have been built with the same relative error).
     pub fn merge(&mut self, other: &QuantileSketch) {
         assert!(
@@ -268,6 +278,36 @@ mod tests {
         for &q in &[0.0, 0.01, 0.5, 0.99, 1.0] {
             assert_eq!(folded.quantile(q), looped.quantile(q), "q={q}");
         }
+    }
+
+    #[test]
+    fn dense_counts_fold_to_the_per_sample_sketch() {
+        // Batch lengths counted per length and folded once must give the
+        // sketch that recording every batch would have built.
+        let lengths: Vec<usize> = (0..5_000u64)
+            .map(|i| match i % 7 {
+                0 => 1,
+                1 | 2 => 16,
+                3 => (i * 31 % 512 + 1) as usize,
+                _ => (i * 13 % 40 + 1) as usize,
+            })
+            .collect();
+        let mut per_sample = QuantileSketch::default();
+        let mut counts = vec![0u64; 513];
+        for &len in &lengths {
+            per_sample.record(len as f64);
+            counts[len] += 1;
+        }
+        let mut folded = QuantileSketch::default();
+        folded.record_counts(&counts);
+        assert_eq!(folded.count(), per_sample.count());
+        assert_eq!(folded.min(), per_sample.min());
+        assert_eq!(folded.max(), per_sample.max());
+        for q in [0.5, 0.9, 0.99] {
+            assert_eq!(folded.quantile(q), per_sample.quantile(q), "q={q}");
+        }
+        assert_eq!(folded.buckets, per_sample.buckets);
+        assert_eq!(folded.first_key, per_sample.first_key);
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod signals;
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 pub(crate) mod sys;
+pub(crate) mod tally;
 pub mod threaded;
 
 pub use affinity::{allowed_cpus, available_cpus, pin_current_thread};

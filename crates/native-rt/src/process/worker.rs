@@ -55,6 +55,7 @@ use tramlib::{Item, Scheme, TramConfig};
 use super::layout::{self, RunCtl, WorkerStatus};
 use crate::quantum::{self, QuietTracker, SelfClocked};
 use crate::sys;
+use crate::tally::Tally;
 use crate::threaded::STASH_THROTTLE;
 
 use super::INBOX_BUDGET;
@@ -192,7 +193,10 @@ pub(super) struct ProcCtx<'w> {
     /// Aggregation buffer capacity (`g`).
     g: usize,
     rng: StreamRng,
+    /// Application counters and the rare-path counts; the per-event runtime
+    /// counts live in `tally`, folded in before the result is written.
     pub(super) counters: Counters,
+    tally: Tally,
     /// WW: per-destination-worker buffers.
     bufs_worker: Vec<Vec<Item<Payload>>>,
     /// WPs/WsP: per-destination-process buffers.
@@ -245,6 +249,7 @@ impl<'w> ProcCtx<'w> {
             g: world.tram.buffer_items.max(1),
             rng: StreamRng::new(world.seed, u64::from(me.0)),
             counters: Counters::new(),
+            tally: Tally::default(),
             bufs_worker: if scheme == Scheme::WW {
                 (0..world.workers).map(|_| Vec::new()).collect()
             } else {
@@ -348,8 +353,8 @@ impl<'w> ProcCtx<'w> {
     }
 
     fn ship_single(&mut self, item: Item<Payload>) {
-        self.counters.incr("wire_messages");
-        self.counters.incr("wire_items");
+        self.tally.wire_messages += 1;
+        self.tally.wire_items += 1;
         let dst = item.dest.0 as usize;
         self.push_env(dst, WireEnvelope::single(item));
     }
@@ -363,7 +368,7 @@ impl<'w> ProcCtx<'w> {
         let me = self.me.0 as usize;
         let arena = self.world.arenas[me];
         let envelopes = if let Some(slab) = arena.try_claim() {
-            self.counters.incr("arena_claims");
+            self.tally.arena_claims += 1;
             for (i, item) in buf.iter().enumerate() {
                 // SAFETY: `try_claim` granted exclusive ownership of `slab`;
                 // `buf.len() <= g` = the slab capacity.
@@ -396,9 +401,9 @@ impl<'w> ProcCtx<'w> {
     /// [`ProcCtx::ship_slab`] for aggregated traffic, which crosses a
     /// modelled process boundary and is accounted as wire messages.
     fn ship_wire_slab(&mut self, dst: usize, tag: u32, buf: &mut Vec<Item<Payload>>) {
-        self.counters.add("wire_items", buf.len() as u64);
+        self.tally.wire_items += buf.len() as u64;
         let envelopes = self.ship_slab(dst, tag, buf);
-        self.counters.add("wire_messages", envelopes);
+        self.tally.wire_messages += envelopes;
     }
 
     fn emit_worker(&mut self, dst: usize) {
@@ -413,8 +418,8 @@ impl<'w> ProcCtx<'w> {
     fn emit_local(&mut self, dst: usize) {
         let mut buf = std::mem::take(&mut self.bufs_local[dst]);
         if !buf.is_empty() {
-            self.counters.incr("local_batches");
-            self.counters.add("local_deliveries", buf.len() as u64);
+            self.tally.local_batches += 1;
+            self.tally.local_deliveries += buf.len() as u64;
             self.ship_slab(dst, TAG_SLAB_WORKER, &mut buf);
         }
         self.bufs_local[dst] = buf;
@@ -664,7 +669,7 @@ impl RunCtx for ProcCtx<'_> {
             let dst = dest.0 as usize;
             if self.bufs_local.is_empty() {
                 // No arena to seal a batch into (NoAgg, PP): singles.
-                self.counters.incr("local_deliveries");
+                self.tally.local_deliveries += 1;
                 self.push_env(dst, WireEnvelope::single(item));
                 return;
             }
@@ -771,8 +776,8 @@ fn group_and_forward(
         ranges.push((dest, start as u32, (end - start) as u32));
         start = end;
     }
-    ctx.counters.incr("grouping_passes");
-    ctx.counters.add("grouped_items", items.len() as u64);
+    ctx.tally.grouping_passes += 1;
+    ctx.tally.grouped_items += items.len() as u64;
     let forwards = ranges.iter().filter(|&&(dest, _, _)| dest != me).count() as u32;
     if forwards > 0 {
         // Before any forward leaves: a fast peer must never drive the
@@ -974,6 +979,9 @@ pub(super) fn child_main(world: &World, me: WorkerId, mut app: Box<dyn WorkerApp
         app.on_start(&mut ctx);
         child_loop(world, app.as_mut(), &mut ctx);
     }));
+    // Before `on_finalize` and on every exit path: the serialized counters
+    // (and what the app sees at finalize) include the runtime tallies.
+    ctx.tally.fold_into(&mut ctx.counters);
     let region = world.result_region(me.0 as usize);
     let code = match result {
         Ok(()) => {

@@ -21,6 +21,7 @@ use tramlib::{
 
 use super::{Batch, Envelope, Plane, Shared, Spent, SPARE_BATCHES};
 use crate::quantum::{self, SelfClocked};
+use crate::tally::Tally;
 
 /// Upper bound, in consecutive *idle* loop iterations, of the stash retry
 /// backoff (see [`NativeWorkerCtx::flush_stash_backoff`]).  The mesh loop
@@ -41,7 +42,10 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// buffers take its place).
     pub(crate) aggregator: Option<Aggregator<Payload>>,
     pub(crate) rng: StreamRng,
+    /// Application counters (`RunCtx::counter`) and the once-per-run
+    /// exports; the runtime's own per-event counts live in `tally`.
     pub(crate) counters: Counters,
+    pub(crate) tally: Tally,
     pub(crate) latency: LatencyRecorder,
     /// Application-level latency samples (`RunCtx::record_app_latency`);
     /// merged across workers into the report's structured latency summary.
@@ -155,14 +159,13 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// Node tier only: wire batches whose uplink ring was full, retried by
     /// [`NativeWorkerCtx::flush_wire_stash`] every loop iteration.
     pub(crate) wire_stash: VecDeque<Batch>,
-    /// Distribution of delivered-batch sizes (items per handler call) — the
-    /// per-scheme evidence for throughput ceilings (NoAgg delivers single
-    /// items; aggregated schemes deliver whole buffers).
-    pub(crate) batch_len: QuantileSketch,
-    /// Inline single-item deliveries (NoAgg), folded into `batch_len` as
-    /// 1-item batches at export time: a sketch update per item would cost
-    /// more than the delivery itself.
-    pub(crate) singles_delivered: u64,
+    /// Delivered-batch sizes (items per handler call), counted per length:
+    /// `batch_lens[n]` is how many n-item slices were delivered.  Folded into
+    /// the report's sketch at exit ([`NativeWorkerCtx::take_batch_len`]) —
+    /// a sketch update per slice would cost a logarithm per delivery.  The
+    /// distribution is the per-scheme evidence for throughput ceilings
+    /// (NoAgg delivers single items; aggregated schemes whole buffers).
+    pub(crate) batch_lens: Vec<u64>,
 }
 
 impl<'a> NativeWorkerCtx<'a> {
@@ -182,6 +185,7 @@ impl<'a> NativeWorkerCtx<'a> {
             aggregator,
             rng: StreamRng::new(shared.seed, me.0 as u64),
             counters: Counters::new(),
+            tally: Tally::default(),
             latency: LatencyRecorder::new(),
             app_latency: LatencyRecorder::new(),
             pp_stats: TramStats::new(),
@@ -231,8 +235,7 @@ impl<'a> NativeWorkerCtx<'a> {
             my_cluster_node: shared.topo.node_of_worker(me).0,
             wire_out: Vec::new(),
             wire_stash: VecDeque::new(),
-            batch_len: QuantileSketch::default(),
-            singles_delivered: 0,
+            batch_lens: Vec::new(),
         }
     }
 
@@ -308,13 +311,7 @@ impl<'a> NativeWorkerCtx<'a> {
     /// counters the simulator records in its routing layer.
     pub(crate) fn emit(&mut self, message: OutboundMessage<Payload>) {
         self.publish_sent();
-        self.counters.incr("wire_messages");
-        self.counters.add("wire_bytes", message.bytes);
-        self.counters.add("wire_items", message.items.len() as u64);
-        if message.reason.is_flush() {
-            self.counters.incr("wire_messages_flush");
-            self.flush_emits += 1;
-        }
+        self.count_wire(message.items.len(), message.bytes, message.reason);
         match &self.shared.plane {
             // Send fails only after an aborted (watchdog) run tears the
             // collector down; the report is already unclean then.
@@ -344,15 +341,21 @@ impl<'a> NativeWorkerCtx<'a> {
     /// not a different kind of message.
     pub(crate) fn emit_slab(&mut self, sealed: SlabSealed) {
         self.publish_sent();
-        self.counters.incr("wire_messages");
-        self.counters.add("wire_bytes", sealed.bytes);
-        self.counters.add("wire_items", sealed.handle.len as u64);
-        if sealed.reason.is_flush() {
-            self.counters.incr("wire_messages_flush");
-            self.flush_emits += 1;
-        }
+        self.count_wire(sealed.handle.len as usize, sealed.bytes, sealed.reason);
         let target = self.receiver_of(sealed.dest);
         self.push_mesh(target, Envelope::Slab(sealed));
+    }
+
+    /// The wire counters of one emitted message (the ones the simulator
+    /// records in its routing layer), plus the `flush=<n>` fault clock.
+    fn count_wire(&mut self, items: usize, bytes: u64, reason: EmitReason) {
+        self.tally.wire_messages += 1;
+        self.tally.wire_bytes += bytes;
+        self.tally.wire_items += items as u64;
+        if reason.is_flush() {
+            self.tally.wire_messages_flush += 1;
+            self.flush_emits += 1;
+        }
     }
 
     /// Route a slab-path emission: sealed slabs to [`NativeWorkerCtx::
@@ -399,7 +402,7 @@ impl<'a> NativeWorkerCtx<'a> {
     /// (and the remote worker's delivery) is exact — no grouping state
     /// crosses the node boundary, only payloads.
     fn push_wire(&mut self, envelope: Envelope) {
-        self.counters.incr("wire_node_msgs");
+        self.tally.wire_node_msgs += 1;
         match envelope {
             Envelope::Single(item) => self.wire_out.push(item),
             Envelope::Batch(mut items) => {
@@ -580,8 +583,8 @@ impl<'a> NativeWorkerCtx<'a> {
         }
         self.publish_sent();
         let batch = std::mem::take(&mut self.local_out[dest]);
-        self.counters.incr("local_batches");
-        self.counters.add("local_deliveries", batch.len() as u64);
+        self.tally.local_batches += 1;
+        self.tally.local_deliveries += batch.len() as u64;
         match &self.shared.plane {
             // Send fails only after an aborted (watchdog) run tears the
             // receiver down; the report is already unclean then.
@@ -940,9 +943,11 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Fold the aggregator's (and, on the mesh, the receiver's) pool reuse
-    /// statistics into this worker's counters before the thread exits.
-    pub(crate) fn export_pool_counters(&mut self) {
+    /// Fold the runtime tallies, the aggregator's pool reuse statistics and
+    /// the arena's claim statistics into this worker's counters before the
+    /// thread exits.
+    pub(crate) fn export_counters(&mut self) {
+        self.tally.fold_into(&mut self.counters);
         if let Some(agg) = &self.aggregator {
             let pool = agg.pool_stats();
             self.counters.add("agg_pool_hits", pool.hits);
@@ -972,12 +977,20 @@ impl<'a> NativeWorkerCtx<'a> {
             .add("cross_socket_msgs", self.cross_socket_msgs);
     }
 
-    /// Fold the inline single-item deliveries into the batch-length sketch
-    /// (as 1-item batches) and hand the sketch over for the run report.
+    /// Count one delivered slice of `len` items (`len > 0`).
+    pub(crate) fn count_batch(&mut self, len: usize) {
+        if len >= self.batch_lens.len() {
+            self.batch_lens.resize(len + 1, 0);
+        }
+        self.batch_lens[len] += 1;
+    }
+
+    /// Fold the per-length delivery counts into the run report's
+    /// batch-length sketch (the sketch a `record` per slice would build).
     pub(crate) fn take_batch_len(&mut self) -> QuantileSketch {
-        self.batch_len.record_n(1.0, self.singles_delivered);
-        self.singles_delivered = 0;
-        std::mem::take(&mut self.batch_len)
+        let mut sketch = QuantileSketch::default();
+        sketch.record_counts(&std::mem::take(&mut self.batch_lens));
+        sketch
     }
 }
 
@@ -1115,9 +1128,7 @@ pub(crate) fn deliver_slice(
         ctx.latency.record_span(first.created_at_ns, ctx.now_cache);
     }
     if count > 0 {
-        // One sketch update per slice, not per item: the batch-size
-        // distribution is what explains per-scheme throughput ceilings.
-        ctx.batch_len.record(count as f64);
+        ctx.count_batch(items.len());
     }
     debug_assert!(
         items.iter().all(|i| i.dest == ctx.me),

@@ -120,7 +120,7 @@ pub(crate) fn worker_main(
     ctx.publish_delivered();
     ctx.publish_dropped();
     ctx.drain_pending_returns_direct();
-    ctx.export_pool_counters();
+    ctx.export_counters();
     let pool = receiver.pool_stats();
     ctx.counters.add("batch_pool_hits", pool.hits);
     ctx.counters.add("batch_pool_misses", pool.misses);
@@ -439,9 +439,7 @@ fn handle_envelope(
             ctx.latency.record_span(item.created_at_ns, ctx.now_cache);
             app.on_item(item.data, item.created_at_ns, ctx);
             ctx.pending_delivered += 1;
-            // Counted, not sketched: folded into `batch_len` as 1-item
-            // batches at export time (see `take_batch_len`).
-            ctx.singles_delivered += 1;
+            ctx.count_batch(1);
         }
         Envelope::Message(message) => handle_vec_message(app, ctx, receiver, src, message),
     }
@@ -483,8 +481,8 @@ fn handle_slab(
                 let items = unsafe { arena.slice_mut(handle.slab, 0, handle.len) };
                 let outcome = receiver.group_ranges(items, sealed.grouped_at_source);
                 if outcome.grouping_performed {
-                    ctx.counters.incr("grouping_passes");
-                    ctx.counters.add("grouped_items", outcome.item_count as u64);
+                    ctx.tally.grouping_passes += 1;
+                    ctx.tally.grouped_items += outcome.item_count as u64;
                 }
             }
             let ranges = receiver.take_ranges();
@@ -500,7 +498,7 @@ fn handle_slab(
                     let slice = unsafe { arena.slice(handle.slab, start, len) };
                     deliver_slice(app, ctx, slice);
                 } else {
-                    ctx.counters.incr("local_forwards");
+                    ctx.tally.local_forwards += 1;
                     ctx.push_mesh(
                         w,
                         Envelope::SlabSlice {
@@ -554,14 +552,14 @@ fn handle_vec_message(
                         // Back into the receiver pool for the next pass.
                         Some(bucket)
                     } else {
-                        ctx.counters.incr("local_forwards");
+                        ctx.tally.local_forwards += 1;
                         ctx.push_mesh(w, Envelope::Batch(bucket));
                         None
                     }
                 });
             if outcome.grouping_performed {
-                ctx.counters.incr("grouping_passes");
-                ctx.counters.add("grouped_items", outcome.item_count as u64);
+                ctx.tally.grouping_passes += 1;
+                ctx.tally.grouped_items += outcome.item_count as u64;
             }
             ctx.return_spent(src, items);
         }

@@ -21,6 +21,7 @@ use tramlib::{OutboundMessage, PooledReceiver};
 use super::ctx::deliver_batch;
 use super::faults::ActiveFaults;
 use super::{Batch, NativeWorkerCtx, Shared, WorkerOutput};
+use crate::tally::Tally;
 
 /// One worker PE: drain deliveries, generate work, idle-flush, back off.
 ///
@@ -65,7 +66,7 @@ pub(crate) fn worker_main(
     ctx.publish_sent();
     ctx.publish_delivered();
     ctx.publish_dropped();
-    ctx.export_pool_counters();
+    ctx.export_counters();
     let batch_len = ctx.take_batch_len();
     let mut tram = ctx.pp_stats;
     if let Some(agg) = &ctx.aggregator {
@@ -229,7 +230,7 @@ pub(crate) fn collector_main(
     msg_rx: ChannelReceiver<OutboundMessage<Payload>>,
 ) -> Counters {
     let mut receiver: PooledReceiver<Payload> = PooledReceiver::new(shared.tram);
-    let mut counters = Counters::new();
+    let mut tally = Tally::default();
     let star = shared.plane.star();
     loop {
         // Reclaim spent delivery batches the workers have returned.
@@ -242,8 +243,8 @@ pub(crate) fn collector_main(
             Ok(message) => {
                 let plan = receiver.process_owned(message);
                 if plan.grouping_performed {
-                    counters.incr("grouping_passes");
-                    counters.add("grouped_items", plan.item_count as u64);
+                    tally.grouping_passes += 1;
+                    tally.grouped_items += plan.item_count as u64;
                 }
                 for (dest, batch) in plan.per_worker {
                     // Aborted run: the consumer may already be gone; drop
@@ -259,6 +260,8 @@ pub(crate) fn collector_main(
             }
         }
     }
+    let mut counters = Counters::new();
+    tally.fold_into(&mut counters);
     let pool = receiver.pool_stats();
     counters.add("batch_pool_hits", pool.hits);
     counters.add("batch_pool_misses", pool.misses);

@@ -73,6 +73,10 @@ fn main() {
             "hot_worker_ping_pong_finishes_on_every_engine",
             hot_worker_ping_pong_finishes_on_every_engine,
         ),
+        (
+            "runtime_counters_agree_with_the_aggregator_on_every_engine",
+            runtime_counters_agree_with_the_aggregator_on_every_engine,
+        ),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -529,4 +533,128 @@ fn run_app_dispatches_every_backend() {
         assert_eq!(report.items_sent, 8, "{backend}");
         assert_eq!(report.counter("echo_received"), 8, "{backend}");
     }
+}
+
+fn runtime_counters_agree_with_the_aggregator_on_every_engine() {
+    // The runtime's own tallies (`wire_*`, `grouped_items`, …) are counted in
+    // plain fields and folded into the report once per worker; they must
+    // still describe the traffic the aggregator says it emitted, and the
+    // report must name exactly the counters listed here — a fold that adds a
+    // name nobody recorded, or drops one, fails.
+    let names = |report: &RunReport| -> Vec<&'static str> {
+        report.counters.iter().map(|(name, _)| name).collect()
+    };
+    const HISTOGRAM: [&str; 5] = [
+        "histo_applied",
+        "histo_applied_checksum",
+        "histo_sent_checksum",
+        "histo_table_max_bucket",
+        "histo_table_total",
+    ];
+    // What the threaded engine names on this run, besides the app's own.
+    const THREADED: [&str; 19] = [
+        "agg_pool_hits",
+        "agg_pool_misses",
+        "arena_claim_misses",
+        "arena_claims",
+        "batch_pool_hits",
+        "batch_pool_misses",
+        "cross_socket_msgs",
+        "faults_injected",
+        "grouped_items",
+        "grouping_passes",
+        "items_dropped",
+        "leaked_slabs",
+        "local_batches",
+        "local_deliveries",
+        "local_forwards",
+        "wire_bytes",
+        "wire_items",
+        "wire_messages",
+        "wire_messages_flush",
+    ];
+    const PROCESS: [&str; 12] = [
+        "arena_claims",
+        "faults_injected",
+        "grouped_items",
+        "grouping_passes",
+        "items_dropped",
+        "leaked_slabs",
+        "local_batches",
+        "local_deliveries",
+        "orphan_segments_reclaimed",
+        "slabs_reclaimed",
+        "wire_items",
+        "wire_messages",
+    ];
+    let expect = |runtime: &[&'static str]| -> Vec<&'static str> {
+        let mut all: Vec<&'static str> = HISTOGRAM.iter().chain(runtime).copied().collect();
+        all.sort_unstable();
+        all
+    };
+    // Every process-addressed (WPs) message is grouped once by its receiver
+    // — unless it crossed to another node, where it travels as raw items.
+    let check_threaded = |label: &str, report: &RunReport| {
+        assert!(report.clean(), "{label}");
+        let shipped: u64 = report.node_reports.iter().map(|d| d.items_shipped).sum();
+        let tram = &report.tram;
+        assert!(tram.messages_sent() > 0, "{label}: no aggregated traffic");
+        assert_eq!(report.counter("wire_items"), tram.items_sent(), "{label}");
+        assert_eq!(
+            report.counter("wire_messages"),
+            tram.messages_sent(),
+            "{label}"
+        );
+        assert_eq!(
+            report.counter("grouped_items"),
+            tram.items_sent() - shipped,
+            "{label}"
+        );
+    };
+
+    let mesh = histogram_spec(Scheme::WPs, 42)
+        .backend(Backend::Native)
+        .run();
+    check_threaded("mesh", &mesh);
+    assert_eq!(names(&mesh), expect(&THREADED), "mesh");
+
+    let wired = RunSpec::for_app(
+        HistogramConfig::new(ClusterSpec::smp(2, 2, 2), Scheme::WPs)
+            .with_updates(1_000)
+            .with_buffer(32)
+            .with_seed(42),
+    )
+    .backend(Backend::Native)
+    .transport(TransportKind::Sim)
+    .run();
+    check_threaded("wire/sim", &wired);
+    assert!(wired.node_reports.iter().any(|d| d.items_shipped > 0));
+    let mut wire_names = THREADED.to_vec();
+    wire_names.push("wire_node_msgs");
+    assert_eq!(names(&wired), expect(&wire_names), "wire/sim");
+
+    // The process engine keeps no aggregator statistics (`report.tram` is
+    // empty there); its wire traffic is every item that did not take the
+    // bypass, each slab it claimed carried one wire message or one bypass
+    // batch, and each wire message was grouped by its receiver.
+    let process = histogram_spec(Scheme::WPs, 42)
+        .backend(Backend::Process)
+        .run();
+    assert!(process.clean(), "process");
+    assert_eq!(process.tram.messages_sent(), 0, "process");
+    let wire_items = process.counter("wire_items");
+    assert!(wire_items > 0, "process: no aggregated traffic");
+    assert_eq!(
+        wire_items,
+        process.items_sent - process.counter("local_deliveries"),
+        "process"
+    );
+    assert_eq!(process.counter("arena_claim_misses"), 0, "process");
+    assert_eq!(
+        process.counter("wire_messages") + process.counter("local_batches"),
+        process.counter("arena_claims"),
+        "process"
+    );
+    assert_eq!(process.counter("grouped_items"), wire_items, "process");
+    assert_eq!(names(&process), expect(&PROCESS), "process");
 }
