@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use native_rt::{NativeBackendConfig, ProcessBackendConfig};
 use net_model::WorkerId;
-use runtime_api::{Backend, LoadShape, RunReport, RunSpec, WorkerApp};
+use runtime_api::{Backend, LoadShape, ResolvedRunSpec, RunReport, RunSpec, WorkerApp};
 use smp_sim::SimConfig;
 use tramlib::{FlushPolicy, Scheme, TramConfig};
 
@@ -56,9 +56,9 @@ pub fn run_app(
 }
 
 /// Run one application on the native backend with backend-specific tuning
-/// applied on top of the [`SimConfig`]-derived defaults (delivery topology,
-/// ring capacities, watchdog...).  The benchmark suite uses this to A/B the
-/// mesh against the star collector on identical workloads.
+/// applied on top of the [`SimConfig`]-derived defaults (ring capacities,
+/// watchdog, transport...), for workloads that have no
+/// [`runtime_api::AppSpec`].
 pub fn run_app_native(
     sim: SimConfig,
     tune: impl FnOnce(NativeBackendConfig) -> NativeBackendConfig,
@@ -124,28 +124,7 @@ pub fn run_spec(spec: RunSpec) -> RunReport {
             }
             smp_sim::run_cluster(sim, make_app.as_mut())
         }
-        Backend::Native => {
-            let mut native = NativeBackendConfig::from_common(run.common())
-                .with_delivery(run.delivery)
-                .with_message_store(run.message_store)
-                .with_pin_workers(run.pin_workers)
-                .with_faults(run.faults)
-                .with_transport(run.transport);
-            match run.max_wall {
-                Some(max_wall) => native = native.with_max_wall(max_wall),
-                None => {
-                    if let LoadShape::Open(load) = run.load {
-                        // An open-loop run has a known minimum duration (the
-                        // arrival schedule itself); widen the watchdog well
-                        // past it so slow machines abort, not healthy runs.
-                        let secs = load.requests_per_worker as f64 / load.rate_per_worker;
-                        native = native
-                            .with_max_wall(Duration::from_secs_f64(60.0 + 4.0 * secs.max(0.0)));
-                    }
-                }
-            }
-            native_rt::run_threaded(native, make_app.as_mut())
-        }
+        Backend::Native => native_rt::run_threaded(native_config(&run), make_app.as_mut()),
         Backend::Process => {
             let mut process =
                 ProcessBackendConfig::from_common(run.common()).with_faults(run.faults);
@@ -163,10 +142,31 @@ pub fn run_spec(spec: RunSpec) -> RunReport {
     report
 }
 
+/// The threaded backend's configuration for a resolved spec: every native
+/// knob the spec carries, plus the watchdog — the spec's `max_wall`, or for
+/// an open-loop run the default widened past the arrival schedule.
+fn native_config(run: &ResolvedRunSpec) -> NativeBackendConfig {
+    let native = NativeBackendConfig::from_common(run.common())
+        .with_message_store(run.message_store)
+        .with_pin_workers(run.pin_workers)
+        .with_faults(run.faults)
+        .with_transport(run.transport);
+    match (run.max_wall, run.load) {
+        (Some(max_wall), _) => native.with_max_wall(max_wall),
+        (None, LoadShape::Open(load)) => {
+            // An open-loop run has a known minimum duration (the arrival
+            // schedule itself); widen the watchdog well past it so slow
+            // machines abort, not healthy runs.
+            let secs = load.requests_per_worker as f64 / load.rate_per_worker;
+            native.with_max_wall(Duration::from_secs_f64(60.0 + 4.0 * secs.max(0.0)))
+        }
+        (None, LoadShape::Closed) => native,
+    }
+}
+
 /// Execute a [`RunSpec`] on the native backend with extra backend-specific
-/// tuning (ring capacities, batch sizes, arena geometry...) applied on top of
-/// what the spec already resolved.  The throughput suite uses this for its
-/// mesh-vs-star A/B runs; everything expressible on the spec itself should
+/// tuning (ring capacities, arena geometry...) applied on top of what the
+/// spec already resolved.  Everything expressible on the spec itself should
 /// stay on the spec.
 pub fn run_spec_native_tuned(
     spec: RunSpec,
@@ -179,14 +179,7 @@ pub fn run_spec_native_tuned(
         "app '{}' does not run on the native backend",
         app.name()
     );
-    let native = tune(
-        NativeBackendConfig::from_common(run.common())
-            .with_delivery(run.delivery)
-            .with_message_store(run.message_store)
-            .with_pin_workers(run.pin_workers)
-            .with_faults(run.faults)
-            .with_transport(run.transport),
-    );
+    let native = tune(native_config(&run));
     let mut make_app = app.factory(&run);
     let mut report = native_rt::run_threaded(native, make_app.as_mut());
     if let Some(slo) = run.slo {
@@ -210,23 +203,10 @@ impl RunSpecExt for RunSpec {
     }
 }
 
-/// Parse a `--backend {sim,native}` switch out of the process arguments
-/// (defaulting to the simulator).
-///
-/// # Panics
-/// Panics with a usage message if the value after `--backend` is not a known
-/// backend name.
-#[deprecated(
-    since = "0.6.0",
-    note = "use runtime_api::CommonArgs::from_env(), which also handles --seed/--buffer/--pin"
-)]
-pub fn parse_backend_arg() -> Backend {
-    runtime_api::CommonArgs::from_env().backend
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use runtime_api::{AppDefaults, AppFactory, AppSpec, Payload, RunCtx, RunOutcome};
 
     #[test]
     fn sim_config_carries_parameters() {
@@ -236,5 +216,66 @@ mod tests {
         assert_eq!(cfg.common.tram.item_bytes, 8);
         assert_eq!(cfg.common.seed, 7);
         assert!(cfg.common.tram.flush_policy.on_idle);
+    }
+
+    /// Every worker sends one item into a 1024-item buffer it never flushes,
+    /// under a policy that never flushes it either: only the watchdog ends
+    /// the run.
+    struct Strander;
+
+    impl AppSpec for Strander {
+        fn name(&self) -> &'static str {
+            "strander"
+        }
+
+        fn defaults(&self) -> AppDefaults {
+            AppDefaults {
+                scheme: Scheme::WW,
+                cluster: ClusterSpec::small_smp(1),
+                ..AppDefaults::default()
+            }
+        }
+
+        fn factory(&self, _run: &ResolvedRunSpec) -> AppFactory {
+            struct Worker {
+                sent: bool,
+            }
+            impl WorkerApp for Worker {
+                fn on_item(&mut self, _item: Payload, _created: u64, _ctx: &mut dyn RunCtx) {}
+                fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
+                    if self.sent {
+                        return false;
+                    }
+                    self.sent = true;
+                    let dest = WorkerId((ctx.my_id().0 + 4) % 8);
+                    ctx.send(dest, Payload::new(1, 2));
+                    true
+                }
+                fn local_done(&self) -> bool {
+                    self.sent
+                }
+            }
+            Box::new(|_| Box::new(Worker { sent: false }))
+        }
+    }
+
+    #[test]
+    fn tuned_native_runs_honour_the_spec_watchdog() {
+        let started = std::time::Instant::now();
+        let report = run_spec_native_tuned(
+            RunSpec::for_app(Strander)
+                .backend(Backend::Native)
+                .max_wall(Duration::from_millis(150)),
+            |native| native,
+        );
+        let RunOutcome::Aborted { reason, .. } = &report.outcome else {
+            panic!("stranding must abort, got {:?}", report.outcome);
+        };
+        assert!(reason.contains("watchdog"), "{reason}");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the 150 ms spec watchdog was ignored: {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -9,12 +9,12 @@
 
 use net_model::WorkerId;
 use runtime_api::{
-    AppDefaults, AppFactory, AppSpec, Backend, Item, Payload, ResolvedRunSpec, RunCtx, RunReport,
-    RunSpec, WorkerApp,
+    AppDefaults, AppFactory, AppSpec, Item, Payload, ResolvedRunSpec, RunCtx, RunReport, RunSpec,
+    WorkerApp,
 };
 use tramlib::{FlushPolicy, Scheme};
 
-use crate::common::{run_spec, run_spec_native_tuned, ClusterSpec};
+use crate::common::{run_spec, ClusterSpec};
 
 /// The histogram app runs on both execution backends.
 pub const NATIVE_CAPABLE: bool = true;
@@ -253,31 +253,10 @@ pub fn run_histogram(config: HistogramConfig) -> RunReport {
     run_spec(RunSpec::for_app(config))
 }
 
-/// Run the histogram benchmark on the chosen execution backend.
-#[deprecated(
-    since = "0.6.0",
-    note = "use RunSpec::for_app(config).backend(backend).run()"
-)]
-pub fn run_histogram_on(backend: Backend, config: HistogramConfig) -> RunReport {
-    run_spec(RunSpec::for_app(config).backend(backend))
-}
-
-/// Run the histogram benchmark on the native backend with extra
-/// backend-specific tuning (ring sizes, watchdog...).
-#[deprecated(
-    since = "0.6.0",
-    note = "use common::run_spec_native_tuned(RunSpec::for_app(config), tune)"
-)]
-pub fn run_histogram_native(
-    config: HistogramConfig,
-    tune: impl FnOnce(native_rt::NativeBackendConfig) -> native_rt::NativeBackendConfig,
-) -> RunReport {
-    run_spec_native_tuned(RunSpec::for_app(config), tune)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use runtime_api::Backend;
 
     fn quick(scheme: Scheme) -> RunReport {
         let cfg = HistogramConfig::new(ClusterSpec::small_smp(2), scheme)

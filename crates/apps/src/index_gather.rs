@@ -9,12 +9,12 @@
 
 use net_model::WorkerId;
 use runtime_api::{
-    AppDefaults, AppFactory, AppSpec, Backend, Item, Payload, ResolvedRunSpec, RunCtx, RunReport,
-    RunSpec, WorkerApp,
+    AppDefaults, AppFactory, AppSpec, Item, Payload, ResolvedRunSpec, RunCtx, RunReport, RunSpec,
+    WorkerApp,
 };
 use tramlib::{FlushPolicy, Scheme};
 
-use crate::common::{run_spec, run_spec_native_tuned, ClusterSpec};
+use crate::common::{run_spec, ClusterSpec};
 
 /// The index-gather app runs on both execution backends.
 pub const NATIVE_CAPABLE: bool = true;
@@ -224,30 +224,10 @@ pub fn run_index_gather(config: IndexGatherConfig) -> RunReport {
     run_spec(RunSpec::for_app(config))
 }
 
-/// Run the index-gather benchmark on the chosen execution backend.
-#[deprecated(
-    since = "0.6.0",
-    note = "use RunSpec::for_app(config).backend(backend).run()"
-)]
-pub fn run_index_gather_on(backend: Backend, config: IndexGatherConfig) -> RunReport {
-    run_spec(RunSpec::for_app(config).backend(backend))
-}
-
-/// Run index-gather on the native backend with extra backend-specific tuning.
-#[deprecated(
-    since = "0.6.0",
-    note = "use common::run_spec_native_tuned(RunSpec::for_app(config), tune)"
-)]
-pub fn run_index_gather_native(
-    config: IndexGatherConfig,
-    tune: impl FnOnce(native_rt::NativeBackendConfig) -> native_rt::NativeBackendConfig,
-) -> RunReport {
-    run_spec_native_tuned(RunSpec::for_app(config), tune)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use runtime_api::Backend;
 
     fn quick(scheme: Scheme, requests: u64, buffer: usize) -> RunReport {
         run_index_gather(

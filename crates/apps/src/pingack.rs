@@ -11,8 +11,8 @@
 
 use net_model::WorkerId;
 use runtime_api::{
-    AppDefaults, AppFactory, AppSpec, Backend, Payload, ResolvedRunSpec, RunCtx, RunReport,
-    RunSpec, WorkerApp,
+    AppDefaults, AppFactory, AppSpec, Payload, ResolvedRunSpec, RunCtx, RunReport, RunSpec,
+    WorkerApp,
 };
 use tramlib::{FlushPolicy, Scheme};
 
@@ -207,18 +207,10 @@ pub fn run_pingack(config: PingAckConfig) -> RunReport {
     run_spec(RunSpec::for_app(config))
 }
 
-/// Run the PingAck benchmark on the chosen execution backend.
-#[deprecated(
-    since = "0.6.0",
-    note = "use RunSpec::for_app(config).backend(backend).run()"
-)]
-pub fn run_pingack_on(backend: Backend, config: PingAckConfig) -> RunReport {
-    run_spec(RunSpec::for_app(config).backend(backend))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use runtime_api::Backend;
 
     fn quick(procs_per_node: u32, smp: bool) -> RunReport {
         let mut cfg = PingAckConfig::new(procs_per_node, smp);

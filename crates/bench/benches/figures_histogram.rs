@@ -1,5 +1,5 @@
-//! Criterion benches for the histogram figures (Figs. 8–11) and the flush
-//! policy ablation (A3): one benchmark id per figure, run at smoke scale.
+//! Criterion benches for the histogram figures (Figs. 8–11): one benchmark
+//! id per figure, run at smoke scale.
 
 use apps::histogram::{run_histogram, HistogramConfig};
 use apps::ClusterSpec;
@@ -76,21 +76,11 @@ fn fig11_small_updates(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_a3_flush_policy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_a3_flush_policy");
-    group.sample_size(10);
-    group.bench_function("series", |b| {
-        b.iter(|| bench::ablation_flush_policy(bench::Effort::Smoke))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     fig08_ppn_sweep,
     fig09_scheme_sweep,
     fig10_buffer_sweep,
-    fig11_small_updates,
-    ablation_a3_flush_policy
+    fig11_small_updates
 );
 criterion_main!(benches);

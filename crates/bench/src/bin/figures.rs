@@ -114,10 +114,6 @@ fn main() {
             "ablation_a1_commthread",
             &bench::ablation_commthread(effort),
         );
-        emit(
-            "ablation_a3_flush_policy",
-            &bench::ablation_flush_policy(effort),
-        );
     }
 
     println!("done; CSVs under {}", out_dir().display());

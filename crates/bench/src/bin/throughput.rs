@@ -1,7 +1,5 @@
-//! The throughput sweep: items/sec per scheme on the native backend (mesh
-//! delivery, with a star-topology A/B series), plus the PP insert-path
-//! lock-free-vs-mutex comparison, emitted as one machine-readable
-//! `BENCH_throughput.json`.
+//! The throughput sweep: items/sec per scheme on the native backend, emitted
+//! as one machine-readable `BENCH_throughput.json`.
 //!
 //! ```text
 //! cargo run --release -p bench --bin throughput              # full sweep
@@ -15,9 +13,8 @@
 //! ```
 //!
 //! Every effort level measures the zero-copy slab-arena mesh (the default
-//! configuration), the VecPool-store mesh (the arena-vs-pool A/B), and the
-//! star-collector topology, so the regression gate covers both delivery
-//! topologies and both message stores.  `--pin` pins each worker thread to
+//! configuration) and the VecPool-store mesh (the arena-vs-pool A/B), so the
+//! regression gate covers both message stores.  `--pin` pins each worker thread to
 //! `worker_index % cpus` — see `docs/DESIGN.md` §5 for when that matters.
 //!
 //! Every application run doubles as a conservation check (clean termination,
@@ -34,7 +31,7 @@
 
 use bench::regression::{regression_gate, tolerance_from_env, TOLERANCE_ENV};
 use bench::throughput::{
-    cross_socket_penalty, kernel_apply_comparison, pp_insert_comparison, throughput_histogram_on,
+    cross_socket_penalty, kernel_apply_comparison, throughput_histogram_on,
     throughput_index_gather, write_throughput_json, Tune,
 };
 use bench::Effort;
@@ -81,20 +78,16 @@ fn main() {
         "# smp-aggregation throughput suite (effort: {effort:?}, pin: {pin}, kernel: {kernel})\n"
     );
 
-    // Both message stores on the mesh (the zero-copy arena-vs-pool A/B) and
-    // the star-collector topology, at every effort level: the CI smoke gate
-    // must cover every delivery configuration a regression could hide in.
+    // Both message stores (the zero-copy arena-vs-pool A/B) at every effort
+    // level: the CI smoke gate must cover every delivery configuration a
+    // regression could hide in.
     let tune = |t: Tune| t.with_pin(pin).with_kernel(kernel);
     let histogram = throughput_histogram_on(effort, tune(Tune::mesh_arena()));
     println!("{}\n", histogram.to_text());
     let histogram_vecpool = throughput_histogram_on(effort, tune(Tune::mesh_vecpool()));
     println!("{}\n", histogram_vecpool.to_text());
-    let star = throughput_histogram_on(effort, tune(Tune::star()));
-    println!("{}\n", star.to_text());
     let index_gather = throughput_index_gather(effort, tune(Tune::mesh_arena()));
     println!("{}\n", index_gather.to_text());
-    let pp_insert = pp_insert_comparison(effort);
-    println!("{}\n", pp_insert.to_text());
     // The kernel A/B is a direct microbench over every tier, so `--kernel`
     // does not narrow it; each timed repetition re-checks its tier against
     // the scalar reference and panics on any total mismatch.
@@ -106,9 +99,7 @@ fn main() {
     let mut series: Vec<(&str, &metrics::Series)> = vec![
         ("histogram_native", &histogram),
         ("histogram_native_vecpool", &histogram_vecpool),
-        ("histogram_native_star", &star),
         ("index_gather_native", &index_gather),
-        ("pp_insert", &pp_insert),
         ("kernel_apply", &kernel_apply),
         ("cross_socket_penalty", &cross_socket),
     ];
@@ -124,10 +115,6 @@ fn main() {
         extra.push((
             "histogram_native_vecpool_smoke",
             throughput_histogram_on(Effort::Smoke, tune(Tune::mesh_vecpool())),
-        ));
-        extra.push((
-            "histogram_native_star_smoke",
-            throughput_histogram_on(Effort::Smoke, tune(Tune::star())),
         ));
         extra.push((
             "index_gather_native_smoke",
@@ -161,7 +148,6 @@ fn main() {
         let fresh: Vec<(&str, &metrics::Series)> = vec![
             ("histogram_native", &histogram),
             ("histogram_native_vecpool", &histogram_vecpool),
-            ("histogram_native_star", &star),
             ("index_gather_native", &index_gather),
         ];
         let outcome = regression_gate(&committed, &fresh, tolerance)

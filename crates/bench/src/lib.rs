@@ -16,7 +16,6 @@
 //! functions below record the exact scaled parameters next to the paper's
 //! originals; `docs/DESIGN.md` §4 names the ablations.
 
-pub mod baseline;
 pub mod chaos;
 pub mod loadgen;
 pub mod regression;
@@ -456,82 +455,6 @@ pub fn ablation_commthread(effort: Effort) -> Series {
     series
 }
 
-/// Ablation A3: flush policy comparison (explicit only vs idle vs timeout) for
-/// a flush-dominated histogram.
-pub fn ablation_flush_policy(effort: Effort) -> Series {
-    use tramlib::FlushPolicy;
-    let updates = effort.pick(500, 2_000);
-    let buffer = effort.pick(64, 64);
-    let cluster = node(effort.pick(2, 4));
-    let policies: [(&str, FlushPolicy); 3] = [
-        ("explicit-only", FlushPolicy::EXPLICIT_ONLY),
-        ("on-idle", FlushPolicy::ON_IDLE),
-        ("timeout-50us", FlushPolicy::with_timeout(50_000)),
-    ];
-    let mut series = Series::new(
-        "Ablation A3: flush policy for a flush-dominated histogram (WPs)",
-        "policy",
-    );
-    series.set_x_values(policies.iter().map(|(name, _)| name.to_string()));
-    let mut time_col = Vec::new();
-    let mut latency_col = Vec::new();
-    for &(_, policy) in &policies {
-        let sim = apps::common::sim_config(cluster, Scheme::WPs, buffer, 16, policy, 29);
-        // Reuse the histogram app through its public runner by building the
-        // config directly; the histogram runner fixes the policy, so drive the
-        // generic histogram with the chosen policy here.
-        let report = run_histogram_with_policy(sim, updates);
-        time_col.push(report.total_time_secs());
-        latency_col.push(report.item_latency.mean() / 1e6);
-    }
-    series.add_column("total_time_s", time_col);
-    series.add_column("mean_item_latency_ms", latency_col);
-    series
-}
-
-/// Histogram run with an explicit [`smp_sim::SimConfig`] (used by the flush
-/// policy ablation, which needs to vary the policy).
-fn run_histogram_with_policy(sim: smp_sim::SimConfig, updates: u64) -> smp_sim::RunReport {
-    use net_model::WorkerId;
-    use smp_sim::{Payload, RunCtx, WorkerApp};
-    struct App {
-        remaining: u64,
-        flushed: bool,
-    }
-    impl WorkerApp for App {
-        fn on_item(&mut self, _item: Payload, _c: u64, ctx: &mut dyn RunCtx) {
-            ctx.counter("histo_applied", 1);
-        }
-        fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
-            if self.remaining == 0 {
-                return false;
-            }
-            let n = self.remaining.min(256);
-            let workers = ctx.total_workers() as u64;
-            for _ in 0..n {
-                ctx.charge_item_generation();
-                let dest = WorkerId(ctx.rng().below(workers) as u32);
-                ctx.send(dest, Payload::new(1, 0));
-            }
-            self.remaining -= n;
-            if self.remaining == 0 && !self.flushed {
-                ctx.flush();
-                self.flushed = true;
-            }
-            true
-        }
-        fn local_done(&self) -> bool {
-            self.remaining == 0
-        }
-    }
-    smp_sim::run_cluster(sim, |_| {
-        Box::new(App {
-            remaining: updates,
-            flushed: false,
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,7 +566,5 @@ mod tests {
     fn ablations_run() {
         let a1 = ablation_commthread(Effort::Smoke);
         assert_eq!(a1.len(), 5);
-        let a3 = ablation_flush_policy(Effort::Smoke);
-        assert_eq!(a3.len(), 3);
     }
 }

@@ -1,6 +1,5 @@
 //! The throughput suite: items/sec per aggregation scheme on the native
-//! threaded backend, plus the PP insert-path micro-comparison against the
-//! historical mutex-based claim buffer.
+//! threaded backend.
 //!
 //! Unlike the figure harness (which reruns the paper's *simulated* cluster
 //! experiments), this suite measures real wall-clock throughput of the
@@ -14,20 +13,17 @@
 //! the CI bench-smoke step relies on this to turn silent item loss into a red
 //! build.
 
-use crate::baseline::{MutexClaimBuffer, MutexClaimResult};
 use crate::Effort;
 use apps::common::run_spec_native_tuned;
 use apps::histogram::HistogramConfig;
 use apps::index_gather::IndexGatherConfig;
 use apps::ClusterSpec;
 use metrics::Series;
-use native_rt::{DeliveryTopology, MessageStore};
+use native_rt::MessageStore;
 use net_model::WorkerId;
 use runtime_api::{Backend, Item, KernelMode, Payload, RunReport, RunSpec};
-use shmem::{ClaimBuffer, ClaimResult};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 use tramlib::Scheme;
 
@@ -96,12 +92,10 @@ fn warmup(tune: Tune) {
     assert!(report.clean(), "warmup run failed");
 }
 
-/// Backend tuning of one measured series: delivery topology, message store,
-/// core pinning (`--pin`) and slice-kernel tier (`--kernel`).
+/// Backend tuning of one measured series: message store, core pinning
+/// (`--pin`) and slice-kernel tier (`--kernel`).
 #[derive(Debug, Clone, Copy)]
 pub struct Tune {
-    /// Delivery topology.
-    pub delivery: DeliveryTopology,
     /// Message store (slab arena vs pooled vectors — the zero-copy A/B).
     pub store: MessageStore,
     /// Pin worker threads to cores.
@@ -115,7 +109,6 @@ impl Tune {
     /// auto-detected kernels.
     pub fn mesh_arena() -> Self {
         Tune {
-            delivery: DeliveryTopology::Mesh,
             store: MessageStore::SlabArena,
             pin: false,
             kernel: KernelMode::Auto,
@@ -127,14 +120,6 @@ impl Tune {
         Tune {
             store: MessageStore::VecPool,
             ..Tune::mesh_arena()
-        }
-    }
-
-    /// The star-collector baseline (always on pooled vectors).
-    pub fn star() -> Self {
-        Tune {
-            delivery: DeliveryTopology::Star,
-            ..Tune::mesh_vecpool()
         }
     }
 
@@ -154,7 +139,6 @@ impl Tune {
     /// Apply this tuning to a [`RunSpec`] (native backend implied).
     pub fn spec(&self, spec: RunSpec) -> RunSpec {
         spec.backend(Backend::Native)
-            .delivery(self.delivery)
             .message_store(self.store)
             .pin_workers(self.pin)
             .kernel(self.kernel)
@@ -168,8 +152,7 @@ impl Tune {
 /// it on would make the sweep compare different code-path mixes instead of
 /// the same pipeline at different scales.  Only the measurement disables the
 /// bypass — the backend default (bypass on) is untouched.  The watchdog is
-/// generous because the all-remote workload on the star baseline can
-/// legitimately need minutes: it is for hangs, not for slow topologies.
+/// generous: it is for hangs, not for slow runs on a loaded host.
 fn pipeline_spec(spec: RunSpec, tune: Tune) -> RunSpec {
     tune.spec(spec)
         .local_bypass(false)
@@ -177,35 +160,25 @@ fn pipeline_spec(spec: RunSpec, tune: Tune) -> RunSpec {
 }
 
 /// Histogram items/sec on the native backend: all five schemes × the worker
-/// sweep, on the given tuning (topology × store × pinning).
+/// sweep, on the given tuning (store × pinning × kernel tier).
 ///
 /// Paper-effort runs use 150K updates per worker: on a fast delivery path a
 /// smaller run finishes in a few milliseconds, which scheduling noise and
 /// quiescence-detection latency would dominate.
 pub fn throughput_histogram_on(effort: Effort, tune: Tune) -> Series {
-    // The star baseline moves every item through the central collector at a
-    // rate the watchdog cannot tolerate on the mesh's workload size; its
-    // series runs a smaller per-worker load (and a longer watchdog), which
-    // if anything *flatters* the star by amortizing less fixed cost away.
     // Smoke runs back the CI regression gate: they must be big enough that
     // per-scheme throughput *ratios* are stable run-to-run on a noisy
     // runner, which 1K-update runs are not.
-    let updates = match tune.delivery {
-        DeliveryTopology::Mesh => effort.pick(10_000, 150_000),
-        DeliveryTopology::Star => effort.pick(10_000, 20_000),
-    };
+    let updates = effort.pick(10_000, 150_000);
     let buffer = effort.pick(64, 512);
     let clusters = cluster_sweep(effort);
     let mut series = Series::new(
-        match (tune.delivery, tune.store) {
-            (DeliveryTopology::Mesh, MessageStore::SlabArena) => {
+        match tune.store {
+            MessageStore::SlabArena => {
                 "Throughput: histogram on the native backend, slab-arena store (items/sec)"
             }
-            (DeliveryTopology::Mesh, MessageStore::VecPool) => {
+            MessageStore::VecPool => {
                 "Throughput: histogram on the native backend, VecPool store A/B (items/sec)"
-            }
-            (DeliveryTopology::Star, _) => {
-                "Throughput: histogram on the native backend, star/collector topology (items/sec)"
             }
         },
         "cluster",
@@ -214,12 +187,8 @@ pub fn throughput_histogram_on(effort: Effort, tune: Tune) -> Series {
     warmup(tune);
     // Smoke runs take the best of three: they back the CI regression gate,
     // and at smoke sizes a single unlucky scheduling quantum can halve one
-    // scheme's rate.  The star baseline at paper effort is a slow
-    // illustration series; one repetition is plenty there.
-    let reps = match tune.delivery {
-        DeliveryTopology::Mesh => effort.pick(3, 2),
-        DeliveryTopology::Star => effort.pick(3, 1),
-    };
+    // scheme's rate.
+    let reps = effort.pick(3, 2);
     for scheme in Scheme::ALL {
         let column = clusters
             .iter()
@@ -432,134 +401,6 @@ pub fn cross_socket_penalty(effort: Effort) -> Series {
     series
 }
 
-/// One step of the shared insert-race harness: what a buffer's insert did
-/// with the value.
-enum RaceStep {
-    Stored,
-    /// This inserter sealed the buffer and drained this many items.
-    Sealed(u64),
-    /// The buffer was sealed; retry with the returned value.
-    Retry(u64),
-}
-
-/// Race `threads` inserters through one shared buffer; returns inserts/sec.
-/// Sealed contents are dropped (we measure the insert path, not delivery) but
-/// still counted: the harness asserts every inserted item was drained exactly
-/// once.  Both claim-buffer implementations run through this same loop so the
-/// lock-free-vs-mutex comparison can never desynchronize.
-fn insert_race<B>(
-    buffer: Arc<B>,
-    threads: u64,
-    per_thread: u64,
-    insert: impl Fn(&B, u64) -> RaceStep + Copy + Send + 'static,
-    final_drain: impl FnOnce(&B) -> u64,
-) -> f64
-where
-    B: Send + Sync + 'static,
-{
-    let drained = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let buffer = buffer.clone();
-            let drained = drained.clone();
-            std::thread::spawn(move || {
-                for i in 0..per_thread {
-                    let mut value = t * per_thread + i;
-                    loop {
-                        match insert(&buffer, value) {
-                            RaceStep::Stored => break,
-                            RaceStep::Sealed(count) => {
-                                drained.fetch_add(count, std::sync::atomic::Ordering::Relaxed);
-                                break;
-                            }
-                            RaceStep::Retry(v) => {
-                                value = v;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        // Re-raise an inserter panic with its original payload instead of
-        // replacing it with an opaque `Any` debug print.
-        if let Err(payload) = h.join() {
-            std::panic::resume_unwind(payload);
-        }
-    }
-    let leftovers = final_drain(&buffer);
-    let elapsed = start.elapsed().as_secs_f64();
-    let total = threads * per_thread;
-    assert_eq!(
-        drained.load(std::sync::atomic::Ordering::Relaxed) + leftovers,
-        total,
-        "claim buffer lost items"
-    );
-    total as f64 / elapsed.max(1e-9)
-}
-
-/// Insert throughput of the lock-free claim buffer.
-pub fn lockfree_insert_rate(threads: u64, per_thread: u64, capacity: usize) -> f64 {
-    insert_race(
-        Arc::new(ClaimBuffer::<u64>::new(capacity)),
-        threads,
-        per_thread,
-        |buffer, value| match buffer.insert(value) {
-            ClaimResult::Stored => RaceStep::Stored,
-            ClaimResult::Sealed(items) => RaceStep::Sealed(items.len() as u64),
-            ClaimResult::Retry(v) => RaceStep::Retry(v),
-        },
-        |buffer| buffer.seal_flush().len() as u64,
-    )
-}
-
-/// Same workload through the historical mutex-based buffer.
-pub fn mutex_insert_rate(threads: u64, per_thread: u64, capacity: usize) -> f64 {
-    insert_race(
-        Arc::new(MutexClaimBuffer::<u64>::new(capacity)),
-        threads,
-        per_thread,
-        |buffer, value| match buffer.insert(value) {
-            MutexClaimResult::Stored => RaceStep::Stored,
-            MutexClaimResult::Sealed(items) => RaceStep::Sealed(items.len() as u64),
-            MutexClaimResult::Retry(v) => RaceStep::Retry(v),
-        },
-        |buffer| buffer.seal_flush().len() as u64,
-    )
-}
-
-/// The PP insert-path comparison: lock-free vs mutex claim buffer, inserts/sec
-/// over a thread sweep.  This is the before/after record for the lock-free
-/// rewrite.
-pub fn pp_insert_comparison(effort: Effort) -> Series {
-    let threads: Vec<u64> = effort.pick(vec![1, 2, 4], vec![1, 2, 4, 8]);
-    let per_thread = effort.pick(50_000, 200_000);
-    let capacity = 1024;
-    let mut series = Series::new(
-        "Throughput: PP insert path - lock-free vs mutex claim buffer (inserts/sec)",
-        "threads",
-    );
-    series.set_x_values(threads.iter().map(|t| format!("{t}thr")));
-    series.add_column(
-        "lockfree",
-        threads
-            .iter()
-            .map(|&t| lockfree_insert_rate(t, per_thread, capacity))
-            .collect(),
-    );
-    series.add_column(
-        "mutex",
-        threads
-            .iter()
-            .map(|&t| mutex_insert_rate(t, per_thread, capacity))
-            .collect(),
-    );
-    series
-}
-
 /// Assemble the combined `BENCH_throughput.json` document from named series.
 pub fn throughput_json(effort: Effort, series: &[(&str, &Series)]) -> String {
     crate::suite_json("throughput", effort, series)
@@ -617,12 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_rates_are_positive_and_conserving() {
-        assert!(lockfree_insert_rate(2, 2_000, 64) > 0.0);
-        assert!(mutex_insert_rate(2, 2_000, 64) > 0.0);
-    }
-
-    #[test]
     fn smoke_sweep_runs_every_scheme_on_both_apps() {
         for series in [
             throughput_histogram(Effort::Smoke),
@@ -674,11 +509,16 @@ mod tests {
 
     #[test]
     fn json_document_contains_every_series() {
-        let s = pp_insert_comparison(Effort::Smoke);
-        let json = throughput_json(Effort::Smoke, &[("pp_insert", &s)]);
+        let mut a = Series::new("a", "threads");
+        a.set_x_values(["1thr"]);
+        a.add_column("first", vec![1.0]);
+        let mut b = Series::new("b", "threads");
+        b.set_x_values(["1thr"]);
+        b.add_column("second", vec![2.0]);
+        let json = throughput_json(Effort::Smoke, &[("series_a", &a), ("series_b", &b)]);
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"pp_insert\""));
-        assert!(json.contains("\"lockfree\""));
-        assert!(json.contains("\"mutex\""));
+        for name in ["\"series_a\"", "\"series_b\"", "\"first\"", "\"second\""] {
+            assert!(json.contains(name), "{name} missing");
+        }
     }
 }

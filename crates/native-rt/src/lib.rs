@@ -12,14 +12,11 @@
 //!   destination process, exactly the contended path §III-C of the paper
 //!   analyses;
 //! * delivery runs over a direct **worker↔worker mesh** of bounded
-//!   [`shmem::SpscRing`]s by default: sealed/flushed messages go straight to
-//!   the destination worker, which runs the receive-side grouping pass
+//!   [`shmem::SpscRing`]s: sealed/flushed messages go straight to the
+//!   destination worker, which runs the receive-side grouping pass
 //!   ([`tramlib::PooledReceiver`]) locally — no thread touches traffic it
-//!   does not own, and the only central component left is the quiescence
-//!   monitor (watchdog + sent/delivered counter sums);
-//! * the historical **collector-thread star** survives as
-//!   [`DeliveryTopology::Star`] so `bench::throughput` can A/B the two
-//!   topologies;
+//!   does not own, and the only central component is the quiescence monitor
+//!   (watchdog + sent/delivered counter sums);
 //! * same-process items bypass aggregation and travel worker-to-worker in
 //!   batches, mirroring the simulator's local-bypass path.
 //!
@@ -29,12 +26,8 @@
 //! simulated ones, with identical item totals for deterministic workloads
 //! (checked by `tests/backend_equivalence.rs`).  See `docs/DESIGN.md` for the
 //! full architecture and the insertion-path diagrams.
-//!
-//! The original synthetic contention microbenchmark (ablation A2) lives on in
-//! [`micro`].
 
 pub mod affinity;
-pub mod micro;
 pub mod numa;
 pub mod process;
 pub(crate) mod quantum;
@@ -48,8 +41,7 @@ pub(crate) mod tally;
 pub mod threaded;
 
 pub use affinity::{allowed_cpus, available_cpus, pin_current_thread};
-pub use micro::{run_native, NativeConfig, NativeReport, NativeScheme};
 pub use numa::NumaTopology;
 pub use process::{run_process, ProcessBackendConfig};
 pub use signals::SignalGuard;
-pub use threaded::{run_threaded, DeliveryTopology, MessageStore, NativeBackendConfig};
+pub use threaded::{run_threaded, MessageStore, NativeBackendConfig};

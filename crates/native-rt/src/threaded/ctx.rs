@@ -1,10 +1,8 @@
-//! The native backend's per-worker [`RunCtx`] implementation, shared by both
-//! delivery topologies.
+//! The native backend's per-worker [`RunCtx`] implementation.
 //!
 //! The context owns everything a worker thread touches per item — aggregator,
 //! RNG, counters, local-bypass batches, the mesh overflow stash — and routes
-//! emitted messages to the run's delivery plane: the collector channel on the
-//! star, the per-pair SPSC rings on the mesh.
+//! emitted messages onto the per-pair SPSC rings of the delivery mesh.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -19,7 +17,7 @@ use tramlib::{
     Owner, Scheme, SlabSealed, TramStats,
 };
 
-use super::{Batch, Envelope, Plane, Shared, Spent, SPARE_BATCHES};
+use super::{Batch, Envelope, Shared, Spent, SPARE_BATCHES};
 use crate::quantum::{self, SelfClocked};
 use crate::tally::Tally;
 
@@ -108,9 +106,9 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// per-worker dropped counter so the monitor's conservation check —
     /// `sent == delivered + dropped` — can settle on an aborted run.
     pub(crate) pending_dropped: u64,
-    /// Mesh only: per-destination overflow stash for envelopes whose ring was
-    /// full.  Retried every loop iteration; a sender therefore never blocks,
-    /// which is what makes the all-pairs mesh deadlock-free.
+    /// Per-destination overflow stash for envelopes whose ring was full.
+    /// Retried every loop iteration; a sender therefore never blocks, which
+    /// is what makes the all-pairs mesh deadlock-free.
     pub(crate) stash: Vec<VecDeque<Envelope>>,
     /// Total envelopes currently stashed (cheap emptiness check).
     pub(crate) stash_len: usize,
@@ -126,7 +124,7 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// timeout flushes — not buffer-full seals).  The `flush=<n>` fault
     /// trigger reads this.
     pub(crate) flush_emits: u64,
-    /// Mesh + NoAgg only: route every envelope through the stash and publish
+    /// NoAgg only: route every envelope through the stash and publish
     /// rings once per loop via the batched [`shmem::SpscRing::push_from`].
     /// NoAgg ships one envelope per item; pushing each individually would pay
     /// a cold ring-slot write and a tail publication per item.
@@ -169,10 +167,10 @@ pub(crate) struct NativeWorkerCtx<'a> {
 }
 
 impl<'a> NativeWorkerCtx<'a> {
-    /// Build the context for worker `me`.  `stash_lanes` is the worker count
-    /// on the mesh and 0 on the star (which never stashes).
-    pub(crate) fn new(shared: &'a Shared, me: WorkerId, stash_lanes: usize) -> Self {
+    /// Build the context for worker `me`.
+    pub(crate) fn new(shared: &'a Shared, me: WorkerId) -> Self {
         let my_proc = shared.topo.proc_of_worker(me);
+        let workers = shared.topo.total_workers();
         let aggregator = if shared.tram.scheme == Scheme::PP {
             None
         } else {
@@ -200,9 +198,7 @@ impl<'a> NativeWorkerCtx<'a> {
             // No lanes without the bypass: the per-quantum flush then has
             // nothing to walk.
             local_out: if shared.tram.local_bypass {
-                (0..shared.topo.total_workers())
-                    .map(|_| Vec::new())
-                    .collect()
+                (0..workers).map(|_| Vec::new()).collect()
             } else {
                 Vec::new()
             },
@@ -212,19 +208,19 @@ impl<'a> NativeWorkerCtx<'a> {
             local_sent: 0,
             pending_delivered: 0,
             pending_dropped: 0,
-            stash: (0..stash_lanes).map(|_| VecDeque::new()).collect(),
+            stash: (0..workers).map(|_| VecDeque::new()).collect(),
             stash_len: 0,
             stash_backoff: 0,
             stash_skip: 0,
             flush_emits: 0,
-            defer_pushes: stash_lanes > 0 && shared.tram.scheme == Scheme::NoAgg,
+            defer_pushes: shared.tram.scheme == Scheme::NoAgg,
             arena: shared.arenas.get(me.idx()),
             pending_returns: Vec::new(),
             my_node: shared.worker_node.get(me.idx()).copied().unwrap_or(0),
             cross_socket_msgs: 0,
             drain_order: {
                 let my_node = shared.worker_node.get(me.idx()).copied().unwrap_or(0);
-                let mut order: Vec<u32> = (0..stash_lanes as u32).collect();
+                let mut order: Vec<u32> = (0..workers).collect();
                 if shared.numa_aware {
                     // Stable sort: same-node destinations first, index order
                     // preserved within each group.
@@ -303,7 +299,7 @@ impl<'a> NativeWorkerCtx<'a> {
         {
             return self.wire_stash.is_empty();
         }
-        let ring = self.shared.plane.mesh().ring(self.me.idx(), target.idx());
+        let ring = self.shared.plane.ring(self.me.idx(), target.idx());
         quantum::lane_drained(ring.len(), self.stash[target.idx()].len())
     }
 
@@ -312,27 +308,18 @@ impl<'a> NativeWorkerCtx<'a> {
     pub(crate) fn emit(&mut self, message: OutboundMessage<Payload>) {
         self.publish_sent();
         self.count_wire(message.items.len(), message.bytes, message.reason);
-        match &self.shared.plane {
-            // Send fails only after an aborted (watchdog) run tears the
-            // collector down; the report is already unclean then.
-            Plane::Star(star) => {
-                let _ = star.msg_tx.send(message);
+        let target = self.receiver_of(message.dest);
+        // Single-item worker-addressed messages (NoAgg) ride inline; their
+        // vector is recycled here, where it came from.
+        if message.items.len() == 1 && matches!(message.dest, MessageDest::Worker(_)) {
+            let mut items = message.items;
+            let item = items.pop().expect("one item");
+            if let Some(agg) = self.aggregator.as_mut() {
+                agg.recycle(items);
             }
-            Plane::Mesh(_) => {
-                let target = self.receiver_of(message.dest);
-                // Single-item worker-addressed messages (NoAgg) ride inline;
-                // their vector is recycled here, where it came from.
-                if message.items.len() == 1 && matches!(message.dest, MessageDest::Worker(_)) {
-                    let mut items = message.items;
-                    let item = items.pop().expect("one item");
-                    if let Some(agg) = self.aggregator.as_mut() {
-                        agg.recycle(items);
-                    }
-                    self.push_mesh(target, Envelope::Single(item));
-                } else {
-                    self.push_mesh(target, Envelope::Message(message));
-                }
-            }
+            self.push_mesh(target, Envelope::Single(item));
+        } else {
+            self.push_mesh(target, Envelope::Message(message));
         }
     }
 
@@ -385,8 +372,7 @@ impl<'a> NativeWorkerCtx<'a> {
             self.cross_socket_msgs += 1;
         }
         if !self.defer_pushes && self.stash[d].is_empty() {
-            let mesh = self.shared.plane.mesh();
-            if let Err(rejected) = mesh.ring(self.me.idx(), d).push(envelope) {
+            if let Err(rejected) = self.shared.plane.ring(self.me.idx(), d).push(envelope) {
                 self.stash[d].push_back(rejected);
                 self.stash_len += 1;
             }
@@ -506,7 +492,7 @@ impl<'a> NativeWorkerCtx<'a> {
             return false;
         }
         self.publish_sent();
-        let mesh = self.shared.plane.mesh();
+        let mesh = &self.shared.plane;
         let me = self.me.idx();
         let mut moved = 0;
         // Same-node destinations first (identity order on non-NUMA runs):
@@ -585,14 +571,7 @@ impl<'a> NativeWorkerCtx<'a> {
         let batch = std::mem::take(&mut self.local_out[dest]);
         self.tally.local_batches += 1;
         self.tally.local_deliveries += batch.len() as u64;
-        match &self.shared.plane {
-            // Send fails only after an aborted (watchdog) run tears the
-            // receiver down; the report is already unclean then.
-            Plane::Star(star) => {
-                let _ = star.local_tx[dest].send(batch);
-            }
-            Plane::Mesh(_) => self.push_mesh(WorkerId(dest as u32), Envelope::Batch(batch)),
-        }
+        self.push_mesh(WorkerId(dest as u32), Envelope::Batch(batch));
     }
 
     /// Quantum end: ship every non-empty staging buffer — the local-bypass
@@ -630,13 +609,13 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Send a spent vector back to the worker that filled it (mesh only).
-    /// Falls back to local reuse when the return ring is full or the vector
-    /// was this worker's own.  Single-item vectors (NoAgg's per-item
-    /// messages) are simply dropped: a 32-byte allocation on the sender is
-    /// cheaper than a cold return-ring round trip per item.  Anything
-    /// larger goes home — even tiny configured buffers rely on the return
-    /// path for their allocation-free steady state.
+    /// Send a spent vector back to the worker that filled it.  Falls back to
+    /// local reuse when the return ring is full or the vector was this
+    /// worker's own.  Single-item vectors (NoAgg's per-item messages) are
+    /// simply dropped: a 32-byte allocation on the sender is cheaper than a
+    /// cold return-ring round trip per item.  Anything larger goes home —
+    /// even tiny configured buffers rely on the return path for their
+    /// allocation-free steady state.
     pub(crate) fn return_spent(&mut self, src: usize, batch: Batch) {
         if batch.capacity() < 2 {
             return;
@@ -645,8 +624,9 @@ impl<'a> NativeWorkerCtx<'a> {
             self.reclaim(batch);
             return;
         }
-        let mesh = self.shared.plane.mesh();
-        if let Err(Spent::Batch(batch)) = mesh
+        if let Err(Spent::Batch(batch)) = self
+            .shared
+            .plane
             .return_ring(src, self.me.idx())
             .push(Spent::Batch(batch))
         {
@@ -665,8 +645,9 @@ impl<'a> NativeWorkerCtx<'a> {
             self.shared.arenas[owner].release(handle.slab);
             return;
         }
-        let mesh = self.shared.plane.mesh();
-        if mesh
+        if self
+            .shared
+            .plane
             .return_ring(owner, self.me.idx())
             .push(Spent::Slab(handle))
             .is_err()
@@ -680,7 +661,7 @@ impl<'a> NativeWorkerCtx<'a> {
         if self.pending_returns.is_empty() {
             return false;
         }
-        let mesh = self.shared.plane.mesh();
+        let mesh = &self.shared.plane;
         let me = self.me.idx();
         let before = self.pending_returns.len();
         self.pending_returns.retain(|&(owner, handle)| {

@@ -1,5 +1,5 @@
-//! The mesh delivery topology: direct worker↔worker SPSC rings, no central
-//! collector on the data path.
+//! The worker loop over the delivery mesh: direct worker↔worker SPSC rings,
+//! no central thread on the data path.
 //!
 //! Each worker drains its column of the N×N envelope grid (one bounded SPSC
 //! ring per source worker), runs the receive-side grouping pass *locally*
@@ -62,8 +62,7 @@ pub(crate) fn worker_main(
     me: WorkerId,
     mut app: Box<dyn WorkerApp>,
 ) -> WorkerOutput {
-    let workers = shared.topo.total_workers() as usize;
-    let mut ctx = NativeWorkerCtx::new(shared, me, workers);
+    let mut ctx = NativeWorkerCtx::new(shared, me);
     let mut receiver: PooledReceiver<Payload> = PooledReceiver::new(shared.tram);
     if shared.pin_workers {
         // Pin before the barrier so placement never counts as run time.
@@ -153,7 +152,7 @@ fn mesh_loop(
     faults: &mut Option<ActiveFaults>,
 ) {
     let workers = shared.topo.total_workers() as usize;
-    let mesh = shared.plane.mesh();
+    let mesh = &shared.plane;
     let me_i = me.idx();
     let mut idle_rounds = 0u32;
     let mut quiet = QuietTracker::new(shared.tram.flush_policy.on_idle);
@@ -332,7 +331,7 @@ fn mesh_loop(
 /// all survivors are done, the monitor ends the run `Aborted`.
 fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
     let workers = shared.topo.total_workers() as usize;
-    let mesh = shared.plane.mesh();
+    let mesh = &shared.plane;
     let me_i = me.idx();
     // Drop unshipped production (all of it already counted sent), then push
     // out the process-shared PP buffers: items this worker inserted there

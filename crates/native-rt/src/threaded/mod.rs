@@ -1,12 +1,9 @@
 //! The full threaded backend: real applications on real threads.
 //!
-//! One OS thread per worker PE.  Delivery runs over one of two topologies
-//! (selectable per run, see [`DeliveryTopology`]):
-//!
-//! **Mesh (default).**  An N×N grid of bounded SPSC rings connects every pair
-//! of workers directly; each ring has exactly one producer (the source
-//! worker) and one consumer (the destination worker), so the hot path is
-//! lock-free end to end:
+//! One OS thread per worker PE.  An N×N mesh of bounded SPSC rings connects
+//! every pair of workers directly; each ring has exactly one producer (the
+//! source worker) and one consumer (the destination worker), so the hot path
+//! is lock-free end to end:
 //!
 //! ```text
 //! worker thread ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private)
@@ -29,13 +26,6 @@
 //! stash that is retried every loop iteration — backpressure without the
 //! deadlock a blocking N×N mesh invites (two workers pushing to each other's
 //! full rings would otherwise both stop draining).
-//!
-//! **Star (the PR 3 collector, kept for A/B comparison).**  Workers funnel
-//! every message through an MPSC channel into a collector thread that runs
-//! the grouping pass centrally and fans item batches out over per-worker SPSC
-//! rings.  The collector serializes all aggregation traffic, which is exactly
-//! the bottleneck the mesh removes; `bench::throughput` measures the two
-//! topologies against each other.
 //!
 //! **Termination.**  Every `send` increments the sending worker's padded
 //! `items_sent` slot and every completed `on_item` handler batch increments
@@ -69,14 +59,12 @@ mod ctx;
 mod faults;
 mod mesh;
 mod node;
-mod star;
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Sender};
 use crossbeam_utils::CachePadded;
 use metrics::LatencySummary;
 use metrics::{Counters, LatencyRecorder};
@@ -87,10 +75,10 @@ use runtime_api::{
 };
 use transport::Transport;
 
-// The native tuning enums live in `runtime-api` so the unified `RunSpec`
-// builder can name them without depending on this crate; re-exported here so
-// `native_rt::{DeliveryTopology, MessageStore}` keeps working.
-pub use runtime_api::{DeliveryTopology, MessageStore};
+// The message-store enum lives in `runtime-api` so the unified `RunSpec`
+// builder can name it without depending on this crate; re-exported here so
+// `native_rt::MessageStore` keeps working.
+pub use runtime_api::MessageStore;
 use shmem::{ClaimBuffer, SlabArena, SlabHandle, SlabRange, SpscRing};
 use tramlib::{Item, OutboundMessage, Scheme, SlabSealed, TramConfig, TramStats};
 
@@ -158,8 +146,6 @@ pub struct NativeBackendConfig {
     /// its deterministic RNG stream from.  `SimConfig` embeds the identical
     /// struct.
     pub common: CommonConfig,
-    /// Capacity (in batches) of each star-topology collector↔worker ring.
-    pub ring_capacity: usize,
     /// Capacity (in envelopes) of each mesh ring.  `0` (the default) sizes
     /// rings automatically: `max(64, 4096 / workers)` per pair, so total
     /// mesh memory stays flat as the cluster grows.
@@ -167,10 +153,7 @@ pub struct NativeBackendConfig {
     /// Watchdog: if the run is not quiescent after this much wall-clock time
     /// it is aborted and reported as not clean.
     pub max_wall: Duration,
-    /// Delivery topology (mesh by default).
-    pub delivery: DeliveryTopology,
-    /// Message store for the aggregation hot path (slab arenas by default on
-    /// the mesh; the star topology always runs on pooled vectors).
+    /// Message store for the aggregation hot path (slab arenas by default).
     pub message_store: MessageStore,
     /// Slabs per worker arena.  `0` (the default) sizes arenas automatically:
     /// one slab per destination slot plus enough headroom for the slabs in
@@ -193,7 +176,7 @@ pub struct NativeBackendConfig {
     /// cluster runs in-process over the mesh, exactly as before).  When set
     /// and the topology spans more than one node, each node gains a leader
     /// thread that re-aggregates cross-node traffic and ships it over this
-    /// wire — see the `node` module.  Requires the mesh delivery topology.
+    /// wire — see the `node` module.
     pub transport: Option<TransportKind>,
     /// Graceful shutdown on SIGINT/SIGTERM: block the signals for the run and
     /// poll them from the monitor; a delivered signal quiesces the run (stop
@@ -205,9 +188,8 @@ pub struct NativeBackendConfig {
 }
 
 impl NativeBackendConfig {
-    /// Defaults for `tram`: the simulator's default seed, the mesh topology
-    /// with auto-sized rings and slab arenas, 4096-batch star rings and a
-    /// 60 s watchdog.
+    /// Defaults for `tram`: the simulator's default seed, auto-sized mesh
+    /// rings and slab arenas, and a 60 s watchdog.
     pub fn new(tram: TramConfig) -> Self {
         Self::from_common(CommonConfig::new(tram))
     }
@@ -216,10 +198,8 @@ impl NativeBackendConfig {
     pub fn from_common(common: CommonConfig) -> Self {
         Self {
             common,
-            ring_capacity: 4096,
             mesh_ring_capacity: 0,
             max_wall: Duration::from_secs(60),
-            delivery: DeliveryTopology::Mesh,
             message_store: MessageStore::default(),
             arena_slabs: 0,
             pin_workers: false,
@@ -239,12 +219,6 @@ impl NativeBackendConfig {
     /// Override the watchdog limit.
     pub fn with_max_wall(mut self, max_wall: Duration) -> Self {
         self.max_wall = max_wall;
-        self
-    }
-
-    /// Override the delivery topology.
-    pub fn with_delivery(mut self, delivery: DeliveryTopology) -> Self {
-        self.delivery = delivery;
         self
     }
 
@@ -302,14 +276,12 @@ impl NativeBackendConfig {
         self
     }
 
-    /// Whether this run uses slab arenas: the configured store, on the mesh
-    /// (the star's central collector cannot borrow from remote arenas), for
-    /// the schemes whose aggregation runs in a worker-owned aggregator.
-    /// PP (process-shared claim buffers) and NoAgg (inline single items)
-    /// always use the vector path.
+    /// Whether this run uses slab arenas: the configured store, for the
+    /// schemes whose aggregation runs in a worker-owned aggregator.  PP
+    /// (process-shared claim buffers) and NoAgg (inline single items) always
+    /// use the vector path.
     pub fn uses_arena(&self) -> bool {
         self.message_store == MessageStore::SlabArena
-            && self.delivery == DeliveryTopology::Mesh
             && !matches!(self.common.tram.scheme, Scheme::PP | Scheme::NoAgg)
     }
 
@@ -373,25 +345,8 @@ impl NativeBackendConfig {
     }
 }
 
-/// The star topology's data plane: the collector's fan-out and return rings
-/// plus the channels feeding the collector and the local-bypass inboxes.
-pub(crate) struct StarPlane {
-    /// Collector→worker rings, indexed by destination worker.  The collector
-    /// is the single producer, the owning worker the single consumer.
-    pub(crate) rings: Vec<SpscRing<Batch>>,
-    /// Worker→collector batch-return rings, indexed by source worker: spent
-    /// delivery batches travel back so the collector's grouping pool can
-    /// reuse their capacity instead of allocating per message.
-    pub(crate) returns: Vec<SpscRing<Batch>>,
-    /// Same-process (local bypass) inboxes, one per worker, carrying item
-    /// *batches*; unbounded so workers never block each other.
-    pub(crate) local_tx: Vec<Sender<Batch>>,
-    /// Aggregated messages on their way to the collector.
-    pub(crate) msg_tx: Sender<OutboundMessage<Payload>>,
-}
-
-/// The mesh topology's data plane: per-pair envelope rings and per-pair
-/// batch-return rings, both flattened `src * workers + dst`.
+/// The delivery plane: per-pair envelope rings and per-pair batch-return
+/// rings, both flattened `src * workers + dst`.
 pub(crate) struct MeshPlane {
     workers: usize,
     /// `inbox[src * workers + dst]`: envelopes from worker `src` to worker
@@ -423,36 +378,11 @@ impl MeshPlane {
     pub(crate) fn return_ring(&self, src: usize, dst: usize) -> &SpscRing<Spent> {
         &self.returns[src * self.workers + dst]
     }
-}
 
-/// The delivery plane of one run: exactly one topology is materialized.
-pub(crate) enum Plane {
-    Star(StarPlane),
-    Mesh(MeshPlane),
-}
-
-impl Plane {
-    pub(crate) fn star(&self) -> &StarPlane {
-        match self {
-            Plane::Star(star) => star,
-            Plane::Mesh(_) => unreachable!("star plane requested on a mesh run"),
-        }
-    }
-
-    pub(crate) fn mesh(&self) -> &MeshPlane {
-        match self {
-            Plane::Mesh(mesh) => mesh,
-            Plane::Star(_) => unreachable!("mesh plane requested on a star run"),
-        }
-    }
-
-    /// Envelopes/batches currently sitting in delivery rings — a racy gauge,
-    /// read only for abort diagnostics (never for termination decisions).
+    /// Envelopes currently sitting in delivery rings — a racy gauge, read
+    /// only for abort diagnostics (never for termination decisions).
     fn inflight_envelopes(&self) -> u64 {
-        match self {
-            Plane::Star(star) => star.rings.iter().map(|r| r.len() as u64).sum(),
-            Plane::Mesh(mesh) => mesh.inbox.iter().map(|r| r.len() as u64).sum(),
-        }
+        self.inbox.iter().map(|r| r.len() as u64).sum()
     }
 }
 
@@ -514,8 +444,8 @@ pub(crate) struct Shared {
     /// Whether workers should mbind their arenas and prefer same-node stash
     /// drains (false whenever `worker_node` is uniformly zero).
     pub(crate) numa_aware: bool,
-    /// The delivery topology's data plane.
-    pub(crate) plane: Plane,
+    /// The worker↔worker delivery plane.
+    pub(crate) plane: MeshPlane,
     /// The node tier's data plane: worker↔leader rings, per-link control
     /// blocks and the per-node drop ledgers.  `None` unless the run spans
     /// multiple nodes over a real transport.
@@ -600,7 +530,7 @@ pub(crate) struct WorkerOutput {
 ///
 /// Times in the report are wall-clock nanoseconds on the host machine; item
 /// and counter totals are identical to a simulator run of the same
-/// deterministic workload, on either delivery topology.
+/// deterministic workload.
 pub fn run_threaded(
     config: NativeBackendConfig,
     mut make_app: impl FnMut(WorkerId) -> Box<dyn WorkerApp>,
@@ -608,38 +538,8 @@ pub fn run_threaded(
     let topo = config.common.tram.topology;
     let workers = topo.total_workers() as usize;
     assert!(workers > 0, "topology must have at least one worker");
-    assert!(config.ring_capacity > 0, "ring capacity must be positive");
 
-    // Star-only plumbing: the collector channel and the per-worker local
-    // bypass channels (mesh traffic rides the per-pair rings instead).
-    let mut star_channels = None;
-    let plane = match config.delivery {
-        DeliveryTopology::Mesh => Plane::Mesh(MeshPlane::new(
-            workers,
-            config.resolved_mesh_capacity(workers),
-        )),
-        DeliveryTopology::Star => {
-            let (msg_tx, msg_rx) = unbounded();
-            let mut local_tx = Vec::with_capacity(workers);
-            let mut local_rxs = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx, rx) = unbounded();
-                local_tx.push(tx);
-                local_rxs.push(rx);
-            }
-            star_channels = Some((msg_rx, local_rxs));
-            Plane::Star(StarPlane {
-                rings: (0..workers)
-                    .map(|_| SpscRing::new(config.ring_capacity))
-                    .collect(),
-                returns: (0..workers)
-                    .map(|_| SpscRing::new(config.ring_capacity))
-                    .collect(),
-                local_tx,
-                msg_tx,
-            })
-        }
-    };
+    let plane = MeshPlane::new(workers, config.resolved_mesh_capacity(workers));
     let pp = if config.common.tram.scheme == Scheme::PP {
         (0..topo.total_procs())
             .map(|_| {
@@ -682,13 +582,6 @@ pub fn run_threaded(
     // nodes AND a transport was asked for; otherwise multi-node topologies
     // keep running entirely in-process, exactly as before.
     let node_transport = config.transport.filter(|_| topo.nodes() > 1);
-    if node_transport.is_some() {
-        assert_eq!(
-            config.delivery,
-            DeliveryTopology::Mesh,
-            "the node-leader tier requires the mesh delivery topology"
-        );
-    }
     let transports: Vec<Box<dyn Transport>> = match node_transport {
         None => Vec::new(),
         // Mesh construction failures are configuration/environment errors
@@ -772,7 +665,6 @@ pub fn run_threaded(
     }
 
     let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(workers);
-    let mut collector_counters = Counters::new();
     let mut verdict = Verdict::Watchdog;
     let mut stalled_ever = vec![false; workers];
     let mut join_failures: Vec<String> = Vec::new();
@@ -789,7 +681,6 @@ pub fn run_threaded(
     let mut node_reports: Vec<NodeDiag> = Vec::new();
     std::thread::scope(|scope| {
         let shared = &shared;
-        let mut collector = None;
         // Node leaders spawn alongside the workers and exit on the same
         // `stop` flag; they never gate the start barrier because they move
         // no traffic until workers feed their uplinks.
@@ -798,22 +689,11 @@ pub fn run_threaded(
             .enumerate()
             .map(|(n, t)| scope.spawn(move || node::leader_main(shared, n as u32, t)))
             .collect();
-        let handles: Vec<_> = match star_channels {
-            Some((msg_rx, local_rxs)) => {
-                collector = Some(scope.spawn(move || star::collector_main(shared, msg_rx)));
-                topo.all_workers()
-                    .zip(apps.into_iter().zip(local_rxs))
-                    .map(|(w, (app, local_rx))| {
-                        scope.spawn(move || star::worker_main(shared, w, app, local_rx))
-                    })
-                    .collect()
-            }
-            None => topo
-                .all_workers()
-                .zip(apps)
-                .map(|(w, app)| scope.spawn(move || mesh::worker_main(shared, w, app)))
-                .collect(),
-        };
+        let handles: Vec<_> = topo
+            .all_workers()
+            .zip(apps)
+            .map(|(w, app)| scope.spawn(move || mesh::worker_main(shared, w, app)))
+            .collect();
 
         // Release the start barrier only once every thread exists: the
         // measured window is pure run time, not OS thread creation (whose
@@ -821,8 +701,7 @@ pub fn run_threaded(
         let start = Instant::now();
         shared.go.store(true, Ordering::Release);
 
-        // Quiescence monitor — the control plane.  On the mesh this is all
-        // that remains of the collector role: watch the per-worker done
+        // Quiescence monitor — the control plane: watch the per-worker done
         // flags and the sent/delivered counter sums (see the module docs for
         // why the double-read of the sent sum around the delivered sum is
         // sufficient), enforce the watchdog, and signal stop.
@@ -906,15 +785,6 @@ pub fn run_threaded(
                 )),
             }
         }
-        if let Some(collector) = collector {
-            match collector.join() {
-                Ok(counters) => collector_counters = counters,
-                Err(payload) => join_failures.push(format!(
-                    "collector thread died: {}",
-                    panic_message(payload.as_ref())
-                )),
-            }
-        }
         for (n, handle) in leader_handles.into_iter().enumerate() {
             match handle.join() {
                 Ok(diag) => node_reports.push(diag),
@@ -926,7 +796,7 @@ pub fn run_threaded(
         }
     });
 
-    let mut counters = collector_counters;
+    let mut counters = Counters::new();
     let mut latency = LatencyRecorder::new();
     let mut app_latency = LatencyRecorder::new();
     let mut tram = TramStats::new();
@@ -950,14 +820,12 @@ pub fn run_threaded(
     // return rings when `stop` landed go home to their arenas before the
     // audit charges them as leaks.  Safe — every worker has joined, so this
     // thread is the rings' only remaining accessor.
-    if let Plane::Mesh(mesh) = &shared.plane {
-        if !shared.arenas.is_empty() {
-            for src in 0..workers {
-                for dst in 0..workers {
-                    while let Some(spent) = mesh.return_ring(src, dst).pop() {
-                        if let Spent::Slab(handle) = spent {
-                            shared.arenas[src].release(handle.slab);
-                        }
+    if !shared.arenas.is_empty() {
+        for src in 0..workers {
+            for dst in 0..workers {
+                while let Some(spent) = shared.plane.return_ring(src, dst).pop() {
+                    if let Spent::Slab(handle) = spent {
+                        shared.arenas[src].release(handle.slab);
                     }
                 }
             }
@@ -1171,13 +1039,7 @@ mod tests {
         }
     }
 
-    fn run_with(
-        delivery: DeliveryTopology,
-        store: MessageStore,
-        scheme: Scheme,
-        updates: u64,
-        seed: u64,
-    ) -> RunReport {
+    fn run_with(store: MessageStore, scheme: Scheme, updates: u64, seed: u64) -> RunReport {
         let topo = Topology::smp(1, 2, 4); // 8 workers, 2 procs
         let tram = TramConfig::new(scheme, topo)
             .with_buffer_items(32)
@@ -1185,7 +1047,6 @@ mod tests {
         run_threaded(
             NativeBackendConfig::new(tram)
                 .with_seed(seed)
-                .with_delivery(delivery)
                 .with_message_store(store),
             |w| {
                 Box::new(RandomUpdates {
@@ -1198,65 +1059,30 @@ mod tests {
         )
     }
 
-    fn run_on(delivery: DeliveryTopology, scheme: Scheme, updates: u64, seed: u64) -> RunReport {
-        run_with(delivery, MessageStore::SlabArena, scheme, updates, seed)
-    }
-
     fn run(scheme: Scheme, updates: u64, seed: u64) -> RunReport {
-        run_on(DeliveryTopology::Mesh, scheme, updates, seed)
+        run_with(MessageStore::SlabArena, scheme, updates, seed)
     }
 
     #[test]
-    fn all_items_delivered_every_scheme_on_both_topologies() {
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            for scheme in Scheme::ALL {
-                let report = run_on(delivery, scheme, 500, 7);
-                let expected = 500 * 8;
-                assert!(
-                    report.clean(),
-                    "{delivery:?}/{scheme}: run did not finish cleanly"
-                );
-                assert_eq!(report.backend, Backend::Native);
-                assert_eq!(
-                    report.items_sent, expected,
-                    "{delivery:?}/{scheme}: wrong send count"
-                );
-                assert_eq!(
-                    report.items_delivered, expected,
-                    "{delivery:?}/{scheme}: items lost or duplicated"
-                );
-                assert_eq!(
-                    report.counter("app_received"),
-                    expected,
-                    "{delivery:?}/{scheme}"
-                );
-                assert_eq!(
-                    report.counter("app_sent_checksum"),
-                    report.counter("app_received_checksum"),
-                    "{delivery:?}/{scheme}: checksum mismatch"
-                );
-                assert!(report.total_time_ns > 0);
-                assert!(report.item_latency.count() > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn mesh_and_star_produce_identical_totals() {
+    fn all_items_delivered_every_scheme() {
         for scheme in Scheme::ALL {
-            let mesh = run_on(DeliveryTopology::Mesh, scheme, 400, 23);
-            let star = run_on(DeliveryTopology::Star, scheme, 400, 23);
+            let report = run(scheme, 500, 7);
+            let expected = 500 * 8;
+            assert!(report.clean(), "{scheme}: run did not finish cleanly");
+            assert_eq!(report.backend, Backend::Native);
+            assert_eq!(report.items_sent, expected, "{scheme}: wrong send count");
             assert_eq!(
-                mesh.counter("app_received_checksum"),
-                star.counter("app_received_checksum"),
-                "{scheme}: topology changed the results"
+                report.items_delivered, expected,
+                "{scheme}: items lost or duplicated"
             );
-            assert_eq!(mesh.items_sent, star.items_sent, "{scheme}");
+            assert_eq!(report.counter("app_received"), expected, "{scheme}");
             assert_eq!(
-                mesh.counter("wire_items"),
-                star.counter("wire_items"),
-                "{scheme}: topology changed what counts as wire traffic"
+                report.counter("app_sent_checksum"),
+                report.counter("app_received_checksum"),
+                "{scheme}: checksum mismatch"
             );
+            assert!(report.total_time_ns > 0);
+            assert!(report.item_latency.count() > 0);
         }
     }
 
@@ -1266,20 +1092,8 @@ mod tests {
         // change what the application computes, item totals, or what counts
         // as wire traffic.
         for scheme in Scheme::ALL {
-            let arena = run_with(
-                DeliveryTopology::Mesh,
-                MessageStore::SlabArena,
-                scheme,
-                400,
-                29,
-            );
-            let pool = run_with(
-                DeliveryTopology::Mesh,
-                MessageStore::VecPool,
-                scheme,
-                400,
-                29,
-            );
+            let arena = run_with(MessageStore::SlabArena, scheme, 400, 29);
+            let pool = run_with(MessageStore::VecPool, scheme, 400, 29);
             assert!(arena.clean() && pool.clean(), "{scheme}");
             // PP's message *boundaries* depend on how the racing inserters
             // interleave (same either store, but not across two runs), so
@@ -1360,51 +1174,41 @@ mod tests {
         // ...and no batch grows past the run's own buffer size: one process,
         // so every item is local, 32 sends per destination per quantum into
         // 8-item buffers.
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            let tram = TramConfig::new(Scheme::WPs, Topology::smp(1, 1, 2)).with_buffer_items(8);
-            let report = run_threaded(
-                NativeBackendConfig::new(tram).with_delivery(delivery),
-                |w| {
-                    Box::new(RandomUpdates {
-                        me: w,
-                        remaining: 640,
-                        chunk: 64,
-                        flushed: false,
-                    })
-                },
-            );
-            assert!(report.clean(), "{delivery:?}");
-            assert_eq!(report.counter("local_deliveries"), 1280, "{delivery:?}");
-            assert!(
-                report.delivery_batch_len.max() <= 8.0,
-                "{delivery:?}: a {}-item batch outgrew the 8-item buffer",
-                report.delivery_batch_len.max()
-            );
-            assert!(
-                report.counter("local_batches") < 1280,
-                "{delivery:?}: per-item shipping"
-            );
-        }
+        let tram = TramConfig::new(Scheme::WPs, Topology::smp(1, 1, 2)).with_buffer_items(8);
+        let report = run_threaded(NativeBackendConfig::new(tram), |w| {
+            Box::new(RandomUpdates {
+                me: w,
+                remaining: 640,
+                chunk: 64,
+                flushed: false,
+            })
+        });
+        assert!(report.clean());
+        assert_eq!(report.counter("local_deliveries"), 1280);
+        assert!(
+            report.delivery_batch_len.max() <= 8.0,
+            "a {}-item batch outgrew the 8-item buffer",
+            report.delivery_batch_len.max()
+        );
+        assert!(report.counter("local_batches") < 1280, "per-item shipping");
     }
 
     #[test]
-    fn grouping_recycles_on_every_topology_and_store() {
+    fn grouping_recycles_on_every_store() {
         // A steady stream of process-addressed messages must recycle its
-        // message storage, whatever that storage is: the star collector and
-        // the VecPool mesh reuse grouping vectors; the slab-arena mesh
-        // recycles slabs (claims keep succeeding — zero misses — because
-        // consumed slabs come home over the return rings).
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            let report = run_with(delivery, MessageStore::VecPool, Scheme::WPs, 2_000, 5);
-            assert!(report.clean());
-            let hits = report.counter("batch_pool_hits");
-            let misses = report.counter("batch_pool_misses");
-            assert!(
-                hits > 0,
-                "{delivery:?}: grouping must reuse vectors (hits={hits} misses={misses})"
-            );
-        }
-        let report = run_on(DeliveryTopology::Mesh, Scheme::WPs, 2_000, 5);
+        // message storage, whatever that storage is: the VecPool store
+        // reuses grouping vectors; the slab arena recycles slabs (claims
+        // keep succeeding — zero misses — because consumed slabs come home
+        // over the return rings).
+        let report = run_with(MessageStore::VecPool, Scheme::WPs, 2_000, 5);
+        assert!(report.clean());
+        let hits = report.counter("batch_pool_hits");
+        let misses = report.counter("batch_pool_misses");
+        assert!(
+            hits > 0,
+            "grouping must reuse vectors (hits={hits} misses={misses})"
+        );
+        let report = run(Scheme::WPs, 2_000, 5);
         assert!(report.clean());
         let claims = report.counter("arena_claims");
         assert!(claims > 0, "arena store must claim slabs");
@@ -1434,23 +1238,20 @@ mod tests {
 
     #[test]
     fn pp_uses_shared_claim_buffers() {
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            let report = run_on(delivery, Scheme::PP, 500, 11);
-            assert!(report.clean(), "{delivery:?}");
-            // The PP path records its stats manually; inserts must show up.
-            assert!(report.tram.items_inserted() > 0, "{delivery:?}");
-            assert!(
-                report.counter("grouping_passes") > 0,
-                "{delivery:?}: PP groups at the destination"
-            );
-        }
+        let report = run(Scheme::PP, 500, 11);
+        assert!(report.clean());
+        // The PP path records its stats manually; inserts must show up.
+        assert!(report.tram.items_inserted() > 0);
+        assert!(
+            report.counter("grouping_passes") > 0,
+            "PP groups at the destination"
+        );
     }
 
     #[test]
     fn watchdog_reports_unclean_instead_of_hanging() {
         // An app that strands items in a buffer it never flushes (and a policy
-        // that never flushes them either) must terminate via the watchdog, on
-        // both topologies.
+        // that never flushes them either) must terminate via the watchdog.
         struct Strander {
             sent: bool,
         }
@@ -1469,37 +1270,27 @@ mod tests {
                 self.sent
             }
         }
-        for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-            let topo = Topology::smp(1, 2, 4);
-            let tram = TramConfig::new(Scheme::WW, topo).with_buffer_items(1024);
-            let report = run_threaded(
-                NativeBackendConfig::new(tram)
-                    .with_max_wall(Duration::from_millis(150))
-                    .with_delivery(delivery),
-                |_| Box::new(Strander { sent: false }),
-            );
-            assert!(
-                !report.clean(),
-                "{delivery:?}: stranded items must be reported, not hidden"
-            );
-            let RunOutcome::Aborted {
-                reason,
-                diagnostics,
-            } = &report.outcome
-            else {
-                panic!(
-                    "{delivery:?}: stranding must abort, got {:?}",
-                    report.outcome
-                );
-            };
-            assert!(reason.contains("watchdog"), "{delivery:?}: {reason}");
-            assert_eq!(diagnostics.total_workers, 8, "{delivery:?}");
-            assert!(
-                diagnostics.panicked_workers.is_empty(),
-                "{delivery:?}: nobody panicked"
-            );
-            assert!(report.items_delivered < report.items_sent, "{delivery:?}");
-        }
+        let topo = Topology::smp(1, 2, 4);
+        let tram = TramConfig::new(Scheme::WW, topo).with_buffer_items(1024);
+        let report = run_threaded(
+            NativeBackendConfig::new(tram).with_max_wall(Duration::from_millis(150)),
+            |_| Box::new(Strander { sent: false }),
+        );
+        assert!(
+            !report.clean(),
+            "stranded items must be reported, not hidden"
+        );
+        let RunOutcome::Aborted {
+            reason,
+            diagnostics,
+        } = &report.outcome
+        else {
+            panic!("stranding must abort, got {:?}", report.outcome);
+        };
+        assert!(reason.contains("watchdog"), "{reason}");
+        assert_eq!(diagnostics.total_workers, 8);
+        assert!(diagnostics.panicked_workers.is_empty(), "nobody panicked");
+        assert!(report.items_delivered < report.items_sent);
     }
 
     #[test]
@@ -1743,7 +1534,5 @@ mod tests {
         // PP and NoAgg never build arenas at all.
         let pp = NativeBackendConfig::new(TramConfig::new(Scheme::PP, topo));
         assert!(!pp.uses_arena());
-        let star = cfg.with_delivery(DeliveryTopology::Star);
-        assert!(!star.uses_arena(), "the star collector stays on vectors");
     }
 }

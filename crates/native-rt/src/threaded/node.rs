@@ -1076,7 +1076,7 @@ impl Leader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::{MeshPlane, Plane};
+    use crate::threaded::MeshPlane;
     use std::sync::Mutex;
     use tramlib::{Scheme, TramConfig};
     use transport::SimTransport;
@@ -1113,7 +1113,7 @@ mod tests {
             pin_workers: false,
             worker_node: vec![0; 2],
             numa_aware: false,
-            plane: Plane::Mesh(MeshPlane::new(2, 4)),
+            plane: MeshPlane::new(2, 4),
             node_plane: Some(NodePlane::new(2, 2)),
         }
     }

@@ -1,4 +1,4 @@
-//! Quiescence stress for the mesh delivery topology.
+//! Quiescence stress for the threaded delivery mesh.
 //!
 //! The scenario the sent/delivered-sum protocol must survive: workers go
 //! **idle** (their generators finished, they start napping with backoff) and
@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use native_rt::{run_threaded, DeliveryTopology, NativeBackendConfig};
+use native_rt::{run_threaded, NativeBackendConfig};
 use net_model::{Topology, WorkerId};
 use runtime_api::{FaultPlan, Payload, RunCtx, RunOutcome, RunReport, WorkerApp};
 use tramlib::{FlushPolicy, Scheme, TramConfig};
@@ -71,7 +71,6 @@ fn run_relay(scheme: Scheme, seed: u64, seeds: u64, hops: u64) -> RunReport {
     run_threaded(
         NativeBackendConfig::new(tram)
             .with_seed(seed)
-            .with_delivery(DeliveryTopology::Mesh)
             .with_max_wall(Duration::from_secs(30)),
         |w| {
             let _ = w;
@@ -178,7 +177,6 @@ fn relay_chains_survive_an_injected_stall() {
             let report = run_threaded(
                 NativeBackendConfig::new(tram)
                     .with_seed(seed)
-                    .with_delivery(DeliveryTopology::Mesh)
                     .with_max_wall(Duration::from_secs(30))
                     .with_faults(Some(FaultPlan::seeded(seed).stall_at_items(3, 2, 30_000))),
                 |_| {
@@ -215,7 +213,6 @@ fn relay_chains_quarantine_a_panicked_worker() {
         let report = run_threaded(
             NativeBackendConfig::new(tram)
                 .with_seed(seed)
-                .with_delivery(DeliveryTopology::Mesh)
                 .with_max_wall(Duration::from_secs(30))
                 .with_faults(Some(FaultPlan::seeded(seed).panic_at_items(5, 2))),
             |_| {

@@ -1,9 +1,8 @@
 //! The unified run specification: one front door for every backend.
 //!
-//! Historically each proxy application shipped its own `run_*_on(Backend,
-//! Config)` free function, and the two backends each grew their own config
-//! struct (`SimConfig`, `NativeBackendConfig`) with duplicated fields.  This
-//! module replaces that with a single builder:
+//! The backends each have their own config struct (`SimConfig`,
+//! `NativeBackendConfig`); this module describes a run once, for all of
+//! them, with a single builder:
 //!
 //! ```ignore
 //! let report = RunSpec::for_app(Histogram::new().updates(100_000))
@@ -200,19 +199,6 @@ impl ClusterSpec {
     }
 }
 
-/// Which delivery topology connects the native backend's worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeliveryTopology {
-    /// Direct worker↔worker SPSC mesh (the default); the grouping pass runs
-    /// on the receiving worker and no thread touches traffic it does not own.
-    #[default]
-    Mesh,
-    /// The historical star: a central collector thread receives every message
-    /// over an MPSC channel, groups, and fans out.  Kept as the A/B baseline
-    /// for `bench::throughput`.
-    Star,
-}
-
 /// Which implementation of the app-side slice kernels consumes delivered
 /// items.
 ///
@@ -268,8 +254,7 @@ impl std::str::FromStr for KernelMode {
 pub enum MessageStore {
     /// Zero-copy slab arenas (the default): items are written once into
     /// per-worker shared arenas and borrowed in place by consumers; only
-    /// handles move.  Mesh topology only — the star's central collector
-    /// falls back to pooled vectors.
+    /// handles move.
     #[default]
     SlabArena,
     /// Pooled heap vectors, kept as the A/B baseline.
@@ -466,8 +451,6 @@ pub struct ResolvedRunSpec {
     pub load: LoadShape,
     /// Optional p99 SLO stamped onto the report's latency summary.
     pub slo: Option<SloPolicy>,
-    /// Native backend: delivery topology.
-    pub delivery: DeliveryTopology,
     /// Native backend: message store.
     pub message_store: MessageStore,
     /// Native backend: pin worker threads to cores.
@@ -526,7 +509,6 @@ pub struct RunSpec {
     local_bypass: Option<bool>,
     load: LoadShape,
     slo: Option<SloPolicy>,
-    delivery: DeliveryTopology,
     message_store: MessageStore,
     pin_workers: bool,
     kernel: KernelMode,
@@ -552,7 +534,6 @@ impl RunSpec {
             local_bypass: None,
             load: LoadShape::Closed,
             slo: None,
-            delivery: DeliveryTopology::default(),
             message_store: MessageStore::default(),
             pin_workers: false,
             kernel: KernelMode::default(),
@@ -638,12 +619,6 @@ impl RunSpec {
         self
     }
 
-    /// Native backend: delivery topology (default: mesh).
-    pub fn delivery(mut self, delivery: DeliveryTopology) -> Self {
-        self.delivery = delivery;
-        self
-    }
-
     /// Native backend: message store (default: slab arenas).
     pub fn message_store(mut self, store: MessageStore) -> Self {
         self.message_store = store;
@@ -722,7 +697,6 @@ impl RunSpec {
             local_bypass: self.local_bypass,
             load: self.load,
             slo: self.slo,
-            delivery: self.delivery,
             message_store: self.message_store,
             pin_workers: self.pin_workers,
             kernel: self.kernel,

@@ -75,18 +75,10 @@ pub use transport;
 
 /// The most commonly used types and functions, in one import.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use apps::common::parse_backend_arg;
     pub use apps::common::{run_app, run_spec, sim_config, RunSpecExt};
-    #[allow(deprecated)]
-    pub use apps::histogram::run_histogram_on;
     pub use apps::histogram::{run_histogram, HistogramConfig};
-    #[allow(deprecated)]
-    pub use apps::index_gather::run_index_gather_on;
     pub use apps::index_gather::{run_index_gather, IndexGatherConfig};
     pub use apps::phold::{run_phold, PholdBenchConfig};
-    #[allow(deprecated)]
-    pub use apps::pingack::run_pingack_on;
     pub use apps::pingack::{run_pingack, PingAckConfig};
     pub use apps::service::{run_service, ServiceConfig};
     pub use apps::sssp::{run_sssp, SsspConfig};

@@ -50,10 +50,6 @@ fn main() {
             native_results_are_deterministic_per_seed_and_differ_across_seeds,
         ),
         (
-            "deprecated_run_histogram_on_shim_matches_the_spec_path",
-            deprecated_run_histogram_on_shim_matches_the_spec_path,
-        ),
-        (
             "open_loop_service_conserves_and_is_deterministic_per_seed",
             open_loop_service_conserves_and_is_deterministic_per_seed,
         ),
@@ -200,21 +196,6 @@ fn native_results_are_deterministic_per_seed_and_differ_across_seeds() {
     );
 }
 
-#[allow(deprecated)]
-fn deprecated_run_histogram_on_shim_matches_the_spec_path() {
-    // The pre-RunSpec entry points survive as deprecated shims; until they
-    // are removed they must produce bit-identical results to the spec path.
-    for backend in [Backend::Sim, Backend::Native] {
-        let via_spec = run(backend, Scheme::WPs, 42);
-        let config = HistogramConfig::new(ClusterSpec::small_smp(1), Scheme::WPs)
-            .with_updates(1_000)
-            .with_buffer(32)
-            .with_seed(42);
-        let via_shim = collect(backend, run_histogram_on(backend, config), Scheme::WPs);
-        assert_eq!(via_shim, via_spec, "{backend}: shim diverged from RunSpec");
-    }
-}
-
 fn open_loop_service_conserves_and_is_deterministic_per_seed() {
     // The open-loop load layer on the native backend: wall-clock timings
     // vary run to run, but the seeded arrival schedule (keys and gaps) — and
@@ -351,7 +332,6 @@ impl WorkerApp for PingPong {
 
 fn hot_worker_ping_pong_finishes_on_every_engine() {
     use smp_aggregation::apps::common::run_app_native;
-    use smp_aggregation::runtime_api::DeliveryTopology;
     use std::time::Duration;
 
     let watchdog = Duration::from_secs(30);
@@ -390,14 +370,8 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
         FlushPolicy::EXPLICIT_ONLY,
         7,
     );
-    for delivery in [DeliveryTopology::Mesh, DeliveryTopology::Star] {
-        let report = run_app_native(
-            local,
-            |native| native.with_delivery(delivery).with_max_wall(watchdog),
-            make_app,
-        );
-        check(&format!("threaded/{delivery:?}"), report);
-    }
+    let report = run_app_native(local, |native| native.with_max_wall(watchdog), make_app);
+    check("threaded", report);
     let report = run_process(
         ProcessBackendConfig::from_common(local.common).with_max_wall(watchdog),
         make_app,
