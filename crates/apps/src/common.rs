@@ -164,32 +164,6 @@ fn native_config(run: &ResolvedRunSpec) -> NativeBackendConfig {
     }
 }
 
-/// Execute a [`RunSpec`] on the native backend with extra backend-specific
-/// tuning (ring capacities, arena geometry...) applied on top of what the
-/// spec already resolved.  Everything expressible on the spec itself should
-/// stay on the spec.
-pub fn run_spec_native_tuned(
-    spec: RunSpec,
-    tune: impl FnOnce(NativeBackendConfig) -> NativeBackendConfig,
-) -> RunReport {
-    let run = spec.resolve();
-    let app = spec.app();
-    assert!(
-        app.native_capable(),
-        "app '{}' does not run on the native backend",
-        app.name()
-    );
-    let native = tune(native_config(&run));
-    let mut make_app = app.factory(&run);
-    let mut report = native_rt::run_threaded(native, make_app.as_mut());
-    if let Some(slo) = run.slo {
-        report.latency = report
-            .latency
-            .map(|summary| summary.with_slo_target(slo.p99_target_ns));
-    }
-    report
-}
-
 /// The terminal `run()` for [`RunSpec`], provided here because this crate is
 /// the one place that links both backends.
 pub trait RunSpecExt {
@@ -262,11 +236,10 @@ mod tests {
     #[test]
     fn tuned_native_runs_honour_the_spec_watchdog() {
         let started = std::time::Instant::now();
-        let report = run_spec_native_tuned(
+        let report = run_spec(
             RunSpec::for_app(Strander)
                 .backend(Backend::Native)
                 .max_wall(Duration::from_millis(150)),
-            |native| native,
         );
         let RunOutcome::Aborted { reason, .. } = &report.outcome else {
             panic!("stranding must abort, got {:?}", report.outcome);

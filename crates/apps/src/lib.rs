@@ -13,8 +13,7 @@
 //! ```
 //!
 //! The per-app `run_*` free functions remain as thin conveniences over the
-//! same path (and the historical `run_*_on` / `run_*_native` entry points as
-//! deprecated shims).
+//! same path.
 //!
 //! | Module | Paper benchmark | Figures | Backends |
 //! |--------|-----------------|---------|----------|
@@ -35,5 +34,5 @@ pub mod pingpong;
 pub mod service;
 pub mod sssp;
 
-pub use common::{run_app, run_spec, run_spec_native_tuned, ClusterSpec, RunSpecExt};
+pub use common::{run_app, run_spec, ClusterSpec, RunSpecExt};
 pub use runtime_api::{open_loop, AppSpec, Backend, RunSpec, SloPolicy};

@@ -14,8 +14,7 @@
 //! the point: the per-scheme latency-vs-offered-load curves (and the "max
 //! sustained throughput under SLO" scalar the bench suite derives from them)
 //! expose the latency cost of buffering that the closed-loop throughput
-//! benchmarks hide, and they are what the adaptive flush timeout is tuned
-//! against.
+//! benchmarks hide.
 //!
 //! The app is native-only: the simulator has no timer events to pace
 //! wall-clock arrivals (or age out partially-filled buffers) with.  Under a
@@ -213,8 +212,8 @@ impl AppSpec for ServiceConfig {
             buffer_items: self.buffer_items,
             item_bytes: 16,
             // A latency-sensitive service cannot wait for buffers to fill:
-            // drain on idle and age partial buffers out after 100µs.  Sweeps
-            // override this — it is the knob the adaptive timeout tunes.
+            // drain on idle, and age partial buffers out after 100µs as a
+            // fixed backstop (docs/DESIGN.md §7.4).
             flush_policy: FlushPolicy {
                 on_idle: true,
                 ..FlushPolicy::with_timeout(100_000)

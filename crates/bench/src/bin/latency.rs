@@ -1,6 +1,6 @@
-//! The latency suite: open-loop service latency vs offered load per scheme,
-//! the max-sustained-load-under-SLO scalar, and the adaptive-vs-fixed flush
-//! timeout comparison, emitted as one machine-readable `BENCH_latency.json`.
+//! The latency suite: open-loop service latency vs offered load per scheme
+//! and the max-sustained-load-under-SLO scalar, emitted as one
+//! machine-readable `BENCH_latency.json`.
 //!
 //! ```text
 //! cargo run --release -p bench --bin latency                # full sweep
@@ -11,15 +11,12 @@
 //! ```
 //!
 //! Every run doubles as a conservation check (request/response totals must
-//! agree on every side of the exchange) and the adaptive flush controller is
-//! checked against the best fixed timeout at the SLO point: at paper effort
-//! a controller that sustains materially less load under the SLO than the
-//! best fixed setting fails the run.
+//! agree on every side of the exchange).
 //!
 //! `--check` compares the fresh `slo_max_load` scalars against the
 //! smoke-baseline series embedded in the committed document, normalized
-//! across schemes exactly like the throughput gate (see
-//! `bench::regression`), so the comparison is hardware-independent.
+//! across schemes (see `bench::regression`), so the comparison is
+//! hardware-independent.
 //! Latency percentiles themselves are *not* gated: they are lower-is-better
 //! and scheduler-noise-bound on shared runners — the SLO scalar is the
 //! stable summary of the same information.
@@ -28,14 +25,6 @@ use bench::loadgen::{latency_suite, write_latency_json, LatencySuite};
 use bench::regression::{regression_gate, tolerance_from_env_or, TOLERANCE_ENV};
 use bench::Effort;
 use std::path::PathBuf;
-
-/// Allowed shortfall of the adaptive controller's max-sustained-load-under-
-/// SLO against the best fixed timeout's: the derived scalar moves on a
-/// coarse load grid (25% of capacity per step), so one noisy p99 reading at
-/// the SLO boundary shifts a variant by a whole step — the allowance admits
-/// exactly one such step (worst case 75% -> 50% of capacity, a third of the
-/// load), not a controller that actually loses.
-const ADAPTIVE_ALLOWANCE: f64 = 0.35;
 
 // Fatal CLI errors belong on stderr so piped stdout output stays clean.
 #[allow(clippy::print_stderr)]
@@ -65,32 +54,15 @@ fn main() {
     println!("# smp-aggregation latency suite (effort: {effort:?})\n");
 
     let suite = latency_suite(effort);
-    for series in [
-        &suite.p50,
-        &suite.p99,
-        &suite.p999,
-        &suite.slo_max_load,
-        &suite.adaptive,
-    ] {
+    for series in [&suite.p50, &suite.p99, &suite.p999, &suite.slo_max_load] {
         println!("{}\n", series.to_text());
     }
-    println!("{}", suite.verdict.render());
-    let adaptive_ok = suite.verdict.meets_best_fixed(ADAPTIVE_ALLOWANCE);
-    println!(
-        "adaptive-vs-fixed: {}\n",
-        if adaptive_ok {
-            "meets or beats the best fixed timeout at the SLO point"
-        } else {
-            "LOST to the best fixed timeout at the SLO point"
-        }
-    );
 
     let mut series: Vec<(&str, &metrics::Series)> = vec![
         ("latency_p50", &suite.p50),
         ("latency_p99", &suite.p99),
         ("latency_p999", &suite.p999),
         ("slo_max_load", &suite.slo_max_load),
-        ("adaptive_flush", &suite.adaptive),
     ];
 
     // Full runs also embed the smoke-sized baselines the CI regression gate
@@ -103,31 +75,18 @@ fn main() {
     if let Some(smoke) = &smoke {
         series.push(("latency_p99_smoke", &smoke.p99));
         series.push(("slo_max_load_smoke", &smoke.slo_max_load));
-        series.push(("adaptive_flush_smoke", &smoke.adaptive));
     }
 
     write_latency_json(&out, effort, &series).unwrap_or_else(|e| die(&out, e));
     println!("request/response conservation held on every run");
     println!("-> {}", out.display());
 
-    // The committed document must demonstrate the adaptive controller
-    // holding its own; a smoke run on a noisy CI runner only reports.
-    if effort == Effort::Paper {
-        assert!(
-            adaptive_ok,
-            "adaptive flush fell more than {:.0}% short of the best fixed timeout's \
-             sustained load: {}",
-            ADAPTIVE_ALLOWANCE * 100.0,
-            suite.verdict.render()
-        );
-    }
-
     if let Some(committed_path) = check {
         let committed = std::fs::read_to_string(&committed_path)
             .unwrap_or_else(|e| panic!("--check: cannot read {}: {e}", committed_path.display()));
         // The gated scalar moves in whole offered-load steps (25% of
-        // capacity), so the latency gate's default tolerance is wider than
-        // the throughput gate's; BENCH_REGRESSION_TOLERANCE still overrides.
+        // capacity), hence the wide default; BENCH_REGRESSION_TOLERANCE
+        // still overrides.
         let tolerance = tolerance_from_env_or(0.45);
         println!(
             "\n# regression gate vs {} (tolerance {:.0}%, env {TOLERANCE_ENV})",

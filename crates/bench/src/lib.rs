@@ -19,7 +19,6 @@
 pub mod chaos;
 pub mod loadgen;
 pub mod regression;
-pub mod throughput;
 
 use apps::histogram::{run_histogram, HistogramConfig};
 use apps::index_gather::{run_index_gather, IndexGatherConfig};

@@ -1,9 +1,9 @@
 //! The latency suite (open-loop load generator): service latency vs offered
 //! load, per aggregation scheme, on the native backend.
 //!
-//! The closed-loop throughput suite answers "how fast can the pipeline go";
-//! this suite answers the question the paper's latency-sensitive setting
-//! actually poses: **what does a request's service latency look like while
+//! The repo benchmark (`benchmark/`) answers "how fast can the pipeline go"
+//! and what its paced median latency is; this suite answers the question the
+//! paper's latency-sensitive setting poses across the whole load range: **what does a request's service latency look like while
 //! the pipeline is loaded below saturation, and how much offered load can
 //! each scheme sustain before blowing a p99 SLO?**  The workload is the
 //! keyed service app (`apps::service`): every worker issues requests on a
@@ -22,24 +22,12 @@
 //! 3. Derive the **max sustained load under SLO**: the highest swept offered
 //!    load (requests/sec, whole cluster) whose p99 met the target.  This
 //!    scalar is the series the CI regression gate checks — normalized across
-//!    schemes like the throughput gate, so it is hardware-independent.
+//!    schemes, so it is hardware-independent.
 //!
 //! Calibrating per scheme is what makes the fractions comparable: 50% means
 //! "half of what *this* scheme can do", so the curves expose each scheme's
 //! latency behaviour at equal relative pressure instead of drowning the slow
 //! schemes in overload.
-//!
-//! The suite also measures the **adaptive flush timeout** against fixed
-//! timeouts: the same offered-load sweep is repeated on one scheme with the
-//! flush policy as the only variable (three fixed timeouts spanning the
-//! adaptive `[min, max]` range, plus the controller itself), and each
-//! variant's max sustained load under the SLO is derived the same way.  The
-//! adaptive controller must meet or beat the best fixed setting *at the SLO
-//! point* — i.e. sustain at least as much load under the SLO — which is the
-//! comparison a fixed timeout cannot win on both ends: too short fragments
-//! messages under load, too long is a latency floor when traffic is light.
-//! The comparison is emitted as its own series and checked by the `latency`
-//! binary.
 //!
 //! Everything here runs on one node of the host machine; on a small CI
 //! runner the absolute numbers are dominated by time-slicing, which is why
@@ -52,16 +40,11 @@ use apps::service::ServiceConfig;
 use apps::ClusterSpec;
 use metrics::{LatencySummary, Series};
 use runtime_api::{open_loop, Backend, RunReport, RunSpec, SloPolicy};
-use tramlib::{FlushPolicy, Scheme};
+use tramlib::Scheme;
 
 /// Offered-load fractions of calibrated capacity the sweep measures.
 /// The labels are the stable x-axis the regression gate matches on.
 const FRACTIONS: [(f64, &str); 4] = [(0.25, "25%"), (0.50, "50%"), (0.75, "75%"), (1.00, "100%")];
-
-/// Fixed flush timeouts the adaptive controller is compared against, and the
-/// `[min, max]` range handed to the controller itself.
-const FIXED_TIMEOUTS_NS: [(u64, &str); 3] =
-    [(50_000, "50us"), (200_000, "200us"), (800_000, "800us")];
 
 /// The cluster each effort level loads: small on purpose — this suite
 /// measures latency, and piling more spinning workers onto a small host
@@ -122,28 +105,25 @@ fn calibrate_capacity(effort: Effort, scheme: Scheme) -> f64 {
 }
 
 /// One open-loop measurement: offered `rate` requests/sec per worker for the
-/// effort's duration, under `flush`.  Returns the summary with the smallest
-/// p99 of `reps` runs: on a time-sliced host a single scheduler stall during
-/// a point blows that run's p99 regardless of the system under test, so the
-/// best rep is the one that measured the runtime instead of the OS.
+/// effort's duration, under the app's default flush policy.  Returns the
+/// summary with the smallest p99 of `reps` runs: on a time-sliced host a
+/// single scheduler stall during a point blows that run's p99 regardless of
+/// the system under test, so the best rep is the one that measured the
+/// runtime instead of the OS.
 fn open_loop_point(
     effort: Effort,
     scheme: Scheme,
     rate: f64,
-    flush: Option<FlushPolicy>,
     context: &str,
     reps: u32,
 ) -> LatencySummary {
     let requests = ((rate * duration_secs(effort)) as u64).clamp(500, 2_000_000);
     let config = ServiceConfig::new(cluster(effort), scheme);
     let run_once = || {
-        let mut spec = RunSpec::for_app(config)
+        let spec = RunSpec::for_app(config)
             .backend(Backend::Native)
             .load(open_loop(rate).requests(requests))
             .slo(slo(effort));
-        if let Some(policy) = flush {
-            spec = spec.flush_policy(policy);
-        }
         service_summary(context, &run_spec(spec))
     };
     (1..reps.max(1))
@@ -169,123 +149,9 @@ pub struct LatencySuite {
     /// the SLO, per scheme.  **The regression-gated series** (higher is
     /// better, normalized across schemes by the gate).
     pub slo_max_load: Series,
-    /// p99 (ms) vs offered-load fraction under each fixed flush timeout and
-    /// under the adaptive controller (flush policy the only variable).
-    pub adaptive: Series,
-    /// The adaptive-vs-fixed comparison, reduced to a verdict.
-    pub verdict: AdaptiveVerdict,
 }
 
-/// Outcome of the adaptive-vs-fixed flush comparison: each variant's max
-/// sustained offered load under the SLO (requests/sec, whole cluster).
-#[derive(Debug, Clone)]
-pub struct AdaptiveVerdict {
-    /// Max sustained load under the adaptive controller.
-    pub adaptive_max_load: f64,
-    /// Best max sustained load among the fixed timeouts.
-    pub best_fixed_max_load: f64,
-    /// Label of the winning fixed timeout.
-    pub best_fixed: String,
-    /// Scheme the comparison ran on.
-    pub scheme: Scheme,
-}
-
-impl AdaptiveVerdict {
-    /// True if the adaptive controller sustained at least `1 - allowance` of
-    /// the best fixed timeout's load under the SLO.  The allowance covers
-    /// the coarse load grid: near the SLO boundary one noisy p99 reading can
-    /// move a variant by a whole 25%-of-capacity step, which is not a
-    /// controller defect.  One step down can shrink the sustained load by up
-    /// to a third (75% -> 50% of capacity), so callers that want to admit
-    /// exactly one step pass an allowance of at least `1/3`.
-    pub fn meets_best_fixed(&self, allowance: f64) -> bool {
-        self.adaptive_max_load >= self.best_fixed_max_load * (1.0 - allowance)
-    }
-
-    /// One-line human rendering.
-    pub fn render(&self) -> String {
-        format!(
-            "adaptive flush on {} @ SLO point: sustains {:.0} req/s under SLO \
-             vs best fixed ({}) {:.0} req/s",
-            self.scheme, self.adaptive_max_load, self.best_fixed, self.best_fixed_max_load
-        )
-    }
-}
-
-/// The adaptive-vs-fixed flush comparison: the offered-load sweep repeated
-/// with the flush policy as the only variable, on one scheme.  All variants
-/// run timeout-only (no idle flush) so the timeout under test is the
-/// operative drain mechanism rather than being masked by idle flushing; the
-/// adaptive controller gets the full `[min, max]` range the fixed settings
-/// span.  The verdict compares max sustained load under the SLO.
-///
-/// Variants are interleaved *within* each load fraction (and each point is
-/// best-of-3 rather than the sweep's best-of-2): running one variant's whole
-/// sweep back-to-back would let any drift on the host — thermal, background
-/// jobs, cache state — land on whichever variant ran last, and this is the
-/// one comparison the suite turns into a hard verdict.
-fn adaptive_comparison(effort: Effort, scheme: Scheme, capacity: f64) -> (Series, AdaptiveVerdict) {
-    let workers = cluster(effort).total_workers() as f64;
-    let slo_target_ns = slo(effort).p99_target_ns as f64;
-    let mut series = Series::new(
-        "Latency: p99 (ms) vs offered load - fixed flush timeouts vs the adaptive controller",
-        "offered load",
-    );
-    series.set_x_values(FRACTIONS.iter().map(|(_, label)| (*label).to_string()));
-
-    let (min_ns, _) = FIXED_TIMEOUTS_NS[0];
-    let (max_ns, _) = FIXED_TIMEOUTS_NS[FIXED_TIMEOUTS_NS.len() - 1];
-    let mut variants: Vec<(String, FlushPolicy)> = FIXED_TIMEOUTS_NS
-        .iter()
-        .map(|&(timeout_ns, label)| (label.to_string(), FlushPolicy::with_timeout(timeout_ns)))
-        .collect();
-    variants.push((
-        "adaptive".to_string(),
-        FlushPolicy::adaptive(min_ns, max_ns),
-    ));
-
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    let mut max_under_slo = vec![0.0f64; variants.len()];
-    for (fraction, point) in FRACTIONS {
-        let rate = fraction * capacity;
-        for (i, (label, policy)) in variants.iter().enumerate() {
-            let summary = open_loop_point(
-                effort,
-                scheme,
-                rate,
-                Some(*policy),
-                &format!("adaptive-ab/{scheme}/{label}/{point}"),
-                3,
-            );
-            columns[i].push(summary.p99_ns / 1e6);
-            if summary.p99_ns <= slo_target_ns {
-                max_under_slo[i] = max_under_slo[i].max(rate * workers);
-            }
-        }
-    }
-
-    let mut adaptive_max_load = 0.0f64;
-    let mut best_fixed = (0.0f64, String::new());
-    for (i, (label, _)) in variants.iter().enumerate() {
-        if label == "adaptive" {
-            adaptive_max_load = max_under_slo[i];
-        } else if max_under_slo[i] > best_fixed.0 {
-            best_fixed = (max_under_slo[i], label.clone());
-        }
-        series.add_column(label.as_str(), std::mem::take(&mut columns[i]));
-    }
-
-    let verdict = AdaptiveVerdict {
-        adaptive_max_load,
-        best_fixed_max_load: best_fixed.0,
-        best_fixed: best_fixed.1,
-        scheme,
-    };
-    (series, verdict)
-}
-
-/// Run the full latency suite: calibrate, sweep, derive the SLO scalar, and
-/// A/B the adaptive flush controller.
+/// Run the full latency suite: calibrate, sweep, and derive the SLO scalar.
 pub fn latency_suite(effort: Effort) -> LatencySuite {
     let workers = cluster(effort).total_workers() as f64;
     let slo_target_ns = slo(effort).p99_target_ns as f64;
@@ -315,24 +181,14 @@ pub fn latency_suite(effort: Effort) -> LatencySuite {
     let report = run_spec(RunSpec::for_app(warm).backend(Backend::Native));
     assert!(report.clean(), "warmup run failed");
 
-    let mut wps_capacity = 0.0;
     for scheme in Scheme::ALL {
         let capacity = calibrate_capacity(effort, scheme);
-        if scheme == Scheme::WPs {
-            wps_capacity = capacity;
-        }
         let (mut c50, mut c99, mut c999) = (Vec::new(), Vec::new(), Vec::new());
         let mut max_under_slo = 0.0f64;
         for (fraction, label) in FRACTIONS {
             let rate = fraction * capacity;
-            let summary = open_loop_point(
-                effort,
-                scheme,
-                rate,
-                None,
-                &format!("sweep/{scheme}/{label}"),
-                2,
-            );
+            let summary =
+                open_loop_point(effort, scheme, rate, &format!("sweep/{scheme}/{label}"), 2);
             c50.push(summary.p50_ns / 1e6);
             c99.push(summary.p99_ns / 1e6);
             c999.push(summary.p999_ns / 1e6);
@@ -346,18 +202,11 @@ pub fn latency_suite(effort: Effort) -> LatencySuite {
         slo_max_load.add_column(scheme.label(), vec![max_under_slo]);
     }
 
-    // The adaptive A/B runs on WPs: the paper's headline aggregating scheme,
-    // and the one whose partial per-destination buffers make the flush
-    // timeout the decisive latency knob.
-    let (adaptive, verdict) = adaptive_comparison(effort, Scheme::WPs, wps_capacity);
-
     LatencySuite {
         p50,
         p99,
         p999,
         slo_max_load,
-        adaptive,
-        verdict,
     }
 }
 
@@ -388,30 +237,10 @@ mod tests {
     fn one_open_loop_point_conserves_and_summarises() {
         // A single cheap point through the whole plumbing: conservation
         // gates, latency summary, SLO stamp.
-        let summary = open_loop_point(Effort::Smoke, Scheme::WPs, 100_000.0, None, "test-point", 1);
+        let summary = open_loop_point(Effort::Smoke, Scheme::WPs, 100_000.0, "test-point", 1);
         assert!(summary.count >= 500 * 2);
         assert!(summary.p99_ns >= summary.p50_ns);
         assert!(summary.slo.is_some(), "sweep points carry the SLO verdict");
-    }
-
-    #[test]
-    fn adaptive_verdict_allows_one_grid_step() {
-        // The widest single grid step is 75% -> 50% of capacity: a third of
-        // the sustained load.  An allowance of 0.35 admits it; 0.10 does not.
-        let verdict = AdaptiveVerdict {
-            adaptive_max_load: 500.0,
-            best_fixed_max_load: 750.0,
-            best_fixed: "200us".to_string(),
-            scheme: Scheme::WPs,
-        };
-        assert!(verdict.meets_best_fixed(0.35), "one grid step is allowed");
-        assert!(!verdict.meets_best_fixed(0.10));
-        let beat = AdaptiveVerdict {
-            adaptive_max_load: 1000.0,
-            best_fixed_max_load: 750.0,
-            ..verdict
-        };
-        assert!(beat.meets_best_fixed(0.0), "outright beating always passes");
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! The perf-regression smoke gate.
+//! The latency suite's regression smoke gate.
 //!
-//! CI runs the throughput sweep at smoke effort on every push and compares
-//! the fresh numbers against the smoke-baseline series committed inside
-//! `BENCH_throughput.json`.  Comparing raw items/sec across machines would be
-//! meaningless (the committed baseline comes from the reference container,
-//! CI runners differ in clock speed and core count), so the gate compares
-//! **normalized** per-scheme throughput: each scheme's mean over the sweep,
-//! divided by the best scheme's mean in the *same* run.  A scheme whose
-//! normalized throughput drops by more than the tolerance (default 30%,
-//! override with the `BENCH_REGRESSION_TOLERANCE` env var, e.g. `0.5`)
+//! CI runs the latency sweep at smoke effort on every push and compares the
+//! fresh `slo_max_load` scalars against the smoke-baseline series committed
+//! inside `BENCH_latency.json`.  Comparing raw requests/sec across machines
+//! would be meaningless (the committed baseline comes from the reference
+//! container, CI runners differ in clock speed and core count), so the gate
+//! compares **normalized** per-scheme values: each scheme's mean over the
+//! sweep, divided by the best scheme's mean in the *same* run.  A scheme
+//! whose normalized value drops by more than the caller's tolerance
+//! (override with the `BENCH_REGRESSION_TOLERANCE` env var, e.g. `0.5`)
 //! relative to the committed baseline fails the gate — that shape change is
-//! exactly what a delivery-path regression looks like, and it is invariant
-//! to how fast the host is.
+//! what a scheme-specific regression looks like, and it is invariant to how
+//! fast the host is.
 //!
 //! The committed document is parsed with the small JSON reader in this
 //! module (the workspace is offline — no serde), which understands exactly
@@ -19,25 +19,11 @@
 
 use metrics::Series;
 
-/// Environment variable overriding the default regression tolerance.
+/// Environment variable overriding the caller's regression tolerance.
 pub const TOLERANCE_ENV: &str = "BENCH_REGRESSION_TOLERANCE";
 
-/// Default allowed normalized-throughput drop before the gate fails.
-pub const DEFAULT_TOLERANCE: f64 = 0.30;
-
 /// The tolerance to use: `BENCH_REGRESSION_TOLERANCE` if set (a fraction in
-/// `(0, 1]`), the default otherwise.
-///
-/// # Panics
-/// Panics if the variable is set but does not parse as a fraction.
-pub fn tolerance_from_env() -> f64 {
-    tolerance_from_env_or(DEFAULT_TOLERANCE)
-}
-
-/// Like [`tolerance_from_env`] but with a caller-chosen default: suites whose
-/// gated scalar is coarser than a throughput mean (e.g. the latency suite's
-/// `slo_max_load`, which moves in whole offered-load steps) pass a wider
-/// default; an explicit `BENCH_REGRESSION_TOLERANCE` still wins.
+/// `(0, 1]`), the caller's `default` otherwise.
 ///
 /// # Panics
 /// Panics if the variable is set but does not parse as a fraction.
@@ -81,7 +67,7 @@ impl GateOutcome {
     }
 }
 
-/// Compare freshly measured series against the committed throughput document.
+/// Compare freshly measured series against a committed suite document.
 ///
 /// Each fresh series named `name` is compared against the committed series
 /// `{name}_smoke` (the smoke-sized baseline embedded in the full document),
@@ -470,12 +456,10 @@ mod tests {
             &[("WW", &[10.0, 10.0]), ("NoAgg", &[5.0, 5.0])],
         );
         let paper = series(&["1p x 4w"], &[("WW", &[100.0]), ("NoAgg", &[60.0])]);
-        crate::throughput::throughput_json(
+        crate::suite_json(
+            "latency",
             crate::Effort::Paper,
-            &[
-                ("histogram_native", &paper),
-                ("histogram_native_smoke", &smoke),
-            ],
+            &[("slo_max_load", &paper), ("slo_max_load_smoke", &smoke)],
         )
     }
 
@@ -485,11 +469,11 @@ mod tests {
         let parsed = json::parse(&doc).expect("parse");
         assert_eq!(
             parsed.get("suite").and_then(|v| v.as_str()),
-            Some("throughput")
+            Some("latency")
         );
         let smoke = parsed
             .get("series")
-            .and_then(|s| s.get("histogram_native_smoke"))
+            .and_then(|s| s.get("slo_max_load_smoke"))
             .expect("smoke series present");
         let ww = smoke
             .get("columns")
@@ -508,8 +492,7 @@ mod tests {
             &["1p x 2w", "2p x 2w"],
             &[("WW", &[1.0, 1.0]), ("NoAgg", &[0.5, 0.5])],
         );
-        let outcome =
-            regression_gate(&committed_doc(), &[("histogram_native", &fresh)], 0.30).unwrap();
+        let outcome = regression_gate(&committed_doc(), &[("slo_max_load", &fresh)], 0.30).unwrap();
         assert_eq!(outcome.checks, 2);
         assert_eq!(outcome.series_checked, 1);
         assert!(outcome.passed(), "{:?}", outcome.failures);
@@ -522,8 +505,7 @@ mod tests {
             &["1p x 2w", "2p x 2w"],
             &[("WW", &[1.0, 1.0]), ("NoAgg", &[0.1, 0.1])],
         );
-        let outcome =
-            regression_gate(&committed_doc(), &[("histogram_native", &fresh)], 0.30).unwrap();
+        let outcome = regression_gate(&committed_doc(), &[("slo_max_load", &fresh)], 0.30).unwrap();
         assert!(!outcome.passed());
         assert_eq!(outcome.failures.len(), 1);
         assert!(outcome.failures[0].contains("NoAgg"));
@@ -535,18 +517,16 @@ mod tests {
             &["1p x 2w", "2p x 2w"],
             &[("WW", &[1.0, 1.0]), ("NoAgg", &[0.4, 0.4])],
         );
-        let strict =
-            regression_gate(&committed_doc(), &[("histogram_native", &fresh)], 0.1).unwrap();
+        let strict = regression_gate(&committed_doc(), &[("slo_max_load", &fresh)], 0.1).unwrap();
         assert!(!strict.passed());
-        let lax = regression_gate(&committed_doc(), &[("histogram_native", &fresh)], 0.5).unwrap();
+        let lax = regression_gate(&committed_doc(), &[("slo_max_load", &fresh)], 0.5).unwrap();
         assert!(lax.passed());
     }
 
     #[test]
     fn mismatched_sweep_labels_are_skipped_not_compared() {
         let fresh = series(&["9p x 9w"], &[("WW", &[1.0])]);
-        let outcome =
-            regression_gate(&committed_doc(), &[("histogram_native", &fresh)], 0.30).unwrap();
+        let outcome = regression_gate(&committed_doc(), &[("slo_max_load", &fresh)], 0.30).unwrap();
         assert_eq!(outcome.checks, 0);
         assert_eq!(
             outcome.series_checked, 0,
@@ -559,7 +539,7 @@ mod tests {
     #[test]
     fn malformed_committed_document_is_an_error() {
         let fresh = series(&["1p x 2w"], &[("WW", &[1.0])]);
-        assert!(regression_gate("{not json", &[("histogram_native", &fresh)], 0.3).is_err());
-        assert!(regression_gate("{}", &[("histogram_native", &fresh)], 0.3).is_err());
+        assert!(regression_gate("{not json", &[("slo_max_load", &fresh)], 0.3).is_err());
+        assert!(regression_gate("{}", &[("slo_max_load", &fresh)], 0.3).is_err());
     }
 }

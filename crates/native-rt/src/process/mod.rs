@@ -63,7 +63,7 @@ pub(crate) const INBOX_BUDGET: usize = 128;
 /// Configuration for the multi-process backend ([`run_process`]).
 ///
 /// Mirrors `NativeBackendConfig` where the backends overlap (TramLib setup,
-/// seed, faults, wall-clock watchdog) and adds the segment sizing knobs.
+/// seed, ring capacity, faults, wall-clock watchdog).
 #[derive(Debug, Clone, Copy)]
 pub struct ProcessBackendConfig {
     /// TramLib setup and seed shared with the other backends.
@@ -71,9 +71,6 @@ pub struct ProcessBackendConfig {
     /// Capacity (envelopes) of each worker↔worker ring; 0 = auto-size from
     /// the worker count.
     pub ring_capacity: usize,
-    /// Slab count of each worker's arena; 0 = auto-size from the scheme's
-    /// worst-case outstanding-slab budget.
-    pub arena_slabs: usize,
     /// Wall-clock watchdog: the run aborts if not quiescent within this.
     pub max_wall: Duration,
     /// Injected faults (`kill` / `panic` / `stall` in process mode).
@@ -92,7 +89,6 @@ impl ProcessBackendConfig {
         Self {
             common,
             ring_capacity: 0,
-            arena_slabs: 0,
             max_wall: Duration::from_secs(60),
             faults: None,
             graceful_signals: false,
@@ -107,12 +103,6 @@ impl ProcessBackendConfig {
     /// Override the per-ring envelope capacity (0 restores auto-sizing).
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
-        self
-    }
-
-    /// Override the per-arena slab count (0 restores auto-sizing).
-    pub fn with_arena_slabs(mut self, slabs: usize) -> Self {
-        self.arena_slabs = slabs;
         self
     }
 
@@ -153,14 +143,10 @@ impl ProcessBackendConfig {
         }
     }
 
-    /// Per-arena slab count: explicit override, or the worst-case
-    /// outstanding budget — one open buffer per destination, every ring
-    /// slot full of slab descriptors, one inbox batch in flight, plus
-    /// stash headroom.
+    /// Per-arena slab count: the worst-case outstanding budget — one open
+    /// buffer per destination, every ring slot full of slab descriptors, one
+    /// inbox batch in flight, plus stash headroom.
     pub(crate) fn resolved_arena_slabs(&self, workers: usize) -> usize {
-        if self.arena_slabs > 0 {
-            return self.arena_slabs;
-        }
         let topo = self.common.tram.topology;
         let dests = if self.common.tram.scheme == Scheme::WW {
             workers

@@ -13,8 +13,8 @@ use runtime_api::{Payload, RunCtx, WorkerApp};
 use shmem::{ClaimResult, SlabArena, SlabHandle};
 use sim_core::StreamRng;
 use tramlib::{
-    AdaptiveTimeout, Aggregator, EmitReason, EmittedMessage, Item, MessageDest, OutboundMessage,
-    Owner, Scheme, SlabSealed, TramStats,
+    Aggregator, EmitReason, EmittedMessage, Item, MessageDest, OutboundMessage, Owner, Scheme,
+    SlabSealed, TramStats,
 };
 
 use super::{Batch, Envelope, Shared, Spent, SPARE_BATCHES};
@@ -59,9 +59,6 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// claim buffers keep no per-item timestamps, so the timeout poll works
     /// from this sender-side watermark instead.
     pub(crate) pp_oldest_ns: Option<u64>,
-    /// PP only: this worker's adaptive-timeout controller (worker-owned
-    /// aggregators embed their own inside `tramlib`).
-    pub(crate) pp_adaptive: Option<AdaptiveTimeout>,
     /// PP only: a quiet-quantum flush of the process-shared buffers is due.
     /// Set on the first quiet quantum after a non-quiet one, cleared once no
     /// buffer had to be held back (see [`SelfClocked::flush_quiet`]).
@@ -189,11 +186,6 @@ impl<'a> NativeWorkerCtx<'a> {
             pp_stats: TramStats::new(),
             has_timeout: shared.tram.flush_policy.timeout_ns.is_some(),
             pp_oldest_ns: None,
-            pp_adaptive: if shared.tram.scheme == Scheme::PP {
-                shared.tram.flush_policy.adaptive.map(AdaptiveTimeout::new)
-            } else {
-                None
-            },
             pp_flush_due: false,
             // No lanes without the bypass: the per-quantum flush then has
             // nothing to walk.
@@ -824,9 +816,6 @@ impl<'a> NativeWorkerCtx<'a> {
         }
         let bytes = self.shared.tram.message_bytes(items.len());
         self.pp_stats.record_message(items.len(), bytes, reason);
-        if let Some(adaptive) = &mut self.pp_adaptive {
-            adaptive.observe(reason, items.len(), self.shared.tram.buffer_items);
-        }
         self.emit(OutboundMessage {
             dest: MessageDest::Process(dst_proc),
             items,
@@ -911,15 +900,11 @@ impl<'a> NativeWorkerCtx<'a> {
             self.aggregator = Some(agg);
             return;
         }
-        if let Some(oldest) = self.pp_oldest_ns {
-            let timeout = match &self.pp_adaptive {
-                Some(adaptive) => Some(adaptive.timeout_ns()),
-                None => self.shared.tram.flush_policy.timeout_ns,
-            };
-            if let Some(timeout) = timeout {
-                if now.saturating_sub(oldest) >= timeout {
-                    self.flush_pp(EmitReason::TimeoutFlush);
-                }
+        if let (Some(oldest), Some(timeout)) =
+            (self.pp_oldest_ns, self.shared.tram.flush_policy.timeout_ns)
+        {
+            if now.saturating_sub(oldest) >= timeout {
+                self.flush_pp(EmitReason::TimeoutFlush);
             }
         }
     }
@@ -933,27 +918,16 @@ impl<'a> NativeWorkerCtx<'a> {
             let pool = agg.pool_stats();
             self.counters.add("agg_pool_hits", pool.hits);
             self.counters.add("agg_pool_misses", pool.misses);
-            if let Some(timeout) = agg.effective_timeout_ns() {
-                self.counters.max("flush_timeout_final_ns", timeout);
-                self.counters
-                    .add("adaptive_timeout_adjustments", agg.adaptive_adjustments());
-            }
-        }
-        if let Some(adaptive) = &self.pp_adaptive {
-            self.counters
-                .max("flush_timeout_final_ns", adaptive.timeout_ns());
-            self.counters
-                .add("adaptive_timeout_adjustments", adaptive.adjustments());
         }
         if let Some(arena) = self.arena {
             let stats = arena.stats();
             self.counters.add("arena_claims", stats.claims);
             // Zero across a run = the zero-copy steady state never fell back
-            // to heap vectors; asserted by the throughput suite.
+            // to heap vectors; gated by `benchmark/run.sh` and the threaded
+            // engine's unit tests.
             self.counters.add("arena_claim_misses", stats.misses);
         }
-        // 0 whenever placement is unknown (unpinned) or single-node — the
-        // counter is the numerator of the cross-socket penalty sweep.
+        // 0 whenever placement is unknown (unpinned) or single-node.
         self.counters
             .add("cross_socket_msgs", self.cross_socket_msgs);
     }

@@ -155,20 +155,13 @@ pub struct NativeBackendConfig {
     pub max_wall: Duration,
     /// Message store for the aggregation hot path (slab arenas by default).
     pub message_store: MessageStore,
-    /// Slabs per worker arena.  `0` (the default) sizes arenas automatically:
-    /// one slab per destination slot plus enough headroom for the slabs in
-    /// flight on the rings — see [`NativeBackendConfig::resolved_arena_slabs`].
-    pub arena_slabs: usize,
     /// Pin each worker thread to core `worker_index % available_cpus` (the
-    /// `--pin` option of the throughput binary).  Off by default: pinning
-    /// helps steady benchmark sweeps, but a general run should leave
-    /// placement to the scheduler.
+    /// `--pin` CLI option).  Off by default: pinning helps steady benchmark
+    /// sweeps, but a general run should leave placement to the scheduler.
+    /// A pinned run on a multi-node host is also NUMA-aware: each worker's
+    /// slab arena is bound to the node its thread is pinned on, and the mesh
+    /// stash drains same-node destinations first.
     pub pin_workers: bool,
-    /// NUMA-aware placement (on by default; only takes effect on pinned runs
-    /// on multi-node hosts): bind each worker's slab arena to the node its
-    /// thread is pinned on, and drain the mesh stash same-node first.
-    /// Turning it off is the A/B knob of the cross-socket penalty sweep.
-    pub numa_aware: bool,
     /// Deterministic fault plan (`None` = no injection, zero hot-path cost
     /// beyond one `Option` branch per scheduling quantum).
     pub faults: Option<FaultPlan>,
@@ -201,9 +194,7 @@ impl NativeBackendConfig {
             mesh_ring_capacity: 0,
             max_wall: Duration::from_secs(60),
             message_store: MessageStore::default(),
-            arena_slabs: 0,
             pin_workers: false,
-            numa_aware: true,
             faults: None,
             transport: None,
             graceful_signals: false,
@@ -228,29 +219,15 @@ impl NativeBackendConfig {
         self
     }
 
-    /// Override the message store (slab arena vs pooled vectors — the A/B
-    /// switch of the throughput suite).
+    /// Override the message store (slab arena vs pooled vectors).
     pub fn with_message_store(mut self, store: MessageStore) -> Self {
         self.message_store = store;
-        self
-    }
-
-    /// Override the per-worker arena size in slabs (`0` = auto).
-    pub fn with_arena_slabs(mut self, slabs: usize) -> Self {
-        self.arena_slabs = slabs;
         self
     }
 
     /// Enable or disable worker-thread core pinning.
     pub fn with_pin_workers(mut self, pin: bool) -> Self {
         self.pin_workers = pin;
-        self
-    }
-
-    /// Enable or disable NUMA-aware placement (arena binding + same-node
-    /// stash draining).  No effect on unpinned runs or single-node hosts.
-    pub fn with_numa_aware(mut self, numa_aware: bool) -> Self {
-        self.numa_aware = numa_aware;
         self
     }
 
@@ -301,9 +278,6 @@ impl NativeBackendConfig {
     /// vectors — a throughput dip recorded in the `arena_claim_misses`
     /// counter, never a stall or a loss.
     pub fn resolved_arena_slabs(&self, workers: usize) -> usize {
-        if self.arena_slabs > 0 {
-            return self.arena_slabs;
-        }
         let dests = match self.common.tram.scheme {
             Scheme::WW => workers,
             _ => self.common.tram.topology.total_procs() as usize,
@@ -438,8 +412,8 @@ pub(crate) struct Shared {
     pub(crate) pin_workers: bool,
     /// NUMA node each worker's thread is expected to land on, derived from
     /// the pinning layout (`worker w → allowed_cpus[w % allowed]`).  All
-    /// zeros when pinning is off, the host has a single node, or NUMA
-    /// awareness was disabled — cross-socket accounting then reads 0.
+    /// zeros when pinning is off or the host has a single node —
+    /// cross-socket accounting then reads 0.
     pub(crate) worker_node: Vec<u16>,
     /// Whether workers should mbind their arenas and prefer same-node stash
     /// drains (false whenever `worker_node` is uniformly zero).
@@ -563,7 +537,7 @@ pub fn run_threaded(
     // same `allowed[w % allowed.len()]` rule `pin_current_thread` applies).
     // Unpinned runs get no prediction: the scheduler may move threads
     // between nodes mid-run, so claiming a placement would be a lie.
-    let worker_node: Vec<u16> = if config.numa_aware && config.pin_workers {
+    let worker_node: Vec<u16> = if config.pin_workers {
         let numa = crate::numa::NumaTopology::detect();
         let allowed = crate::affinity::allowed_cpus();
         if numa.nodes() > 1 && !allowed.is_empty() {
@@ -1083,6 +1057,16 @@ mod tests {
             );
             assert!(report.total_time_ns > 0);
             assert!(report.item_latency.count() > 0);
+            if matches!(scheme, Scheme::WW | Scheme::WPs | Scheme::WsP) {
+                // The zero-copy steady state: every buffer of the slab-arena
+                // schemes was a slab, none fell back to a heap vector.
+                assert!(report.counter("arena_claims") > 0, "{scheme}");
+                assert_eq!(
+                    report.counter("arena_claim_misses"),
+                    0,
+                    "{scheme}: the arena ran dry"
+                );
+            }
         }
     }
 
@@ -1415,45 +1399,67 @@ mod tests {
     fn arena_dry_fault_forces_vec_fallback_without_leaks() {
         // Exhausting the slab arena must degrade to pooled heap vectors
         // (visible as claim misses), never stall, lose items, or leak the
-        // slabs the fault held.
-        let topo = Topology::smp(1, 2, 4);
-        let tram = TramConfig::new(Scheme::WW, topo)
-            .with_buffer_items(32)
-            .with_item_bytes(16);
-        let plan = FaultPlan::from_specs(
-            13,
-            [runtime_api::FaultSpec {
-                worker: 0,
-                kind: runtime_api::FaultKind::ArenaDry { micros: 20_000 },
-                trigger: runtime_api::FaultTrigger::Items(200),
-            }],
-        );
-        let report = run_threaded(
-            NativeBackendConfig::new(tram)
-                .with_seed(13)
-                .with_max_wall(Duration::from_secs(20))
-                .with_faults(Some(plan)),
-            |w| {
-                Box::new(RandomUpdates {
-                    me: w,
-                    remaining: 2_000,
-                    chunk: 64,
-                    flushed: false,
-                })
-            },
-        );
-        assert_eq!(report.outcome, RunOutcome::Degraded { faults_injected: 1 });
-        assert_eq!(report.items_delivered, 2_000 * 8);
-        assert_eq!(report.counter("fault_arena_dry"), 1);
-        assert!(
-            report.counter("arena_claim_misses") > 0,
-            "a dry arena must fall back to heap vectors"
-        );
-        assert_eq!(
-            report.counter("leaked_slabs"),
-            0,
-            "held slabs must be released when the fault expires"
-        );
+        // slabs the fault held — and the heap-vector messages must carry
+        // exactly what the slabs would have: worker-addressed under WW,
+        // process-addressed (grouped at the destination under WPs, at the
+        // source under WsP) otherwise.
+        for scheme in [Scheme::WW, Scheme::WPs, Scheme::WsP] {
+            let run_once = |faults: Option<FaultPlan>| {
+                let topo = Topology::smp(1, 2, 4);
+                let tram = TramConfig::new(scheme, topo)
+                    .with_buffer_items(32)
+                    .with_item_bytes(16);
+                run_threaded(
+                    NativeBackendConfig::new(tram)
+                        .with_seed(13)
+                        .with_max_wall(Duration::from_secs(20))
+                        .with_faults(faults),
+                    |w| {
+                        Box::new(RandomUpdates {
+                            me: w,
+                            remaining: 2_000,
+                            chunk: 64,
+                            flushed: false,
+                        })
+                    },
+                )
+            };
+            let plan = FaultPlan::from_specs(
+                13,
+                [runtime_api::FaultSpec {
+                    worker: 0,
+                    kind: runtime_api::FaultKind::ArenaDry { micros: 20_000 },
+                    trigger: runtime_api::FaultTrigger::Items(200),
+                }],
+            );
+            let report = run_once(Some(plan));
+            let healthy = run_once(None);
+            assert!(healthy.clean(), "{scheme}");
+            assert_eq!(
+                report.outcome,
+                RunOutcome::Degraded { faults_injected: 1 },
+                "{scheme}"
+            );
+            assert_eq!(report.items_delivered, 2_000 * 8, "{scheme}");
+            assert_eq!(report.counter("fault_arena_dry"), 1, "{scheme}");
+            assert!(
+                report.counter("arena_claim_misses") > 0,
+                "{scheme}: a dry arena must fall back to heap vectors"
+            );
+            assert_eq!(
+                report.counter("leaked_slabs"),
+                0,
+                "{scheme}: held slabs must be released when the fault expires"
+            );
+            for counter in ["app_received_checksum", "wire_items"] {
+                assert_eq!(
+                    report.counter(counter),
+                    healthy.counter(counter),
+                    "{scheme}: {counter} diverged from the fault-free run"
+                );
+            }
+            assert_eq!(report.items_delivered, healthy.items_delivered, "{scheme}");
+        }
     }
 
     #[test]
@@ -1525,11 +1531,6 @@ mod tests {
         assert_eq!(
             cfg.resolved_arena_slabs(workers),
             workers + workers * ring + mesh::INBOX_BUDGET + 4 * STASH_THROTTLE
-        );
-        assert_eq!(
-            cfg.with_arena_slabs(9).resolved_arena_slabs(workers),
-            9,
-            "explicit arena size wins"
         );
         // PP and NoAgg never build arenas at all.
         let pp = NativeBackendConfig::new(TramConfig::new(Scheme::PP, topo));

@@ -257,7 +257,8 @@ pub enum MessageStore {
     /// handles move.
     #[default]
     SlabArena,
-    /// Pooled heap vectors, kept as the A/B baseline.
+    /// Pooled heap vectors: the worker-private vector path (no arena, deeper
+    /// rings).  Measured against the arena in `docs/DESIGN.md` §5.
     VecPool,
 }
 

@@ -1,7 +1,6 @@
 //! The aggregator: per-worker (WW, WPs, WsP) or per-process (PP) buffering of
 //! items and emission of aggregated messages.
 
-use crate::adaptive::AdaptiveTimeout;
 use crate::buffer::ItemBuffer;
 use crate::config::TramConfig;
 use crate::error::TramError;
@@ -112,9 +111,6 @@ pub struct Aggregator<T> {
     slab_oldest: Vec<u64>,
     /// Reusable scratch for the in-place WsP source grouping of sealed slabs.
     group_scratch: GroupScratch,
-    /// Present when the flush policy requests an adaptive timeout; every
-    /// emitted message feeds it and the timeout polls read it.
-    adaptive: Option<AdaptiveTimeout>,
     stats: TramStats,
 }
 
@@ -189,7 +185,6 @@ impl<T: Clone> Aggregator<T> {
             slabs: (0..slots).map(|_| None).collect(),
             slab_oldest: vec![0; slots],
             group_scratch: GroupScratch::default(),
-            adaptive: config.flush_policy.adaptive.map(AdaptiveTimeout::new),
             stats: TramStats::new(),
         })
     }
@@ -312,9 +307,6 @@ impl<T: Clone> Aggregator<T> {
         }
         let bytes = self.config.message_bytes(items.len());
         self.stats.record_message(items.len(), bytes, reason);
-        if let Some(adaptive) = &mut self.adaptive {
-            adaptive.observe(reason, items.len(), self.config.buffer_items);
-        }
         let message = OutboundMessage {
             dest,
             items,
@@ -498,24 +490,9 @@ impl<T: Clone> Aggregator<T> {
         out
     }
 
-    /// The timeout currently in force: the adaptive controller's value when
-    /// the policy is adaptive, the fixed `timeout_ns` otherwise.
-    pub fn effective_timeout_ns(&self) -> Option<u64> {
-        match &self.adaptive {
-            Some(adaptive) => Some(adaptive.timeout_ns()),
-            None => self.config.flush_policy.timeout_ns,
-        }
-    }
-
-    /// How often the adaptive controller moved the timeout (0 for fixed
-    /// policies).
-    pub fn adaptive_adjustments(&self) -> u64 {
-        self.adaptive.as_ref().map_or(0, |a| a.adjustments())
-    }
-
     /// [`Aggregator::poll_timeout`] with messages handed straight to `sink`.
     pub fn poll_timeout_each(&mut self, now_ns: u64, mut sink: impl FnMut(OutboundMessage<T>)) {
-        let Some(timeout) = self.effective_timeout_ns() else {
+        let Some(timeout) = self.config.flush_policy.timeout_ns else {
             return;
         };
         for slot in 0..self.buffers.len() {
@@ -533,7 +510,7 @@ impl<T: Clone> Aggregator<T> {
     /// something, if a timeout policy is configured and any buffer is
     /// non-empty.  Substrates use this to schedule their next timeout poll.
     pub fn next_timeout_deadline(&self) -> Option<u64> {
-        let timeout = self.effective_timeout_ns()?;
+        let timeout = self.config.flush_policy.timeout_ns?;
         let in_vecs = self
             .buffers
             .iter()
@@ -677,9 +654,6 @@ impl<T: Copy> Aggregator<T> {
         }
         let bytes = self.config.message_bytes(len as usize);
         self.stats.record_message(len as usize, bytes, reason);
-        if let Some(adaptive) = &mut self.adaptive {
-            adaptive.observe(reason, len as usize, self.config.buffer_items);
-        }
         if self.config.detailed_dest_stats {
             // SAFETY: as above — sealed, unshipped, fully written.
             let items = unsafe { arena.slice(slab, 0, len) };
@@ -776,7 +750,7 @@ impl<T: Copy> Aggregator<T> {
         now_ns: u64,
         mut sink: impl FnMut(EmittedMessage<T>),
     ) {
-        let Some(timeout) = self.effective_timeout_ns() else {
+        let Some(timeout) = self.config.flush_policy.timeout_ns else {
             return;
         };
         for slot in 0..self.slabs.len() {

@@ -1,6 +1,5 @@
 //! TramLib configuration.
 
-use crate::adaptive::AdaptiveRange;
 use crate::scheme::Scheme;
 use net_model::Topology;
 
@@ -18,10 +17,6 @@ pub struct FlushPolicy {
     /// nanoseconds (checked by the substrate calling
     /// [`crate::Aggregator::poll_timeout`]).
     pub timeout_ns: Option<u64>,
-    /// When set, the timeout is *adaptive*: the aggregator starts from
-    /// `timeout_ns` and walks the value inside this range based on the
-    /// observed emit-trigger mix (see [`crate::AdaptiveTimeout`]).
-    pub adaptive: Option<AdaptiveRange>,
 }
 
 impl FlushPolicy {
@@ -29,14 +24,12 @@ impl FlushPolicy {
     pub const EXPLICIT_ONLY: FlushPolicy = FlushPolicy {
         on_idle: false,
         timeout_ns: None,
-        adaptive: None,
     };
 
     /// Flush on idle as well as on explicit request.
     pub const ON_IDLE: FlushPolicy = FlushPolicy {
         on_idle: true,
         timeout_ns: None,
-        adaptive: None,
     };
 
     /// Flush buffers whose oldest item exceeds the given age.
@@ -44,20 +37,6 @@ impl FlushPolicy {
         FlushPolicy {
             on_idle: false,
             timeout_ns: Some(timeout_ns),
-            adaptive: None,
-        }
-    }
-
-    /// Size-or-timeout flushing with an auto-tuned timeout: the aggregator
-    /// starts at `max_ns` and adjusts within `[min_ns, max_ns]` from the
-    /// observed emit mix (size-triggered traffic raises it, low-fill timer
-    /// flushes lower it).
-    pub fn adaptive(min_ns: u64, max_ns: u64) -> FlushPolicy {
-        let range = AdaptiveRange::new(min_ns, max_ns);
-        FlushPolicy {
-            on_idle: false,
-            timeout_ns: Some(range.max_ns),
-            adaptive: Some(range),
         }
     }
 }
@@ -242,15 +221,9 @@ mod tests {
             FlushPolicy {
                 on_idle: true,
                 timeout_ns: None,
-                adaptive: None,
             }
         );
         assert_eq!(FlushPolicy::with_timeout(5).timeout_ns, Some(5));
         assert_eq!(FlushPolicy::default(), FlushPolicy::EXPLICIT_ONLY);
-
-        let adaptive = FlushPolicy::adaptive(10_000, 640_000);
-        assert_eq!(adaptive.timeout_ns, Some(640_000), "starts at the ceiling");
-        let range = adaptive.adaptive.unwrap();
-        assert_eq!((range.min_ns, range.max_ns), (10_000, 640_000));
     }
 }

@@ -47,7 +47,6 @@
 //! assert_eq!(msg.items.len(), 4);
 //! ```
 
-pub mod adaptive;
 pub mod aggregator;
 pub mod analysis;
 pub mod buffer;
@@ -61,7 +60,6 @@ pub mod receiver;
 pub mod scheme;
 pub mod stats;
 
-pub use adaptive::{AdaptiveRange, AdaptiveTimeout};
 pub use aggregator::{Aggregator, InsertOutcome, Owner, SlabInsertOutcome};
 pub use buffer::ItemBuffer;
 pub use config::{FlushPolicy, TramConfig};

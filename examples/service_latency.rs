@@ -10,7 +10,7 @@
 //!
 //! Runs on the native backend only (the simulator has no timer events to
 //! pace wall-clock arrivals with).  For the full per-scheme latency-vs-load
-//! curves and the adaptive-flush comparison, run the bench suite:
+//! curves and the max sustained load under an SLO, run the bench suite:
 //! `cargo run --release -p bench --bin latency`.
 
 use smp_aggregation::prelude::*;
@@ -69,6 +69,6 @@ fn main() {
     println!();
     println!("Latency is measured from each request's *scheduled* arrival, so a runtime");
     println!("that falls behind the schedule pays the backlog as latency. Aggregation");
-    println!("trades per-message overhead against exactly this buffering delay — the");
-    println!("flush timeout (and its adaptive controller) is the knob; see docs/DESIGN.md.");
+    println!("trades per-message overhead against exactly this buffering delay; idle");
+    println!("flushes and a fixed flush-timeout backstop bound it, see docs/DESIGN.md.");
 }

@@ -7,8 +7,8 @@
 //! This umbrella crate re-exports the workspace's public API:
 //!
 //! * [`tramlib`] — the aggregation library itself (schemes WW, WPs, WsP, PP,
-//!   buffers, flush policies incl. the adaptive timeout, the §III-C
-//!   analytical formulas);
+//!   buffers, size / idle / timeout flush policies, the §III-C analytical
+//!   formulas);
 //! * [`runtime_api`] — the backend-agnostic application contract
 //!   (`WorkerApp`, `RunCtx`, `Backend`, the unified `RunReport`) and the
 //!   [`runtime_api::RunSpec`] builder every run goes through;

@@ -108,15 +108,23 @@ const WATCHDOG: Duration = Duration::from_secs(30);
 fn a_hot_receiver_keeps_its_producers_aggregating() {
     const PRODUCERS: u32 = 3;
     const PER_PRODUCER: u64 = 600;
-    // Each producer alone offers the receiver 2/3 of what it can take; the
-    // three together, twice as much.
+    // Each producer alone offers the receiver twice what it can take, so the
+    // receiver is behind however the producers share the CPUs.  The
+    // producers never nap (their `on_idle` reports work), so on two cores
+    // the receiver holds one and the three producers take turns on the
+    // other.  With a 20 µs handler one producer at a time offered only 2/3
+    // of the receiver's rate: the receiver kept up, every lane read drained
+    // and items shipped alone, correctly.  The process case then read 1.0
+    // items per message in about half of its runs.  At 60 µs, 200 runs on
+    // two cores read 33–55 on both engines (median 51 mesh, 38 process);
+    // 50 runs pinned to one core read 50–51.
     let make_app = |me: WorkerId| -> Box<dyn WorkerApp> {
         Box::new(Paced {
             peer: (me.0 > 0).then_some(WorkerId(0)),
             remaining: if me.0 > 0 { PER_PRODUCER } else { 0 },
             gap_ns: 30_000,
             next_due_ns: 0,
-            handler_ns: if me.0 == 0 { 20_000 } else { 0 },
+            handler_ns: if me.0 == 0 { 60_000 } else { 0 },
             received: 0,
         })
     };
