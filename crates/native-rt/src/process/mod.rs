@@ -63,14 +63,11 @@ pub(crate) const INBOX_BUDGET: usize = 128;
 /// Configuration for the multi-process backend ([`run_process`]).
 ///
 /// Mirrors `NativeBackendConfig` where the backends overlap (TramLib setup,
-/// seed, ring capacity, faults, wall-clock watchdog).
+/// seed, faults, wall-clock watchdog).
 #[derive(Debug, Clone, Copy)]
 pub struct ProcessBackendConfig {
     /// TramLib setup and seed shared with the other backends.
     pub common: CommonConfig,
-    /// Capacity (envelopes) of each worker↔worker ring; 0 = auto-size from
-    /// the worker count.
-    pub ring_capacity: usize,
     /// Wall-clock watchdog: the run aborts if not quiescent within this.
     pub max_wall: Duration,
     /// Injected faults (`kill` / `panic` / `stall` in process mode).
@@ -88,7 +85,6 @@ impl ProcessBackendConfig {
     pub fn from_common(common: CommonConfig) -> Self {
         Self {
             common,
-            ring_capacity: 0,
             max_wall: Duration::from_secs(60),
             faults: None,
             graceful_signals: false,
@@ -97,12 +93,6 @@ impl ProcessBackendConfig {
 
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.common.seed = seed;
-        self
-    }
-
-    /// Override the per-ring envelope capacity (0 restores auto-sizing).
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
         self
     }
 
@@ -129,13 +119,10 @@ impl ProcessBackendConfig {
         )
     }
 
-    /// Per-ring capacity: explicit override, or the threaded backend's
-    /// auto-sizing rule (slab descriptors are small and amortized, singles
-    /// need deeper rings).
+    /// Per-ring capacity (envelopes), the threaded backend's auto-sizing
+    /// rule: slab descriptors are small and amortized, singles need deeper
+    /// rings.
     pub(crate) fn resolved_ring_capacity(&self, workers: usize) -> usize {
-        if self.ring_capacity > 0 {
-            return self.ring_capacity;
-        }
         if self.uses_arena() {
             (2048 / workers.max(1)).clamp(8, 128)
         } else {

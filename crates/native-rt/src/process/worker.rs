@@ -14,12 +14,13 @@
 //!   a slab of the sender's arena and shipped as one [`TAG_SLAB_WORKER`]
 //!   descriptor.
 //! * **WPs** — per-destination-process buffers shipped ungrouped
-//!   ([`TAG_SLAB_PROC`]) to the destination's group receiver, which sorts
-//!   the slab in place (it is the sole consumer at that point), delivers its
-//!   own range and forwards peer ranges as [`TAG_SLAB_SLICE`] descriptors
-//!   after bumping the slab's consumer refcount.
-//! * **WsP** — the source sorts before sealing ([`TAG_SLAB_PROC_GROUPED`]);
-//!   the receiver only scans runs.
+//!   ([`TAG_SLAB_PROC`]) to the destination's group receiver, which groups
+//!   the slab in place with tramlib's stable kernel (it is the sole consumer
+//!   at that point), delivers its own range and forwards peer ranges as
+//!   [`TAG_SLAB_SLICE`] descriptors after bumping the slab's consumer
+//!   refcount.
+//! * **WsP** — the source groups before sealing ([`TAG_SLAB_PROC_GROUPED`]);
+//!   the receiver's pass finds the slab grouped and moves nothing.
 //! * **PP** — workers of a process insert into shared [`SegClaim`] buffers,
 //!   one per destination process.  Drains (buffer-full `MustDrain` and
 //!   explicit flushes alike) serialize through the buffer's drain lock and
@@ -50,6 +51,7 @@ use net_model::{ProcId, Topology, WorkerId};
 use runtime_api::{FaultKind, FaultPlan, FaultTrigger, Payload, RunCtx, WorkerApp};
 use shmem::{SegArena, SegClaim, SegClaimInsert, SegRing};
 use sim_core::StreamRng;
+use tramlib::group::{group_in_place, GroupScratch};
 use tramlib::{Item, Scheme, TramConfig};
 
 use super::layout::{self, RunCtl, WorkerStatus};
@@ -64,9 +66,9 @@ use super::INBOX_BUDGET;
 pub(super) const TAG_SINGLE: u32 = 0;
 /// A whole sealed slab addressed to one worker (WW).
 pub(super) const TAG_SLAB_WORKER: u32 = 1;
-/// An ungrouped process-addressed slab (WPs): the receiver sorts it.
+/// An ungrouped process-addressed slab (WPs): the receiver groups it.
 pub(super) const TAG_SLAB_PROC: u32 = 2;
-/// A source-sorted process-addressed slab (WsP): the receiver scans runs.
+/// A source-grouped process-addressed slab (WsP).
 pub(super) const TAG_SLAB_PROC_GROUPED: u32 = 3;
 /// A pre-grouped per-worker index range of a slab, forwarded by the group
 /// receiver; `owner` is the arena-owning worker, not the forwarder.
@@ -212,8 +214,9 @@ pub(super) struct ProcCtx<'w> {
     pub(super) stash_len: usize,
     /// Reusable PP drain buffer.
     drain_buf: Vec<Item<Payload>>,
-    /// Reusable grouping-run scratch: `(dest, start, len)`.
-    ranges: Vec<(u32, u32, u32)>,
+    /// Scratch of the grouping pass (WsP at the source, the group receiver
+    /// at the destination), holding the last slab's per-worker ranges.
+    group_scratch: GroupScratch<Payload>,
     /// Flush-triggered messages emitted — buffers shipped by an explicit or
     /// quiet-quantum flush, not by filling up (fault-trigger clock; the
     /// threaded engine counts the same thing).
@@ -268,7 +271,7 @@ impl<'w> ProcCtx<'w> {
             stash: (0..world.workers).map(|_| VecDeque::new()).collect(),
             stash_len: 0,
             drain_buf: Vec::new(),
-            ranges: Vec::new(),
+            group_scratch: GroupScratch::default(),
             flush_emits: 0,
             pp_flush_due: false,
             local_sent: 0,
@@ -438,8 +441,8 @@ impl<'w> ProcCtx<'w> {
         let mut buf = std::mem::take(&mut self.bufs_proc[dst_proc]);
         if !buf.is_empty() {
             let tag = if self.scheme == Scheme::WsP {
-                // Source-side grouping: the receiver only scans runs.
-                buf.sort_unstable_by_key(|item| item.dest.0);
+                let wpp = self.world.topo.workers_per_proc() as usize;
+                group_in_place(&mut buf, wpp, &mut self.group_scratch);
                 TAG_SLAB_PROC_GROUPED
             } else {
                 TAG_SLAB_PROC
@@ -742,54 +745,37 @@ fn deliver(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, items: &[Item<Payload
         .fetch_add(items.len() as u64, Ordering::Release);
 }
 
-/// Receive-side grouping pass for a process-addressed slab: sort if the
-/// source did not, split into per-destination runs, forward peer ranges
+/// Receive-side grouping pass for a process-addressed slab: group it in
+/// place (a no-op on a source-grouped WsP slab), forward peer ranges
 /// (consumer refcount bumped first), deliver the own range, drop this
 /// consumer's reference.
-fn group_and_forward(
-    app: &mut dyn WorkerApp,
-    ctx: &mut ProcCtx<'_>,
-    env: WireEnvelope,
-    needs_sort: bool,
-) {
-    let me = ctx.me.0;
+fn group_and_forward(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, env: WireEnvelope) {
+    let me = ctx.me;
     let arena = ctx.world.arenas[env.owner as usize];
-    if needs_sort {
+    let wpp = ctx.world.topo.workers_per_proc() as usize;
+    // Out of `ctx` while its ranges are read, so `push_env` can borrow it.
+    let mut scratch = std::mem::take(&mut ctx.group_scratch);
+    let ranges = {
         // SAFETY: outstanding == 1 here — this worker is the slab's sole
         // consumer until `add_consumers` below — so the mutable view is
         // exclusive.
         let items = unsafe { arena.slice_mut(env.slab, 0, env.len) };
-        items.sort_unstable_by_key(|item| item.dest.0);
-    }
-    // SAFETY: sealed slab, len from the seal, this worker holds a consumer
-    // reference.
-    let items = unsafe { arena.slice(env.slab, 0, env.len) };
-    let mut ranges = std::mem::take(&mut ctx.ranges);
-    ranges.clear();
-    let mut start = 0usize;
-    while start < items.len() {
-        let dest = items[start].dest.0;
-        let mut end = start + 1;
-        while end < items.len() && items[end].dest.0 == dest {
-            end += 1;
-        }
-        ranges.push((dest, start as u32, (end - start) as u32));
-        start = end;
-    }
+        group_in_place(items, wpp, &mut scratch)
+    };
     ctx.tally.grouping_passes += 1;
-    ctx.tally.grouped_items += items.len() as u64;
+    ctx.tally.grouped_items += u64::from(env.len);
     let forwards = ranges.iter().filter(|&&(dest, _, _)| dest != me).count() as u32;
     if forwards > 0 {
         // Before any forward leaves: a fast peer must never drive the
         // refcount to zero while ranges are still being pushed.
         arena.add_consumers(env.slab, forwards);
     }
-    for &(dest, slice_start, slice_len) in &ranges {
+    for &(dest, slice_start, slice_len) in ranges {
         if dest == me {
             continue;
         }
         ctx.push_env(
-            dest as usize,
+            dest.0 as usize,
             WireEnvelope::slab(
                 TAG_SLAB_SLICE,
                 env.owner,
@@ -801,11 +787,11 @@ fn group_and_forward(
         );
     }
     if let Some(&(_, slice_start, slice_len)) = ranges.iter().find(|&&(dest, _, _)| dest == me) {
-        // SAFETY: same sealed slab; the range came from the scan above.
+        // SAFETY: same sealed slab; the range came from the grouping pass.
         let mine = unsafe { arena.slice(env.slab, slice_start, slice_len) };
         deliver(app, ctx, mine);
     }
-    ctx.ranges = ranges;
+    ctx.group_scratch = scratch;
     if arena.finish_consumer(env.slab) {
         arena.release(env.slab);
     }
@@ -827,8 +813,7 @@ fn handle_envelope(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, env: WireEnve
                 arena.release(env.slab);
             }
         }
-        TAG_SLAB_PROC => group_and_forward(app, ctx, env, true),
-        TAG_SLAB_PROC_GROUPED => group_and_forward(app, ctx, env, false),
+        TAG_SLAB_PROC | TAG_SLAB_PROC_GROUPED => group_and_forward(app, ctx, env),
         _ => {}
     }
 }

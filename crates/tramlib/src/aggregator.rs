@@ -4,7 +4,7 @@
 use crate::buffer::ItemBuffer;
 use crate::config::TramConfig;
 use crate::error::TramError;
-use crate::group::GroupScratch;
+use crate::group::{group_in_place, GroupScratch};
 use crate::item::Item;
 use crate::message::{EmitReason, EmittedMessage, MessageDest, OutboundMessage, SlabSealed};
 use crate::pool::{PoolStats, VecPool};
@@ -109,8 +109,9 @@ pub struct Aggregator<T> {
     /// Slab path only: insertion timestamp of each slot's oldest slab item
     /// (for timeout flushing; the fallback vector buffers track their own).
     slab_oldest: Vec<u64>,
-    /// Reusable scratch for the in-place WsP source grouping of sealed slabs.
-    group_scratch: GroupScratch,
+    /// Reusable scratch for WsP's source-side grouping pass (sealed slabs
+    /// and vector messages alike).
+    group_scratch: GroupScratch<T>,
     stats: TramStats,
 }
 
@@ -269,31 +270,6 @@ impl<T: Clone> Aggregator<T> {
         self.local_to_owner[dest.idx()]
     }
 
-    /// WsP source-side grouping: stable-sort items by destination worker.
-    ///
-    /// All destinations lie in one process's contiguous worker-id range, so
-    /// this is an `O(g + t)` bucket distribution (one pooled bucket per
-    /// worker rank) rather than a comparison sort — the same complexity the
-    /// paper charges for the grouping pass, and several times cheaper per
-    /// item on the native hot path.
-    fn group_at_source(&mut self, items: &mut Vec<Item<T>>) {
-        let wpp = self.config.topology.workers_per_proc() as usize;
-        if items.len() < 2 || wpp < 2 {
-            return;
-        }
-        let base = (items[0].dest.idx() / wpp) * wpp;
-        let mut buckets: Vec<Vec<Item<T>>> = (0..wpp).map(|_| self.pool.take()).collect();
-        for item in items.drain(..) {
-            let rank = item.dest.idx() - base;
-            debug_assert!(rank < wpp, "item crosses its destination process");
-            buckets[rank].push(item);
-        }
-        for mut bucket in buckets {
-            items.append(&mut bucket);
-            self.pool.put(bucket);
-        }
-    }
-
     /// Build an outbound message from drained items.
     fn make_message(
         &mut self,
@@ -303,7 +279,8 @@ impl<T: Clone> Aggregator<T> {
     ) -> OutboundMessage<T> {
         let grouped_at_source = self.config.scheme.groups_at_source();
         if grouped_at_source {
-            self.group_at_source(&mut items);
+            let wpp = self.config.topology.workers_per_proc() as usize;
+            group_in_place(&mut items, wpp, &mut self.group_scratch);
         }
         let bytes = self.config.message_bytes(items.len());
         self.stats.record_message(items.len(), bytes, reason);
@@ -644,13 +621,13 @@ impl<T: Copy> Aggregator<T> {
     ) -> EmittedMessage<T> {
         let grouped_at_source = self.config.scheme.groups_at_source();
         let handle = arena.seal(slab, len);
-        if grouped_at_source && len > 1 {
+        if grouped_at_source {
             let wpp = self.config.topology.workers_per_proc() as usize;
             // SAFETY: sealed above with `outstanding == 1`, and the handle
             // has not shipped yet, so this thread is the sole consumer; all
             // `len` slots were written by the fill phase.
             let items = unsafe { arena.slice_mut(slab, 0, len) };
-            crate::group::group_in_place(items, wpp, &mut self.group_scratch);
+            group_in_place(items, wpp, &mut self.group_scratch);
         }
         let bytes = self.config.message_bytes(len as usize);
         self.stats.record_message(len as usize, bytes, reason);

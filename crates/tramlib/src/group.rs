@@ -1,85 +1,142 @@
-//! In-place, stable grouping of items by destination worker.
+//! Stable grouping of items by destination worker: the one `O(g + t)` pass
+//! every process-level scheme pays per message — WsP at the source, WPs and
+//! PP at the destination (§III-C).
 //!
 //! The zero-copy slab path cannot move items into per-worker heap buckets
-//! (the whole point is that an item is written once, into its slab slot, and
-//! never copied again), so grouping — WsP's source-side pass and the
-//! destination pass for WPs/PP — is performed *in place*: a stable
-//! permutation reorders the slab's items so that each destination worker owns
-//! one contiguous index range, and only those ranges (not items) are handed
-//! around afterwards.
+//! (an item is written once, into its slab slot, and stays there), so the
+//! pass reorders the slice it is given so that each destination worker owns
+//! one contiguous index range, and reports those `(worker, start, len)`
+//! ranges; only ranges, not items, are handed around afterwards.  The same
+//! kernel serves the heap-vector paths, which then split the ranges into
+//! pooled batches, and the simulator and both native engines, so all three
+//! backends deliver one message's items in the same order.
 //!
-//! The permutation is the same `O(g + t)` bucket distribution the paper
-//! charges for a grouping pass: one counting pass over the `g` items, a
-//! prefix sum over the `t` worker ranks of the destination process, and one
-//! cycle-chasing application that moves every item at most once.  The
-//! scratch vectors are reused across calls, so a warmed-up pass allocates
-//! nothing.
+//! The kernel is a counting sort over the `t` worker ranks of the
+//! destination process:
+//!
+//! 1. one counting pass over the `g` items, which also notices a slice that
+//!    is already grouped (every WsP arrival, every one-destination echo
+//!    slab) — such a slice is not moved at all;
+//! 2. a prefix sum over the `t` counts, which yields the ranges;
+//! 3. otherwise, one scatter into a reused scratch vector and one sequential
+//!    copy back.
+//!
+//! Equal ranks keep their relative order, so per-destination insertion
+//! order survives.  The scratch is reused across calls, so a warmed-up pass
+//! allocates nothing.
 
 use crate::item::Item;
+use net_model::WorkerId;
 
-/// Reusable scratch storage for [`group_in_place`].
-#[derive(Debug, Clone, Default)]
-pub struct GroupScratch {
-    /// `pos[i]`: the index the item currently at `i` must move to.
-    pos: Vec<u32>,
-    /// Per-rank counters, then running start offsets (length `wpp + 1`).
+/// Interleaved sub-counters per rank in the counting pass.
+const LANES: usize = 4;
+
+/// Reusable scratch storage for [`group_in_place`], and the range table of
+/// the last slice it grouped.
+#[derive(Debug, Clone)]
+pub struct GroupScratch<T> {
+    /// `LANES` rows of per-rank counts; the first row then holds the
+    /// running scatter offsets.
     counts: Vec<u32>,
+    /// Scatter target; only its first `len` slots of a pass are meaningful.
+    items: Vec<Item<T>>,
+    /// `(worker, start, len)` of every destination worker of the last
+    /// grouped slice, in worker order.
+    pub(crate) ranges: Vec<(WorkerId, u32, u32)>,
 }
 
-/// Stably reorder `items` so they are grouped by destination worker, in
-/// ascending worker order, preserving per-worker insertion order.
-///
-/// All destinations must lie in one process's contiguous worker-id range of
-/// width `wpp` (the only shape process-addressed messages can have); this is
-/// debug-asserted.
-pub fn group_in_place<T>(items: &mut [Item<T>], wpp: usize, scratch: &mut GroupScratch) {
-    let n = items.len();
-    if n < 2 || wpp < 2 {
-        return;
-    }
-    let base = (items[0].dest.idx() / wpp) * wpp;
-
-    // Counting pass: how many items per worker rank.
-    scratch.counts.clear();
-    scratch.counts.resize(wpp, 0);
-    for item in items.iter() {
-        let rank = item.dest.idx().wrapping_sub(base);
-        debug_assert!(rank < wpp, "item crosses its destination process");
-        scratch.counts[rank] += 1;
-    }
-    // Prefix sum: counts[r] becomes the running start offset of rank r.
-    let mut start = 0u32;
-    for count in scratch.counts.iter_mut() {
-        let c = *count;
-        *count = start;
-        start += c;
-    }
-    // Destination pass: target position of every item, stable by
-    // construction (equal ranks keep their relative order).
-    scratch.pos.clear();
-    scratch.pos.reserve(n);
-    for item in items.iter() {
-        let rank = item.dest.idx() - base;
-        let at = scratch.counts[rank];
-        scratch.counts[rank] += 1;
-        scratch.pos.push(at);
-    }
-    // Apply the permutation by chasing cycles: each swap puts the item at
-    // `i` into its final slot, so every item moves at most once (plus the
-    // swaps that pass through `i`), for O(n) moves total.
-    let pos = &mut scratch.pos;
-    for i in 0..n {
-        while pos[i] as usize != i {
-            let j = pos[i] as usize;
-            items.swap(i, j);
-            pos.swap(i, j);
+impl<T> Default for GroupScratch<T> {
+    fn default() -> Self {
+        Self {
+            counts: Vec::new(),
+            items: Vec::new(),
+            ranges: Vec::new(),
         }
     }
 }
 
-/// Scan a grouped slice into `(worker-rank run start, length)` boundaries,
-/// appending `(start, end)` index pairs with their destination to `runs`.
-pub fn scan_runs<T>(items: &[Item<T>], runs: &mut Vec<(net_model::WorkerId, u32, u32)>) {
+/// Stably reorder `items` so they are grouped by destination worker, in
+/// ascending worker order, preserving per-worker insertion order; returns the
+/// per-worker `(worker, start, len)` ranges (also kept in `scratch`).
+///
+/// An already grouped slice is left untouched.  All destinations must lie in
+/// one process's contiguous worker-id range of width `wpp` (the only shape
+/// process-addressed messages can have); an item outside it panics.
+pub fn group_in_place<'s, T: Clone>(
+    items: &mut [Item<T>],
+    wpp: usize,
+    scratch: &'s mut GroupScratch<T>,
+) -> &'s [(WorkerId, u32, u32)] {
+    scratch.ranges.clear();
+    let Some(first) = items.first() else {
+        return &scratch.ranges;
+    };
+    let wpp = wpp.max(1);
+    let base = first.dest.idx() / wpp * wpp;
+
+    // Counting pass, noting whether the ranks already never decrease.  Item
+    // `i` counts in lane `i % LANES`: a run of one rank (a grouped slice is
+    // one long run) would otherwise serialise on a single counter.
+    let counts = &mut scratch.counts;
+    counts.clear();
+    counts.resize(LANES * wpp, 0);
+    let mut lanes = counts.chunks_exact_mut(wpp);
+    let mut lanes: [&mut [u32]; LANES] =
+        std::array::from_fn(|_| lanes.next().expect("LANES * wpp counters"));
+    let mut grouped = true;
+    let mut prev = 0;
+    let mut chunks = items.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, item) in lanes.iter_mut().zip(chunk) {
+            let rank = item.dest.idx().wrapping_sub(base);
+            lane[rank] += 1;
+            grouped &= rank >= prev;
+            prev = rank;
+        }
+    }
+    for item in chunks.remainder() {
+        let rank = item.dest.idx().wrapping_sub(base);
+        lanes[0][rank] += 1;
+        grouped &= rank >= prev;
+        prev = rank;
+    }
+    // Prefix sum: each non-empty rank's range, and counts[r] becomes rank
+    // r's scatter offset.
+    let mut start = 0u32;
+    for rank in 0..wpp {
+        let len = (0..LANES).map(|lane| counts[lane * wpp + rank]).sum();
+        if len > 0 {
+            scratch
+                .ranges
+                .push((WorkerId((base + rank) as u32), start, len));
+        }
+        counts[rank] = start;
+        start += len;
+    }
+    if grouped {
+        return &scratch.ranges;
+    }
+    // Scatter into the scratch, then copy back: two sequential passes, no
+    // data-dependent branch.
+    let n = items.len();
+    let out = &mut scratch.items;
+    if out.len() < n {
+        out.resize(n, items[0].clone());
+    }
+    let offsets = &mut counts[..wpp];
+    for item in items.iter() {
+        let at = &mut offsets[item.dest.idx() - base];
+        out[*at as usize] = item.clone();
+        *at += 1;
+    }
+    items.clone_from_slice(&out[..n]);
+    &scratch.ranges
+}
+
+/// Scan a grouped slice for its runs of one destination worker, appending
+/// `(worker, start, len)` to `runs` — what [`group_in_place`] returns, found
+/// by looking at the items instead of the counts.
+pub fn scan_runs<T>(items: &[Item<T>], runs: &mut Vec<(WorkerId, u32, u32)>) {
     let mut start = 0usize;
     while start < items.len() {
         let dest = items[start].dest;

@@ -4,27 +4,29 @@
 //! must distribute its items to the destination workers of that process.  For
 //! WPs and PP the items arrive unsorted, so the receiver performs the grouping
 //! pass whose `O(g + t)` cost §III-C analyses; for WsP the source already
-//! grouped them and the receiver only splits contiguous runs.
+//! grouped them, and the same pass finds them grouped and moves nothing.
 //!
-//! All destination processing goes through the [`PooledReceiver`], which
-//! never clones an item (the historical clone-per-item `Receiver::process`
-//! path was deleted when the slab migration landed):
+//! All destination processing goes through the [`PooledReceiver`] and its one
+//! stable grouping kernel ([`crate::group::group_in_place`]): no item is moved
+//! when the payload is already grouped, otherwise every item takes two
+//! sequential copies through the receiver's scratch:
 //!
-//! * [`PooledReceiver::process_owned`] consumes a heap-vector message and
-//!   *moves* its items into pooled per-worker batches;
-//! * [`PooledReceiver::drain_grouped`] drains a borrowed vector into pooled
-//!   batches handed to a sink, leaving the capacity with the caller;
 //! * [`PooledReceiver::group_ranges`] is the zero-copy endpoint: it groups a
 //!   borrowed slab slice **in place** and reports per-worker *index ranges*,
-//!   so not a single item is moved out of the slab — consumers borrow
-//!   `&[Item]` sub-slices straight from the owner's arena.
+//!   so not a single item leaves the slab — consumers borrow `&[Item]`
+//!   sub-slices straight from the owner's arena;
+//! * [`PooledReceiver::drain_grouped`] groups a borrowed vector the same way
+//!   and splits its ranges into pooled batches handed to a sink, leaving the
+//!   capacity with the caller;
+//! * [`PooledReceiver::process_owned`] does the same for an owned message and
+//!   returns the batches as a [`DeliveryPlan`].
 //!
 //! Every spent vector — the incoming message's and the delivered per-worker
 //! batches the substrate hands back — recycles through a [`VecPool`], so the
 //! steady-state grouping pass allocates nothing on any of the three paths.
 
 use crate::config::TramConfig;
-use crate::group::{group_in_place, scan_runs, GroupScratch};
+use crate::group::{group_in_place, GroupScratch};
 use crate::item::Item;
 use crate::message::{MessageDest, OutboundMessage};
 use crate::pool::{PoolStats, VecPool};
@@ -70,28 +72,17 @@ pub struct GroupingOutcome {
 pub struct PooledReceiver<T> {
     config: TramConfig,
     pool: VecPool<Item<T>>,
-    /// Reusable grouping table for [`PooledReceiver::drain_grouped`]; kept
-    /// across calls so the borrowed-batch drain allocates nothing either.
-    scratch: Vec<(WorkerId, Vec<Item<T>>)>,
-    /// Reusable run-boundary table for the sorted (grouped-at-source) fast
-    /// path of [`PooledReceiver::drain_grouped`].
-    runs: Vec<(WorkerId, usize)>,
-    /// Reusable `(worker, start, len)` table for
-    /// [`PooledReceiver::group_ranges`].
-    ranges: Vec<(WorkerId, u32, u32)>,
-    /// Reusable permutation scratch for the in-place grouping pass.
-    group_scratch: GroupScratch,
+    /// The grouping kernel's scratch, holding the `(worker, start, len)`
+    /// ranges of the last grouped payload.
+    group_scratch: GroupScratch<T>,
 }
 
-impl<T> PooledReceiver<T> {
+impl<T: Clone> PooledReceiver<T> {
     /// Create a pooled receiver for the given configuration.
     pub fn new(config: TramConfig) -> Self {
         Self {
             config,
             pool: VecPool::default(),
-            scratch: Vec::new(),
-            runs: Vec::new(),
-            ranges: Vec::new(),
             group_scratch: GroupScratch::default(),
         }
     }
@@ -117,11 +108,13 @@ impl<T> PooledReceiver<T> {
     /// ranges, retrievable with [`PooledReceiver::take_ranges`].
     ///
     /// Not a single item leaves the slice: an ungrouped payload (WPs/PP) is
-    /// stably permuted within the slab it already lives in (the `O(g + t)`
-    /// grouping cost — a counting pass plus at most one move per item, all
-    /// inside the slab), and a grouped one (WsP) is only scanned for run
-    /// boundaries.  Consumers then borrow `&items[start..start + len]`
-    /// sub-slices directly.
+    /// stably reordered within the slab it already lives in (the `O(g + t)`
+    /// grouping cost — a counting pass, then a scatter through the scratch
+    /// and a copy back), and a grouped one (WsP) is only counted.  Consumers
+    /// then borrow `&items[start..start + len]` sub-slices directly.
+    ///
+    /// `grouped_at_source` is the payload's flag; it only sets the reported
+    /// [`GroupingOutcome::grouping_performed`].
     ///
     /// The caller must hold exclusive access to the slice (for slabs: be the
     /// sole consumer, *before* forwarding any range).
@@ -130,17 +123,12 @@ impl<T> PooledReceiver<T> {
         items: &mut [Item<T>],
         grouped_at_source: bool,
     ) -> GroupingOutcome {
-        let item_count = items.len();
-        if !grouped_at_source {
-            let wpp = self.config.topology.workers_per_proc() as usize;
-            group_in_place(items, wpp, &mut self.group_scratch);
-        }
-        self.ranges.clear();
-        scan_runs(items, &mut self.ranges);
+        let wpp = self.config.topology.workers_per_proc() as usize;
+        let worker_count = group_in_place(items, wpp, &mut self.group_scratch).len();
         GroupingOutcome {
             grouping_performed: !grouped_at_source,
-            item_count,
-            worker_count: self.ranges.len(),
+            item_count: items.len(),
+            worker_count,
         }
     }
 
@@ -148,18 +136,18 @@ impl<T> PooledReceiver<T> {
     /// out (so the caller can iterate it while using the receiver's pool);
     /// hand it back with [`PooledReceiver::put_ranges`] to keep the capacity.
     pub fn take_ranges(&mut self) -> Vec<(WorkerId, u32, u32)> {
-        std::mem::take(&mut self.ranges)
+        std::mem::take(&mut self.group_scratch.ranges)
     }
 
     /// Return a range table taken with [`PooledReceiver::take_ranges`].
     pub fn put_ranges(&mut self, ranges: Vec<(WorkerId, u32, u32)>) {
-        self.ranges = ranges;
+        self.group_scratch.ranges = ranges;
     }
 
     /// Drain a **borrowed** process-addressed payload, grouping its items by
     /// destination worker and handing each per-worker batch to `sink` in
     /// worker-id order (same grouping, same ordering as
-    /// [`PooledReceiver::process_owned`]).
+    /// [`PooledReceiver::group_ranges`]).
     ///
     /// `items` is left empty but keeps its capacity: the caller still owns
     /// the vector and can send it back to the worker that filled it (the
@@ -177,72 +165,22 @@ impl<T> PooledReceiver<T> {
         grouped_at_source: bool,
         mut sink: impl FnMut(WorkerId, Vec<Item<T>>) -> Option<Vec<Item<T>>>,
     ) -> GroupingOutcome {
-        let item_count = items.len();
-        if grouped_at_source {
-            // WsP fast path: the source already sorted by destination, so
-            // the payload is a sequence of per-worker runs — splitting is a
-            // boundary scan plus straight moves, not a grouping pass.
-            let mut runs = std::mem::take(&mut self.runs);
-            debug_assert!(runs.is_empty());
-            let mut start = 0;
-            while start < items.len() {
-                let dest = items[start].dest;
-                let mut end = start + 1;
-                while end < items.len() && items[end].dest == dest {
-                    end += 1;
-                }
-                runs.push((dest, end - start));
-                start = end;
-            }
-            let worker_count = runs.len();
-            // One front-to-back drain: no element ever shifts within the
-            // source vector.
-            let mut drained = items.drain(..);
-            for (dest, len) in runs.drain(..) {
-                let mut bucket = self.pool.take();
-                bucket.extend(drained.by_ref().take(len));
-                if let Some(spent) = sink(dest, bucket) {
-                    self.pool.put(spent);
-                }
-            }
-            drop(drained);
-            self.runs = runs;
-            return GroupingOutcome {
-                grouping_performed: false,
-                item_count,
-                worker_count,
-            };
-        }
-        let mut groups = std::mem::take(&mut self.scratch);
-        debug_assert!(groups.is_empty());
-        for item in items.drain(..) {
-            let dest = item.dest;
-            match groups.iter_mut().find(|(w, _)| *w == dest) {
-                Some((_, bucket)) => bucket.push(item),
-                None => {
-                    let mut bucket = self.pool.take();
-                    bucket.push(item);
-                    groups.push((dest, bucket));
-                }
-            }
-        }
-        groups.sort_by_key(|(w, _)| w.0);
-        let worker_count = groups.len();
-        for (worker, bucket) in groups.drain(..) {
-            if let Some(spent) = sink(worker, bucket) {
+        let outcome = self.group_ranges(items, grouped_at_source);
+        for &(dest, start, len) in &self.group_scratch.ranges {
+            let mut bucket = self.pool.take();
+            bucket.extend_from_slice(&items[start as usize..(start + len) as usize]);
+            if let Some(spent) = sink(dest, bucket) {
                 self.pool.put(spent);
             }
         }
-        self.scratch = groups;
-        GroupingOutcome {
-            grouping_performed: !grouped_at_source,
-            item_count,
-            worker_count,
-        }
+        items.clear();
+        outcome
     }
 
-    /// Turn an incoming message into a delivery plan, consuming the message.
-    /// Items are *moved* into the per-worker batches, never cloned.
+    /// Turn an incoming message into a delivery plan, consuming the message:
+    /// a worker-addressed message is handed over as is, a process-addressed
+    /// one is split into pooled per-worker batches by
+    /// [`PooledReceiver::drain_grouped`].
     ///
     /// # Panics
     /// Panics (in debug builds) if a process-addressed message contains an
@@ -270,29 +208,19 @@ impl<T> PooledReceiver<T> {
                         .all(|i| self.config.topology.proc_of_worker(i.dest) == p),
                     "process-addressed message contains foreign items"
                 );
-                let grouping_needed = !message.grouped_at_source;
                 let mut items = message.items;
-                let mut per_worker: Vec<(WorkerId, Vec<Item<T>>)> = Vec::new();
-                for item in items.drain(..) {
-                    let dest = item.dest;
-                    match per_worker.iter_mut().find(|(w, _)| *w == dest) {
-                        Some((_, bucket)) => bucket.push(item),
-                        None => {
-                            let mut bucket = self.pool.take();
-                            bucket.push(item);
-                            per_worker.push((dest, bucket));
-                        }
-                    }
-                }
+                let mut per_worker = Vec::new();
+                let outcome = self.drain_grouped(&mut items, message.grouped_at_source, |w, b| {
+                    per_worker.push((w, b));
+                    None
+                });
                 self.pool.put(items);
-                per_worker.sort_by_key(|(w, _)| w.0);
-                let worker_count = per_worker.len();
                 DeliveryPlan {
                     per_worker,
-                    grouping_performed: grouping_needed,
+                    grouping_performed: outcome.grouping_performed,
                     item_count,
-                    worker_count,
-                    local_deliveries: worker_count,
+                    worker_count: outcome.worker_count,
+                    local_deliveries: outcome.worker_count,
                 }
             }
         }
@@ -513,7 +441,7 @@ mod tests {
         assert_eq!(flat, reference, "in-place ranges must match the vec path");
         pooled.put_ranges(ranges);
 
-        // Grouped-at-source payloads are only scanned, never permuted.
+        // Grouped-at-source payloads are only counted, never moved.
         let mut sorted = items.clone();
         let before = sorted.clone();
         let outcome = pooled.group_ranges(&mut sorted, true);

@@ -8,6 +8,7 @@
 
 use net_model::{ProcId, Topology, WorkerId};
 use proptest::prelude::*;
+use tramlib::group::{group_in_place, scan_runs, GroupScratch};
 use tramlib::{analysis, Aggregator, Item, MessageDest, Owner, PooledReceiver, Scheme, TramConfig};
 
 /// A compact description of a randomly generated scenario.
@@ -141,6 +142,65 @@ fn run_scenario(s: &Scenario) -> (Vec<(u32, u32)>, u64, Vec<u64>) {
     }
 
     (delivered, messages, sent_per_owner)
+}
+
+/// A grouping input: `len` items for the workers of process `proc` (each
+/// `wpp` wide), random (`shape` 0), already grouped (1) or all for one
+/// worker (2); each item's payload is its input position.
+fn grouping_input(len: usize, wpp: usize, proc: usize, shape: u32, seed: u64) -> Vec<Item<u32>> {
+    let mut rng = seed | 1;
+    let mut rank = || {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (rng >> 33) as usize % wpp
+    };
+    let mut ranks: Vec<usize> = match shape {
+        0 | 1 => (0..len).map(|_| rank()).collect(),
+        _ => vec![rank(); len],
+    };
+    if shape == 1 {
+        ranks.sort_unstable();
+    }
+    ranks
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| Item::new(WorkerId((proc * wpp + r) as u32), i as u32, i as u64))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The grouping kernel is the stable bucket distribution, its ranges are
+    /// the grouped output's runs, and a grouped input does not move.
+    #[test]
+    fn grouping_kernel_is_stable_bucketing(
+        len in 0usize..1025,
+        wpp in 1usize..65,
+        proc in 0usize..4,
+        shape in 0u32..3,
+        seed in any::<u64>(),
+    ) {
+        let input = grouping_input(len, wpp, proc, shape, seed);
+        let mut buckets: Vec<Vec<Item<u32>>> = vec![Vec::new(); wpp];
+        for item in &input {
+            buckets[item.dest.idx() - proc * wpp].push(*item);
+        }
+        let reference: Vec<Item<u32>> = buckets.into_iter().flatten().collect();
+
+        let mut items = input.clone();
+        let mut scratch = GroupScratch::default();
+        let ranges = group_in_place(&mut items, wpp, &mut scratch).to_vec();
+        prop_assert_eq!(&items, &reference);
+        let mut runs = Vec::new();
+        scan_runs(&items, &mut runs);
+        prop_assert_eq!(&ranges, &runs);
+        prop_assert_eq!(ranges.iter().map(|&(_, _, n)| n as usize).sum::<usize>(), len);
+        if shape != 0 {
+            prop_assert_eq!(&items, &input, "a grouped input must not move");
+        }
+    }
 }
 
 proptest! {

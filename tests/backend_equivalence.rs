@@ -73,6 +73,10 @@ fn main() {
             "runtime_counters_agree_with_the_aggregator_on_every_engine",
             runtime_counters_agree_with_the_aggregator_on_every_engine,
         ),
+        (
+            "per_destination_order_holds_on_both_native_engines",
+            per_destination_order_holds_on_both_native_engines,
+        ),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -631,4 +635,99 @@ fn runtime_counters_agree_with_the_aggregator_on_every_engine() {
     );
     assert_eq!(process.counter("grouped_items"), wire_items, "process");
     assert_eq!(names(&process), expect(&PROCESS), "process");
+}
+
+/// Each worker sends its items to random workers, tagging each with its
+/// source worker and a per-destination sequence number; a receiver counts
+/// every arrival that is older than one it already saw from that source.
+struct SequencedSender {
+    remaining: u64,
+    next_seq: Vec<u64>,
+    /// Per source worker: one past the highest sequence number seen.
+    seen: Vec<u64>,
+    inversions: u64,
+    received: u64,
+}
+
+impl WorkerApp for SequencedSender {
+    fn on_item(&mut self, item: Payload, _created: u64, _ctx: &mut dyn RunCtx) {
+        let src = item.a as usize;
+        self.received += 1;
+        if item.b < self.seen[src] {
+            self.inversions += 1;
+        } else {
+            self.seen[src] = item.b + 1;
+        }
+    }
+
+    fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
+        if self.remaining == 0 {
+            return false;
+        }
+        let me = u64::from(ctx.my_id().0);
+        let workers = u64::from(ctx.total_workers());
+        for _ in 0..self.remaining.min(64) {
+            let dest = ctx.rng().below(workers) as usize;
+            ctx.send(WorkerId(dest as u32), Payload::new(me, self.next_seq[dest]));
+            self.next_seq[dest] += 1;
+            self.remaining -= 1;
+        }
+        if self.remaining == 0 {
+            ctx.flush();
+        }
+        true
+    }
+
+    fn local_done(&self) -> bool {
+        self.remaining == 0
+    }
+
+    fn on_finalize(&mut self, counters: &mut smp_aggregation::metrics::Counters) {
+        counters.add("order_inversions", self.inversions);
+        counters.add("order_received", self.received);
+    }
+}
+
+fn per_destination_order_holds_on_both_native_engines() {
+    // Items from one source to one destination arrive in the order they were
+    // sent on every engine: the grouping pass of WPs (destination) and WsP
+    // (source) is stable.  PP is left out: two sealers of one shared buffer
+    // may legally overtake each other.  Bypass off, so every item of the
+    // one-process cluster takes its scheme's aggregation path.
+    const ITEMS: u64 = 20_000;
+    const WORKERS: usize = 2;
+    let mut broken = Vec::new();
+    for scheme in [Scheme::NoAgg, Scheme::WW, Scheme::WPs, Scheme::WsP] {
+        let mut sim = sim_config(
+            ClusterSpec::smp(1, 1, WORKERS as u32),
+            scheme,
+            256,
+            16,
+            FlushPolicy::EXPLICIT_ONLY,
+            11,
+        );
+        sim.common.tram = sim.common.tram.with_local_bypass(false);
+        for backend in [Backend::Native, Backend::Process] {
+            let report = run_app(backend, sim, |_| {
+                Box::new(SequencedSender {
+                    remaining: ITEMS,
+                    next_seq: vec![0; WORKERS],
+                    seen: vec![0; WORKERS],
+                    inversions: 0,
+                    received: 0,
+                })
+            });
+            assert!(report.clean(), "{backend}/{scheme}: not clean");
+            assert_eq!(
+                report.counter("order_received"),
+                ITEMS * WORKERS as u64,
+                "{backend}/{scheme}"
+            );
+            let inversions = report.counter("order_inversions");
+            if inversions > 0 {
+                broken.push(format!("{backend}/{scheme}: {inversions} inversions"));
+            }
+        }
+    }
+    assert!(broken.is_empty(), "per-destination order lost: {broken:?}");
 }
