@@ -11,15 +11,13 @@
 //! as a real latency-sensitive service would.
 //!
 //! Requests and responses flow through the normal aggregation path, which is
-//! the point: the per-scheme latency-vs-offered-load curves (and the "max
-//! sustained throughput under SLO" scalar the bench suite derives from them)
-//! expose the latency cost of buffering that the closed-loop throughput
-//! benchmarks hide.
+//! the point: the measured latency includes the buffering delay that
+//! closed-loop workloads hide.
 //!
 //! The app is native-only: the simulator has no timer events to pace
 //! wall-clock arrivals (or age out partially-filled buffers) with.  Under a
-//! closed [`LoadShape`] every arrival is due immediately — the saturating
-//! calibration mode the bench suite uses to find each scheme's capacity.
+//! closed [`LoadShape`] every arrival is due immediately: the saturating
+//! mode.
 
 use net_model::WorkerId;
 use runtime_api::{

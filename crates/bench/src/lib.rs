@@ -3,9 +3,8 @@
 //! Each `figNN` function reruns the corresponding experiment on the simulated
 //! cluster and returns a [`metrics::Series`] whose columns mirror the lines of
 //! the paper's figure.  The `figures` binary writes them as CSV under
-//! `target/figures/` and prints aligned text tables; the Criterion benches in
-//! `benches/` wrap the same runs at [`Effort::Smoke`] size so `cargo bench`
-//! exercises every experiment quickly.
+//! `target/figures/` and prints aligned text tables; the tests below run
+//! the same experiments at [`Effort::Smoke`] size.
 //!
 //! **Scaling.**  The paper's runs use up to 64 physical nodes × 64 worker PEs
 //! and 1M–8M operations per PE.  Simulating every item on one host at that
@@ -15,10 +14,6 @@
 //! the figure is specifically about the within-node split.  The `figNN`
 //! functions below record the exact scaled parameters next to the paper's
 //! originals; `docs/DESIGN.md` §4 names the ablations.
-
-pub mod chaos;
-pub mod loadgen;
-pub mod regression;
 
 use apps::histogram::{run_histogram, HistogramConfig};
 use apps::index_gather::{run_index_gather, IndexGatherConfig};
@@ -33,7 +28,7 @@ use tramlib::Scheme;
 /// How big a run to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Tiny runs for `cargo bench` / CI smoke checks (seconds in total).
+    /// Tiny runs for tests and CI smoke checks (seconds in total).
     Smoke,
     /// The scaled-down-but-faithful runs used to regenerate the figures
     /// (a few minutes in total).
@@ -47,34 +42,6 @@ impl Effort {
             Effort::Paper => paper,
         }
     }
-
-    /// The name used in emitted JSON documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            Effort::Smoke => "smoke",
-            Effort::Paper => "paper",
-        }
-    }
-}
-
-/// Assemble a combined benchmark document (`BENCH_*.json`) from named series:
-/// `{"suite": .., "effort": .., "series": {name: series, ..}}`.
-pub fn suite_json(suite: &str, effort: Effort, series: &[(&str, &metrics::Series)]) -> String {
-    let mut out = format!(
-        "{{\"suite\":\"{suite}\",\"effort\":\"{}\",\"series\":{{",
-        effort.name()
-    );
-    for (i, (name, s)) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(name);
-        out.push_str("\":");
-        out.push_str(&s.to_json());
-    }
-    out.push_str("}}");
-    out
 }
 
 /// The SMP node shape used by the figure runs: the paper's 8×8 node scaled to

@@ -9,9 +9,8 @@
 //! ```
 //!
 //! Runs on the native backend only (the simulator has no timer events to
-//! pace wall-clock arrivals with).  For the full per-scheme latency-vs-load
-//! curves and the max sustained load under an SLO, run the bench suite:
-//! `cargo run --release -p bench --bin latency`.
+//! pace wall-clock arrivals with).  Noise-bounded latency numbers come from
+//! the repo benchmark's paced cells: `bash benchmark/run.sh` (BENCHMARK.json).
 
 use smp_aggregation::prelude::*;
 
