@@ -56,8 +56,8 @@ pub fn run_app(
 }
 
 /// Run one application on the native backend with backend-specific tuning
-/// applied on top of the [`SimConfig`]-derived defaults (ring capacities,
-/// watchdog, transport...), for workloads that have no
+/// applied on top of the [`SimConfig`]-derived defaults (watchdog,
+/// transport, signals...), for workloads that have no
 /// [`runtime_api::AppSpec`].
 pub fn run_app_native(
     sim: SimConfig,
@@ -114,14 +114,18 @@ pub fn run_spec(spec: RunSpec) -> RunReport {
              is the only one with node-leader threads to drive the wire"
         );
     }
+    if run.pin_workers {
+        assert!(
+            run.backend == Backend::Native,
+            "core pinning needs the native threaded backend: it is the only \
+             one with worker threads to pin"
+        );
+    }
 
     let mut make_app = app.factory(&run);
     let mut report = match run.backend {
         Backend::Sim => {
-            let mut sim = SimConfig::from_common(run.cluster.topology(), run.common());
-            if let Some(budget) = run.event_budget {
-                sim = sim.with_event_budget(budget);
-            }
+            let sim = SimConfig::from_common(run.cluster.topology(), run.common());
             smp_sim::run_cluster(sim, make_app.as_mut())
         }
         Backend::Native => native_rt::run_threaded(native_config(&run), make_app.as_mut()),
@@ -147,7 +151,6 @@ pub fn run_spec(spec: RunSpec) -> RunReport {
 /// an open-loop run the default widened past the arrival schedule.
 fn native_config(run: &ResolvedRunSpec) -> NativeBackendConfig {
     let native = NativeBackendConfig::from_common(run.common())
-        .with_message_store(run.message_store)
         .with_pin_workers(run.pin_workers)
         .with_faults(run.faults)
         .with_transport(run.transport);
@@ -249,6 +252,16 @@ mod tests {
             started.elapsed() < Duration::from_secs(5),
             "the 150 ms spec watchdog was ignored: {:?}",
             started.elapsed()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "core pinning needs the native threaded backend")]
+    fn pinning_off_the_threaded_backend_is_rejected() {
+        run_spec(
+            RunSpec::for_app(Strander)
+                .backend(Backend::Sim)
+                .pin_workers(true),
         );
     }
 }

@@ -32,6 +32,7 @@ pub mod numa;
 pub mod process;
 pub(crate) mod quantum;
 pub mod signals;
+pub(crate) mod sizing;
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -44,4 +45,4 @@ pub use affinity::{allowed_cpus, available_cpus, pin_current_thread};
 pub use numa::NumaTopology;
 pub use process::{run_process, ProcessBackendConfig};
 pub use signals::SignalGuard;
-pub use threaded::{run_threaded, MessageStore, NativeBackendConfig};
+pub use threaded::{run_threaded, NativeBackendConfig};

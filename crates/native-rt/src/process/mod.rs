@@ -11,7 +11,7 @@
 //! rebuilt on crash-robust terms:
 //!
 //! * **Transport** — a W×W mesh of [`shmem::SegRing`]s carrying fixed-size
-//!   [`worker::WireEnvelope`]s: inline singles, or descriptors of slabs
+//!   `WireEnvelope`s: inline singles, or descriptors of slabs
 //!   sealed into per-worker [`shmem::SegArena`]s (WW/WPs/WsP) with
 //!   refcounted multi-consumer release; PP inserts contend on shared
 //!   [`shmem::SegClaim`] buffers, one per destination process.
@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use net_model::WorkerId;
 use runtime_api::{CommonConfig, FaultPlan, RunReport, WorkerApp};
-use tramlib::{Scheme, TramConfig};
+use tramlib::TramConfig;
 
 #[cfg(all(
     target_os = "linux",
@@ -55,10 +55,6 @@ mod supervisor;
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod worker;
-
-/// Envelopes popped from one inbox ring per scheduling quantum; also a term
-/// of the auto-sized arena budget, hence defined platform-independently.
-pub(crate) const INBOX_BUDGET: usize = 128;
 
 /// Configuration for the multi-process backend ([`run_process`]).
 ///
@@ -109,41 +105,6 @@ impl ProcessBackendConfig {
     pub fn with_graceful_signals(mut self, graceful: bool) -> Self {
         self.graceful_signals = graceful;
         self
-    }
-
-    /// Whether the configured scheme seals slabs into per-worker arenas.
-    pub(crate) fn uses_arena(&self) -> bool {
-        matches!(
-            self.common.tram.scheme,
-            Scheme::WW | Scheme::WPs | Scheme::WsP
-        )
-    }
-
-    /// Per-ring capacity (envelopes), the threaded backend's auto-sizing
-    /// rule: slab descriptors are small and amortized, singles need deeper
-    /// rings.
-    pub(crate) fn resolved_ring_capacity(&self, workers: usize) -> usize {
-        if self.uses_arena() {
-            (2048 / workers.max(1)).clamp(8, 128)
-        } else {
-            (4096 / workers.max(1)).max(64)
-        }
-    }
-
-    /// Per-arena slab count: the worst-case outstanding budget — one open
-    /// buffer per destination, every ring slot full of slab descriptors, one
-    /// inbox batch in flight, plus stash headroom.
-    pub(crate) fn resolved_arena_slabs(&self, workers: usize) -> usize {
-        let topo = self.common.tram.topology;
-        let dests = if self.common.tram.scheme == Scheme::WW {
-            workers
-        } else {
-            topo.total_procs() as usize
-        };
-        dests
-            + workers * self.resolved_ring_capacity(workers)
-            + INBOX_BUDGET
-            + 4 * crate::threaded::STASH_THROTTLE
     }
 }
 

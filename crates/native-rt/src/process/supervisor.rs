@@ -54,7 +54,8 @@ use tramlib::{Item, Scheme, TramStats};
 
 use super::layout::{self, RunCtl, WorkerStatus};
 use super::worker::{self, WireEnvelope, World};
-use super::{ProcessBackendConfig, INBOX_BUDGET};
+use super::ProcessBackendConfig;
+use crate::sizing::{self, INBOX_BUDGET};
 use crate::sys;
 
 /// Monotone per-supervisor run counter, folded with the pid into the segment
@@ -148,9 +149,9 @@ pub(super) fn run(
 
     // ---- Shared-segment layout ------------------------------------------
     let g = tram.buffer_items.max(1);
-    let ring_capacity = config.resolved_ring_capacity(workers);
-    let uses_arena = matches!(scheme, Scheme::WW | Scheme::WPs | Scheme::WsP);
-    let arena_slabs = config.resolved_arena_slabs(workers);
+    let ring_capacity = sizing::ring_capacity(scheme, workers);
+    let uses_arena = sizing::uses_arena(scheme);
+    let arena_slabs = sizing::arena_slabs(&tram, workers);
     let claim_capacity = g;
     let mut plan = SegmentLayout::new();
     let ctl_off = plan.reserve(

@@ -56,11 +56,9 @@ use tramlib::{Item, Scheme, TramConfig};
 
 use super::layout::{self, RunCtl, WorkerStatus};
 use crate::quantum::{self, QuietTracker, SelfClocked};
+use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 use crate::sys;
 use crate::tally::Tally;
-use crate::threaded::STASH_THROTTLE;
-
-use super::INBOX_BUDGET;
 
 /// A single item, carried inline.
 pub(super) const TAG_SINGLE: u32 = 0;

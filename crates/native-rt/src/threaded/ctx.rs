@@ -126,7 +126,7 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// NoAgg ships one envelope per item; pushing each individually would pay
     /// a cold ring-slot write and a tail publication per item.
     pub(crate) defer_pushes: bool,
-    /// Slab store only: this worker's shared arena (claims and releases are
+    /// Arena schemes (WW/WPs/WsP) only: this worker's shared arena (claims and releases are
     /// ours alone; consumers only borrow and decrement).
     pub(crate) arena: Option<&'a SlabArena<Item<Payload>>>,
     /// Spent slab handles whose return ring to the owner was full; retried

@@ -29,12 +29,7 @@ use super::ctx::{deliver_batch, deliver_slice};
 use super::faults::ActiveFaults;
 use super::{Envelope, NativeWorkerCtx, Shared, WorkerOutput};
 use crate::quantum::QuietTracker;
-
-/// Max envelopes drained from one source ring per loop iteration, so a
-/// single hot source cannot starve the others.
-/// Also a term of the arena sizing: a consumer can hold this many popped
-/// envelopes (slabs among them) mid-processing.
-pub(crate) const INBOX_BUDGET: usize = 128;
+use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 
 /// Idle backoff: yield the CPU for the first rounds (on an oversubscribed
 /// host the producers need it to make work for us), then nap with doubling
@@ -195,11 +190,11 @@ fn mesh_loop(
         // it lands (dropping one would leak the owner's slab for the run).
         did_work |= ctx.flush_pending_returns();
         // Reclaim spent storage our consumers sent back (vectors feed the
-        // pools, slab handles reopen arena slabs).  On the vector store,
-        // returns only feed pools, so probing all N rings every iteration
-        // buys nothing — every 8th iteration (and every idle one) keeps the
-        // recycling at 1/8th of the probe cost, which itself scales with the
-        // worker count.  On the slab store the returns ARE the arena's
+        // pools, slab handles reopen arena slabs).  Without an arena (PP,
+        // NoAgg), returns only feed pools, so probing all N rings every
+        // iteration buys nothing — every 8th iteration (and every idle one)
+        // keeps the recycling at 1/8th of the probe cost, which itself scales
+        // with the worker count.  With an arena the returns ARE the arena's
         // capacity: drain them every iteration so a burst of sealed slabs
         // never dries the arena into the heap-vector fallback.
         if ctx.arena.is_some() || iteration % 8 == 0 || idle_rounds > 0 {
@@ -252,8 +247,7 @@ fn mesh_loop(
         // grows its stash without bound (and dries its slab arena); pausing
         // generation — while still draining, flushing and retrying — is the
         // backpressure that keeps in-flight storage bounded.
-        let throttled =
-            ctx.stash_len >= super::STASH_THROTTLE || ctx.wire_stash.len() >= super::STASH_THROTTLE;
+        let throttled = ctx.stash_len >= STASH_THROTTLE || ctx.wire_stash.len() >= STASH_THROTTLE;
         // What the quantum moved, before the app has its say: `on_idle`'s
         // return value decides napping below, never flushing.
         let moved = did_work;
@@ -520,7 +514,7 @@ fn handle_slab(
     }
 }
 
-/// Process one heap-vector message (the VecPool store, and every arena-miss
+/// Process one heap-vector message (PP, NoAgg and every arena-miss
 /// fallback): the PR 4 delivery path, unchanged.
 fn handle_vec_message(
     app: &mut dyn WorkerApp,

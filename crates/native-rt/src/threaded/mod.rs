@@ -73,14 +73,11 @@ use runtime_api::{
     ArenaAudit, Backend, CommonConfig, FaultKind, FaultPlan, NodeDiag, Payload, RunDiagnostics,
     RunOutcome, RunReport, TransportKind, WorkerApp,
 };
-use transport::Transport;
-
-// The message-store enum lives in `runtime-api` so the unified `RunSpec`
-// builder can name it without depending on this crate; re-exported here so
-// `native_rt::MessageStore` keeps working.
-pub use runtime_api::MessageStore;
 use shmem::{ClaimBuffer, SlabArena, SlabHandle, SlabRange, SpscRing};
 use tramlib::{Item, OutboundMessage, Scheme, SlabSealed, TramConfig, TramStats};
+use transport::Transport;
+
+use crate::sizing;
 
 pub(crate) use ctx::NativeWorkerCtx;
 
@@ -128,15 +125,6 @@ pub(crate) enum Spent {
 /// uplink vectors for its downlink batches.
 pub(crate) const SPARE_BATCHES: usize = 32;
 
-/// Generation backpressure: once this many envelopes sit in a mesh worker's
-/// overflow stash, the worker stops calling `on_idle` (generating new work)
-/// until the stash drains below the limit again.  Draining inboxes, flushing
-/// and retrying the stash continue untouched — only *new* production pauses,
-/// so the mesh stays deadlock-free while a burst can no longer run
-/// arbitrarily far ahead of descheduled consumers (which is what used to
-/// grow stashes without bound and, on the slab store, dry out the arena).
-pub(crate) const STASH_THROTTLE: usize = 128;
-
 /// Configuration of one native threaded run.
 #[derive(Debug, Clone, Copy)]
 pub struct NativeBackendConfig {
@@ -146,15 +134,9 @@ pub struct NativeBackendConfig {
     /// its deterministic RNG stream from.  `SimConfig` embeds the identical
     /// struct.
     pub common: CommonConfig,
-    /// Capacity (in envelopes) of each mesh ring.  `0` (the default) sizes
-    /// rings automatically: `max(64, 4096 / workers)` per pair, so total
-    /// mesh memory stays flat as the cluster grows.
-    pub mesh_ring_capacity: usize,
     /// Watchdog: if the run is not quiescent after this much wall-clock time
     /// it is aborted and reported as not clean.
     pub max_wall: Duration,
-    /// Message store for the aggregation hot path (slab arenas by default).
-    pub message_store: MessageStore,
     /// Pin each worker thread to core `worker_index % available_cpus` (the
     /// `--pin` CLI option).  Off by default: pinning helps steady benchmark
     /// sweeps, but a general run should leave placement to the scheduler.
@@ -191,9 +173,7 @@ impl NativeBackendConfig {
     pub fn from_common(common: CommonConfig) -> Self {
         Self {
             common,
-            mesh_ring_capacity: 0,
             max_wall: Duration::from_secs(60),
-            message_store: MessageStore::default(),
             pin_workers: false,
             faults: None,
             transport: None,
@@ -210,18 +190,6 @@ impl NativeBackendConfig {
     /// Override the watchdog limit.
     pub fn with_max_wall(mut self, max_wall: Duration) -> Self {
         self.max_wall = max_wall;
-        self
-    }
-
-    /// Override the per-pair mesh ring capacity (`0` = auto).
-    pub fn with_mesh_ring_capacity(mut self, capacity: usize) -> Self {
-        self.mesh_ring_capacity = capacity;
-        self
-    }
-
-    /// Override the message store (slab arena vs pooled vectors).
-    pub fn with_message_store(mut self, store: MessageStore) -> Self {
-        self.message_store = store;
         self
     }
 
@@ -251,71 +219,6 @@ impl NativeBackendConfig {
     pub fn with_transport(mut self, transport: Option<TransportKind>) -> Self {
         self.transport = transport;
         self
-    }
-
-    /// Whether this run uses slab arenas: the configured store, for the
-    /// schemes whose aggregation runs in a worker-owned aggregator.  PP
-    /// (process-shared claim buffers) and NoAgg (inline single items) always
-    /// use the vector path.
-    pub fn uses_arena(&self) -> bool {
-        self.message_store == MessageStore::SlabArena
-            && !matches!(self.common.tram.scheme, Scheme::PP | Scheme::NoAgg)
-    }
-
-    /// The per-worker arena size (in slabs) this configuration resolves to.
-    ///
-    /// Sizing rule: budget the demand sources rather than guess at
-    /// steady-state behaviour.  A sender's slabs in flight live in (a) one
-    /// mid-fill slab per destination slot, (b) the slots of its outgoing
-    /// rings (`workers × per-pair ring capacity` — the auto-sized slab
-    /// rings keep that product ≈ 2048), (c) envelopes a consumer has popped
-    /// but not yet finished (bounded per iteration by the inbox budget),
-    /// and (d) the sender-side stash, whose growth the generation throttle
-    /// caps (`STASH_THROTTLE`; handler-generated sends can overshoot it,
-    /// which the multiplier absorbs).  The bound is deliberately generous —
-    /// arena memory is cheap next to rings — and when a pathological
-    /// schedule still runs the arena dry, inserts fall back to pooled heap
-    /// vectors — a throughput dip recorded in the `arena_claim_misses`
-    /// counter, never a stall or a loss.
-    pub fn resolved_arena_slabs(&self, workers: usize) -> usize {
-        let dests = match self.common.tram.scheme {
-            Scheme::WW => workers,
-            _ => self.common.tram.topology.total_procs() as usize,
-        };
-        dests
-            + workers * self.resolved_mesh_capacity(workers)
-            + mesh::INBOX_BUDGET
-            + 4 * STASH_THROTTLE
-    }
-
-    /// The per-pair mesh ring capacity this configuration resolves to for
-    /// `workers` worker PEs.
-    ///
-    /// NoAgg ships one envelope per item (that is the scheme), so its rings
-    /// are deeper — a sender can outrun a descheduled consumer by thousands
-    /// of envelopes — but not unboundedly so: ring slots are the working
-    /// set, and a mesh bigger than the cache turns every push into a miss.
-    /// The overflow stash (sender-local, contiguous, cache-warm) absorbs
-    /// what the rings cannot.
-    ///
-    /// On the slab-arena store the rings are much shallower: every envelope
-    /// is a whole sealed buffer (`g` items), so a few dozen slots per pair
-    /// already buffer tens of thousands of items — and every occupied slot
-    /// pins one slab of the sender's bounded arena, so ring depth directly
-    /// sets the arena headroom a sender needs to stay zero-miss.
-    pub fn resolved_mesh_capacity(&self, workers: usize) -> usize {
-        if self.mesh_ring_capacity > 0 {
-            return self.mesh_ring_capacity;
-        }
-        if self.uses_arena() {
-            return (2048 / workers.max(1)).clamp(8, 128);
-        }
-        let base = (4096 / workers.max(1)).max(64);
-        if self.common.tram.scheme == Scheme::NoAgg {
-            base * 2
-        } else {
-            base
-        }
     }
 }
 
@@ -513,8 +416,9 @@ pub fn run_threaded(
     let workers = topo.total_workers() as usize;
     assert!(workers > 0, "topology must have at least one worker");
 
-    let plane = MeshPlane::new(workers, config.resolved_mesh_capacity(workers));
-    let pp = if config.common.tram.scheme == Scheme::PP {
+    let scheme = config.common.tram.scheme;
+    let plane = MeshPlane::new(workers, sizing::ring_capacity(scheme, workers));
+    let pp = if scheme == Scheme::PP {
         (0..topo.total_procs())
             .map(|_| {
                 (0..topo.total_procs())
@@ -525,8 +429,8 @@ pub fn run_threaded(
     } else {
         Vec::new()
     };
-    let arenas = if config.uses_arena() {
-        let slabs = config.resolved_arena_slabs(workers);
+    let arenas = if sizing::uses_arena(scheme) {
+        let slabs = sizing::arena_slabs(&config.common.tram, workers);
         (0..workers)
             .map(|_| SlabArena::new(slabs, config.common.tram.buffer_items))
             .collect()
@@ -1013,28 +917,19 @@ mod tests {
         }
     }
 
-    fn run_with(store: MessageStore, scheme: Scheme, updates: u64, seed: u64) -> RunReport {
+    fn run(scheme: Scheme, updates: u64, seed: u64) -> RunReport {
         let topo = Topology::smp(1, 2, 4); // 8 workers, 2 procs
         let tram = TramConfig::new(scheme, topo)
             .with_buffer_items(32)
             .with_item_bytes(16);
-        run_threaded(
-            NativeBackendConfig::new(tram)
-                .with_seed(seed)
-                .with_message_store(store),
-            |w| {
-                Box::new(RandomUpdates {
-                    me: w,
-                    remaining: updates,
-                    chunk: 64,
-                    flushed: false,
-                })
-            },
-        )
-    }
-
-    fn run(scheme: Scheme, updates: u64, seed: u64) -> RunReport {
-        run_with(MessageStore::SlabArena, scheme, updates, seed)
+        run_threaded(NativeBackendConfig::new(tram).with_seed(seed), |w| {
+            Box::new(RandomUpdates {
+                me: w,
+                remaining: updates,
+                chunk: 64,
+                flushed: false,
+            })
+        })
     }
 
     #[test]
@@ -1067,41 +962,6 @@ mod tests {
                     "{scheme}: the arena ran dry"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn arena_and_vecpool_stores_produce_identical_totals() {
-        // The message store is a transport detail: switching it must never
-        // change what the application computes, item totals, or what counts
-        // as wire traffic.
-        for scheme in Scheme::ALL {
-            let arena = run_with(MessageStore::SlabArena, scheme, 400, 29);
-            let pool = run_with(MessageStore::VecPool, scheme, 400, 29);
-            assert!(arena.clean() && pool.clean(), "{scheme}");
-            // PP's message *boundaries* depend on how the racing inserters
-            // interleave (same either store, but not across two runs), so
-            // message/byte counts are only comparable for the worker-private
-            // schemes; item totals are exact everywhere.
-            let comparable: &[&str] = if scheme == Scheme::PP {
-                &["app_received_checksum", "wire_items"]
-            } else {
-                &[
-                    "app_received_checksum",
-                    "wire_items",
-                    "wire_messages",
-                    "wire_bytes",
-                ]
-            };
-            for &counter in comparable {
-                assert_eq!(
-                    arena.counter(counter),
-                    pool.counter(counter),
-                    "{scheme}: {counter} diverged between stores"
-                );
-            }
-            assert_eq!(arena.items_sent, pool.items_sent, "{scheme}");
-            assert_eq!(arena.items_delivered, pool.items_delivered, "{scheme}");
         }
     }
 
@@ -1180,11 +1040,11 @@ mod tests {
     #[test]
     fn grouping_recycles_on_every_store() {
         // A steady stream of process-addressed messages must recycle its
-        // message storage, whatever that storage is: the VecPool store
-        // reuses grouping vectors; the slab arena recycles slabs (claims
+        // message storage, whatever that storage is: PP's heap vectors
+        // reuse grouping vectors; the slab arena recycles slabs (claims
         // keep succeeding — zero misses — because consumed slabs come home
         // over the return rings).
-        let report = run_with(MessageStore::VecPool, Scheme::WPs, 2_000, 5);
+        let report = run(Scheme::PP, 2_000, 5);
         assert!(report.clean());
         let hits = report.counter("batch_pool_hits");
         let misses = report.counter("batch_pool_misses");
@@ -1451,7 +1311,12 @@ mod tests {
                 0,
                 "{scheme}: held slabs must be released when the fault expires"
             );
-            for counter in ["app_received_checksum", "wire_items"] {
+            for counter in [
+                "app_received_checksum",
+                "wire_items",
+                "wire_messages",
+                "wire_bytes",
+            ] {
                 assert_eq!(
                     report.counter(counter),
                     healthy.counter(counter),
@@ -1480,60 +1345,121 @@ mod tests {
         let tram = TramConfig::new(Scheme::WW, topo)
             .with_buffer_items(4)
             .with_item_bytes(16);
-        let report = run_threaded(
-            NativeBackendConfig::new(tram)
-                .with_seed(3)
-                .with_mesh_ring_capacity(1),
-            |w| {
+        let report = sizing::test_ring::with_capacity(1, || {
+            run_threaded(NativeBackendConfig::new(tram).with_seed(3), |w| {
                 Box::new(RandomUpdates {
                     me: w,
                     remaining: 2_000,
                     chunk: 64,
                     flushed: false,
                 })
-            },
-        );
+            })
+        });
         assert!(report.clean(), "stash path must drain under backpressure");
         assert_eq!(report.items_sent, 2_000 * 4);
         assert_eq!(report.items_delivered, 2_000 * 4);
     }
 
+    /// Each worker seeds `seeds` relay chains of `hops` forwards each; a
+    /// delivered item with hops left is forwarded to a pseudo-random worker.
+    struct Relay {
+        seeds: u64,
+        hops: u64,
+        seeded: bool,
+    }
+
+    impl WorkerApp for Relay {
+        fn on_item(&mut self, item: Payload, _created: u64, ctx: &mut dyn RunCtx) {
+            ctx.counter("relay_delivered", 1);
+            if item.a > 0 {
+                let total = ctx.total_workers() as u64;
+                let dest = WorkerId(ctx.rng().below(total) as u32);
+                ctx.counter("relay_forwarded", 1);
+                ctx.send(dest, Payload::new(item.a - 1, item.b));
+            }
+        }
+
+        fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
+            if self.seeded {
+                return false;
+            }
+            self.seeded = true;
+            let total = ctx.total_workers() as u64;
+            for chain in 0..self.seeds {
+                let dest = WorkerId(ctx.rng().below(total) as u32);
+                ctx.send(dest, Payload::new(self.hops, chain));
+            }
+            true
+        }
+
+        fn local_done(&self) -> bool {
+            self.seeded
+        }
+    }
+
     #[test]
-    fn resolved_mesh_capacity_scales_down_with_workers() {
-        let topo = Topology::smp(1, 1, 2);
-        let arena = NativeBackendConfig::new(TramConfig::new(Scheme::WW, topo));
-        // Slab rings: ~2048 total slots, clamped to [8, 128] per pair.
-        assert!(arena.uses_arena());
-        assert_eq!(arena.resolved_mesh_capacity(8), 128);
-        assert_eq!(arena.resolved_mesh_capacity(64), 32);
-        assert_eq!(arena.resolved_mesh_capacity(1024), 8, "floor holds");
-        // Vector rings: the PR 4 sizing, unchanged.
-        let pool = arena.with_message_store(MessageStore::VecPool);
-        assert_eq!(pool.resolved_mesh_capacity(8), 512);
-        assert_eq!(pool.resolved_mesh_capacity(16), 256);
-        assert_eq!(pool.resolved_mesh_capacity(64), 64);
-        assert_eq!(pool.resolved_mesh_capacity(1024), 64, "floor holds");
-        assert_eq!(
-            pool.with_mesh_ring_capacity(7).resolved_mesh_capacity(64),
-            7,
-            "explicit capacity wins"
-        );
+    fn relay_chains_survive_constant_backpressure() {
+        // Idle-flushed relay chains on rings small enough that forwards
+        // regularly overflow into the stash: late-arriving batches and
+        // backpressure retries at once.  Every chain is seeded once and
+        // forwarded exactly `hops` times, so the totals are closed-form.
+        let (workers, seeds, hops) = (8u64, 2u64, 12u64);
+        let expected = workers * seeds * (1 + hops);
+        for round in 0..10u64 {
+            let tram = TramConfig::new(Scheme::WPs, Topology::smp(1, 2, 4))
+                .with_buffer_items(64)
+                .with_item_bytes(16)
+                .with_flush_policy(tramlib::FlushPolicy::ON_IDLE);
+            let config = NativeBackendConfig::new(tram)
+                .with_seed(0xBACC_0000 + round)
+                .with_max_wall(Duration::from_secs(30));
+            let report = sizing::test_ring::with_capacity(1, || {
+                run_threaded(config, |_| {
+                    Box::new(Relay {
+                        seeds,
+                        hops,
+                        seeded: false,
+                    })
+                })
+            });
+            assert!(
+                report.clean(),
+                "round {round}: run did not terminate cleanly"
+            );
+            assert_eq!(
+                report.items_sent, expected,
+                "round {round}: wrong send total"
+            );
+            assert_eq!(
+                report.items_delivered, expected,
+                "round {round}: items lost or duplicated"
+            );
+            assert_eq!(
+                report.counter("relay_delivered"),
+                expected,
+                "round {round}: handler executions diverge from deliveries"
+            );
+            assert_eq!(
+                report.counter("relay_forwarded"),
+                workers * seeds * hops,
+                "round {round}: wrong forward count"
+            );
+        }
     }
 
     #[test]
     fn resolved_arena_covers_every_ring_slot() {
-        let topo = Topology::smp(1, 4, 4);
-        let cfg = NativeBackendConfig::new(TramConfig::new(Scheme::WW, topo));
+        let tram = TramConfig::new(Scheme::WW, Topology::smp(1, 4, 4));
         let workers = 16;
         // One slab per destination + every outgoing ring slot + stash slack:
         // a sender whose rings are all full still cannot run the arena dry.
-        let ring = cfg.resolved_mesh_capacity(workers);
+        let ring = sizing::ring_capacity(Scheme::WW, workers);
         assert_eq!(
-            cfg.resolved_arena_slabs(workers),
-            workers + workers * ring + mesh::INBOX_BUDGET + 4 * STASH_THROTTLE
+            sizing::arena_slabs(&tram, workers),
+            workers + workers * ring + sizing::INBOX_BUDGET + 4 * sizing::STASH_THROTTLE
         );
         // PP and NoAgg never build arenas at all.
-        let pp = NativeBackendConfig::new(TramConfig::new(Scheme::PP, topo));
-        assert!(!pp.uses_arena());
+        assert!(!sizing::uses_arena(Scheme::PP));
+        assert!(!sizing::uses_arena(Scheme::NoAgg));
     }
 }

@@ -133,33 +133,6 @@ fn relay_chains_survive_idle_and_rewake_across_100_runs() {
     );
 }
 
-/// The same scenario with rings small enough that forwards regularly
-/// overflow into the stash: late-arriving batches + backpressure retries.
-#[test]
-fn relay_chains_survive_constant_backpressure() {
-    for round in 0..10u64 {
-        let topo = Topology::smp(1, 2, 4);
-        let tram = TramConfig::new(Scheme::WPs, topo)
-            .with_buffer_items(64)
-            .with_item_bytes(16)
-            .with_flush_policy(FlushPolicy::ON_IDLE);
-        let report = run_threaded(
-            NativeBackendConfig::new(tram)
-                .with_seed(0xBACC_0000 + round)
-                .with_mesh_ring_capacity(1)
-                .with_max_wall(Duration::from_secs(30)),
-            |_| {
-                Box::new(Relay {
-                    seeds: 2,
-                    hops: 12,
-                    seeded: false,
-                })
-            },
-        );
-        assert_exact_conservation(Scheme::WPs, round, &report);
-    }
-}
-
 /// The relay with an injected mid-run stall: one worker freezes for 30 ms
 /// while chains route through it, then resumes.  A stall delays but never
 /// loses items, so the closed-form totals must still be reached exactly —

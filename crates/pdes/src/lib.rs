@@ -15,7 +15,7 @@
 //! * [`RollbackLp`] — an extension beyond the paper: a real Time-Warp-style
 //!   engine that keeps processed events and counts how many must be undone per
 //!   straggler, for the ablation benchmark;
-//! * [`PholdConfig`] / [`next_event`] — the PHOLD workload: exponential
+//! * [`PholdConfig`] / [`PholdConfig::next_event`] — the PHOLD workload: exponential
 //!   inter-event times with a fixed lookahead, uniformly random destination
 //!   logical processes.
 

@@ -42,8 +42,8 @@ pub use report::{
 };
 pub use spec::{
     open_loop, AppDefaults, AppFactory, AppSpec, ArrivalProcess, ClusterSpec, CommonArgs,
-    CommonConfig, KernelMode, LoadShape, MessageStore, OpenLoad, ResolvedRunSpec, RunSpec,
-    SloPolicy, TransportKind, DEFAULT_SEED,
+    CommonConfig, KernelMode, LoadShape, OpenLoad, ResolvedRunSpec, RunSpec, SloPolicy,
+    TransportKind, DEFAULT_SEED,
 };
 // Re-exported so applications can implement `WorkerApp::on_item_slice`
 // without naming `tramlib` directly.

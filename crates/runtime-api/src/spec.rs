@@ -249,19 +249,6 @@ impl std::str::FromStr for KernelMode {
     }
 }
 
-/// Which message store backs the native backend's aggregation hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MessageStore {
-    /// Zero-copy slab arenas (the default): items are written once into
-    /// per-worker shared arenas and borrowed in place by consumers; only
-    /// handles move.
-    #[default]
-    SlabArena,
-    /// Pooled heap vectors: the worker-private vector path (no arena, deeper
-    /// rings).  Measured against the arena in `docs/DESIGN.md` §5.
-    VecPool,
-}
-
 /// The arrival process of an open-loop load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
@@ -452,9 +439,7 @@ pub struct ResolvedRunSpec {
     pub load: LoadShape,
     /// Optional p99 SLO stamped onto the report's latency summary.
     pub slo: Option<SloPolicy>,
-    /// Native backend: message store.
-    pub message_store: MessageStore,
-    /// Native backend: pin worker threads to cores.
+    /// Native threaded backend: pin worker threads to cores.
     pub pin_workers: bool,
     /// Which slice-kernel implementation the apps consume items with.
     pub kernel: KernelMode,
@@ -469,8 +454,6 @@ pub struct ResolvedRunSpec {
     /// cluster spans more than one node (`None` = in-process mesh only, the
     /// pre-node-tier behaviour).
     pub transport: Option<TransportKind>,
-    /// Simulator: event-budget override.
-    pub event_budget: Option<u64>,
 }
 
 impl ResolvedRunSpec {
@@ -504,20 +487,16 @@ pub struct RunSpec {
     cluster: Option<ClusterSpec>,
     scheme: Option<Scheme>,
     buffer_items: Option<usize>,
-    item_bytes: Option<u32>,
-    flush_policy: Option<FlushPolicy>,
     seed: Option<u64>,
     local_bypass: Option<bool>,
     load: LoadShape,
     slo: Option<SloPolicy>,
-    message_store: MessageStore,
     pin_workers: bool,
     kernel: KernelMode,
     max_wall: Option<Duration>,
     faults: Option<FaultPlan>,
     transport: Option<TransportKind>,
     nodes_override: Option<u32>,
-    event_budget: Option<u64>,
 }
 
 impl RunSpec {
@@ -529,20 +508,16 @@ impl RunSpec {
             cluster: None,
             scheme: None,
             buffer_items: None,
-            item_bytes: None,
-            flush_policy: None,
             seed: None,
             local_bypass: None,
             load: LoadShape::Closed,
             slo: None,
-            message_store: MessageStore::default(),
             pin_workers: false,
             kernel: KernelMode::default(),
             max_wall: None,
             faults: None,
             transport: None,
             nodes_override: None,
-            event_budget: None,
         }
     }
 
@@ -583,18 +558,6 @@ impl RunSpec {
         self
     }
 
-    /// Per-item wire size in bytes (default: the app's).
-    pub fn item_bytes(mut self, bytes: u32) -> Self {
-        self.item_bytes = Some(bytes);
-        self
-    }
-
-    /// Flush policy (default: the app's).
-    pub fn flush_policy(mut self, policy: FlushPolicy) -> Self {
-        self.flush_policy = Some(policy);
-        self
-    }
-
     /// Experiment seed (default: the app's).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -620,13 +583,8 @@ impl RunSpec {
         self
     }
 
-    /// Native backend: message store (default: slab arenas).
-    pub fn message_store(mut self, store: MessageStore) -> Self {
-        self.message_store = store;
-        self
-    }
-
-    /// Native backend: pin worker threads to cores (default: off).
+    /// Native threaded backend: pin worker threads to cores (default: off).
+    /// The other backends reject it rather than ignore it.
     pub fn pin_workers(mut self, pin: bool) -> Self {
         self.pin_workers = pin;
         self
@@ -669,12 +627,6 @@ impl RunSpec {
         self
     }
 
-    /// Simulator: event-budget override.
-    pub fn event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = Some(budget);
-        self
-    }
-
     /// The application this spec runs.
     pub fn app(&self) -> &dyn AppSpec {
         self.app.as_ref()
@@ -692,19 +644,17 @@ impl RunSpec {
             cluster,
             scheme: self.scheme.unwrap_or(defaults.scheme),
             buffer_items: self.buffer_items.unwrap_or(defaults.buffer_items),
-            item_bytes: self.item_bytes.unwrap_or(defaults.item_bytes),
-            flush_policy: self.flush_policy.unwrap_or(defaults.flush_policy),
+            item_bytes: defaults.item_bytes,
+            flush_policy: defaults.flush_policy,
             seed: self.seed.unwrap_or(defaults.seed),
             local_bypass: self.local_bypass,
             load: self.load,
             slo: self.slo,
-            message_store: self.message_store,
             pin_workers: self.pin_workers,
             kernel: self.kernel,
             max_wall: self.max_wall,
             faults: self.faults,
             transport: self.transport,
-            event_budget: self.event_budget,
         }
     }
 }

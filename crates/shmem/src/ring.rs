@@ -115,7 +115,7 @@ impl<T> SpscRing<T> {
     /// The wait escalates: busy-spin for the first attempts (the consumer may
     /// be mid-drain on another core), then yield the CPU (on oversubscribed
     /// hosts the consumer needs our core to make progress), then park in
-    /// [`PARK_INTERVAL`] naps so a stalled consumer does not burn a core.
+    /// `PARK_INTERVAL` naps so a stalled consumer does not burn a core.
     pub fn push_wait_or(&self, item: T, cancel: impl Fn() -> bool) -> Result<(), T> {
         let mut pending = item;
         let mut attempts = 0u32;

@@ -20,6 +20,7 @@
 //!   required) so the post-run audit balances with zero leaks.
 //!
 //! [`SlabArena`]: crate::slab::SlabArena
+//! [`SlabArena::audit`]: crate::slab::SlabArena::audit
 
 use crate::slab::{ArenaStats, SlabAudit, SlabHandle};
 use std::marker::PhantomData;

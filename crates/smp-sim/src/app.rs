@@ -1,6 +1,6 @@
 //! The simulator's implementation of the application contract.
 //!
-//! The [`WorkerApp`] trait and the [`RunCtx`] context applications are written
+//! The [`WorkerApp`](runtime_api::WorkerApp) trait and the [`RunCtx`] context applications are written
 //! against live in the `runtime-api` crate (they are backend-agnostic);
 //! this module provides [`WorkerCtx`], the simulator's [`RunCtx`]
 //! implementation.  All interaction with the simulated cluster happens through
