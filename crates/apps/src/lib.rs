@@ -34,5 +34,5 @@ pub mod pingpong;
 pub mod service;
 pub mod sssp;
 
-pub use common::{run_app, run_spec, ClusterSpec, RunSpecExt};
+pub use common::{run_spec, ClusterSpec, RunSpecExt};
 pub use runtime_api::{open_loop, AppSpec, Backend, RunSpec, SloPolicy};

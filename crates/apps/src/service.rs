@@ -335,7 +335,11 @@ mod tests {
 
     #[test]
     fn sim_backend_is_rejected() {
-        let result = std::panic::catch_unwind(|| run_spec(RunSpec::for_app(base())));
-        assert!(result.is_err(), "service must refuse the simulator");
+        let err = RunSpec::for_app(base()).resolve().unwrap_err();
+        assert_eq!(
+            err.rule(),
+            "app-backend",
+            "service must refuse the simulator"
+        );
     }
 }

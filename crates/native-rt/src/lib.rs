@@ -43,6 +43,6 @@ pub mod threaded;
 
 pub use affinity::{allowed_cpus, available_cpus, pin_current_thread};
 pub use numa::NumaTopology;
-pub use process::{run_process, ProcessBackendConfig};
+pub use process::run_process;
 pub use signals::SignalGuard;
-pub use threaded::{run_threaded, NativeBackendConfig};
+pub use threaded::run_threaded;

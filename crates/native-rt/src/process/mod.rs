@@ -25,20 +25,18 @@
 //!   refuses to run over markers it cannot interpret.
 //!
 //! Faults: [`runtime_api::FaultKind::Kill`] is a real `SIGKILL` fired by
-//! the supervisor (the victim gets no say); `Panic`/`Stall` fire in-child.
-//! With `graceful_signals`, SIGINT/SIGTERM quiesce the run into a
-//! `Degraded` report instead of killing it.
+//! the supervisor (the victim gets no say); `Panic`/`Stall` fire in-child;
+//! `RunSpec::resolve` refuses every other kind for this backend.  With
+//! `graceful_signals`, SIGINT/SIGTERM quiesce the run into a `Degraded`
+//! report instead of killing it.
 //!
 //! The backend is Linux-only (memfd + fork + pidfd); on other platforms
 //! [`run_process`] panics with a clear message.  Callers must be
 //! single-threaded at the call (fork-without-exec rule) — the process-mode
 //! integration tests are `harness = false` binaries for this reason.
 
-use std::time::Duration;
-
 use net_model::WorkerId;
-use runtime_api::{CommonConfig, FaultPlan, RunReport, WorkerApp};
-use tramlib::TramConfig;
+use runtime_api::{ResolvedRunSpec, RunReport, WorkerApp};
 
 #[cfg(all(
     target_os = "linux",
@@ -56,66 +54,16 @@ mod supervisor;
 ))]
 mod worker;
 
-/// Configuration for the multi-process backend ([`run_process`]).
+/// Run `make_app` on one forked process per worker PE of `run`'s cluster,
+/// communicating through a shared `memfd` segment.
 ///
-/// Mirrors `NativeBackendConfig` where the backends overlap (TramLib setup,
-/// seed, faults, wall-clock watchdog).
-#[derive(Debug, Clone, Copy)]
-pub struct ProcessBackendConfig {
-    /// TramLib setup and seed shared with the other backends.
-    pub common: CommonConfig,
-    /// Wall-clock watchdog: the run aborts if not quiescent within this.
-    pub max_wall: Duration,
-    /// Injected faults (`kill` / `panic` / `stall` in process mode).
-    pub faults: Option<FaultPlan>,
-    /// Treat delivered SIGINT/SIGTERM as a quiesce request (drain, then
-    /// report `Degraded`) instead of dying with default disposition.
-    pub graceful_signals: bool,
-}
-
-impl ProcessBackendConfig {
-    pub fn new(tram: TramConfig) -> Self {
-        Self::from_common(CommonConfig::new(tram))
-    }
-
-    pub fn from_common(common: CommonConfig) -> Self {
-        Self {
-            common,
-            max_wall: Duration::from_secs(60),
-            faults: None,
-            graceful_signals: false,
-        }
-    }
-
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.common.seed = seed;
-        self
-    }
-
-    pub fn with_max_wall(mut self, max_wall: Duration) -> Self {
-        self.max_wall = max_wall;
-        self
-    }
-
-    pub fn with_faults(mut self, faults: Option<FaultPlan>) -> Self {
-        self.faults = faults.filter(|plan| !plan.is_empty());
-        self
-    }
-
-    pub fn with_graceful_signals(mut self, graceful: bool) -> Self {
-        self.graceful_signals = graceful;
-        self
-    }
-}
-
-/// Run `make_app` on one forked process per worker PE of the configured
-/// topology, communicating through a shared `memfd` segment.
-///
-/// The calling thread must be the process's only running thread (the
-/// backend forks without exec'ing).  Panics on unsupported platforms and on
-/// startup-hygiene failures (unreadable orphan markers).
+/// `run` must be a [`runtime_api::Backend::Process`] spec:
+/// [`runtime_api::RunSpec::resolve`] checked its options against this
+/// backend.  The calling thread must be the process's only running thread
+/// (the backend forks without exec'ing).  Panics on unsupported platforms
+/// and on startup-hygiene failures (unreadable orphan markers).
 pub fn run_process(
-    config: ProcessBackendConfig,
+    run: &ResolvedRunSpec,
     make_app: impl FnMut(WorkerId) -> Box<dyn WorkerApp>,
 ) -> RunReport {
     #[cfg(all(
@@ -123,14 +71,14 @@ pub fn run_process(
         any(target_arch = "x86_64", target_arch = "aarch64")
     ))]
     {
-        supervisor::run(config, make_app)
+        supervisor::run(run, make_app)
     }
     #[cfg(not(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
     )))]
     {
-        let _ = (config, make_app);
+        let _ = (run, make_app);
         panic!("the process backend requires linux on x86_64/aarch64");
     }
 }

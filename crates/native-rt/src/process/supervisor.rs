@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 use metrics::{Counters, LatencyRecorder};
 use net_model::WorkerId;
 use runtime_api::{
-    ArenaAudit, Backend, FaultKind, FaultTrigger, Payload, ProcessExit, RunDiagnostics, RunOutcome,
-    RunReport, WorkerApp,
+    ArenaAudit, Backend, FaultKind, FaultTrigger, Payload, ProcessExit, ResolvedRunSpec,
+    RunDiagnostics, RunOutcome, RunReport, WorkerApp, MAX_PROCESS_WORKERS,
 };
 use shmem::{
     marker_dir, scan_orphans, MarkerGuard, SegArena, SegClaim, SegHeader, SegRing, Segment,
@@ -54,7 +54,6 @@ use tramlib::{Item, Scheme, TramStats};
 
 use super::layout::{self, RunCtl, WorkerStatus};
 use super::worker::{self, WireEnvelope, World};
-use super::ProcessBackendConfig;
 use crate::sizing::{self, INBOX_BUDGET};
 use crate::sys;
 
@@ -106,37 +105,24 @@ struct KillFault {
 /// integration tests run as `harness = false` binaries for exactly this
 /// reason.
 pub(super) fn run(
-    config: ProcessBackendConfig,
+    run: &ResolvedRunSpec,
     mut make_app: impl FnMut(WorkerId) -> Box<dyn WorkerApp>,
 ) -> RunReport {
-    let tram = config.common.tram;
+    assert_eq!(
+        run.backend,
+        Backend::Process,
+        "run_process runs process specs"
+    );
+    let tram = run.tram();
     let topo = tram.topology;
     let workers = topo.total_workers() as usize;
     let procs = topo.total_procs() as usize;
     let scheme = tram.scheme;
-    assert!(workers > 0, "topology must have at least one worker");
     assert!(
-        workers <= 64,
+        workers <= MAX_PROCESS_WORKERS as usize,
         "the process backend tracks worker death in a 64-bit mask ({workers} workers requested)"
     );
-    let faults = config.faults.filter(|plan| !plan.is_empty());
-    if let Some(plan) = &faults {
-        for fault in plan.iter() {
-            assert!(
-                (fault.worker as usize) < workers,
-                "fault targets worker {} of {workers}",
-                fault.worker
-            );
-            assert!(
-                matches!(
-                    fault.kind,
-                    FaultKind::Kill | FaultKind::Panic | FaultKind::Stall { .. }
-                ),
-                "the process backend injects kill/panic/stall faults only (got {})",
-                fault.kind.label()
-            );
-        }
-    }
+    let faults = run.faults;
 
     // Segment hygiene before anything is created: reclaim what dead runs
     // left, refuse on droppings we do not understand, then mark this run.
@@ -230,7 +216,7 @@ pub(super) fn run(
     let world = World {
         tram,
         topo,
-        seed: config.common.seed,
+        seed: run.seed,
         workers,
         procs,
         epoch: Instant::now(),
@@ -250,7 +236,7 @@ pub(super) fn run(
 
     // Installed before forking so children inherit the blocked mask: a ^C
     // must land on the supervisor's signalfd, never kill a worker directly.
-    let mut signals = if config.graceful_signals {
+    let mut signals = if run.graceful_signals {
         crate::signals::SignalGuard::install()
     } else {
         None
@@ -304,8 +290,8 @@ pub(super) fn run(
         .collect();
     let mut kill_count = 0u64;
 
-    let deadline = start + config.max_wall;
-    let grace = (config.max_wall / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
+    let deadline = start + run.max_wall;
+    let grace = (run.max_wall / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
     let mut alive = vec![true; workers];
     let mut exits: Vec<ProcessExit> = Vec::new();
     let mut stalled_ever = vec![false; workers];
@@ -695,7 +681,7 @@ pub(super) fn run(
                 || {
                     format!(
                         "watchdog: not quiescent within {:.3}s",
-                        config.max_wall.as_secs_f64()
+                        run.max_wall.as_secs_f64()
                     )
                 },
                 ProcessExit::to_string,

@@ -10,12 +10,13 @@
 //!
 //! The guard restores the previous mask on drop, so a run that opted in
 //! leaves the process's signal disposition exactly as it found it.  It is
-//! **opt-in** per run ([`NativeBackendConfig::graceful_signals`]): the mask
-//! is process-wide state that an embedding application — or a parallel test
-//! harness — must not have changed under it.
+//! **opt-in** per run ([`ResolvedRunSpec::graceful_signals`], set with
+//! `RunSpec::graceful_signals`): the mask is process-wide state that an
+//! embedding application — or a parallel test harness — must not have
+//! changed under it.
 //!
-//! [`NativeBackendConfig::graceful_signals`]:
-//! crate::NativeBackendConfig::graceful_signals
+//! [`ResolvedRunSpec::graceful_signals`]:
+//! runtime_api::ResolvedRunSpec::graceful_signals
 
 #[cfg(all(
     target_os = "linux",

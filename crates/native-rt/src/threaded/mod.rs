@@ -70,7 +70,7 @@ use metrics::LatencySummary;
 use metrics::{Counters, LatencyRecorder};
 use net_model::{Topology, WorkerId};
 use runtime_api::{
-    ArenaAudit, Backend, CommonConfig, FaultKind, FaultPlan, NodeDiag, Payload, RunDiagnostics,
+    ArenaAudit, Backend, FaultKind, FaultPlan, NodeDiag, Payload, ResolvedRunSpec, RunDiagnostics,
     RunOutcome, RunReport, TransportKind, WorkerApp,
 };
 use shmem::{ClaimBuffer, SlabArena, SlabHandle, SlabRange, SpscRing};
@@ -124,103 +124,6 @@ pub(crate) enum Spent {
 /// aggregator pool (or dropping them); a node leader keeps as many emptied
 /// uplink vectors for its downlink batches.
 pub(crate) const SPARE_BATCHES: usize = 32;
-
-/// Configuration of one native threaded run.
-#[derive(Debug, Clone, Copy)]
-pub struct NativeBackendConfig {
-    /// The backend-shared configuration: the TramLib setup (whose topology
-    /// decides the thread layout — one thread per worker PE, claim buffers
-    /// per process pair for PP) and the experiment seed every worker derives
-    /// its deterministic RNG stream from.  `SimConfig` embeds the identical
-    /// struct.
-    pub common: CommonConfig,
-    /// Watchdog: if the run is not quiescent after this much wall-clock time
-    /// it is aborted and reported as not clean.
-    pub max_wall: Duration,
-    /// Pin each worker thread to core `worker_index % available_cpus` (the
-    /// `--pin` CLI option).  Off by default: pinning helps steady benchmark
-    /// sweeps, but a general run should leave placement to the scheduler.
-    /// A pinned run on a multi-node host is also NUMA-aware: each worker's
-    /// slab arena is bound to the node its thread is pinned on, and the mesh
-    /// stash drains same-node destinations first.
-    pub pin_workers: bool,
-    /// Deterministic fault plan (`None` = no injection, zero hot-path cost
-    /// beyond one `Option` branch per scheduling quantum).
-    pub faults: Option<FaultPlan>,
-    /// Inter-node transport for multi-node topologies (`None` = the whole
-    /// cluster runs in-process over the mesh, exactly as before).  When set
-    /// and the topology spans more than one node, each node gains a leader
-    /// thread that re-aggregates cross-node traffic and ships it over this
-    /// wire — see the `node` module.
-    pub transport: Option<TransportKind>,
-    /// Graceful shutdown on SIGINT/SIGTERM: block the signals for the run and
-    /// poll them from the monitor; a delivered signal quiesces the run (stop
-    /// generating, final flush, drain, report `Degraded`) instead of killing
-    /// the process mid-flight.  **Off by default** — the signal mask is
-    /// process-global state, so embedding runs (and parallel test harnesses)
-    /// must opt in explicitly.
-    pub graceful_signals: bool,
-}
-
-impl NativeBackendConfig {
-    /// Defaults for `tram`: the simulator's default seed, auto-sized mesh
-    /// rings and slab arenas, and a 60 s watchdog.
-    pub fn new(tram: TramConfig) -> Self {
-        Self::from_common(CommonConfig::new(tram))
-    }
-
-    /// Build a configuration from the backend-shared [`CommonConfig`].
-    pub fn from_common(common: CommonConfig) -> Self {
-        Self {
-            common,
-            max_wall: Duration::from_secs(60),
-            pin_workers: false,
-            faults: None,
-            transport: None,
-            graceful_signals: false,
-        }
-    }
-
-    /// Override the experiment seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.common.seed = seed;
-        self
-    }
-
-    /// Override the watchdog limit.
-    pub fn with_max_wall(mut self, max_wall: Duration) -> Self {
-        self.max_wall = max_wall;
-        self
-    }
-
-    /// Enable or disable worker-thread core pinning.
-    pub fn with_pin_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
-        self
-    }
-
-    /// Install a deterministic fault plan (an empty plan is normalized to
-    /// `None` so the hot path keeps its zero-cost branch).
-    pub fn with_faults(mut self, faults: Option<FaultPlan>) -> Self {
-        self.faults = faults.filter(|plan| !plan.is_empty());
-        self
-    }
-
-    /// Opt in to graceful SIGINT/SIGTERM shutdown (see
-    /// [`NativeBackendConfig::graceful_signals`]).
-    pub fn with_graceful_signals(mut self, graceful: bool) -> Self {
-        self.graceful_signals = graceful;
-        self
-    }
-
-    /// Select the inter-node transport (`None` keeps the whole cluster
-    /// in-process).  Only takes effect on topologies with more than one
-    /// node.
-    pub fn with_transport(mut self, transport: Option<TransportKind>) -> Self {
-        self.transport = transport;
-        self
-    }
-}
 
 /// The delivery plane: per-pair envelope rings and per-pair batch-return
 /// rings, both flattened `src * workers + dst`.
@@ -408,21 +311,28 @@ pub(crate) struct WorkerOutput {
 /// Times in the report are wall-clock nanoseconds on the host machine; item
 /// and counter totals are identical to a simulator run of the same
 /// deterministic workload.
+///
+/// `run` must be a [`Backend::Native`] spec: [`runtime_api::RunSpec::resolve`]
+/// checked its options against this backend.
 pub fn run_threaded(
-    config: NativeBackendConfig,
+    run: &ResolvedRunSpec,
     mut make_app: impl FnMut(WorkerId) -> Box<dyn WorkerApp>,
 ) -> RunReport {
-    let topo = config.common.tram.topology;
+    assert_eq!(
+        run.backend,
+        Backend::Native,
+        "run_threaded runs native specs"
+    );
+    let tram = run.tram();
+    let topo = tram.topology;
     let workers = topo.total_workers() as usize;
-    assert!(workers > 0, "topology must have at least one worker");
-
-    let scheme = config.common.tram.scheme;
+    let scheme = tram.scheme;
     let plane = MeshPlane::new(workers, sizing::ring_capacity(scheme, workers));
     let pp = if scheme == Scheme::PP {
         (0..topo.total_procs())
             .map(|_| {
                 (0..topo.total_procs())
-                    .map(|_| ClaimBuffer::new(config.common.tram.buffer_items))
+                    .map(|_| ClaimBuffer::new(tram.buffer_items))
                     .collect()
             })
             .collect()
@@ -430,9 +340,9 @@ pub fn run_threaded(
         Vec::new()
     };
     let arenas = if sizing::uses_arena(scheme) {
-        let slabs = sizing::arena_slabs(&config.common.tram, workers);
+        let slabs = sizing::arena_slabs(&tram, workers);
         (0..workers)
-            .map(|_| SlabArena::new(slabs, config.common.tram.buffer_items))
+            .map(|_| SlabArena::new(slabs, tram.buffer_items))
             .collect()
     } else {
         Vec::new()
@@ -441,7 +351,7 @@ pub fn run_threaded(
     // same `allowed[w % allowed.len()]` rule `pin_current_thread` applies).
     // Unpinned runs get no prediction: the scheduler may move threads
     // between nodes mid-run, so claiming a placement would be a lie.
-    let worker_node: Vec<u16> = if config.pin_workers {
+    let worker_node: Vec<u16> = if run.pin_workers {
         let numa = crate::numa::NumaTopology::detect();
         let allowed = crate::affinity::allowed_cpus();
         if numa.nodes() > 1 && !allowed.is_empty() {
@@ -459,19 +369,17 @@ pub fn run_threaded(
     // The node-leader tier exists only when the topology actually spans
     // nodes AND a transport was asked for; otherwise multi-node topologies
     // keep running entirely in-process, exactly as before.
-    let node_transport = config.transport.filter(|_| topo.nodes() > 1);
+    let node_transport = run.transport.filter(|_| topo.nodes() > 1);
     let transports: Vec<Box<dyn Transport>> = match node_transport {
         None => Vec::new(),
         // Mesh construction failures are configuration/environment errors
         // caught before any worker spawns — panicking here is a clean
         // refusal, not a mid-run crash.
-        Some(TransportKind::Tcp) => {
-            transport::TcpTransport::loopback_mesh(topo.nodes(), config.common.seed)
-                .expect("failed to build the loopback TCP mesh")
-                .into_iter()
-                .map(|t| Box::new(t) as Box<dyn Transport>)
-                .collect()
-        }
+        Some(TransportKind::Tcp) => transport::TcpTransport::loopback_mesh(topo.nodes(), run.seed)
+            .expect("failed to build the loopback TCP mesh")
+            .into_iter()
+            .map(|t| Box::new(t) as Box<dyn Transport>)
+            .collect(),
         Some(TransportKind::Uds) => {
             #[cfg(unix)]
             {
@@ -483,7 +391,7 @@ pub fn run_threaded(
             }
             #[cfg(not(unix))]
             {
-                panic!("the uds transport is only available on unix hosts")
+                unreachable!("resolve rejects the uds transport on non-unix hosts")
             }
         }
         Some(TransportKind::Sim) => {
@@ -495,9 +403,9 @@ pub fn run_threaded(
     };
     let node_plane = node_transport.map(|_| node::NodePlane::new(topo.nodes(), workers));
     let shared = Shared {
-        tram: config.common.tram,
+        tram,
         topo,
-        seed: config.common.seed,
+        seed: run.seed,
         epoch: Instant::now(),
         go: AtomicBool::new(false),
         stop: AtomicBool::new(false),
@@ -521,10 +429,10 @@ pub fn run_threaded(
         panicked: (0..workers).map(|_| AtomicBool::new(false)).collect(),
         panic_notes: Mutex::new(Vec::new()),
         faults_fired: AtomicU64::new(0),
-        faults: config.faults.filter(|plan| !plan.is_empty()),
+        faults: run.faults,
         pp,
         arenas,
-        pin_workers: config.pin_workers,
+        pin_workers: run.pin_workers,
         worker_node,
         numa_aware,
         plane,
@@ -550,7 +458,7 @@ pub fn run_threaded(
     // Installed before the workers spawn so every thread inherits the
     // blocked mask — a SIGINT must reach the signalfd, not kill a worker.
     // The guard restores the previous mask when `run_threaded` returns.
-    let mut signals = if config.graceful_signals {
+    let mut signals = if run.graceful_signals {
         crate::signals::SignalGuard::install()
     } else {
         None
@@ -590,8 +498,8 @@ pub fn run_threaded(
         // conservation ledger, so a panicked run still ends in bounded time
         // once the survivors drain; (3) the wall-clock watchdog is the hard
         // backstop that turns anything else into an `Aborted` report.
-        let deadline = start + config.max_wall;
-        let grace = (config.max_wall / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
+        let deadline = start + run.max_wall;
+        let grace = (run.max_wall / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
         let mut last_beats = vec![0u64; workers];
         let mut last_progress = vec![start; workers];
         verdict = loop {
@@ -847,7 +755,7 @@ pub fn run_threaded(
             } else {
                 format!(
                     "watchdog: not quiescent within {:.3}s",
-                    config.max_wall.as_secs_f64()
+                    run.max_wall.as_secs_f64()
                 )
             };
             RunOutcome::Aborted {
@@ -875,7 +783,52 @@ pub fn run_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime_api::RunCtx;
+    use runtime_api::{AppDefaults, AppFactory, AppSpec, ClusterSpec, RunCtx, RunSpec};
+
+    /// Ad-hoc `WorkerApp` closures as an [`AppSpec`]: the defaults a test
+    /// sets, and a factory cloned into every run.
+    struct TestApp<F> {
+        defaults: AppDefaults,
+        make: F,
+    }
+
+    impl<F> AppSpec for TestApp<F>
+    where
+        F: FnMut(WorkerId) -> Box<dyn WorkerApp> + Clone + 'static,
+    {
+        fn name(&self) -> &'static str {
+            "threaded-test"
+        }
+
+        fn defaults(&self) -> AppDefaults {
+            self.defaults
+        }
+
+        fn factory(&self, _run: &ResolvedRunSpec) -> AppFactory {
+            Box::new(self.make.clone())
+        }
+    }
+
+    /// A threaded spec: `make` on `cluster` under `scheme`, with
+    /// `buffer`-item buffers.
+    fn spec<F>(scheme: Scheme, cluster: ClusterSpec, buffer: usize, make: F) -> RunSpec
+    where
+        F: FnMut(WorkerId) -> Box<dyn WorkerApp> + Clone + 'static,
+    {
+        let defaults = AppDefaults {
+            scheme,
+            buffer_items: buffer,
+            cluster,
+            ..AppDefaults::default()
+        };
+        RunSpec::for_app(TestApp { defaults, make }).backend(Backend::Native)
+    }
+
+    /// Resolve `spec` and run it on this engine.
+    fn run_spec(spec: RunSpec) -> RunReport {
+        let run = spec.resolve().expect("a valid test spec");
+        run_threaded(&run, spec.app().factory(&run))
+    }
 
     /// Every worker sends `updates` items to deterministic pseudo-random
     /// destinations, then flushes; received items bump counters.
@@ -917,19 +870,30 @@ mod tests {
         }
     }
 
-    fn run(scheme: Scheme, updates: u64, seed: u64) -> RunReport {
-        let topo = Topology::smp(1, 2, 4); // 8 workers, 2 procs
-        let tram = TramConfig::new(scheme, topo)
-            .with_buffer_items(32)
-            .with_item_bytes(16);
-        run_threaded(NativeBackendConfig::new(tram).with_seed(seed), |w| {
+    /// Every worker a `RandomUpdates` sending `updates` items.
+    fn updates(updates: u64) -> impl FnMut(WorkerId) -> Box<dyn WorkerApp> + Clone {
+        move |me| {
             Box::new(RandomUpdates {
-                me: w,
+                me,
                 remaining: updates,
                 chunk: 64,
                 flushed: false,
             })
-        })
+        }
+    }
+
+    /// 8 workers in 2 processes, 32-item buffers.
+    fn churn(scheme: Scheme, updates_per_worker: u64) -> RunSpec {
+        spec(
+            scheme,
+            ClusterSpec::smp(1, 2, 4),
+            32,
+            updates(updates_per_worker),
+        )
+    }
+
+    fn run(scheme: Scheme, updates: u64, seed: u64) -> RunReport {
+        run_spec(churn(scheme, updates).seed(seed))
     }
 
     #[test]
@@ -1018,15 +982,12 @@ mod tests {
         // ...and no batch grows past the run's own buffer size: one process,
         // so every item is local, 32 sends per destination per quantum into
         // 8-item buffers.
-        let tram = TramConfig::new(Scheme::WPs, Topology::smp(1, 1, 2)).with_buffer_items(8);
-        let report = run_threaded(NativeBackendConfig::new(tram), |w| {
-            Box::new(RandomUpdates {
-                me: w,
-                remaining: 640,
-                chunk: 64,
-                flushed: false,
-            })
-        });
+        let report = run_spec(spec(
+            Scheme::WPs,
+            ClusterSpec::smp(1, 1, 2),
+            8,
+            updates(640),
+        ));
         assert!(report.clean());
         assert_eq!(report.counter("local_deliveries"), 1280);
         assert!(
@@ -1114,11 +1075,11 @@ mod tests {
                 self.sent
             }
         }
-        let topo = Topology::smp(1, 2, 4);
-        let tram = TramConfig::new(Scheme::WW, topo).with_buffer_items(1024);
-        let report = run_threaded(
-            NativeBackendConfig::new(tram).with_max_wall(Duration::from_millis(150)),
-            |_| Box::new(Strander { sent: false }),
+        let report = run_spec(
+            spec(Scheme::WW, ClusterSpec::smp(1, 2, 4), 1024, |_| {
+                Box::new(Strander { sent: false })
+            })
+            .max_wall(Duration::from_millis(150)),
         );
         assert!(
             !report.clean(),
@@ -1144,23 +1105,11 @@ mod tests {
         // conservation (sent == delivered + dropped), zero leaked slab
         // slots, and the same outcome signature on every run of the seed.
         let run_once = || {
-            let topo = Topology::smp(1, 2, 4);
-            let tram = TramConfig::new(Scheme::WW, topo)
-                .with_buffer_items(32)
-                .with_item_bytes(16);
-            run_threaded(
-                NativeBackendConfig::new(tram)
-                    .with_seed(7)
-                    .with_max_wall(Duration::from_secs(20))
-                    .with_faults(Some(FaultPlan::seeded(7).panic_at_items(2, 1_000))),
-                |w| {
-                    Box::new(RandomUpdates {
-                        me: w,
-                        remaining: 2_000,
-                        chunk: 64,
-                        flushed: false,
-                    })
-                },
+            run_spec(
+                churn(Scheme::WW, 2_000)
+                    .seed(7)
+                    .max_wall(Duration::from_secs(20))
+                    .faults(FaultPlan::seeded(7).panic_at_items(2, 1_000)),
             )
         };
         let a = run_once();
@@ -1200,10 +1149,6 @@ mod tests {
         // Stalls and ring bursts delay but never lose items: the run still
         // reaches quiescence with exact totals, reported `Degraded`.
         let run_once = || {
-            let topo = Topology::smp(1, 2, 4);
-            let tram = TramConfig::new(Scheme::WW, topo)
-                .with_buffer_items(32)
-                .with_item_bytes(16);
             let plan = FaultPlan::from_specs(
                 11,
                 [
@@ -1219,19 +1164,11 @@ mod tests {
                     },
                 ],
             );
-            run_threaded(
-                NativeBackendConfig::new(tram)
-                    .with_seed(11)
-                    .with_max_wall(Duration::from_secs(20))
-                    .with_faults(Some(plan)),
-                |w| {
-                    Box::new(RandomUpdates {
-                        me: w,
-                        remaining: 1_000,
-                        chunk: 64,
-                        flushed: false,
-                    })
-                },
+            run_spec(
+                churn(Scheme::WW, 1_000)
+                    .seed(11)
+                    .max_wall(Duration::from_secs(20))
+                    .faults(plan),
             )
         };
         let a = run_once();
@@ -1264,24 +1201,12 @@ mod tests {
         // process-addressed (grouped at the destination under WPs, at the
         // source under WsP) otherwise.
         for scheme in [Scheme::WW, Scheme::WPs, Scheme::WsP] {
-            let run_once = |faults: Option<FaultPlan>| {
-                let topo = Topology::smp(1, 2, 4);
-                let tram = TramConfig::new(scheme, topo)
-                    .with_buffer_items(32)
-                    .with_item_bytes(16);
-                run_threaded(
-                    NativeBackendConfig::new(tram)
-                        .with_seed(13)
-                        .with_max_wall(Duration::from_secs(20))
-                        .with_faults(faults),
-                    |w| {
-                        Box::new(RandomUpdates {
-                            me: w,
-                            remaining: 2_000,
-                            chunk: 64,
-                            flushed: false,
-                        })
-                    },
+            let run_once = |faults: FaultPlan| {
+                run_spec(
+                    churn(scheme, 2_000)
+                        .seed(13)
+                        .max_wall(Duration::from_secs(20))
+                        .faults(faults),
                 )
             };
             let plan = FaultPlan::from_specs(
@@ -1292,8 +1217,8 @@ mod tests {
                     trigger: runtime_api::FaultTrigger::Items(200),
                 }],
             );
-            let report = run_once(Some(plan));
-            let healthy = run_once(None);
+            let report = run_once(plan);
+            let healthy = run_once(FaultPlan::default());
             assert!(healthy.clean(), "{scheme}");
             assert_eq!(
                 report.outcome,
@@ -1328,33 +1253,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plans_normalize_to_none() {
-        let topo = Topology::smp(1, 2, 4);
-        let cfg = NativeBackendConfig::new(TramConfig::new(Scheme::WW, topo))
-            .with_faults(Some(FaultPlan::seeded(1)));
-        assert!(cfg.faults.is_none(), "an empty plan must cost nothing");
-        let armed = cfg.with_faults(Some(FaultPlan::seeded(1).panic_at_items(0, 10)));
-        assert_eq!(armed.faults.map(|p| p.len()), Some(1));
-    }
-
-    #[test]
     fn tiny_mesh_rings_still_deliver_everything() {
         // Force constant backpressure: rings of capacity 1 make almost every
         // push overflow into the stash, exercising the retry path end to end.
-        let topo = Topology::smp(1, 2, 2);
-        let tram = TramConfig::new(Scheme::WW, topo)
-            .with_buffer_items(4)
-            .with_item_bytes(16);
-        let report = sizing::test_ring::with_capacity(1, || {
-            run_threaded(NativeBackendConfig::new(tram).with_seed(3), |w| {
-                Box::new(RandomUpdates {
-                    me: w,
-                    remaining: 2_000,
-                    chunk: 64,
-                    flushed: false,
-                })
-            })
-        });
+        let tiny = spec(Scheme::WW, ClusterSpec::smp(1, 2, 2), 4, updates(2_000)).seed(3);
+        let report = sizing::test_ring::with_capacity(1, || run_spec(tiny));
         assert!(report.clean(), "stash path must drain under backpressure");
         assert_eq!(report.items_sent, 2_000 * 4);
         assert_eq!(report.items_delivered, 2_000 * 4);
@@ -1406,22 +1309,28 @@ mod tests {
         let (workers, seeds, hops) = (8u64, 2u64, 12u64);
         let expected = workers * seeds * (1 + hops);
         for round in 0..10u64 {
-            let tram = TramConfig::new(Scheme::WPs, Topology::smp(1, 2, 4))
-                .with_buffer_items(64)
-                .with_item_bytes(16)
-                .with_flush_policy(tramlib::FlushPolicy::ON_IDLE);
-            let config = NativeBackendConfig::new(tram)
-                .with_seed(0xBACC_0000 + round)
-                .with_max_wall(Duration::from_secs(30));
-            let report = sizing::test_ring::with_capacity(1, || {
-                run_threaded(config, |_| {
-                    Box::new(Relay {
-                        seeds,
-                        hops,
-                        seeded: false,
-                    })
+            let relay = move |_| -> Box<dyn WorkerApp> {
+                Box::new(Relay {
+                    seeds,
+                    hops,
+                    seeded: false,
                 })
-            });
+            };
+            let defaults = AppDefaults {
+                scheme: Scheme::WPs,
+                buffer_items: 64,
+                flush_policy: tramlib::FlushPolicy::ON_IDLE,
+                cluster: ClusterSpec::smp(1, 2, 4),
+                ..AppDefaults::default()
+            };
+            let relays = RunSpec::for_app(TestApp {
+                defaults,
+                make: relay,
+            })
+            .backend(Backend::Native)
+            .seed(0xBACC_0000 + round)
+            .max_wall(Duration::from_secs(30));
+            let report = sizing::test_ring::with_capacity(1, || run_spec(relays));
             assert!(
                 report.clean(),
                 "round {round}: run did not terminate cleanly"

@@ -14,10 +14,13 @@
 
 use std::time::Duration;
 
-use native_rt::{run_threaded, NativeBackendConfig};
-use net_model::{Topology, WorkerId};
-use runtime_api::{FaultPlan, Payload, RunCtx, RunOutcome, RunReport, WorkerApp};
-use tramlib::{FlushPolicy, Scheme, TramConfig};
+use native_rt::run_threaded;
+use net_model::WorkerId;
+use runtime_api::{
+    AppDefaults, AppFactory, AppSpec, Backend, ClusterSpec, FaultPlan, Payload, ResolvedRunSpec,
+    RunCtx, RunOutcome, RunReport, RunSpec, WorkerApp,
+};
+use tramlib::{FlushPolicy, Scheme};
 
 /// Each worker seeds `seeds` relay chains of `hops` forwards each.  A
 /// delivered item with hops left is forwarded to a deterministic
@@ -60,27 +63,51 @@ impl WorkerApp for Relay {
     }
 }
 
-fn run_relay(scheme: Scheme, seed: u64, seeds: u64, hops: u64) -> RunReport {
-    let topo = Topology::smp(1, 2, 4); // 8 workers, 2 procs
-    let tram = TramConfig::new(scheme, topo)
-        .with_buffer_items(64)
-        .with_item_bytes(16)
-        // The whole point: items sit in buffers until an *idle* flush moves
-        // them, so every hop exercises the idle → re-wake transition.
-        .with_flush_policy(FlushPolicy::ON_IDLE);
-    run_threaded(
-        NativeBackendConfig::new(tram)
-            .with_seed(seed)
-            .with_max_wall(Duration::from_secs(30)),
-        |w| {
-            let _ = w;
+/// Every worker a [`Relay`] of 2 chains × 12 hops, on 8 workers in 2
+/// processes.
+struct Relays;
+
+impl AppSpec for Relays {
+    fn name(&self) -> &'static str {
+        "relay"
+    }
+
+    fn defaults(&self) -> AppDefaults {
+        AppDefaults {
+            buffer_items: 64,
+            // The whole point: items sit in buffers until an *idle* flush
+            // moves them, so every hop exercises the idle → re-wake
+            // transition.
+            flush_policy: FlushPolicy::ON_IDLE,
+            cluster: ClusterSpec::smp(1, 2, 4),
+            ..AppDefaults::default()
+        }
+    }
+
+    fn factory(&self, _run: &ResolvedRunSpec) -> AppFactory {
+        Box::new(|_| {
             Box::new(Relay {
-                seeds,
-                hops,
+                seeds: 2,
+                hops: 12,
                 seeded: false,
             })
-        },
-    )
+        })
+    }
+}
+
+/// The relay under `scheme` and `seed` on the threaded backend.
+fn relay(scheme: Scheme, seed: u64) -> RunSpec {
+    RunSpec::for_app(Relays)
+        .backend(Backend::Native)
+        .scheme(scheme)
+        .seed(seed)
+        .max_wall(Duration::from_secs(30))
+}
+
+/// Resolve `spec` and run it on the threaded backend.
+fn run(spec: RunSpec) -> RunReport {
+    let run = spec.resolve().expect("a valid relay spec");
+    run_threaded(&run, spec.app().factory(&run))
 }
 
 fn assert_exact_conservation(scheme: Scheme, seed: u64, report: &RunReport) {
@@ -122,7 +149,7 @@ fn relay_chains_survive_idle_and_rewake_across_100_runs() {
     for scheme in [Scheme::WW, Scheme::WPs, Scheme::WsP, Scheme::PP] {
         for round in 0..30u64 {
             let seed = 0xD15C_0000 + round * 131 + scheme as u64;
-            let report = run_relay(scheme, seed, 2, 12);
+            let report = run(relay(scheme, seed));
             assert_exact_conservation(scheme, seed, &report);
             runs += 1;
         }
@@ -142,24 +169,9 @@ fn relay_chains_survive_an_injected_stall() {
     for scheme in [Scheme::WW, Scheme::PP] {
         for round in 0..5u64 {
             let seed = 0x57A1_1000 + round * 17 + scheme as u64;
-            let topo = Topology::smp(1, 2, 4);
-            let tram = TramConfig::new(scheme, topo)
-                .with_buffer_items(64)
-                .with_item_bytes(16)
-                .with_flush_policy(FlushPolicy::ON_IDLE);
-            let report = run_threaded(
-                NativeBackendConfig::new(tram)
-                    .with_seed(seed)
-                    .with_max_wall(Duration::from_secs(30))
-                    .with_faults(Some(FaultPlan::seeded(seed).stall_at_items(3, 2, 30_000))),
-                |_| {
-                    Box::new(Relay {
-                        seeds: 2,
-                        hops: 12,
-                        seeded: false,
-                    })
-                },
-            );
+            let report =
+                run(relay(scheme, seed)
+                    .faults(FaultPlan::seeded(seed).stall_at_items(3, 2, 30_000)));
             assert_eq!(
                 report.outcome,
                 RunOutcome::Degraded { faults_injected: 1 },
@@ -178,24 +190,8 @@ fn relay_chains_survive_an_injected_stall() {
 fn relay_chains_quarantine_a_panicked_worker() {
     for round in 0..5u64 {
         let seed = 0xDEAD_2000 + round * 23;
-        let topo = Topology::smp(1, 2, 4);
-        let tram = TramConfig::new(Scheme::WW, topo)
-            .with_buffer_items(64)
-            .with_item_bytes(16)
-            .with_flush_policy(FlushPolicy::ON_IDLE);
-        let report = run_threaded(
-            NativeBackendConfig::new(tram)
-                .with_seed(seed)
-                .with_max_wall(Duration::from_secs(30))
-                .with_faults(Some(FaultPlan::seeded(seed).panic_at_items(5, 2))),
-            |_| {
-                Box::new(Relay {
-                    seeds: 2,
-                    hops: 12,
-                    seeded: false,
-                })
-            },
-        );
+        let report =
+            run(relay(Scheme::WW, seed).faults(FaultPlan::seeded(seed).panic_at_items(5, 2)));
         let RunOutcome::Aborted {
             reason,
             diagnostics,

@@ -23,8 +23,9 @@
 //! * [`RunReport`] — the unified run result, tagged with the [`Backend`] that
 //!   produced it.
 //!
-//! Applications written against these types run unchanged on both backends;
-//! the `apps` crate's `run_app` dispatches on a [`Backend`] value.
+//! Applications written against these types run unchanged on every backend;
+//! a [`RunSpec`] describes one run, [`RunSpec::resolve`] validates it, and
+//! the `apps` crate's `run_spec` dispatches the result on its [`Backend`].
 
 pub mod app;
 pub mod backend;
@@ -42,8 +43,8 @@ pub use report::{
 };
 pub use spec::{
     open_loop, AppDefaults, AppFactory, AppSpec, ArrivalProcess, ClusterSpec, CommonArgs,
-    CommonConfig, KernelMode, LoadShape, OpenLoad, ResolvedRunSpec, RunSpec, SloPolicy,
-    TransportKind, DEFAULT_SEED,
+    KernelMode, LoadShape, OpenLoad, ResolvedRunSpec, RunSpec, SloPolicy, SpecError, TransportKind,
+    DEFAULT_MAX_WALL, DEFAULT_SEED, MAX_PROCESS_WORKERS,
 };
 // Re-exported so applications can implement `WorkerApp::on_item_slice`
 // without naming `tramlib` directly.

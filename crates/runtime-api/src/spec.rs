@@ -1,8 +1,6 @@
 //! The unified run specification: one front door for every backend.
 //!
-//! The backends each have their own config struct (`SimConfig`,
-//! `NativeBackendConfig`); this module describes a run once, for all of
-//! them, with a single builder:
+//! A run is described once, with a single builder, and validated once:
 //!
 //! ```ignore
 //! let report = RunSpec::for_app(Histogram::new().updates(100_000))
@@ -12,11 +10,15 @@
 //!     .run();
 //! ```
 //!
+//! [`RunSpec::resolve`] applies the app's defaults and checks every
+//! backend/option rule; what it returns, a [`ResolvedRunSpec`], is the only
+//! configuration the three engines (`smp_sim::run_cluster`,
+//! `native_rt::run_threaded`, `native_rt::run_process`) read.  A combination
+//! no engine would honour is a [`SpecError`] naming the broken rule, never a
+//! silently ignored option.
+//!
 //! The pieces:
 //!
-//! * [`CommonConfig`] — the fields both backend configs share (TramLib setup
-//!   and seed), embedded by `SimConfig` and `NativeBackendConfig` so they
-//!   can never drift;
 //! * [`ClusterSpec`] — the cluster shape in the paper's terms;
 //! * [`AppSpec`] — how an application plugs into the builder (its defaults
 //!   and its per-worker [`WorkerApp`] factory);
@@ -27,8 +29,9 @@
 //!   latency summary;
 //! * [`RunSpec`] — the builder itself.  It is pure data; the terminal
 //!   `run()` lives in the `apps` crate (`apps::common::run_spec` and the
-//!   `RunSpecExt` extension trait), which is the one place that links both
-//!   backends.
+//!   `RunSpecExt` extension trait), which is the one place that links every
+//!   backend.
+//! * [`SpecError`] — the rule a rejected spec broke;
 //! * [`CommonArgs`] — the one `--backend/--seed/--buffer/--pin` CLI parser
 //!   shared by the examples and the bench binaries.
 
@@ -39,7 +42,7 @@ use tramlib::{FlushPolicy, Scheme, TramConfig};
 
 use crate::app::WorkerApp;
 use crate::backend::Backend;
-use crate::faults::{FaultPlan, FaultSpec};
+use crate::faults::{FaultKind, FaultPlan, FaultSpec};
 
 /// The default experiment seed shared by both backends.
 pub const DEFAULT_SEED: u64 = 0x5eed_1234;
@@ -86,38 +89,6 @@ impl std::str::FromStr for TransportKind {
             "sim" => Ok(TransportKind::Sim),
             other => Err(format!("unknown transport '{other}' (tcp|uds|sim)")),
         }
-    }
-}
-
-/// The configuration fields shared by both execution backends: the TramLib
-/// setup (scheme, topology, buffer geometry, flush policy) and the experiment
-/// seed every worker derives its RNG stream from.
-///
-/// `SimConfig` and `NativeBackendConfig` both embed a `CommonConfig`, so a
-/// workload described once runs identically on either backend — there is no
-/// second copy of these fields to fall out of sync.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommonConfig {
-    /// TramLib configuration (scheme, topology, buffer size, flush policy...).
-    pub tram: TramConfig,
-    /// Experiment seed; every worker derives its own deterministic RNG stream
-    /// from `(seed, worker id)` on both backends.
-    pub seed: u64,
-}
-
-impl CommonConfig {
-    /// Wrap a TramLib configuration with the default seed.
-    pub fn new(tram: TramConfig) -> Self {
-        Self {
-            tram,
-            seed: DEFAULT_SEED,
-        }
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -414,9 +385,21 @@ pub trait AppSpec {
     fn factory(&self, run: &ResolvedRunSpec) -> AppFactory;
 }
 
-/// A [`RunSpec`] with every default applied: what the backends (and the
-/// [`AppSpec::factory`]) actually consume.
+/// The watchdog of a native run that sets none: 60 s, widened for open-loop
+/// runs (see [`ResolvedRunSpec::max_wall`]).
+pub const DEFAULT_MAX_WALL: Duration = Duration::from_secs(60);
+
+/// The most workers the process backend runs: it tracks worker death in a
+/// 64-bit mask.
+pub const MAX_PROCESS_WORKERS: u32 = 64;
+
+/// A [`RunSpec`] with every default applied and every rule checked: the one
+/// configuration the backends (and the [`AppSpec::factory`]) consume.
+///
+/// Only [`RunSpec::resolve`] makes one, so an engine handed a
+/// `ResolvedRunSpec` never re-checks a user's choice of options.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[non_exhaustive]
 pub struct ResolvedRunSpec {
     /// Backend to execute on.
     pub backend: Backend,
@@ -430,7 +413,8 @@ pub struct ResolvedRunSpec {
     pub item_bytes: u32,
     /// Flush policy.
     pub flush_policy: FlushPolicy,
-    /// Experiment seed.
+    /// Experiment seed; every worker derives its own deterministic RNG stream
+    /// from `(seed, worker id)` on every backend.
     pub seed: u64,
     /// Local (same-process) bypass override; `None` keeps the TramLib
     /// default (enabled).
@@ -439,21 +423,28 @@ pub struct ResolvedRunSpec {
     pub load: LoadShape,
     /// Optional p99 SLO stamped onto the report's latency summary.
     pub slo: Option<SloPolicy>,
-    /// Native threaded backend: pin worker threads to cores.
+    /// Native threaded backend: pin worker `w`'s thread to core
+    /// `w % available_cpus` (and, on a multi-node host, its arena to that
+    /// core's NUMA node).
     pub pin_workers: bool,
     /// Which slice-kernel implementation the apps consume items with.
     pub kernel: KernelMode,
-    /// Native backend: watchdog override (`None` = the backend default,
-    /// widened automatically for open-loop runs whose duration is known).
-    pub max_wall: Option<Duration>,
-    /// Native backend: deterministic fault-injection plan (`None` = healthy
+    /// Native backends: the watchdog.  A run not quiescent after this much
+    /// wall-clock time is aborted and reported as not clean.  The spec's own
+    /// value, else [`DEFAULT_MAX_WALL`] widened past an open-loop arrival
+    /// schedule.
+    pub max_wall: Duration,
+    /// Native backends: deterministic fault-injection plan (`None` = healthy
     /// run, the fault machinery compiles down to one skipped branch per
     /// scheduling quantum).
     pub faults: Option<FaultPlan>,
     /// Native backend: wire the node-leader tier over this transport when the
-    /// cluster spans more than one node (`None` = in-process mesh only, the
-    /// pre-node-tier behaviour).
+    /// cluster spans more than one node (`None` = in-process mesh only).
     pub transport: Option<TransportKind>,
+    /// Native backends: a delivered SIGINT/SIGTERM quiesces the run (stop
+    /// generating, flush, drain, report `Degraded`) instead of killing it.
+    /// Off by default: the signal mask is process-global state.
+    pub graceful_signals: bool,
 }
 
 impl ResolvedRunSpec {
@@ -468,17 +459,126 @@ impl ResolvedRunSpec {
         }
         tram
     }
+}
 
-    /// The [`CommonConfig`] this run describes (TramLib setup + seed).
-    pub fn common(&self) -> CommonConfig {
-        CommonConfig::new(self.tram()).with_seed(self.seed)
+/// Why [`RunSpec::resolve`] refused a spec: the first rule it found broken.
+///
+/// Each variant is one rule; its `Display` starts with the rule's name
+/// ([`SpecError::rule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecError {
+    /// The cluster has no node, no process or no worker
+    /// (`workers(0)`, `nodes(0)`, or a hand-built shape).
+    EmptyCluster(ClusterSpec),
+    /// `buffer(0)`: an aggregation buffer holds at least one item.
+    ZeroBuffer,
+    /// The application `app` does not run on `backend`.
+    AppBackend { app: &'static str, backend: Backend },
+    /// An `option` only the `needs` backends honour was set for `backend`.
+    BackendOption {
+        option: &'static str,
+        backend: Backend,
+        needs: &'static [Backend],
+    },
+    /// The process backend was asked for more than
+    /// [`MAX_PROCESS_WORKERS`] workers.
+    ProcessWorkers(u32),
+    /// The unix-domain socket transport on a host without one.
+    UdsHost,
+    /// A worker fault targets `worker`, but the cluster has `workers`.
+    FaultTarget { worker: u32, workers: u32 },
+    /// A fault kind the process backend cannot inject (it injects kill,
+    /// panic and stall only).
+    ProcessFaultKind(FaultKind),
+    /// A net fault without a node tier to inject it into: no `transport`,
+    /// or a one-node cluster.
+    NetFaultWire {
+        transport: Option<TransportKind>,
+        nodes: u32,
+    },
+    /// A net fault targets `node`, but the cluster has `nodes`.
+    NetFaultNode { node: u32, nodes: u32 },
+}
+
+impl SpecError {
+    /// The name of the broken rule, as `Display` prints it first.
+    pub fn rule(&self) -> &'static str {
+        match self {
+            SpecError::EmptyCluster(_) => "empty-cluster",
+            SpecError::ZeroBuffer => "buffer-size",
+            SpecError::AppBackend { .. } => "app-backend",
+            SpecError::BackendOption { .. } => "backend-option",
+            SpecError::ProcessWorkers(_) => "process-workers",
+            SpecError::UdsHost => "uds-host",
+            SpecError::FaultTarget { .. } => "fault-target",
+            SpecError::ProcessFaultKind(_) => "process-fault-kind",
+            SpecError::NetFaultWire { .. } => "net-fault-wire",
+            SpecError::NetFaultNode { .. } => "net-fault-node",
+        }
     }
 }
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid run spec ({}): ", self.rule())?;
+        match *self {
+            SpecError::EmptyCluster(c) => write!(
+                f,
+                "a run needs at least one node, process and worker, got {} node(s) x {} \
+                 process(es) x {} worker(s)",
+                c.nodes, c.procs_per_node, c.workers_per_proc
+            ),
+            SpecError::ZeroBuffer => f.write_str("a buffer must hold at least one item"),
+            SpecError::AppBackend { app, backend } => {
+                write!(f, "app '{app}' does not run on the {backend} backend")
+            }
+            SpecError::BackendOption {
+                option,
+                backend,
+                needs,
+            } => {
+                let needs: Vec<&str> = needs.iter().map(|b| b.label()).collect();
+                write!(
+                    f,
+                    "{option} needs the {} backend, not {backend}",
+                    needs.join(" or ")
+                )
+            }
+            SpecError::ProcessWorkers(workers) => write!(
+                f,
+                "the process backend tracks worker death in a 64-bit mask, \
+                 {workers} workers requested"
+            ),
+            SpecError::UdsHost => f.write_str("the uds transport is only available on unix hosts"),
+            SpecError::FaultTarget { worker, workers } => write!(
+                f,
+                "a fault targets worker {worker}, but the run has {workers} workers"
+            ),
+            SpecError::ProcessFaultKind(kind) => write!(
+                f,
+                "the process backend injects kill/panic/stall faults only, got {}",
+                kind.label()
+            ),
+            SpecError::NetFaultWire { transport, nodes } => write!(
+                f,
+                "a net fault needs the node tier: a transport and more than one node, got \
+                 transport {} on {nodes} node(s)",
+                transport.map_or("none", |t| t.label())
+            ),
+            SpecError::NetFaultNode { node, nodes } => write!(
+                f,
+                "a net fault targets node {node}, but the run has {nodes} nodes"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// The unified run builder: `RunSpec::for_app(app).backend(..).scheme(..)
 /// .workers(..).load(open_loop(rate)).run()`.
 ///
-/// `RunSpec` itself is pure data (this crate knows neither backend); the
+/// `RunSpec` itself is pure data (this crate knows no backend); the
 /// terminal `run()` is provided by `apps::common::RunSpecExt`, and
 /// `apps::common::run_spec` is the underlying free function.
 pub struct RunSpec {
@@ -497,6 +597,7 @@ pub struct RunSpec {
     faults: Option<FaultPlan>,
     transport: Option<TransportKind>,
     nodes_override: Option<u32>,
+    graceful_signals: bool,
 }
 
 impl RunSpec {
@@ -518,6 +619,7 @@ impl RunSpec {
             faults: None,
             transport: None,
             nodes_override: None,
+            graceful_signals: false,
         }
     }
 
@@ -543,7 +645,6 @@ impl RunSpec {
     /// processes when `n` is even (so the process-level schemes stay
     /// meaningful).  Use [`RunSpec::cluster`] for full control.
     pub fn workers(mut self, n: u32) -> Self {
-        assert!(n > 0, "a run needs at least one worker");
         self.cluster = Some(if n % 2 == 0 {
             ClusterSpec::smp(1, 2, n / 2)
         } else {
@@ -584,7 +685,6 @@ impl RunSpec {
     }
 
     /// Native threaded backend: pin worker threads to cores (default: off).
-    /// The other backends reject it rather than ignore it.
     pub fn pin_workers(mut self, pin: bool) -> Self {
         self.pin_workers = pin;
         self
@@ -597,14 +697,15 @@ impl RunSpec {
         self
     }
 
-    /// Native backend: watchdog override.
+    /// Native backends: watchdog override.
     pub fn max_wall(mut self, max_wall: Duration) -> Self {
         self.max_wall = Some(max_wall);
         self
     }
 
-    /// Native backend: inject a deterministic [`FaultPlan`].  Empty plans are
-    /// treated as no plan, so `--fault`-less CLIs stay on the healthy path.
+    /// Native backends: inject a deterministic [`FaultPlan`].  Empty plans
+    /// are treated as no plan, so `--fault`-less CLIs stay on the healthy
+    /// path.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = (!plan.is_empty()).then_some(plan);
         self
@@ -622,8 +723,14 @@ impl RunSpec {
     /// (the app's default or whatever [`RunSpec::cluster`] set).  This is how
     /// `--nodes N` scales a single-node spec out to a leader mesh.
     pub fn nodes(mut self, nodes: u32) -> Self {
-        assert!(nodes > 0, "a run needs at least one node");
         self.nodes_override = Some(nodes);
+        self
+    }
+
+    /// Native backends: quiesce on SIGINT/SIGTERM instead of dying (default:
+    /// off); see [`ResolvedRunSpec::graceful_signals`].
+    pub fn graceful_signals(mut self, graceful: bool) -> Self {
+        self.graceful_signals = graceful;
         self
     }
 
@@ -632,14 +739,15 @@ impl RunSpec {
         self.app.as_ref()
     }
 
-    /// Apply the app's defaults to every unset field.
-    pub fn resolve(&self) -> ResolvedRunSpec {
+    /// Apply the app's defaults to every unset field, then check the result
+    /// against every backend/option rule.
+    pub fn resolve(&self) -> Result<ResolvedRunSpec, SpecError> {
         let defaults = self.app.defaults();
         let mut cluster = self.cluster.unwrap_or(defaults.cluster);
         if let Some(nodes) = self.nodes_override {
             cluster.nodes = nodes;
         }
-        ResolvedRunSpec {
+        let run = ResolvedRunSpec {
             backend: self.backend,
             cluster,
             scheme: self.scheme.unwrap_or(defaults.scheme),
@@ -652,10 +760,112 @@ impl RunSpec {
             slo: self.slo,
             pin_workers: self.pin_workers,
             kernel: self.kernel,
-            max_wall: self.max_wall,
+            max_wall: self.max_wall.unwrap_or_else(|| match self.load {
+                // An open-loop run has a known minimum duration (the arrival
+                // schedule itself); widen the watchdog well past it so slow
+                // machines abort, not healthy runs.
+                LoadShape::Open(load) => {
+                    let secs = load.requests_per_worker as f64 / load.rate_per_worker;
+                    DEFAULT_MAX_WALL + Duration::from_secs_f64(4.0 * secs.max(0.0))
+                }
+                LoadShape::Closed => DEFAULT_MAX_WALL,
+            }),
             faults: self.faults,
             transport: self.transport,
+            graceful_signals: self.graceful_signals,
+        };
+        self.validate(&run)?;
+        Ok(run)
+    }
+
+    /// Every backend/option rule, checked in one place; the first broken
+    /// one is the error.
+    fn validate(&self, run: &ResolvedRunSpec) -> Result<(), SpecError> {
+        const NATIVE: &[Backend] = &[Backend::Native];
+        const FORKED_OR_THREADED: &[Backend] = &[Backend::Native, Backend::Process];
+        let (backend, cluster) = (run.backend, run.cluster);
+        if cluster.nodes == 0 || cluster.procs_per_node == 0 || cluster.workers_per_proc == 0 {
+            return Err(SpecError::EmptyCluster(cluster));
         }
+        if run.buffer_items == 0 {
+            return Err(SpecError::ZeroBuffer);
+        }
+        // Process mode runs the same `WorkerApp` implementations the threaded
+        // backend does, so native capability covers both.
+        let capable = match backend {
+            Backend::Sim => self.app.sim_capable(),
+            Backend::Native | Backend::Process => self.app.native_capable(),
+        };
+        if !capable {
+            return Err(SpecError::AppBackend {
+                app: self.app.name(),
+                backend,
+            });
+        }
+        let options: [(&'static str, bool, &'static [Backend]); 6] = [
+            // The only backend with wall-clock arrival pacing.
+            (
+                "open-loop load",
+                matches!(run.load, LoadShape::Open(_)),
+                NATIVE,
+            ),
+            // The only backend with worker threads to pin.
+            ("pin_workers", run.pin_workers, NATIVE),
+            // The only backend with node-leader threads to drive a wire.
+            ("transport", run.transport.is_some(), NATIVE),
+            // The simulator has no workers to crash, no wall clock to
+            // watch and no signals to trap.
+            ("faults", run.faults.is_some(), FORKED_OR_THREADED),
+            ("max_wall", self.max_wall.is_some(), FORKED_OR_THREADED),
+            ("graceful_signals", run.graceful_signals, FORKED_OR_THREADED),
+        ];
+        for (option, set, needs) in options {
+            if set && !needs.contains(&backend) {
+                return Err(SpecError::BackendOption {
+                    option,
+                    backend,
+                    needs,
+                });
+            }
+        }
+        let workers = cluster.total_workers();
+        if backend == Backend::Process && workers > MAX_PROCESS_WORKERS {
+            return Err(SpecError::ProcessWorkers(workers));
+        }
+        if run.transport == Some(TransportKind::Uds) && !cfg!(unix) {
+            return Err(SpecError::UdsHost);
+        }
+        for fault in run.faults.iter().flat_map(FaultPlan::iter) {
+            if fault.kind.is_net() {
+                if run.transport.is_none() || cluster.nodes < 2 {
+                    return Err(SpecError::NetFaultWire {
+                        transport: run.transport,
+                        nodes: cluster.nodes,
+                    });
+                }
+                if fault.worker >= cluster.nodes {
+                    return Err(SpecError::NetFaultNode {
+                        node: fault.worker,
+                        nodes: cluster.nodes,
+                    });
+                }
+            } else {
+                if fault.worker >= workers {
+                    return Err(SpecError::FaultTarget {
+                        worker: fault.worker,
+                        workers,
+                    });
+                }
+                let forkable = matches!(
+                    fault.kind,
+                    FaultKind::Kill | FaultKind::Panic | FaultKind::Stall { .. }
+                );
+                if backend == Backend::Process && !forkable {
+                    return Err(SpecError::ProcessFaultKind(fault.kind));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -744,11 +954,7 @@ impl CommonArgs {
         );
         let transport =
             value_after("--transport").map(|v| v.parse().unwrap_or_else(|e: String| panic!("{e}")));
-        let nodes = value_after("--nodes").map(|v| {
-            let n: u32 = v.parse().expect("--nodes takes a node count");
-            assert!(n > 0, "--nodes takes a positive node count");
-            n
-        });
+        let nodes = value_after("--nodes").map(|v| v.parse().expect("--nodes takes a node count"));
         Self {
             backend,
             seed,
@@ -850,16 +1056,17 @@ mod tests {
             .scheme(Scheme::PP)
             .workers(8)
             .seed(5);
-        let run = spec.resolve();
+        let run = spec.resolve().unwrap();
         assert_eq!(run.backend, Backend::Native);
         assert_eq!(run.scheme, Scheme::PP);
         assert_eq!(run.cluster, ClusterSpec::smp(1, 2, 4));
         assert_eq!(run.buffer_items, 256, "app default survives");
         assert_eq!(run.seed, 5, "builder override wins");
         assert_eq!(run.tram().buffer_items, 256);
-        assert_eq!(run.common().seed, 5);
+        assert_eq!(run.max_wall, DEFAULT_MAX_WALL);
+        assert!(!run.graceful_signals);
 
-        let odd = RunSpec::for_app(Dummy).workers(3).resolve();
+        let odd = RunSpec::for_app(Dummy).workers(3).resolve().unwrap();
         assert_eq!(odd.cluster, ClusterSpec::smp(1, 1, 3));
         assert_eq!(odd.seed, 77, "app default seed");
     }
@@ -874,6 +1081,17 @@ mod tests {
             LoadShape::Closed => panic!("conversion lost the load"),
         }
         assert_eq!(LoadShape::default(), LoadShape::Closed);
+
+        // The watchdog widens past an open-loop schedule unless the spec
+        // sets one: 10 000 requests at 1 000/s add 4 x 10 s.
+        let open = || {
+            let load = open_loop(1_000.0).requests(10_000);
+            RunSpec::for_app(Dummy).backend(Backend::Native).load(load)
+        };
+        let widened = DEFAULT_MAX_WALL + Duration::from_secs(40);
+        assert_eq!(open().resolve().unwrap().max_wall, widened);
+        let set = open().max_wall(Duration::from_secs(2)).resolve().unwrap();
+        assert_eq!(set.max_wall, Duration::from_secs(2));
     }
 
     #[test]
@@ -908,7 +1126,7 @@ mod tests {
         assert_eq!(args.value_of("--seed"), Some("9"));
         assert_eq!(args.kernel, Some(KernelMode::Scalar));
 
-        let run = args.apply(RunSpec::for_app(Dummy)).resolve();
+        let run = args.apply(RunSpec::for_app(Dummy)).resolve().unwrap();
         assert_eq!(run.backend, Backend::Native);
         assert_eq!(run.seed, 9);
         assert_eq!(run.buffer_items, 64);
@@ -921,9 +1139,9 @@ mod tests {
         assert_eq!(defaults.kernel, None);
         assert_eq!(defaults.watchdog_secs, None);
         assert!(defaults.faults.is_empty());
-        let resolved = defaults.apply(RunSpec::for_app(Dummy)).resolve();
+        let resolved = defaults.apply(RunSpec::for_app(Dummy)).resolve().unwrap();
         assert_eq!(resolved.kernel, KernelMode::Auto);
-        assert_eq!(resolved.max_wall, None);
+        assert_eq!(resolved.max_wall, DEFAULT_MAX_WALL);
         assert_eq!(resolved.faults, None);
     }
 
@@ -948,8 +1166,8 @@ mod tests {
         assert_eq!(args.faults.len(), 2);
         assert_eq!(args.faults[0].worker, 2);
 
-        let run = args.apply(RunSpec::for_app(Dummy)).resolve();
-        assert_eq!(run.max_wall, Some(Duration::from_millis(250)));
+        let run = args.apply(RunSpec::for_app(Dummy)).resolve().unwrap();
+        assert_eq!(run.max_wall, Duration::from_millis(250));
         let plan = run.faults.expect("fault plan applied");
         assert_eq!(plan.len(), 2);
         assert_eq!(plan.seed, DEFAULT_SEED, "plan seed follows the run seed");
@@ -976,14 +1194,14 @@ mod tests {
         assert_eq!(args.transport, Some(TransportKind::Tcp));
         assert_eq!(args.nodes, Some(2));
 
-        let run = args.apply(RunSpec::for_app(Dummy)).resolve();
+        let run = args.apply(RunSpec::for_app(Dummy)).resolve().unwrap();
         assert_eq!(run.transport, Some(TransportKind::Tcp));
         assert_eq!(run.cluster.nodes, 2, "--nodes overrides the app default");
 
         let defaults = CommonArgs::from_args(Vec::new());
         assert_eq!(defaults.transport, None);
         assert_eq!(defaults.nodes, None);
-        let resolved = defaults.apply(RunSpec::for_app(Dummy)).resolve();
+        let resolved = defaults.apply(RunSpec::for_app(Dummy)).resolve().unwrap();
         assert_eq!(resolved.transport, None);
     }
 
@@ -992,7 +1210,8 @@ mod tests {
         let run = RunSpec::for_app(Dummy)
             .cluster(ClusterSpec::smp(1, 2, 4))
             .nodes(3)
-            .resolve();
+            .resolve()
+            .unwrap();
         assert_eq!(run.cluster, ClusterSpec::smp(3, 2, 4));
         assert_eq!(run.cluster.total_workers(), 24);
     }
@@ -1001,12 +1220,108 @@ mod tests {
     fn empty_fault_plan_is_no_plan() {
         let run = RunSpec::for_app(Dummy)
             .faults(FaultPlan::seeded(3))
-            .resolve();
+            .resolve()
+            .unwrap();
         assert_eq!(run.faults, None);
         let run = RunSpec::for_app(Dummy)
+            .backend(Backend::Native)
             .faults(FaultPlan::seeded(3).panic_at_items(1, 10))
-            .resolve();
+            .resolve()
+            .unwrap();
         assert_eq!(run.faults.map(|p| p.len()), Some(1));
+    }
+
+    /// An app that runs on the native backends only.
+    struct NativeOnly;
+    impl AppSpec for NativeOnly {
+        fn name(&self) -> &'static str {
+            "native-only"
+        }
+        fn sim_capable(&self) -> bool {
+            false
+        }
+        fn defaults(&self) -> AppDefaults {
+            AppDefaults::default()
+        }
+        fn factory(&self, _run: &ResolvedRunSpec) -> AppFactory {
+            unreachable!("resolution tests never build workers")
+        }
+    }
+
+    #[test]
+    fn validate_checks_every_rule() {
+        // `Dummy`'s cluster: 1 node x 2 processes x 4 workers.
+        let sim = || RunSpec::for_app(Dummy);
+        let native = || sim().backend(Backend::Native);
+        let process = || sim().backend(Backend::Process);
+        let wired = |kind| native().nodes(2).transport(kind);
+        let fault = |worker, kind| {
+            let trigger = crate::FaultTrigger::Items(10);
+            FaultPlan::from_specs(
+                1,
+                [FaultSpec {
+                    worker,
+                    kind,
+                    trigger,
+                }],
+            )
+        };
+        let (panic, dry) = (FaultKind::Panic, FaultKind::ArenaDry { micros: 1 });
+        let drop_on = |node| FaultPlan::seeded(1).net_at_sends(node, FaultKind::NetDrop, 1);
+        let second = Duration::from_secs(1);
+        let native_only = || RunSpec::for_app(NativeOnly);
+        let uds = if cfg!(unix) { None } else { Some("uds-host") };
+        let tcp = TransportKind::Tcp;
+        let (option, no_wire) = (Some("backend-option"), Some("net-fault-wire"));
+        let forked = |procs, workers| process().cluster(ClusterSpec::smp(1, procs, workers));
+        // One row per rule, each next to a valid neighbour (`None`).
+        #[rustfmt::skip]
+        let rows: Vec<(&str, RunSpec, Option<&str>)> = vec![
+            ("workers(0)", native().workers(0), Some("empty-cluster")),
+            ("workers(1)", native().workers(1), None),
+            ("nodes(0)", native().nodes(0), Some("empty-cluster")),
+            ("nodes(1)", native().nodes(1), None),
+            ("buffer(0)", native().buffer(0), Some("buffer-size")),
+            ("buffer(1)", native().buffer(1), None),
+            ("native-only app, sim", native_only(), Some("app-backend")),
+            ("native-only app, process", native_only().backend(Backend::Process), None),
+            ("pin, sim", sim().pin_workers(true), option),
+            ("pin, process", process().pin_workers(true), option),
+            ("pin, native", native().pin_workers(true), None),
+            ("open loop, process", process().load(open_loop(1e3)), option),
+            ("open loop, native", native().load(open_loop(1e3)), None),
+            ("transport, sim", sim().transport(TransportKind::Sim), option),
+            ("faults, sim", sim().faults(fault(0, panic)), option),
+            ("faults, process", process().faults(fault(0, panic)), None),
+            ("max_wall, sim", sim().max_wall(second), option),
+            ("max_wall, process", process().max_wall(second), None),
+            ("signals, sim", sim().graceful_signals(true), option),
+            ("signals, process", process().graceful_signals(true), None),
+            ("65 processes", forked(5, 13), Some("process-workers")),
+            ("64 processes", forked(4, 16), None),
+            ("uds", wired(TransportKind::Uds), uds),
+            ("tcp", wired(tcp), None),
+            ("fault on worker 8 of 8", native().faults(fault(8, panic)), Some("fault-target")),
+            ("fault on worker 7 of 8", native().faults(fault(7, panic)), None),
+            ("arena-dry, process", process().faults(fault(0, dry)), Some("process-fault-kind")),
+            ("arena-dry, native", native().faults(fault(0, dry)), None),
+            ("net fault, no transport", native().nodes(2).faults(drop_on(1)), no_wire),
+            ("net fault, one node", native().transport(tcp).faults(drop_on(0)), no_wire),
+            ("net fault on node 2 of 2", wired(tcp).faults(drop_on(2)), Some("net-fault-node")),
+            ("net fault on node 1 of 2", wired(tcp).faults(drop_on(1)), None),
+        ];
+        for (row, spec, rule) in rows {
+            let err = spec.resolve().err();
+            assert_eq!(err.map(|e| e.rule()), rule, "{row}: {err:?}");
+            if let Some(err) = err {
+                assert!(err.to_string().contains(err.rule()), "{row}: {err}");
+            }
+        }
+        let err = sim().pin_workers(true).resolve().unwrap_err().to_string();
+        assert!(
+            err.contains("pin_workers needs the native backend, not sim"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -38,8 +38,8 @@ impl WorkerCtx<'_, '_> {
         &mut self,
         op: impl Fn(&mut tramlib::Aggregator<Payload>) -> Vec<tramlib::OutboundMessage<Payload>>,
     ) {
-        let scheme = self.cluster.config.common.tram.scheme;
-        let topo = self.cluster.config.topology;
+        let scheme = self.cluster.tram.scheme;
+        let topo = self.cluster.tram.topology;
         let src_proc = topo.proc_of_worker(self.worker);
         let messages = if scheme == Scheme::PP {
             let agg = self.cluster.procs[src_proc.idx()]
@@ -70,7 +70,7 @@ impl RunCtx for WorkerCtx<'_, '_> {
 
     /// The cluster topology.
     fn topology(&self) -> Topology {
-        self.cluster.config.topology
+        self.cluster.tram.topology
     }
 
     /// Current simulated time for this worker, in nanoseconds: the quantum
@@ -113,9 +113,9 @@ impl RunCtx for WorkerCtx<'_, '_> {
         let created = self.now_ns();
         self.cluster.items_sent += 1;
         let item = tramlib::Item::new(dest, payload, created);
-        let scheme = self.cluster.config.common.tram.scheme;
+        let scheme = self.cluster.tram.scheme;
         let costs = self.cluster.config.costs;
-        let topo = self.cluster.config.topology;
+        let topo = self.cluster.tram.topology;
         let src_proc = topo.proc_of_worker(self.worker);
 
         // Charge the insertion cost and perform the insertion.

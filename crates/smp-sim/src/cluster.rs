@@ -2,9 +2,9 @@
 
 use metrics::{Counters, LatencyRecorder};
 use net_model::{ProcId, WorkerId};
-use runtime_api::{Payload, WorkerApp};
+use runtime_api::{Payload, ResolvedRunSpec, WorkerApp};
 use sim_core::{EventCtx, StreamRng};
-use tramlib::{Aggregator, OutboundMessage, Owner, PooledReceiver, Scheme, TramStats};
+use tramlib::{Aggregator, OutboundMessage, Owner, PooledReceiver, Scheme, TramConfig, TramStats};
 
 use crate::config::SimConfig;
 
@@ -48,7 +48,9 @@ pub struct ProcState {
 
 /// The complete simulated cluster: the discrete-event state type.
 pub struct Cluster {
-    /// Configuration of this run.
+    /// The run's TramLib setup (scheme, topology, buffers, flush policy).
+    pub tram: TramConfig,
+    /// The run's cost model.
     pub config: SimConfig,
     /// Per-worker state, indexed by [`WorkerId::idx`].
     pub workers: Vec<WorkerState>,
@@ -77,11 +79,12 @@ impl Cluster {
     ///
     /// `make_app` is called once per worker, in worker-id order.
     pub fn new(
-        config: SimConfig,
+        run: &ResolvedRunSpec,
         make_app: &mut dyn FnMut(WorkerId) -> Box<dyn WorkerApp>,
     ) -> Self {
-        let topo = config.topology;
-        let scheme = config.common.tram.scheme;
+        let tram = run.tram();
+        let topo = tram.topology;
+        let scheme = tram.scheme;
         let workers = topo
             .all_workers()
             .map(|w| WorkerState {
@@ -89,19 +92,19 @@ impl Cluster {
                 aggregator: if scheme == Scheme::PP {
                     None
                 } else {
-                    Some(Aggregator::new(config.common.tram, Owner::Worker(w)))
+                    Some(Aggregator::new(tram, Owner::Worker(w)))
                 },
                 inbox: std::collections::VecDeque::new(),
                 busy_until_ns: 0,
                 wake_scheduled: false,
-                rng: StreamRng::new(config.common.seed, w.0 as u64),
+                rng: StreamRng::new(run.seed, w.0 as u64),
             })
             .collect();
         let procs = topo
             .all_procs()
             .map(|p| ProcState {
                 shared_aggregator: if scheme == Scheme::PP {
-                    Some(Aggregator::new(config.common.tram, Owner::Process(p)))
+                    Some(Aggregator::new(tram, Owner::Process(p)))
                 } else {
                     None
                 },
@@ -110,10 +113,11 @@ impl Cluster {
             })
             .collect();
         Self {
-            config,
+            tram,
+            config: SimConfig::default(),
             workers,
             procs,
-            receiver: PooledReceiver::new(config.common.tram),
+            receiver: PooledReceiver::new(tram),
             latency: LatencyRecorder::new(),
             app_latency: LatencyRecorder::new(),
             counters: Counters::new(),
@@ -170,7 +174,7 @@ impl Cluster {
             agg.recycle(items);
             return;
         }
-        let proc = self.config.topology.proc_of_worker(worker);
+        let proc = self.tram.topology.proc_of_worker(worker);
         if let Some(agg) = self.procs[proc.idx()].shared_aggregator.as_mut() {
             agg.recycle(items);
             return;
@@ -190,7 +194,7 @@ impl Cluster {
         emit_ns: u64,
         message: OutboundMessage<Payload>,
     ) -> u64 {
-        let topo = self.config.topology;
+        let topo = self.tram.topology;
         let costs = self.config.costs;
         let bytes = message.bytes;
         let item_count = message.items.len() as u64;

@@ -1,102 +1,27 @@
-//! Simulation configuration.
+//! The simulator's own configuration: the cost model.
+//!
+//! Everything else a simulated run needs — cluster, scheme, buffers, seed —
+//! comes from the validated [`runtime_api::ResolvedRunSpec`] every backend
+//! reads.
 
-use net_model::{CostModel, Topology};
-use runtime_api::CommonConfig;
-use tramlib::TramConfig;
+use net_model::CostModel;
 
-/// Full configuration of one simulated run: topology, costs and the
-/// backend-shared [`CommonConfig`] (TramLib setup + seed).
+/// Safety cap on the number of events one simulated run may execute, to stop
+/// runaway simulations.
+pub const EVENT_BUDGET: u64 = 2_000_000_000;
+
+/// What only the simulator reads: the communication and CPU cost model.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Cluster shape (SMP or non-SMP).
-    pub topology: Topology,
     /// Communication and CPU cost model.
     pub costs: CostModel,
-    /// The backend-shared configuration: TramLib setup (scheme, buffer size,
-    /// flush policy, ...) and the experiment seed.  `NativeBackendConfig`
-    /// embeds the identical struct, so a workload described once cannot
-    /// drift between backends.
-    pub common: CommonConfig,
-    /// Safety cap on the number of simulation events (0 = default cap).
-    pub event_budget: u64,
 }
 
-impl SimConfig {
-    /// Build a configuration from a topology and a TramLib config, with the
-    /// Delta-like cost preset.
-    pub fn new(topology: Topology, tram: TramConfig) -> Self {
-        Self::from_common(topology, CommonConfig::new(tram))
-    }
-
-    /// Build a configuration from the backend-shared [`CommonConfig`].
-    pub fn from_common(topology: Topology, common: CommonConfig) -> Self {
-        assert_eq!(
-            topology, common.tram.topology,
-            "TramConfig topology must match the simulated topology"
-        );
+impl Default for SimConfig {
+    /// The Delta-like cost preset.
+    fn default() -> Self {
         Self {
-            topology,
             costs: net_model::presets::delta_like(),
-            common,
-            event_budget: 0,
         }
-    }
-
-    /// Override the cost model.
-    pub fn with_costs(mut self, costs: CostModel) -> Self {
-        self.costs = costs;
-        self
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.common.seed = seed;
-        self
-    }
-
-    /// Override the event budget (0 restores the default).
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
-    /// Effective event budget: the configured one, or a generous default scaled
-    /// with cluster size to stop runaway simulations.
-    pub fn effective_event_budget(&self) -> u64 {
-        if self.event_budget > 0 {
-            self.event_budget
-        } else {
-            2_000_000_000
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tramlib::Scheme;
-
-    #[test]
-    fn construction_and_builders() {
-        let topo = Topology::smp(2, 2, 4);
-        let tram = TramConfig::new(Scheme::WPs, topo);
-        let cfg = SimConfig::new(topo, tram)
-            .with_seed(99)
-            .with_event_budget(1000)
-            .with_costs(net_model::presets::fast_network());
-        assert_eq!(cfg.common.seed, 99);
-        assert_eq!(cfg.effective_event_budget(), 1000);
-        assert!(cfg.costs.network.alpha_ns < 2_000.0);
-        let default_budget = SimConfig::new(topo, tram).effective_event_budget();
-        assert!(default_budget > 1_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "must match")]
-    fn mismatched_topology_panics() {
-        let topo = Topology::smp(2, 2, 4);
-        let other = Topology::smp(2, 2, 2);
-        let tram = TramConfig::new(Scheme::WPs, other);
-        let _ = SimConfig::new(topo, tram);
     }
 }

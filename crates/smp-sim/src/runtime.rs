@@ -1,12 +1,12 @@
 //! The simulation driver: worker wake events and the top-level run loop.
 
 use net_model::WorkerId;
-use runtime_api::{RunCtx, RunReport, WorkerApp};
+use runtime_api::{Backend, ResolvedRunSpec, RunCtx, RunReport, WorkerApp};
 use sim_core::{EventCtx, SimTime, Simulation, StopReason};
 
 use crate::app::WorkerCtx;
 use crate::cluster::{Cluster, DeliveryBatch};
-use crate::config::SimConfig;
+use crate::config::EVENT_BUDGET;
 
 /// Execute one wake quantum of `worker`: process one delivered batch, or
 /// generate the next chunk of work, then (if appropriate) idle-flush and
@@ -128,20 +128,28 @@ fn process_batch(app: &mut dyn WorkerApp, ctx: &mut WorkerCtx<'_, '_>, batch: De
     }
 }
 
-/// Build a cluster from `config` and one application instance per worker, run
+/// Build a cluster from `run` and one application instance per worker, run
 /// it to completion (event queue drained) and return the report.
 ///
-/// `make_app` is called once per worker in worker-id order.
+/// `run` must be a [`Backend::Sim`] spec: [`runtime_api::RunSpec::resolve`]
+/// checked its options against this backend.  `make_app` is called once per
+/// worker in worker-id order.
 pub fn run_cluster(
-    config: SimConfig,
+    run: &ResolvedRunSpec,
     mut make_app: impl FnMut(WorkerId) -> Box<dyn WorkerApp>,
 ) -> RunReport {
-    let cluster = Cluster::new(config, &mut make_app);
+    assert_eq!(
+        run.backend,
+        Backend::Sim,
+        "run_cluster runs simulator specs"
+    );
+    let cluster = Cluster::new(run, &mut make_app);
+    let topo = cluster.tram.topology;
     let mut sim = Simulation::new(cluster);
-    sim.set_event_budget(config.effective_event_budget());
+    sim.set_event_budget(EVENT_BUDGET);
 
     // Start every worker: call on_start, then schedule its first wake.
-    for w in config.topology.all_workers() {
+    for w in topo.all_workers() {
         sim.schedule_at(SimTime::ZERO, move |cluster: &mut Cluster, ev| {
             let mut app = cluster.workers[w.idx()].app.take().expect("app");
             let mut ctx = WorkerCtx {

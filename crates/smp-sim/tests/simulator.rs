@@ -2,9 +2,10 @@
 //! all-to-all application, covering conservation of items, determinism,
 //! scheme behaviour and SMP vs non-SMP execution.
 
-use net_model::{Topology, WorkerId};
-use smp_sim::{run_cluster, Payload, RunCtx, RunReport, SimConfig, WorkerApp};
-use tramlib::{Scheme, TramConfig};
+use net_model::WorkerId;
+use runtime_api::{AppDefaults, AppFactory, AppSpec, ClusterSpec, ResolvedRunSpec, RunSpec};
+use smp_sim::{run_cluster, Payload, RunCtx, RunReport, WorkerApp};
+use tramlib::Scheme;
 
 /// Every worker sends `updates` items to uniformly random destination workers,
 /// then flushes.  Received items bump a counter.
@@ -62,17 +63,37 @@ impl WorkerApp for RandomUpdates {
     }
 }
 
-fn run(scheme: Scheme, topo: Topology, updates: u64, buffer: usize, seed: u64) -> RunReport {
-    let tram = TramConfig::new(scheme, topo)
-        .with_buffer_items(buffer)
-        .with_item_bytes(16);
-    let config = SimConfig::new(topo, tram).with_seed(seed);
-    run_cluster(config, |w| Box::new(RandomUpdates::new(w, updates)))
+/// `RandomUpdates` of this many items on every worker, as an [`AppSpec`].
+struct Updates(u64);
+
+impl AppSpec for Updates {
+    fn name(&self) -> &'static str {
+        "random-updates"
+    }
+
+    fn defaults(&self) -> AppDefaults {
+        AppDefaults::default()
+    }
+
+    fn factory(&self, _run: &ResolvedRunSpec) -> AppFactory {
+        let updates = self.0;
+        Box::new(move |w| Box::new(RandomUpdates::new(w, updates)))
+    }
+}
+
+fn run(scheme: Scheme, topo: ClusterSpec, updates: u64, buffer: usize, seed: u64) -> RunReport {
+    let spec = RunSpec::for_app(Updates(updates))
+        .scheme(scheme)
+        .cluster(topo)
+        .buffer(buffer)
+        .seed(seed);
+    let run = spec.resolve().expect("a valid simulator spec");
+    run_cluster(&run, spec.app().factory(&run))
 }
 
 #[test]
 fn all_items_delivered_every_scheme() {
-    let topo = Topology::smp(2, 2, 4); // 16 workers
+    let topo = ClusterSpec::smp(2, 2, 4); // 16 workers
     let updates = 500;
     for scheme in Scheme::ALL {
         let report = run(scheme, topo, updates, 32, 7);
@@ -94,7 +115,7 @@ fn all_items_delivered_every_scheme() {
 
 #[test]
 fn runs_are_deterministic() {
-    let topo = Topology::smp(2, 2, 2);
+    let topo = ClusterSpec::smp(2, 2, 2);
     let a = run(Scheme::WPs, topo, 300, 16, 42);
     let b = run(Scheme::WPs, topo, 300, 16, 42);
     assert_eq!(a.total_time_ns, b.total_time_ns);
@@ -112,7 +133,7 @@ fn runs_are_deterministic() {
 
 #[test]
 fn aggregation_reduces_wire_messages() {
-    let topo = Topology::smp(2, 2, 4);
+    let topo = ClusterSpec::smp(2, 2, 4);
     let none = run(Scheme::NoAgg, topo, 400, 64, 3);
     let agg = run(Scheme::WPs, topo, 400, 64, 3);
     assert!(
@@ -131,7 +152,7 @@ fn aggregation_reduces_wire_messages() {
 fn ww_sends_more_flush_messages_than_wps() {
     // Few updates spread over many destinations: WW has one buffer per
     // destination worker, so its final flush produces far more messages.
-    let topo = Topology::smp(2, 2, 8); // 32 workers, 4 procs
+    let topo = ClusterSpec::smp(2, 2, 8); // 32 workers, 4 procs
     let ww = run(Scheme::WW, topo, 300, 256, 11);
     let wps = run(Scheme::WPs, topo, 300, 256, 11);
     assert!(
@@ -149,7 +170,7 @@ fn pp_latency_below_wps_below_ww() {
     // the faster a buffer fills, the lower the item latency.  PP (whole process
     // shares the buffer) < WPs (per-worker, per-dest-process) < WW (per-worker,
     // per-dest-worker).
-    let topo = Topology::smp(2, 2, 4);
+    let topo = ClusterSpec::smp(2, 2, 4);
     let ww = run(Scheme::WW, topo, 2_000, 64, 5);
     let wps = run(Scheme::WPs, topo, 2_000, 64, 5);
     let pp = run(Scheme::PP, topo, 2_000, 64, 5);
@@ -171,11 +192,11 @@ fn smp_single_process_slower_than_non_smp() {
     let workers_per_node = 16;
     let updates = 1_000;
     let smp1 = {
-        let topo = Topology::smp(2, 1, workers_per_node);
+        let topo = ClusterSpec::smp(2, 1, workers_per_node);
         run(Scheme::WW, topo, updates, 8, 9)
     };
     let non_smp = {
-        let topo = Topology::non_smp(2, workers_per_node);
+        let topo = ClusterSpec::non_smp(2, workers_per_node);
         run(Scheme::WW, topo, updates, 8, 9)
     };
     assert!(
@@ -187,7 +208,7 @@ fn smp_single_process_slower_than_non_smp() {
 
     // More processes per node (more comm threads) closes the gap.
     let smp4 = {
-        let topo = Topology::smp(2, 4, workers_per_node / 4);
+        let topo = ClusterSpec::smp(2, 4, workers_per_node / 4);
         run(Scheme::WW, topo, updates, 8, 9)
     };
     assert!(
@@ -200,7 +221,7 @@ fn smp_single_process_slower_than_non_smp() {
 
 #[test]
 fn bigger_buffers_fewer_messages() {
-    let topo = Topology::smp(2, 2, 4);
+    let topo = ClusterSpec::smp(2, 2, 4);
     let small = run(Scheme::WPs, topo, 2_000, 16, 21);
     let large = run(Scheme::WPs, topo, 2_000, 256, 21);
     assert!(large.counter("wire_messages") < small.counter("wire_messages"));
@@ -211,7 +232,7 @@ fn bigger_buffers_fewer_messages() {
 
 #[test]
 fn report_summary_contains_key_fields() {
-    let topo = Topology::smp(2, 1, 2);
+    let topo = ClusterSpec::smp(2, 1, 2);
     let report = run(Scheme::WPs, topo, 100, 16, 1);
     let s = report.summary();
     assert!(s.contains("time="));

@@ -75,7 +75,7 @@ pub use transport;
 
 /// The most commonly used types and functions, in one import.
 pub mod prelude {
-    pub use apps::common::{run_app, run_spec, sim_config, RunSpecExt};
+    pub use apps::common::{run_spec, RunSpecExt};
     pub use apps::histogram::{run_histogram, HistogramConfig};
     pub use apps::index_gather::{run_index_gather, IndexGatherConfig};
     pub use apps::phold::{run_phold, PholdBenchConfig};
@@ -84,11 +84,11 @@ pub mod prelude {
     pub use apps::sssp::{run_sssp, SsspConfig};
     pub use apps::ClusterSpec;
     pub use metrics::LatencySummary;
-    pub use native_rt::{run_process, run_threaded, NativeBackendConfig, ProcessBackendConfig};
+    pub use native_rt::{run_process, run_threaded};
     pub use net_model::{NodeId, ProcId, Topology, WorkerId};
     pub use runtime_api::{
-        open_loop, AppSpec, Backend, CommonArgs, CommonConfig, FaultKind, FaultPlan, KernelMode,
-        Payload, RunCtx, RunOutcome, RunReport, RunSpec, SloPolicy, TransportKind, WorkerApp,
+        open_loop, AppSpec, Backend, CommonArgs, FaultKind, FaultPlan, KernelMode, Payload, RunCtx,
+        RunOutcome, RunReport, RunSpec, SloPolicy, TransportKind, WorkerApp,
     };
     pub use smp_sim::{run_cluster, SimConfig, WorkerCtx};
     pub use tramlib::{Aggregator, FlushPolicy, Item, Owner, Scheme, TramConfig};

@@ -8,8 +8,8 @@
 //! bit-identical.  This is the acceptance gate for the shared `runtime-api`
 //! contract: one app, one scheme enum, two interchangeable backends — and,
 //! since the [`RunSpec`] redesign, one entry point: every run here goes
-//! through `RunSpec::for_app(..).backend(..).run()`, so the suite also pins
-//! the spec → backend-config resolution itself.
+//! through `RunSpec::for_app(..).backend(..).run()` — ad-hoc apps too, via
+//! `common::ad_hoc` — so the suite also pins spec resolution itself.
 //!
 //! Both backends run with vector pooling enabled (it is always on: the
 //! simulator's `PooledReceiver` + aggregator recycling, the native backend's
@@ -25,6 +25,7 @@
 mod common;
 
 use smp_aggregation::prelude::*;
+use smp_aggregation::runtime_api::AppDefaults;
 
 fn main() {
     // Process-mode runs write segment markers; point them at a private
@@ -54,8 +55,8 @@ fn main() {
             open_loop_service_conserves_and_is_deterministic_per_seed,
         ),
         (
-            "run_app_dispatches_every_backend",
-            run_app_dispatches_every_backend,
+            "ad_hoc_apps_run_on_every_backend",
+            ad_hoc_apps_run_on_every_backend,
         ),
         (
             "node_tier_wire_matches_the_in_process_cluster",
@@ -335,7 +336,6 @@ impl WorkerApp for PingPong {
 }
 
 fn hot_worker_ping_pong_finishes_on_every_engine() {
-    use smp_aggregation::apps::common::run_app_native;
     use std::time::Duration;
 
     let watchdog = Duration::from_secs(30);
@@ -349,7 +349,6 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
             })
         }
     };
-    let make_app = app_with(BALLS);
     let check_balls = |label: &str, report: &RunReport, balls: u64| {
         assert!(
             report.clean(),
@@ -364,22 +363,31 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
         );
     };
     let check = |label: &str, report: RunReport| check_balls(label, &report, BALLS);
+    let ping_pong = |cluster: ClusterSpec, scheme: Scheme, policy: FlushPolicy, balls: u64| {
+        let defaults = AppDefaults {
+            cluster,
+            scheme,
+            buffer_items: 64,
+            flush_policy: policy,
+            seed: 7,
+            ..AppDefaults::default()
+        };
+        common::ad_hoc(defaults, app_with(balls)).max_wall(watchdog)
+    };
 
     // Same process, default config: every hop rides the local bypass.
-    let local = sim_config(
-        ClusterSpec::smp(1, 1, 2),
-        Scheme::WPs,
-        64,
-        16,
-        FlushPolicy::EXPLICIT_ONLY,
-        7,
-    );
-    let report = run_app_native(local, |native| native.with_max_wall(watchdog), make_app);
-    check("threaded", report);
-    let report = run_process(
-        ProcessBackendConfig::from_common(local.common).with_max_wall(watchdog),
-        make_app,
-    );
+    let local = |backend: Backend| {
+        ping_pong(
+            ClusterSpec::smp(1, 1, 2),
+            Scheme::WPs,
+            FlushPolicy::EXPLICIT_ONLY,
+            BALLS,
+        )
+        .backend(backend)
+        .run()
+    };
+    check("threaded", local(Backend::Native));
+    let report = local(Backend::Process);
     assert!(
         report.counter("local_batches") > 0,
         "process: no bypass batches"
@@ -388,27 +396,18 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
 
     // 2 nodes x 1 worker over the simulated wire: every hop crosses the
     // uplink staging buffer (NoAgg, so nothing else holds an item back).
-    let wired = sim_config(
-        ClusterSpec::smp(2, 1, 1),
-        Scheme::NoAgg,
-        64,
-        16,
-        FlushPolicy::EXPLICIT_ONLY,
-        7,
-    );
-    let over_the_wire = |sim, balls: u64| {
-        run_app_native(
-            sim,
-            |native| {
-                native
-                    .with_transport(Some(TransportKind::Sim))
-                    .with_max_wall(watchdog)
-            },
-            app_with(balls),
-        )
+    let over_the_wire = |spec: RunSpec| {
+        spec.backend(Backend::Native)
+            .transport(TransportKind::Sim)
+            .run()
     };
     let wire_case = |label: &str| {
-        let report = over_the_wire(wired, BALLS);
+        let report = over_the_wire(ping_pong(
+            ClusterSpec::smp(2, 1, 1),
+            Scheme::NoAgg,
+            FlushPolicy::EXPLICIT_ONLY,
+            BALLS,
+        ));
         let shipped: u64 = report.node_reports.iter().map(|d| d.items_shipped).sum();
         assert_eq!(shipped, BALLS * HOPS, "{label}: every hop crosses the wire");
         check(label, report);
@@ -423,35 +422,21 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
         on_idle: true,
         ..FlushPolicy::with_timeout(10_000_000_000)
     };
-    let aggregated = |cluster: ClusterSpec| {
-        let mut sim = sim_config(cluster, Scheme::WPs, 64, 16, policy, 7);
-        sim.common.tram = sim.common.tram.with_local_bypass(false);
-        sim
-    };
+    let aggregated =
+        |cluster: ClusterSpec| ping_pong(cluster, Scheme::WPs, policy, 1).local_bypass(false);
     let check_quiet = |label: &str, report: RunReport| {
         check_balls(label, &report, 1);
         let tram = report.tram.counters();
         assert_eq!(tram.get("messages_idle_flush"), HOPS, "{label}");
         assert_eq!(tram.get("messages_timeout_flush"), 0, "{label}");
     };
-    let one_proc = aggregated(ClusterSpec::smp(1, 1, 2));
-    let report = run_app_native(
-        one_proc,
-        |native| native.with_max_wall(watchdog),
-        app_with(1),
-    );
-    check_quiet("aggregated/mesh", report);
-    let report = run_process(
-        ProcessBackendConfig::from_common(one_proc.common).with_max_wall(watchdog),
-        app_with(1),
-    );
+    let one_proc = || aggregated(ClusterSpec::smp(1, 1, 2));
+    check_quiet("aggregated/mesh", one_proc().backend(Backend::Native).run());
+    let report = one_proc().backend(Backend::Process).run();
     assert_eq!(report.counter("wire_messages"), HOPS, "aggregated/process");
     check_balls("aggregated/process", &report, 1);
     let aggregated_wire_case = |label: &str| {
-        check_quiet(
-            label,
-            over_the_wire(aggregated(ClusterSpec::smp(2, 1, 1)), 1),
-        );
+        check_quiet(label, over_the_wire(aggregated(ClusterSpec::smp(2, 1, 1))));
     };
     aggregated_wire_case("aggregated/wire/sim");
 
@@ -468,9 +453,9 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
     }
 }
 
-fn run_app_dispatches_every_backend() {
-    // The generic dispatch entry point used by inline (non-AppSpec) apps: a
-    // minimal echo app must conserve items on every backend.
+fn ad_hoc_apps_run_on_every_backend() {
+    // An inline (non-config) app through the one front door: a minimal echo
+    // app must conserve items on every backend.
     use std::str::FromStr;
 
     struct Echo {
@@ -498,15 +483,16 @@ fn run_app_dispatches_every_backend() {
 
     for name in ["sim", "native", "process"] {
         let backend = Backend::from_str(name).unwrap();
-        let sim = sim_config(
-            ClusterSpec::small_smp(1),
-            Scheme::WW,
-            8,
-            16,
-            FlushPolicy::EXPLICIT_ONLY,
-            3,
-        );
-        let report = run_app(backend, sim, |_| Box::new(Echo { sent: false }));
+        let defaults = AppDefaults {
+            cluster: ClusterSpec::small_smp(1),
+            scheme: Scheme::WW,
+            buffer_items: 8,
+            seed: 3,
+            ..AppDefaults::default()
+        };
+        let report = common::ad_hoc(defaults, |_| Box::new(Echo { sent: false }))
+            .backend(backend)
+            .run();
         assert!(report.clean(), "{backend}: not clean");
         assert_eq!(report.items_sent, 8, "{backend}");
         assert_eq!(report.counter("echo_received"), 8, "{backend}");
@@ -698,17 +684,15 @@ fn per_destination_order_holds_on_both_native_engines() {
     const WORKERS: usize = 2;
     let mut broken = Vec::new();
     for scheme in [Scheme::NoAgg, Scheme::WW, Scheme::WPs, Scheme::WsP] {
-        let mut sim = sim_config(
-            ClusterSpec::smp(1, 1, WORKERS as u32),
+        let defaults = AppDefaults {
+            cluster: ClusterSpec::smp(1, 1, WORKERS as u32),
             scheme,
-            256,
-            16,
-            FlushPolicy::EXPLICIT_ONLY,
-            11,
-        );
-        sim.common.tram = sim.common.tram.with_local_bypass(false);
+            buffer_items: 256,
+            seed: 11,
+            ..AppDefaults::default()
+        };
         for backend in [Backend::Native, Backend::Process] {
-            let report = run_app(backend, sim, |_| {
+            let sender = |_| -> Box<dyn WorkerApp> {
                 Box::new(SequencedSender {
                     remaining: ITEMS,
                     next_seq: vec![0; WORKERS],
@@ -716,7 +700,11 @@ fn per_destination_order_holds_on_both_native_engines() {
                     inversions: 0,
                     received: 0,
                 })
-            });
+            };
+            let report = common::ad_hoc(defaults, sender)
+                .local_bypass(false)
+                .backend(backend)
+                .run();
             assert!(report.clean(), "{backend}/{scheme}: not clean");
             assert_eq!(
                 report.counter("order_received"),

@@ -28,7 +28,7 @@ mod common;
 
 use std::time::Duration;
 
-use runtime_api::{FaultSpec, FaultTrigger};
+use runtime_api::{AppDefaults, FaultSpec, FaultTrigger};
 use smp_aggregation::prelude::*;
 
 /// Items each of the 8 workers sends: enough churn that every fault lands
@@ -167,11 +167,18 @@ fn churn(me: WorkerId) -> Box<dyn WorkerApp> {
     })
 }
 
-/// 8 workers either way: 1 node × 2 processes × 4, or 2 nodes × 2 × 2.
-fn tram(scheme: Scheme, topo: Topology) -> TramConfig {
-    TramConfig::new(scheme, topo)
-        .with_buffer_items(32)
-        .with_item_bytes(16)
+/// The churn workload under `scheme` on `cluster` (8 workers either way:
+/// 1 node × 2 processes × 4, or 2 nodes × 2 × 2), seeded and watched.
+fn churn_spec(scheme: Scheme, cluster: ClusterSpec, seed: u64) -> RunSpec {
+    let defaults = AppDefaults {
+        cluster,
+        scheme,
+        buffer_items: 32,
+        ..AppDefaults::default()
+    };
+    common::ad_hoc(defaults, churn)
+        .seed(seed)
+        .max_wall(Duration::from_secs(30))
 }
 
 /// Each cell's seed: distinct per matrix, fault class and scheme.
@@ -226,13 +233,10 @@ fn assert_degraded_without_loss(report: &RunReport, cell: &str) {
 fn threaded_cell(scheme: Scheme, fault: FaultClass) {
     let seed = cell_seed(0, fault as u64, scheme);
     let run = || {
-        run_threaded(
-            NativeBackendConfig::new(tram(scheme, Topology::smp(1, 2, 4)))
-                .with_seed(seed)
-                .with_max_wall(Duration::from_secs(30))
-                .with_faults(Some(FaultPlan::from_specs(seed, [fault.spec()]))),
-            churn,
-        )
+        churn_spec(scheme, ClusterSpec::smp(1, 2, 4), seed)
+            .backend(Backend::Native)
+            .faults(FaultPlan::from_specs(seed, [fault.spec()]))
+            .run()
     };
     let (first, second) = (run(), run());
     let cell = format!("threaded/{scheme}/{fault:?}");
@@ -277,13 +281,10 @@ fn threaded_cell(scheme: Scheme, fault: FaultClass) {
 fn process_cell(scheme: Scheme, fault: FaultClass) {
     let seed = cell_seed(0x9000, fault as u64, scheme);
     let run = || {
-        run_process(
-            ProcessBackendConfig::new(tram(scheme, Topology::smp(1, 2, 4)))
-                .with_seed(seed)
-                .with_max_wall(Duration::from_secs(30))
-                .with_faults(Some(FaultPlan::from_specs(seed, [fault.spec()]))),
-            churn,
-        )
+        churn_spec(scheme, ClusterSpec::smp(1, 2, 4), seed)
+            .backend(Backend::Process)
+            .faults(FaultPlan::from_specs(seed, [fault.spec()]))
+            .run()
     };
     let (first, second) = (run(), run());
     let cell = format!("process/{scheme}/{fault:?}");
@@ -316,18 +317,11 @@ fn wire_cell(scheme: Scheme, fault: WireClass) {
     // Armed at the first batch send from node 0's leader: frame sealing is
     // timing-dependent, so only send #1 is guaranteed to happen.
     let run = || {
-        run_threaded(
-            NativeBackendConfig::new(tram(scheme, Topology::smp(2, 2, 2)))
-                .with_seed(seed)
-                .with_max_wall(Duration::from_secs(30))
-                .with_transport(Some(TransportKind::Tcp))
-                .with_faults(Some(FaultPlan::seeded(seed).net_at_sends(
-                    0,
-                    fault.kind(),
-                    1,
-                ))),
-            churn,
-        )
+        churn_spec(scheme, ClusterSpec::smp(2, 2, 2), seed)
+            .backend(Backend::Native)
+            .transport(TransportKind::Tcp)
+            .faults(FaultPlan::seeded(seed).net_at_sends(0, fault.kind(), 1))
+            .run()
     };
     let (first, second) = (run(), run());
     let cell = format!("wire/{scheme}/{fault:?}");

@@ -1,5 +1,6 @@
 //! Helpers shared by the integration suites: a minimal sequential test
-//! runner for `harness = false` binaries, and a one-CPU harness.
+//! runner for `harness = false` binaries, a one-CPU harness, and the adaptor
+//! that runs ad-hoc `WorkerApp` closures through `RunSpec`.
 //!
 //! The multi-process backend forks without exec'ing, which requires the
 //! forking thread to be the process's *only* thread — libtest runs every
@@ -9,6 +10,11 @@
 //! tooling keeps counting passes the same way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use smp_aggregation::net_model::WorkerId;
+use smp_aggregation::runtime_api::{
+    AppDefaults, AppFactory, AppSpec, ResolvedRunSpec, RunSpec, WorkerApp,
+};
 
 /// Run `tests` sequentially on the calling thread; honours an optional
 /// substring filter from argv (flags are ignored) and exits non-zero if any
@@ -79,4 +85,38 @@ pub(crate) fn on_one_cpu(case: impl FnOnce() + Send) -> bool {
             Err(payload) => std::panic::resume_unwind(payload),
         }
     })
+}
+
+/// Ad-hoc `WorkerApp` closures as an [`AppSpec`], so they run through
+/// `RunSpec` like every app: the defaults a test sets (cluster, scheme,
+/// buffer, flush policy, seed), and a factory cloned into every run.
+struct AdHoc<F> {
+    defaults: AppDefaults,
+    make: F,
+}
+
+impl<F> AppSpec for AdHoc<F>
+where
+    F: FnMut(WorkerId) -> Box<dyn WorkerApp> + Clone + 'static,
+{
+    fn name(&self) -> &'static str {
+        "ad-hoc"
+    }
+
+    fn defaults(&self) -> AppDefaults {
+        self.defaults
+    }
+
+    fn factory(&self, _run: &ResolvedRunSpec) -> AppFactory {
+        Box::new(self.make.clone())
+    }
+}
+
+/// A spec running `make` (one app per worker) under `defaults`.
+#[allow(dead_code)] // not every suite drives ad-hoc apps
+pub(crate) fn ad_hoc<F>(defaults: AppDefaults, make: F) -> RunSpec
+where
+    F: FnMut(WorkerId) -> Box<dyn WorkerApp> + Clone + 'static,
+{
+    RunSpec::for_app(AdHoc { defaults, make })
 }

@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smp_aggregation::apps::common::run_app_native;
 use smp_aggregation::prelude::*;
+use smp_aggregation::runtime_api::AppDefaults;
 
 /// Backend-independent observable result of a histogram run.
 #[derive(Debug, PartialEq, Eq)]
@@ -377,33 +377,29 @@ fn hot_workers_pump_and_the_leader_thread_alone_suffices() {
         let served_seen = Arc::new(AtomicU64::new(0));
         // NoAgg, explicit flush only: nothing but the uplink staging buffer
         // (16 items) and the wire tier sits between a send and its delivery.
-        let config = sim_config(
-            ClusterSpec::smp(2, 1, 1),
-            Scheme::NoAgg,
-            16,
-            16,
-            FlushPolicy::EXPLICIT_ONLY,
-            5,
-        );
-        let report = run_app_native(
-            config,
-            |native| {
-                native
-                    .with_transport(Some(TransportKind::Tcp))
-                    .with_max_wall(Duration::from_secs(30))
-            },
-            |me| {
-                Box::new(Echo {
-                    me,
-                    to_send: if me.0 == 0 { REQUESTS } else { 0 },
-                    served: 0,
-                    responses: 0,
-                    checksum: 0,
-                    served_seen: Arc::clone(&served_seen),
-                    held,
-                })
-            },
-        );
+        let defaults = AppDefaults {
+            cluster: ClusterSpec::smp(2, 1, 1),
+            scheme: Scheme::NoAgg,
+            buffer_items: 16,
+            seed: 5,
+            ..AppDefaults::default()
+        };
+        let echo = move |me: WorkerId| -> Box<dyn WorkerApp> {
+            Box::new(Echo {
+                me,
+                to_send: if me.0 == 0 { REQUESTS } else { 0 },
+                served: 0,
+                responses: 0,
+                checksum: 0,
+                served_seen: Arc::clone(&served_seen),
+                held,
+            })
+        };
+        let report = common::ad_hoc(defaults, echo)
+            .backend(Backend::Native)
+            .transport(TransportKind::Tcp)
+            .max_wall(Duration::from_secs(30))
+            .run();
         assert_eq!(
             report.outcome.signature(),
             "clean",

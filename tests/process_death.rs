@@ -24,6 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use smp_aggregation::prelude::*;
+use smp_aggregation::runtime_api::AppDefaults;
 
 fn seg_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("smp-aggr-death-{}-{tag}", std::process::id()));
@@ -256,26 +257,33 @@ fn assert_interrupted(report: &RunReport, signal: u64, label: &str) {
     );
 }
 
+/// The firehose on `backend`, with graceful signals on.
+fn firehose(backend: Backend) -> RunSpec {
+    let defaults = AppDefaults {
+        cluster: cluster(),
+        scheme: Scheme::WW,
+        buffer_items: 64,
+        seed: 3,
+        ..AppDefaults::default()
+    };
+    common::ad_hoc(defaults, |_| Box::new(Firehose { sent: 0 }))
+        .backend(backend)
+        .graceful_signals(true)
+        .max_wall(Duration::from_secs(30))
+}
+
 fn sigint_quiesces_process_backend_to_degraded() {
-    let tram = TramConfig::new(Scheme::WW, cluster().topology()).with_buffer_items(64);
-    let config = ProcessBackendConfig::new(tram)
-        .with_seed(3)
-        .with_graceful_signals(true)
-        .with_max_wall(Duration::from_secs(30));
+    let spec = firehose(Backend::Process);
     let mut killer = send_signal_soon("INT");
-    let report = run_process(config, |_| Box::new(Firehose { sent: 0 }));
+    let report = spec.run();
     let _ = killer.wait();
     assert_interrupted(&report, 2, "process/SIGINT");
 }
 
 fn sigterm_quiesces_threaded_backend_to_degraded() {
-    let tram = TramConfig::new(Scheme::WW, cluster().topology()).with_buffer_items(64);
-    let config = NativeBackendConfig::new(tram)
-        .with_seed(3)
-        .with_graceful_signals(true)
-        .with_max_wall(Duration::from_secs(30));
+    let spec = firehose(Backend::Native);
     let mut killer = send_signal_soon("TERM");
-    let report = run_threaded(config, |_| Box::new(Firehose { sent: 0 }));
+    let report = spec.run();
     let _ = killer.wait();
     assert_interrupted(&report, 15, "threaded/SIGTERM");
 }

@@ -22,8 +22,8 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use smp_aggregation::apps::common::run_app_native;
 use smp_aggregation::prelude::*;
+use smp_aggregation::runtime_api::AppDefaults;
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("smp-aggr-quiet-{}", std::process::id()));
@@ -83,24 +83,27 @@ impl WorkerApp for Paced {
     }
 }
 
-/// WW over one process with the bypass off, so every buffer has exactly one
-/// receiver and every item is aggregated; flush on idle, `timeout_ns` as the
-/// backstop.
-fn config(workers: u32, buffer: usize, timeout_ns: u64) -> SimConfig {
-    let policy = FlushPolicy {
-        on_idle: true,
-        ..FlushPolicy::with_timeout(timeout_ns)
+/// `make_app` as WW over one process with the bypass off, so every buffer
+/// has exactly one receiver and every item is aggregated; flush on idle,
+/// `timeout_ns` as the backstop.
+fn paced<F>(workers: u32, buffer: usize, timeout_ns: u64, make_app: F) -> RunSpec
+where
+    F: FnMut(WorkerId) -> Box<dyn WorkerApp> + Clone + 'static,
+{
+    let defaults = AppDefaults {
+        cluster: ClusterSpec::smp(1, 1, workers),
+        scheme: Scheme::WW,
+        buffer_items: buffer,
+        flush_policy: FlushPolicy {
+            on_idle: true,
+            ..FlushPolicy::with_timeout(timeout_ns)
+        },
+        seed: 11,
+        ..AppDefaults::default()
     };
-    let mut sim = sim_config(
-        ClusterSpec::smp(1, 1, workers),
-        Scheme::WW,
-        buffer,
-        16,
-        policy,
-        11,
-    );
-    sim.common.tram = sim.common.tram.with_local_bypass(false);
-    sim
+    common::ad_hoc(defaults, make_app)
+        .local_bypass(false)
+        .max_wall(WATCHDOG)
 }
 
 const WATCHDOG: Duration = Duration::from_secs(30);
@@ -129,7 +132,7 @@ fn a_hot_receiver_keeps_its_producers_aggregating() {
         })
     };
     // A timeout the run cannot reach: whatever ships, ships full or quiet.
-    let sim = config(PRODUCERS + 1, 64, 20_000_000_000);
+    let spec = || paced(PRODUCERS + 1, 64, 20_000_000_000, make_app);
     let check = |label: &str, report: &RunReport| {
         assert!(
             report.clean(),
@@ -149,17 +152,14 @@ fn a_hot_receiver_keeps_its_producers_aggregating() {
         );
     };
 
-    let report = run_app_native(sim, |native| native.with_max_wall(WATCHDOG), make_app);
+    let report = spec().backend(Backend::Native).run();
     check("mesh", &report);
     assert_eq!(
         report.tram.counters().get("messages_timeout_flush"),
         0,
         "mesh: nothing may have waited out the 20 s timeout"
     );
-    let report = run_process(
-        ProcessBackendConfig::from_common(sim.common).with_max_wall(WATCHDOG),
-        make_app,
-    );
+    let report = spec().backend(Backend::Process).run();
     check("process", &report);
 }
 
@@ -175,11 +175,9 @@ fn at_low_load_buffers_ship_on_quiet_quanta_not_on_the_timeout() {
             received: 0,
         })
     };
-    let report = run_app_native(
-        config(2, 64, 1_000_000),
-        |native| native.with_max_wall(WATCHDOG),
-        make_app,
-    );
+    let report = paced(2, 64, 1_000_000, make_app)
+        .backend(Backend::Native)
+        .run();
     assert!(report.clean(), "got {}", report.outcome.signature());
     assert_eq!(report.counter("paced_received"), 2 * PER_WORKER);
     let tram = report.tram.counters();
