@@ -18,7 +18,10 @@
 //!   does not own, and the only central component is the quiescence monitor
 //!   (watchdog + sent/delivered counter sums);
 //! * same-process items bypass aggregation and travel worker-to-worker in
-//!   batches, mirroring the simulator's local-bypass path.
+//!   per-quantum batches copied into slabs, mirroring the simulator's
+//!   local-bypass path;
+//! * every ring carries one `Copy` envelope type on both engines — an
+//!   inline item or a slab descriptor, never a heap vector.
 //!
 //! Applications implement the backend-agnostic
 //! [`runtime_api::WorkerApp`] trait and run unchanged on either backend; the
@@ -28,6 +31,7 @@
 //! full architecture and the insertion-path diagrams.
 
 pub mod affinity;
+pub(crate) mod envelope;
 pub mod numa;
 pub mod process;
 pub(crate) mod quantum;

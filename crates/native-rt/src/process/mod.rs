@@ -10,11 +10,12 @@
 //! What the paper's aggregation schemes need from the host then has to be
 //! rebuilt on crash-robust terms:
 //!
-//! * **Transport** — a W×W mesh of [`shmem::SegRing`]s carrying fixed-size
-//!   `WireEnvelope`s: inline singles, or descriptors of slabs
-//!   sealed into per-worker [`shmem::SegArena`]s (WW/WPs/WsP) with
-//!   refcounted multi-consumer release; PP inserts contend on shared
-//!   [`shmem::SegClaim`] buffers, one per destination process.
+//! * **Transport** — a W×W mesh of [`shmem::SegRing`]s carrying the `Copy`
+//!   envelopes both native engines share: inline singles, or descriptors of
+//!   slabs sealed into per-worker [`shmem::SegArena`]s (every scheme but
+//!   NoAgg) with refcounted multi-consumer release; PP inserts contend on
+//!   shared [`shmem::SegClaim`] buffers, one per destination process, and a
+//!   drained buffer is copied into one slab of the drainer's arena.
 //! * **Death detection** — the supervisor reaps with `wait4`, publishes a
 //!   `dead_mask` survivors consult before shipping or spinning, adopts the
 //!   corpse's inboxes, and settles the global books: every eagerly-counted

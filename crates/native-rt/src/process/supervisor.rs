@@ -53,7 +53,8 @@ use shmem::{
 use tramlib::{Item, Scheme, TramStats};
 
 use super::layout::{self, RunCtl, WorkerStatus};
-use super::worker::{self, WireEnvelope, World};
+use super::worker::{self, World};
+use crate::envelope::Envelope;
 use crate::sizing::{self, INBOX_BUDGET};
 use crate::sys;
 
@@ -152,8 +153,8 @@ pub(super) fn run(
     let ring_offs: Vec<usize> = (0..workers * workers)
         .map(|_| {
             plan.reserve(
-                SegRing::<WireEnvelope>::bytes_for(ring_capacity),
-                SegRing::<WireEnvelope>::ALIGN,
+                SegRing::<Envelope>::bytes_for(ring_capacity),
+                SegRing::<Envelope>::ALIGN,
             )
         })
         .collect();
@@ -199,7 +200,7 @@ pub(super) fn run(
         }
     }
     // SAFETY: as above — reserved, aligned, exclusively owned until fork.
-    let rings: Vec<SegRing<WireEnvelope>> = ring_offs
+    let rings: Vec<SegRing<Envelope>> = ring_offs
         .iter()
         .map(|&off| unsafe { SegRing::init(segment.at(off), ring_capacity) })
         .collect();
@@ -300,7 +301,7 @@ pub(super) fn run(
     let mut interrupted_by: Option<i32> = None;
     let mut stable_polls = 0u32;
     let mut last_snapshot = (u64::MAX, 0u64, 0u64, 0u64);
-    let mut drain_buf: Vec<WireEnvelope> = Vec::with_capacity(INBOX_BUDGET);
+    let mut drain_buf: Vec<Envelope> = Vec::with_capacity(INBOX_BUDGET);
 
     let sum = |field: fn(&WorkerStatus) -> &AtomicU64| -> u64 {
         (0..workers)

@@ -6,31 +6,37 @@
 //! [`World`] before forking; children inherit the `MAP_SHARED` mapping at
 //! the same address, so the views work unchanged on both sides.
 //!
-//! Dataflow per scheme (`rings[src][dst]` is an SPSC envelope ring):
+//! Dataflow per scheme (`rings[src][dst]` is an SPSC ring of the
+//! [`Envelope`]s both native engines share):
 //!
-//! * **NoAgg** — one [`TAG_SINGLE`] envelope per item, straight to the
+//! * **NoAgg** — one [`Envelope::Single`] per item, straight to the
 //!   destination worker.
 //! * **WW** — per-destination-worker buffers; a full buffer is written into
-//!   a slab of the sender's arena and shipped as one [`TAG_SLAB_WORKER`]
-//!   descriptor.
-//! * **WPs** — per-destination-process buffers shipped ungrouped
-//!   ([`TAG_SLAB_PROC`]) to the destination's group receiver, which groups
-//!   the slab in place with tramlib's stable kernel (it is the sole consumer
-//!   at that point), delivers its own range and forwards peer ranges as
-//!   [`TAG_SLAB_SLICE`] descriptors after bumping the slab's consumer
-//!   refcount.
-//! * **WsP** — the source groups before sealing ([`TAG_SLAB_PROC_GROUPED`]);
-//!   the receiver's pass finds the slab grouped and moves nothing.
+//!   a slab of the sender's arena and shipped as one worker-addressed
+//!   [`Envelope::Slab`].
+//! * **WPs** — per-destination-process buffers shipped ungrouped, as a
+//!   process-addressed slab, to the destination's group receiver, which
+//!   groups the slab in place with tramlib's stable kernel (it is the sole
+//!   consumer at that point), delivers its own range and forwards peer
+//!   ranges as [`Envelope::Slice`] descriptors after bumping the slab's
+//!   consumer refcount.
+//! * **WsP** — the source groups before sealing (`grouped_at_source`); the
+//!   receiver's pass finds the slab grouped and moves nothing.
 //! * **PP** — workers of a process insert into shared [`SegClaim`] buffers,
 //!   one per destination process.  Drains (buffer-full `MustDrain` and
 //!   explicit flushes alike) serialize through the buffer's drain lock and
-//!   re-ship the collected items as singles.
+//!   copy the collected items into one slab of the drainer's arena, shipped
+//!   to the group receiver exactly as WPs ships.
 //!
 //! **Local bypass** (same-process traffic, `local_bypass` on) skips all of
 //! the above: items stage in per-destination-worker buffers that never
 //! outlive the scheduling quantum that filled them — at quantum end, or at
-//! `g`, each is sealed into a slab and shipped as one [`TAG_SLAB_WORKER`]
-//! descriptor.  Schemes without an arena (NoAgg, PP) ship singles.
+//! `g`, each is copied into a slab and shipped as one worker-addressed
+//! descriptor.  NoAgg, which has no arena, ships local singles.
+//!
+//! A dry arena degrades a slab to singles bound for the same receiver; a
+//! group receiver forwards a single addressed to a peer, so the fallback
+//! never overtakes slabs shipped before it.
 //!
 //! **Partial aggregation buffers** ship on an explicit flush and, under
 //! `FlushPolicy::on_idle`, on a quiet quantum into a drained lane — the rule
@@ -49,70 +55,17 @@ use std::time::{Duration, Instant};
 use metrics::Counters;
 use net_model::{ProcId, Topology, WorkerId};
 use runtime_api::{FaultKind, FaultPlan, FaultTrigger, Payload, RunCtx, WorkerApp};
-use shmem::{SegArena, SegClaim, SegClaimInsert, SegRing};
+use shmem::{SegArena, SegClaim, SegClaimInsert, SegRing, SlabHandle, SlabRange};
 use sim_core::StreamRng;
 use tramlib::group::{group_in_place, GroupScratch};
-use tramlib::{Item, Scheme, TramConfig};
+use tramlib::{Item, MessageDest, Scheme, TramConfig};
 
 use super::layout::{self, RunCtl, WorkerStatus};
+use crate::envelope::Envelope;
 use crate::quantum::{self, QuietTracker, SelfClocked};
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 use crate::sys;
 use crate::tally::Tally;
-
-/// A single item, carried inline.
-pub(super) const TAG_SINGLE: u32 = 0;
-/// A whole sealed slab addressed to one worker (WW).
-pub(super) const TAG_SLAB_WORKER: u32 = 1;
-/// An ungrouped process-addressed slab (WPs): the receiver groups it.
-pub(super) const TAG_SLAB_PROC: u32 = 2;
-/// A source-grouped process-addressed slab (WsP).
-pub(super) const TAG_SLAB_PROC_GROUPED: u32 = 3;
-/// A pre-grouped per-worker index range of a slab, forwarded by the group
-/// receiver; `owner` is the arena-owning worker, not the forwarder.
-pub(super) const TAG_SLAB_SLICE: u32 = 4;
-
-/// One unit of inter-process traffic.  Fixed-size and `Copy` so it can ride
-/// a [`SegRing`]; slab variants carry a descriptor, singles carry the item.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub(super) struct WireEnvelope {
-    pub(super) tag: u32,
-    /// Worker whose arena owns the slab (slab tags only).
-    pub(super) owner: u32,
-    pub(super) slab: u32,
-    pub(super) start: u32,
-    pub(super) len: u32,
-    /// Slab generation at seal time (diagnostic cross-check).
-    pub(super) generation: u32,
-    pub(super) item: Item<Payload>,
-}
-
-impl WireEnvelope {
-    fn single(item: Item<Payload>) -> Self {
-        Self {
-            tag: TAG_SINGLE,
-            owner: 0,
-            slab: 0,
-            start: 0,
-            len: 1,
-            generation: 0,
-            item,
-        }
-    }
-
-    fn slab(tag: u32, owner: u32, slab: u32, start: u32, len: u32, generation: u32) -> Self {
-        Self {
-            tag,
-            owner,
-            slab,
-            start,
-            len,
-            generation,
-            item: Item::new(WorkerId(0), Payload::new(0, 0), 0),
-        }
-    }
-}
 
 /// Everything a worker process needs, built by the parent pre-fork and
 /// inherited through the shared mapping.  All pointers target the segment.
@@ -128,7 +81,7 @@ pub(super) struct World {
     pub(super) status: *const WorkerStatus,
     pub(super) results: *mut u8,
     /// `rings[src * workers + dst]`: envelopes from `src` to `dst`.
-    pub(super) rings: Vec<SegRing<WireEnvelope>>,
+    pub(super) rings: Vec<SegRing<Envelope>>,
     /// One arena per worker (empty unless the scheme seals slabs).
     pub(super) arenas: Vec<SegArena<Item<Payload>>>,
     /// `claims[src_proc * procs + dst_proc]` (empty unless PP).
@@ -147,7 +100,7 @@ impl World {
         unsafe { &*self.status.add(w) }
     }
 
-    pub(super) fn ring(&self, src: usize, dst: usize) -> &SegRing<WireEnvelope> {
+    pub(super) fn ring(&self, src: usize, dst: usize) -> &SegRing<Envelope> {
         &self.rings[src * self.workers + dst]
     }
 
@@ -169,18 +122,14 @@ impl World {
 /// settling): returns the item count to charge dropped, after giving any
 /// slab storage back to the owning arena.  Shared by children (dead-peer
 /// drops) and the supervisor (victim-inbox and settlement drains).
-pub(super) fn drop_envelope(world: &World, env: &WireEnvelope) -> u64 {
-    match env.tag {
-        TAG_SINGLE => 1,
-        TAG_SLAB_WORKER | TAG_SLAB_PROC | TAG_SLAB_PROC_GROUPED | TAG_SLAB_SLICE => {
-            let arena = world.arenas[env.owner as usize];
-            if arena.finish_consumer(env.slab) {
-                arena.release(env.slab);
-            }
-            u64::from(env.len)
+pub(super) fn drop_envelope(world: &World, env: &Envelope) -> u64 {
+    if let Some((owner, range)) = env.slab_range() {
+        let arena = world.arenas[owner];
+        if arena.finish_consumer(range.slab) {
+            arena.release(range.slab);
         }
-        _ => 0,
     }
+    env.item_count()
 }
 
 /// The process backend's [`RunCtx`]: one per child, owning the private half
@@ -208,7 +157,7 @@ pub(super) struct ProcCtx<'w> {
     bufs_local: Vec<Vec<Item<Payload>>>,
     /// Per-destination overflow stash, retried every quantum (ring-full
     /// backpressure without blocking).
-    stash: Vec<VecDeque<WireEnvelope>>,
+    stash: Vec<VecDeque<Envelope>>,
     pub(super) stash_len: usize,
     /// Reusable PP drain buffer.
     drain_buf: Vec<Item<Payload>>,
@@ -303,7 +252,7 @@ impl<'w> ProcCtx<'w> {
     /// Ship one envelope to `dst`: dead destinations drop (with slab
     /// bookkeeping), full rings overflow into the per-destination stash.
     /// Envelopes behind stashed ones stash too, preserving order.
-    fn push_env(&mut self, dst: usize, env: WireEnvelope) {
+    fn push_env(&mut self, dst: usize, env: Envelope) {
         if self.is_dead(dst) {
             let dropped = drop_envelope(self.world, &env);
             self.add_dropped(dropped);
@@ -357,60 +306,69 @@ impl<'w> ProcCtx<'w> {
         self.tally.wire_messages += 1;
         self.tally.wire_items += 1;
         let dst = item.dest.0 as usize;
-        self.push_env(dst, WireEnvelope::single(item));
+        self.push_env(dst, Envelope::Single(item));
     }
 
-    /// Seal `buf` into a slab of this worker's arena and ship the descriptor
-    /// to `dst`; a dry arena degrades to singles (a throughput dip recorded
-    /// in `arena_claim_misses`, never a loss).  Returns the number of
-    /// envelopes shipped; whether they count as wire messages is the
-    /// caller's call (local-bypass batches do not).
-    fn ship_slab(&mut self, dst: usize, tag: u32, buf: &mut Vec<Item<Payload>>) -> u64 {
-        let me = self.me.0 as usize;
-        let arena = self.world.arenas[me];
-        let envelopes = if let Some(slab) = arena.try_claim() {
+    /// Copy `buf` into a slab of this worker's arena and ship the descriptor
+    /// — a message for `dest` — to worker `dst`; a dry arena degrades to
+    /// singles for the same `dst` (a throughput dip recorded in
+    /// `arena_claim_misses`, never a loss or a reordering).  Whether the
+    /// message counts as wire traffic is the caller's call (local-bypass
+    /// batches do not).
+    fn ship_slab(
+        &mut self,
+        dst: usize,
+        dest: MessageDest,
+        grouped_at_source: bool,
+        buf: &mut Vec<Item<Payload>>,
+    ) {
+        let me = self.me.0;
+        let arena = self.world.arenas[me as usize];
+        if let Some(slab) = arena.try_claim() {
             self.tally.arena_claims += 1;
-            for (i, item) in buf.iter().enumerate() {
+            for (i, &item) in buf.iter().enumerate() {
                 // SAFETY: `try_claim` granted exclusive ownership of `slab`;
                 // `buf.len() <= g` = the slab capacity.
-                unsafe { arena.write(slab, i, *item) };
+                unsafe { arena.write(slab, i, item) };
             }
             let handle = arena.seal(slab, buf.len() as u32);
             self.push_env(
                 dst,
-                WireEnvelope::slab(
-                    tag,
-                    me as u32,
-                    handle.slab,
-                    0,
-                    handle.len,
-                    handle.generation,
-                ),
+                Envelope::Slab {
+                    owner: me,
+                    handle,
+                    dest,
+                    grouped_at_source,
+                },
             );
-            1
         } else {
             self.counters.incr("arena_claim_misses");
             for &item in buf.iter() {
-                self.push_env(item.dest.0 as usize, WireEnvelope::single(item));
+                self.push_env(dst, Envelope::Single(item));
             }
-            buf.len() as u64
-        };
+        }
         buf.clear();
-        envelopes
     }
 
     /// [`ProcCtx::ship_slab`] for aggregated traffic, which crosses a
-    /// modelled process boundary and is accounted as wire messages.
-    fn ship_wire_slab(&mut self, dst: usize, tag: u32, buf: &mut Vec<Item<Payload>>) {
+    /// modelled process boundary and is accounted as one wire message.
+    fn ship_wire_slab(
+        &mut self,
+        dst: usize,
+        dest: MessageDest,
+        grouped_at_source: bool,
+        buf: &mut Vec<Item<Payload>>,
+    ) {
         self.tally.wire_items += buf.len() as u64;
-        let envelopes = self.ship_slab(dst, tag, buf);
-        self.tally.wire_messages += envelopes;
+        self.tally.wire_messages += 1;
+        self.ship_slab(dst, dest, grouped_at_source, buf);
     }
 
     fn emit_worker(&mut self, dst: usize) {
         let mut buf = std::mem::take(&mut self.bufs_worker[dst]);
         if !buf.is_empty() {
-            self.ship_wire_slab(dst, TAG_SLAB_WORKER, &mut buf);
+            let dest = MessageDest::Worker(WorkerId(dst as u32));
+            self.ship_wire_slab(dst, dest, false, &mut buf);
         }
         self.bufs_worker[dst] = buf;
     }
@@ -421,7 +379,12 @@ impl<'w> ProcCtx<'w> {
         if !buf.is_empty() {
             self.tally.local_batches += 1;
             self.tally.local_deliveries += buf.len() as u64;
-            self.ship_slab(dst, TAG_SLAB_WORKER, &mut buf);
+            self.ship_slab(
+                dst,
+                MessageDest::Worker(WorkerId(dst as u32)),
+                false,
+                &mut buf,
+            );
         }
         self.bufs_local[dst] = buf;
     }
@@ -438,20 +401,28 @@ impl<'w> ProcCtx<'w> {
     fn emit_proc(&mut self, dst_proc: usize) {
         let mut buf = std::mem::take(&mut self.bufs_proc[dst_proc]);
         if !buf.is_empty() {
-            let tag = if self.scheme == Scheme::WsP {
+            let grouped = self.scheme == Scheme::WsP;
+            if grouped {
                 let wpp = self.world.topo.workers_per_proc() as usize;
                 group_in_place(&mut buf, wpp, &mut self.group_scratch);
-                TAG_SLAB_PROC_GROUPED
-            } else {
-                TAG_SLAB_PROC
-            };
-            let receiver = self
-                .world
-                .topo
-                .group_receiver(self.my_proc, ProcId(dst_proc as u32));
-            self.ship_wire_slab(receiver.0 as usize, tag, &mut buf);
+            }
+            self.ship_to_proc(dst_proc, grouped, &mut buf);
         }
         self.bufs_proc[dst_proc] = buf;
+    }
+
+    /// Ship `buf` as one process-addressed wire message to the group
+    /// receiver of process `dst_proc`.
+    fn ship_to_proc(
+        &mut self,
+        dst_proc: usize,
+        grouped_at_source: bool,
+        buf: &mut Vec<Item<Payload>>,
+    ) {
+        let dst_proc = ProcId(dst_proc as u32);
+        let receiver = self.world.topo.group_receiver(self.my_proc, dst_proc);
+        let dest = MessageDest::Process(dst_proc);
+        self.ship_wire_slab(receiver.0 as usize, dest, grouped_at_source, buf);
     }
 
     /// PP insert with the shared claim buffer's full protocol: `Stored` is
@@ -466,7 +437,7 @@ impl<'w> ProcCtx<'w> {
             match claim.insert(item) {
                 SegClaimInsert::Stored => return,
                 SegClaimInsert::MustDrain => {
-                    self.drain_claim(claim);
+                    self.drain_claim(dst_proc);
                     return;
                 }
                 SegClaimInsert::Retry => {
@@ -491,11 +462,13 @@ impl<'w> ProcCtx<'w> {
         }
     }
 
-    /// Take the drain lock and seal-flush `claim`, re-shipping the collected
-    /// items as singles.  Losing the lock race is fine: the holder's swap
-    /// covers every slot claimed before it, including ours.  Returns whether
-    /// this call shipped anything.
-    fn drain_claim(&mut self, claim: SegClaim<Item<Payload>>) -> bool {
+    /// Take the drain lock and seal-flush the claim buffer toward process
+    /// `dst_proc`, shipping the collected items as one slab to its group
+    /// receiver.  Losing the lock race is fine: the holder's swap covers
+    /// every slot claimed before it, including ours.  Returns whether this
+    /// call shipped anything.
+    fn drain_claim(&mut self, dst_proc: usize) -> bool {
+        let claim = self.world.claim(self.my_proc.0 as usize, dst_proc);
         if !claim.try_begin_drain(self.me.0) {
             return false;
         }
@@ -512,8 +485,8 @@ impl<'w> ProcCtx<'w> {
         self.add_dropped(skipped);
         self.counters.incr("pp_seal_flushes");
         let shipped = !out.is_empty();
-        for item in out.drain(..) {
-            self.ship_single(item);
+        if shipped {
+            self.ship_to_proc(dst_proc, false, &mut out);
         }
         self.drain_buf = out;
         shipped
@@ -553,9 +526,18 @@ impl<'w> ProcCtx<'w> {
                     self.flush_emits += 1;
                 }
             }
-            Scheme::WPs | Scheme::WsP => {
+            Scheme::WPs | Scheme::WsP | Scheme::PP => {
+                // Every process-addressed buffer — private or the shared PP
+                // claim buffer — ships to its group receiver.
+                let pp = self.scheme == Scheme::PP;
+                let src_proc = self.my_proc.0 as usize;
                 for dst_proc in 0..self.world.procs {
-                    if self.bufs_proc[dst_proc].is_empty() {
+                    let empty = if pp {
+                        self.world.claim(src_proc, dst_proc).claim_count() == 0
+                    } else {
+                        self.bufs_proc[dst_proc].is_empty()
+                    };
+                    if empty {
                         continue;
                     }
                     let receiver = self
@@ -566,31 +548,13 @@ impl<'w> ProcCtx<'w> {
                         held = true;
                         continue;
                     }
-                    self.emit_proc(dst_proc);
-                    self.flush_emits += 1;
-                }
-            }
-            Scheme::PP => {
-                let topo = self.world.topo;
-                let src_proc = self.my_proc.0 as usize;
-                for dst_proc in 0..self.world.procs {
-                    let claim = self.world.claim(src_proc, dst_proc);
-                    if claim.claim_count() == 0 {
-                        continue;
-                    }
-                    // A drained claim buffer re-ships as singles: its lanes
-                    // are the rings toward every worker of the destination.
-                    if gated
-                        && !topo
-                            .workers_of(ProcId(dst_proc as u32))
-                            .all(|w| self.lane_drained(w.0 as usize))
-                    {
-                        held = true;
-                        continue;
-                    }
-                    if self.drain_claim(claim) {
-                        self.flush_emits += 1;
-                    }
+                    let shipped = if pp {
+                        self.drain_claim(dst_proc)
+                    } else {
+                        self.emit_proc(dst_proc);
+                        true
+                    };
+                    self.flush_emits += u64::from(shipped);
                 }
             }
         }
@@ -669,9 +633,9 @@ impl RunCtx for ProcCtx<'_> {
             // backend's accounting).
             let dst = dest.0 as usize;
             if self.bufs_local.is_empty() {
-                // No arena to seal a batch into (NoAgg, PP): singles.
+                // No arena to copy a batch into (NoAgg): singles.
                 self.tally.local_deliveries += 1;
-                self.push_env(dst, WireEnvelope::single(item));
+                self.push_env(dst, Envelope::Single(item));
                 return;
             }
             self.bufs_local[dst].push(item);
@@ -743,13 +707,18 @@ fn deliver(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, items: &[Item<Payload
         .fetch_add(items.len() as u64, Ordering::Release);
 }
 
-/// Receive-side grouping pass for a process-addressed slab: group it in
-/// place (a no-op on a source-grouped WsP slab), forward peer ranges
-/// (consumer refcount bumped first), deliver the own range, drop this
-/// consumer's reference.
-fn group_and_forward(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, env: WireEnvelope) {
+/// Receive-side grouping pass for a process-addressed slab of worker
+/// `owner`'s arena: group it in place (a no-op on a source-grouped WsP slab),
+/// forward peer ranges (consumer refcount bumped first), deliver the own
+/// range, drop this consumer's reference.
+fn group_and_forward(
+    app: &mut dyn WorkerApp,
+    ctx: &mut ProcCtx<'_>,
+    owner: u32,
+    handle: SlabHandle,
+) {
     let me = ctx.me;
-    let arena = ctx.world.arenas[env.owner as usize];
+    let arena = ctx.world.arenas[owner as usize];
     let wpp = ctx.world.topo.workers_per_proc() as usize;
     // Out of `ctx` while its ranges are read, so `push_env` can borrow it.
     let mut scratch = std::mem::take(&mut ctx.group_scratch);
@@ -757,62 +726,68 @@ fn group_and_forward(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, env: WireEn
         // SAFETY: outstanding == 1 here — this worker is the slab's sole
         // consumer until `add_consumers` below — so the mutable view is
         // exclusive.
-        let items = unsafe { arena.slice_mut(env.slab, 0, env.len) };
+        let items = unsafe { arena.slice_mut(handle.slab, 0, handle.len) };
         group_in_place(items, wpp, &mut scratch)
     };
     ctx.tally.grouping_passes += 1;
-    ctx.tally.grouped_items += u64::from(env.len);
+    ctx.tally.grouped_items += u64::from(handle.len);
     let forwards = ranges.iter().filter(|&&(dest, _, _)| dest != me).count() as u32;
     if forwards > 0 {
         // Before any forward leaves: a fast peer must never drive the
         // refcount to zero while ranges are still being pushed.
-        arena.add_consumers(env.slab, forwards);
+        arena.add_consumers(handle.slab, forwards);
     }
-    for &(dest, slice_start, slice_len) in ranges {
+    for &(dest, start, len) in ranges {
         if dest == me {
             continue;
         }
-        ctx.push_env(
-            dest.0 as usize,
-            WireEnvelope::slab(
-                TAG_SLAB_SLICE,
-                env.owner,
-                env.slab,
-                slice_start,
-                slice_len,
-                env.generation,
-            ),
-        );
+        let range = SlabRange {
+            start,
+            len,
+            ..handle.range()
+        };
+        ctx.push_env(dest.0 as usize, Envelope::Slice { owner, range });
     }
-    if let Some(&(_, slice_start, slice_len)) = ranges.iter().find(|&&(dest, _, _)| dest == me) {
+    if let Some(&(_, start, len)) = ranges.iter().find(|&&(dest, _, _)| dest == me) {
         // SAFETY: same sealed slab; the range came from the grouping pass.
-        let mine = unsafe { arena.slice(env.slab, slice_start, slice_len) };
+        let mine = unsafe { arena.slice(handle.slab, start, len) };
         deliver(app, ctx, mine);
     }
     ctx.group_scratch = scratch;
-    if arena.finish_consumer(env.slab) {
-        arena.release(env.slab);
+    if arena.finish_consumer(handle.slab) {
+        arena.release(handle.slab);
+    }
+}
+
+/// Deliver `range` of a sealed slab of worker `owner`'s arena, then drop
+/// this consumer's reference.
+fn deliver_range(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, owner: u32, range: SlabRange) {
+    let arena = ctx.world.arenas[owner as usize];
+    // SAFETY: sealed slab; this worker holds a consumer reference.
+    let items = unsafe { arena.slice(range.slab, range.start, range.len) };
+    deliver(app, ctx, items);
+    if arena.finish_consumer(range.slab) {
+        arena.release(range.slab);
     }
 }
 
 /// Dispatch one inbound envelope.
-fn handle_envelope(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, env: WireEnvelope) {
-    match env.tag {
-        TAG_SINGLE => {
-            let item = env.item;
-            deliver(app, ctx, &[item]);
+fn handle_envelope(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, env: Envelope) {
+    match env {
+        // A single addressed to a peer is an arena-miss fallback that
+        // reached its group receiver: forward it, in order.
+        Envelope::Single(item) if item.dest != ctx.me => {
+            ctx.push_env(item.dest.0 as usize, env);
         }
-        TAG_SLAB_WORKER | TAG_SLAB_SLICE => {
-            let arena = ctx.world.arenas[env.owner as usize];
-            // SAFETY: sealed slab; this worker holds a consumer reference.
-            let items = unsafe { arena.slice(env.slab, env.start, env.len) };
-            deliver(app, ctx, items);
-            if arena.finish_consumer(env.slab) {
-                arena.release(env.slab);
-            }
-        }
-        TAG_SLAB_PROC | TAG_SLAB_PROC_GROUPED => group_and_forward(app, ctx, env),
-        _ => {}
+        Envelope::Single(item) => deliver(app, ctx, &[item]),
+        Envelope::Slab {
+            owner,
+            handle,
+            dest: MessageDest::Process(_),
+            ..
+        } => group_and_forward(app, ctx, owner, handle),
+        Envelope::Slab { owner, handle, .. } => deliver_range(app, ctx, owner, handle.range()),
+        Envelope::Slice { owner, range } => deliver_range(app, ctx, owner, range),
     }
 }
 
@@ -882,7 +857,7 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
     let me = ctx.me.0 as usize;
     let ctl = world.ctl();
     let mut faults = ChildFaults::compile(world.faults.as_ref(), ctx.me.0);
-    let mut inbox: Vec<WireEnvelope> = Vec::with_capacity(INBOX_BUDGET);
+    let mut inbox: Vec<Envelope> = Vec::with_capacity(INBOX_BUDGET);
     let mut beats = 0u64;
     let mut idle_rounds = 0u32;
     let mut quiet = QuietTracker::new(world.tram.flush_policy.on_idle);

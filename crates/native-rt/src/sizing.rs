@@ -25,12 +25,13 @@ pub(crate) const INBOX_BUDGET: usize = 128;
 /// grow stashes without bound and dry out the slab arena).
 pub(crate) const STASH_THROTTLE: usize = 128;
 
-/// Whether `scheme` seals its messages into per-worker slab arenas: the
-/// schemes whose aggregation runs in a worker-owned aggregator.  PP
-/// (process-shared claim buffers) and NoAgg (inline single items) use the
-/// heap-vector path, as does every arena-miss fallback.
+/// Whether `scheme` ships its messages as slabs of per-worker arenas: every
+/// scheme that aggregates.  WW/WPs/WsP write items into slabs at insert
+/// time; PP copies a drained claim buffer into one, and the local bypass
+/// copies each staged batch.  NoAgg ships inline singles, as does every
+/// arena-miss fallback.
 pub(crate) fn uses_arena(scheme: Scheme) -> bool {
-    matches!(scheme, Scheme::WW | Scheme::WPs | Scheme::WsP)
+    scheme != Scheme::NoAgg
 }
 
 /// The per-pair delivery ring capacity (in envelopes) for `scheme` on
@@ -43,13 +44,13 @@ pub(crate) fn uses_arena(scheme: Scheme) -> bool {
 /// stay zero-miss.  About 2048 slots per sender, clamped to `[8, 128]` per
 /// pair.
 ///
-/// Vector rings (PP) hold `max(64, 4096 / workers)` per pair, so total ring
-/// memory stays flat as the cluster grows.  NoAgg ships one envelope per item
-/// (that is the scheme), so its rings are twice as deep — a sender can
-/// outrun a descheduled consumer by thousands of envelopes — but not
-/// unboundedly so: ring slots are the working set, and a mesh bigger than
-/// the cache turns every push into a miss.  The overflow stash (sender-local,
-/// contiguous, cache-warm) absorbs what the rings cannot.
+/// NoAgg ships one envelope per item (that is the scheme), so its rings hold
+/// `2 × max(64, 4096 / workers)` per pair — total ring memory stays flat as
+/// the cluster grows, and a sender can outrun a descheduled consumer by
+/// thousands of envelopes, but not unboundedly so: ring slots are the
+/// working set, and a mesh bigger than the cache turns every push into a
+/// miss.  The overflow stash (sender-local, contiguous, cache-warm) absorbs
+/// what the rings cannot.
 pub(crate) fn ring_capacity(scheme: Scheme, workers: usize) -> usize {
     #[cfg(test)]
     if let Some(capacity) = test_ring::get() {
@@ -57,13 +58,9 @@ pub(crate) fn ring_capacity(scheme: Scheme, workers: usize) -> usize {
     }
     let workers = workers.max(1);
     if uses_arena(scheme) {
-        return (2048 / workers).clamp(8, 128);
-    }
-    let base = (4096 / workers).max(64);
-    if scheme == Scheme::NoAgg {
-        base * 2
+        (2048 / workers).clamp(8, 128)
     } else {
-        base
+        (4096 / workers).max(64) * 2
     }
 }
 
@@ -77,9 +74,9 @@ pub(crate) fn ring_capacity(scheme: Scheme, workers: usize) -> usize {
 /// [`STASH_THROTTLE`] caps (handler-generated sends can overshoot it, which
 /// the multiplier absorbs).  The bound is deliberately generous — arena
 /// memory is cheap next to rings — and when a pathological schedule still
-/// runs the arena dry, inserts fall back to pooled heap vectors: a
-/// throughput dip recorded in the `arena_claim_misses` counter, never a
-/// stall or a loss.
+/// runs the arena dry, messages fall back to inline singles: a throughput
+/// dip recorded in the `arena_claim_misses` counter, never a stall or a
+/// loss.
 pub(crate) fn arena_slabs(tram: &TramConfig, workers: usize) -> usize {
     let dests = match tram.scheme {
         Scheme::WW => workers,
@@ -121,18 +118,18 @@ mod tests {
     #[test]
     fn ring_depth_scales_down_with_workers() {
         // (scheme, workers, ring depth): arena rings keep ~2048 slots per
-        // sender clamped to [8, 128] per pair; vector rings keep 4096 with a
-        // 64 floor; NoAgg's are twice as deep.  Both engines call this rule.
+        // sender clamped to [8, 128] per pair; NoAgg's inline rings keep
+        // twice 4096 with a 64 floor.  Both engines call this rule.
         let table = [
             (Scheme::WW, 2, 128),
             (Scheme::WPs, 8, 128),
             (Scheme::WsP, 64, 32),
             (Scheme::WW, 1024, 8),
-            (Scheme::PP, 2, 2048),
-            (Scheme::PP, 8, 512),
-            (Scheme::PP, 16, 256),
-            (Scheme::PP, 64, 64),
-            (Scheme::PP, 1024, 64),
+            (Scheme::PP, 2, 128),
+            (Scheme::PP, 8, 128),
+            (Scheme::PP, 16, 128),
+            (Scheme::PP, 64, 32),
+            (Scheme::PP, 1024, 8),
             (Scheme::NoAgg, 2, 4096),
             (Scheme::NoAgg, 8, 1024),
             (Scheme::NoAgg, 1024, 128),
@@ -160,7 +157,7 @@ mod tests {
             (Scheme::WW, one_proc, 128, Some(898)),
             (Scheme::WsP, one_proc, 128, Some(897)),
             (Scheme::WPs, two_nodes, 128, Some(898)),
-            (Scheme::PP, one_proc, 2048, None),
+            (Scheme::PP, one_proc, 128, Some(897)),
             (Scheme::NoAgg, one_proc, 4096, None),
         ];
         for (scheme, topo, depth, slabs) in cells {

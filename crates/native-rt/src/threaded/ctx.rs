@@ -1,8 +1,9 @@
 //! The native backend's per-worker [`RunCtx`] implementation.
 //!
 //! The context owns everything a worker thread touches per item — aggregator,
-//! RNG, counters, local-bypass batches, the mesh overflow stash — and routes
-//! emitted messages onto the per-pair SPSC rings of the delivery mesh.
+//! RNG, counters, local-bypass staging, the mesh overflow stash — and routes
+//! emitted messages onto the per-pair SPSC rings of the delivery mesh, as
+//! slab descriptors or inline singles.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -10,14 +11,15 @@ use std::sync::atomic::Ordering;
 use metrics::{Counters, LatencyRecorder, QuantileSketch};
 use net_model::{ProcId, WorkerId};
 use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::{ClaimResult, SlabArena, SlabHandle};
+use shmem::{ClaimResult, SlabArena, SlabHandle, SlabRange};
 use sim_core::StreamRng;
 use tramlib::{
     Aggregator, EmitReason, EmittedMessage, Item, MessageDest, OutboundMessage, Owner, Scheme,
     SlabSealed, TramStats,
 };
 
-use super::{Batch, Envelope, Shared, Spent, SPARE_BATCHES};
+use super::{Batch, Shared, SPARE_BATCHES};
+use crate::envelope::Envelope;
 use crate::quantum::{self, SelfClocked};
 use crate::tally::Tally;
 
@@ -64,14 +66,15 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// buffer had to be held back (see [`SelfClocked::flush_quiet`]).
     pub(crate) pp_flush_due: bool,
     /// Per-destination-worker local-bypass staging batches (same-process
-    /// traffic), indexed by destination worker.  A staging buffer never
+    /// traffic), indexed by destination worker; empty without the bypass or
+    /// without an arena (NoAgg ships local singles).  A staging buffer never
     /// outlives the scheduling quantum that filled it: every non-empty
-    /// batch ships at the end of each loop iteration, busy or idle
-    /// ([`NativeWorkerCtx::flush_local`]), and inside a quantum only when it
-    /// reaches the run's own `buffer_items`.
+    /// batch is copied into a slab and ships at the end of each loop
+    /// iteration, busy or idle ([`NativeWorkerCtx::flush_local`]), and
+    /// inside a quantum only when it reaches the run's own `buffer_items`.
     pub(crate) local_out: Vec<Batch>,
-    /// Spare batch vectors recycled from delivered local and downlink
-    /// batches; the staging buffers (local and wire) draw from them.
+    /// Spare batch vectors recycled from delivered downlink batches; the
+    /// wire staging buffer draws from them.
     pub(crate) spare_batches: Vec<Batch>,
     /// Cached wall-clock offset, refreshed once per delivered batch / loop
     /// iteration instead of per item: at millions of items per second the
@@ -126,8 +129,8 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// NoAgg ships one envelope per item; pushing each individually would pay
     /// a cold ring-slot write and a tail publication per item.
     pub(crate) defer_pushes: bool,
-    /// Arena schemes (WW/WPs/WsP) only: this worker's shared arena (claims and releases are
-    /// ours alone; consumers only borrow and decrement).
+    /// Every scheme but NoAgg: this worker's shared arena (claims and
+    /// releases are ours alone; consumers only borrow and decrement).
     pub(crate) arena: Option<&'a SlabArena<Item<Payload>>>,
     /// Spent slab handles whose return ring to the owner was full; retried
     /// every loop iteration (a handle must never be dropped — the owner's
@@ -187,9 +190,9 @@ impl<'a> NativeWorkerCtx<'a> {
             has_timeout: shared.tram.flush_policy.timeout_ns.is_some(),
             pp_oldest_ns: None,
             pp_flush_due: false,
-            // No lanes without the bypass: the per-quantum flush then has
-            // nothing to walk.
-            local_out: if shared.tram.local_bypass {
+            // No lanes without the bypass or without an arena to copy
+            // into: the per-quantum flush then has nothing to walk.
+            local_out: if shared.tram.local_bypass && !shared.arenas.is_empty() {
                 (0..workers).map(|_| Vec::new()).collect()
             } else {
                 Vec::new()
@@ -295,23 +298,21 @@ impl<'a> NativeWorkerCtx<'a> {
         quantum::lane_drained(ring.len(), self.stash[target.idx()].len())
     }
 
-    /// Hand an aggregated message to the delivery plane, recording the wire
-    /// counters the simulator records in its routing layer.
+    /// Hand a heap-vector message — NoAgg's single item, or an arena-miss
+    /// fallback — to the delivery plane as inline singles, recording the
+    /// wire counters the simulator records in its routing layer.  The
+    /// singles go where the slab would have gone (a process-addressed
+    /// message's group receiver forwards them), so they never overtake
+    /// earlier slabs; the vector goes back to the aggregator's pool.
     pub(crate) fn emit(&mut self, message: OutboundMessage<Payload>) {
         self.publish_sent();
         self.count_wire(message.items.len(), message.bytes, message.reason);
         let target = self.receiver_of(message.dest);
-        // Single-item worker-addressed messages (NoAgg) ride inline; their
-        // vector is recycled here, where it came from.
-        if message.items.len() == 1 && matches!(message.dest, MessageDest::Worker(_)) {
-            let mut items = message.items;
-            let item = items.pop().expect("one item");
-            if let Some(agg) = self.aggregator.as_mut() {
-                agg.recycle(items);
-            }
+        for &item in &message.items {
             self.push_mesh(target, Envelope::Single(item));
-        } else {
-            self.push_mesh(target, Envelope::Message(message));
+        }
+        if let Some(agg) = self.aggregator.as_mut() {
+            agg.recycle(message.items);
         }
     }
 
@@ -322,7 +323,45 @@ impl<'a> NativeWorkerCtx<'a> {
         self.publish_sent();
         self.count_wire(sealed.handle.len as usize, sealed.bytes, sealed.reason);
         let target = self.receiver_of(sealed.dest);
-        self.push_mesh(target, Envelope::Slab(sealed));
+        self.push_mesh(
+            target,
+            Envelope::Slab {
+                owner: self.me.0,
+                handle: sealed.handle,
+                dest: sealed.dest,
+                grouped_at_source: sealed.grouped_at_source,
+            },
+        );
+    }
+
+    /// Copy `items` into one slab of this worker's arena and ship it to
+    /// `target` as a message for `dest` — the PP drain and the local bypass,
+    /// whose staging lives outside the arena.  A dry arena degrades to
+    /// singles for the same `target` (a throughput dip recorded in
+    /// `arena_claim_misses`, never a loss or a reordering).
+    fn ship_slab(&mut self, target: WorkerId, dest: MessageDest, items: &[Item<Payload>]) {
+        let arena = self.arena.expect("a slab-shipping scheme has an arena");
+        let Some(slab) = arena.try_claim() else {
+            for &item in items {
+                self.push_mesh(target, Envelope::Single(item));
+            }
+            return;
+        };
+        for (i, &item) in items.iter().enumerate() {
+            // SAFETY: `try_claim` gave this worker the unsealed slab, and
+            // `items` never outgrows `buffer_items`, the slab capacity.
+            unsafe { arena.write(slab, i, item) };
+        }
+        let handle = arena.seal(slab, items.len() as u32);
+        self.push_mesh(
+            target,
+            Envelope::Slab {
+                owner: self.me.0,
+                handle,
+                dest,
+                grouped_at_source: false,
+            },
+        );
     }
 
     /// The wire counters of one emitted message (the ones the simulator
@@ -378,54 +417,27 @@ impl<'a> NativeWorkerCtx<'a> {
     /// wire buffer.  Every carried item was already counted sent, and each
     /// names its final destination worker, so the remote leader's regroup
     /// (and the remote worker's delivery) is exact — no grouping state
-    /// crosses the node boundary, only payloads.
+    /// crosses the node boundary, only payloads.  A slab is copied out of
+    /// its arena — the zero-copy discipline is an intra-node optimization;
+    /// the node boundary is a real copy either way (it becomes wire bytes).
     fn push_wire(&mut self, envelope: Envelope) {
         self.tally.wire_node_msgs += 1;
-        match envelope {
-            Envelope::Single(item) => self.wire_out.push(item),
-            Envelope::Batch(mut items) => {
-                self.wire_out.append(&mut items);
-                self.retain_spare(items);
-            }
-            Envelope::Message(message) => {
-                let mut items = message.items;
-                self.wire_out.append(&mut items);
-                self.reclaim(items);
-            }
-            // Sealed slabs are copied out of this worker's own arena — the
-            // zero-copy discipline is an intra-node optimization; the node
-            // boundary is a real copy either way (it becomes wire bytes).
-            Envelope::Slab(sealed) => {
-                let owner = self.me.idx();
-                let arena = &self.shared.arenas[owner];
-                let handle = sealed.handle;
-                debug_assert_eq!(arena.generation(handle.slab), handle.generation);
-                // SAFETY: we still hold the live handle of the just-sealed
-                // slab; no consumer has seen it.
-                let items = unsafe { arena.slice(handle.slab, 0, handle.len) };
-                self.wire_out.extend_from_slice(items);
-                if arena.finish_consumer(handle.slab) {
-                    arena.release(handle.slab);
+        match envelope.slab_range() {
+            None => {
+                if let Envelope::Single(item) = envelope {
+                    self.wire_out.push(item);
                 }
             }
-            // Grouping-pass forwards stay within one process (= one node),
-            // so a cross-node slice is unreachable by construction; handle
-            // it anyway so a topology bug degrades into a copy, not UB.
-            Envelope::SlabSlice { owner, range } => {
-                debug_assert!(false, "slab slice crossed a node boundary");
-                let arena = &self.shared.arenas[owner as usize];
-                // SAFETY: live forwarded range of a sealed slab.
+            Some((owner, range)) => {
+                let arena = &self.shared.arenas[owner];
+                debug_assert_eq!(arena.generation(range.slab), range.generation);
+                // SAFETY: a live range of a sealed slab that no other
+                // consumer has seen (cross-node envelopes are shipped, never
+                // forwarded).
                 let items = unsafe { arena.slice(range.slab, range.start, range.len) };
                 self.wire_out.extend_from_slice(items);
                 if arena.finish_consumer(range.slab) {
-                    self.return_slab(
-                        owner as usize,
-                        SlabHandle {
-                            slab: range.slab,
-                            len: range.len,
-                            generation: range.generation,
-                        },
-                    );
+                    self.return_slab(owner, range);
                 }
             }
         }
@@ -534,22 +546,21 @@ impl<'a> NativeWorkerCtx<'a> {
     }
 
     /// Stage one same-process item for its destination worker.  Items ride in
-    /// per-destination batches (one plane operation per batch, not per item);
+    /// per-destination batches, each copied into one slab when it ships (one
+    /// plane operation per batch, not per item);
     /// [`NativeWorkerCtx::flush_local`] ships every batch at the end of the
     /// quantum, so an item waits for the rest of its own quantum and nothing
-    /// else.
+    /// else.  Without an arena (NoAgg) the item ships at once, inline.
     pub(crate) fn deliver_local(&mut self, item: Item<Payload>) {
         let dest = item.dest.idx();
-        let batch = &mut self.local_out[dest];
-        if batch.capacity() == 0 {
-            if let Some(spare) = self.spare_batches.pop() {
-                *batch = spare;
-            } else if let Some(agg) = self.aggregator.as_mut() {
-                *batch = agg.take_pooled();
-            }
+        if self.local_out.is_empty() {
+            self.publish_sent();
+            self.tally.local_deliveries += 1;
+            self.push_mesh(item.dest, Envelope::Single(item));
+            return;
         }
-        batch.push(item);
-        if batch.len() >= self.shared.tram.buffer_items {
+        self.local_out[dest].push(item);
+        if self.local_out[dest].len() >= self.shared.tram.buffer_items {
             self.ship_local(dest);
         }
     }
@@ -563,7 +574,10 @@ impl<'a> NativeWorkerCtx<'a> {
         let batch = std::mem::take(&mut self.local_out[dest]);
         self.tally.local_batches += 1;
         self.tally.local_deliveries += batch.len() as u64;
-        self.push_mesh(WorkerId(dest as u32), Envelope::Batch(batch));
+        let to = WorkerId(dest as u32);
+        self.ship_slab(to, MessageDest::Worker(to), &batch);
+        self.local_out[dest] = batch;
+        self.local_out[dest].clear();
     }
 
     /// Quantum end: ship every non-empty staging buffer — the local-bypass
@@ -579,7 +593,7 @@ impl<'a> NativeWorkerCtx<'a> {
         self.ship_wire();
     }
 
-    /// Keep a delivered batch's vector for future local-bypass batches.
+    /// Keep a delivered downlink batch's vector for future wire batches.
     pub(crate) fn retain_spare(&mut self, mut batch: Batch) {
         if self.spare_batches.len() < SPARE_BATCHES && batch.capacity() > 0 {
             batch.clear();
@@ -587,61 +601,27 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Take back a spent vector that came home over a return ring.  The
-    /// aggregator's pool gets it (it ships a vector away with every sealed
-    /// buffer, and the local-bypass path draws from the same pool); under PP
-    /// there is no aggregator, so the vector joins the local spares.
-    pub(crate) fn reclaim(&mut self, batch: Batch) {
-        if batch.capacity() == 0 {
-            return;
-        }
-        match self.aggregator.as_mut() {
-            Some(agg) => agg.recycle(batch),
-            None => self.retain_spare(batch),
-        }
-    }
-
-    /// Send a spent vector back to the worker that filled it.  Falls back to
-    /// local reuse when the return ring is full or the vector was this
-    /// worker's own.  Single-item vectors (NoAgg's per-item messages) are
-    /// simply dropped: a 32-byte allocation on the sender is cheaper than a
-    /// cold return-ring round trip per item.  Anything larger goes home —
-    /// even tiny configured buffers rely on the return path for their
-    /// allocation-free steady state.
-    pub(crate) fn return_spent(&mut self, src: usize, batch: Batch) {
-        if batch.capacity() < 2 {
-            return;
-        }
-        if src == self.me.idx() {
-            self.reclaim(batch);
-            return;
-        }
-        if let Err(Spent::Batch(batch)) = self
-            .shared
-            .plane
-            .return_ring(src, self.me.idx())
-            .push(Spent::Batch(batch))
-        {
-            self.reclaim(batch);
-        }
-    }
-
     /// Send a spent slab handle home to the worker whose arena owns it.
     /// Called by whichever consumer's [`shmem::SlabArena::finish_consumer`]
     /// was the last; a full return ring parks the handle for retry (it can
     /// never be dropped — the owner would leak the slab until run end).
-    pub(crate) fn return_slab(&mut self, owner: usize, handle: SlabHandle) {
+    pub(crate) fn return_slab(&mut self, owner: usize, range: SlabRange) {
         if owner == self.me.idx() {
             // Our own slab came straight back (local forward of a range, or
             // a self-addressed message): release without touching a ring.
-            self.shared.arenas[owner].release(handle.slab);
+            self.shared.arenas[owner].release(range.slab);
             return;
         }
+        let handle = SlabHandle {
+            slab: range.slab,
+            len: range.len,
+            generation: range.generation,
+        };
         if self
             .shared
             .plane
             .return_ring(owner, self.me.idx())
-            .push(Spent::Slab(handle))
+            .push(handle)
             .is_err()
         {
             self.pending_returns.push((owner as u32, handle));
@@ -656,23 +636,25 @@ impl<'a> NativeWorkerCtx<'a> {
         let mesh = &self.shared.plane;
         let me = self.me.idx();
         let before = self.pending_returns.len();
-        self.pending_returns.retain(|&(owner, handle)| {
-            mesh.return_ring(owner as usize, me)
-                .push(Spent::Slab(handle))
-                .is_err()
-        });
+        self.pending_returns
+            .retain(|&(owner, handle)| mesh.return_ring(owner as usize, me).push(handle).is_err());
         self.pending_returns.len() < before
     }
 
-    /// Take back one unit of spent storage that came home over a return
-    /// ring: vectors feed the pools, slab handles reopen their arena slab.
-    pub(crate) fn reclaim_spent(&mut self, spent: Spent) {
-        match spent {
-            Spent::Batch(batch) => self.reclaim(batch),
-            Spent::Slab(handle) => {
-                self.shared.arenas[self.me.idx()].release(handle.slab);
+    /// Reopen the slabs whose handles came home over this worker's return
+    /// rings.  Returns true if any did.
+    pub(crate) fn reclaim_returns(&mut self) -> bool {
+        let Some(arena) = self.arena else {
+            return false;
+        };
+        let mut any = false;
+        for dst in 0..self.shared.topo.total_workers() as usize {
+            while let Some(handle) = self.shared.plane.return_ring(self.me.idx(), dst).pop() {
+                arena.release(handle.slab);
+                any = true;
             }
         }
+        any
     }
 
     /// Teardown-only: hand every parked slab handle straight back to its
@@ -687,51 +669,18 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Quarantine path: account one undeliverable envelope and recycle its
-    /// storage.  The slab refcount dance and the return rings keep flowing
-    /// exactly as on delivery — only the handler call is skipped — so a
-    /// panicked consumer never strands a peer's slab or vector.  Returns the
-    /// number of items dropped.
-    pub(crate) fn drop_envelope(&mut self, src: usize, envelope: Envelope) -> u64 {
-        match envelope {
-            Envelope::Batch(batch) => {
-                let n = batch.len() as u64;
-                let mut batch = batch;
-                batch.clear();
-                self.return_spent(src, batch);
-                n
-            }
-            Envelope::Single(_) => 1,
-            Envelope::Message(message) => {
-                let n = message.items.len() as u64;
-                let mut items = message.items;
-                items.clear();
-                self.return_spent(src, items);
-                n
-            }
-            // Slab envelopes always ride their owner's ring, so `src` is the
-            // owning arena; a stash-drained slab is this worker's own.
-            Envelope::Slab(sealed) => {
-                let handle = sealed.handle;
-                if self.shared.arenas[src].finish_consumer(handle.slab) {
-                    self.return_slab(src, handle);
-                }
-                handle.len as u64
-            }
-            Envelope::SlabSlice { owner, range } => {
-                if self.shared.arenas[owner as usize].finish_consumer(range.slab) {
-                    self.return_slab(
-                        owner as usize,
-                        SlabHandle {
-                            slab: range.slab,
-                            len: range.len,
-                            generation: range.generation,
-                        },
-                    );
-                }
-                range.len as u64
+    /// Quarantine path: account one undeliverable envelope and hand back its
+    /// slab.  The refcount dance and the return rings keep flowing exactly as
+    /// on delivery — only the handler call is skipped — so a panicked
+    /// consumer never strands a peer's slab.  Returns the number of items
+    /// dropped.
+    pub(crate) fn drop_envelope(&mut self, envelope: Envelope) -> u64 {
+        if let Some((owner, range)) = envelope.slab_range() {
+            if self.shared.arenas[owner].finish_consumer(range.slab) {
+                self.return_slab(owner, range);
             }
         }
+        envelope.item_count()
     }
 
     /// Quarantine entry: drop everything this worker produced but had not
@@ -745,16 +694,14 @@ impl<'a> NativeWorkerCtx<'a> {
             dropped += agg.abandon(self.arena);
             self.aggregator = Some(agg);
         }
-        for dest in 0..self.local_out.len() {
-            let batch = std::mem::take(&mut self.local_out[dest]);
+        for batch in &mut self.local_out {
             dropped += batch.len() as u64;
-            self.retain_spare(batch);
+            batch.clear();
         }
-        let me = self.me.idx();
         for lane in 0..self.stash.len() {
             while let Some(envelope) = self.stash[lane].pop_front() {
                 self.stash_len -= 1;
-                dropped += self.drop_envelope(me, envelope);
+                dropped += self.drop_envelope(envelope);
             }
         }
         // Unshipped cross-node traffic: the wire buffer and its stash hold
@@ -809,20 +756,17 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Wrap drained PP items into an outbound process-addressed message.
+    /// Ship drained PP items as one process-addressed slab to the
+    /// destination's group receiver, which groups it as it groups WPs.
     fn emit_pp(&mut self, dst_proc: ProcId, items: Vec<Item<Payload>>, reason: EmitReason) {
         if items.is_empty() {
             return;
         }
         let bytes = self.shared.tram.message_bytes(items.len());
         self.pp_stats.record_message(items.len(), bytes, reason);
-        self.emit(OutboundMessage {
-            dest: MessageDest::Process(dst_proc),
-            items,
-            bytes,
-            reason,
-            grouped_at_source: false,
-        });
+        self.count_wire(items.len(), bytes, reason);
+        let dest = MessageDest::Process(dst_proc);
+        self.ship_slab(self.receiver_of(dest), dest, &items);
     }
 
     /// Seal-flush every shared PP buffer of this worker's process.
@@ -923,7 +867,7 @@ impl<'a> NativeWorkerCtx<'a> {
             let stats = arena.stats();
             self.counters.add("arena_claims", stats.claims);
             // Zero across a run = the zero-copy steady state never fell back
-            // to heap vectors; gated by `benchmark/run.sh` and the threaded
+            // to singles; gated by `benchmark/run.sh` and the threaded
             // engine's unit tests.
             self.counters.add("arena_claim_misses", stats.misses);
         }
@@ -1056,7 +1000,7 @@ impl SelfClocked for NativeWorkerCtx<'_> {
 
 /// Run one borrowed slice of delivered items through the application's
 /// slice-based handler.  The items are read **in place** — from a slab in
-/// some worker's arena, or from a pooled batch vector — and never moved.
+/// some worker's arena, or from a downlink batch vector — and never moved.
 /// The delivered counter is bumped once per slice, strictly after the
 /// handlers: any sends the handlers made are already counted by then, so
 /// `sent sum == delivered sum` still implies global quiescence.

@@ -4,9 +4,9 @@
 //! Each worker drains its column of the N×N envelope grid (one bounded SPSC
 //! ring per source worker), runs the receive-side grouping pass *locally*
 //! with its own [`PooledReceiver`], delivers its items inline and forwards
-//! process peers' slices as pre-grouped batches over its own row.  Spent
-//! vectors travel back over the per-pair return rings to whichever worker
-//! filled them, keeping every pool warm.
+//! process peers' ranges as slice descriptors over its own row.  The last
+//! consumer of a slab sends its handle back over the per-pair return ring to
+//! the worker whose arena owns it, which reopens the slab.
 //!
 //! Progress / deadlock freedom: a push onto a full ring never blocks — the
 //! envelope goes to the sender's per-destination stash and is retried at the
@@ -22,12 +22,13 @@ use std::time::Duration;
 
 use net_model::WorkerId;
 use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::SlabRange;
-use tramlib::{MessageDest, PooledReceiver, SlabSealed};
+use shmem::{SlabHandle, SlabRange};
+use tramlib::{MessageDest, PooledReceiver};
 
 use super::ctx::{deliver_batch, deliver_slice};
 use super::faults::ActiveFaults;
-use super::{Envelope, NativeWorkerCtx, Shared, WorkerOutput};
+use super::{NativeWorkerCtx, Shared, WorkerOutput};
+use crate::envelope::Envelope;
 use crate::quantum::QuietTracker;
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 
@@ -42,8 +43,8 @@ const IDLE_NAP: Duration = Duration::from_micros(50);
 // consumers.
 const IDLE_NAP_MAX_DOUBLINGS: u32 = 3;
 
-/// One worker PE on the mesh: retry stashed pushes, reclaim returned
-/// vectors, drain inbox rings, generate work, ship partial buffers on quiet
+/// One worker PE on the mesh: retry stashed pushes, reopen returned slabs,
+/// drain inbox rings, generate work, ship partial buffers on quiet
 /// quanta, back off.
 ///
 /// The scheduling loop (and the application code it calls) runs inside a
@@ -115,9 +116,6 @@ pub(crate) fn worker_main(
     ctx.publish_dropped();
     ctx.drain_pending_returns_direct();
     ctx.export_counters();
-    let pool = receiver.pool_stats();
-    ctx.counters.add("batch_pool_hits", pool.hits);
-    ctx.counters.add("batch_pool_misses", pool.misses);
     let batch_len = ctx.take_batch_len();
     let mut tram = ctx.pp_stats;
     if let Some(agg) = &ctx.aggregator {
@@ -151,7 +149,6 @@ fn mesh_loop(
     let me_i = me.idx();
     let mut idle_rounds = 0u32;
     let mut quiet = QuietTracker::new(shared.tram.flush_policy.on_idle);
-    let mut iteration = 0u32;
     let mut beats = 0u64;
     let mut done_stored = false;
     let mut quiesced = false;
@@ -170,7 +167,6 @@ fn mesh_loop(
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        iteration = iteration.wrapping_add(1);
         // Progress heartbeat + stash gauge: one relaxed store each, read by
         // the monitor's soft-stall scan at its 200µs poll granularity.
         beats += 1;
@@ -189,21 +185,11 @@ fn mesh_loop(
         // A slab handle parked on a full return ring must be retried until
         // it lands (dropping one would leak the owner's slab for the run).
         did_work |= ctx.flush_pending_returns();
-        // Reclaim spent storage our consumers sent back (vectors feed the
-        // pools, slab handles reopen arena slabs).  Without an arena (PP,
-        // NoAgg), returns only feed pools, so probing all N rings every
-        // iteration buys nothing — every 8th iteration (and every idle one)
-        // keeps the recycling at 1/8th of the probe cost, which itself scales
-        // with the worker count.  With an arena the returns ARE the arena's
-        // capacity: drain them every iteration so a burst of sealed slabs
-        // never dries the arena into the heap-vector fallback.
-        if ctx.arena.is_some() || iteration % 8 == 0 || idle_rounds > 0 {
-            for dst in 0..workers {
-                while let Some(spent) = mesh.return_ring(me_i, dst).pop() {
-                    ctx.reclaim_spent(spent);
-                }
-            }
-        }
+        // Reopen the slabs our consumers sent back: the returns ARE the
+        // arena's capacity, so they are drained every iteration and a burst
+        // of sealed slabs never dries the arena into the singles fallback.
+        // (NoAgg has no arena and nothing comes back.)
+        ctx.reclaim_returns();
         // A ring-burst fault closes the inbox for its window: senders back up
         // into their stashes, exercising the backpressure path end to end.
         if !faults.as_ref().is_some_and(ActiveFaults::skip_inbox) {
@@ -213,7 +199,7 @@ fn mesh_loop(
                 // stash retry at the loop top) has had its turn.
                 if mesh.ring(src, me_i).pop_into(&mut inbox, INBOX_BUDGET) > 0 {
                     for envelope in inbox.drain(..) {
-                        handle_envelope(app, ctx, receiver, src, envelope);
+                        handle_envelope(app, ctx, receiver, envelope);
                     }
                     did_work = true;
                 }
@@ -316,13 +302,13 @@ fn mesh_loop(
 /// Failure containment for a panicked mesh worker.
 ///
 /// The application state is gone, but simply exiting the thread would wedge
-/// the run: peers' slabs would never get their refcount decrements, spent
-/// storage would stop coming home, full rings towards this worker would back
-/// senders' stashes up forever.  So the quarantined worker stays on the data
-/// plane — draining rings, maintaining slab refcounts, returning spent
-/// storage — and merely skips delivery, counting every undeliverable item
-/// into the shared dropped ledger.  Once `sent == delivered + dropped` and
-/// all survivors are done, the monitor ends the run `Aborted`.
+/// the run: peers' slabs would never get their refcount decrements or come
+/// home, full rings towards this worker would back senders' stashes up
+/// forever.  So the quarantined worker stays on the data plane — draining
+/// rings, maintaining slab refcounts, returning slab handles — and merely
+/// skips delivery, counting every undeliverable item into the shared
+/// dropped ledger.  Once `sent == delivered + dropped` and all survivors are
+/// done, the monitor ends the run `Aborted`.
 fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
     let workers = shared.topo.total_workers() as usize;
     let mesh = &shared.plane;
@@ -353,15 +339,10 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
         let mut did_work = ctx.flush_stash();
         did_work |= ctx.flush_wire_stash();
         did_work |= ctx.flush_pending_returns();
-        for dst in 0..workers {
-            while let Some(spent) = mesh.return_ring(me_i, dst).pop() {
-                ctx.reclaim_spent(spent);
-                did_work = true;
-            }
-        }
+        did_work |= ctx.reclaim_returns();
         for src in 0..workers {
             while let Some(envelope) = mesh.ring(src, me_i).pop() {
-                ctx.pending_dropped += ctx.drop_envelope(src, envelope);
+                ctx.pending_dropped += ctx.drop_envelope(envelope);
                 did_work = true;
             }
         }
@@ -384,177 +365,113 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
     }
 }
 
-/// Process one envelope popped from the ring of source worker `src`.
+/// Process one envelope popped from an inbox ring.
 fn handle_envelope(
     app: &mut dyn WorkerApp,
     ctx: &mut NativeWorkerCtx<'_>,
     receiver: &mut PooledReceiver<Payload>,
-    src: usize,
     envelope: Envelope,
 ) {
     match envelope {
-        // A worker-addressed raw batch: local-bypass traffic or a slice a
-        // peer already grouped for us.  Straight to the handler.
-        Envelope::Batch(mut batch) => {
-            deliver_batch(app, ctx, &mut batch);
-            ctx.return_spent(src, batch);
+        // A single addressed to a peer is an arena-miss fallback of a
+        // process-addressed message that reached its group receiver: forward
+        // it, behind whatever this receiver forwarded before.
+        Envelope::Single(item) if item.dest != ctx.me => {
+            ctx.tally.local_forwards += 1;
+            ctx.push_mesh(item.dest, envelope);
         }
-        // A zero-copy slab message: borrow the items straight out of the
-        // owning worker's arena (`src` — slab envelopes always arrive on
-        // their owner's ring) and return only the handle.
-        Envelope::Slab(sealed) => handle_slab(app, ctx, receiver, src, sealed),
-        // A pre-grouped index range of a peer's slab, forwarded by the
-        // worker that ran the grouping pass.  Deliver the borrowed
-        // sub-slice; the last consumer sends the handle home.
-        Envelope::SlabSlice { owner, range } => {
-            let shared = ctx.shared;
-            let arena = &shared.arenas[owner as usize];
-            debug_assert_eq!(arena.generation(range.slab), range.generation);
-            // SAFETY: this worker holds the live forwarded range of a sealed
-            // slab; the owner cannot reuse it until every consumer finished.
-            let items = unsafe { arena.slice(range.slab, range.start, range.len) };
-            deliver_slice(app, ctx, items);
-            if arena.finish_consumer(range.slab) {
-                ctx.return_slab(
-                    owner as usize,
-                    shmem::SlabHandle {
-                        slab: range.slab,
-                        len: range.len,
-                        generation: range.generation,
-                    },
-                );
-            }
-        }
-        // An inline single-item message (NoAgg): nothing to group, nothing
-        // to return.
         Envelope::Single(item) => {
-            debug_assert_eq!(item.dest, ctx.me, "item delivered to wrong worker");
             ctx.latency.record_span(item.created_at_ns, ctx.now_cache);
             app.on_item(item.data, item.created_at_ns, ctx);
             ctx.pending_delivered += 1;
             ctx.count_batch(1);
         }
-        Envelope::Message(message) => handle_vec_message(app, ctx, receiver, src, message),
-    }
-}
-
-/// Process one zero-copy slab envelope from the arena of worker `owner`.
-fn handle_slab(
-    app: &mut dyn WorkerApp,
-    ctx: &mut NativeWorkerCtx<'_>,
-    receiver: &mut PooledReceiver<Payload>,
-    owner: usize,
-    sealed: SlabSealed,
-) {
-    let shared = ctx.shared;
-    let arena = &shared.arenas[owner];
-    let handle = sealed.handle;
-    debug_assert_eq!(arena.generation(handle.slab), handle.generation);
-    match sealed.dest {
-        // WW: the slab already names its final worker — deliver the whole
-        // borrowed slice, zero moves anywhere.
-        MessageDest::Worker(_) => {
-            // SAFETY: we hold the live handle of a sealed slab (its sole
-            // consumers until `finish_consumer` below).
-            let items = unsafe { arena.slice(handle.slab, 0, handle.len) };
-            deliver_slice(app, ctx, items);
-            if arena.finish_consumer(handle.slab) {
-                ctx.return_slab(owner, handle);
-            }
-        }
-        // WPs / WsP / PP: this worker owns the grouping pass.  Group the
-        // slab *in place* (we are its sole consumer until we forward),
-        // deliver our own index range, and forward the peers' ranges as
-        // borrowed sub-slices of the same slab — the items never move out.
-        MessageDest::Process(p) => {
+        Envelope::Slab {
+            owner,
+            handle,
+            dest: MessageDest::Process(p),
+            grouped_at_source,
+        } => {
             debug_assert_eq!(p, ctx.my_proc, "slab routed to wrong process");
-            {
-                // SAFETY: sole consumer of the sealed slab (no range has
-                // been forwarded yet), all `len` slots written before seal.
-                let items = unsafe { arena.slice_mut(handle.slab, 0, handle.len) };
-                let outcome = receiver.group_ranges(items, sealed.grouped_at_source);
-                if outcome.grouping_performed {
-                    ctx.tally.grouping_passes += 1;
-                    ctx.tally.grouped_items += outcome.item_count as u64;
-                }
-            }
-            let ranges = receiver.take_ranges();
-            let me = ctx.me;
-            // Register every forwarded consumer *before* any range ships:
-            // a forwarded peer may finish before we do.
-            let forwards = ranges.iter().filter(|&&(w, _, _)| w != me).count() as u32;
-            arena.add_consumers(handle.slab, forwards);
-            for &(w, start, len) in &ranges {
-                if w == me {
-                    // SAFETY: our own range of the sealed slab, stable until
-                    // the slab's last consumer finishes.
-                    let slice = unsafe { arena.slice(handle.slab, start, len) };
-                    deliver_slice(app, ctx, slice);
-                } else {
-                    ctx.tally.local_forwards += 1;
-                    ctx.push_mesh(
-                        w,
-                        Envelope::SlabSlice {
-                            owner: owner as u32,
-                            range: SlabRange {
-                                slab: handle.slab,
-                                start,
-                                len,
-                                generation: handle.generation,
-                            },
-                        },
-                    );
-                }
-            }
-            receiver.put_ranges(ranges);
-            if arena.finish_consumer(handle.slab) {
-                ctx.return_slab(owner, handle);
-            }
+            group_and_forward(app, ctx, receiver, owner, handle, grouped_at_source);
         }
+        // WW and the local bypass: the slab already names its final worker.
+        Envelope::Slab { owner, handle, .. } => deliver_range(app, ctx, owner, handle.range()),
+        // A pre-grouped index range of a peer's slab, forwarded by the
+        // worker that ran the grouping pass.
+        Envelope::Slice { owner, range } => deliver_range(app, ctx, owner, range),
     }
 }
 
-/// Process one heap-vector message (PP, NoAgg and every arena-miss
-/// fallback): the PR 4 delivery path, unchanged.
-fn handle_vec_message(
+/// Deliver `range` of a sealed slab of worker `owner`'s arena — borrowed in
+/// place, zero moves — then drop this consumer's reference; the last
+/// consumer sends the handle home.
+fn deliver_range(
+    app: &mut dyn WorkerApp,
+    ctx: &mut NativeWorkerCtx<'_>,
+    owner: u32,
+    range: SlabRange,
+) {
+    let arena = &ctx.shared.arenas[owner as usize];
+    debug_assert_eq!(arena.generation(range.slab), range.generation);
+    // SAFETY: this worker holds a consumer reference to a sealed slab; the
+    // owner cannot reuse it until every consumer finished.
+    let items = unsafe { arena.slice(range.slab, range.start, range.len) };
+    deliver_slice(app, ctx, items);
+    if arena.finish_consumer(range.slab) {
+        ctx.return_slab(owner as usize, range);
+    }
+}
+
+/// The receive-side grouping pass for a process-addressed slab of worker
+/// `owner`'s arena: group it *in place* (this worker is its sole consumer
+/// until it forwards), deliver its own index range, and forward the peers'
+/// ranges as borrowed sub-slices of the same slab — the items never move
+/// out.
+fn group_and_forward(
     app: &mut dyn WorkerApp,
     ctx: &mut NativeWorkerCtx<'_>,
     receiver: &mut PooledReceiver<Payload>,
-    src: usize,
-    message: tramlib::OutboundMessage<Payload>,
+    owner: u32,
+    handle: SlabHandle,
+    grouped_at_source: bool,
 ) {
-    match message.dest {
-        // WW / NoAgg: the message already names its final worker.
-        MessageDest::Worker(_) => {
-            let mut items = message.items;
-            deliver_batch(app, ctx, &mut items);
-            ctx.return_spent(src, items);
+    let arena = &ctx.shared.arenas[owner as usize];
+    debug_assert_eq!(arena.generation(handle.slab), handle.generation);
+    {
+        // SAFETY: sole consumer of the sealed slab (no range has been
+        // forwarded yet), all `len` slots written before seal.
+        let items = unsafe { arena.slice_mut(handle.slab, 0, handle.len) };
+        let outcome = receiver.group_ranges(items, grouped_at_source);
+        if outcome.grouping_performed {
+            ctx.tally.grouping_passes += 1;
+            ctx.tally.grouped_items += outcome.item_count as u64;
         }
-        // WPs / WsP / PP: this worker owns the grouping pass for this
-        // source process.  Deliver its own slice inline, forward the
-        // peers' slices pre-grouped; the spent message vector goes home
-        // to the worker that filled it.
-        MessageDest::Process(p) => {
-            debug_assert_eq!(p, ctx.my_proc, "message routed to wrong process");
-            let mut items = message.items;
-            let me = ctx.me;
-            let outcome =
-                receiver.drain_grouped(&mut items, message.grouped_at_source, |w, mut bucket| {
-                    if w == me {
-                        deliver_batch(app, ctx, &mut bucket);
-                        // Back into the receiver pool for the next pass.
-                        Some(bucket)
-                    } else {
-                        ctx.tally.local_forwards += 1;
-                        ctx.push_mesh(w, Envelope::Batch(bucket));
-                        None
-                    }
-                });
-            if outcome.grouping_performed {
-                ctx.tally.grouping_passes += 1;
-                ctx.tally.grouped_items += outcome.item_count as u64;
-            }
-            ctx.return_spent(src, items);
+    }
+    let ranges = receiver.take_ranges();
+    let me = ctx.me;
+    // Register every forwarded consumer *before* any range ships: a
+    // forwarded peer may finish before we do.
+    let forwards = ranges.iter().filter(|&&(w, _, _)| w != me).count() as u32;
+    arena.add_consumers(handle.slab, forwards);
+    for &(w, start, len) in &ranges {
+        if w == me {
+            // SAFETY: our own range of the sealed slab, stable until the
+            // slab's last consumer finishes.
+            let slice = unsafe { arena.slice(handle.slab, start, len) };
+            deliver_slice(app, ctx, slice);
+        } else {
+            ctx.tally.local_forwards += 1;
+            let range = SlabRange {
+                start,
+                len,
+                ..handle.range()
+            };
+            ctx.push_mesh(w, Envelope::Slice { owner, range });
         }
+    }
+    receiver.put_ranges(ranges);
+    if arena.finish_consumer(handle.slab) {
+        ctx.return_slab(owner as usize, handle.range());
     }
 }

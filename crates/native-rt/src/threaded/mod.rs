@@ -8,24 +8,25 @@
 //! ```text
 //! worker thread ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private)
 //!                           ClaimBuffer (PP, shared, lock-free)
-//!        │                                         │ sealed/flushed message
-//!        │ local bypass: item batches              ▼
+//!        │                                         │ sealed slab / single
+//!        │ local bypass: per-quantum slabs         ▼
 //!        └─────────▶ mesh[src][dst] SPSC ring ──▶ destination worker:
-//!                                                  grouping pass runs HERE
-//!        spent vectors ◀── returns[src][dst] ◀──  (per-worker PooledReceiver)
+//!                    (Copy envelopes)              grouping pass runs HERE
+//!        slab handles ◀── returns[src][dst] ◀──   (per-worker PooledReceiver)
 //! ```
 //!
-//! A process-addressed message (WPs/WsP/PP) is routed to the destination
-//! worker chosen by [`net_model::Topology::group_receiver`] — the same rule
-//! the simulator uses — which runs the receive-side grouping pass locally and
-//! forwards peer workers' slices as pre-grouped batches over its own mesh
-//! rows.  Spent vectors ride per-pair return rings back to the worker that
-//! filled them, so every pool (aggregator, receiver, local-bypass spares)
-//! stays hot without a central broker.  A full mesh ring never blocks the
-//! sender: after one failed push the envelope parks in a per-destination
-//! stash that is retried every loop iteration — backpressure without the
-//! deadlock a blocking N×N mesh invites (two workers pushing to each other's
-//! full rings would otherwise both stop draining).
+//! Every ring carries the one `Envelope` of both native engines: an inline
+//! item or the descriptor of a slab in some worker's arena.  A
+//! process-addressed slab (WPs/WsP/PP) is routed to the destination worker
+//! chosen by [`net_model::Topology::group_receiver`] — the same rule the
+//! simulator uses — which groups it in place and forwards peer workers'
+//! ranges as slice descriptors over its own mesh rows.  The last consumer of
+//! a slab sends its handle home over a per-pair return ring to the worker
+//! whose arena owns it.  A full mesh ring never blocks the sender: after one
+//! failed push the envelope parks in a per-destination stash that is retried
+//! every loop iteration — backpressure without the deadlock a blocking N×N
+//! mesh invites (two workers pushing to each other's full rings would
+//! otherwise both stop draining).
 //!
 //! **Termination.**  Every `send` increments the sending worker's padded
 //! `items_sent` slot and every completed `on_item` handler batch increments
@@ -73,69 +74,35 @@ use runtime_api::{
     ArenaAudit, Backend, FaultKind, FaultPlan, NodeDiag, Payload, ResolvedRunSpec, RunDiagnostics,
     RunOutcome, RunReport, TransportKind, WorkerApp,
 };
-use shmem::{ClaimBuffer, SlabArena, SlabHandle, SlabRange, SpscRing};
-use tramlib::{Item, OutboundMessage, Scheme, SlabSealed, TramConfig, TramStats};
+use shmem::{ClaimBuffer, SlabArena, SlabHandle, SpscRing};
+use tramlib::{Item, Scheme, TramConfig, TramStats};
 use transport::Transport;
 
+use crate::envelope::Envelope;
 use crate::sizing;
 
 pub(crate) use ctx::NativeWorkerCtx;
 
-/// A vector of items, all addressed to the same worker, ready for its handler.
+/// A vector of items, all addressed to the same worker: the node tier's
+/// uplink and downlink batches (the wire copies them anyway).
 pub(crate) type Batch = Vec<Item<Payload>>;
 
-/// One unit of worker↔worker traffic on the delivery mesh.
-#[derive(Debug)]
-pub(crate) enum Envelope {
-    /// An aggregated message exactly as the source emitted it;
-    /// process-addressed envelopes get the grouping pass at the receiving
-    /// worker.
-    Message(OutboundMessage<Payload>),
-    /// A zero-copy aggregated message: the items sit in the emitting worker's
-    /// slab arena and only this descriptor rides the ring.  The ring's `src`
-    /// identifies the owning arena.
-    Slab(SlabSealed),
-    /// A pre-grouped per-worker index range of a process-addressed slab,
-    /// forwarded by the worker that ran the grouping pass.  `owner` is the
-    /// worker whose arena holds the slab (not necessarily the forwarder).
-    SlabSlice { owner: u32, range: SlabRange },
-    /// A worker-addressed raw item batch: local-bypass traffic and the
-    /// grouped slices a receiving worker forwards to its process peers.
-    Batch(Batch),
-    /// A single-item worker-addressed message (NoAgg), carried inline: no
-    /// heap vector rides the mesh, so the per-item scheme pays neither an
-    /// allocation nor a return-ring round trip per message.  The wire
-    /// counters were already recorded at emit time — this is a transport
-    /// compression, not a semantic change.
-    Single(Item<Payload>),
-}
-
-/// One unit of traffic on a per-pair return ring: a spent heap vector going
-/// home to the pool that filled it, or a spent slab handle going home to the
-/// arena that owns it.
-#[derive(Debug)]
-pub(crate) enum Spent {
-    Batch(Batch),
-    Slab(SlabHandle),
-}
-
-/// How many spare batch vectors a worker keeps for its own staging buffers
-/// (local-bypass and wire batches) before handing further returns to the
-/// aggregator pool (or dropping them); a node leader keeps as many emptied
-/// uplink vectors for its downlink batches.
+/// How many spare batch vectors a worker keeps for its wire staging buffer
+/// (refilled by delivered downlink batches) before dropping further ones; a
+/// node leader keeps as many emptied uplink vectors for its downlink batches.
 pub(crate) const SPARE_BATCHES: usize = 32;
 
-/// The delivery plane: per-pair envelope rings and per-pair batch-return
+/// The delivery plane: per-pair envelope rings and per-pair slab-return
 /// rings, both flattened `src * workers + dst`.
 pub(crate) struct MeshPlane {
     workers: usize,
     /// `inbox[src * workers + dst]`: envelopes from worker `src` to worker
     /// `dst`.  Producer `src`, consumer `dst`.
     inbox: Vec<SpscRing<Envelope>>,
-    /// `returns[src * workers + dst]`: spent storage (heap vectors and slab
-    /// handles alike) flowing back from the worker that consumed it (`dst`)
-    /// to the worker that filled it (`src`).  Producer `dst`, consumer `src`.
-    returns: Vec<SpscRing<Spent>>,
+    /// `returns[src * workers + dst]`: spent slab handles flowing back from
+    /// the worker that consumed them last (`dst`) to the worker whose arena
+    /// owns them (`src`).  Producer `dst`, consumer `src`.
+    returns: Vec<SpscRing<SlabHandle>>,
 }
 
 impl MeshPlane {
@@ -153,9 +120,9 @@ impl MeshPlane {
         &self.inbox[src * self.workers + dst]
     }
 
-    /// The spent-storage return ring of the `src → dst` pair (`dst` produces,
-    /// `src` consumes).
-    pub(crate) fn return_ring(&self, src: usize, dst: usize) -> &SpscRing<Spent> {
+    /// The slab-return ring of the `src → dst` pair (`dst` produces, `src`
+    /// consumes).
+    pub(crate) fn return_ring(&self, src: usize, dst: usize) -> &SpscRing<SlabHandle> {
         &self.returns[src * self.workers + dst]
     }
 
@@ -210,7 +177,7 @@ pub(crate) struct Shared {
     pub(crate) faults: Option<FaultPlan>,
     /// PP only: `pp[src_proc][dst_proc]` shared claim buffers.
     pub(crate) pp: Vec<Vec<ClaimBuffer<Item<Payload>>>>,
-    /// Slab-arena store only: one arena per worker, indexed by worker id.
+    /// Every scheme but NoAgg: one arena per worker, indexed by worker id.
     /// Every thread can borrow slices from every arena; claims and releases
     /// stay with the owning worker.
     pub(crate) arenas: Vec<SlabArena<Item<Payload>>>,
@@ -609,10 +576,8 @@ pub fn run_threaded(
     if !shared.arenas.is_empty() {
         for src in 0..workers {
             for dst in 0..workers {
-                while let Some(spent) = shared.plane.return_ring(src, dst).pop() {
-                    if let Spent::Slab(handle) = spent {
-                        shared.arenas[src].release(handle.slab);
-                    }
+                while let Some(handle) = shared.plane.return_ring(src, dst).pop() {
+                    shared.arenas[src].release(handle.slab);
                 }
             }
         }
@@ -916,9 +881,9 @@ mod tests {
             );
             assert!(report.total_time_ns > 0);
             assert!(report.item_latency.count() > 0);
-            if matches!(scheme, Scheme::WW | Scheme::WPs | Scheme::WsP) {
-                // The zero-copy steady state: every buffer of the slab-arena
-                // schemes was a slab, none fell back to a heap vector.
+            if scheme != Scheme::NoAgg {
+                // The zero-copy steady state: every message of the
+                // aggregating schemes was a slab, none fell back to singles.
                 assert!(report.counter("arena_claims") > 0, "{scheme}");
                 assert_eq!(
                     report.counter("arena_claim_misses"),
@@ -1001,44 +966,25 @@ mod tests {
     #[test]
     fn grouping_recycles_on_every_store() {
         // A steady stream of process-addressed messages must recycle its
-        // message storage, whatever that storage is: PP's heap vectors
-        // reuse grouping vectors; the slab arena recycles slabs (claims
-        // keep succeeding — zero misses — because consumed slabs come home
-        // over the return rings).
-        let report = run(Scheme::PP, 2_000, 5);
-        assert!(report.clean());
-        let hits = report.counter("batch_pool_hits");
-        let misses = report.counter("batch_pool_misses");
-        assert!(
-            hits > 0,
-            "grouping must reuse vectors (hits={hits} misses={misses})"
-        );
-        let report = run(Scheme::WPs, 2_000, 5);
-        assert!(report.clean());
-        let claims = report.counter("arena_claims");
-        assert!(claims > 0, "arena store must claim slabs");
-        assert_eq!(
-            report.counter("arena_claim_misses"),
-            0,
-            "slab recycling must keep the arena from running dry ({claims} claims)"
-        );
-        assert!(
-            report.counter("wire_items") > 0,
-            "the sweep must actually cross the wire"
-        );
-    }
-
-    #[test]
-    fn mesh_returns_message_vectors_to_their_origin() {
-        // The per-pair return rings feed the sending aggregators: a steady
-        // WW workload must show aggregator pool hits (vectors coming home),
-        // not just receiver-side reuse.
-        let report = run(Scheme::WW, 3_000, 15);
-        assert!(report.clean());
-        assert!(
-            report.counter("agg_pool_hits") > 0,
-            "sealed-buffer vectors must come back over the return rings"
-        );
+        // slabs, however they were filled — PP copies drained claim buffers
+        // into them, WPs inserts straight into them: claims keep succeeding
+        // (zero misses) because consumed slabs come home over the return
+        // rings.
+        for scheme in [Scheme::PP, Scheme::WPs] {
+            let report = run(scheme, 2_000, 5);
+            assert!(report.clean(), "{scheme}");
+            let claims = report.counter("arena_claims");
+            assert!(claims > 0, "{scheme}: the arena must claim slabs");
+            assert_eq!(
+                report.counter("arena_claim_misses"),
+                0,
+                "{scheme}: slab recycling must keep the arena from running dry ({claims} claims)"
+            );
+            assert!(
+                report.counter("wire_items") > 0,
+                "{scheme}: the sweep must actually cross the wire"
+            );
+        }
     }
 
     #[test]
@@ -1193,11 +1139,11 @@ mod tests {
     }
 
     #[test]
-    fn arena_dry_fault_forces_vec_fallback_without_leaks() {
-        // Exhausting the slab arena must degrade to pooled heap vectors
-        // (visible as claim misses), never stall, lose items, or leak the
-        // slabs the fault held — and the heap-vector messages must carry
-        // exactly what the slabs would have: worker-addressed under WW,
+    fn arena_dry_fault_forces_single_fallback_without_leaks() {
+        // Exhausting the slab arena must degrade to inline singles (visible
+        // as claim misses), never stall, lose items, or leak the slabs the
+        // fault held — and the fallback must count as exactly the messages
+        // the slabs would have been: worker-addressed under WW,
         // process-addressed (grouped at the destination under WPs, at the
         // source under WsP) otherwise.
         for scheme in [Scheme::WW, Scheme::WPs, Scheme::WsP] {
@@ -1229,7 +1175,7 @@ mod tests {
             assert_eq!(report.counter("fault_arena_dry"), 1, "{scheme}");
             assert!(
                 report.counter("arena_claim_misses") > 0,
-                "{scheme}: a dry arena must fall back to heap vectors"
+                "{scheme}: a dry arena must fall back to singles"
             );
             assert_eq!(
                 report.counter("leaked_slabs"),
@@ -1367,8 +1313,9 @@ mod tests {
             sizing::arena_slabs(&tram, workers),
             workers + workers * ring + sizing::INBOX_BUDGET + 4 * sizing::STASH_THROTTLE
         );
-        // PP and NoAgg never build arenas at all.
-        assert!(!sizing::uses_arena(Scheme::PP));
+        // PP ships its drained claim buffers as slabs; only NoAgg never
+        // builds an arena.
+        assert!(sizing::uses_arena(Scheme::PP));
         assert!(!sizing::uses_arena(Scheme::NoAgg));
     }
 }

@@ -135,11 +135,11 @@ impl<T> ClaimBuffer<T> {
     /// Seal the buffer against concurrent inserters and drain whatever has
     /// been claimed so far.
     ///
-    /// Unlike [`ClaimBuffer::flush`], this is safe to call while other threads
-    /// are inserting: the claim counter is atomically swapped to the sealed
-    /// range, so in-flight inserters either claimed a slot before the seal
-    /// (this call waits for their commit and takes their item) or observe the
-    /// sealed state and retry after the buffer reopens.  Returns an empty
+    /// Safe to call while other threads are inserting: the claim counter is
+    /// atomically swapped to the sealed range, so in-flight inserters either
+    /// claimed a slot before the seal (this call waits for their commit and
+    /// takes their item) or observe the sealed state and retry after the
+    /// buffer reopens.  Returns an empty
     /// vector if the buffer was already sealed (the sealer owns its contents)
     /// or held no items.
     ///
@@ -169,13 +169,6 @@ impl<T> ClaimBuffer<T> {
         let out = unsafe { self.take_slots(claimed as usize) };
         self.reopen();
         out
-    }
-
-    /// Drain whatever has been committed so far.  Safe to call concurrently
-    /// with inserters; kept as the historical name for the explicit-flush
-    /// path (it now simply delegates to [`ClaimBuffer::seal_flush`]).
-    pub fn flush(&self) -> Vec<T> {
-        self.seal_flush()
     }
 
     /// Spin until `committed` reaches `target`, yielding after a short burst
@@ -256,7 +249,7 @@ mod tests {
         assert_eq!(buffer.generation(), 1);
         // The buffer is reusable after sealing.
         assert_eq!(buffer.insert(5), ClaimResult::Stored);
-        assert_eq!(buffer.flush(), vec![5]);
+        assert_eq!(buffer.seal_flush(), vec![5]);
     }
 
     #[test]
@@ -264,8 +257,8 @@ mod tests {
         let buffer = ClaimBuffer::new(8);
         buffer.insert(10);
         buffer.insert(20);
-        assert_eq!(buffer.flush(), vec![10, 20]);
-        assert_eq!(buffer.flush(), Vec::<i32>::new());
+        assert_eq!(buffer.seal_flush(), vec![10, 20]);
+        assert_eq!(buffer.seal_flush(), Vec::<i32>::new());
     }
 
     #[test]
@@ -317,7 +310,7 @@ mod tests {
         }
         // Collect leftovers.
         let mut all = sealed.lock().unwrap().clone();
-        all.extend(buffer.flush());
+        all.extend(buffer.seal_flush());
         assert_eq!(
             all.len() as u64,
             threads * per_thread,

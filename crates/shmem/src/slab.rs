@@ -7,8 +7,8 @@
 //! over the delivery mesh is then a 16-byte [`SlabHandle`] — the items
 //! themselves are written once at insert time and never move again: the
 //! receiving worker borrows them as a slice straight out of the owner's
-//! backing store, and the spent slab travels home as a handle over the same
-//! per-pair return rings that recycle heap vectors.
+//! backing store, and the spent slab travels home as a handle over a
+//! per-pair return ring.
 //!
 //! # Lifecycle of one slab
 //!
@@ -115,6 +115,14 @@ struct SlabMeta {
 
 const FREE_NIL: u32 = u32::MAX;
 
+/// The owner's claim/miss/release tallies behind [`SlabArena::stats`].
+#[derive(Default)]
+struct OwnerCounts {
+    claims: AtomicU64,
+    misses: AtomicU64,
+    releases: AtomicU64,
+}
+
 /// A fixed arena of fixed-capacity slabs with generation-counted
 /// claim/release.  See the module docs for the protocol.
 pub struct SlabArena<T> {
@@ -126,10 +134,11 @@ pub struct SlabArena<T> {
     /// Head of the Treiber free list: upper 32 bits are an ABA tag, lower 32
     /// the slab index (or `FREE_NIL`).
     free_head: CachePadded<AtomicU64>,
-    /// Owner-side statistics (relaxed: only the owner claims/releases).
-    claims: AtomicU64,
-    misses: AtomicU64,
-    releases: AtomicU64,
+    /// Owner-side statistics (relaxed: only the owner claims/releases), on
+    /// a line of their own: every consumer reads `slots` and `meta`, and an
+    /// owner bumping a counter beside them would invalidate that line on
+    /// every claim and release.
+    counts: CachePadded<OwnerCounts>,
 }
 
 // SAFETY: the arena hands out access to its slots under the claim/seal/
@@ -168,9 +177,7 @@ impl<T: Copy> SlabArena<T> {
             slab_capacity,
             meta,
             free_head: CachePadded::new(AtomicU64::new(0)), // tag 0, slab 0
-            claims: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            releases: AtomicU64::new(0),
+            counts: CachePadded::new(OwnerCounts::default()),
         }
     }
 
@@ -199,9 +206,9 @@ impl<T: Copy> SlabArena<T> {
     /// Claim/miss/release statistics so far.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
-            claims: self.claims.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
+            claims: self.counts.claims.load(Ordering::Relaxed),
+            misses: self.counts.misses.load(Ordering::Relaxed),
+            releases: self.counts.releases.load(Ordering::Relaxed),
         }
     }
 
@@ -217,7 +224,7 @@ impl<T: Copy> SlabArena<T> {
         loop {
             let slab = (head & 0xFFFF_FFFF) as u32;
             if slab == FREE_NIL {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counts.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
             let next = self.meta[slab as usize].next_free.load(Ordering::Relaxed);
@@ -233,7 +240,7 @@ impl<T: Copy> SlabArena<T> {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    self.claims.fetch_add(1, Ordering::Relaxed);
+                    self.counts.claims.fetch_add(1, Ordering::Relaxed);
                     debug_assert_eq!(
                         self.meta[slab as usize].outstanding.load(Ordering::Relaxed),
                         0,
@@ -375,7 +382,7 @@ impl<T: Copy> SlabArena<T> {
             "releasing a slab that still has consumers"
         );
         meta.generation.fetch_add(1, Ordering::Relaxed);
-        self.releases.fetch_add(1, Ordering::Relaxed);
+        self.counts.releases.fetch_add(1, Ordering::Relaxed);
         let mut head = self.free_head.load(Ordering::Acquire);
         loop {
             meta.next_free

@@ -219,14 +219,6 @@ impl<T: Clone> Aggregator<T> {
         self.pool.stats()
     }
 
-    /// Take an (empty) vector from the pool, or a fresh one if the pool is
-    /// dry.  Substrates use this to share the aggregator's recycled capacity
-    /// with sibling per-item paths (the native runtime's local-bypass
-    /// batches), keeping one circulation of vectors per worker.
-    pub fn take_pooled(&mut self) -> Vec<Item<T>> {
-        self.pool.take()
-    }
-
     /// Total number of items currently sitting in buffers (heap vectors and
     /// active slabs alike).
     pub fn buffered_items(&self) -> usize {
@@ -347,9 +339,9 @@ impl<T: Clone> Aggregator<T> {
     }
 
     /// NoAgg: the item is its own message.  The single-item vector comes from
-    /// the pool, so a substrate that returns delivered vectors (per-pair
-    /// return rings on the native mesh, the simulator's recycling) makes even
-    /// the unaggregated scheme allocation-free in steady state.
+    /// the pool, so a substrate that returns spent vectors (the native
+    /// engines recycle it at emit time, the simulator after delivery) makes
+    /// even the unaggregated scheme allocation-free in steady state.
     fn emit_single(&mut self, item: Item<T>) -> OutboundMessage<T> {
         let dest = MessageDest::Worker(item.dest);
         let mut items = self.pool.take();

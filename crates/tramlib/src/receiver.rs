@@ -150,9 +150,8 @@ impl<T: Clone> PooledReceiver<T> {
     /// [`PooledReceiver::group_ranges`]).
     ///
     /// `items` is left empty but keeps its capacity: the caller still owns
-    /// the vector and can send it back to the worker that filled it (the
-    /// native mesh's per-pair batch-return rings), so *both* sides of a
-    /// delivery stay allocation-free.  The sink may return a spent vector —
+    /// the vector and can hand it back to the pool that filled it, so
+    /// *both* sides of a delivery stay allocation-free.  The sink may return a spent vector —
     /// typically the batch it just delivered locally — to feed this
     /// receiver's pool for the next grouping pass.
     ///

@@ -11,10 +11,13 @@
 //! through `RunSpec::for_app(..).backend(..).run()` — ad-hoc apps too, via
 //! `common::ad_hoc` — so the suite also pins spec resolution itself.
 //!
-//! Both backends run with vector pooling enabled (it is always on: the
-//! simulator's `PooledReceiver` + aggregator recycling, the native backend's
-//! batch-return rings and batched local bypass), so this suite also proves
-//! the zero-allocation hot paths change *performance only*, never results.
+//! Every engine runs its zero-allocation hot path (it is always on: the
+//! simulator's `PooledReceiver` + aggregator recycling; on both native
+//! engines, slab arenas whose handles ride return rings and a local bypass
+//! that copies per-quantum batches into slabs), so this suite also proves
+//! those paths change *performance only*, never results — and, since the
+//! native engines share one message vocabulary, that all three engines send
+//! the same messages (`message_counts_agree_across_engines`).
 //!
 //! Since the multi-process backend joined the matrix this suite runs as a
 //! `harness = false` binary: `Backend::Process` forks without exec'ing, so
@@ -25,7 +28,7 @@
 mod common;
 
 use smp_aggregation::prelude::*;
-use smp_aggregation::runtime_api::AppDefaults;
+use smp_aggregation::runtime_api::{AppDefaults, FaultSpec, FaultTrigger};
 
 fn main() {
     // Process-mode runs write segment markers; point them at a private
@@ -77,6 +80,10 @@ fn main() {
         (
             "per_destination_order_holds_on_both_native_engines",
             per_destination_order_holds_on_both_native_engines,
+        ),
+        (
+            "message_counts_agree_across_engines",
+            message_counts_agree_across_engines,
         ),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
@@ -516,13 +523,11 @@ fn runtime_counters_agree_with_the_aggregator_on_every_engine() {
         "histo_table_total",
     ];
     // What the threaded engine names on this run, besides the app's own.
-    const THREADED: [&str; 19] = [
+    const THREADED: [&str; 17] = [
         "agg_pool_hits",
         "agg_pool_misses",
         "arena_claim_misses",
         "arena_claims",
-        "batch_pool_hits",
-        "batch_pool_misses",
         "cross_socket_msgs",
         "faults_injected",
         "grouped_items",
@@ -680,10 +685,30 @@ fn per_destination_order_holds_on_both_native_engines() {
     // (source) is stable.  PP is left out: two sealers of one shared buffer
     // may legally overtake each other.  Bypass off, so every item of the
     // one-process cluster takes its scheme's aggregation path.
+    //
+    // One more threaded WPs cell runs with worker 1's arena held dry for a
+    // stretch: its messages degrade to singles, which must travel to the
+    // group receiver (worker 0) behind the slabs already waiting there, not
+    // straight to their worker past them.
     const ITEMS: u64 = 20_000;
     const WORKERS: usize = 2;
-    let mut broken = Vec::new();
+    let arena_dry = FaultPlan::from_specs(
+        11,
+        [FaultSpec {
+            worker: 1,
+            kind: FaultKind::ArenaDry { micros: 20_000 },
+            trigger: FaultTrigger::Items(2_000),
+        }],
+    );
+    let mut cells: Vec<(Scheme, Backend, Option<FaultPlan>)> = Vec::new();
     for scheme in [Scheme::NoAgg, Scheme::WW, Scheme::WPs, Scheme::WsP] {
+        for backend in [Backend::Native, Backend::Process] {
+            cells.push((scheme, backend, None));
+        }
+    }
+    cells.push((Scheme::WPs, Backend::Native, Some(arena_dry)));
+    let mut broken = Vec::new();
+    for (scheme, backend, faults) in cells {
         let defaults = AppDefaults {
             cluster: ClusterSpec::smp(1, 1, WORKERS as u32),
             scheme,
@@ -691,31 +716,105 @@ fn per_destination_order_holds_on_both_native_engines() {
             seed: 11,
             ..AppDefaults::default()
         };
-        for backend in [Backend::Native, Backend::Process] {
-            let sender = |_| -> Box<dyn WorkerApp> {
-                Box::new(SequencedSender {
-                    remaining: ITEMS,
-                    next_seq: vec![0; WORKERS],
-                    seen: vec![0; WORKERS],
-                    inversions: 0,
-                    received: 0,
-                })
-            };
-            let report = common::ad_hoc(defaults, sender)
-                .local_bypass(false)
-                .backend(backend)
-                .run();
-            assert!(report.clean(), "{backend}/{scheme}: not clean");
-            assert_eq!(
-                report.counter("order_received"),
-                ITEMS * WORKERS as u64,
-                "{backend}/{scheme}"
+        let sender = |_| -> Box<dyn WorkerApp> {
+            Box::new(SequencedSender {
+                remaining: ITEMS,
+                next_seq: vec![0; WORKERS],
+                seen: vec![0; WORKERS],
+                inversions: 0,
+                received: 0,
+            })
+        };
+        let label = format!(
+            "{backend}/{scheme}{}",
+            if faults.is_some() { "/arena-dry" } else { "" }
+        );
+        let mut spec = common::ad_hoc(defaults, sender)
+            .local_bypass(false)
+            .backend(backend);
+        if let Some(plan) = faults {
+            spec = spec.faults(plan);
+        }
+        let report = spec.run();
+        assert!(report.clean(), "{label}: not clean");
+        assert_eq!(
+            report.counter("order_received"),
+            ITEMS * WORKERS as u64,
+            "{label}"
+        );
+        if faults.is_some() {
+            assert!(
+                report.counter("arena_claim_misses") > 0,
+                "{label}: the arena never ran dry"
             );
-            let inversions = report.counter("order_inversions");
-            if inversions > 0 {
-                broken.push(format!("{backend}/{scheme}: {inversions} inversions"));
-            }
+        }
+        let inversions = report.counter("order_inversions");
+        if inversions > 0 {
+            broken.push(format!("{label}: {inversions} inversions"));
         }
     }
     assert!(broken.is_empty(), "per-destination order lost: {broken:?}");
+}
+
+fn message_counts_agree_across_engines() {
+    // The three engines send the same messages.  1 node x 2 processes x 2
+    // workers, `g` = 64: WW, WPs and WsP buffers fill and flush at points
+    // fixed by the seeded traffic, so their `wire_messages` and `wire_items`
+    // are equal on every engine, and NoAgg's are the item count.  PP's
+    // buffers are shared by the workers of a process, so which drain ships
+    // which items depends on the interleaving — its message count must only
+    // stay within 2 % of the simulator's and carry at least `g / 2` items a
+    // message.  Both native engines stage the local bypass per quantum, the
+    // same way, so their `local_batches` agree exactly.
+    const G: u64 = 64;
+    let mut broken = Vec::new();
+    for bypass in [false, true] {
+        for scheme in Scheme::ALL {
+            let run = |backend: Backend| {
+                let report = RunSpec::for_app(
+                    HistogramConfig::new(ClusterSpec::smp(1, 2, 2), scheme)
+                        .with_updates(20_000)
+                        .with_buffer(G as usize)
+                        .with_seed(42),
+                )
+                .local_bypass(bypass)
+                .backend(backend)
+                .run();
+                assert!(report.clean(), "{backend}/{scheme}/bypass={bypass}");
+                report
+            };
+            let (sim, threaded, process) = (
+                run(Backend::Sim),
+                run(Backend::Native),
+                run(Backend::Process),
+            );
+            let wire = |r: &RunReport| (r.counter("wire_messages"), r.counter("wire_items"));
+            let label = format!("{scheme}/bypass={bypass}");
+            let (sim_msgs, sim_items) = wire(&sim);
+            for (engine, report) in [("threaded", &threaded), ("process", &process)] {
+                let (msgs, items) = wire(report);
+                let agrees = if scheme == Scheme::PP {
+                    items == sim_items
+                        && msgs.abs_diff(sim_msgs) * 50 <= sim_msgs
+                        && items >= G / 2 * msgs
+                } else {
+                    (msgs, items) == (sim_msgs, sim_items)
+                };
+                if !agrees {
+                    broken.push(format!(
+                        "{label}: {engine} sent {msgs} messages / {items} items, sim {sim_msgs} / {sim_items}"
+                    ));
+                }
+            }
+            let local = |r: &RunReport| r.counter("local_batches");
+            if local(&threaded) != local(&process) {
+                broken.push(format!(
+                    "{label}: local_batches threaded {} process {}",
+                    local(&threaded),
+                    local(&process)
+                ));
+            }
+        }
+    }
+    assert!(broken.is_empty(), "engines disagree: {broken:#?}");
 }
