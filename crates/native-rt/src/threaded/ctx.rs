@@ -4,14 +4,21 @@
 //! RNG, counters, local-bypass staging, the mesh overflow stash — and routes
 //! emitted messages onto the per-pair SPSC rings of the delivery mesh, as
 //! slab descriptors or inline singles.
+//!
+//! `send` decides the local bypass once, before tramlib, for every scheme: a
+//! same-process item is staged for its destination worker and only remote
+//! items reach the aggregator (or, under PP, the shared claim buffers) — the
+//! rule the process engine follows.  Whichever consumer finishes a slab last
+//! releases it straight into its owner's arena.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use metrics::{Counters, LatencyRecorder, QuantileSketch};
 use net_model::{ProcId, WorkerId};
 use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::{ClaimResult, SlabArena, SlabHandle, SlabRange};
+use shmem::{ClaimResult, SlabArena};
 use sim_core::StreamRng;
 use tramlib::{
     Aggregator, EmitReason, EmittedMessage, Item, MessageDest, OutboundMessage, Owner, Scheme,
@@ -65,6 +72,9 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// Set on the first quiet quantum after a non-quiet one, cleared once no
     /// buffer had to be held back (see [`SelfClocked::flush_quiet`]).
     pub(crate) pp_flush_due: bool,
+    /// Worker ids that take the local bypass: this worker's process, or
+    /// nothing when the bypass is off — one range test per `send`.
+    pub(crate) local_workers: Range<u32>,
     /// Per-destination-worker local-bypass staging batches (same-process
     /// traffic), indexed by destination worker; empty without the bypass or
     /// without an arena (NoAgg ships local singles).  A staging buffer never
@@ -129,13 +139,9 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// NoAgg ships one envelope per item; pushing each individually would pay
     /// a cold ring-slot write and a tail publication per item.
     pub(crate) defer_pushes: bool,
-    /// Every scheme but NoAgg: this worker's shared arena (claims and
-    /// releases are ours alone; consumers only borrow and decrement).
+    /// Every scheme but NoAgg: this worker's shared arena.  Claims are ours
+    /// alone; consumers borrow and decrement, and the last one releases.
     pub(crate) arena: Option<&'a SlabArena<Item<Payload>>>,
-    /// Spent slab handles whose return ring to the owner was full; retried
-    /// every loop iteration (a handle must never be dropped — the owner's
-    /// arena would leak the slab for the rest of the run).
-    pub(crate) pending_returns: Vec<(u32, SlabHandle)>,
     /// This worker's predicted NUMA node (0 on unpinned/single-node runs).
     pub(crate) my_node: u16,
     /// Mesh envelopes pushed towards a worker on a different NUMA node.
@@ -190,6 +196,12 @@ impl<'a> NativeWorkerCtx<'a> {
             has_timeout: shared.tram.flush_policy.timeout_ns.is_some(),
             pp_oldest_ns: None,
             pp_flush_due: false,
+            local_workers: if shared.tram.local_bypass {
+                let first = shared.topo.first_worker_of(my_proc).0;
+                first..first + shared.topo.workers_per_proc()
+            } else {
+                0..0
+            },
             // No lanes without the bypass or without an arena to copy
             // into: the per-quantum flush then has nothing to walk.
             local_out: if shared.tram.local_bypass && !shared.arenas.is_empty() {
@@ -210,7 +222,6 @@ impl<'a> NativeWorkerCtx<'a> {
             flush_emits: 0,
             defer_pushes: shared.tram.scheme == Scheme::NoAgg,
             arena: shared.arenas.get(me.idx()),
-            pending_returns: Vec::new(),
             my_node: shared.worker_node.get(me.idx()).copied().unwrap_or(0),
             cross_socket_msgs: 0,
             drain_order: {
@@ -437,7 +448,7 @@ impl<'a> NativeWorkerCtx<'a> {
                 let items = unsafe { arena.slice(range.slab, range.start, range.len) };
                 self.wire_out.extend_from_slice(items);
                 if arena.finish_consumer(range.slab) {
-                    self.return_slab(owner, range);
+                    arena.release(range.slab);
                 }
             }
         }
@@ -551,16 +562,17 @@ impl<'a> NativeWorkerCtx<'a> {
     /// [`NativeWorkerCtx::flush_local`] ships every batch at the end of the
     /// quantum, so an item waits for the rest of its own quantum and nothing
     /// else.  Without an arena (NoAgg) the item ships at once, inline.
-    pub(crate) fn deliver_local(&mut self, item: Item<Payload>) {
+    #[inline]
+    fn stage_local(&mut self, item: Item<Payload>) {
         let dest = item.dest.idx();
-        if self.local_out.is_empty() {
+        let Some(lane) = self.local_out.get_mut(dest) else {
             self.publish_sent();
             self.tally.local_deliveries += 1;
             self.push_mesh(item.dest, Envelope::Single(item));
             return;
-        }
-        self.local_out[dest].push(item);
-        if self.local_out[dest].len() >= self.shared.tram.buffer_items {
+        };
+        lane.push(item);
+        if lane.len() >= self.shared.tram.buffer_items {
             self.ship_local(dest);
         }
     }
@@ -601,83 +613,16 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Send a spent slab handle home to the worker whose arena owns it.
-    /// Called by whichever consumer's [`shmem::SlabArena::finish_consumer`]
-    /// was the last; a full return ring parks the handle for retry (it can
-    /// never be dropped — the owner would leak the slab until run end).
-    pub(crate) fn return_slab(&mut self, owner: usize, range: SlabRange) {
-        if owner == self.me.idx() {
-            // Our own slab came straight back (local forward of a range, or
-            // a self-addressed message): release without touching a ring.
-            self.shared.arenas[owner].release(range.slab);
-            return;
-        }
-        let handle = SlabHandle {
-            slab: range.slab,
-            len: range.len,
-            generation: range.generation,
-        };
-        if self
-            .shared
-            .plane
-            .return_ring(owner, self.me.idx())
-            .push(handle)
-            .is_err()
-        {
-            self.pending_returns.push((owner as u32, handle));
-        }
-    }
-
-    /// Retry parked slab returns.  Returns true if any handle moved.
-    pub(crate) fn flush_pending_returns(&mut self) -> bool {
-        if self.pending_returns.is_empty() {
-            return false;
-        }
-        let mesh = &self.shared.plane;
-        let me = self.me.idx();
-        let before = self.pending_returns.len();
-        self.pending_returns
-            .retain(|&(owner, handle)| mesh.return_ring(owner as usize, me).push(handle).is_err());
-        self.pending_returns.len() < before
-    }
-
-    /// Reopen the slabs whose handles came home over this worker's return
-    /// rings.  Returns true if any did.
-    pub(crate) fn reclaim_returns(&mut self) -> bool {
-        let Some(arena) = self.arena else {
-            return false;
-        };
-        let mut any = false;
-        for dst in 0..self.shared.topo.total_workers() as usize {
-            while let Some(handle) = self.shared.plane.return_ring(self.me.idx(), dst).pop() {
-                arena.release(handle.slab);
-                any = true;
-            }
-        }
-        any
-    }
-
-    /// Teardown-only: hand every parked slab handle straight back to its
-    /// owner's arena.  A handle reaches `pending_returns` only after this
-    /// worker's `finish_consumer` was the last (outstanding already 0), and
-    /// `release` is a lock-free free-list push that is safe from any thread —
-    /// so once the worker loop has ended (quiescent or aborted), releasing
-    /// directly beats leaving the slab to read as in-flight in the audit.
-    pub(crate) fn drain_pending_returns_direct(&mut self) {
-        for (owner, handle) in self.pending_returns.drain(..) {
-            self.shared.arenas[owner as usize].release(handle.slab);
-        }
-    }
-
-    /// Quarantine path: account one undeliverable envelope and hand back its
-    /// slab.  The refcount dance and the return rings keep flowing exactly as
-    /// on delivery — only the handler call is skipped — so a panicked
-    /// consumer never strands a peer's slab.  Returns the number of items
-    /// dropped.
+    /// Quarantine path: account one undeliverable envelope and finish its
+    /// slab.  The refcount dance runs exactly as on delivery — only the
+    /// handler call is skipped, and the last consumer still frees the slab —
+    /// so a panicked consumer never strands a peer's slab.  Returns the
+    /// number of items dropped.
     pub(crate) fn drop_envelope(&mut self, envelope: Envelope) -> u64 {
         if let Some((owner, range)) = envelope.slab_range() {
-            if self.shared.arenas[owner].finish_consumer(range.slab) {
-                self.return_slab(owner, range);
+            let arena = &self.shared.arenas[owner];
+            if arena.finish_consumer(range.slab) {
+                arena.release(range.slab);
             }
         }
         envelope.item_count()
@@ -717,15 +662,11 @@ impl<'a> NativeWorkerCtx<'a> {
 
     /// PP insertion: claim a slot in the shared buffer towards the item's
     /// destination process, forwarding the sealed contents if this worker
-    /// claimed the last slot.
+    /// claimed the last slot.  `send` has already taken same-process items
+    /// down the bypass.
     fn send_pp(&mut self, item: Item<Payload>) {
         let shared = self.shared;
         let dst_proc = shared.topo.proc_of_worker(item.dest);
-        if shared.tram.local_bypass && dst_proc == self.my_proc {
-            self.pp_stats.record_local_bypass();
-            self.deliver_local(item);
-            return;
-        }
         self.pp_stats.record_insert();
         if self.has_timeout && self.pp_oldest_ns.is_none() {
             self.pp_oldest_ns = Some(self.now_cache);
@@ -926,6 +867,14 @@ impl RunCtx for NativeWorkerCtx<'_> {
         let created = self.now_cache;
         let item = Item::new(dest, payload, created);
         self.local_sent += 1;
+        if self.local_workers.contains(&dest.0) {
+            // Shared memory, not aggregation: every scheme stages a
+            // same-process item for its worker.  Staged items publish
+            // before they ship, so the batched count is safe under PP too.
+            self.pending_sent += 1;
+            self.stage_local(item);
+            return;
+        }
         if self.shared.tram.scheme == Scheme::PP {
             // Counted eagerly: a sibling worker may seal and emit this item
             // before our next publish (see the `pending_sent` docs).
@@ -934,26 +883,18 @@ impl RunCtx for NativeWorkerCtx<'_> {
             return;
         }
         self.pending_sent += 1;
+        let agg = self.aggregator.as_mut().expect("worker aggregator");
         if let Some(arena) = self.arena {
             // Zero-copy path: the item is written straight into its
             // destination's slab slot; nothing else happens until a slab
             // seals.
-            let agg = self.aggregator.as_mut().expect("worker aggregator");
-            let outcome = agg.insert_slab_at(arena, item, created);
-            if let Some(local) = outcome.local_delivery {
-                self.deliver_local(local);
-            }
-            if let Some(message) = outcome.message {
+            if let Some(message) = agg.insert_slab_at(arena, item, created).message {
                 self.emit_any(message);
             }
             return;
         }
-        let agg = self.aggregator.as_mut().expect("worker aggregator");
-        let outcome = agg.insert_at(item, created);
-        if let Some(local) = outcome.local_delivery {
-            self.deliver_local(local);
-        }
-        if let Some(message) = outcome.message {
+        // NoAgg: the item is its own message.
+        if let Some(message) = agg.insert_at(item, created).message {
             self.emit(message);
         }
     }

@@ -5,8 +5,8 @@
 //! ring per source worker), runs the receive-side grouping pass *locally*
 //! with its own [`PooledReceiver`], delivers its items inline and forwards
 //! process peers' ranges as slice descriptors over its own row.  The last
-//! consumer of a slab sends its handle back over the per-pair return ring to
-//! the worker whose arena owns it, which reopens the slab.
+//! consumer of a slab releases it straight into the arena of the worker
+//! that owns it — a lock-free free-list push, safe from any thread.
 //!
 //! Progress / deadlock freedom: a push onto a full ring never blocks — the
 //! envelope goes to the sender's per-destination stash and is retried at the
@@ -43,9 +43,8 @@ const IDLE_NAP: Duration = Duration::from_micros(50);
 // consumers.
 const IDLE_NAP_MAX_DOUBLINGS: u32 = 3;
 
-/// One worker PE on the mesh: retry stashed pushes, reopen returned slabs,
-/// drain inbox rings, generate work, ship partial buffers on quiet
-/// quanta, back off.
+/// One worker PE on the mesh: retry stashed pushes, drain inbox rings,
+/// generate work, ship partial buffers on quiet quanta, back off.
 ///
 /// The scheduling loop (and the application code it calls) runs inside a
 /// `catch_unwind` boundary: a panic — injected by a `FaultPlan` or genuine —
@@ -114,13 +113,15 @@ pub(crate) fn worker_main(
     ctx.publish_sent();
     ctx.publish_delivered();
     ctx.publish_dropped();
-    ctx.drain_pending_returns_direct();
     ctx.export_counters();
     let batch_len = ctx.take_batch_len();
     let mut tram = ctx.pp_stats;
     if let Some(agg) = &ctx.aggregator {
         tram.merge(agg.stats());
     }
+    // `send` decides the bypass before tramlib, so the engine's tally is
+    // the bypass count.
+    tram.record_local_bypass_items(ctx.tally.local_deliveries);
     WorkerOutput {
         // A quarantined worker's application state is untrustworthy:
         // `on_finalize` is skipped for it (the monitor reports the panic).
@@ -182,14 +183,6 @@ fn mesh_loop(
         // Wire batches parked on a full uplink ring (leader mid-drain) are
         // retried like the mesh stash: a sender never blocks on its leader.
         did_work |= ctx.flush_wire_stash();
-        // A slab handle parked on a full return ring must be retried until
-        // it lands (dropping one would leak the owner's slab for the run).
-        did_work |= ctx.flush_pending_returns();
-        // Reopen the slabs our consumers sent back: the returns ARE the
-        // arena's capacity, so they are drained every iteration and a burst
-        // of sealed slabs never dries the arena into the singles fallback.
-        // (NoAgg has no arena and nothing comes back.)
-        ctx.reclaim_returns();
         // A ring-burst fault closes the inbox for its window: senders back up
         // into their stashes, exercising the backpressure path end to end.
         if !faults.as_ref().is_some_and(ActiveFaults::skip_inbox) {
@@ -220,8 +213,8 @@ fn mesh_loop(
         // generating, push everything buffered out exactly once — the same
         // final flush a finished worker performs — and count as done below,
         // so the monitor settles the drained run instead of waiting on load
-        // that will never finish.  Delivery, stash retries and returns keep
-        // running untouched.
+        // that will never finish.  Delivery and stash retries keep running
+        // untouched.
         let quiescing = shared.quiesce.load(Ordering::Acquire);
         if quiescing && !quiesced {
             ctx.flush();
@@ -302,13 +295,13 @@ fn mesh_loop(
 /// Failure containment for a panicked mesh worker.
 ///
 /// The application state is gone, but simply exiting the thread would wedge
-/// the run: peers' slabs would never get their refcount decrements or come
-/// home, full rings towards this worker would back senders' stashes up
+/// the run: peers' slabs would never get their refcount decrements or be
+/// freed, full rings towards this worker would back senders' stashes up
 /// forever.  So the quarantined worker stays on the data plane — draining
-/// rings, maintaining slab refcounts, returning slab handles — and merely
-/// skips delivery, counting every undeliverable item into the shared
-/// dropped ledger.  Once `sent == delivered + dropped` and all survivors are
-/// done, the monitor ends the run `Aborted`.
+/// rings, maintaining slab refcounts, freeing the slabs it finishes last —
+/// and merely skips delivery, counting every undeliverable item into the
+/// shared dropped ledger.  Once `sent == delivered + dropped` and all
+/// survivors are done, the monitor ends the run `Aborted`.
 fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
     let workers = shared.topo.total_workers() as usize;
     let mesh = &shared.plane;
@@ -338,8 +331,6 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
         ctx.refresh_now();
         let mut did_work = ctx.flush_stash();
         did_work |= ctx.flush_wire_stash();
-        did_work |= ctx.flush_pending_returns();
-        did_work |= ctx.reclaim_returns();
         for src in 0..workers {
             while let Some(envelope) = mesh.ring(src, me_i).pop() {
                 ctx.pending_dropped += ctx.drop_envelope(envelope);
@@ -405,7 +396,7 @@ fn handle_envelope(
 
 /// Deliver `range` of a sealed slab of worker `owner`'s arena — borrowed in
 /// place, zero moves — then drop this consumer's reference; the last
-/// consumer sends the handle home.
+/// consumer frees the slab.
 fn deliver_range(
     app: &mut dyn WorkerApp,
     ctx: &mut NativeWorkerCtx<'_>,
@@ -419,7 +410,7 @@ fn deliver_range(
     let items = unsafe { arena.slice(range.slab, range.start, range.len) };
     deliver_slice(app, ctx, items);
     if arena.finish_consumer(range.slab) {
-        ctx.return_slab(owner as usize, range);
+        arena.release(range.slab);
     }
 }
 
@@ -472,6 +463,6 @@ fn group_and_forward(
     }
     receiver.put_ranges(ranges);
     if arena.finish_consumer(handle.slab) {
-        ctx.return_slab(owner as usize, handle.range());
+        arena.release(handle.slab);
     }
 }

@@ -6,25 +6,35 @@
 //! is lock-free end to end:
 //!
 //! ```text
-//! worker thread ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private)
-//!                           ClaimBuffer (PP, shared, lock-free)
-//!        │                                         │ sealed slab / single
-//!        │ local bypass: per-quantum slabs         ▼
-//!        └─────────▶ mesh[src][dst] SPSC ring ──▶ destination worker:
-//!                    (Copy envelopes)              grouping pass runs HERE
-//!        slab handles ◀── returns[src][dst] ◀──   (per-worker PooledReceiver)
+//! send ─┬─ same process (bypass on) ──▶ per-quantum staging batch ──────┐
+//!       │                                (copied into a slab at ship)   │
+//!       └─ remote ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private)    │
+//!                             ClaimBuffer (PP, shared, lock-free)       │
+//!                                    │ sealed slab / single             │
+//!                                    ▼                                  │
+//!               mesh[src][dst] SPSC ring ◀──────────────────────────────┘
+//!               (Copy envelopes)
+//!                                    │
+//!                                    ▼
+//!               destination worker: grouping pass runs HERE (per-worker
+//!               PooledReceiver); the last consumer of a slab frees it
+//!               into its owner's arena
 //! ```
 //!
-//! Every ring carries the one `Envelope` of both native engines: an inline
-//! item or the descriptor of a slab in some worker's arena.  A
-//! process-addressed slab (WPs/WsP/PP) is routed to the destination worker
-//! chosen by [`net_model::Topology::group_receiver`] — the same rule the
-//! simulator uses — which groups it in place and forwards peer workers'
-//! ranges as slice descriptors over its own mesh rows.  The last consumer of
-//! a slab sends its handle home over a per-pair return ring to the worker
-//! whose arena owns it.  A full mesh ring never blocks the sender: after one
-//! failed push the envelope parks in a per-destination stash that is retried
-//! every loop iteration — backpressure without the deadlock a blocking N×N
+//! `send` decides the local bypass before tramlib, for every scheme: a
+//! same-process item is staged for its destination worker, and only remote
+//! items reach the aggregator or the PP claim buffers.  Every ring carries
+//! the one `Envelope` of both native engines: an inline item or the
+//! descriptor of a slab in some worker's arena.  A process-addressed slab
+//! (WPs/WsP/PP) is routed to the destination worker chosen by
+//! [`net_model::Topology::group_receiver`] — the same rule the simulator
+//! uses — which groups it in place and forwards peer workers' ranges as
+//! slice descriptors over its own mesh rows.  The consumer that finishes a
+//! slab last releases it straight into its owner's arena (a lock-free
+//! free-list push, safe from any thread), as the process engine does.  A
+//! full mesh ring never blocks the sender: after one failed push the
+//! envelope parks in a per-destination stash that is retried every loop
+//! iteration — backpressure without the deadlock a blocking N×N
 //! mesh invites (two workers pushing to each other's full rings would
 //! otherwise both stop draining).
 //!
@@ -48,8 +58,8 @@
 //! boundary.  A panicking worker is *quarantined*, not propagated: it records
 //! its panic, abandons its unshipped production (counted into a per-worker
 //! `items_dropped` ledger), and keeps draining its rings — honouring slab
-//! refcounts and return-ring protocol without delivering — so its peers never
-//! wedge behind a dead consumer.  The monitor treats panicked workers as done
+//! refcounts and freeing the slabs it finishes last, without delivering —
+//! so its peers never wedge behind a dead consumer.  The monitor treats panicked workers as done
 //! and closes the run once `sent == delivered + dropped` holds across a
 //! double-read, ending it `Aborted` with structured diagnostics (per-worker
 //! heartbeat stalls, ring/stash occupancy, and a slab-arena reclamation
@@ -74,7 +84,7 @@ use runtime_api::{
     ArenaAudit, Backend, FaultKind, FaultPlan, NodeDiag, Payload, ResolvedRunSpec, RunDiagnostics,
     RunOutcome, RunReport, TransportKind, WorkerApp,
 };
-use shmem::{ClaimBuffer, SlabArena, SlabHandle, SpscRing};
+use shmem::{ClaimBuffer, SlabArena, SpscRing};
 use tramlib::{Item, Scheme, TramConfig, TramStats};
 use transport::Transport;
 
@@ -92,17 +102,13 @@ pub(crate) type Batch = Vec<Item<Payload>>;
 /// node leader keeps as many emptied uplink vectors for its downlink batches.
 pub(crate) const SPARE_BATCHES: usize = 32;
 
-/// The delivery plane: per-pair envelope rings and per-pair slab-return
-/// rings, both flattened `src * workers + dst`.
+/// The delivery plane: per-pair envelope rings, flattened
+/// `src * workers + dst`.
 pub(crate) struct MeshPlane {
     workers: usize,
     /// `inbox[src * workers + dst]`: envelopes from worker `src` to worker
     /// `dst`.  Producer `src`, consumer `dst`.
     inbox: Vec<SpscRing<Envelope>>,
-    /// `returns[src * workers + dst]`: spent slab handles flowing back from
-    /// the worker that consumed them last (`dst`) to the worker whose arena
-    /// owns them (`src`).  Producer `dst`, consumer `src`.
-    returns: Vec<SpscRing<SlabHandle>>,
 }
 
 impl MeshPlane {
@@ -111,19 +117,12 @@ impl MeshPlane {
         Self {
             workers,
             inbox: (0..pairs).map(|_| SpscRing::new(capacity)).collect(),
-            returns: (0..pairs).map(|_| SpscRing::new(capacity)).collect(),
         }
     }
 
     /// The envelope ring from worker `src` to worker `dst`.
     pub(crate) fn ring(&self, src: usize, dst: usize) -> &SpscRing<Envelope> {
         &self.inbox[src * self.workers + dst]
-    }
-
-    /// The slab-return ring of the `src → dst` pair (`dst` produces, `src`
-    /// consumes).
-    pub(crate) fn return_ring(&self, src: usize, dst: usize) -> &SpscRing<SlabHandle> {
-        &self.returns[src * self.workers + dst]
     }
 
     /// Envelopes currently sitting in delivery rings — a racy gauge, read
@@ -178,8 +177,9 @@ pub(crate) struct Shared {
     /// PP only: `pp[src_proc][dst_proc]` shared claim buffers.
     pub(crate) pp: Vec<Vec<ClaimBuffer<Item<Payload>>>>,
     /// Every scheme but NoAgg: one arena per worker, indexed by worker id.
-    /// Every thread can borrow slices from every arena; claims and releases
-    /// stay with the owning worker.
+    /// Every thread can borrow slices from every arena.  Claims stay with
+    /// the owning worker; a slab's last consumer, on whichever thread,
+    /// releases it.
     pub(crate) arenas: Vec<SlabArena<Item<Payload>>>,
     /// Pin worker threads to cores (`--pin`).
     pub(crate) pin_workers: bool,
@@ -569,20 +569,6 @@ pub fn run_threaded(
         app.on_finalize(&mut counters);
     }
 
-    // Post-join reclamation sweep: spent slab handles still riding the
-    // return rings when `stop` landed go home to their arenas before the
-    // audit charges them as leaks.  Safe — every worker has joined, so this
-    // thread is the rings' only remaining accessor.
-    if !shared.arenas.is_empty() {
-        for src in 0..workers {
-            for dst in 0..workers {
-                while let Some(handle) = shared.plane.return_ring(src, dst).pop() {
-                    shared.arenas[src].release(handle.slab);
-                }
-            }
-        }
-    }
-
     // Reclamation audit: with every thread joined the arenas are externally
     // quiescent, so the books must balance — every slab free, in flight
     // (impossible after a full drain on a clean run), or leaked.  Always
@@ -968,8 +954,8 @@ mod tests {
         // A steady stream of process-addressed messages must recycle its
         // slabs, however they were filled — PP copies drained claim buffers
         // into them, WPs inserts straight into them: claims keep succeeding
-        // (zero misses) because consumed slabs come home over the return
-        // rings.
+        // (zero misses) because each slab's last consumer frees it into its
+        // owner's arena.
         for scheme in [Scheme::PP, Scheme::WPs] {
             let report = run(scheme, 2_000, 5);
             assert!(report.clean(), "{scheme}");

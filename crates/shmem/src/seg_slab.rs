@@ -5,14 +5,11 @@
 //! borrow → finish → release, generation-counted, Treiber free list with an
 //! ABA tag), but the control block, per-slab metadata, and slots live at an
 //! offset every attached process computes identically, and a [`SegArena`] is
-//! a `Copy` *view*.  Two deliberate differences from the in-process arena:
+//! a `Copy` *view*.  Like the in-process arena, any process may release: the
+//! Treiber push is MPMC-safe, so the last consumer pushes the slab straight
+//! back — which also lets a slab whose owner *died* complete its lifecycle.
+//! One deliberate difference from the in-process arena:
 //!
-//! * **any process may release.**  The in-process mesh ships spent handles
-//!   home on per-pair return rings so only the owner touches the free list;
-//!   the Treiber push was MPMC-safe all along, and across processes the
-//!   return trip buys nothing (the free list is in the same shared segment),
-//!   so the last consumer pushes the slab straight back.  This also means a
-//!   slab whose owner *died* can still complete its lifecycle.
 //! * **[`SegArena::force_release_leaked`]** exists for the supervisor: after
 //!   a worker dies mid-fill, its claimed-but-unsealed slabs are off the free
 //!   list with `outstanding == 0` — exactly what [`SlabArena::audit`] calls

@@ -7,8 +7,8 @@
 //! over the delivery mesh is then a 16-byte [`SlabHandle`] — the items
 //! themselves are written once at insert time and never move again: the
 //! receiving worker borrows them as a slice straight out of the owner's
-//! backing store, and the spent slab travels home as a handle over a
-//! per-pair return ring.
+//! backing store, and the last consumer puts the spent slab back on the
+//! owner's free list itself.
 //!
 //! # Lifecycle of one slab
 //!
@@ -16,14 +16,14 @@
 //! claim ─▶ fill (owner writes slots 0..len) ─▶ seal (outstanding = 1)
 //!   ▲                                            │ handle ships on a ring
 //!   │                                            ▼
-//! release ◀─ handle returns on a ring ◀─ borrow (&[T] at the consumer(s))
+//! release (last consumer) ◀─ finish ◀─ borrow (&[T] at the consumer(s))
 //! ```
 //!
 //! A sealed slab may be *split*: the receiving worker of a process-addressed
 //! slab delivers its own index range and forwards the other per-worker ranges
 //! to its process peers as [`SlabRange`]s.  The per-slab `outstanding`
 //! consumer count tracks the split; the consumer whose
-//! [`SlabArena::finish_consumer`] drops it to zero sends the handle home.
+//! [`SlabArena::finish_consumer`] drops it to zero releases the slab.
 //!
 //! # Ownership and safety rules
 //!
@@ -40,9 +40,10 @@
 //!    reorder in place — the destination grouping pass) only the range it
 //!    received via a handle, and only until it calls `finish_consumer` for
 //!    that range.
-//! 4. `release` reopens the slab for the next claim.  Only the owner calls
-//!    it, only after the handle came home (i.e. `outstanding` hit zero), so
-//!    reuse cannot race a straggling reader.
+//! 4. `release` reopens the slab for the next claim.  It is called once,
+//!    by whichever thread's `finish_consumer` dropped `outstanding` to zero
+//!    (the owner's or a consumer's: the free list is a lock-free stack safe
+//!    from any thread), so reuse cannot race a straggling reader.
 //!
 //! Every `unsafe` block below states which of these rules it relies on;
 //! `docs/DESIGN.md` §6 has the full memory-layout discussion.
@@ -115,9 +116,15 @@ struct SlabMeta {
 
 const FREE_NIL: u32 = u32::MAX;
 
-/// The owner's claim/miss/release tallies behind [`SlabArena::stats`].
+/// The free-list head and the tallies behind [`SlabArena::stats`].  Claims
+/// and misses come from the owner, releases from whichever thread finished
+/// a slab last — all relaxed, and all beside the head that every claim and
+/// release writes anyway, so counting costs no second cache line.
 #[derive(Default)]
-struct OwnerCounts {
+struct FreeList {
+    /// Head of the Treiber free list: upper 32 bits are an ABA tag, lower 32
+    /// the slab index (or `FREE_NIL`).
+    head: AtomicU64,
     claims: AtomicU64,
     misses: AtomicU64,
     releases: AtomicU64,
@@ -131,14 +138,10 @@ pub struct SlabArena<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     slab_capacity: usize,
     meta: Box<[SlabMeta]>,
-    /// Head of the Treiber free list: upper 32 bits are an ABA tag, lower 32
-    /// the slab index (or `FREE_NIL`).
-    free_head: CachePadded<AtomicU64>,
-    /// Owner-side statistics (relaxed: only the owner claims/releases), on
-    /// a line of their own: every consumer reads `slots` and `meta`, and an
-    /// owner bumping a counter beside them would invalidate that line on
+    /// On a line of its own: every consumer reads `slots` and `meta`, and a
+    /// head or counter write beside them would invalidate that line on
     /// every claim and release.
-    counts: CachePadded<OwnerCounts>,
+    free: CachePadded<FreeList>,
 }
 
 // SAFETY: the arena hands out access to its slots under the claim/seal/
@@ -176,8 +179,7 @@ impl<T: Copy> SlabArena<T> {
             slots,
             slab_capacity,
             meta,
-            free_head: CachePadded::new(AtomicU64::new(0)), // tag 0, slab 0
-            counts: CachePadded::new(OwnerCounts::default()),
+            free: CachePadded::new(FreeList::default()), // tag 0, slab 0
         }
     }
 
@@ -206,9 +208,9 @@ impl<T: Copy> SlabArena<T> {
     /// Claim/miss/release statistics so far.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
-            claims: self.counts.claims.load(Ordering::Relaxed),
-            misses: self.counts.misses.load(Ordering::Relaxed),
-            releases: self.counts.releases.load(Ordering::Relaxed),
+            claims: self.free.claims.load(Ordering::Relaxed),
+            misses: self.free.misses.load(Ordering::Relaxed),
+            releases: self.free.releases.load(Ordering::Relaxed),
         }
     }
 
@@ -220,17 +222,17 @@ impl<T: Copy> SlabArena<T> {
     /// Pop a free slab, or record a miss and return `None` (the caller falls
     /// back to heap storage — the arena never blocks and never grows).
     pub fn try_claim(&self) -> Option<u32> {
-        let mut head = self.free_head.load(Ordering::Acquire);
+        let mut head = self.free.head.load(Ordering::Acquire);
         loop {
             let slab = (head & 0xFFFF_FFFF) as u32;
             if slab == FREE_NIL {
-                self.counts.misses.fetch_add(1, Ordering::Relaxed);
+                self.free.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
             let next = self.meta[slab as usize].next_free.load(Ordering::Relaxed);
             let tag = head >> 32;
             let new_head = ((tag.wrapping_add(1)) << 32) | next as u64;
-            match self.free_head.compare_exchange_weak(
+            match self.free.head.compare_exchange_weak(
                 head,
                 new_head,
                 // AcqRel: the acquire half pairs with the releasing push so
@@ -240,7 +242,7 @@ impl<T: Copy> SlabArena<T> {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    self.counts.claims.fetch_add(1, Ordering::Relaxed);
+                    self.free.claims.fetch_add(1, Ordering::Relaxed);
                     debug_assert_eq!(
                         self.meta[slab as usize].outstanding.load(Ordering::Relaxed),
                         0,
@@ -358,12 +360,12 @@ impl<T: Copy> SlabArena<T> {
     }
 
     /// A consumer is done with its range.  Returns `true` for the last
-    /// consumer, which must send the slab's handle home to the owner.
+    /// consumer, which must [`SlabArena::release`] the slab.
     pub fn finish_consumer(&self, slab: u32) -> bool {
         // AcqRel: the release half orders this consumer's reads before the
         // decrement; the acquire half makes every earlier consumer's reads
-        // visible to the last consumer (and, transitively through the return
-        // ring, to the owner's release + reuse).
+        // visible to the last consumer (and, transitively through its
+        // free-list push, to the next claim).
         let prev = self.meta[slab as usize]
             .outstanding
             .fetch_sub(1, Ordering::AcqRel);
@@ -371,9 +373,9 @@ impl<T: Copy> SlabArena<T> {
         prev == 1
     }
 
-    /// Reopen a slab whose handle came home: bump the generation and push it
-    /// back on the free list.  Owner-only (rule 4), after `outstanding` hit
-    /// zero.
+    /// Reopen a finished slab: bump the generation and push it back on the
+    /// free list.  Called once, after `outstanding` hit zero, by the thread
+    /// whose `finish_consumer` got there (rule 4).
     pub fn release(&self, slab: u32) {
         let meta = &self.meta[slab as usize];
         debug_assert_eq!(
@@ -382,14 +384,14 @@ impl<T: Copy> SlabArena<T> {
             "releasing a slab that still has consumers"
         );
         meta.generation.fetch_add(1, Ordering::Relaxed);
-        self.counts.releases.fetch_add(1, Ordering::Relaxed);
-        let mut head = self.free_head.load(Ordering::Acquire);
+        self.free.releases.fetch_add(1, Ordering::Relaxed);
+        let mut head = self.free.head.load(Ordering::Acquire);
         loop {
             meta.next_free
                 .store((head & 0xFFFF_FFFF) as u32, Ordering::Relaxed);
             let tag = head >> 32;
             let new_head = ((tag.wrapping_add(1)) << 32) | slab as u64;
-            match self.free_head.compare_exchange_weak(
+            match self.free.head.compare_exchange_weak(
                 head,
                 new_head,
                 // Release publishes the generation bump (and, transitively,
@@ -407,7 +409,7 @@ impl<T: Copy> SlabArena<T> {
     /// tests only — the hot path never needs it).
     pub fn free_slabs(&self) -> usize {
         let mut n = 0;
-        let mut cur = (self.free_head.load(Ordering::Acquire) & 0xFFFF_FFFF) as u32;
+        let mut cur = (self.free.head.load(Ordering::Acquire) & 0xFFFF_FFFF) as u32;
         while cur != FREE_NIL && n <= self.meta.len() {
             n += 1;
             cur = self.meta[cur as usize].next_free.load(Ordering::Relaxed);
@@ -435,7 +437,7 @@ impl<T: Copy> SlabArena<T> {
             slabs: n as u32,
             ..SlabAudit::default()
         };
-        let mut cur = (self.free_head.load(Ordering::Acquire) & 0xFFFF_FFFF) as u32;
+        let mut cur = (self.free.head.load(Ordering::Acquire) & 0xFFFF_FFFF) as u32;
         let mut hops = 0;
         while cur != FREE_NIL && hops <= n {
             if on_free[cur as usize] {

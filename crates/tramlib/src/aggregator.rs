@@ -55,12 +55,10 @@ impl<T> InsertOutcome<T> {
 }
 
 /// Result of inserting one item on the zero-copy slab path
-/// ([`Aggregator::insert_slab_at`]).
+/// ([`Aggregator::insert_slab_at`]).  The slab path's caller decides the
+/// same-process bypass before it inserts.
 #[derive(Debug)]
 pub struct SlabInsertOutcome<T> {
-    /// Same-process destination with the local bypass enabled: the item comes
-    /// straight back for immediate local delivery.
-    pub local_delivery: Option<Item<T>>,
     /// A message that became ready: a sealed slab in the steady state, a
     /// heap-vector fallback when the arena was dry (or under NoAgg).
     pub message: Option<EmittedMessage<T>>,
@@ -68,10 +66,7 @@ pub struct SlabInsertOutcome<T> {
 
 impl<T> SlabInsertOutcome<T> {
     fn buffered() -> Self {
-        Self {
-            local_delivery: None,
-            message: None,
-        }
+        Self { message: None }
     }
 }
 
@@ -514,28 +509,22 @@ impl<T: Clone> Aggregator<T> {
 /// carry drop obligations across threads.
 impl<T: Copy> Aggregator<T> {
     /// Insert one item on the slab path, using `now_ns` for timeout
-    /// accounting.  The item lands in (in priority order) the local-bypass
-    /// return, its destination's active slab, or the slot's fallback vector.
+    /// accounting.  The item lands in its destination's active slab, or the
+    /// slot's fallback vector.  Every item is aggregated: the caller — the
+    /// threaded engine's `send` — has already sent same-process items down
+    /// the local bypass, so this path never checks [`Aggregator::is_local`].
     pub fn insert_slab_at(
         &mut self,
         arena: &SlabArena<Item<T>>,
         item: Item<T>,
         now_ns: u64,
     ) -> SlabInsertOutcome<T> {
-        if self.is_local(item.dest) {
-            self.stats.record_local_bypass();
-            return SlabInsertOutcome {
-                local_delivery: Some(item),
-                message: None,
-            };
-        }
         self.stats.record_insert();
 
         let Some(slot) = self.slot_for(item.dest) else {
             // NoAgg never buffers: single-item messages stay on the pooled
             // vector path (the native mesh ships them inline anyway).
             return SlabInsertOutcome {
-                local_delivery: None,
                 message: Some(EmittedMessage::Vec(self.emit_single(item))),
             };
         };
@@ -561,10 +550,7 @@ impl<T: Copy> Aggregator<T> {
             if len == capacity {
                 self.slabs[slot] = None;
                 let msg = self.seal_slab(arena, slot, slab, len, EmitReason::BufferFull);
-                return SlabInsertOutcome {
-                    local_delivery: None,
-                    message: Some(msg),
-                };
+                return SlabInsertOutcome { message: Some(msg) };
             }
             self.slabs[slot] = Some((slab, len));
             return SlabInsertOutcome::buffered();
@@ -581,10 +567,7 @@ impl<T: Copy> Aggregator<T> {
                 self.slab_oldest[slot] = now_ns;
                 if capacity == 1 {
                     let msg = self.seal_slab(arena, slot, slab, 1, EmitReason::BufferFull);
-                    return SlabInsertOutcome {
-                        local_delivery: None,
-                        message: Some(msg),
-                    };
+                    return SlabInsertOutcome { message: Some(msg) };
                 }
                 self.slabs[slot] = Some((slab, 1));
                 return SlabInsertOutcome::buffered();
@@ -593,7 +576,6 @@ impl<T: Copy> Aggregator<T> {
         // Arena dry (or finishing an earlier fallback): pooled heap vector.
         match self.push_vec_slot(slot, item, now_ns) {
             Some(msg) => SlabInsertOutcome {
-                local_delivery: None,
                 message: Some(EmittedMessage::Vec(msg)),
             },
             None => SlabInsertOutcome::buffered(),
@@ -1198,11 +1180,16 @@ mod tests {
     }
 
     #[test]
-    fn slab_path_honours_local_bypass_and_noagg() {
+    fn slab_path_aggregates_same_process_items_and_noagg_stays_on_vectors() {
         let arena = slab_arena(3);
+        // Bypass on, worker 1 in worker 0's process: the slab path still
+        // buffers the item — the bypass is its caller's decision.
         let mut agg = Aggregator::new(config(Scheme::WPs), Owner::Worker(WorkerId(0)));
         let out = agg.insert_slab_at(&arena, item(1, 7), 0);
-        assert_eq!(out.local_delivery.expect("same-process bypass").data, 7);
+        assert!(out.message.is_none());
+        assert_eq!(agg.buffered_items(), 1);
+        assert_eq!(agg.stats().items_inserted(), 1);
+        assert_eq!(agg.stats().items_local_bypass(), 0);
 
         let mut agg = Aggregator::new(config(Scheme::NoAgg), Owner::Worker(WorkerId(0)));
         let out = agg.insert_slab_at(&arena, item(4, 9), 0);

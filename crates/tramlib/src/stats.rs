@@ -46,6 +46,12 @@ impl TramStats {
         self.items_local_bypass += 1;
     }
 
+    /// Record `items` local-bypass deliveries at once: for an engine that
+    /// decides the bypass itself and tallies it outside any aggregator.
+    pub fn record_local_bypass_items(&mut self, items: u64) {
+        self.items_local_bypass += items;
+    }
+
     /// Record a message handed to the transport.
     pub fn record_message(&mut self, items: usize, bytes: u64, reason: EmitReason) {
         self.messages_sent += 1;
@@ -183,12 +189,13 @@ mod tests {
         s.record_insert();
         s.record_insert();
         s.record_local_bypass();
+        s.record_local_bypass_items(3);
         s.record_message(2, 96, EmitReason::BufferFull);
         s.record_flush_call();
         s.record_message(1, 80, EmitReason::ExplicitFlush);
 
         assert_eq!(s.items_inserted(), 2);
-        assert_eq!(s.items_local_bypass(), 1);
+        assert_eq!(s.items_local_bypass(), 4);
         assert_eq!(s.messages_sent(), 2);
         assert_eq!(s.messages_full(), 1);
         assert_eq!(s.messages_flushed(), 1);

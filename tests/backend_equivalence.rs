@@ -13,8 +13,8 @@
 //!
 //! Every engine runs its zero-allocation hot path (it is always on: the
 //! simulator's `PooledReceiver` + aggregator recycling; on both native
-//! engines, slab arenas whose handles ride return rings and a local bypass
-//! that copies per-quantum batches into slabs), so this suite also proves
+//! engines, slab arenas whose last consumer frees each slab and a local
+//! bypass that copies per-quantum batches into slabs), so this suite also proves
 //! those paths change *performance only*, never results — and, since the
 //! native engines share one message vocabulary, that all three engines send
 //! the same messages (`message_counts_agree_across_engines`).
@@ -84,6 +84,10 @@ fn main() {
         (
             "message_counts_agree_across_engines",
             message_counts_agree_across_engines,
+        ),
+        (
+            "bypass_counts_agree_across_engines",
+            bypass_counts_agree_across_engines,
         ),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
@@ -817,4 +821,41 @@ fn message_counts_agree_across_engines() {
         }
     }
     assert!(broken.is_empty(), "engines disagree: {broken:#?}");
+}
+
+fn bypass_counts_agree_across_engines() {
+    // The threaded engine decides the local bypass in `send`, before
+    // tramlib, and folds its own tally into `report.tram`; the simulator's
+    // aggregators decide it at insert.  On a bypass-on 1 node x 2 processes
+    // x 2 workers histogram the threaded count must equal its
+    // `local_deliveries` counter and the simulator's count, on every scheme.
+    let mut broken = Vec::new();
+    for scheme in Scheme::ALL {
+        let run = |backend: Backend| {
+            let report = RunSpec::for_app(
+                HistogramConfig::new(ClusterSpec::smp(1, 2, 2), scheme)
+                    .with_updates(5_000)
+                    .with_buffer(64)
+                    .with_seed(42),
+            )
+            .local_bypass(true)
+            .backend(backend)
+            .run();
+            assert!(report.clean(), "{backend}/{scheme}");
+            report
+        };
+        let (sim, threaded) = (run(Backend::Sim), run(Backend::Native));
+        let counts = (
+            threaded.tram.items_local_bypass(),
+            threaded.counter("local_deliveries"),
+            sim.tram.items_local_bypass(),
+        );
+        if counts.0 == 0 || counts.0 != counts.1 || counts.0 != counts.2 {
+            broken.push(format!(
+                "{scheme}: threaded tram {} / local_deliveries {}, sim tram {}",
+                counts.0, counts.1, counts.2
+            ));
+        }
+    }
+    assert!(broken.is_empty(), "bypass counts disagree: {broken:#?}");
 }
