@@ -7,8 +7,8 @@
 //! single-node no-op elsewhere.
 //!
 //! Why it matters: each worker owns a `shmem::SlabArena` whose slots are
-//! written by the owner and *read in place* by consumers (the zero-copy
-//! path).  The arenas are allocated on the main thread before the workers
+//! written by the owner (one copy per shipped message) and *read in place*
+//! by consumers.  The arenas are allocated on the main thread before the workers
 //! exist, so without intervention every arena's pages land on whichever node
 //! the main thread ran on — and on a multi-socket host, workers pinned to
 //! the other socket then pay a cross-socket hop for every slab they fill.

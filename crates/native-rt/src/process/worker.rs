@@ -323,15 +323,8 @@ impl<'w> ProcCtx<'w> {
         buf: &mut Vec<Item<Payload>>,
     ) {
         let me = self.me.0;
-        let arena = self.world.arenas[me as usize];
-        if let Some(slab) = arena.try_claim() {
+        if let Some(handle) = self.world.arenas[me as usize].fill(buf) {
             self.tally.arena_claims += 1;
-            for (i, &item) in buf.iter().enumerate() {
-                // SAFETY: `try_claim` granted exclusive ownership of `slab`;
-                // `buf.len() <= g` = the slab capacity.
-                unsafe { arena.write(slab, i, item) };
-            }
-            let handle = arena.seal(slab, buf.len() as u32);
             self.push_env(
                 dst,
                 Envelope::Slab {

@@ -26,9 +26,9 @@ pub(crate) const INBOX_BUDGET: usize = 128;
 pub(crate) const STASH_THROTTLE: usize = 128;
 
 /// Whether `scheme` ships its messages as slabs of per-worker arenas: every
-/// scheme that aggregates.  WW/WPs/WsP write items into slabs at insert
-/// time; PP copies a drained claim buffer into one, and the local bypass
-/// copies each staged batch.  NoAgg ships inline singles, as does every
+/// scheme that aggregates.  Each message — an aggregator buffer, a drained
+/// PP claim buffer, a local-bypass batch — is filled privately and copied
+/// into one slab when it ships.  NoAgg ships inline singles, as does every
 /// arena-miss fallback.
 pub(crate) fn uses_arena(scheme: Scheme) -> bool {
     scheme != Scheme::NoAgg
@@ -67,8 +67,9 @@ pub(crate) fn ring_capacity(scheme: Scheme, workers: usize) -> usize {
 /// The per-worker arena size (in slabs) for `tram` on `workers` worker PEs.
 ///
 /// Budget the demand sources rather than guess at steady-state behaviour.  A
-/// sender's slabs in flight live in (a) one mid-fill slab per destination
-/// slot, (b) the slots of its outgoing rings (`workers × ring_capacity`),
+/// sender's slabs in flight live in (a) one slab per destination slot —
+/// headroom only, since a slab is claimed when its message ships and no
+/// destination holds one while its items are buffered — (b) the slots of its outgoing rings (`workers × ring_capacity`),
 /// (c) envelopes a consumer has popped but not yet finished (bounded per
 /// quantum by [`INBOX_BUDGET`]), and (d) the sender-side stash, whose growth
 /// [`STASH_THROTTLE`] caps (handler-generated sends can overshoot it, which

@@ -3,7 +3,9 @@
 //! The context owns everything a worker thread touches per item — aggregator,
 //! RNG, counters, local-bypass staging, the mesh overflow stash — and routes
 //! emitted messages onto the per-pair SPSC rings of the delivery mesh, as
-//! slab descriptors or inline singles.
+//! slab descriptors or inline singles.  Every message is buffered privately
+//! and copied into one slab of this worker's arena when it ships
+//! ([`NativeWorkerCtx::ship_slab`]).
 //!
 //! `send` decides the local bypass once, before tramlib, for every scheme: a
 //! same-process item is staged for its destination worker and only remote
@@ -21,8 +23,7 @@ use runtime_api::{Payload, RunCtx, WorkerApp};
 use shmem::{ClaimResult, SlabArena};
 use sim_core::StreamRng;
 use tramlib::{
-    Aggregator, EmitReason, EmittedMessage, Item, MessageDest, OutboundMessage, Owner, Scheme,
-    SlabSealed, TramStats,
+    Aggregator, EmitReason, Item, MessageDest, OutboundMessage, Owner, Scheme, TramStats,
 };
 
 use super::{Batch, Shared, SPARE_BATCHES};
@@ -142,6 +143,9 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// Every scheme but NoAgg: this worker's shared arena.  Claims are ours
     /// alone; consumers borrow and decrement, and the last one releases.
     pub(crate) arena: Option<&'a SlabArena<Item<Payload>>>,
+    /// Vectors of messages shipped while a flush has the aggregator out,
+    /// returned to its pool when the flush ends.
+    pub(crate) spent: Vec<Batch>,
     /// This worker's predicted NUMA node (0 on unpinned/single-node runs).
     pub(crate) my_node: u16,
     /// Mesh envelopes pushed towards a worker on a different NUMA node.
@@ -222,6 +226,7 @@ impl<'a> NativeWorkerCtx<'a> {
             flush_emits: 0,
             defer_pushes: shared.tram.scheme == Scheme::NoAgg,
             arena: shared.arenas.get(me.idx()),
+            spent: Vec::new(),
             my_node: shared.worker_node.get(me.idx()).copied().unwrap_or(0),
             cross_socket_msgs: 0,
             drain_order: {
@@ -309,68 +314,65 @@ impl<'a> NativeWorkerCtx<'a> {
         quantum::lane_drained(ring.len(), self.stash[target.idx()].len())
     }
 
-    /// Hand a heap-vector message — NoAgg's single item, or an arena-miss
-    /// fallback — to the delivery plane as inline singles, recording the
-    /// wire counters the simulator records in its routing layer.  The
-    /// singles go where the slab would have gone (a process-addressed
-    /// message's group receiver forwards them), so they never overtake
-    /// earlier slabs; the vector goes back to the aggregator's pool.
+    /// Ship one of the aggregator's messages, recording the wire counters
+    /// the simulator records in its routing layer.  The vector goes back to
+    /// the aggregator's pool — straight away, or, while a flush has the
+    /// aggregator out, through `spent` once the flush is over.
     pub(crate) fn emit(&mut self, message: OutboundMessage<Payload>) {
         self.publish_sent();
         self.count_wire(message.items.len(), message.bytes, message.reason);
         let target = self.receiver_of(message.dest);
-        for &item in &message.items {
-            self.push_mesh(target, Envelope::Single(item));
-        }
-        if let Some(agg) = self.aggregator.as_mut() {
-            agg.recycle(message.items);
+        self.ship_slab(
+            target,
+            message.dest,
+            message.grouped_at_source,
+            &message.items,
+        );
+        match self.aggregator.as_mut() {
+            Some(agg) => agg.recycle(message.items),
+            None => self.spent.push(message.items),
         }
     }
 
-    /// Hand a zero-copy slab message to the mesh, recording the same wire
-    /// counters as [`NativeWorkerCtx::emit`] — a slab is a transport detail,
-    /// not a different kind of message.
-    pub(crate) fn emit_slab(&mut self, sealed: SlabSealed) {
-        self.publish_sent();
-        self.count_wire(sealed.handle.len as usize, sealed.bytes, sealed.reason);
-        let target = self.receiver_of(sealed.dest);
-        self.push_mesh(
-            target,
-            Envelope::Slab {
-                owner: self.me.0,
-                handle: sealed.handle,
-                dest: sealed.dest,
-                grouped_at_source: sealed.grouped_at_source,
-            },
-        );
+    /// Run one flush of the worker's aggregator with `self` as the sink's
+    /// state, then hand the vectors the flush shipped back to its pool.
+    fn drain_aggregator(&mut self, flush: impl FnOnce(&mut Aggregator<Payload>, &mut Self)) {
+        if let Some(mut agg) = self.aggregator.take() {
+            flush(&mut agg, self);
+            for items in self.spent.drain(..) {
+                agg.recycle(items);
+            }
+            self.aggregator = Some(agg);
+        }
     }
 
     /// Copy `items` into one slab of this worker's arena and ship it to
-    /// `target` as a message for `dest` — the PP drain and the local bypass,
-    /// whose staging lives outside the arena.  A dry arena degrades to
-    /// singles for the same `target` (a throughput dip recorded in
-    /// `arena_claim_misses`, never a loss or a reordering).
-    fn ship_slab(&mut self, target: WorkerId, dest: MessageDest, items: &[Item<Payload>]) {
-        let arena = self.arena.expect("a slab-shipping scheme has an arena");
-        let Some(slab) = arena.try_claim() else {
+    /// `target` as a message for `dest`: aggregator messages, PP drains and
+    /// local-bypass batches alike.  Without an arena (NoAgg), or when it is
+    /// dry, the items go to the same `target` as inline singles — a dry
+    /// arena is a throughput dip recorded in `arena_claim_misses`, never a
+    /// loss or a reordering (a process-addressed message's group receiver
+    /// forwards singles too).
+    fn ship_slab(
+        &mut self,
+        target: WorkerId,
+        dest: MessageDest,
+        grouped_at_source: bool,
+        items: &[Item<Payload>],
+    ) {
+        let Some(handle) = self.arena.and_then(|arena| arena.fill(items)) else {
             for &item in items {
                 self.push_mesh(target, Envelope::Single(item));
             }
             return;
         };
-        for (i, &item) in items.iter().enumerate() {
-            // SAFETY: `try_claim` gave this worker the unsealed slab, and
-            // `items` never outgrows `buffer_items`, the slab capacity.
-            unsafe { arena.write(slab, i, item) };
-        }
-        let handle = arena.seal(slab, items.len() as u32);
         self.push_mesh(
             target,
             Envelope::Slab {
                 owner: self.me.0,
                 handle,
                 dest,
-                grouped_at_source: false,
+                grouped_at_source,
             },
         );
     }
@@ -384,16 +386,6 @@ impl<'a> NativeWorkerCtx<'a> {
         if reason.is_flush() {
             self.tally.wire_messages_flush += 1;
             self.flush_emits += 1;
-        }
-    }
-
-    /// Route a slab-path emission: sealed slabs to [`NativeWorkerCtx::
-    /// emit_slab`], arena-miss fallbacks (and NoAgg singles) to the vector
-    /// path's [`NativeWorkerCtx::emit`].
-    pub(crate) fn emit_any(&mut self, message: EmittedMessage<Payload>) {
-        match message {
-            EmittedMessage::Slab(sealed) => self.emit_slab(sealed),
-            EmittedMessage::Vec(message) => self.emit(message),
         }
     }
 
@@ -429,7 +421,7 @@ impl<'a> NativeWorkerCtx<'a> {
     /// names its final destination worker, so the remote leader's regroup
     /// (and the remote worker's delivery) is exact — no grouping state
     /// crosses the node boundary, only payloads.  A slab is copied out of
-    /// its arena — the zero-copy discipline is an intra-node optimization;
+    /// its arena — reading slabs in place is an intra-node optimization;
     /// the node boundary is a real copy either way (it becomes wire bytes).
     fn push_wire(&mut self, envelope: Envelope) {
         self.tally.wire_node_msgs += 1;
@@ -587,7 +579,7 @@ impl<'a> NativeWorkerCtx<'a> {
         self.tally.local_batches += 1;
         self.tally.local_deliveries += batch.len() as u64;
         let to = WorkerId(dest as u32);
-        self.ship_slab(to, MessageDest::Worker(to), &batch);
+        self.ship_slab(to, MessageDest::Worker(to), false, &batch);
         self.local_out[dest] = batch;
         self.local_out[dest].clear();
     }
@@ -629,15 +621,15 @@ impl<'a> NativeWorkerCtx<'a> {
     }
 
     /// Quarantine entry: drop everything this worker produced but had not
-    /// shipped — aggregator buffers and mid-fill slabs, local-bypass
-    /// batches, stashed envelopes.  Every dropped item was already counted
+    /// shipped — aggregator buffers, local-bypass batches, stashed
+    /// envelopes.  Unshipped items hold no slab: a slab is claimed only when
+    /// its message ships.  Every dropped item was already counted
     /// sent (publish-before-ship), so counting it dropped keeps the
     /// conservation ledger exact.  Returns the number of items dropped.
     pub(crate) fn abandon_production(&mut self) -> u64 {
         let mut dropped = 0u64;
-        if let Some(mut agg) = self.aggregator.take() {
-            dropped += agg.abandon(self.arena);
-            self.aggregator = Some(agg);
+        if let Some(agg) = self.aggregator.as_mut() {
+            dropped += agg.abandon();
         }
         for batch in &mut self.local_out {
             dropped += batch.len() as u64;
@@ -707,7 +699,7 @@ impl<'a> NativeWorkerCtx<'a> {
         self.pp_stats.record_message(items.len(), bytes, reason);
         self.count_wire(items.len(), bytes, reason);
         let dest = MessageDest::Process(dst_proc);
-        self.ship_slab(self.receiver_of(dest), dest, &items);
+        self.ship_slab(self.receiver_of(dest), dest, false, &items);
     }
 
     /// Seal-flush every shared PP buffer of this worker's process.
@@ -753,15 +745,7 @@ impl<'a> NativeWorkerCtx<'a> {
         if self.shared.tram.scheme == Scheme::PP {
             return self.shared.tram.flush_policy.on_idle && self.flush_pp_where(release);
         }
-        if let Some(mut agg) = self.aggregator.take() {
-            match self.arena {
-                Some(arena) => {
-                    agg.flush_on_idle_slab_where(arena, self, release, Self::emit_any);
-                }
-                None => agg.flush_on_idle_where(self, release, Self::emit),
-            }
-            self.aggregator = Some(agg);
-        }
+        self.drain_aggregator(|agg, cx| agg.flush_on_idle_where(cx, release, Self::emit));
         false
     }
 
@@ -775,14 +759,8 @@ impl<'a> NativeWorkerCtx<'a> {
             return;
         }
         let now = self.shared.now_ns();
-        if let Some(mut agg) = self.aggregator.take() {
-            match self.arena {
-                Some(arena) => {
-                    agg.poll_timeout_slab_each(arena, now, |message| self.emit_any(message));
-                }
-                None => agg.poll_timeout_each(now, |message| self.emit(message)),
-            }
-            self.aggregator = Some(agg);
+        if self.aggregator.is_some() {
+            self.drain_aggregator(|agg, cx| agg.poll_timeout_each(now, |m| cx.emit(m)));
             return;
         }
         if let (Some(oldest), Some(timeout)) =
@@ -807,8 +785,8 @@ impl<'a> NativeWorkerCtx<'a> {
         if let Some(arena) = self.arena {
             let stats = arena.stats();
             self.counters.add("arena_claims", stats.claims);
-            // Zero across a run = the zero-copy steady state never fell back
-            // to singles; gated by `benchmark/run.sh` and the threaded
+            // Zero across a run = the steady state never fell back to
+            // singles; gated by `benchmark/run.sh` and the threaded
             // engine's unit tests.
             self.counters.add("arena_claim_misses", stats.misses);
         }
@@ -884,16 +862,6 @@ impl RunCtx for NativeWorkerCtx<'_> {
         }
         self.pending_sent += 1;
         let agg = self.aggregator.as_mut().expect("worker aggregator");
-        if let Some(arena) = self.arena {
-            // Zero-copy path: the item is written straight into its
-            // destination's slab slot; nothing else happens until a slab
-            // seals.
-            if let Some(message) = agg.insert_slab_at(arena, item, created).message {
-                self.emit_any(message);
-            }
-            return;
-        }
-        // NoAgg: the item is its own message.
         if let Some(message) = agg.insert_at(item, created).message {
             self.emit(message);
         }
@@ -908,13 +876,7 @@ impl RunCtx for NativeWorkerCtx<'_> {
             self.flush_pp(EmitReason::ExplicitFlush);
             return;
         }
-        if let Some(mut agg) = self.aggregator.take() {
-            match self.arena {
-                Some(arena) => agg.flush_slab_each(arena, |message| self.emit_any(message)),
-                None => agg.flush_each(|message| self.emit(message)),
-            }
-            self.aggregator = Some(agg);
-        }
+        self.drain_aggregator(|agg, cx| agg.flush_each(|m| cx.emit(m)));
     }
 
     fn flush_on_idle(&mut self) {

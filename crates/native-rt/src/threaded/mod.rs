@@ -6,14 +6,17 @@
 //! is lock-free end to end:
 //!
 //! ```text
-//! send ─┬─ same process (bypass on) ──▶ per-quantum staging batch ──────┐
-//!       │                                (copied into a slab at ship)   │
-//!       └─ remote ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private)    │
-//!                             ClaimBuffer (PP, shared, lock-free)       │
-//!                                    │ sealed slab / single             │
-//!                                    ▼                                  │
-//!               mesh[src][dst] SPSC ring ◀──────────────────────────────┘
-//!               (Copy envelopes)
+//! send ─┬─ same process (bypass on) ──▶ per-quantum staging batch ───┐
+//!       │                                                            │
+//!       └─ remote ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private) │
+//!                             ClaimBuffer (PP, shared, lock-free)    │
+//!                                    │ message ready                 │
+//!                                    ▼                               │
+//!               ship: one copy into a slab of the sender's arena ◀───┘
+//!               (inline singles under NoAgg or when the arena is dry)
+//!                                    │ Copy envelope
+//!                                    ▼
+//!               mesh[src][dst] SPSC ring
 //!                                    │
 //!                                    ▼
 //!               destination worker: grouping pass runs HERE (per-worker
@@ -868,8 +871,8 @@ mod tests {
             assert!(report.total_time_ns > 0);
             assert!(report.item_latency.count() > 0);
             if scheme != Scheme::NoAgg {
-                // The zero-copy steady state: every message of the
-                // aggregating schemes was a slab, none fell back to singles.
+                // The steady state: every message of the aggregating
+                // schemes was a slab, none fell back to singles.
                 assert!(report.counter("arena_claims") > 0, "{scheme}");
                 assert_eq!(
                     report.counter("arena_claim_misses"),

@@ -12,10 +12,10 @@
 //! * [`SpscRing`] — the WW insertion path: a bounded single-producer
 //!   single-consumer ring buffer, one per (source worker, destination) pair,
 //!   with no atomic read-modify-write on the hot path.
-//! * [`SlabArena`] — the zero-copy message store: per-worker arenas of
-//!   fixed-capacity slabs with generation-counted claim/release.  Items are
-//!   written once into slab slots at insert time; only 16-byte handles move
-//!   after that.
+//! * [`SlabArena`] — the shared message store: per-worker arenas of
+//!   fixed-capacity slabs with generation-counted claim/release.  A message
+//!   is filled privately and copied once into a slab when it ships
+//!   ([`SlabArena::fill`]); only 16-byte handles move after that.
 //! * [`PaddedCounter`] — a cache-line padded relaxed counter for statistics
 //!   that must not introduce false sharing.
 //!

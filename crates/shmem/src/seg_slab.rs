@@ -1,4 +1,4 @@
-//! [`SlabArena`]'s cross-process twin: the zero-copy message store laid out
+//! [`SlabArena`]'s cross-process twin: the shared message store laid out
 //! inside a shared [`Segment`](crate::segment::Segment).
 //!
 //! Same protocol and handle types as [`SlabArena`] (claim → fill → seal →
@@ -241,6 +241,31 @@ impl<T: Copy> SegArena<T> {
                 .add(slab as usize * self.slab_capacity + index)
                 .write(value);
         }
+    }
+
+    /// Claim a slab, copy `items` into it and seal it — [`SlabArena::fill`]
+    /// over the segment.  `None` (counted as a miss) on a dry arena.
+    ///
+    /// # Panics
+    /// Panics if `items` is longer than a slab.
+    ///
+    /// [`SlabArena::fill`]: crate::slab::SlabArena::fill
+    pub fn fill(&self, items: &[T]) -> Option<SlabHandle> {
+        assert!(
+            items.len() <= self.slab_capacity,
+            "{} items overflow a {}-item slab",
+            items.len(),
+            self.slab_capacity
+        );
+        let slab = self.try_claim()?;
+        // SAFETY: `try_claim` made this process the slab's only user until
+        // the seal below; the assert keeps the copy inside the slab, and
+        // `items` (private memory) cannot overlap the segment's slots.
+        unsafe {
+            let dst = self.slots.add(slab as usize * self.slab_capacity);
+            std::ptr::copy_nonoverlapping(items.as_ptr(), dst, items.len());
+        }
+        Some(self.seal(slab, items.len() as u32))
     }
 
     /// Seal a claimed slab with `len` written items; registers one consumer.
@@ -486,6 +511,35 @@ mod tests {
     }
 
     #[test]
+    fn fill_copies_in_order_and_seals() {
+        let (_seg, arena) = arena_segment(1, 4);
+        // Cycle the slab once so the handle must carry a later generation.
+        let first = arena.fill(&[9]).expect("fresh arena has a free slab");
+        assert!(arena.finish_consumer(first.slab));
+        arena.release(first.slab);
+
+        let handle = arena.fill(&[7, 8, 9]).expect("released slab is free again");
+        assert_eq!(handle.len, 3);
+        assert_eq!(handle.generation, arena.generation(handle.slab));
+        assert_eq!(handle.generation, first.generation + 1);
+        // SAFETY: live handle over a sealed slab.
+        let items = unsafe { arena.slice(handle.slab, 0, handle.len) };
+        assert_eq!(items, &[7, 8, 9]);
+
+        assert_eq!(arena.fill(&[1]), None, "arena is dry");
+        assert_eq!(arena.stats().misses, 1);
+        assert!(arena.finish_consumer(handle.slab));
+        arena.release(handle.slab);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow a 2-item slab")]
+    fn fill_rejects_more_items_than_a_slab_holds() {
+        let (_seg, arena) = arena_segment(1, 2);
+        let _ = arena.fill(&[1, 2, 3]);
+    }
+
+    #[test]
     fn dry_arena_misses_and_recovers() {
         let (_seg, arena) = arena_segment(1, 2);
         let slab = arena.try_claim().expect("one free slab");
@@ -500,12 +554,7 @@ mod tests {
     #[test]
     fn split_consumers_and_free_accounting() {
         let (_seg, arena) = arena_segment(3, 8);
-        let slab = arena.try_claim().unwrap();
-        for i in 0..8 {
-            // SAFETY: claimed, unsealed, in range.
-            unsafe { arena.write(slab, i, i as u64) };
-        }
-        arena.seal(slab, 8);
+        let slab = arena.fill(&[0, 1, 2, 3, 4, 5, 6, 7]).unwrap().slab;
         arena.add_consumers(slab, 2);
         assert!(!arena.finish_consumer(slab));
         assert!(!arena.finish_consumer(slab));
@@ -552,11 +601,8 @@ mod tests {
                     let _hold = seg;
                     let mut claimed = 0u64;
                     for _ in 0..rounds {
-                        if let Some(slab) = arena.try_claim() {
+                        if let Some(h) = arena.fill(&[7]) {
                             claimed += 1;
-                            // SAFETY: claimed, unsealed, slot 0 < capacity 1.
-                            unsafe { arena.write(slab, 0, slab as u64) };
-                            let h = arena.seal(slab, 1);
                             assert!(arena.finish_consumer(h.slab));
                             arena.release(h.slab);
                         }

@@ -1,19 +1,18 @@
-//! The slab arena: the zero-copy message store of the native delivery mesh.
+//! The slab arena: the shared message store of the native delivery mesh.
 //!
 //! A [`SlabArena`] is one contiguous backing store divided into fixed-capacity
-//! *slabs*.  Each worker owns one arena; the aggregation hot path claims a
-//! slab per destination, writes items **directly into the slab slots** as the
-//! application produces them, and seals the slab when it is full.  What ships
-//! over the delivery mesh is then a 16-byte [`SlabHandle`] — the items
-//! themselves are written once at insert time and never move again: the
-//! receiving worker borrows them as a slice straight out of the owner's
-//! backing store, and the last consumer puts the spent slab back on the
-//! owner's free list itself.
+//! *slabs*.  Each worker owns one arena.  A worker buffers a message's items
+//! in private memory and, when the message ships, [`SlabArena::fill`] claims
+//! a slab, copies the items into it once and seals it.  What ships over the
+//! delivery mesh is then a 16-byte [`SlabHandle`] — the items never move
+//! again: the receiving worker borrows them as a slice straight out of the
+//! owner's backing store, and the last consumer puts the spent slab back on
+//! the owner's free list itself.
 //!
 //! # Lifecycle of one slab
 //!
 //! ```text
-//! claim ─▶ fill (owner writes slots 0..len) ─▶ seal (outstanding = 1)
+//! claim ─▶ fill (owner copies slots 0..len) ─▶ seal (outstanding = 1)
 //!   ▲                                            │ handle ships on a ring
 //!   │                                            ▼
 //! release (last consumer) ◀─ finish ◀─ borrow (&[T] at the consumer(s))
@@ -97,8 +96,9 @@ impl SlabHandle {
 pub struct ArenaStats {
     /// Successful slab claims.
     pub claims: u64,
-    /// Claims that found the free list dry (the caller fell back to a heap
-    /// vector).  Zero across a whole run is the zero-copy steady-state proof.
+    /// Claims that found the free list dry (the caller shipped the items as
+    /// singles instead).  Zero across a whole run is the steady-state proof
+    /// that the arena is big enough.
     pub misses: u64,
     /// Slabs released back to the free list.
     pub releases: u64,
@@ -271,6 +271,31 @@ impl<T: Copy> SlabArena<T> {
         unsafe {
             (*self.slots.get_unchecked(base + index).get()).write(value);
         }
+    }
+
+    /// Claim a slab, copy `items` into it and seal it: the one way the
+    /// engines write a message into the arena.  Returns the handle to ship,
+    /// or `None` — counted as a miss — when the arena is dry.
+    ///
+    /// # Panics
+    /// Panics if `items` is longer than a slab.
+    pub fn fill(&self, items: &[T]) -> Option<SlabHandle> {
+        assert!(
+            items.len() <= self.slab_capacity,
+            "{} items overflow a {}-item slab",
+            items.len(),
+            self.slab_capacity
+        );
+        let slab = self.try_claim()?;
+        let base = slab as usize * self.slab_capacity;
+        // SAFETY: rule 1 — `try_claim` made this thread the slab's only user
+        // until the seal below; the assert keeps the copy inside the slab,
+        // and `items` (caller memory) cannot overlap the arena's slots.
+        unsafe {
+            let dst = UnsafeCell::raw_get(self.slots.as_ptr().add(base)).cast::<T>();
+            std::ptr::copy_nonoverlapping(items.as_ptr(), dst, items.len());
+        }
+        Some(self.seal(slab, items.len() as u32))
     }
 
     /// Seal a claimed slab with `len` written items: ends the fill phase and
@@ -525,6 +550,35 @@ mod tests {
     }
 
     #[test]
+    fn fill_copies_in_order_and_seals() {
+        let arena: SlabArena<u32> = SlabArena::new(1, 4);
+        // Cycle the slab once so the handle must carry a later generation.
+        let first = arena.fill(&[9]).expect("fresh arena has a free slab");
+        assert!(arena.finish_consumer(first.slab));
+        arena.release(first.slab);
+
+        let handle = arena.fill(&[7, 8, 9]).expect("released slab is free again");
+        assert_eq!(handle.len, 3);
+        assert_eq!(handle.generation, arena.generation(handle.slab));
+        assert_eq!(handle.generation, first.generation + 1);
+        // SAFETY: live handle over a sealed slab.
+        let items = unsafe { arena.slice(handle.slab, 0, handle.len) };
+        assert_eq!(items, &[7, 8, 9]);
+
+        assert_eq!(arena.fill(&[1]), None, "arena is dry");
+        assert_eq!(arena.stats().misses, 1);
+        assert!(arena.finish_consumer(handle.slab));
+        arena.release(handle.slab);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow a 2-item slab")]
+    fn fill_rejects_more_items_than_a_slab_holds() {
+        let arena: SlabArena<u32> = SlabArena::new(1, 2);
+        let _ = arena.fill(&[1, 2, 3]);
+    }
+
+    #[test]
     fn dry_arena_reports_miss_and_recovers() {
         let arena: SlabArena<u32> = SlabArena::new(1, 2);
         let slab = arena.try_claim().expect("one free slab");
@@ -539,12 +593,8 @@ mod tests {
     #[test]
     fn split_consumers_release_exactly_once() {
         let arena: SlabArena<u32> = SlabArena::new(1, 8);
-        let slab = arena.try_claim().unwrap();
-        for i in 0..8 {
-            // SAFETY: claimed, unsealed, in range.
-            unsafe { arena.write(slab, i, i as u32) };
-        }
-        let handle = arena.seal(slab, 8);
+        let handle = arena.fill(&[0, 1, 2, 3, 4, 5, 6, 7]).unwrap();
+        let slab = handle.slab;
         // Receiver splits into 3 ranges: itself + two forwarded peers.
         arena.add_consumers(slab, 2);
         assert!(!arena.finish_consumer(slab));

@@ -108,7 +108,9 @@ impl RunCtx for WorkerCtx<'_, '_> {
     /// Send one item to `dest` through TramLib.  This charges the insertion
     /// cost (including the PP atomic/contention cost), and — when the insertion
     /// fills a buffer — the message-initiation cost and the comm-thread/network
-    /// path of the emitted message.
+    /// path of the emitted message.  A same-process item (with the bypass on)
+    /// pays the same insertion cost, never enters the aggregator, and is
+    /// delivered through shared memory.
     fn send(&mut self, dest: WorkerId, payload: Payload) {
         let created = self.now_ns();
         self.cluster.items_sent += 1;
@@ -118,39 +120,40 @@ impl RunCtx for WorkerCtx<'_, '_> {
         let topo = self.cluster.tram.topology;
         let src_proc = topo.proc_of_worker(self.worker);
 
-        // Charge the insertion cost and perform the insertion.
-        let outcome = if scheme == Scheme::PP {
+        self.charged_ns += if scheme == Scheme::PP {
             let contenders = topo.workers_per_proc().saturating_sub(1);
-            self.charged_ns += costs.worker.shared_insert_ns(contenders).round() as u64;
-            let agg = self.cluster.procs[src_proc.idx()]
-                .shared_aggregator
-                .as_mut()
-                .expect("PP process aggregator");
-            agg.insert_at(item, created)
+            costs.worker.shared_insert_ns(contenders).round() as u64
         } else {
-            self.charged_ns += costs.worker.buffer_insert_ns.round() as u64;
-            let agg = self.cluster.workers[self.worker.idx()]
-                .aggregator
-                .as_mut()
-                .expect("worker aggregator");
-            agg.insert_at(item, created)
+            costs.worker.buffer_insert_ns.round() as u64
         };
 
-        if let Some(local) = outcome.local_delivery {
-            // Same-process destination: deliver through shared memory.
+        if self.cluster.tram.local_bypass && topo.proc_of_worker(dest) == src_proc {
+            self.cluster.local_bypass_items += 1;
             self.charged_ns += costs.worker.local_deliver_ns.round() as u64;
             let at = self.now_ns();
-            let dest = local.dest;
             let message = tramlib::OutboundMessage {
                 dest: tramlib::MessageDest::Worker(dest),
-                items: vec![local],
+                items: vec![item],
                 bytes: 0,
                 reason: tramlib::EmitReason::Unaggregated,
                 grouped_at_source: true,
             };
             self.cluster.deliver_local(self.ev, dest, message, at);
+            return;
         }
-        if let Some(message) = outcome.message {
+
+        let agg = if scheme == Scheme::PP {
+            self.cluster.procs[src_proc.idx()]
+                .shared_aggregator
+                .as_mut()
+                .expect("PP process aggregator")
+        } else {
+            self.cluster.workers[self.worker.idx()]
+                .aggregator
+                .as_mut()
+                .expect("worker aggregator")
+        };
+        if let Some(message) = agg.insert_at(item, created).message {
             let emit = self.now_ns();
             let cpu = self
                 .cluster

@@ -70,6 +70,9 @@ pub struct Cluster {
     pub items_sent: u64,
     /// Items delivered to application handlers so far (conservation check).
     pub items_delivered: u64,
+    /// Items `WorkerCtx::send` delivered through the same-process bypass,
+    /// past every aggregator.
+    pub local_bypass_items: u64,
 }
 
 impl Cluster {
@@ -123,13 +126,15 @@ impl Cluster {
             counters: Counters::new(),
             items_sent: 0,
             items_delivered: 0,
+            local_bypass_items: 0,
         }
     }
 
     /// Merge the TramLib statistics of every aggregator (worker- and
-    /// process-owned) into one [`TramStats`].
+    /// process-owned) and the bypass count into one [`TramStats`].
     pub fn merged_tram_stats(&self) -> TramStats {
         let mut total = TramStats::new();
+        total.record_local_bypass_items(self.local_bypass_items);
         for w in &self.workers {
             if let Some(agg) = &w.aggregator {
                 total.merge(agg.stats());

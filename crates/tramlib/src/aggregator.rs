@@ -23,51 +23,22 @@ pub enum Owner {
     Process(ProcId),
 }
 
-impl Owner {
-    /// The process this owner belongs to.
-    pub fn proc(&self, topology: &net_model::Topology) -> ProcId {
-        match self {
-            Owner::Worker(w) => topology.proc_of_worker(*w),
-            Owner::Process(p) => *p,
-        }
-    }
-}
-
-/// Result of inserting one item.
+/// Result of inserting one item.  The aggregator buffers every item it is
+/// given: whether a same-process item bypasses aggregation is the caller's
+/// decision, made before it inserts.
 #[derive(Debug, Clone)]
 pub struct InsertOutcome<T> {
-    /// If the item's destination is in the same process and the local bypass is
-    /// enabled, the item is returned here for immediate local delivery instead
-    /// of being buffered.
-    pub local_delivery: Option<Item<T>>,
     /// A message that became ready because the insertion filled a buffer (or,
     /// for [`Scheme::NoAgg`], the message carrying just this item).
     pub message: Option<OutboundMessage<T>>,
 }
 
-impl<T> InsertOutcome<T> {
-    fn buffered() -> Self {
-        Self {
-            local_delivery: None,
-            message: None,
-        }
-    }
-}
-
-/// Result of inserting one item on the zero-copy slab path
-/// ([`Aggregator::insert_slab_at`]).  The slab path's caller decides the
-/// same-process bypass before it inserts.
+/// Result of [`Aggregator::insert_slab_at`].
 #[derive(Debug)]
 pub struct SlabInsertOutcome<T> {
-    /// A message that became ready: a sealed slab in the steady state, a
-    /// heap-vector fallback when the arena was dry (or under NoAgg).
+    /// A message that became ready: copied into a slab, or left as a heap
+    /// vector when the arena was dry.
     pub message: Option<EmittedMessage<T>>,
-}
-
-impl<T> SlabInsertOutcome<T> {
-    fn buffered() -> Self {
-        Self { message: None }
-    }
 }
 
 /// A TramLib aggregation endpoint.
@@ -87,25 +58,12 @@ pub struct Aggregator<T> {
     /// path is one table load instead of a `proc_of_worker` division.
     /// Empty under NoAgg (no buffering).
     slot_of: Box<[u32]>,
-    /// Per destination worker: does an item to it bypass aggregation?  All
-    /// false when the local bypass is disabled.
-    local_to_owner: Box<[bool]>,
     /// Free list of spent item vectors: each drained buffer ships its vector
     /// away inside the message, and refills from here instead of allocating.
     /// Substrates feed it by calling [`Aggregator::recycle`] with vectors they
     /// have finished delivering.
     pool: VecPool<Item<T>>,
-    /// Slab path only: the active `(slab id, items written)` per destination
-    /// slot.  A slot never has an active slab *and* a non-empty fallback
-    /// vector buffer: the vector path is entered only when the arena is dry
-    /// and left only by emitting the vector, so per-destination item order is
-    /// preserved either way.
-    slabs: Vec<Option<(u32, u32)>>,
-    /// Slab path only: insertion timestamp of each slot's oldest slab item
-    /// (for timeout flushing; the fallback vector buffers track their own).
-    slab_oldest: Vec<u64>,
-    /// Reusable scratch for WsP's source-side grouping pass (sealed slabs
-    /// and vector messages alike).
+    /// Reusable scratch for WsP's source-side grouping pass.
     group_scratch: GroupScratch<T>,
     stats: TramStats,
 }
@@ -166,20 +124,12 @@ impl<T: Clone> Aggregator<T> {
                 .map(|w| topo.proc_of_worker(w).0)
                 .collect(),
         };
-        let owner_proc = owner.proc(&topo);
-        let local_to_owner: Box<[bool]> = topo
-            .all_workers()
-            .map(|w| config.local_bypass && topo.proc_of_worker(w) == owner_proc)
-            .collect();
         Ok(Self {
             config,
             owner,
             buffers: (0..slots).map(|_| None).collect(),
             slot_of,
-            local_to_owner,
             pool: VecPool::default(),
-            slabs: (0..slots).map(|_| None).collect(),
-            slab_oldest: vec![0; slots],
             group_scratch: GroupScratch::default(),
             stats: TramStats::new(),
         })
@@ -214,17 +164,9 @@ impl<T: Clone> Aggregator<T> {
         self.pool.stats()
     }
 
-    /// Total number of items currently sitting in buffers (heap vectors and
-    /// active slabs alike).
+    /// Total number of items currently sitting in buffers.
     pub fn buffered_items(&self) -> usize {
-        let in_vecs: usize = self.buffers.iter().flatten().map(|b| b.len()).sum();
-        let in_slabs: usize = self
-            .slabs
-            .iter()
-            .flatten()
-            .map(|(_, len)| *len as usize)
-            .sum();
-        in_vecs + in_slabs
+        self.buffers.iter().flatten().map(|b| b.len()).sum()
     }
 
     /// Number of destination buffers that currently hold at least one item.
@@ -249,12 +191,6 @@ impl<T: Clone> Aggregator<T> {
             Scheme::WW => MessageDest::Worker(WorkerId(slot as u32)),
             Scheme::WPs | Scheme::WsP | Scheme::PP => MessageDest::Process(ProcId(slot as u32)),
         }
-    }
-
-    /// Whether an item destined to `dest` should bypass aggregation because the
-    /// destination worker lives in the owner's process (and the bypass is on).
-    pub fn is_local(&self, dest: WorkerId) -> bool {
-        self.local_to_owner[dest.idx()]
     }
 
     /// Build an outbound message from drained items.
@@ -297,9 +233,8 @@ impl<T: Clone> Aggregator<T> {
 
     /// Insert one item created at `now_ns`.
     ///
-    /// Returns an [`InsertOutcome`]: the item may come straight back for local
-    /// delivery (same-process destination with the bypass enabled), it may be
-    /// buffered silently, or it may complete a buffer and produce a message.
+    /// Returns an [`InsertOutcome`]: the item is buffered silently, or it
+    /// completes a buffer and produces a message.
     pub fn insert(&mut self, item: Item<T>) -> InsertOutcome<T> {
         let now_ns = item.created_at_ns;
         self.insert_at(item, now_ns)
@@ -308,29 +243,12 @@ impl<T: Clone> Aggregator<T> {
     /// Insert one item, using `now_ns` as the insertion time for timeout
     /// accounting (usually the same as the item's creation time).
     pub fn insert_at(&mut self, item: Item<T>, now_ns: u64) -> InsertOutcome<T> {
-        if self.is_local(item.dest) {
-            self.stats.record_local_bypass();
-            return InsertOutcome {
-                local_delivery: Some(item),
-                message: None,
-            };
-        }
         self.stats.record_insert();
-
-        let Some(slot) = self.slot_for(item.dest) else {
-            return InsertOutcome {
-                local_delivery: None,
-                message: Some(self.emit_single(item)),
-            };
+        let message = match self.slot_for(item.dest) {
+            Some(slot) => self.push_slot(slot, item, now_ns),
+            None => Some(self.emit_single(item)),
         };
-
-        match self.push_vec_slot(slot, item, now_ns) {
-            Some(msg) => InsertOutcome {
-                local_delivery: None,
-                message: Some(msg),
-            },
-            None => InsertOutcome::buffered(),
-        }
+        InsertOutcome { message }
     }
 
     /// NoAgg: the item is its own message.  The single-item vector comes from
@@ -344,15 +262,9 @@ impl<T: Clone> Aggregator<T> {
         self.make_message(dest, items, EmitReason::Unaggregated)
     }
 
-    /// Push one item into slot `slot`'s heap-vector buffer, returning the
-    /// drained message if the push filled it.  Shared by the vector path and
-    /// the slab path's arena-miss fallback.
-    fn push_vec_slot(
-        &mut self,
-        slot: usize,
-        item: Item<T>,
-        now_ns: u64,
-    ) -> Option<OutboundMessage<T>> {
+    /// Push one item into slot `slot`'s buffer, returning the drained
+    /// message if the push filled it.
+    fn push_slot(&mut self, slot: usize, item: Item<T>, now_ns: u64) -> Option<OutboundMessage<T>> {
         let capacity = self.config.buffer_items;
         let full = self.buffers[slot]
             .get_or_insert_with(|| ItemBuffer::new(capacity))
@@ -475,269 +387,22 @@ impl<T: Clone> Aggregator<T> {
     /// non-empty.  Substrates use this to schedule their next timeout poll.
     pub fn next_timeout_deadline(&self) -> Option<u64> {
         let timeout = self.config.flush_policy.timeout_ns?;
-        let in_vecs = self
-            .buffers
+        self.buffers
             .iter()
             .flatten()
-            .filter_map(|b| b.oldest_insert_ns());
-        let in_slabs = self
-            .slabs
-            .iter()
-            .zip(&self.slab_oldest)
-            .filter(|(slab, _)| slab.is_some())
-            .map(|(_, oldest)| *oldest);
-        in_vecs
-            .chain(in_slabs)
+            .filter_map(|b| b.oldest_insert_ns())
             .min()
             .map(|oldest| oldest.saturating_add(timeout))
     }
-}
-
-/// The zero-copy slab path.
-///
-/// In slab mode the aggregator claims one slab per destination from the
-/// owning worker's shared [`SlabArena`] and writes every inserted item
-/// **directly into its slab slot** — there is no intermediate buffer, and the
-/// item never moves again: the sealed slab ships as a 32-byte
-/// [`SlabSealed`] descriptor and is borrowed in place by its consumers.
-/// When the arena is dry (every slab out with slow consumers), the slot
-/// falls back to the pooled heap-vector path until that vector is emitted —
-/// the fallback shows up in the arena's miss counter, which reads 0 in a
-/// correctly sized steady state.
-///
-/// Requires `T: Copy`: slabs are shared plain-old-data stores and must not
-/// carry drop obligations across threads.
-impl<T: Copy> Aggregator<T> {
-    /// Insert one item on the slab path, using `now_ns` for timeout
-    /// accounting.  The item lands in its destination's active slab, or the
-    /// slot's fallback vector.  Every item is aggregated: the caller — the
-    /// threaded engine's `send` — has already sent same-process items down
-    /// the local bypass, so this path never checks [`Aggregator::is_local`].
-    pub fn insert_slab_at(
-        &mut self,
-        arena: &SlabArena<Item<T>>,
-        item: Item<T>,
-        now_ns: u64,
-    ) -> SlabInsertOutcome<T> {
-        self.stats.record_insert();
-
-        let Some(slot) = self.slot_for(item.dest) else {
-            // NoAgg never buffers: single-item messages stay on the pooled
-            // vector path (the native mesh ships them inline anyway).
-            return SlabInsertOutcome {
-                message: Some(EmittedMessage::Vec(self.emit_single(item))),
-            };
-        };
-
-        // Soundness gate for the unchecked slab writes below: every write
-        // index is `< buffer_items`, so slabs at least that big make the
-        // whole fill phase in-bounds.  Checked here — outside the per-item
-        // fast path only in the sense that it is one branch — so a caller
-        // pairing a mis-sized arena with this config gets a panic, never UB.
-        assert!(
-            arena.slab_capacity() >= self.config.buffer_items,
-            "arena slabs ({}) smaller than the configured buffer ({})",
-            arena.slab_capacity(),
-            self.config.buffer_items
-        );
-        let capacity = self.config.buffer_items as u32;
-        if let Some((slab, len)) = self.slabs[slot] {
-            // SAFETY: this aggregator claimed `slab` (rule: claim → seal is
-            // owner-exclusive) and `len < capacity` because a full slab is
-            // sealed immediately below.
-            unsafe { arena.write(slab, len as usize, item) };
-            let len = len + 1;
-            if len == capacity {
-                self.slabs[slot] = None;
-                let msg = self.seal_slab(arena, slot, slab, len, EmitReason::BufferFull);
-                return SlabInsertOutcome { message: Some(msg) };
-            }
-            self.slabs[slot] = Some((slab, len));
-            return SlabInsertOutcome::buffered();
-        }
-
-        // No active slab.  If the slot is mid-fallback (items already in its
-        // vector buffer), stay on the vector path until that message leaves —
-        // mixing the two stores would reorder the destination's items.
-        let vec_pending = self.buffers[slot].as_ref().is_some_and(|b| !b.is_empty());
-        if !vec_pending {
-            if let Some(slab) = arena.try_claim() {
-                // SAFETY: freshly claimed, slot 0 is in range.
-                unsafe { arena.write(slab, 0, item) };
-                self.slab_oldest[slot] = now_ns;
-                if capacity == 1 {
-                    let msg = self.seal_slab(arena, slot, slab, 1, EmitReason::BufferFull);
-                    return SlabInsertOutcome { message: Some(msg) };
-                }
-                self.slabs[slot] = Some((slab, 1));
-                return SlabInsertOutcome::buffered();
-            }
-        }
-        // Arena dry (or finishing an earlier fallback): pooled heap vector.
-        match self.push_vec_slot(slot, item, now_ns) {
-            Some(msg) => SlabInsertOutcome {
-                message: Some(EmittedMessage::Vec(msg)),
-            },
-            None => SlabInsertOutcome::buffered(),
-        }
-    }
-
-    /// Seal a slot's active slab into an outbound descriptor: WsP grouping
-    /// runs here, in place, before the handle ships (the sealer is still the
-    /// slab's sole consumer).
-    fn seal_slab(
-        &mut self,
-        arena: &SlabArena<Item<T>>,
-        slot: usize,
-        slab: u32,
-        len: u32,
-        reason: EmitReason,
-    ) -> EmittedMessage<T> {
-        let grouped_at_source = self.config.scheme.groups_at_source();
-        let handle = arena.seal(slab, len);
-        if grouped_at_source {
-            let wpp = self.config.topology.workers_per_proc() as usize;
-            // SAFETY: sealed above with `outstanding == 1`, and the handle
-            // has not shipped yet, so this thread is the sole consumer; all
-            // `len` slots were written by the fill phase.
-            let items = unsafe { arena.slice_mut(slab, 0, len) };
-            group_in_place(items, wpp, &mut self.group_scratch);
-        }
-        let bytes = self.config.message_bytes(len as usize);
-        self.stats.record_message(len as usize, bytes, reason);
-        if self.config.detailed_dest_stats {
-            // SAFETY: as above — sealed, unshipped, fully written.
-            let items = unsafe { arena.slice(slab, 0, len) };
-            let distinct = if grouped_at_source {
-                crate::message::distinct_sorted_dest_workers(items)
-            } else {
-                let mut dests: Vec<u32> = items.iter().map(|i| i.dest.0).collect();
-                dests.sort_unstable();
-                dests.dedup();
-                dests.len()
-            };
-            self.stats.record_dest_spread(distinct);
-        }
-        EmittedMessage::Slab(SlabSealed {
-            dest: self.dest_for_slot(slot),
-            handle,
-            bytes,
-            reason,
-            grouped_at_source,
-        })
-    }
-
-    /// Drain every non-empty slot (active slab or fallback vector — never
-    /// both) whose destination `release` lets go, handing one resized message
-    /// per destination to `sink`.  The slab-path twin of
-    /// [`Aggregator::drain_where`]: a held slot keeps its slab, fill level
-    /// and oldest-insert stamp.
-    fn drain_slab_where<C>(
-        &mut self,
-        arena: &SlabArena<Item<T>>,
-        reason: EmitReason,
-        cx: &mut C,
-        release: impl Fn(&C, MessageDest) -> bool,
-        mut sink: impl FnMut(&mut C, EmittedMessage<T>),
-    ) {
-        for slot in 0..self.slabs.len() {
-            let vec_pending = self.buffers[slot].as_ref().is_some_and(|b| !b.is_empty());
-            if self.slabs[slot].is_none() && !vec_pending {
-                continue;
-            }
-            let dest = self.dest_for_slot(slot);
-            if !release(cx, dest) {
-                continue;
-            }
-            if let Some((slab, len)) = self.slabs[slot].take() {
-                sink(cx, self.seal_slab(arena, slot, slab, len, reason));
-            }
-            if vec_pending {
-                let items = self.drain_slot(slot);
-                sink(
-                    cx,
-                    EmittedMessage::Vec(self.make_message(dest, items, reason)),
-                );
-            }
-        }
-    }
-
-    /// Explicit application flush on the slab path: drain every
-    /// partially-filled slab and fallback buffer straight to `sink`.
-    pub fn flush_slab_each(
-        &mut self,
-        arena: &SlabArena<Item<T>>,
-        mut sink: impl FnMut(EmittedMessage<T>),
-    ) {
-        self.stats.record_flush_call();
-        self.drain_slab_where(
-            arena,
-            EmitReason::ExplicitFlush,
-            &mut sink,
-            |_, _| true,
-            |sink, m| sink(m),
-        );
-    }
-
-    /// [`Aggregator::flush_on_idle_where`] on the slab path: a released slot
-    /// seals its slab as an `IdleFlush` message, a held slot keeps its slab.
-    pub fn flush_on_idle_slab_where<C>(
-        &mut self,
-        arena: &SlabArena<Item<T>>,
-        cx: &mut C,
-        release: impl Fn(&C, MessageDest) -> bool,
-        sink: impl FnMut(&mut C, EmittedMessage<T>),
-    ) {
-        if self.config.flush_policy.on_idle {
-            self.drain_slab_where(arena, EmitReason::IdleFlush, cx, release, sink);
-        }
-    }
-
-    /// Timeout poll on the slab path: drain slots whose oldest item is older
-    /// than the configured timeout at `now_ns`.
-    pub fn poll_timeout_slab_each(
-        &mut self,
-        arena: &SlabArena<Item<T>>,
-        now_ns: u64,
-        mut sink: impl FnMut(EmittedMessage<T>),
-    ) {
-        let Some(timeout) = self.config.flush_policy.timeout_ns else {
-            return;
-        };
-        for slot in 0..self.slabs.len() {
-            if let Some((slab, len)) = self.slabs[slot] {
-                if now_ns.saturating_sub(self.slab_oldest[slot]) >= timeout {
-                    self.slabs[slot] = None;
-                    sink(self.seal_slab(arena, slot, slab, len, EmitReason::TimeoutFlush));
-                }
-            }
-            match self.buffers[slot].as_ref() {
-                Some(buffer) if !buffer.is_empty() && buffer.oldest_age_ns(now_ns) >= timeout => {}
-                _ => continue,
-            }
-            let items = self.drain_slot(slot);
-            let dest = self.dest_for_slot(slot);
-            sink(EmittedMessage::Vec(self.make_message(
-                dest,
-                items,
-                EmitReason::TimeoutFlush,
-            )));
-        }
-    }
 
     /// Quarantine teardown: abandon every buffered item instead of emitting
-    /// it, releasing active slabs straight back to `arena`.
-    ///
-    /// This is the aggregator half of worker-panic containment: the owner's
-    /// application is gone, so its partially-filled buffers can never be
-    /// sealed or delivered — but the slabs they sit in belong to the arena
-    /// and must come home or they count as leaked in the reclamation audit.
-    /// Active slabs are claimed-unsealed (`outstanding == 0`), so releasing
-    /// them directly is rule-4-legal: the owner is the sole referent.
+    /// it.  This is the aggregator half of worker-panic containment: the
+    /// owner's application is gone, so its partially-filled buffers can never
+    /// be delivered.
     ///
     /// Returns the number of items abandoned (the caller accounts them as
     /// dropped — they were already counted sent).
-    pub fn abandon(&mut self, arena: Option<&SlabArena<Item<T>>>) -> u64 {
+    pub fn abandon(&mut self) -> u64 {
         let mut dropped = 0u64;
         for slot in 0..self.buffers.len() {
             if let Some(buffer) = self.buffers[slot].as_mut() {
@@ -746,21 +411,48 @@ impl<T: Copy> Aggregator<T> {
                 self.pool.put(items);
             }
         }
-        for slot in 0..self.slabs.len() {
-            if let Some((slab, len)) = self.slabs[slot].take() {
-                dropped += len as u64;
-                let arena = arena.expect("an aggregator with active slabs needs its arena");
-                arena.release(slab);
-            }
-        }
         dropped
+    }
+}
+
+/// The vector path with the slab copy attached: one call from an item to a
+/// shippable slab, for callers that want one.  The engines do the same two
+/// steps themselves — [`Aggregator::insert_at`], then [`SlabArena::fill`] on
+/// the emitted message.
+impl<T: Copy> Aggregator<T> {
+    /// [`Aggregator::insert_at`], then copy a ready message into one slab of
+    /// `arena`.  A dry arena returns the message as [`EmittedMessage::Vec`].
+    pub fn insert_slab_at(
+        &mut self,
+        arena: &SlabArena<Item<T>>,
+        item: Item<T>,
+        now_ns: u64,
+    ) -> SlabInsertOutcome<T> {
+        let Some(message) = self.insert_at(item, now_ns).message else {
+            return SlabInsertOutcome { message: None };
+        };
+        let Some(handle) = arena.fill(&message.items) else {
+            return SlabInsertOutcome {
+                message: Some(EmittedMessage::Vec(message)),
+            };
+        };
+        let sealed = SlabSealed {
+            dest: message.dest,
+            handle,
+            bytes: message.bytes,
+            reason: message.reason,
+            grouped_at_source: message.grouped_at_source,
+        };
+        self.recycle(message.items);
+        SlabInsertOutcome {
+            message: Some(EmittedMessage::Slab(sealed)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::EmittedMessage;
     use net_model::Topology;
 
     /// 2 nodes x 2 procs x 2 workers = 8 workers, 4 procs.
@@ -891,24 +583,14 @@ mod tests {
     }
 
     #[test]
-    fn local_bypass_returns_item_immediately() {
-        // Worker 0 and worker 1 are in the same process (proc 0).
+    fn same_process_items_are_buffered_like_any_other() {
+        // Worker 0 and worker 1 are in the same process (proc 0), and the
+        // bypass is on: deciding it is the caller's job, so the item buffers.
         let mut agg = Aggregator::new(config(Scheme::WPs), Owner::Worker(WorkerId(0)));
-        let out = agg.insert(item(1, 7));
-        let local = out.local_delivery.expect("same-process item bypasses");
-        assert_eq!(local.data, 7);
-        assert!(out.message.is_none());
-        assert_eq!(agg.stats().items_local_bypass(), 1);
-        assert_eq!(agg.stats().items_inserted(), 0);
-        assert_eq!(agg.buffered_items(), 0);
-    }
-
-    #[test]
-    fn local_bypass_can_be_disabled() {
-        let cfg = config(Scheme::WPs).with_local_bypass(false);
-        let mut agg = Aggregator::new(cfg, Owner::Worker(WorkerId(0)));
-        let out = agg.insert(item(1, 7));
-        assert!(out.local_delivery.is_none());
+        assert!(agg.config().local_bypass);
+        assert!(agg.insert(item(1, 7)).message.is_none());
+        assert_eq!(agg.stats().items_inserted(), 1);
+        assert_eq!(agg.stats().items_local_bypass(), 0);
         assert_eq!(agg.buffered_items(), 1);
     }
 
@@ -1077,298 +759,107 @@ mod tests {
         assert!((agg.stats().dest_spread().mean() - 2.0).abs() < 1e-12);
     }
 
-    fn slab_arena(capacity: usize) -> SlabArena<Item<u32>> {
-        SlabArena::new(8, capacity)
-    }
-
-    /// Drain a slab message's items for assertions, releasing the slab.
-    fn read_slab(arena: &SlabArena<Item<u32>>, msg: &EmittedMessage<u32>) -> Vec<(u32, u32)> {
-        match msg {
-            EmittedMessage::Slab(sealed) => {
-                // SAFETY: test is the sole consumer of the just-sealed slab.
-                let items = unsafe { arena.slice(sealed.handle.slab, 0, sealed.handle.len) };
-                let out = items.iter().map(|i| (i.dest.0, i.data)).collect();
-                assert!(arena.finish_consumer(sealed.handle.slab));
-                arena.release(sealed.handle.slab);
-                out
-            }
-            EmittedMessage::Vec(m) => m.items.iter().map(|i| (i.dest.0, i.data)).collect(),
-        }
-    }
-
     #[test]
-    fn slab_path_seals_at_capacity_without_moving_items() {
-        let arena = slab_arena(3);
-        let mut agg = Aggregator::new(config(Scheme::WW), Owner::Worker(WorkerId(0)));
-        assert!(agg.insert_slab_at(&arena, item(4, 1), 0).message.is_none());
-        assert!(agg.insert_slab_at(&arena, item(5, 2), 0).message.is_none());
-        assert!(agg.insert_slab_at(&arena, item(4, 3), 0).message.is_none());
-        assert_eq!(agg.buffered_items(), 3);
-        let out = agg.insert_slab_at(&arena, item(4, 4), 0);
-        let msg = out.message.expect("third item to worker 4 seals its slab");
-        assert!(
-            matches!(msg, EmittedMessage::Slab(_)),
-            "steady state ships slabs"
-        );
-        assert_eq!(msg.dest(), MessageDest::Worker(WorkerId(4)));
-        assert_eq!(read_slab(&arena, &msg), vec![(4, 1), (4, 3), (4, 4)]);
-        assert_eq!(agg.stats().messages_full(), 1);
-        assert_eq!(arena.stats().misses, 0);
-    }
-
-    #[test]
-    fn slab_path_falls_back_to_vectors_when_arena_dry() {
-        // A 1-slab arena: the second destination cannot claim and must use
-        // the pooled vector path; no item may be lost either way.
+    fn insert_slab_at_ships_a_full_wsp_buffer_as_one_grouped_slab() {
         let arena: SlabArena<Item<u32>> = SlabArena::new(1, 3);
-        let mut agg = Aggregator::new(config(Scheme::WW), Owner::Worker(WorkerId(0)));
-        agg.insert_slab_at(&arena, item(4, 1), 0);
-        agg.insert_slab_at(&arena, item(5, 2), 0); // arena dry -> vector
-        assert_eq!(arena.stats().misses, 1);
-        let full = agg.insert_slab_at(&arena, item(5, 3), 0);
-        assert!(full.message.is_none());
-        let msg = agg
-            .insert_slab_at(&arena, item(5, 4), 0)
-            .message
-            .expect("vector buffer fills at capacity 3");
-        assert!(
-            matches!(msg, EmittedMessage::Vec(_)),
-            "fallback ships vectors"
-        );
-        assert_eq!(read_slab(&arena, &msg), vec![(5, 2), (5, 3), (5, 4)]);
-        // The slab destination still seals through the arena.
-        agg.insert_slab_at(&arena, item(4, 5), 0);
-        let msg = agg
-            .insert_slab_at(&arena, item(4, 6), 0)
-            .message
-            .expect("slab seals");
-        assert!(matches!(msg, EmittedMessage::Slab(_)));
-        assert_eq!(read_slab(&arena, &msg), vec![(4, 1), (4, 5), (4, 6)]);
-    }
-
-    #[test]
-    fn slab_flush_drains_slabs_and_fallback_vectors() {
-        let arena: SlabArena<Item<u32>> = SlabArena::new(1, 3);
-        let cfg = config(Scheme::WPs);
-        let mut agg = Aggregator::new(cfg, Owner::Worker(WorkerId(0)));
-        agg.insert_slab_at(&arena, item(4, 1), 0); // proc 2 -> slab
-        agg.insert_slab_at(&arena, item(6, 2), 0); // proc 3 -> arena dry -> vector
-        let mut flushed = Vec::new();
-        agg.flush_slab_each(&arena, |m| flushed.push(read_slab(&arena, &m)));
-        assert_eq!(flushed, vec![vec![(4, 1)], vec![(6, 2)]]);
-        assert_eq!(agg.buffered_items(), 0);
-        assert_eq!(agg.stats().flush_calls(), 1);
-        assert_eq!(agg.stats().messages_flushed(), 2);
-    }
-
-    #[test]
-    fn slab_path_groups_wsp_in_place_at_the_source() {
-        let arena = slab_arena(3);
         let mut agg = Aggregator::new(config(Scheme::WsP), Owner::Worker(WorkerId(0)));
-        agg.insert_slab_at(&arena, item(5, 1), 0);
-        agg.insert_slab_at(&arena, item(4, 2), 0);
-        let msg = agg
-            .insert_slab_at(&arena, item(5, 3), 0)
-            .message
-            .expect("slab seals");
-        match &msg {
-            EmittedMessage::Slab(sealed) => assert!(sealed.grouped_at_source),
-            EmittedMessage::Vec(_) => panic!("expected a slab"),
+        assert!(agg.insert_slab_at(&arena, item(5, 1), 0).message.is_none());
+        assert!(agg.insert_slab_at(&arena, item(4, 2), 0).message.is_none());
+        let msg = agg.insert_slab_at(&arena, item(5, 3), 0).message;
+        let Some(EmittedMessage::Slab(sealed)) = msg else {
+            panic!("a full buffer ships as a slab: {msg:?}");
+        };
+        assert!(sealed.grouped_at_source);
+        assert_eq!(sealed.dest, MessageDest::Process(ProcId(2)));
+        assert_eq!(sealed.reason, EmitReason::BufferFull);
+        assert_eq!(sealed.item_count(), 3);
+        // SAFETY: the test is the sole consumer of the just-sealed slab.
+        let items = unsafe { arena.slice(sealed.handle.slab, 0, sealed.handle.len) };
+        let got: Vec<(u32, u32)> = items.iter().map(|i| (i.dest.0, i.data)).collect();
+        // Sorted by destination worker, per-worker order preserved.
+        assert_eq!(got, vec![(4, 2), (5, 1), (5, 3)]);
+        assert_eq!(agg.buffered_items(), 0);
+
+        // The one slab is still out: the next full buffer stays a vector.
+        for v in 4..6 {
+            assert!(agg.insert_slab_at(&arena, item(6, v), 0).message.is_none());
         }
-        // Items sorted by destination worker, per-worker order preserved.
-        assert_eq!(read_slab(&arena, &msg), vec![(4, 2), (5, 1), (5, 3)]);
-    }
-
-    #[test]
-    fn slab_path_aggregates_same_process_items_and_noagg_stays_on_vectors() {
-        let arena = slab_arena(3);
-        // Bypass on, worker 1 in worker 0's process: the slab path still
-        // buffers the item — the bypass is its caller's decision.
-        let mut agg = Aggregator::new(config(Scheme::WPs), Owner::Worker(WorkerId(0)));
-        let out = agg.insert_slab_at(&arena, item(1, 7), 0);
-        assert!(out.message.is_none());
-        assert_eq!(agg.buffered_items(), 1);
-        assert_eq!(agg.stats().items_inserted(), 1);
-        assert_eq!(agg.stats().items_local_bypass(), 0);
-
-        let mut agg = Aggregator::new(config(Scheme::NoAgg), Owner::Worker(WorkerId(0)));
-        let out = agg.insert_slab_at(&arena, item(4, 9), 0);
-        let msg = out.message.expect("NoAgg emits immediately");
-        assert!(
-            matches!(msg, EmittedMessage::Vec(_)),
-            "NoAgg stays on vectors"
+        let msg = agg.insert_slab_at(&arena, item(6, 6), 0).message;
+        let Some(EmittedMessage::Vec(vec)) = msg else {
+            panic!("a dry arena returns the vector: {msg:?}");
+        };
+        assert_eq!(
+            vec.items.iter().map(|i| i.data).collect::<Vec<_>>(),
+            [4, 5, 6]
         );
-        assert_eq!(msg.item_count(), 1);
+        assert_eq!(arena.stats().misses, 1);
+        assert!(arena.finish_consumer(sealed.handle.slab));
+        arena.release(sealed.handle.slab);
     }
 
     #[test]
-    #[should_panic(expected = "smaller than the configured buffer")]
+    #[should_panic(expected = "overflow a 2-item slab")]
     fn slab_path_rejects_undersized_arenas() {
-        // The unchecked slab writes are bounded by the config's buffer size;
-        // pairing the aggregator with an arena of smaller slabs must panic
-        // (in all builds), never write out of bounds.
+        // A message larger than a slab must panic (in all builds), never
+        // write out of bounds.
         let arena: SlabArena<Item<u32>> = SlabArena::new(4, 2);
         let mut agg = Aggregator::new(config(Scheme::WW), Owner::Worker(WorkerId(0)));
-        let _ = agg.insert_slab_at(&arena, item(4, 1), 0);
-    }
-
-    #[test]
-    fn slab_timeout_flush_drains_stale_slabs() {
-        let arena = slab_arena(8);
-        let cfg = config(Scheme::WPs).with_flush_policy(crate::FlushPolicy::with_timeout(1_000));
-        let mut agg = Aggregator::new(cfg, Owner::Worker(WorkerId(0)));
-        agg.insert_slab_at(&arena, item(4, 1), 100);
-        assert_eq!(agg.next_timeout_deadline(), Some(1_100));
-        let mut early = 0;
-        agg.poll_timeout_slab_each(&arena, 500, |_| early += 1);
-        assert_eq!(early, 0);
-        let mut msgs = Vec::new();
-        agg.poll_timeout_slab_each(&arena, 1_200, |m| msgs.push(read_slab(&arena, &m)));
-        assert_eq!(msgs, vec![vec![(4, 1)]]);
-        assert_eq!(agg.next_timeout_deadline(), None);
+        for v in 0..3 {
+            let _ = agg.insert_slab_at(&arena, item(4, v), 0);
+        }
     }
 
     #[test]
     fn slab_steady_state_recycles_without_a_single_miss() {
-        // The zero-copy invariant: with consumers releasing promptly, a
-        // steady workload never exhausts the arena — `misses == 0` and every
-        // item is written exactly once, into its slab.
-        let arena = slab_arena(3);
+        // With consumers releasing promptly, a steady workload never runs
+        // the arena dry: every message ships as a slab.
+        let arena: SlabArena<Item<u32>> = SlabArena::new(2, 3);
         let mut agg = Aggregator::new(config(Scheme::WPs), Owner::Worker(WorkerId(0)));
-        let mut delivered = 0usize;
+        let mut delivered = 0;
         for round in 0..200u32 {
-            let out = agg.insert_slab_at(&arena, item(4, round), 0);
-            if let Some(msg) = out.message {
-                delivered += read_slab(&arena, &msg).len();
+            match agg.insert_slab_at(&arena, item(4, round), 0).message {
+                Some(EmittedMessage::Slab(sealed)) => {
+                    delivered += sealed.item_count();
+                    assert!(arena.finish_consumer(sealed.handle.slab));
+                    arena.release(sealed.handle.slab);
+                }
+                Some(EmittedMessage::Vec(m)) => panic!("fell back to a vector: {m:?}"),
+                None => {}
             }
         }
-        let mut flushed = Vec::new();
-        agg.flush_slab_each(&arena, |m| flushed.push(read_slab(&arena, &m).len()));
-        assert_eq!(delivered + flushed.iter().sum::<usize>(), 200);
-        let stats = arena.stats();
-        assert_eq!(
-            stats.misses, 0,
-            "steady state must never fall back: {stats:?}"
-        );
-        assert!(stats.claims >= 66);
-    }
-
-    #[test]
-    fn gated_idle_flush_on_the_slab_path_keeps_a_held_slab_filling() {
-        let arena = slab_arena(3);
-        let cfg = config(Scheme::WPs).with_flush_policy(idle_policy());
-        let mut agg = Aggregator::new(cfg, Owner::Worker(WorkerId(0)));
-        agg.insert_slab_at(&arena, item(4, 1), 100); // proc 2
-        agg.insert_slab_at(&arena, item(6, 2), 200); // proc 3
-        agg.insert_slab_at(&arena, item(5, 3), 300); // proc 2
-        assert_eq!(arena.free_slabs(), 6);
-        let proc3 = MessageDest::Process(ProcId(3));
-        let mut released = Vec::new();
-        agg.flush_on_idle_slab_where(
-            &arena,
-            &mut released,
-            |_, dest| dest == proc3,
-            |out, m| out.push(m),
-        );
-        assert_eq!(released.len(), 1);
-        match &released[0] {
-            EmittedMessage::Slab(sealed) => {
-                assert_eq!(sealed.dest, proc3);
-                assert_eq!(sealed.reason, EmitReason::IdleFlush);
-            }
-            EmittedMessage::Vec(_) => panic!("expected a slab"),
-        }
-        assert_eq!(read_slab(&arena, &released[0]), vec![(6, 2)]);
-        // The held slot keeps its slab, fill level and oldest-insert stamp,
-        // and fills up in insertion order.
-        assert_eq!(arena.free_slabs(), 7);
+        assert_eq!(delivered, 198);
         assert_eq!(agg.buffered_items(), 2);
-        assert_eq!(agg.next_timeout_deadline(), Some(1_100));
-        let full = agg
-            .insert_slab_at(&arena, item(4, 4), 400)
-            .message
-            .expect("the held slab fills");
-        assert_eq!(read_slab(&arena, &full), vec![(4, 1), (5, 3), (4, 4)]);
-        assert_eq!(agg.stats().counters().get("messages_idle_flush"), 1);
-        assert_eq!(agg.stats().messages_full(), 1);
-        assert_eq!(arena.stats().misses, 0);
+        let stats = arena.stats();
+        assert_eq!((stats.claims, stats.misses), (66, 0));
+        assert_eq!(arena.free_slabs(), 2);
     }
 
     #[test]
-    fn slab_steady_state_stays_miss_free_under_gated_idle_flushes() {
-        // A gate that opens on every other poll, polled after every insert:
-        // slabs leave half-filled or full, and every one comes home before
-        // the arena could run dry.
-        let arena = slab_arena(3);
-        let cfg = config(Scheme::WPs).with_flush_policy(idle_policy());
-        let mut agg = Aggregator::new(cfg, Owner::Worker(WorkerId(0)));
-        let mut delivered = Vec::new();
-        for round in 0..200u32 {
-            if let Some(msg) = agg.insert_slab_at(&arena, item(4, round), 0).message {
-                delivered.extend(read_slab(&arena, &msg));
-            }
-            agg.flush_on_idle_slab_where(
-                &arena,
-                &mut delivered,
-                |_, _| round % 2 == 1,
-                |out, msg| out.extend(read_slab(&arena, &msg)),
-            );
-        }
-        agg.flush_slab_each(&arena, |msg| delivered.extend(read_slab(&arena, &msg)));
-        // Per-destination order survives every mix of held and released.
-        let data: Vec<u32> = delivered.iter().map(|&(_, v)| v).collect();
-        assert_eq!(data, (0..200).collect::<Vec<u32>>());
-        assert_eq!(arena.stats().misses, 0);
-        assert_eq!(arena.free_slabs(), 8);
-    }
-
-    #[test]
-    fn abandon_releases_active_slabs_and_drops_buffered_items() {
-        let arena = slab_arena(4);
-        let mut agg = Aggregator::new(config(Scheme::WW), Owner::Worker(WorkerId(0)));
-        // Two items into worker 4's active slab, one into worker 5's.
-        assert!(agg.insert_slab_at(&arena, item(4, 1), 0).message.is_none());
-        assert!(agg.insert_slab_at(&arena, item(4, 2), 0).message.is_none());
-        assert!(agg.insert_slab_at(&arena, item(5, 3), 0).message.is_none());
-        assert_eq!(agg.buffered_items(), 3);
-        assert_eq!(arena.free_slabs(), 6);
-
-        let dropped = agg.abandon(Some(&arena));
-        assert_eq!(dropped, 3);
-        assert_eq!(agg.buffered_items(), 0);
-        assert_eq!(arena.free_slabs(), 8, "active slabs came home");
-        let audit = arena.audit();
-        assert_eq!((audit.leaked, audit.in_flight), (0, 0));
-
-        // Vector path: no arena involved.
+    fn abandon_drops_buffered_items() {
         let mut agg = Aggregator::new(config(Scheme::WPs), Owner::Worker(WorkerId(0)));
         agg.insert(item(4, 1));
         agg.insert(item(6, 2));
-        assert_eq!(agg.abandon(None), 2);
+        assert_eq!(agg.abandon(), 2);
         assert_eq!(agg.buffered_items(), 0);
-        assert_eq!(agg.abandon(None), 0, "idempotent once empty");
+        assert_eq!(agg.abandon(), 0, "idempotent once empty");
     }
 
     #[test]
     fn insert_accounting_conserves_items() {
-        // Every inserted item either bypasses locally, is buffered, or is sent.
+        // Every inserted item is either buffered or sent.
         let mut agg = Aggregator::new(config(Scheme::WPs), Owner::Worker(WorkerId(0)));
-        let mut local = 0usize;
         let mut sent = 0usize;
         for i in 0..100u32 {
             let dest = i % 8;
-            let out = agg.insert(item(dest, i));
-            if out.local_delivery.is_some() {
-                local += 1;
-            }
-            if let Some(m) = out.message {
+            if let Some(m) = agg.insert(item(dest, i)).message {
                 sent += m.item_count();
             }
+            assert_eq!(sent + agg.buffered_items(), i as usize + 1);
         }
         for m in agg.flush() {
             sent += m.item_count();
         }
-        assert_eq!(local + sent, 100);
+        assert_eq!(sent, 100);
         assert_eq!(agg.buffered_items(), 0);
     }
 }

@@ -2,9 +2,9 @@
 //! every process-level scheme pays per message — WsP at the source, WPs and
 //! PP at the destination (§III-C).
 //!
-//! The zero-copy slab path cannot move items into per-worker heap buckets
-//! (an item is written once, into its slab slot, and stays there), so the
-//! pass reorders the slice it is given so that each destination worker owns
+//! A receiver cannot move a slab's items into per-worker heap buckets (the
+//! items stay in the slab they were copied into when the message shipped),
+//! so the pass reorders the slice it is given so that each destination worker owns
 //! one contiguous index range, and reports those `(worker, start, len)`
 //! ranges; only ranges, not items, are handed around afterwards.  The same
 //! kernel serves the heap-vector paths, which then split the ranges into

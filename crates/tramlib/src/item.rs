@@ -10,8 +10,8 @@ use net_model::WorkerId;
 
 /// One application item: a payload of type `T` destined to a worker.
 ///
-/// `Item<T>` is `Copy` whenever the payload is: the zero-copy slab path
-/// stores items as plain-old-data in shared arenas, where drop obligations
+/// `Item<T>` is `Copy` whenever the payload is: the native engines' slabs
+/// store items as plain-old-data in shared arenas, where drop obligations
 /// would be unsound to track across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Item<T> {

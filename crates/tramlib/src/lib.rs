@@ -23,8 +23,8 @@
 //! cluster simulator (`smp-sim`) and the native threaded runtime
 //! (`native-rt`) both drive the same [`Aggregator`] type.  The aggregator
 //! reports *what* must happen (a message is ready, it needs grouping at the
-//! destination, an item can bypass aggregation because the destination is
-//! process-local); the substrate decides *what it costs*.
+//! destination); the substrate decides *what it costs*, and whether an item
+//! bypasses aggregation because its destination is process-local.
 //!
 //! ## Quick example
 //!

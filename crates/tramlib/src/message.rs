@@ -58,10 +58,11 @@ pub struct OutboundMessage<T> {
 }
 
 /// An aggregated message whose items live in a [`shmem::SlabArena`] slab
-/// instead of a heap vector: the zero-copy counterpart of
-/// [`OutboundMessage`].  Only this 32-byte descriptor moves through the
-/// substrate — the items were written once into the slab at insert time and
-/// are borrowed in place by every consumer.
+/// instead of a heap vector: the shared-memory counterpart of
+/// [`OutboundMessage`].  The items were buffered privately and copied into
+/// the slab once, when the message shipped ([`shmem::SlabArena::fill`]);
+/// after that only this 32-byte descriptor moves, and every consumer
+/// borrows the items in place.
 #[derive(Debug, Clone, Copy)]
 pub struct SlabSealed {
     /// Destination (worker or process) of the message.
@@ -85,34 +86,15 @@ impl SlabSealed {
     }
 }
 
-/// A message emitted by the aggregator's slab path: either a zero-copy slab
-/// descriptor, or — when the arena was dry and the aggregator fell back to
-/// pooled heap storage — a regular vector-backed [`OutboundMessage`].
+/// A message emitted by [`crate::Aggregator::insert_slab_at`]: copied into a
+/// slab, or — when the arena was dry — still the vector-backed
+/// [`OutboundMessage`].
 #[derive(Debug)]
 pub enum EmittedMessage<T> {
     /// Items travel as a borrowed slab (the steady state).
     Slab(SlabSealed),
-    /// Items travel in a heap vector (arena-miss fallback; also every
-    /// [`crate::Scheme::NoAgg`] single-item message).
+    /// Items travel in a heap vector (the arena was dry).
     Vec(OutboundMessage<T>),
-}
-
-impl<T> EmittedMessage<T> {
-    /// Number of items carried.
-    pub fn item_count(&self) -> usize {
-        match self {
-            EmittedMessage::Slab(s) => s.item_count(),
-            EmittedMessage::Vec(m) => m.item_count(),
-        }
-    }
-
-    /// Destination of the message.
-    pub fn dest(&self) -> MessageDest {
-        match self {
-            EmittedMessage::Slab(s) => s.dest,
-            EmittedMessage::Vec(m) => m.dest,
-        }
-    }
 }
 
 impl<T> OutboundMessage<T> {
@@ -142,7 +124,7 @@ impl<T> OutboundMessage<T> {
 
 /// Count distinct destination workers in a slice already sorted by destination
 /// worker id, without allocating.
-pub(crate) fn distinct_sorted_dest_workers<T>(items: &[Item<T>]) -> usize {
+fn distinct_sorted_dest_workers<T>(items: &[Item<T>]) -> usize {
     debug_assert!(
         items.windows(2).all(|w| w[0].dest.0 <= w[1].dest.0),
         "items must be sorted by destination worker"

@@ -41,13 +41,9 @@ impl TramStats {
         self.items_inserted += 1;
     }
 
-    /// Record an item delivered directly through the local (same-process) bypass.
-    pub fn record_local_bypass(&mut self) {
-        self.items_local_bypass += 1;
-    }
-
-    /// Record `items` local-bypass deliveries at once: for an engine that
-    /// decides the bypass itself and tallies it outside any aggregator.
+    /// Record `items` deliveries through the local (same-process) bypass.
+    /// Every engine decides the bypass itself, before the aggregator, and
+    /// folds its tally in here.
     pub fn record_local_bypass_items(&mut self, items: u64) {
         self.items_local_bypass += items;
     }
@@ -188,7 +184,7 @@ mod tests {
         let mut s = TramStats::new();
         s.record_insert();
         s.record_insert();
-        s.record_local_bypass();
+        s.record_local_bypass_items(1);
         s.record_local_bypass_items(3);
         s.record_message(2, 96, EmitReason::BufferFull);
         s.record_flush_call();
@@ -249,7 +245,7 @@ mod tests {
                     reference.incr("items_inserted");
                 }
                 Op::Bypass => {
-                    typed.record_local_bypass();
+                    typed.record_local_bypass_items(1);
                     reference.incr("items_local_bypass");
                 }
                 Op::Message(items, bytes, reason) => {

@@ -57,6 +57,12 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         )
 }
 
+/// Whether an item from `src` to `dst` takes the same-process bypass: the
+/// engines decide this before the aggregator, and so does every test here.
+fn bypasses(s: &Scenario, topo: &Topology, src: WorkerId, dst: WorkerId) -> bool {
+    s.local_bypass && topo.proc_of_worker(src) == topo.proc_of_worker(dst)
+}
+
 /// Run a scenario through per-owner aggregators and return
 /// `(delivered (dest, payload) pairs, total messages, per-owner sent item counts)`.
 fn run_scenario(s: &Scenario) -> (Vec<(u32, u32)>, u64, Vec<u64>) {
@@ -92,9 +98,6 @@ fn run_scenario(s: &Scenario) -> (Vec<(u32, u32)>, u64, Vec<u64>) {
         delivered: &mut Vec<(u32, u32)>,
         messages: &mut u64,
     ) {
-        if let Some(item) = outcome.local_delivery {
-            delivered.push((item.dest.0, item.data));
-        }
         if let Some(msg) = outcome.message {
             *messages += 1;
             let plan = receiver.process_owned(msg);
@@ -110,6 +113,10 @@ fn run_scenario(s: &Scenario) -> (Vec<(u32, u32)>, u64, Vec<u64>) {
     for &(src_sel, dst_sel, payload) in &s.sends {
         let src = WorkerId(src_sel % topo.total_workers());
         let dst = WorkerId(dst_sel % topo.total_workers());
+        if bypasses(s, &topo, src, dst) {
+            delivered.push((dst.0, payload));
+            continue;
+        }
         let item = Item::new(dst, payload, 0);
         let outcome = if scheme == Scheme::PP {
             let p = topo.proc_of_worker(src);
@@ -251,6 +258,9 @@ proptest! {
         for &(src_sel, dst_sel, payload) in &s.sends {
             let src = WorkerId(src_sel % topo.total_workers());
             let dst = WorkerId(dst_sel % topo.total_workers());
+            if bypasses(&s, &topo, src, dst) {
+                continue;
+            }
             let idx = if scheme == Scheme::PP {
                 topo.proc_of_worker(src).idx()
             } else {
@@ -314,6 +324,9 @@ proptest! {
         for &(src_sel, dst_sel, payload) in &s.sends {
             let src = WorkerId(src_sel % topo.total_workers());
             let dst = WorkerId(dst_sel % topo.total_workers());
+            if bypasses(&s, &topo, src, dst) {
+                continue;
+            }
             let idx = if scheme == Scheme::PP {
                 topo.proc_of_worker(src).idx()
             } else {
@@ -366,15 +379,11 @@ fn pp_interleaved_workers_exactly_once() {
     let mut agg = Aggregator::new(config, Owner::Process(ProcId(0)));
 
     let mut delivered = 0usize;
-    let mut local = 0usize;
     let total = 10_000u32;
     for i in 0..total {
         // Round-robin "source worker" (only affects interleaving, not addressing).
         let dest = WorkerId(i % topo.total_workers());
         let out = agg.insert(Item::new(dest, i, 0));
-        if out.local_delivery.is_some() {
-            local += 1;
-        }
         if let Some(msg) = out.message {
             delivered += receiver.process_owned(msg).item_count;
         }
@@ -382,5 +391,5 @@ fn pp_interleaved_workers_exactly_once() {
     for msg in agg.flush() {
         delivered += receiver.process_owned(msg).item_count;
     }
-    assert_eq!(delivered + local, total as usize);
+    assert_eq!(delivered, total as usize);
 }
