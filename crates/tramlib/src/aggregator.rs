@@ -760,7 +760,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_slab_at_ships_a_full_wsp_buffer_as_one_grouped_slab() {
+    fn slab_path_groups_wsp_in_place_at_the_source() {
+        // A full WsP buffer ships as one slab, grouped at the source.
         let arena: SlabArena<Item<u32>> = SlabArena::new(1, 3);
         let mut agg = Aggregator::new(config(Scheme::WsP), Owner::Worker(WorkerId(0)));
         assert!(agg.insert_slab_at(&arena, item(5, 1), 0).message.is_none());
@@ -779,19 +780,52 @@ mod tests {
         // Sorted by destination worker, per-worker order preserved.
         assert_eq!(got, vec![(4, 2), (5, 1), (5, 3)]);
         assert_eq!(agg.buffered_items(), 0);
+        assert_eq!(arena.stats().misses, 0);
+        assert!(arena.finish_consumer(sealed.handle.slab));
+        arena.release(sealed.handle.slab);
+    }
 
-        // The one slab is still out: the next full buffer stays a vector.
-        for v in 4..6 {
-            assert!(agg.insert_slab_at(&arena, item(6, v), 0).message.is_none());
+    #[test]
+    fn slab_path_falls_back_to_vectors_when_arena_dry() {
+        // A 1-slab arena: while the first message's slab is out, the next
+        // full buffer cannot be filled and ships as its vector; no item may
+        // be lost either way, and the slab path resumes once it is released.
+        let arena: SlabArena<Item<u32>> = SlabArena::new(1, 3);
+        let mut agg = Aggregator::new(config(Scheme::WW), Owner::Worker(WorkerId(0)));
+        for v in 1..3 {
+            assert!(agg.insert_slab_at(&arena, item(4, v), 0).message.is_none());
         }
-        let msg = agg.insert_slab_at(&arena, item(6, 6), 0).message;
+        let msg = agg.insert_slab_at(&arena, item(4, 3), 0).message;
+        let Some(EmittedMessage::Slab(held)) = msg else {
+            panic!("a full buffer ships as a slab: {msg:?}");
+        };
+        for v in 4..6 {
+            assert!(agg.insert_slab_at(&arena, item(5, v), 0).message.is_none());
+        }
+        let msg = agg.insert_slab_at(&arena, item(5, 6), 0).message;
         let Some(EmittedMessage::Vec(vec)) = msg else {
             panic!("a dry arena returns the vector: {msg:?}");
         };
+        assert_eq!(vec.dest, MessageDest::Worker(WorkerId(5)));
         assert_eq!(
             vec.items.iter().map(|i| i.data).collect::<Vec<_>>(),
             [4, 5, 6]
         );
+        assert_eq!(arena.stats().misses, 1);
+        assert_eq!(agg.buffered_items(), 0);
+
+        assert!(arena.finish_consumer(held.handle.slab));
+        arena.release(held.handle.slab);
+        for v in 7..9 {
+            assert!(agg.insert_slab_at(&arena, item(4, v), 0).message.is_none());
+        }
+        let msg = agg.insert_slab_at(&arena, item(4, 9), 0).message;
+        let Some(EmittedMessage::Slab(sealed)) = msg else {
+            panic!("a released slab is claimed again: {msg:?}");
+        };
+        // SAFETY: the test is the sole consumer of the just-sealed slab.
+        let items = unsafe { arena.slice(sealed.handle.slab, 0, sealed.handle.len) };
+        assert_eq!(items.iter().map(|i| i.data).collect::<Vec<_>>(), [7, 8, 9]);
         assert_eq!(arena.stats().misses, 1);
         assert!(arena.finish_consumer(sealed.handle.slab));
         arena.release(sealed.handle.slab);
