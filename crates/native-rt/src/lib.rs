@@ -1,9 +1,9 @@
-//! # native-rt — the native threaded execution backend
+//! # native-rt — the native execution backends
 //!
 //! The discrete-event simulator (`smp-sim`) reproduces the paper's
 //! cluster-scale figures under a cost model; this crate executes the *same
-//! applications* on real shared memory.  [`run_threaded`] runs one OS thread
-//! per worker PE of the configured topology:
+//! applications* on real shared memory, one OS thread ([`run_threaded`]) or
+//! one forked process ([`run_process`]) per worker PE of the topology:
 //!
 //! * workers running the **WW / WPs / WsP / NoAgg** schemes own real
 //!   [`tramlib::Aggregator`]s and insert into private per-destination buffers;
@@ -15,8 +15,8 @@
 //!   [`shmem::SpscRing`]s: sealed/flushed messages go straight to the
 //!   destination worker, which runs the receive-side grouping pass
 //!   ([`tramlib::PooledReceiver`]) locally — no thread touches traffic it
-//!   does not own, and the only central component is the quiescence monitor
-//!   (watchdog + sent/delivered counter sums);
+//!   does not own, and the only central component is the run monitor both
+//!   engines share (`monitor`: watchdog, counter sums, outcome);
 //! * same-process items bypass aggregation and travel worker-to-worker in
 //!   per-quantum batches copied into slabs, mirroring the simulator's
 //!   local-bypass path;
@@ -32,6 +32,7 @@
 
 pub mod affinity;
 pub(crate) mod envelope;
+pub(crate) mod monitor;
 pub mod numa;
 pub mod process;
 pub(crate) mod quantum;

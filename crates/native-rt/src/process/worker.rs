@@ -943,7 +943,7 @@ pub(super) fn child_main(world: &World, me: WorkerId, mut app: Box<dyn WorkerApp
                     0
                 }
                 Err(payload) => {
-                    let message = crate::threaded::panic_message(payload.as_ref());
+                    let message = crate::monitor::panic_message(payload.as_ref());
                     // SAFETY: as above.
                     unsafe { layout::write_result(region, &ctx.counters, Some(&message)) };
                     101
@@ -951,7 +951,7 @@ pub(super) fn child_main(world: &World, me: WorkerId, mut app: Box<dyn WorkerApp
             }
         }
         Err(payload) => {
-            let message = crate::threaded::panic_message(payload.as_ref());
+            let message = crate::monitor::panic_message(payload.as_ref());
             let dropped = ctx.abandon_production();
             ctx.add_dropped(dropped);
             // SAFETY: as above.

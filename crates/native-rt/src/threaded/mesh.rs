@@ -99,7 +99,7 @@ pub(crate) fn worker_main(
     let panicked = match outcome {
         Ok(()) => false,
         Err(payload) => {
-            shared.record_panic(me.0, super::panic_message(payload.as_ref()));
+            shared.record_panic(me.0, crate::monitor::panic_message(payload.as_ref()));
             quarantine(shared, me, &mut ctx);
             true
         }

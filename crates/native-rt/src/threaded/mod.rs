@@ -45,53 +45,46 @@
 //! `items_sent` slot and every completed `on_item` handler batch increments
 //! the delivering worker's `items_delivered` slot — per-worker counters, so
 //! the hot path never bounces a shared cache line.  An item that is buffered,
-//! stashed, in flight, or queued keeps the `items_sent` sum ahead of the
-//! `items_delivered` sum, so once every worker reports
-//! [`runtime_api::WorkerApp::local_done`] (monotonic by contract) and the two
-//! sums agree across a double-read of the sent sum, no handler is running and
-//! none can ever run again — the run is quiescent.  (Each item's sent
-//! increment happens-before its delivered increment through the ring's
-//! release/acquire hand-off, so an item counted in the delivered sum is
-//! always visible in the following sent read.)  A watchdog wall-clock limit
-//! turns an application that strands items in unflushed buffers into an
-//! [`runtime_api::RunOutcome::Aborted`] report instead of a hang, mirroring
-//! the simulator's aborted runs.
+//! stashed, in flight, or queued keeps the sent sum ahead of the delivered
+//! sum.  The main thread watches those sums, the
+//! [`runtime_api::WorkerApp::local_done`] flags and the per-quantum
+//! heartbeats through the run monitor (`monitor.rs`, shared with the process
+//! engine), which decides when the run is quiescent, when the watchdog turns
+//! it into an [`runtime_api::RunOutcome::Aborted`] report instead of a hang,
+//! and what the report says.
 //!
 //! **Failure containment.**  Each worker loop runs inside a `catch_unwind`
 //! boundary.  A panicking worker is *quarantined*, not propagated: it records
 //! its panic, abandons its unshipped production (counted into a per-worker
 //! `items_dropped` ledger), and keeps draining its rings — honouring slab
 //! refcounts and freeing the slabs it finishes last, without delivering —
-//! so its peers never wedge behind a dead consumer.  The monitor treats panicked workers as done
-//! and closes the run once `sent == delivered + dropped` holds across a
-//! double-read, ending it `Aborted` with structured diagnostics (per-worker
-//! heartbeat stalls, ring/stash occupancy, and a slab-arena reclamation
-//! audit).  Deterministic fault injection ([`runtime_api::FaultPlan`])
-//! exercises exactly these paths; see the `faults` module.
+//! so its peers never wedge behind a dead consumer.  The monitor counts a
+//! quarantined worker as done, so the run settles on exact books and ends
+//! `Aborted` with structured diagnostics.  Deterministic fault injection
+//! ([`runtime_api::FaultPlan`]) exercises exactly these paths; see the
+//! `faults` module.
 
 mod ctx;
 mod faults;
 mod mesh;
 mod node;
 
-use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 use crossbeam_utils::CachePadded;
-use metrics::LatencySummary;
-use metrics::{Counters, LatencyRecorder};
+use metrics::{Counters, LatencyRecorder, LatencySummary};
 use net_model::{Topology, WorkerId};
 use runtime_api::{
-    ArenaAudit, Backend, FaultKind, FaultPlan, NodeDiag, Payload, ResolvedRunSpec, RunDiagnostics,
-    RunOutcome, RunReport, TransportKind, WorkerApp,
+    Backend, FaultPlan, NodeDiag, Payload, ResolvedRunSpec, RunReport, TransportKind, WorkerApp,
 };
 use shmem::{ClaimBuffer, SlabArena, SpscRing};
 use tramlib::{Item, Scheme, TramConfig, TramStats};
 use transport::Transport;
 
 use crate::envelope::Envelope;
+use crate::monitor::{panic_message, Books, Gone, Monitor, RunView};
 use crate::sizing;
 
 pub(crate) use ctx::NativeWorkerCtx;
@@ -126,12 +119,6 @@ impl MeshPlane {
     /// The envelope ring from worker `src` to worker `dst`.
     pub(crate) fn ring(&self, src: usize, dst: usize) -> &SpscRing<Envelope> {
         &self.inbox[src * self.workers + dst]
-    }
-
-    /// Envelopes currently sitting in delivery rings — a racy gauge, read
-    /// only for abort diagnostics (never for termination decisions).
-    fn inflight_envelopes(&self) -> u64 {
-        self.inbox.iter().map(|r| r.len() as u64).sum()
     }
 }
 
@@ -203,36 +190,87 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The state of a run of `run`, with the node tier's data plane when
+    /// `node_tier` (the run spans nodes over a real transport).
+    fn new(run: &ResolvedRunSpec, node_tier: bool) -> Self {
+        let tram = run.tram();
+        let topo = tram.topology;
+        let workers = topo.total_workers() as usize;
+        let scheme = tram.scheme;
+        let plane = MeshPlane::new(workers, sizing::ring_capacity(scheme, workers));
+        let pp = if scheme == Scheme::PP {
+            (0..topo.total_procs())
+                .map(|_| {
+                    (0..topo.total_procs())
+                        .map(|_| ClaimBuffer::new(tram.buffer_items))
+                        .collect()
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let arenas = if sizing::uses_arena(scheme) {
+            let slabs = sizing::arena_slabs(&tram, workers);
+            (0..workers)
+                .map(|_| SlabArena::new(slabs, tram.buffer_items))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // Predict each pinned worker's NUMA node from the pinning layout (the
+        // same `allowed[w % allowed.len()]` rule `pin_current_thread` applies).
+        // Unpinned runs get no prediction: the scheduler may move threads
+        // between nodes mid-run, so claiming a placement would be a lie.
+        let worker_node: Vec<u16> = if run.pin_workers {
+            let numa = crate::numa::NumaTopology::detect();
+            let allowed = crate::affinity::allowed_cpus();
+            if numa.nodes() > 1 && !allowed.is_empty() {
+                (0..workers)
+                    .map(|w| numa.node_of_cpu(allowed[w % allowed.len()]))
+                    .collect()
+            } else {
+                vec![0; workers]
+            }
+        } else {
+            vec![0; workers]
+        };
+        let pads = || {
+            (0..workers)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect()
+        };
+        let flags = || (0..workers).map(|_| AtomicBool::new(false)).collect();
+        Self {
+            tram,
+            topo,
+            seed: run.seed,
+            epoch: Instant::now(),
+            go: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            quiesce: AtomicBool::new(false),
+            items_sent: pads(),
+            items_delivered: pads(),
+            workers_done: flags(),
+            items_dropped: pads(),
+            heartbeats: pads(),
+            stash_depth: pads(),
+            panicked: flags(),
+            panic_notes: Mutex::new(Vec::new()),
+            faults_fired: AtomicU64::new(0),
+            faults: run.faults,
+            pp,
+            arenas,
+            pin_workers: run.pin_workers,
+            // Single-node placement needs no binding and no drain-order bias.
+            numa_aware: worker_node.iter().any(|&n| n != 0),
+            worker_node,
+            plane,
+            node_plane: node_tier.then(|| node::NodePlane::new(topo.nodes(), workers)),
+        }
+    }
+
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Sum of the per-worker sent counters (Acquire loads).
-    fn sent_sum(&self) -> u64 {
-        self.items_sent
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// Sum of the per-worker delivered counters (Acquire loads).
-    fn delivered_sum(&self) -> u64 {
-        self.items_delivered
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// Sum of the per-worker dropped counters plus the node tier's drop
-    /// ledgers (Acquire loads) — the full right-hand side of the
-    /// cross-node conservation invariant.
-    fn dropped_sum(&self) -> u64 {
-        let workers: u64 = self
-            .items_dropped
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .sum();
-        workers + self.node_plane.as_ref().map_or(0, |p| p.dropped_sum())
     }
 
     /// Record a worker panic: the flag unblocks the monitor's done scan, the
@@ -250,18 +288,6 @@ impl Shared {
     }
 }
 
-/// Best-effort extraction of a panic payload's message (the `&str`/`String`
-/// payloads `panic!` produces; anything else renders as a placeholder).
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Everything a worker thread hands back when it exits.
 pub(crate) struct WorkerOutput {
     /// The application instance — `None` when this worker panicked (a
@@ -273,6 +299,83 @@ pub(crate) struct WorkerOutput {
     pub(crate) tram: TramStats,
     /// Distribution of delivered-batch sizes (items per handler call).
     pub(crate) batch_len: metrics::QuantileSketch,
+}
+
+/// Sum of per-worker counters (Acquire loads).
+fn sum(counters: &[CachePadded<AtomicU64>]) -> u64 {
+    counters.iter().map(|c| c.load(Ordering::Acquire)).sum()
+}
+
+/// The threaded engine's view is its shared state: it has no per-poll
+/// duties, and a panicked worker is quarantined, never dead.
+impl RunView for &Shared {
+    fn done(&self, w: usize) -> bool {
+        self.workers_done[w].load(Ordering::Acquire)
+    }
+
+    fn heartbeat(&self, w: usize) -> u64 {
+        self.heartbeats[w].load(Ordering::Relaxed)
+    }
+
+    fn gone(&self, w: usize) -> Option<Gone> {
+        self.panicked[w]
+            .load(Ordering::Acquire)
+            .then_some(Gone::Quarantined)
+    }
+
+    /// The workers' drop ledgers plus the node tier's are the full
+    /// right-hand side of the cross-node conservation invariant.
+    fn ledger(&self) -> (u64, u64, u64) {
+        let nodes = self.node_plane.as_ref().map_or(0, |p| p.dropped_sum());
+        (
+            sum(&self.items_sent),
+            sum(&self.items_delivered),
+            sum(&self.items_dropped) + nodes,
+        )
+    }
+
+    fn ring_occupancy(&self) -> u64 {
+        self.plane.inbox.iter().map(|r| r.len() as u64).sum()
+    }
+
+    fn quiesce(&self) {
+        self.quiesce.store(true, Ordering::Release);
+    }
+}
+
+/// The node tier's wire, one endpoint per node.  Empty unless the topology
+/// spans nodes AND a transport was asked for; otherwise multi-node
+/// topologies run entirely in-process.
+fn node_transports(run: &ResolvedRunSpec) -> Vec<Box<dyn Transport>> {
+    let nodes = run.tram().topology.nodes();
+    // Mesh construction failures are configuration/environment errors
+    // caught before any worker spawns — panicking here is a clean refusal,
+    // not a mid-run crash.
+    fn boxed<T: Transport + 'static>(mesh: Vec<T>) -> Vec<Box<dyn Transport>> {
+        mesh.into_iter()
+            .map(|t| Box::new(t) as Box<dyn Transport>)
+            .collect()
+    }
+    match run.transport.filter(|_| nodes > 1) {
+        None => Vec::new(),
+        Some(TransportKind::Tcp) => boxed(
+            transport::TcpTransport::loopback_mesh(nodes, run.seed)
+                .expect("failed to build the loopback TCP mesh"),
+        ),
+        #[cfg(unix)]
+        Some(TransportKind::Uds) => boxed(
+            transport::UdsTransport::pair_mesh(nodes)
+                .expect("failed to build the unix-domain socket mesh"),
+        ),
+        #[cfg(not(unix))]
+        Some(TransportKind::Uds) => {
+            unreachable!("resolve rejects the uds transport on non-unix hosts")
+        }
+        Some(TransportKind::Sim) => boxed(transport::SimTransport::mesh(
+            nodes,
+            net_model::AlphaBeta::loopback(),
+        )),
+    }
 }
 
 /// Run `make_app` (one application instance per worker PE, in worker-id order)
@@ -293,150 +396,15 @@ pub fn run_threaded(
         Backend::Native,
         "run_threaded runs native specs"
     );
-    let tram = run.tram();
-    let topo = tram.topology;
-    let workers = topo.total_workers() as usize;
-    let scheme = tram.scheme;
-    let plane = MeshPlane::new(workers, sizing::ring_capacity(scheme, workers));
-    let pp = if scheme == Scheme::PP {
-        (0..topo.total_procs())
-            .map(|_| {
-                (0..topo.total_procs())
-                    .map(|_| ClaimBuffer::new(tram.buffer_items))
-                    .collect()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let arenas = if sizing::uses_arena(scheme) {
-        let slabs = sizing::arena_slabs(&tram, workers);
-        (0..workers)
-            .map(|_| SlabArena::new(slabs, tram.buffer_items))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    // Predict each pinned worker's NUMA node from the pinning layout (the
-    // same `allowed[w % allowed.len()]` rule `pin_current_thread` applies).
-    // Unpinned runs get no prediction: the scheduler may move threads
-    // between nodes mid-run, so claiming a placement would be a lie.
-    let worker_node: Vec<u16> = if run.pin_workers {
-        let numa = crate::numa::NumaTopology::detect();
-        let allowed = crate::affinity::allowed_cpus();
-        if numa.nodes() > 1 && !allowed.is_empty() {
-            (0..workers)
-                .map(|w| numa.node_of_cpu(allowed[w % allowed.len()]))
-                .collect()
-        } else {
-            vec![0; workers]
-        }
-    } else {
-        vec![0; workers]
-    };
-    // Single-node placement needs no binding and no drain-order bias.
-    let numa_aware = worker_node.iter().any(|&n| n != 0);
-    // The node-leader tier exists only when the topology actually spans
-    // nodes AND a transport was asked for; otherwise multi-node topologies
-    // keep running entirely in-process, exactly as before.
-    let node_transport = run.transport.filter(|_| topo.nodes() > 1);
-    let transports: Vec<Box<dyn Transport>> = match node_transport {
-        None => Vec::new(),
-        // Mesh construction failures are configuration/environment errors
-        // caught before any worker spawns — panicking here is a clean
-        // refusal, not a mid-run crash.
-        Some(TransportKind::Tcp) => transport::TcpTransport::loopback_mesh(topo.nodes(), run.seed)
-            .expect("failed to build the loopback TCP mesh")
-            .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport>)
-            .collect(),
-        Some(TransportKind::Uds) => {
-            #[cfg(unix)]
-            {
-                transport::UdsTransport::pair_mesh(topo.nodes())
-                    .expect("failed to build the unix-domain socket mesh")
-                    .into_iter()
-                    .map(|t| Box::new(t) as Box<dyn Transport>)
-                    .collect()
-            }
-            #[cfg(not(unix))]
-            {
-                unreachable!("resolve rejects the uds transport on non-unix hosts")
-            }
-        }
-        Some(TransportKind::Sim) => {
-            transport::SimTransport::mesh(topo.nodes(), net_model::AlphaBeta::loopback())
-                .into_iter()
-                .map(|t| Box::new(t) as Box<dyn Transport>)
-                .collect()
-        }
-    };
-    let node_plane = node_transport.map(|_| node::NodePlane::new(topo.nodes(), workers));
-    let shared = Shared {
-        tram,
-        topo,
-        seed: run.seed,
-        epoch: Instant::now(),
-        go: AtomicBool::new(false),
-        stop: AtomicBool::new(false),
-        quiesce: AtomicBool::new(false),
-        items_sent: (0..workers)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        items_delivered: (0..workers)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        workers_done: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-        items_dropped: (0..workers)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        heartbeats: (0..workers)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        stash_depth: (0..workers)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        panicked: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-        panic_notes: Mutex::new(Vec::new()),
-        faults_fired: AtomicU64::new(0),
-        faults: run.faults,
-        pp,
-        arenas,
-        pin_workers: run.pin_workers,
-        worker_node,
-        numa_aware,
-        plane,
-        node_plane,
-    };
-    let apps: Vec<Box<dyn WorkerApp>> = topo.all_workers().map(&mut make_app).collect();
-
-    /// How the monitor's wait for quiescence ended.
-    enum Verdict {
-        /// Every worker done, conservation holds, nobody panicked.
-        Quiescent,
-        /// Conservation settled, but at least one worker was quarantined.
-        Panicked,
-        /// The wall-clock watchdog expired first.
-        Watchdog,
-    }
-
-    let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(workers);
-    let mut verdict = Verdict::Watchdog;
-    let mut stalled_ever = vec![false; workers];
-    let mut join_failures: Vec<String> = Vec::new();
-    let mut total_time_ns = 0;
-    // Installed before the workers spawn so every thread inherits the
-    // blocked mask — a SIGINT must reach the signalfd, not kill a worker.
-    // The guard restores the previous mask when `run_threaded` returns.
-    let mut signals = if run.graceful_signals {
-        crate::signals::SignalGuard::install()
-    } else {
-        None
-    };
-    let mut interrupted_by: Option<i32> = None;
+    let transports = node_transports(run);
+    let shared = Shared::new(run, !transports.is_empty());
+    let apps: Vec<Box<dyn WorkerApp>> = shared.topo.all_workers().map(&mut make_app).collect();
+    let mut monitor = Monitor::new(run);
+    let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(apps.len());
+    let mut teardown_failures: Vec<String> = Vec::new();
     let mut node_reports: Vec<NodeDiag> = Vec::new();
-    std::thread::scope(|scope| {
-        let shared = &shared;
+    let verdict = std::thread::scope(|scope| {
+        let mut shared = &shared;
         // Node leaders spawn alongside the workers and exit on the same
         // `stop` flag; they never gate the start barrier because they move
         // no traffic until workers feed their uplinks.
@@ -445,7 +413,8 @@ pub fn run_threaded(
             .enumerate()
             .map(|(n, t)| scope.spawn(move || node::leader_main(shared, n as u32, t)))
             .collect();
-        let handles: Vec<_> = topo
+        let handles: Vec<_> = shared
+            .topo
             .all_workers()
             .zip(apps)
             .map(|(w, app)| scope.spawn(move || mesh::worker_main(shared, w, app)))
@@ -456,73 +425,7 @@ pub fn run_threaded(
         // cost scales with the worker count and would bias cluster sweeps).
         let start = Instant::now();
         shared.go.store(true, Ordering::Release);
-
-        // Quiescence monitor — the control plane: watch the per-worker done
-        // flags and the sent/delivered counter sums (see the module docs for
-        // why the double-read of the sent sum around the delivered sum is
-        // sufficient), enforce the watchdog, and signal stop.
-        //
-        // Escalation ladder: (1) per-worker heartbeat scan marks soft stalls
-        // (frozen beat past the grace period) for the diagnostics; (2) a
-        // quarantined worker counts as done and its drops enter the
-        // conservation ledger, so a panicked run still ends in bounded time
-        // once the survivors drain; (3) the wall-clock watchdog is the hard
-        // backstop that turns anything else into an `Aborted` report.
-        let deadline = start + run.max_wall;
-        let grace = (run.max_wall / 8).clamp(Duration::from_millis(50), Duration::from_secs(2));
-        let mut last_beats = vec![0u64; workers];
-        let mut last_progress = vec![start; workers];
-        verdict = loop {
-            let any_panicked = shared
-                .panicked
-                .iter()
-                .any(|flag| flag.load(Ordering::Acquire));
-            let all_done = shared.workers_done.iter().enumerate().all(|(w, flag)| {
-                flag.load(Ordering::Acquire) || shared.panicked[w].load(Ordering::Acquire)
-            });
-            if all_done {
-                let sent_before = shared.sent_sum();
-                let delivered = shared.delivered_sum();
-                let dropped = shared.dropped_sum();
-                let sent_after = shared.sent_sum();
-                if sent_before == sent_after && delivered + dropped == sent_before {
-                    break if any_panicked {
-                        Verdict::Panicked
-                    } else {
-                        Verdict::Quiescent
-                    };
-                }
-            }
-            let now = Instant::now();
-            if now > deadline {
-                break Verdict::Watchdog;
-            }
-            // A delivered SIGINT/SIGTERM turns into a quiesce request: every
-            // worker stops generating, flushes once and reports done, so the
-            // run drains to a conservation-exact `Degraded` report instead of
-            // dying mid-flight.
-            if interrupted_by.is_none() {
-                if let Some(signo) = signals.as_mut().and_then(|g| g.pending()) {
-                    interrupted_by = Some(signo);
-                    shared.quiesce.store(true, Ordering::Release);
-                }
-            }
-            for w in 0..workers {
-                let beats = shared.heartbeats[w].load(Ordering::Relaxed);
-                if beats != last_beats[w] {
-                    last_beats[w] = beats;
-                    last_progress[w] = now;
-                } else if !shared.workers_done[w].load(Ordering::Acquire)
-                    && now.duration_since(last_progress[w]) > grace
-                {
-                    stalled_ever[w] = true;
-                }
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        };
-        // The run ends at the quiescence instant; thread teardown (workers
-        // notice `stop` within one idle nap) is not part of the run.
-        total_time_ns = start.elapsed().as_nanos() as u64;
+        let verdict = monitor.watch(&mut shared, start);
         shared.stop.store(true, Ordering::Release);
         // A leader standing down for its workers sleeps on a park, not a nap.
         if let Some(plane) = &shared.node_plane {
@@ -535,7 +438,7 @@ pub fn run_threaded(
         for (w, handle) in handles.into_iter().enumerate() {
             match handle.join() {
                 Ok(output) => outputs.push(output),
-                Err(payload) => join_failures.push(format!(
+                Err(payload) => teardown_failures.push(format!(
                     "worker {w} thread died outside containment: {}",
                     panic_message(payload.as_ref())
                 )),
@@ -544,200 +447,76 @@ pub fn run_threaded(
         for (n, handle) in leader_handles.into_iter().enumerate() {
             match handle.join() {
                 Ok(diag) => node_reports.push(diag),
-                Err(payload) => join_failures.push(format!(
+                Err(payload) => teardown_failures.push(format!(
                     "node {n} leader thread died: {}",
                     panic_message(payload.as_ref())
                 )),
             }
         }
+        verdict
     });
 
-    let mut counters = Counters::new();
-    let mut latency = LatencyRecorder::new();
+    let mut books = Books::default();
     let mut app_latency = LatencyRecorder::new();
-    let mut tram = TramStats::new();
-    let mut delivery_batch_len = metrics::QuantileSketch::default();
     let mut finished_apps = Vec::with_capacity(outputs.len());
     for output in outputs {
-        counters.merge(&output.counters);
-        latency.merge(&output.latency);
+        books.counters.merge(&output.counters);
+        books.item_latency.merge(&output.latency);
         app_latency.merge(&output.app_latency);
-        tram.merge(&output.tram);
-        delivery_batch_len.merge(&output.batch_len);
-        if let Some(app) = output.app {
-            finished_apps.push(app);
-        }
+        books.tram.merge(&output.tram);
+        books.delivery_batch_len.merge(&output.batch_len);
+        finished_apps.extend(output.app);
     }
     for mut app in finished_apps {
-        app.on_finalize(&mut counters);
+        app.on_finalize(&mut books.counters);
     }
-
-    // Reclamation audit: with every thread joined the arenas are externally
-    // quiescent, so the books must balance — every slab free, in flight
-    // (impossible after a full drain on a clean run), or leaked.  Always
-    // computed: a clean run asserting `leaked_slabs == 0` is the audit's
-    // regression test, and a dirty run needs the tally for its diagnostics.
-    let arena_audits: Vec<ArenaAudit> = shared
-        .arenas
-        .iter()
-        .enumerate()
-        .map(|(w, arena)| {
-            let audit = arena.audit();
-            ArenaAudit {
-                worker: w as u32,
-                slabs: audit.slabs,
-                free: audit.free,
-                in_flight: audit.in_flight,
-                leaked: audit.leaked,
-                double_released: audit.double_released,
-            }
-        })
-        .collect();
-    let leaked_slabs: u32 = arena_audits.iter().map(|a| a.leaked).sum();
-    let wire_faults_fired: u64 = node_reports.iter().map(|d| d.wire_faults_fired).sum();
-    let faults_injected = shared.faults_fired.load(Ordering::Relaxed) + wire_faults_fired;
-    let items_dropped = shared.dropped_sum();
-    counters.add("leaked_slabs", leaked_slabs as u64);
-    counters.add("faults_injected", faults_injected);
-    counters.add("items_dropped", items_dropped);
-    if let Some(signo) = interrupted_by {
-        counters.add("interrupted", 1);
-        counters.add("interrupted_signal", signo as u64);
-    }
-    drop(signals);
-
-    let items_sent = shared.sent_sum();
-    let items_delivered = shared.delivered_sum();
-    // A cut inter-node link means traffic was adopted into the drop ledger:
-    // the run *settled* (conservation holds) but did not complete, so it
-    // aborts with exact books.  The reason is derived from the fault plan
-    // (plan order), not from which leader noticed first — identical across
-    // runs of the same seed even though cut propagation is racy.
-    let any_link_cut = node_reports.iter().any(|d| d.links.iter().any(|l| !l.up));
-    let wire_cut_reason = if any_link_cut {
-        let planned = |kind_is: fn(&FaultKind) -> bool| {
-            shared
-                .faults
-                .as_ref()
-                .and_then(|plan| plan.iter().find(|s| kind_is(&s.kind)).map(|s| s.worker))
-        };
-        Some(
-            if let Some(node) = planned(|k| matches!(k, FaultKind::NetPartition)) {
-                format!("wire partition: node {node} isolated")
-            } else if let Some(node) = planned(|k| matches!(k, FaultKind::NetDisconnect)) {
-                format!("wire disconnect: node {node} link cut")
-            } else {
-                // No planned cut (a real peer death or exhausted retransmit
-                // budget): prefer the initiating side's concrete cause over
-                // the other side's generic "peer cut" echo, then first in
-                // node/peer order.
-                let cuts: Vec<(u32, u32, Option<String>)> = node_reports
-                    .iter()
-                    .flat_map(|d| {
-                        d.links
-                            .iter()
-                            .filter(|l| !l.up)
-                            .map(move |l| (d.node, l.peer, l.cause.clone()))
-                    })
-                    .collect();
-                cuts.iter()
-                    .find(|(_, _, c)| c.as_deref().is_some_and(|c| c != "peer cut"))
-                    .or_else(|| cuts.first())
-                    .map(|(node, peer, cause)| {
-                        format!(
-                            "wire failure: node {node} link to node {peer} cut ({})",
-                            cause.clone().unwrap_or_else(|| "unknown".to_string())
-                        )
-                    })
-                    .unwrap_or_else(|| "wire failure: link cut".to_string())
-            },
-        )
-    } else {
-        None
-    };
-    let outcome = match verdict {
-        Verdict::Quiescent if join_failures.is_empty() && wire_cut_reason.is_none() => {
-            if faults_injected == 0 && interrupted_by.is_none() {
-                RunOutcome::Clean
-            } else {
-                RunOutcome::Degraded {
-                    faults_injected: faults_injected as u32,
-                }
-            }
-        }
-        _ => {
-            let mut panic_notes = match shared.panic_notes.lock() {
-                Ok(notes) => notes.clone(),
-                Err(poisoned) => poisoned.into_inner().clone(),
-            };
-            panic_notes.sort();
-            let diagnostics = RunDiagnostics {
-                process_exits: Vec::new(),
-                panicked_workers: panic_notes.iter().map(|(w, _)| *w).collect(),
-                stalled_workers: stalled_ever
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(w, &stalled)| stalled.then_some(w as u32))
-                    .collect(),
-                workers_done: shared
-                    .workers_done
-                    .iter()
-                    .filter(|flag| flag.load(Ordering::Acquire))
-                    .count() as u32,
-                total_workers: workers as u32,
-                items_sent,
-                items_delivered,
-                items_dropped,
-                stashed_envelopes: shared
-                    .stash_depth
-                    .iter()
-                    .map(|g| g.load(Ordering::Relaxed))
-                    .sum(),
-                inflight_ring_envelopes: shared.plane.inflight_envelopes(),
-                arena_audits: arena_audits.clone(),
-                node_reports: node_reports.clone(),
-            };
-            // Reason selection is deterministic per seed: the first panic in
-            // worker order beats join failures beats wire cuts beats the
-            // watchdog.
-            let reason = if let Some((w, msg)) = panic_notes.first() {
-                format!("worker {w} panicked: {msg}")
-            } else if let Some(failure) = join_failures.first() {
-                failure.clone()
-            } else if let Some(cut) = wire_cut_reason {
-                cut
-            } else {
-                format!(
-                    "watchdog: not quiescent within {:.3}s",
-                    run.max_wall.as_secs_f64()
-                )
-            };
-            RunOutcome::Aborted {
-                reason,
-                diagnostics,
-            }
-        }
-    };
-    RunReport {
-        backend: Backend::Native,
-        total_time_ns,
-        latency: LatencySummary::from_recorder(&app_latency),
-        item_latency: latency,
-        counters,
-        tram,
-        delivery_batch_len,
-        events_executed: 0,
-        items_sent,
-        items_delivered,
-        outcome,
-        node_reports,
-    }
+    let mut panic_notes = shared
+        .panic_notes
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    panic_notes.sort();
+    let view = &shared;
+    let (sent, delivered, dropped) = view.ledger();
+    monitor.report(
+        verdict,
+        Books {
+            backend: Backend::Native,
+            latency: LatencySummary::from_recorder(&app_latency),
+            sent,
+            delivered,
+            dropped,
+            faults_fired: shared.faults_fired.load(Ordering::Relaxed),
+            arenas: shared.arenas.iter().map(SlabArena::audit).collect(),
+            losses: panic_notes
+                .iter()
+                .map(|(w, msg)| format!("worker {w} panicked: {msg}"))
+                .collect(),
+            teardown_failures,
+            wire_cut: node::wire_cut_reason(&node_reports, shared.faults.as_ref()),
+            panicked_workers: panic_notes.iter().map(|(w, _)| *w).collect(),
+            workers_done: shared
+                .workers_done
+                .iter()
+                .filter(|flag| flag.load(Ordering::Acquire))
+                .count() as u32,
+            stashed_envelopes: shared
+                .stash_depth
+                .iter()
+                .map(|g| g.load(Ordering::Relaxed))
+                .sum(),
+            inflight_ring_envelopes: view.ring_occupancy(),
+            node_reports,
+            ..books
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime_api::{AppDefaults, AppFactory, AppSpec, ClusterSpec, RunCtx, RunSpec};
+    use runtime_api::{AppDefaults, AppFactory, AppSpec, ClusterSpec, RunCtx, RunOutcome, RunSpec};
+    use std::time::Duration;
 
     /// Ad-hoc `WorkerApp` closures as an [`AppSpec`]: the defaults a test
     /// sets, and a factory cloned into every run.
@@ -955,8 +734,9 @@ mod tests {
     #[test]
     fn grouping_recycles_on_every_store() {
         // A steady stream of process-addressed messages must recycle its
-        // slabs, however they were filled — PP copies drained claim buffers
-        // into them, WPs inserts straight into them: claims keep succeeding
+        // slabs, whichever path filled them — PP copies drained claim
+        // buffers into them, WPs copies each full aggregator buffer into
+        // one as it ships: claims keep succeeding
         // (zero misses) because each slab's last consumer frees it into its
         // owner's arena.
         for scheme in [Scheme::PP, Scheme::WPs] {

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam_utils::CachePadded;
 use net_model::WorkerId;
-use runtime_api::{FaultKind, FaultTrigger, LinkReport, NodeDiag, Payload};
+use runtime_api::{FaultKind, FaultPlan, FaultTrigger, LinkReport, NodeDiag, Payload};
 use shmem::SpscRing;
 use tramlib::Item;
 use transport::{
@@ -457,6 +457,42 @@ pub(crate) fn leader_main(shared: &Shared, node: u32, transport: Box<dyn Transpo
     let mut leader = post.lock().take().expect("posted above, taken only here");
     leader.diag.leader_standdowns = standdowns;
     leader.finish(cx)
+}
+
+/// The abort reason of a run whose node tier cut a link, from the leaders'
+/// final reports; `None` while every link stayed up.  The run settled on
+/// exact books but did not complete.  The reason comes from the fault plan
+/// (plan order), not from which leader noticed first, so it is identical
+/// across runs of one seed even though cut propagation is racy.
+pub(crate) fn wire_cut_reason(reports: &[NodeDiag], faults: Option<&FaultPlan>) -> Option<String> {
+    let cuts = || {
+        reports
+            .iter()
+            .flat_map(|d| d.links.iter().filter(|l| !l.up).map(move |l| (d.node, l)))
+    };
+    cuts().next()?;
+    let planned = |kind: FaultKind| {
+        faults.and_then(|plan| plan.iter().find(|s| s.kind == kind).map(|s| s.worker))
+    };
+    // No planned cut (a real peer death or exhausted retransmit budget):
+    // prefer the initiating side's concrete cause over the other side's
+    // generic "peer cut" echo, each first in node/peer order.
+    let cause = |concrete: bool| {
+        cuts().find_map(|(node, l)| {
+            let cause = l.cause.as_deref()?;
+            (!concrete || cause != "peer cut").then_some((node, l.peer, cause))
+        })
+    };
+    Some(if let Some(node) = planned(FaultKind::NetPartition) {
+        format!("wire partition: node {node} isolated")
+    } else if let Some(node) = planned(FaultKind::NetDisconnect) {
+        format!("wire disconnect: node {node} link cut")
+    } else if let Some((node, peer, cause)) = cause(true).or_else(|| cause(false)) {
+        format!("wire failure: node {node} link to node {peer} cut ({cause})")
+    } else {
+        // Leaders name a cause for every cut link they report.
+        "wire failure: link cut".to_string()
+    })
 }
 
 impl Leader {
@@ -1226,5 +1262,79 @@ mod tests {
         assert_eq!(plane.dropped_sum(), 0);
         l0.pump(&shared, t0 + CUT_SEEN_DEADLINE + Duration::from_millis(1));
         assert_eq!(plane.dropped_sum(), 4);
+    }
+
+    /// A leader's final report: its links to `links`' peers, `None` = up.
+    fn report(node: u32, links: &[(u32, Option<Option<&str>>)]) -> NodeDiag {
+        NodeDiag {
+            node,
+            links: links
+                .iter()
+                .map(|&(peer, cut)| LinkReport {
+                    peer,
+                    up: cut.is_none(),
+                    cause: cut.flatten().map(str::to_string),
+                })
+                .collect(),
+            ..NodeDiag::default()
+        }
+    }
+
+    #[test]
+    fn wire_cut_reason_prefers_the_plan_then_a_concrete_cause() {
+        assert_eq!(
+            wire_cut_reason(&[report(0, &[(1, None)]), report(1, &[(0, None)])], None),
+            None,
+            "no cut, no reason"
+        );
+        // Node 1 timed out on node 0; node 0 only heard the echo.
+        let cut = [
+            report(0, &[(1, Some(Some("peer cut"))), (2, None)]),
+            report(1, &[(0, Some(Some("heartbeat timeout")))]),
+        ];
+        let reason = |plan: Option<&FaultPlan>| wire_cut_reason(&cut, plan).expect("a cut");
+
+        // A planned partition beats a planned disconnect, wherever each
+        // stands in the plan.
+        let both = FaultPlan::seeded(1)
+            .net_at_sends(1, FaultKind::NetDisconnect, 5)
+            .net_at_sends(2, FaultKind::NetPartition, 9);
+        assert_eq!(reason(Some(&both)), "wire partition: node 2 isolated");
+        let disconnect = FaultPlan::seeded(1).net_at_sends(1, FaultKind::NetDisconnect, 5);
+        assert_eq!(
+            reason(Some(&disconnect)),
+            "wire disconnect: node 1 link cut"
+        );
+
+        // Unplanned: the concrete cause beats the other side's echo, and
+        // worker faults in the plan do not count as planned cuts.
+        let unrelated = FaultPlan::seeded(1).panic_at_items(0, 10);
+        let concrete = "wire failure: node 1 link to node 0 cut (heartbeat timeout)";
+        assert_eq!(reason(None), concrete);
+        assert_eq!(reason(Some(&unrelated)), concrete);
+
+        // Otherwise the first cut in node/peer order wins.
+        let echoes = [
+            report(0, &[(1, None), (2, Some(Some("peer cut")))]),
+            report(1, &[(0, Some(Some("peer cut")))]),
+        ];
+        assert_eq!(
+            wire_cut_reason(&echoes, None).as_deref(),
+            Some("wire failure: node 0 link to node 2 cut (peer cut)")
+        );
+        let concretes = [
+            report(0, &[(1, Some(Some("retransmit budget exhausted")))]),
+            report(1, &[(0, Some(Some("heartbeat timeout")))]),
+        ];
+        assert_eq!(
+            wire_cut_reason(&concretes, None).as_deref(),
+            Some("wire failure: node 0 link to node 1 cut (retransmit budget exhausted)")
+        );
+
+        // A cut nobody named a cause for.
+        assert_eq!(
+            wire_cut_reason(&[report(0, &[(1, Some(None))])], None).as_deref(),
+            Some("wire failure: link cut")
+        );
     }
 }
