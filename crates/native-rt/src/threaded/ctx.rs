@@ -5,7 +5,8 @@
 //! emitted messages onto the per-pair SPSC rings of the delivery mesh, as
 //! slab descriptors or inline singles.  Every message is buffered privately
 //! and copied into one slab of this worker's arena when it ships
-//! ([`NativeWorkerCtx::ship_slab`]).
+//! ([`NativeWorkerCtx::ship_slab`]) — or, on the node tier, onto the uplink
+//! staging buffer when its receiver is on another cluster node.
 //!
 //! `send` decides the local bypass once, before tramlib, for every scheme: a
 //! same-process item is staged for its destination worker and only remote
@@ -353,6 +354,14 @@ impl<'a> NativeWorkerCtx<'a> {
     /// arena is a throughput dip recorded in `arena_claim_misses`, never a
     /// loss or a reordering (a process-addressed message's group receiver
     /// forwards singles too).
+    ///
+    /// On the node tier a message whose `target` lives on another cluster
+    /// node takes no slab: its items are copied straight onto the uplink
+    /// staging buffer (`wire_out`), which ships at `buffer_items` or at the
+    /// end of the quantum.  Every item was already counted sent, and each
+    /// names its final destination worker, so the remote leader's regroup
+    /// (and the remote worker's delivery) is exact — no grouping state
+    /// crosses the node boundary, only payloads.
     fn ship_slab(
         &mut self,
         target: WorkerId,
@@ -360,6 +369,12 @@ impl<'a> NativeWorkerCtx<'a> {
         grouped_at_source: bool,
         items: &[Item<Payload>],
     ) {
+        if self.shared.node_plane.is_some()
+            && self.shared.topo.node_of_worker(target).0 != self.my_cluster_node
+        {
+            self.stage_wire(items);
+            return;
+        }
         let Some(handle) = self.arena.and_then(|arena| arena.fill(items)) else {
             for &item in items {
                 self.push_mesh(target, Envelope::Single(item));
@@ -377,6 +392,18 @@ impl<'a> NativeWorkerCtx<'a> {
         );
     }
 
+    /// Copy one cross-node message onto the uplink staging buffer, shipping
+    /// it once it holds `buffer_items`.  Out of line: single-node runs never
+    /// take it.
+    #[inline(never)]
+    fn stage_wire(&mut self, items: &[Item<Payload>]) {
+        self.tally.wire_node_msgs += 1;
+        self.wire_out.extend_from_slice(items);
+        if self.wire_out.len() >= self.shared.tram.buffer_items {
+            self.ship_wire();
+        }
+    }
+
     /// The wire counters of one emitted message (the ones the simulator
     /// records in its routing layer), plus the `flush=<n>` fault clock.
     fn count_wire(&mut self, items: usize, bytes: u64, reason: EmitReason) {
@@ -391,16 +418,16 @@ impl<'a> NativeWorkerCtx<'a> {
 
     /// Push one envelope onto this worker's mesh row, stashing it if the ring
     /// is full (or if earlier envelopes for the same destination are already
-    /// stashed — per-pair FIFO order is preserved).
+    /// stashed — per-pair FIFO order is preserved).  `dst` is always on this
+    /// worker's cluster node: cross-node messages leave through the uplink
+    /// ([`NativeWorkerCtx::ship_slab`]), and every envelope forwarded or
+    /// staged here stays inside its destination's process.
     pub(crate) fn push_mesh(&mut self, dst: WorkerId, envelope: Envelope) {
-        // Node tier: traffic for a worker on another cluster node leaves
-        // through the local leader's uplink, not the in-process mesh.
-        if self.shared.node_plane.is_some()
-            && self.shared.topo.node_of_worker(dst).0 != self.my_cluster_node
-        {
-            self.push_wire(envelope);
-            return;
-        }
+        debug_assert!(
+            self.shared.node_plane.is_none()
+                || self.shared.topo.node_of_worker(dst).0 == self.my_cluster_node,
+            "cross-node envelope on the mesh"
+        );
         let d = dst.idx();
         if self.shared.worker_node[d] != self.my_node {
             self.cross_socket_msgs += 1;
@@ -413,39 +440,6 @@ impl<'a> NativeWorkerCtx<'a> {
         } else {
             self.stash[d].push_back(envelope);
             self.stash_len += 1;
-        }
-    }
-
-    /// Materialize an outbound cross-node envelope into raw items on the
-    /// wire buffer.  Every carried item was already counted sent, and each
-    /// names its final destination worker, so the remote leader's regroup
-    /// (and the remote worker's delivery) is exact — no grouping state
-    /// crosses the node boundary, only payloads.  A slab is copied out of
-    /// its arena — reading slabs in place is an intra-node optimization;
-    /// the node boundary is a real copy either way (it becomes wire bytes).
-    fn push_wire(&mut self, envelope: Envelope) {
-        self.tally.wire_node_msgs += 1;
-        match envelope.slab_range() {
-            None => {
-                if let Envelope::Single(item) = envelope {
-                    self.wire_out.push(item);
-                }
-            }
-            Some((owner, range)) => {
-                let arena = &self.shared.arenas[owner];
-                debug_assert_eq!(arena.generation(range.slab), range.generation);
-                // SAFETY: a live range of a sealed slab that no other
-                // consumer has seen (cross-node envelopes are shipped, never
-                // forwarded).
-                let items = unsafe { arena.slice(range.slab, range.start, range.len) };
-                self.wire_out.extend_from_slice(items);
-                if arena.finish_consumer(range.slab) {
-                    arena.release(range.slab);
-                }
-            }
-        }
-        if self.wire_out.len() >= self.shared.tram.buffer_items {
-            self.ship_wire();
         }
     }
 

@@ -88,6 +88,7 @@ use crate::monitor::{panic_message, Books, Gone, Monitor, RunView};
 use crate::sizing;
 
 pub(crate) use ctx::NativeWorkerCtx;
+pub use node::ACK_DELAY;
 
 /// A vector of items, all addressed to the same worker: the node tier's
 /// uplink and downlink batches (the wire copies them anyway).

@@ -2,8 +2,8 @@
 //!
 //! When a run spans more than one cluster node and a transport is
 //! configured, each node gains one *leader* thread alongside its workers.
-//! Workers keep the intra-node mesh exactly as before; any envelope whose
-//! destination worker lives on another node is materialized into raw items
+//! Workers keep the intra-node mesh exactly as before; any message whose
+//! receiving worker lives on another node is copied as raw items (no slab)
 //! and handed to the local leader over a per-worker SPSC uplink.  The
 //! leader re-aggregates that traffic per destination *node* — the same
 //! economics as the WsP grouping pass, one tier up — seals it into framed
@@ -14,7 +14,10 @@
 //! Failure is the design center, not an afterthought:
 //!
 //! * every `Batch` frame carries a per-link sequence number and stays in a
-//!   resend buffer until the peer's cumulative ack retires it;
+//!   resend buffer until the peer's cumulative ack retires it; acks are
+//!   delayed — a receiver sends each peer at most one per [`ACK_DELAY`],
+//!   covering everything it accepted meanwhile — and a replay is re-acked
+//!   at once;
 //! * retransmission runs on [`transport::Backoff`] — bounded exponential
 //!   with seeded jitter, so the retry schedule is a pure function of the
 //!   run seed — and an exhausted budget cuts the link;
@@ -63,7 +66,7 @@ use shmem::SpscRing;
 use tramlib::Item;
 use transport::{
     Backoff, FailureDetector, Frame, FrameKind, HeartbeatConfig, ReplayGuard, SendVerdict,
-    Transport, WireFault, WireFaultInjector, WireFaultKind,
+    Transport, WireFault, WireFaultInjector, WireFaultKind, SEND_RETRY_BASE_NS,
 };
 
 use super::{Batch, Shared, SPARE_BATCHES};
@@ -86,6 +89,17 @@ const RECV_BUDGET: usize = 256;
 /// polls its cut flags every pump (microseconds), so this only bounds the
 /// pathological case of a peer leader that is itself dead.
 const CUT_SEEN_DEADLINE: Duration = Duration::from_millis(50);
+
+/// The per-link ack clock: a leader sends each peer at most one standalone
+/// cumulative `Ack` per this interval, and the first one owed after a quiet
+/// spell at once.  A standalone ack costs a frame — a `write()` on a socket —
+/// whatever it carries, and with a pump per worker quantum a busy link
+/// accepts a batch every few microseconds; one ack per pump made acks almost
+/// half the frames on the wire.  Derived from the retransmit schedule, not
+/// tuned: the first retransmit of a frame waits at least half of
+/// [`SEND_RETRY_BASE_NS`], and this stays 10× below that, so a delayed ack
+/// never shows up as a loss.  1 ms; `docs/DESIGN.md` §11 has the sweep.
+pub const ACK_DELAY: Duration = Duration::from_nanos(SEND_RETRY_BASE_NS / 20);
 
 /// The leader thread's nap after a pump that found nothing to do.
 const LEADER_NAP: Duration = Duration::from_micros(20);
@@ -310,8 +324,12 @@ struct PeerState {
     rto_at: Option<Instant>,
     /// Inbound accept-once sequence filter (and cumulative-ack source).
     replay: ReplayGuard,
-    /// An accepted batch awaits its cumulative ack (sent once per pump).
+    /// An accepted batch awaits its cumulative ack, which the ack clock
+    /// sends at most once per [`ACK_DELAY`] ([`Leader::pump_acks`]).
     ack_due: bool,
+    /// When this leader last sent the peer a standalone ack (None = never):
+    /// the ack clock's reference point.
+    acked_at: Option<Instant>,
     /// Outbound cut observed, ledger not settled yet: settle once the
     /// receiver acknowledges the cut, or at this deadline.
     settle_by: Option<Instant>,
@@ -337,6 +355,7 @@ impl PeerState {
             rto_at: None,
             replay: ReplayGuard::new(),
             ack_due: false,
+            acked_at: None,
             settle_by: None,
             settled: false,
             bye: false,
@@ -543,16 +562,16 @@ impl Leader {
 
     /// Put a frame on the wire unless this node is partitioned (an isolated
     /// node's NIC is unplugged: nothing leaves, heartbeats included).  A
-    /// transport error cuts the link.
-    fn wire_send(&mut self, cx: Cx<'_>, dst: u32, frame: &Frame) {
-        if self.injector.partitioned() {
-            return;
-        }
-        if cx.plane.link_cut(self.node, dst) {
-            return;
+    /// transport error cuts the link.  Returns whether the frame was sent.
+    fn wire_send(&mut self, cx: Cx<'_>, dst: u32, frame: &Frame) -> bool {
+        if self.injector.partitioned() || cx.plane.link_cut(self.node, dst) {
+            return false;
         }
         match self.transport.send(dst, frame) {
-            Ok(()) => self.diag.frames_sent += 1,
+            Ok(()) => {
+                self.diag.frames_sent += 1;
+                true
+            }
             Err(e) => {
                 let peer = e.peer();
                 if self.expected_teardown(cx, peer) {
@@ -560,6 +579,7 @@ impl Leader {
                 } else {
                     self.cut_link(cx, peer, "peer closed");
                 }
+                false
             }
         }
     }
@@ -746,7 +766,9 @@ impl Leader {
             self.diag.wire_faults_fired = self.injector.fired();
         }
         match verdict {
-            SendVerdict::Deliver => self.wire_send(cx, peer, frame),
+            SendVerdict::Deliver => {
+                self.wire_send(cx, peer, frame);
+            }
             // The frame stays in the resend buffer; the ack timeout
             // retransmits it.
             SendVerdict::Drop => {}
@@ -817,8 +839,8 @@ impl Leader {
         did_work
     }
 
-    /// Drain the wire (bounded), process each frame, then acknowledge: one
-    /// cumulative ack per peer for everything this pump accepted.
+    /// Drain the wire (bounded) and process each frame.  Accepted batches
+    /// are acknowledged by the ack clock ([`Leader::pump_acks`]), not here.
     fn pump_recv(&mut self, cx: Cx<'_>, now: Instant) -> bool {
         let mut did_work = false;
         for _ in 0..RECV_BUDGET {
@@ -849,21 +871,33 @@ impl Leader {
                 }
             }
         }
-        if did_work {
-            for peer in self.others() {
-                let state = self.peers[peer as usize].as_mut().expect("peer state");
-                if std::mem::take(&mut state.ack_due) {
-                    let upto = state.replay.contiguous();
-                    self.send_ack(cx, peer, upto);
-                }
-            }
-        }
         did_work
     }
 
-    fn send_ack(&mut self, cx: Cx<'_>, peer: u32, upto: u64) {
+    /// The per-link ack clock, run on every pump: send each peer that is
+    /// owed an ack one cumulative `Ack`, unless one went to it less than
+    /// [`ACK_DELAY`] ago.  Batches accepted inside that window ride on the
+    /// next ack; after a quiet spell the first owed ack goes out at once.
+    fn pump_acks(&mut self, cx: Cx<'_>, now: Instant) {
+        for peer in self.others() {
+            let state = self.peers[peer as usize].as_ref().expect("peer state");
+            if state.ack_due && !state.acked_at.is_some_and(|at| now < at + ACK_DELAY) {
+                self.send_ack(cx, peer, now);
+            }
+        }
+    }
+
+    /// Acknowledge everything accepted from `peer` so far (the contiguous
+    /// prefix) and restart the link's ack clock.
+    fn send_ack(&mut self, cx: Cx<'_>, peer: u32, now: Instant) {
+        let state = self.peers[peer as usize].as_mut().expect("peer state");
+        state.ack_due = false;
+        state.acked_at = Some(now);
+        let upto = state.replay.contiguous();
         let ack = Frame::control(FrameKind::Ack, self.session, self.node, peer, upto);
-        self.wire_send(cx, peer, &ack);
+        if self.wire_send(cx, peer, &ack) {
+            self.diag.acks_sent += 1;
+        }
     }
 
     fn handle_frame(&mut self, cx: Cx<'_>, frame: Frame, now: Instant) {
@@ -891,7 +925,7 @@ impl Leader {
                 self.detector.mark_dead(src as usize);
             }
             FrameKind::Ack => self.handle_ack(cx, src, frame.seq),
-            FrameKind::Batch => self.handle_batch(cx, src, frame),
+            FrameKind::Batch => self.handle_batch(cx, src, frame, now),
         }
     }
 
@@ -912,10 +946,11 @@ impl Leader {
 
     /// Accept (or reject as replay) one inbound batch, regroup per
     /// destination worker and queue to downlinks.  An accepted batch is
-    /// acknowledged at the end of the pump, cumulatively with every other
-    /// batch the pump accepted from that peer; a replay is re-acked at once,
-    /// since its sender is retransmitting for want of exactly that ack.
-    fn handle_batch(&mut self, cx: Cx<'_>, src: u32, frame: Frame) {
+    /// owed an ack, which the ack clock sends cumulatively with every other
+    /// batch accepted from that peer within [`ACK_DELAY`]; a replay is
+    /// re-acked at once, since its sender is retransmitting for want of
+    /// exactly that ack.
+    fn handle_batch(&mut self, cx: Cx<'_>, src: u32, frame: Frame, now: Instant) {
         let inbound = cx.plane.link(src, self.node);
         if inbound.cut.load(Ordering::Acquire) {
             // Cut link: the sender settles these items into its ledger, so
@@ -927,8 +962,7 @@ impl Leader {
             .expect("batch from own node");
         if !state.replay.accept(frame.seq) {
             self.diag.duplicates_rejected += 1;
-            let upto = state.replay.contiguous();
-            self.send_ack(cx, src, upto);
+            self.send_ack(cx, src, now);
             return;
         }
         state.ack_due = true;
@@ -1044,6 +1078,7 @@ impl Leader {
         did_work |= self.flush_staging(cx);
         did_work |= self.pump_delayed(cx, now);
         did_work |= self.pump_recv(cx, now);
+        self.pump_acks(cx, now);
         self.pump_retransmits(cx, now);
         if now >= self.next_heartbeat {
             for peer in self.others() {
@@ -1214,6 +1249,89 @@ mod tests {
         assert_eq!(l1.diag.duplicates_rejected, 1);
         assert_eq!(l1.diag.frames_sent, 2);
         assert_eq!(l1.diag.items_received, 15);
+    }
+
+    /// Resend-buffer sequences `leader` still waits on node 1 to ack.
+    fn unacked(leader: &Leader) -> Vec<u64> {
+        let to_peer = leader.peers[1].as_ref().expect("peer state");
+        to_peer.unacked.keys().copied().collect()
+    }
+
+    #[test]
+    fn the_ack_clock_sends_one_ack_per_delay_for_every_batch_inside_it() {
+        let shared = two_node_shared();
+        let (mut l0, mut l1) = leaders(&shared);
+        // Hand-clock instants far from any heartbeat or retransmit deadline.
+        let t0 = l0.last_iter;
+        let step = ACK_DELAY / 4;
+
+        // A quiet link: the first owed ack goes out at once.
+        ship(&shared, 3);
+        l0.pump(&shared, t0);
+        assert!(l1.pump(&shared, t0));
+        assert_eq!((l1.diag.acks_sent, l1.diag.frames_sent), (1, 1));
+        l0.pump(&shared, t0);
+        assert_eq!(unacked(&l0), Vec::<u64>::new());
+
+        // Batches accepted inside the window are delivered but not acked.
+        for (k, seq) in [(1, 2), (2, 3)] {
+            ship(&shared, 4);
+            l0.pump(&shared, t0 + step * k);
+            assert!(l1.pump(&shared, t0 + step * k));
+            assert_eq!(l1.diag.frames_sent, 1, "batch {seq} was acked early");
+        }
+        assert_eq!(l1.diag.items_received, 11);
+        l0.pump(&shared, t0 + step * 2);
+        assert_eq!(unacked(&l0), vec![2, 3]);
+
+        // The pump at +ACK_DELAY sends one ack, and it retires both.
+        l1.pump(&shared, t0 + ACK_DELAY);
+        assert_eq!((l1.diag.acks_sent, l1.diag.frames_sent), (2, 2));
+        l0.pump(&shared, t0 + ACK_DELAY);
+        assert_eq!(unacked(&l0), Vec::<u64>::new());
+        // Nothing owed, nothing sent.
+        l1.pump(&shared, t0 + ACK_DELAY * 3);
+        assert_eq!(l1.diag.acks_sent, 2);
+    }
+
+    #[test]
+    fn a_replay_inside_the_ack_delay_is_re_acked_at_once() {
+        let shared = two_node_shared();
+        let (mut l0, mut l1) = leaders(&shared);
+        let t0 = l0.last_iter;
+        let inside = t0 + ACK_DELAY / 2;
+        ship(&shared, 2);
+        l0.pump(&shared, t0);
+        l1.pump(&shared, t0);
+        ship(&shared, 2);
+        l0.pump(&shared, inside);
+        l1.pump(&shared, inside);
+        assert_eq!(l1.diag.acks_sent, 1, "batch 2 rides on the next ack");
+
+        // The sender retransmits batch 1: it wants exactly that ack, and it
+        // gets it at once, cumulative over batch 2 as well.
+        let replay = l0.peers[1].as_ref().expect("peer state").unacked[&2].clone();
+        let replay = Frame { seq: 1, ..replay };
+        l0.transport.send(1, &replay).expect("sim send");
+        l1.pump(&shared, inside);
+        assert_eq!(l1.diag.duplicates_rejected, 1);
+        assert_eq!(l1.diag.acks_sent, 2);
+        assert_eq!(l1.diag.items_received, 4);
+        l0.pump(&shared, inside);
+        assert_eq!(unacked(&l0), Vec::<u64>::new());
+        // That ack restarted the clock and left nothing owed.
+        l1.pump(&shared, t0 + ACK_DELAY);
+        assert_eq!(l1.diag.acks_sent, 2);
+    }
+
+    #[test]
+    fn the_ack_delay_stays_ten_times_inside_the_first_retransmit() {
+        let first_retransmit = (0..256)
+            .map(|seed| Backoff::send_default(seed).next_delay().expect("a budget"))
+            .min()
+            .expect("seeds");
+        assert!(first_retransmit >= SEND_RETRY_BASE_NS / 2);
+        assert!(ACK_DELAY * 10 <= Duration::from_nanos(SEND_RETRY_BASE_NS / 2));
     }
 
     #[test]

@@ -88,6 +88,10 @@ pub struct NodeDiag {
     pub transport: String,
     /// Batch/control frames sent (first transmissions only).
     pub frames_sent: u64,
+    /// Of `frames_sent`, standalone cumulative `Ack` frames: the control
+    /// traffic the ack clock bounds (at most one per link per ack delay,
+    /// plus one per rejected replay).
+    pub acks_sent: u64,
     /// Frames received and processed.
     pub frames_received: u64,
     /// Batch frames re-sent after an ack timeout.
@@ -124,11 +128,12 @@ impl std::fmt::Display for NodeDiag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "node {} [{}] frames={}tx/{}rx retx={} hb_miss={} dup={} items={}out/{}in dropped={} faults={} pumps={}leader/{}worker standdowns={} links=[",
+            "node {} [{}] frames={}tx/{}rx acks={} retx={} hb_miss={} dup={} items={}out/{}in dropped={} faults={} pumps={}leader/{}worker standdowns={} links=[",
             self.node,
             self.transport,
             self.frames_sent,
             self.frames_received,
+            self.acks_sent,
             self.retransmits,
             self.heartbeat_misses,
             self.duplicates_rejected,
@@ -455,10 +460,11 @@ impl RunReport {
                     s.push(',');
                 }
                 s.push_str(&format!(
-                    "{{\"node\":{},\"transport\":\"{}\",\"frames_sent\":{},\"frames_received\":{},\"retransmits\":{},\"heartbeat_misses\":{},\"duplicates_rejected\":{},\"items_shipped\":{},\"items_received\":{},\"items_dropped\":{},\"wire_faults_fired\":{},\"pumps_by_leader\":{},\"pumps_by_worker\":{},\"leader_standdowns\":{},\"links_up\":{}}}",
+                    "{{\"node\":{},\"transport\":\"{}\",\"frames_sent\":{},\"acks_sent\":{},\"frames_received\":{},\"retransmits\":{},\"heartbeat_misses\":{},\"duplicates_rejected\":{},\"items_shipped\":{},\"items_received\":{},\"items_dropped\":{},\"wire_faults_fired\":{},\"pumps_by_leader\":{},\"pumps_by_worker\":{},\"leader_standdowns\":{},\"links_up\":{}}}",
                     n.node,
                     n.transport,
                     n.frames_sent,
+                    n.acks_sent,
                     n.frames_received,
                     n.retransmits,
                     n.heartbeat_misses,
@@ -622,6 +628,7 @@ mod tests {
             node: 1,
             transport: "tcp".into(),
             frames_sent: 12,
+            acks_sent: 5,
             frames_received: 9,
             retransmits: 1,
             heartbeat_misses: 4,
@@ -647,7 +654,7 @@ mod tests {
         };
         let line = diag.to_string();
         assert!(line.contains("node 1 [tcp]"));
-        assert!(line.contains("retx=1"));
+        assert!(line.contains("frames=12tx/9rx acks=5 retx=1"));
         assert!(line.contains("pumps=7leader/40worker standdowns=2"));
         assert!(line.contains("links=[0:up, 2:cut(heartbeat timeout)]"));
         r.node_reports = vec![diag.clone()];
@@ -655,6 +662,7 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"nodes\":[{\"node\":1,\"transport\":\"tcp\""));
         assert!(json.contains("\"pumps_by_worker\":40"));
+        assert!(json.contains("\"acks_sent\":5"));
         assert!(json.contains("\"links_up\":1"));
         let in_diag = RunDiagnostics {
             node_reports: vec![diag],

@@ -18,6 +18,12 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Base window of [`Backoff::send_default`], in nanoseconds: the first
+/// retransmit of an unacked frame waits between half of this and all of it.
+/// Receivers size their ack delay from it, so a delayed ack can never be
+/// what triggers a retransmit.
+pub const SEND_RETRY_BASE_NS: u64 = 20_000_000;
+
 /// A deterministic, bounded exponential backoff schedule.
 #[derive(Debug, Clone)]
 pub struct Backoff {
@@ -46,7 +52,7 @@ impl Backoff {
     /// 200 ms cap, 8 retries (worst-case ≈ 1.5 s before a link is declared
     /// dead — comfortably above any loopback RTT, far below the watchdog).
     pub fn send_default(seed: u64) -> Self {
-        Backoff::new(seed, 20_000_000, 200_000_000, 8)
+        Backoff::new(seed, SEND_RETRY_BASE_NS, 200_000_000, 8)
     }
 
     /// Connect-retry defaults: quicker base, fewer attempts.

@@ -13,9 +13,9 @@
 //! ([`FrameKind::Heartbeat`]) and teardown ([`FrameKind::Bye`]).  Sequence
 //! numbers are per *directed* connection and only `Batch` frames consume
 //! them; `Ack.seq` carries the highest sequence the receiver has accepted
-//! contiguously (cumulative ack).  Session ids are drawn once per run so a
-//! frame from a stale incarnation of a peer can never be confused with
-//! live traffic.
+//! contiguously (cumulative and delayed: one ack may retire many batches).
+//! Session ids are drawn once per run so a frame from a stale incarnation of
+//! a peer can never be confused with live traffic.
 
 /// Frame magic: "SMPW" (SMP wire).
 pub const MAGIC: u32 = 0x534d_5057;
@@ -43,7 +43,10 @@ pub enum FrameKind {
     /// number and the only kind carrying a payload).
     Batch = 3,
     /// Cumulative acknowledgement: `seq` = highest contiguously accepted
-    /// batch sequence.
+    /// batch sequence.  Acks are delayed: a receiver owes at most one per
+    /// link per ack delay (far inside the sender's first retransmit
+    /// timeout, see [`crate::SEND_RETRY_BASE_NS`]), and that one covers
+    /// every batch accepted meanwhile.  A replayed batch is re-acked at once.
     Ack = 4,
     /// Liveness beacon; absence of these is how peer death is detected.
     Heartbeat = 5,

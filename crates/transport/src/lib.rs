@@ -33,7 +33,7 @@ pub mod frame;
 pub mod sim;
 pub mod stream;
 
-pub use backoff::Backoff;
+pub use backoff::{Backoff, SEND_RETRY_BASE_NS};
 pub use dedup::ReplayGuard;
 pub use detector::{FailureDetector, HeartbeatConfig};
 pub use fault::{SendVerdict, WireFault, WireFaultInjector, WireFaultKind};

@@ -17,7 +17,9 @@
 //!    slabs, per-node diagnostics attached, and a deterministic outcome
 //!    signature per seed (asserted by running every fault class twice).
 //! 4. **Who pumps** — hot workers pump their own node's wire; workers that
-//!    cannot (parked in a handler) are carried by the leader thread alone.
+//!    cannot (parked in a handler) are carried by the leader thread alone;
+//!    and however often they pump, a link carries at most one standalone
+//!    ack per `ACK_DELAY`.
 
 mod common;
 
@@ -25,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use smp_aggregation::native_rt::threaded::ACK_DELAY;
 use smp_aggregation::prelude::*;
 use smp_aggregation::runtime_api::AppDefaults;
 
@@ -395,11 +398,13 @@ fn hot_workers_pump_and_the_leader_thread_alone_suffices() {
                 held,
             })
         };
+        let started = Instant::now();
         let report = common::ad_hoc(defaults, echo)
             .backend(Backend::Native)
             .transport(TransportKind::Tcp)
             .max_wall(Duration::from_secs(30))
             .run();
+        let wall = started.elapsed();
         assert_eq!(
             report.outcome.signature(),
             "clean",
@@ -413,10 +418,10 @@ fn hot_workers_pump_and_the_leader_thread_alone_suffices() {
             report.items_sent,
             report.items_delivered,
         );
-        (app_totals, report.node_reports)
+        (app_totals, report.node_reports, wall)
     };
 
-    let (hot_totals, hot_nodes) = run(false);
+    let (hot_totals, hot_nodes, wall) = run(false);
     assert_eq!(hot_totals.0, REQUESTS);
     assert_eq!(hot_totals.1, REQUESTS);
     let by_worker: u64 = hot_nodes.iter().map(|d| d.pumps_by_worker).sum();
@@ -429,10 +434,23 @@ fn hot_workers_pump_and_the_leader_thread_alone_suffices() {
         hot_nodes.iter().any(|d| d.leader_standdowns > 0),
         "a leader whose worker is awake and pumping stands down"
     );
+    // The ack clock: at most one standalone ack per link per ACK_DELAY over
+    // the whole run, plus one per rejected replay — on any schedule.
+    let peers = hot_nodes.len() as u64 - 1;
+    let ticks = (wall.as_nanos() / ACK_DELAY.as_nanos()) as u64 + 1;
+    for d in &hot_nodes {
+        assert!(
+            d.acks_sent <= peers * ticks + d.duplicates_rejected,
+            "node {}: {} acks in {wall:?} ({ticks} ack delays, {} replays)",
+            d.node,
+            d.acks_sent,
+            d.duplicates_rejected
+        );
+    }
 
     // Worker 0 sits in one handler call until worker 1 has served every
     // request: node 0's wire is pumped by its leader thread or not at all.
-    let (held_totals, held_nodes) = run(true);
+    let (held_totals, held_nodes, _) = run(true);
     assert_eq!(
         held_totals, hot_totals,
         "who pumps must not change the result"
