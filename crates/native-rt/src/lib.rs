@@ -8,11 +8,11 @@
 //! * workers running the **WW / WPs / WsP / NoAgg** schemes own real
 //!   [`tramlib::Aggregator`]s and insert into private per-destination buffers;
 //! * under **PP** all workers of a process insert into shared
-//!   [`shmem::ClaimBuffer`]s with atomic slot claiming — one buffer per
-//!   destination process, exactly the contended path §III-C of the paper
-//!   analyses;
+//!   [`shmem::SegClaim`]s with atomic slot claiming and per-slot stamps —
+//!   one buffer per destination process, exactly the contended path §III-C
+//!   of the paper analyses;
 //! * delivery runs over a direct **worker↔worker mesh** of bounded
-//!   [`shmem::SpscRing`]s: sealed/flushed messages go straight to the
+//!   [`shmem::SegRing`]s: sealed/flushed messages go straight to the
 //!   destination worker, which runs the receive-side grouping pass
 //!   ([`tramlib::PooledReceiver`]) locally — no thread touches traffic it
 //!   does not own, and the only central component is the run monitor both
@@ -21,7 +21,11 @@
 //!   per-quantum batches copied into slabs, mirroring the simulator's
 //!   local-bypass path;
 //! * every ring carries one `Copy` envelope type on both engines — an
-//!   inline item or a slab descriptor, never a heap vector.
+//!   inline item or a slab descriptor, never a heap vector;
+//! * both engines run the same `shmem` views, each primitive with one
+//!   protocol: the threaded engine owns them on the heap
+//!   ([`shmem::SpscRing`], [`shmem::SlabArena`], [`shmem::ClaimBuffer`]),
+//!   the process engine lays them out in one shared segment.
 //!
 //! Applications implement the backend-agnostic
 //! [`runtime_api::WorkerApp`] trait and run unchanged on either backend; the

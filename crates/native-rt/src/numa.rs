@@ -6,7 +6,8 @@
 //! `mbind` / `get_mempolicy` syscalls on Linux, and everything degrades to a
 //! single-node no-op elsewhere.
 //!
-//! Why it matters: each worker owns a `shmem::SlabArena` whose slots are
+//! Why it matters: each threaded worker owns a `shmem::SlabArena` — a
+//! `shmem::SegArena` over a heap region of its own — whose slots are
 //! written by the owner (one copy per shipped message) and *read in place*
 //! by consumers.  The arenas are allocated on the main thread before the workers
 //! exist, so without intervention every arena's pages land on whichever node

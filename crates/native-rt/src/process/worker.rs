@@ -2,9 +2,9 @@
 //! worker PE, communicating exclusively through the shared segment.
 //!
 //! The parent builds every segment view ([`SegRing`]/[`SegArena`]/
-//! [`SegClaim`] are `Copy` descriptors over shared offsets) into one
-//! [`World`] before forking; children inherit the `MAP_SHARED` mapping at
-//! the same address, so the views work unchanged on both sides.
+//! [`SegClaim`] are descriptors over shared offsets) into one [`World`]
+//! before forking; children inherit the `MAP_SHARED` mapping at the same
+//! address, so the views work unchanged on both sides.
 //!
 //! Dataflow per scheme (`rings[src][dst]` is an SPSC ring of the
 //! [`Envelope`]s both native engines share):
@@ -104,8 +104,8 @@ impl World {
         &self.rings[src * self.workers + dst]
     }
 
-    pub(super) fn claim(&self, src_proc: usize, dst_proc: usize) -> SegClaim<Item<Payload>> {
-        self.claims[src_proc * self.procs + dst_proc]
+    pub(super) fn claim(&self, src_proc: usize, dst_proc: usize) -> &SegClaim<Item<Payload>> {
+        &self.claims[src_proc * self.procs + dst_proc]
     }
 
     pub(super) fn result_region(&self, w: usize) -> *mut u8 {
@@ -124,7 +124,7 @@ impl World {
 /// drops) and the supervisor (victim-inbox and settlement drains).
 pub(super) fn drop_envelope(world: &World, env: &Envelope) -> u64 {
     if let Some((owner, range)) = env.slab_range() {
-        let arena = world.arenas[owner];
+        let arena = &world.arenas[owner];
         if arena.finish_consumer(range.slab) {
             arena.release(range.slab);
         }
@@ -711,7 +711,8 @@ fn group_and_forward(
     handle: SlabHandle,
 ) {
     let me = ctx.me;
-    let arena = ctx.world.arenas[owner as usize];
+    let world = ctx.world;
+    let arena = &world.arenas[owner as usize];
     let wpp = ctx.world.topo.workers_per_proc() as usize;
     // Out of `ctx` while its ranges are read, so `push_env` can borrow it.
     let mut scratch = std::mem::take(&mut ctx.group_scratch);
@@ -755,7 +756,8 @@ fn group_and_forward(
 /// Deliver `range` of a sealed slab of worker `owner`'s arena, then drop
 /// this consumer's reference.
 fn deliver_range(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, owner: u32, range: SlabRange) {
-    let arena = ctx.world.arenas[owner as usize];
+    let world = ctx.world;
+    let arena = &world.arenas[owner as usize];
     // SAFETY: sealed slab; this worker holds a consumer reference.
     let items = unsafe { arena.slice(range.slab, range.start, range.len) };
     deliver(app, ctx, items);

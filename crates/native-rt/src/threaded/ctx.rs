@@ -21,7 +21,7 @@ use std::sync::atomic::Ordering;
 use metrics::{Counters, LatencyRecorder, QuantileSketch};
 use net_model::{ProcId, WorkerId};
 use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::{ClaimResult, SlabArena};
+use shmem::{SegClaim, SegClaimInsert, SlabArena};
 use sim_core::StreamRng;
 use tramlib::{
     Aggregator, EmitReason, Item, MessageDest, OutboundMessage, Owner, Scheme, TramStats,
@@ -70,6 +70,9 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// claim buffers keep no per-item timestamps, so the timeout poll works
     /// from this sender-side watermark instead.
     pub(crate) pp_oldest_ns: Option<u64>,
+    /// PP only: the reused vector a drained shared claim buffer is read
+    /// into before it ships as one slab.
+    pub(crate) pp_drained: Vec<Item<Payload>>,
     /// PP only: a quiet-quantum flush of the process-shared buffers is due.
     /// Set on the first quiet quantum after a non-quiet one, cleared once no
     /// buffer had to be held back (see [`SelfClocked::flush_quiet`]).
@@ -200,6 +203,7 @@ impl<'a> NativeWorkerCtx<'a> {
             pp_stats: TramStats::new(),
             has_timeout: shared.tram.flush_policy.timeout_ns.is_some(),
             pp_oldest_ns: None,
+            pp_drained: Vec::new(),
             pp_flush_due: false,
             local_workers: if shared.tram.local_bypass {
                 let first = shared.topo.first_worker_of(my_proc).0;
@@ -647,9 +651,8 @@ impl<'a> NativeWorkerCtx<'a> {
     }
 
     /// PP insertion: claim a slot in the shared buffer towards the item's
-    /// destination process, forwarding the sealed contents if this worker
-    /// claimed the last slot.  `send` has already taken same-process items
-    /// down the bypass.
+    /// destination process, draining it if this worker claimed the last
+    /// slot.  `send` has already taken same-process items down the bypass.
     fn send_pp(&mut self, item: Item<Payload>) {
         let shared = self.shared;
         let dst_proc = shared.topo.proc_of_worker(item.dest);
@@ -657,18 +660,16 @@ impl<'a> NativeWorkerCtx<'a> {
         if self.has_timeout && self.pp_oldest_ns.is_none() {
             self.pp_oldest_ns = Some(self.now_cache);
         }
-        let buffer = &shared.pp[self.my_proc.idx()][dst_proc.idx()];
-        let mut pending = item;
+        let claim: &SegClaim<Item<Payload>> = &shared.pp[self.my_proc.idx()][dst_proc.idx()];
         let mut attempts = 0u32;
         loop {
-            match buffer.insert(pending) {
-                ClaimResult::Stored => break,
-                ClaimResult::Sealed(items) => {
-                    self.emit_pp(dst_proc, items, EmitReason::BufferFull);
+            match claim.insert(item) {
+                SegClaimInsert::Stored => break,
+                SegClaimInsert::MustDrain => {
+                    self.drain_pp(dst_proc, EmitReason::BufferFull);
                     break;
                 }
-                ClaimResult::Retry(value) => {
-                    pending = value;
+                SegClaimInsert::Retry => {
                     // A Retry means another worker is mid-drain of the sealed
                     // buffer; on an oversubscribed host it needs our CPU to
                     // finish, so escalate from spinning to yielding.
@@ -683,43 +684,47 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Ship drained PP items as one process-addressed slab to the
-    /// destination's group receiver, which groups it as it groups WPs.
-    fn emit_pp(&mut self, dst_proc: ProcId, items: Vec<Item<Payload>>, reason: EmitReason) {
-        if items.is_empty() {
+    /// Take the drain lock of the shared buffer towards `dst_proc` and ship
+    /// what it holds as one process-addressed slab to the destination's
+    /// group receiver, which groups it as it groups WPs.  Losing the lock is
+    /// fine: the holder's seal covers every slot claimed before it, ours
+    /// included.
+    fn drain_pp(&mut self, dst_proc: ProcId, reason: EmitReason) {
+        let shared = self.shared;
+        let claim: &SegClaim<Item<Payload>> = &shared.pp[self.my_proc.idx()][dst_proc.idx()];
+        if !claim.try_begin_drain(self.me.0) {
             return;
         }
-        let bytes = self.shared.tram.message_bytes(items.len());
-        self.pp_stats.record_message(items.len(), bytes, reason);
-        self.count_wire(items.len(), bytes, reason);
-        let dest = MessageDest::Process(dst_proc);
-        self.ship_slab(self.receiver_of(dest), dest, false, &items);
-    }
-
-    /// Seal-flush every shared PP buffer of this worker's process.
-    fn flush_pp(&mut self, reason: EmitReason) {
-        let shared = self.shared;
-        for dst in 0..shared.pp[self.my_proc.idx()].len() {
-            let items = shared.pp[self.my_proc.idx()][dst].seal_flush();
-            self.emit_pp(ProcId(dst as u32), items, reason);
+        let mut items = std::mem::take(&mut self.pp_drained);
+        claim.seal_flush(&mut items, || false);
+        if !items.is_empty() {
+            let bytes = shared.tram.message_bytes(items.len());
+            self.pp_stats.record_message(items.len(), bytes, reason);
+            self.count_wire(items.len(), bytes, reason);
+            let dest = MessageDest::Process(dst_proc);
+            self.ship_slab(self.receiver_of(dest), dest, false, &items);
         }
-        self.pp_oldest_ns = None;
+        items.clear();
+        self.pp_drained = items;
     }
 
-    /// Idle-flush the shared PP buffers whose destination `release` lets go;
-    /// empty buffers are left unsealed.  Returns whether any non-empty buffer
-    /// was held back.
-    fn flush_pp_where(&mut self, release: impl Fn(&Self, MessageDest) -> bool) -> bool {
+    /// Seal-flush every non-empty shared PP buffer of this worker's process
+    /// whose destination `release` lets go; empty buffers are left unsealed.
+    /// Returns whether any non-empty buffer was held back.
+    fn flush_pp_where(
+        &mut self,
+        reason: EmitReason,
+        release: impl Fn(&Self, MessageDest) -> bool,
+    ) -> bool {
         let shared = self.shared;
         let mut held = false;
-        for dst in 0..shared.pp[self.my_proc.idx()].len() {
-            let buffer = &shared.pp[self.my_proc.idx()][dst];
-            if buffer.claim_count() == 0 {
+        for (dst, claim) in shared.pp[self.my_proc.idx()].iter().enumerate() {
+            if claim.claim_count() == 0 {
                 continue;
             }
             let dst_proc = ProcId(dst as u32);
             if release(self, MessageDest::Process(dst_proc)) {
-                self.emit_pp(dst_proc, buffer.seal_flush(), EmitReason::IdleFlush);
+                self.drain_pp(dst_proc, reason);
             } else {
                 held = true;
             }
@@ -737,7 +742,8 @@ impl<'a> NativeWorkerCtx<'a> {
     /// every quiet quantum).
     fn flush_idle_where(&mut self, release: impl Fn(&Self, MessageDest) -> bool) -> bool {
         if self.shared.tram.scheme == Scheme::PP {
-            return self.shared.tram.flush_policy.on_idle && self.flush_pp_where(release);
+            return self.shared.tram.flush_policy.on_idle
+                && self.flush_pp_where(EmitReason::IdleFlush, release);
         }
         self.drain_aggregator(|agg, cx| agg.flush_on_idle_where(cx, release, Self::emit));
         false
@@ -761,7 +767,7 @@ impl<'a> NativeWorkerCtx<'a> {
             (self.pp_oldest_ns, self.shared.tram.flush_policy.timeout_ns)
         {
             if now.saturating_sub(oldest) >= timeout {
-                self.flush_pp(EmitReason::TimeoutFlush);
+                self.flush_pp_where(EmitReason::TimeoutFlush, |_, _| true);
             }
         }
     }
@@ -867,7 +873,7 @@ impl RunCtx for NativeWorkerCtx<'_> {
         self.flush_local();
         if self.shared.tram.scheme == Scheme::PP {
             self.pp_stats.record_flush_call();
-            self.flush_pp(EmitReason::ExplicitFlush);
+            self.flush_pp_where(EmitReason::ExplicitFlush, |_, _| true);
             return;
         }
         self.drain_aggregator(|agg, cx| agg.flush_each(|m| cx.emit(m)));

@@ -457,25 +457,52 @@ pub(crate) fn leader_main(shared: &Shared, node: u32, transport: Box<dyn Transpo
         if stopping {
             break;
         }
-        if did_work {
-            continue;
+        match leader_next(
+            did_work,
+            helped,
+            helped_seen,
+            post.awake.load(Ordering::Relaxed),
+        ) {
+            LeaderNext::Pump => continue,
+            LeaderNext::StandDown => {
+                standdowns += 1;
+                std::thread::park_timeout(STAND_DOWN);
+            }
+            LeaderNext::Nap => std::thread::sleep(LEADER_NAP),
         }
-        // Stand down only while a local worker is awake *and* has pumped
-        // since this thread last looked.  Awake workers that do not help
-        // (handlers, intra-node saturation) keep the nap cadence; the last
-        // one to nap, and the monitor raising `stop`, unpark us.
-        let helping = helped != helped_seen;
         helped_seen = helped;
-        if helping && post.awake.load(Ordering::Relaxed) > 0 {
-            standdowns += 1;
-            std::thread::park_timeout(STAND_DOWN);
-        } else {
-            std::thread::sleep(LEADER_NAP);
-        }
     }
     let mut leader = post.lock().take().expect("posted above, taken only here");
     leader.diag.leader_standdowns = standdowns;
     leader.finish(cx)
+}
+
+/// What the leader thread does after one pump.
+#[derive(Debug, PartialEq, Eq)]
+enum LeaderNext {
+    /// The pump moved something: pump again at once.
+    Pump,
+    /// Park for up to [`STAND_DOWN`]: a worker carries the wire.
+    StandDown,
+    /// Sleep for [`LEADER_NAP`].
+    Nap,
+}
+
+/// The leader thread's stand-down rule, from the pump's `did_work`, the
+/// node's count of worker pumps now (`helped`) and when the thread last
+/// looked (`helped_seen`), and how many local workers are `awake`.  Stand
+/// down only while a local worker is awake *and* has pumped since the last
+/// look.  Awake workers that do not help (handlers, intra-node saturation)
+/// keep the nap cadence; the last one to nap, and the monitor raising
+/// `stop`, unpark the thread.
+fn leader_next(did_work: bool, helped: u64, helped_seen: u64, awake: u32) -> LeaderNext {
+    if did_work {
+        LeaderNext::Pump
+    } else if helped != helped_seen && awake > 0 {
+        LeaderNext::StandDown
+    } else {
+        LeaderNext::Nap
+    }
 }
 
 /// The abort reason of a run whose node tier cut a link, from the leaders'
@@ -1151,6 +1178,19 @@ mod tests {
     use std::sync::Mutex;
     use tramlib::{Scheme, TramConfig};
     use transport::SimTransport;
+
+    #[test]
+    fn a_leader_stands_down_only_for_an_awake_worker_that_pumped() {
+        // A pump that moved something is followed by another pump,
+        // whoever helped.
+        assert_eq!(leader_next(true, 9, 3, 1), LeaderNext::Pump);
+        // An awake worker that pumped since the last look carries the wire.
+        assert_eq!(leader_next(false, 9, 3, 1), LeaderNext::StandDown);
+        // Awake but not pumping (a handler, intra-node saturation): nap.
+        assert_eq!(leader_next(false, 3, 3, 1), LeaderNext::Nap);
+        // Pumps happened, but every worker has gone to sleep since: nap.
+        assert_eq!(leader_next(false, 9, 3, 0), LeaderNext::Nap);
+    }
 
     /// A 2-node × 1-worker run's shared state with nothing running on it.
     fn two_node_shared() -> Shared {

@@ -1,65 +1,112 @@
-//! Bounded single-producer single-consumer ring buffer.
+//! Bounded single-producer single-consumer ring.
 //!
-//! The native runtime's delivery mesh is built out of these: one ring per
-//! (source worker, destination worker) pair, so every ring has exactly one
-//! producer and one consumer by construction and the acquire/release
-//! head/tail counters are all the synchronisation the data path needs.
-//! Batched variants ([`SpscRing::push_from`], [`SpscRing::pop_into`]) move
-//! bursts with a single counter publication; [`SpscRing::push_wait`] adds a
-//! spin → yield → park blocking push for single-direction links (an
-//! all-pairs mesh must never block a push — see `native-rt`).
+//! [`SegRing`] is the ring: a `#[repr(C)]` control block with head and tail
+//! on cache lines of their own, followed by the slots, all laid out in one
+//! region — a [`Segment`](crate::segment::Segment) offset on the process
+//! engine, a heap allocation owned by an [`SpscRing`] on the threaded one.
+//! The native delivery meshes give every ring exactly one producer and one
+//! consumer (one ring per source/destination worker pair), so the
+//! acquire/release head/tail counters are all the synchronisation the data
+//! path needs.  Batched variants ([`SegRing::push_from`],
+//! [`SegRing::pop_into`]) move bursts with a single counter publication.
+//!
+//! Items move through the slots by value, so a heap ring carries any `T`
+//! (the node tier's uplinks carry `Vec` batches) and [`SpscRing`] drops what
+//! is left unread.  A ring in shared segment memory ([`SegRing::init`],
+//! [`SegRing::attach`]) takes `Copy` plain old data only: its bytes must
+//! mean the same in every process — no pointers, no drop glue.
+//!
+//! Crash safety: a producer killed between its slot write and its tail store
+//! never publishes the item, so the consumer cannot observe a torn entry.
+//! A dead consumer's ring stays valid; the supervisor (which shares the
+//! mapping) drains it on the victim's behalf under the same protocol.
 
-use crossbeam_utils::CachePadded;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
-/// Backpressure escalation for [`SpscRing::push_wait`]: how many failed
-/// attempts to burn spinning before starting to yield the CPU, and how many
-/// yields before parking the thread for [`PARK_INTERVAL`] per attempt.
-///
-/// The schedule matters most on oversubscribed hosts (more runtime threads
-/// than cores): a full ring means the consumer needs CPU time to drain it, so
-/// a producer that keeps spinning is actively delaying its own unblocking.
-const SPIN_ATTEMPTS: u32 = 64;
-const YIELD_ATTEMPTS: u32 = 64;
-const PARK_INTERVAL: Duration = Duration::from_micros(50);
+use crate::segment::HeapRegion;
 
-/// A bounded SPSC ring buffer of `T`.
-///
-/// Exactly one thread may call [`SpscRing::push`] and exactly one thread may
-/// call [`SpscRing::pop`] at any time; this is enforced by convention (the
-/// native runtime gives each ring one producer worker and one consumer), and
-/// checked by the stress tests.
-pub struct SpscRing<T> {
-    buffer: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    capacity: usize,
-    head: CachePadded<AtomicU64>,
-    tail: CachePadded<AtomicU64>,
+/// In-region control block.  Head and tail sit on their own cache lines via
+/// explicit padding (layout must be identical in every attaching process, so
+/// no `CachePadded`).
+#[repr(C, align(64))]
+struct RingCtl {
+    head: AtomicU64,
+    _pad0: [u8; 56],
+    tail: AtomicU64,
+    _pad1: [u8; 56],
+    /// Capacity stamped at init; attach() cross-checks it.
+    capacity: u64,
+    _pad2: [u8; 56],
 }
 
-// SAFETY: the ring transfers ownership of `T` values from the single producer
-// to the single consumer; synchronisation is provided by the acquire/release
-// head/tail counters.
-unsafe impl<T: Send> Send for SpscRing<T> {}
-unsafe impl<T: Send> Sync for SpscRing<T> {}
+/// View over an SPSC ring laid out in a region at a fixed address.
+///
+/// Exactly one thread may push and exactly one thread may pop at any time;
+/// the users enforce this by construction (one producer worker and one
+/// consumer per ring), and the stress tests check it.
+pub struct SegRing<T> {
+    ctl: *mut RingCtl,
+    slots: *mut T,
+    capacity: usize,
+    _marker: PhantomData<T>,
+}
 
-impl<T> SpscRing<T> {
-    /// Create a ring that can hold up to `capacity` items.
-    pub fn new(capacity: usize) -> Self {
+// SAFETY: the ring moves `T` values from its single producer to its single
+// consumer; the acquire/release head/tail counters order every hand-off.
+unsafe impl<T: Send> Send for SegRing<T> {}
+unsafe impl<T: Send> Sync for SegRing<T> {}
+
+impl<T> SegRing<T> {
+    /// Required alignment of the reserved region.
+    pub const ALIGN: usize = 64;
+
+    /// Bytes this ring needs in its region (reserve with [`SegRing::ALIGN`]).
+    pub fn bytes_for(capacity: usize) -> usize {
         assert!(capacity > 0, "capacity must be positive");
-        let buffer = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        std::mem::size_of::<RingCtl>() + capacity * std::mem::size_of::<T>()
+    }
+
+    fn view(base: *mut u8, capacity: usize) -> Self {
+        assert!(std::mem::align_of::<T>() <= Self::ALIGN);
+        assert_eq!(base as usize % Self::ALIGN, 0, "region misaligned");
         Self {
-            buffer,
+            ctl: base.cast::<RingCtl>(),
+            // SAFETY (of the add): within the region sized by `bytes_for`.
+            slots: unsafe { base.add(std::mem::size_of::<RingCtl>()) }.cast::<T>(),
             capacity,
-            head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(0)),
+            _marker: PhantomData,
         }
+    }
+
+    /// Lay an empty ring out at `base`, for any `T`.
+    ///
+    /// # Safety
+    /// `base` must point at `bytes_for(capacity)` writable bytes reserved
+    /// for this ring, held exclusively until this returns, and alive for as
+    /// long as the view is used.
+    unsafe fn init_region(base: *mut u8, capacity: usize) -> Self {
+        let ring = Self::view(base, capacity);
+        // SAFETY: exclusive access during init per the function contract.
+        unsafe {
+            ring.ctl.write(RingCtl {
+                head: AtomicU64::new(0),
+                _pad0: [0; 56],
+                tail: AtomicU64::new(0),
+                _pad1: [0; 56],
+                capacity: capacity as u64,
+                _pad2: [0; 56],
+            });
+        }
+        ring
+    }
+
+    fn ctl(&self) -> &RingCtl {
+        // SAFETY: the view was constructed over a live, initialised region
+        // that outlives it (the `init`/`attach` contract, or the owner).
+        unsafe { &*self.ctl }
     }
 
     /// Capacity in items.
@@ -67,11 +114,12 @@ impl<T> SpscRing<T> {
         self.capacity
     }
 
-    /// Number of items currently queued.
+    /// Number of items currently queued (racy snapshot).
     pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
-        (tail - head) as usize
+        let tail = self.ctl().tail.load(Ordering::Acquire);
+        let head = self.ctl().head.load(Ordering::Acquire);
+        // The consumer may have passed the tail read above.
+        tail.saturating_sub(head) as usize
     }
 
     /// True if the ring holds no items.
@@ -79,142 +127,151 @@ impl<T> SpscRing<T> {
         self.len() == 0
     }
 
-    /// True if the ring is full.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
-    }
-
     /// Push one item.  Returns `Err(item)` if the ring is full.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
+        let ctl = self.ctl();
+        let tail = ctl.tail.load(Ordering::Relaxed);
+        let head = ctl.head.load(Ordering::Acquire);
         if (tail - head) as usize >= self.capacity {
             return Err(item);
         }
-        let slot = &self.buffer[(tail as usize) % self.capacity];
         // SAFETY: only the single producer writes this slot, and the consumer
-        // will not read it until the tail is published below.
-        unsafe { (*slot.get()).write(item) };
-        self.tail.store(tail + 1, Ordering::Release);
+        // will not read it until the tail is published below; the index is
+        // `tail % capacity`, in bounds.
+        unsafe { self.slots.add((tail as usize) % self.capacity).write(item) };
+        ctl.tail.store(tail + 1, Ordering::Release);
         Ok(())
-    }
-
-    /// Push one item, waiting (spin → yield → park escalation) while the ring
-    /// is full.  Blocks until the consumer makes room; for a cancellable wait
-    /// use [`SpscRing::push_wait_or`].
-    pub fn push_wait(&self, item: T) {
-        // `|| false` never cancels, so the push always lands.
-        if self.push_wait_or(item, || false).is_err() {
-            unreachable!("push_wait cannot be cancelled");
-        }
-    }
-
-    /// Push one item, waiting while the ring is full, unless `cancel` turns
-    /// true.  Returns `Err(item)` only if the wait was cancelled.
-    ///
-    /// The wait escalates: busy-spin for the first attempts (the consumer may
-    /// be mid-drain on another core), then yield the CPU (on oversubscribed
-    /// hosts the consumer needs our core to make progress), then park in
-    /// `PARK_INTERVAL` naps so a stalled consumer does not burn a core.
-    pub fn push_wait_or(&self, item: T, cancel: impl Fn() -> bool) -> Result<(), T> {
-        let mut pending = item;
-        let mut attempts = 0u32;
-        loop {
-            match self.push(pending) {
-                Ok(()) => return Ok(()),
-                Err(rejected) => {
-                    if cancel() {
-                        return Err(rejected);
-                    }
-                    pending = rejected;
-                    if attempts < SPIN_ATTEMPTS {
-                        std::hint::spin_loop();
-                    } else if attempts < SPIN_ATTEMPTS + YIELD_ATTEMPTS {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::park_timeout(PARK_INTERVAL);
-                    }
-                    attempts = attempts.saturating_add(1);
-                }
-            }
-        }
     }
 
     /// Batched push: move items from the front of `src` into the ring until
     /// the ring is full or `src` is empty, publishing the tail **once**.
     /// Returns how many items were moved; FIFO order is preserved.
     pub fn push_from(&self, src: &mut VecDeque<T>) -> usize {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
+        let ctl = self.ctl();
+        let tail = ctl.tail.load(Ordering::Relaxed);
+        let head = ctl.head.load(Ordering::Acquire);
         let room = self.capacity - (tail - head) as usize;
         let count = room.min(src.len());
-        for i in 0..count {
-            let item = src.pop_front().expect("counted items present");
-            let slot = &self.buffer[((tail + i as u64) as usize) % self.capacity];
-            // SAFETY: slots `tail..tail+count` are unclaimed (only the single
+        for (i, item) in src.drain(..count).enumerate() {
+            let slot = ((tail + i as u64) as usize) % self.capacity;
+            // SAFETY: slots `tail..tail+count` are free (only the single
             // producer writes them) and invisible to the consumer until the
             // single tail store below.
-            unsafe { (*slot.get()).write(item) };
+            unsafe { self.slots.add(slot).write(item) };
         }
         if count > 0 {
-            self.tail.store(tail + count as u64, Ordering::Release);
+            ctl.tail.store(tail + count as u64, Ordering::Release);
         }
         count
     }
 
     /// Pop one item, or `None` if the ring is empty.
     pub fn pop(&self) -> Option<T> {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
+        let ctl = self.ctl();
+        let head = ctl.head.load(Ordering::Relaxed);
+        let tail = ctl.tail.load(Ordering::Acquire);
         if head == tail {
             return None;
         }
-        let slot = &self.buffer[(head as usize) % self.capacity];
-        // SAFETY: the producer published this slot before advancing the tail,
-        // and only the single consumer reads it before advancing the head.
-        let item = unsafe { (*slot.get()).assume_init_read() };
-        self.head.store(head + 1, Ordering::Release);
+        // SAFETY: the producer published this slot before advancing the
+        // tail, and only the single consumer moves it out before advancing
+        // the head.
+        let item = unsafe { self.slots.add((head as usize) % self.capacity).read() };
+        ctl.head.store(head + 1, Ordering::Release);
         Some(item)
     }
 
     /// Batched pop: move up to `max` queued items into `out`, publishing the
     /// head **once**.  Returns how many items were moved.
     pub fn pop_into(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
+        let ctl = self.ctl();
+        let head = ctl.head.load(Ordering::Relaxed);
+        let tail = ctl.tail.load(Ordering::Acquire);
         let count = ((tail - head) as usize).min(max);
         out.reserve(count);
         for i in 0..count {
-            let slot = &self.buffer[((head + i as u64) as usize) % self.capacity];
+            let slot = ((head + i as u64) as usize) % self.capacity;
             // SAFETY: the producer published slots `head..tail` before its
             // tail store; they become reusable only after the single head
             // store below.
-            out.push(unsafe { (*slot.get()).assume_init_read() });
+            out.push(unsafe { self.slots.add(slot).read() });
         }
         if count > 0 {
-            self.head.store(head + count as u64, Ordering::Release);
+            ctl.head.store(head + count as u64, Ordering::Release);
         }
         count
     }
+}
 
-    /// Drain up to `max` items into a vector.
-    pub fn drain(&self, max: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        self.pop_into(&mut out, max);
-        out
+impl<T: Copy> SegRing<T> {
+    /// Initialise a ring in shared segment memory.  Creator-side, once.
+    ///
+    /// # Safety
+    /// `base` must point at `bytes_for(capacity)` writable bytes reserved for
+    /// this ring, no other process may touch the region before this returns,
+    /// and the region must outlive every use of the view.
+    pub unsafe fn init(base: *mut u8, capacity: usize) -> Self {
+        // SAFETY: forwarded contract.
+        unsafe { Self::init_region(base, capacity) }
+    }
+
+    /// Attach to a ring another process initialised at the same offset.
+    ///
+    /// # Safety
+    /// `base` must point at a region a cooperating process passed to
+    /// [`SegRing::init`] with the same `capacity` and element type `T`, and
+    /// the region must outlive every use of the view.
+    pub unsafe fn attach(base: *mut u8, capacity: usize) -> Self {
+        let ring = Self::view(base, capacity);
+        assert_eq!(
+            ring.ctl().capacity,
+            capacity as u64,
+            "ring capacity mismatch"
+        );
+        ring
+    }
+}
+
+/// A [`SegRing`] in a heap region of its own: the threaded engine's mesh
+/// and node-tier rings.  Derefs to the ring; dropping it drops every unread
+/// item and frees the region.
+pub struct SpscRing<T> {
+    ring: SegRing<T>,
+    _region: HeapRegion,
+}
+
+impl<T> SpscRing<T> {
+    /// Create a ring that can hold up to `capacity` items.
+    pub fn new(capacity: usize) -> Self {
+        let region = HeapRegion::new(SegRing::<T>::bytes_for(capacity), SegRing::<T>::ALIGN);
+        // SAFETY: a fresh region of the ring's size and alignment, owned
+        // next to the view for the ring's whole life.
+        let ring = unsafe { SegRing::init_region(region.base(), capacity) };
+        Self {
+            ring,
+            _region: region,
+        }
+    }
+}
+
+impl<T> Deref for SpscRing<T> {
+    type Target = SegRing<T>;
+
+    fn deref(&self) -> &SegRing<T> {
+        &self.ring
     }
 }
 
 impl<T> Drop for SpscRing<T> {
     fn drop(&mut self) {
-        // Drop any items still queued.
-        while self.pop().is_some() {}
+        while self.ring.pop().is_some() {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{SegHeader, Segment, SegmentLayout};
     use std::sync::Arc;
 
     #[test]
@@ -224,8 +281,7 @@ mod tests {
         for i in 0..4 {
             ring.push(i).unwrap();
         }
-        assert!(ring.is_full());
-        assert_eq!(ring.push(99), Err(99));
+        assert_eq!(ring.push(99), Err(99), "full ring rejects");
         assert_eq!(ring.len(), 4);
         for i in 0..4 {
             assert_eq!(ring.pop(), Some(i));
@@ -239,10 +295,11 @@ mod tests {
         for i in 0..6 {
             ring.push(i).unwrap();
         }
-        let first = ring.drain(4);
-        assert_eq!(first, vec![0, 1, 2, 3]);
-        let rest = ring.drain(100);
-        assert_eq!(rest, vec![4, 5]);
+        let mut out = Vec::new();
+        assert_eq!(ring.pop_into(&mut out, 4), 4);
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(ring.pop_into(&mut out, 100), 2);
+        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -265,14 +322,9 @@ mod tests {
         let producer = std::thread::spawn(move || {
             for i in 0..total {
                 let mut value = i;
-                loop {
-                    match producer_ring.push(value) {
-                        Ok(()) => break,
-                        Err(v) => {
-                            value = v;
-                            std::hint::spin_loop();
-                        }
-                    }
+                while let Err(v) = producer_ring.push(value) {
+                    value = v;
+                    std::hint::spin_loop();
                 }
             }
         });
@@ -315,53 +367,12 @@ mod tests {
         ring.push(0u64).unwrap();
         let mut src: VecDeque<u64> = (1..10).collect();
         assert_eq!(ring.push_from(&mut src), 2, "only the free slots fill");
-        assert!(ring.is_full());
+        assert_eq!(ring.len(), ring.capacity());
         assert_eq!(ring.push_from(&mut src), 0, "full ring accepts nothing");
         assert_eq!(src.len(), 7);
-        assert_eq!(ring.drain(10), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn push_wait_blocks_on_full_ring_until_consumer_drains() {
-        // Fill a tiny ring, then push_wait 10k more items while a consumer
-        // drains concurrently: every item must arrive exactly once, in order,
-        // across thousands of wraparounds of the full ring.
-        let ring = Arc::new(SpscRing::new(2));
-        ring.push(0u64).unwrap();
-        ring.push(1u64).unwrap();
-        assert!(ring.is_full());
-        let total = 10_000u64;
-        let producer_ring = ring.clone();
-        let producer = std::thread::spawn(move || {
-            for i in 2..total {
-                producer_ring.push_wait(i);
-            }
-        });
-        let consumer = std::thread::spawn(move || {
-            let mut expected = 0u64;
-            while expected < total {
-                if let Some(v) = ring.pop() {
-                    assert_eq!(v, expected, "push_wait must preserve FIFO");
-                    expected += 1;
-                }
-            }
-        });
-        producer.join().unwrap();
-        consumer.join().unwrap();
-    }
-
-    #[test]
-    fn push_wait_or_cancels_and_returns_the_item() {
-        let ring: SpscRing<u64> = SpscRing::new(1);
-        ring.push(7).unwrap();
-        // Cancel after a few failed attempts; the rejected item comes back.
-        let attempts = std::cell::Cell::new(0u32);
-        let result = ring.push_wait_or(8, || {
-            attempts.set(attempts.get() + 1);
-            attempts.get() > 5
-        });
-        assert_eq!(result, Err(8));
-        assert_eq!(ring.pop(), Some(7), "queued item undisturbed");
+        let mut out = Vec::new();
+        ring.pop_into(&mut out, 10);
+        assert_eq!(out, vec![0, 1, 2]);
     }
 
     #[test]
@@ -412,8 +423,56 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_ring_drops_every_unread_vec() {
+        // Each queued Vec holds one clone of `token`: the strong count is
+        // 1 + the number of Vecs still alive.
+        let token = Arc::new(0u64);
+        let ring: SpscRing<Vec<Arc<u64>>> = SpscRing::new(8);
+        for _ in 0..5 {
+            ring.push(vec![Arc::clone(&token)]).unwrap();
+        }
+        let read = ring.pop().expect("one queued batch");
+        drop(read);
+        assert_eq!(Arc::strong_count(&token), 5, "four unread, one read");
+        drop(ring);
+        assert_eq!(Arc::strong_count(&token), 1, "every unread Vec dropped");
+    }
+
+    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _: SpscRing<u32> = SpscRing::new(0);
+    }
+
+    fn ring_segment(capacity: usize) -> (Segment, usize) {
+        let mut layout = SegmentLayout::new();
+        let off = layout.reserve(SegRing::<u64>::bytes_for(capacity), SegRing::<u64>::ALIGN);
+        let seg = Segment::create(layout.total(), SegHeader::new(1, std::process::id()))
+            .expect("create segment");
+        (seg, off)
+    }
+
+    #[test]
+    fn attach_sees_initialised_state_and_checks_capacity() {
+        let (seg, off) = ring_segment(8);
+        // SAFETY: fresh region reserved for this ring; `seg` outlives both
+        // views.
+        let producer: SegRing<u64> = unsafe { SegRing::init(seg.at(off), 8) };
+        producer.push(7).unwrap();
+        // SAFETY: attaching to the region init'd above, same capacity/type.
+        let consumer: SegRing<u64> = unsafe { SegRing::attach(seg.at(off), 8) };
+        assert_eq!(consumer.pop(), Some(7));
+        assert_eq!(consumer.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring capacity mismatch")]
+    fn attach_rejects_a_capacity_mismatch() {
+        let (seg, off) = ring_segment(8);
+        // SAFETY: fresh region reserved for this ring.
+        let _ring: SegRing<u64> = unsafe { SegRing::init(seg.at(off), 8) };
+        // SAFETY: the region was initialised above; the capacity differs on
+        // purpose and attach must refuse it before touching a slot.
+        let _view: SegRing<u64> = unsafe { SegRing::attach(seg.at(off), 4) };
     }
 }

@@ -1,13 +1,15 @@
-//! The slab arena: the shared message store of the native delivery mesh.
+//! The slab arena: the shared message store of the native delivery meshes.
 //!
-//! A [`SlabArena`] is one contiguous backing store divided into fixed-capacity
-//! *slabs*.  Each worker owns one arena.  A worker buffers a message's items
-//! in private memory and, when the message ships, [`SlabArena::fill`] claims
-//! a slab, copies the items into it once and seals it.  What ships over the
-//! delivery mesh is then a 16-byte [`SlabHandle`] — the items never move
-//! again: the receiving worker borrows them as a slice straight out of the
-//! owner's backing store, and the last consumer puts the spent slab back on
-//! the owner's free list itself.
+//! A [`SegArena`] is one region divided into fixed-capacity *slabs*, laid
+//! out behind a `#[repr(C)]` control block and a per-slab metadata array —
+//! in a [`Segment`](crate::segment::Segment) on the process engine, in a
+//! heap region owned by a [`SlabArena`] on the threaded one.  Each worker
+//! owns one arena.  A worker buffers a message's items in private memory
+//! and, when the message ships, [`SegArena::fill`] claims a slab, copies the
+//! items into it once and seals it.  What ships over the delivery mesh is
+//! then a 16-byte [`SlabHandle`] — the items never move again: the receiving
+//! worker borrows them as a slice straight out of the owner's arena, and the
+//! last consumer puts the spent slab back on the owner's free list itself.
 //!
 //! # Lifecycle of one slab
 //!
@@ -22,35 +24,45 @@
 //! slab delivers its own index range and forwards the other per-worker ranges
 //! to its process peers as [`SlabRange`]s.  The per-slab `outstanding`
 //! consumer count tracks the split; the consumer whose
-//! [`SlabArena::finish_consumer`] drops it to zero releases the slab.
+//! [`SegArena::finish_consumer`] drops it to zero releases the slab.
 //!
 //! # Ownership and safety rules
 //!
-//! The arena itself only stores `Copy` plain-old-data (no drops, no leaks, no
+//! The arena only stores `Copy` plain old data (no drops, no leaks, no
 //! double-frees by construction).  Exclusive access to slab contents is a
 //! *protocol* property, enforced by the callers and checked by generation
 //! counters in debug builds:
 //!
 //! 1. Between `try_claim` and `seal`, the claiming (owner) thread is the only
 //!    one touching the slab's slots.
-//! 2. `seal` ends all writes.  The handle's journey over an SPSC ring
-//!    publishes them (release on push, acquire on pop).
+//! 2. `seal` ends all writes.  Its release store of `outstanding`, and the
+//!    handle's journey over an SPSC ring (release on push, acquire on pop),
+//!    publish them — the latter also to another *process*.
 //! 3. After `seal`, a thread may read (or, while it is the *sole* consumer,
 //!    reorder in place — the destination grouping pass) only the range it
 //!    received via a handle, and only until it calls `finish_consumer` for
 //!    that range.
 //! 4. `release` reopens the slab for the next claim.  It is called once,
 //!    by whichever thread's `finish_consumer` dropped `outstanding` to zero
-//!    (the owner's or a consumer's: the free list is a lock-free stack safe
-//!    from any thread), so reuse cannot race a straggling reader.
+//!    (the owner's or a consumer's, in any process: the free list is a
+//!    lock-free Treiber stack with an ABA tag, safe from any thread), so
+//!    reuse cannot race a straggling reader — and a slab whose owner *died*
+//!    still completes its lifecycle.
+//!
+//! After a worker dies mid-fill, its claimed-but-unsealed slabs are off the
+//! free list with `outstanding == 0` — what [`SegArena::audit`] calls
+//! leaked.  The supervisor reclaims them at settlement with
+//! [`SegArena::force_release_leaked`] (quiescence required), so the post-run
+//! audit balances with zero leaks.
 //!
 //! Every `unsafe` block below states which of these rules it relies on;
 //! `docs/DESIGN.md` §6 has the full memory-layout discussion.
 
-use crossbeam_utils::CachePadded;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+use crate::segment::HeapRegion;
 
 /// A sealed slab on its way through the delivery substrate: the slab index in
 /// its owner's arena, the number of valid items, and the generation at seal
@@ -104,393 +116,7 @@ pub struct ArenaStats {
     pub releases: u64,
 }
 
-/// Per-slab bookkeeping.
-struct SlabMeta {
-    /// Bumped on every release; lets debug builds catch use-after-release.
-    generation: AtomicU32,
-    /// Consumers still holding a range of this sealed slab.
-    outstanding: AtomicU32,
-    /// Next-pointer of the lock-free free list (`FREE_NIL` = end).
-    next_free: AtomicU32,
-}
-
-const FREE_NIL: u32 = u32::MAX;
-
-/// The free-list head and the tallies behind [`SlabArena::stats`].  Claims
-/// and misses come from the owner, releases from whichever thread finished
-/// a slab last — all relaxed, and all beside the head that every claim and
-/// release writes anyway, so counting costs no second cache line.
-#[derive(Default)]
-struct FreeList {
-    /// Head of the Treiber free list: upper 32 bits are an ABA tag, lower 32
-    /// the slab index (or `FREE_NIL`).
-    head: AtomicU64,
-    claims: AtomicU64,
-    misses: AtomicU64,
-    releases: AtomicU64,
-}
-
-/// A fixed arena of fixed-capacity slabs with generation-counted
-/// claim/release.  See the module docs for the protocol.
-pub struct SlabArena<T> {
-    /// Contiguous backing store: slab `s` owns slots
-    /// `s * slab_capacity .. (s + 1) * slab_capacity`.
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    slab_capacity: usize,
-    meta: Box<[SlabMeta]>,
-    /// On a line of its own: every consumer reads `slots` and `meta`, and a
-    /// head or counter write beside them would invalidate that line on
-    /// every claim and release.
-    free: CachePadded<FreeList>,
-}
-
-// SAFETY: the arena hands out access to its slots under the claim/seal/
-// release protocol documented above; all cross-thread hand-offs go through
-// release/acquire edges (the rings carrying handles, plus the `outstanding`
-// AcqRel counter).  `T: Copy` keeps the slots free of drop obligations, so
-// the only requirement is that `T` may move between threads.
-unsafe impl<T: Copy + Send> Send for SlabArena<T> {}
-unsafe impl<T: Copy + Send> Sync for SlabArena<T> {}
-
-impl<T: Copy> SlabArena<T> {
-    /// Create an arena of `slab_count` slabs of `slab_capacity` items each,
-    /// all initially free.
-    pub fn new(slab_count: usize, slab_capacity: usize) -> Self {
-        assert!(slab_count > 0, "arena needs at least one slab");
-        assert!(slab_capacity > 0, "slab capacity must be positive");
-        assert!(slab_count < FREE_NIL as usize, "slab count out of range");
-        let slots = (0..slab_count * slab_capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let meta: Box<[SlabMeta]> = (0..slab_count)
-            .map(|s| SlabMeta {
-                generation: AtomicU32::new(0),
-                outstanding: AtomicU32::new(0),
-                // Chain every slab into the initial free list.
-                next_free: AtomicU32::new(if s + 1 < slab_count {
-                    (s + 1) as u32
-                } else {
-                    FREE_NIL
-                }),
-            })
-            .collect();
-        Self {
-            slots,
-            slab_capacity,
-            meta,
-            free: CachePadded::new(FreeList::default()), // tag 0, slab 0
-        }
-    }
-
-    /// Number of slabs.
-    pub fn slab_count(&self) -> usize {
-        self.meta.len()
-    }
-
-    /// Items per slab.
-    pub fn slab_capacity(&self) -> usize {
-        self.slab_capacity
-    }
-
-    /// The arena's contiguous backing store as a raw byte range, for NUMA
-    /// placement of the whole allocation (the slabs are a layout *inside*
-    /// one allocation, so one `mbind` covers every slab).  The pointer is
-    /// only meant for page-granular memory-policy syscalls — reading or
-    /// writing through it outside the claim/seal protocol is not allowed.
-    pub fn backing_region(&self) -> (*const u8, usize) {
-        (
-            self.slots.as_ptr().cast::<u8>(),
-            std::mem::size_of_val::<[UnsafeCell<MaybeUninit<T>>]>(&self.slots),
-        )
-    }
-
-    /// Claim/miss/release statistics so far.
-    pub fn stats(&self) -> ArenaStats {
-        ArenaStats {
-            claims: self.free.claims.load(Ordering::Relaxed),
-            misses: self.free.misses.load(Ordering::Relaxed),
-            releases: self.free.releases.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Current generation of `slab`.
-    pub fn generation(&self, slab: u32) -> u32 {
-        self.meta[slab as usize].generation.load(Ordering::Relaxed)
-    }
-
-    /// Pop a free slab, or record a miss and return `None` (the caller falls
-    /// back to heap storage — the arena never blocks and never grows).
-    pub fn try_claim(&self) -> Option<u32> {
-        let mut head = self.free.head.load(Ordering::Acquire);
-        loop {
-            let slab = (head & 0xFFFF_FFFF) as u32;
-            if slab == FREE_NIL {
-                self.free.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            let next = self.meta[slab as usize].next_free.load(Ordering::Relaxed);
-            let tag = head >> 32;
-            let new_head = ((tag.wrapping_add(1)) << 32) | next as u64;
-            match self.free.head.compare_exchange_weak(
-                head,
-                new_head,
-                // AcqRel: the acquire half pairs with the releasing push so
-                // the claimer observes the released slab's final state; the
-                // release half publishes the pop to other claimants.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.free.claims.fetch_add(1, Ordering::Relaxed);
-                    debug_assert_eq!(
-                        self.meta[slab as usize].outstanding.load(Ordering::Relaxed),
-                        0,
-                        "claimed slab still has consumers"
-                    );
-                    return Some(slab);
-                }
-                Err(actual) => head = actual,
-            }
-        }
-    }
-
-    /// Write `value` into slot `index` of a claimed, unsealed slab.
-    ///
-    /// # Safety
-    /// The caller must be the thread that claimed `slab` (rule 1: claim →
-    /// seal gives it exclusive slot access), `index` must be within the slab
-    /// capacity, and the slab must not have been sealed yet.
-    #[inline]
-    pub unsafe fn write(&self, slab: u32, index: usize, value: T) {
-        debug_assert!(index < self.slab_capacity, "slab slot out of range");
-        let base = slab as usize * self.slab_capacity;
-        // SAFETY: exclusive access per the function contract; the slot index
-        // is in bounds per the debug assertion above (callers never pass
-        // `index >= slab_capacity` — they seal at capacity).
-        unsafe {
-            (*self.slots.get_unchecked(base + index).get()).write(value);
-        }
-    }
-
-    /// Claim a slab, copy `items` into it and seal it: the one way the
-    /// engines write a message into the arena.  Returns the handle to ship,
-    /// or `None` — counted as a miss — when the arena is dry.
-    ///
-    /// # Panics
-    /// Panics if `items` is longer than a slab.
-    pub fn fill(&self, items: &[T]) -> Option<SlabHandle> {
-        assert!(
-            items.len() <= self.slab_capacity,
-            "{} items overflow a {}-item slab",
-            items.len(),
-            self.slab_capacity
-        );
-        let slab = self.try_claim()?;
-        let base = slab as usize * self.slab_capacity;
-        // SAFETY: rule 1 — `try_claim` made this thread the slab's only user
-        // until the seal below; the assert keeps the copy inside the slab,
-        // and `items` (caller memory) cannot overlap the arena's slots.
-        unsafe {
-            let dst = UnsafeCell::raw_get(self.slots.as_ptr().add(base)).cast::<T>();
-            std::ptr::copy_nonoverlapping(items.as_ptr(), dst, items.len());
-        }
-        Some(self.seal(slab, items.len() as u32))
-    }
-
-    /// Seal a claimed slab with `len` written items: ends the fill phase and
-    /// registers one consumer.  The returned handle is what ships.
-    pub fn seal(&self, slab: u32, len: u32) -> SlabHandle {
-        debug_assert!(len as usize <= self.slab_capacity);
-        let meta = &self.meta[slab as usize];
-        debug_assert_eq!(
-            meta.outstanding.load(Ordering::Relaxed),
-            0,
-            "sealing a slab that still has consumers"
-        );
-        // Relaxed is enough: the handle (and therefore this count) only
-        // becomes visible to consumers through a ring push, whose release
-        // edge also publishes this store.
-        meta.outstanding.store(1, Ordering::Relaxed);
-        SlabHandle {
-            slab,
-            len,
-            generation: meta.generation.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Borrow `len` items of `slab` starting at `start`.
-    ///
-    /// # Safety
-    /// The caller must hold a live handle/range covering `start..start+len`
-    /// of a sealed slab (rule 3), and must not use the slice after calling
-    /// [`SlabArena::finish_consumer`] for that range.  Every slot in the
-    /// range must have been written before the seal.
-    #[inline]
-    pub unsafe fn slice(&self, slab: u32, start: u32, len: u32) -> &[T] {
-        let base = slab as usize * self.slab_capacity + start as usize;
-        debug_assert!(start as usize + len as usize <= self.slab_capacity);
-        // SAFETY: the range is initialised and stable per the function
-        // contract; `UnsafeCell<MaybeUninit<T>>` has the layout of `T` for
-        // the initialised prefix, so the cast is valid for reads.
-        unsafe {
-            std::slice::from_raw_parts(self.slots.as_ptr().add(base).cast::<T>(), len as usize)
-        }
-    }
-
-    /// Borrow `len` items of `slab` starting at `start`, mutably — the
-    /// destination grouping pass reorders a process-addressed slab in place
-    /// before splitting it into per-worker ranges.
-    ///
-    /// # Safety
-    /// As for [`SlabArena::slice`], plus: the caller must be the *sole*
-    /// consumer of the whole slab (`outstanding == 1`, before any ranges are
-    /// forwarded), so no other thread can observe the reordering.
-    #[expect(
-        clippy::mut_from_ref,
-        reason = "exclusive access is the function's safety contract"
-    )]
-    #[inline]
-    pub unsafe fn slice_mut(&self, slab: u32, start: u32, len: u32) -> &mut [T] {
-        let base = slab as usize * self.slab_capacity + start as usize;
-        debug_assert!(start as usize + len as usize <= self.slab_capacity);
-        debug_assert_eq!(
-            self.meta[slab as usize].outstanding.load(Ordering::Relaxed),
-            1,
-            "in-place reordering requires the sole consumer"
-        );
-        // SAFETY: initialised range + exclusive access per the contract.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                (self.slots.as_ptr().add(base) as *mut UnsafeCell<MaybeUninit<T>>).cast::<T>(),
-                len as usize,
-            )
-        }
-    }
-
-    /// Register `extra` additional consumers of a sealed slab *before*
-    /// forwarding their ranges (the add must be visible before any forwarded
-    /// consumer can finish).
-    pub fn add_consumers(&self, slab: u32, extra: u32) {
-        if extra == 0 {
-            return;
-        }
-        let prev = self.meta[slab as usize]
-            .outstanding
-            // Relaxed suffices for the counter itself (the forwarding ring
-            // push/pop orders it against the new consumer), but AcqRel keeps
-            // the protocol uniform with `finish_consumer`.
-            .fetch_add(extra, Ordering::AcqRel);
-        debug_assert!(prev >= 1, "adding consumers to an unsealed slab");
-    }
-
-    /// A consumer is done with its range.  Returns `true` for the last
-    /// consumer, which must [`SlabArena::release`] the slab.
-    pub fn finish_consumer(&self, slab: u32) -> bool {
-        // AcqRel: the release half orders this consumer's reads before the
-        // decrement; the acquire half makes every earlier consumer's reads
-        // visible to the last consumer (and, transitively through its
-        // free-list push, to the next claim).
-        let prev = self.meta[slab as usize]
-            .outstanding
-            .fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev >= 1, "finish without a matching consumer");
-        prev == 1
-    }
-
-    /// Reopen a finished slab: bump the generation and push it back on the
-    /// free list.  Called once, after `outstanding` hit zero, by the thread
-    /// whose `finish_consumer` got there (rule 4).
-    pub fn release(&self, slab: u32) {
-        let meta = &self.meta[slab as usize];
-        debug_assert_eq!(
-            meta.outstanding.load(Ordering::Relaxed),
-            0,
-            "releasing a slab that still has consumers"
-        );
-        meta.generation.fetch_add(1, Ordering::Relaxed);
-        self.free.releases.fetch_add(1, Ordering::Relaxed);
-        let mut head = self.free.head.load(Ordering::Acquire);
-        loop {
-            meta.next_free
-                .store((head & 0xFFFF_FFFF) as u32, Ordering::Relaxed);
-            let tag = head >> 32;
-            let new_head = ((tag.wrapping_add(1)) << 32) | slab as u64;
-            match self.free.head.compare_exchange_weak(
-                head,
-                new_head,
-                // Release publishes the generation bump (and, transitively,
-                // the consumers' finished reads) to the next claimant.
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(actual) => head = actual,
-            }
-        }
-    }
-
-    /// Number of slabs currently on the free list (O(n) walk; debugging and
-    /// tests only — the hot path never needs it).
-    pub fn free_slabs(&self) -> usize {
-        let mut n = 0;
-        let mut cur = (self.free.head.load(Ordering::Acquire) & 0xFFFF_FFFF) as u32;
-        while cur != FREE_NIL && n <= self.meta.len() {
-            n += 1;
-            cur = self.meta[cur as usize].next_free.load(Ordering::Relaxed);
-        }
-        n
-    }
-
-    /// Reclamation audit: classify every slab as free, in flight, or leaked,
-    /// and flag free-list corruption.
-    ///
-    /// Walks the free list (marking each slab, counting repeats as
-    /// `double_released`), then classifies every off-list slab by its
-    /// `outstanding` refcount: positive means a consumer still holds it
-    /// (in flight), zero means the owner lost it without releasing (leaked).
-    /// `free + in_flight + leaked == slabs` whenever the books balance — the
-    /// invariant a non-clean teardown (and, later, multi-process segment
-    /// detach) must reconcile.
-    ///
-    /// The walk is O(n) and unsynchronized; call it only on a quiescent
-    /// arena (after every worker thread has stopped).
-    pub fn audit(&self) -> SlabAudit {
-        let n = self.meta.len();
-        let mut on_free = vec![false; n];
-        let mut audit = SlabAudit {
-            slabs: n as u32,
-            ..SlabAudit::default()
-        };
-        let mut cur = (self.free.head.load(Ordering::Acquire) & 0xFFFF_FFFF) as u32;
-        let mut hops = 0;
-        while cur != FREE_NIL && hops <= n {
-            if on_free[cur as usize] {
-                // A cycle: some slab was pushed twice.  Counted once; the
-                // walk must stop or it would spin forever.
-                audit.double_released += 1;
-                break;
-            }
-            on_free[cur as usize] = true;
-            audit.free += 1;
-            cur = self.meta[cur as usize].next_free.load(Ordering::Relaxed);
-            hops += 1;
-        }
-        for (s, free) in on_free.iter().enumerate() {
-            if *free {
-                continue;
-            }
-            if self.meta[s].outstanding.load(Ordering::Relaxed) > 0 {
-                audit.in_flight += 1;
-            } else {
-                audit.leaked += 1;
-            }
-        }
-        audit
-    }
-}
-
-/// Result of [`SlabArena::audit`]: every slab classified into exactly one of
+/// Result of [`SegArena::audit`]: every slab classified into exactly one of
 /// free / in-flight / leaked, plus a corruption flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SlabAudit {
@@ -515,19 +141,535 @@ impl SlabAudit {
     }
 }
 
-impl<T: Copy> std::fmt::Debug for SlabArena<T> {
+const FREE_NIL: u32 = u32::MAX;
+
+/// In-region control block (explicit padding; identical layout everywhere).
+/// Claims and misses come from the owner, releases from whichever thread
+/// finished a slab last — all relaxed, and all on the line after the
+/// free-list head, so a tally never invalidates the line every consumer
+/// reads the geometry from.
+#[repr(C, align(64))]
+struct ArenaCtl {
+    /// Treiber free-list head: upper 32 bits ABA tag, lower 32 slab index.
+    free_head: AtomicU64,
+    _pad0: [u8; 56],
+    claims: AtomicU64,
+    misses: AtomicU64,
+    releases: AtomicU64,
+    _pad1: [u8; 40],
+    slab_count: u64,
+    slab_capacity: u64,
+    _pad2: [u8; 48],
+}
+
+/// Per-slab bookkeeping.
+#[repr(C)]
+struct SlabMeta {
+    /// Bumped on every release; lets debug builds catch use-after-release.
+    generation: AtomicU32,
+    /// Consumers still holding a range of this sealed slab.
+    outstanding: AtomicU32,
+    /// Next-pointer of the lock-free free list (`FREE_NIL` = end).
+    next_free: AtomicU32,
+    _pad: u32,
+}
+
+/// View over a slab arena laid out in a region at a fixed address.  See the
+/// module docs for the protocol.
+pub struct SegArena<T> {
+    ctl: *mut ArenaCtl,
+    meta: *mut SlabMeta,
+    /// Slab `s` owns slots `s * slab_capacity .. (s + 1) * slab_capacity`.
+    slots: *mut T,
+    slab_count: usize,
+    slab_capacity: usize,
+    _marker: PhantomData<T>,
+}
+
+// SAFETY: access to slots follows the claim/seal/release protocol of the
+// module docs; every cross-thread (and cross-process) hand-off rides a
+// release/acquire edge (the rings carrying handles, the `outstanding` AcqRel
+// counter, the free-list CAS).  `T: Copy` keeps the slots free of drop
+// obligations.
+unsafe impl<T: Copy + Send> Send for SegArena<T> {}
+unsafe impl<T: Copy + Send> Sync for SegArena<T> {}
+
+impl<T: Copy> SegArena<T> {
+    /// Required alignment of the reserved region.
+    pub const ALIGN: usize = 64;
+
+    /// Bytes this arena needs in its region.
+    pub fn bytes_for(slab_count: usize, slab_capacity: usize) -> usize {
+        assert!(slab_count > 0, "arena needs at least one slab");
+        assert!(slab_capacity > 0, "slab capacity must be positive");
+        assert!(slab_count < FREE_NIL as usize, "slab count out of range");
+        Self::slots_offset(slab_count) + slab_count * slab_capacity * std::mem::size_of::<T>()
+    }
+
+    /// Slots start at the first cache line after the metadata.
+    fn slots_offset(slab_count: usize) -> usize {
+        let meta_end =
+            std::mem::size_of::<ArenaCtl>() + slab_count * std::mem::size_of::<SlabMeta>();
+        meta_end.div_ceil(64) * 64
+    }
+
+    fn view(base: *mut u8, slab_count: usize, slab_capacity: usize) -> Self {
+        assert!(std::mem::align_of::<T>() <= Self::ALIGN);
+        assert_eq!(base as usize % Self::ALIGN, 0, "region misaligned");
+        Self {
+            ctl: base.cast::<ArenaCtl>(),
+            // SAFETY (of the adds): offsets are within the region sized by
+            // `bytes_for` with the same parameters.
+            meta: unsafe { base.add(std::mem::size_of::<ArenaCtl>()) }.cast::<SlabMeta>(),
+            slots: unsafe { base.add(Self::slots_offset(slab_count)) }.cast::<T>(),
+            slab_count,
+            slab_capacity,
+            _marker: PhantomData,
+        }
+    }
+
+    /// Initialise an arena in its region, every slab free.
+    ///
+    /// # Safety
+    /// `base` must point at `bytes_for(slab_count, slab_capacity)` writable
+    /// bytes reserved for this arena, exclusively held during init, and
+    /// alive for as long as the view is used.
+    pub unsafe fn init(base: *mut u8, slab_count: usize, slab_capacity: usize) -> Self {
+        let arena = Self::view(base, slab_count, slab_capacity);
+        // SAFETY: exclusive access during init per the function contract;
+        // `bytes_for` sized the region for the control block and
+        // `slab_count` metadata entries.
+        unsafe {
+            arena.ctl.write(ArenaCtl {
+                free_head: AtomicU64::new(0), // tag 0, slab 0
+                _pad0: [0; 56],
+                claims: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
+                releases: AtomicU64::new(0),
+                _pad1: [0; 40],
+                slab_count: slab_count as u64,
+                slab_capacity: slab_capacity as u64,
+                _pad2: [0; 48],
+            });
+            for s in 0..slab_count {
+                // Chain every slab into the initial free list.
+                let next = if s + 1 < slab_count {
+                    (s + 1) as u32
+                } else {
+                    FREE_NIL
+                };
+                arena.meta.add(s).write(SlabMeta {
+                    generation: AtomicU32::new(0),
+                    outstanding: AtomicU32::new(0),
+                    next_free: AtomicU32::new(next),
+                    _pad: 0,
+                });
+            }
+        }
+        arena
+    }
+
+    /// Attach to an arena another process initialised at the same offset.
+    ///
+    /// # Safety
+    /// `base` must point at a region a cooperating process passed to
+    /// [`SegArena::init`] with the same geometry and element type `T`, and
+    /// the region must outlive every use of the view.
+    pub unsafe fn attach(base: *mut u8, slab_count: usize, slab_capacity: usize) -> Self {
+        let arena = Self::view(base, slab_count, slab_capacity);
+        let ctl = arena.ctl();
+        assert_eq!(
+            ctl.slab_count, slab_count as u64,
+            "arena slab count mismatch"
+        );
+        assert_eq!(
+            ctl.slab_capacity, slab_capacity as u64,
+            "arena slab capacity mismatch"
+        );
+        arena
+    }
+
+    fn ctl(&self) -> &ArenaCtl {
+        // SAFETY: constructed over a live region that outlives every view.
+        unsafe { &*self.ctl }
+    }
+
+    fn meta(&self, slab: u32) -> &SlabMeta {
+        assert!((slab as usize) < self.slab_count, "slab index out of range");
+        // SAFETY: index checked; the metadata array outlives every view.
+        unsafe { &*self.meta.add(slab as usize) }
+    }
+
+    /// Number of slabs.
+    pub fn slab_count(&self) -> usize {
+        self.slab_count
+    }
+
+    /// Items per slab.
+    pub fn slab_capacity(&self) -> usize {
+        self.slab_capacity
+    }
+
+    /// The arena's slots as a raw byte range, for NUMA placement (the slabs
+    /// are a layout *inside* one region, so one `mbind` covers every slab).
+    /// The pointer is only meant for page-granular memory-policy syscalls —
+    /// reading or writing through it outside the claim/seal protocol is not
+    /// allowed.
+    pub fn backing_region(&self) -> (*const u8, usize) {
+        (
+            self.slots.cast_const().cast::<u8>(),
+            self.slab_count * self.slab_capacity * std::mem::size_of::<T>(),
+        )
+    }
+
+    /// Claim/miss/release statistics so far.
+    pub fn stats(&self) -> ArenaStats {
+        let ctl = self.ctl();
+        ArenaStats {
+            claims: ctl.claims.load(Ordering::Relaxed),
+            misses: ctl.misses.load(Ordering::Relaxed),
+            releases: ctl.releases.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Current generation of `slab`.
+    pub fn generation(&self, slab: u32) -> u32 {
+        self.meta(slab).generation.load(Ordering::Relaxed)
+    }
+
+    /// Pop a free slab, or record a miss and return `None` (the caller falls
+    /// back to shipping items singly — the arena never blocks, never grows).
+    pub fn try_claim(&self) -> Option<u32> {
+        let ctl = self.ctl();
+        let mut head = ctl.free_head.load(Ordering::Acquire);
+        loop {
+            let slab = (head & 0xFFFF_FFFF) as u32;
+            if slab == FREE_NIL {
+                ctl.misses.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+            let next = self.meta(slab).next_free.load(Ordering::Relaxed);
+            let tag = head >> 32;
+            let new_head = ((tag.wrapping_add(1)) << 32) | next as u64;
+            match ctl.free_head.compare_exchange_weak(
+                head,
+                new_head,
+                // AcqRel: acquire pairs with the releasing push so the claimer
+                // observes the released slab's final state; release publishes
+                // the pop to other claimants.
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => {
+                    ctl.claims.fetch_add(1, Ordering::Relaxed);
+                    debug_assert_eq!(
+                        self.meta(slab).outstanding.load(Ordering::Relaxed),
+                        0,
+                        "claimed slab still has consumers"
+                    );
+                    return Some(slab);
+                }
+                Err(actual) => head = actual,
+            }
+        }
+    }
+
+    /// Write `value` into slot `index` of a claimed, unsealed slab.
+    ///
+    /// # Safety
+    /// The caller must be the thread that claimed `slab` (rule 1: claim →
+    /// seal gives it exclusive slot access), `index` must be within the slab
+    /// capacity, and the slab must not have been sealed yet.
+    #[inline]
+    pub unsafe fn write(&self, slab: u32, index: usize, value: T) {
+        debug_assert!(index < self.slab_capacity, "slab slot out of range");
+        debug_assert!((slab as usize) < self.slab_count);
+        // SAFETY: exclusive access per the function contract; in bounds per
+        // the contract (callers seal at capacity).
+        unsafe {
+            self.slots
+                .add(slab as usize * self.slab_capacity + index)
+                .write(value);
+        }
+    }
+
+    /// Claim a slab, copy `items` into it and seal it: the one way the
+    /// engines write a message into the arena.  Returns the handle to ship,
+    /// or `None` — counted as a miss — when the arena is dry.
+    ///
+    /// # Panics
+    /// Panics if `items` is longer than a slab.
+    pub fn fill(&self, items: &[T]) -> Option<SlabHandle> {
+        assert!(
+            items.len() <= self.slab_capacity,
+            "{} items overflow a {}-item slab",
+            items.len(),
+            self.slab_capacity
+        );
+        let slab = self.try_claim()?;
+        // SAFETY: rule 1 — `try_claim` made this thread the slab's only user
+        // until the seal below; the assert keeps the copy inside the slab,
+        // and `items` (private memory) cannot overlap the arena's slots.
+        unsafe {
+            let dst = self.slots.add(slab as usize * self.slab_capacity);
+            std::ptr::copy_nonoverlapping(items.as_ptr(), dst, items.len());
+        }
+        Some(self.seal(slab, items.len() as u32))
+    }
+
+    /// Seal a claimed slab with `len` written items: ends the fill phase and
+    /// registers one consumer.  The returned handle is what ships.
+    pub fn seal(&self, slab: u32, len: u32) -> SlabHandle {
+        debug_assert!(len as usize <= self.slab_capacity);
+        let meta = self.meta(slab);
+        debug_assert_eq!(
+            meta.outstanding.load(Ordering::Relaxed),
+            0,
+            "sealing a slab that still has consumers"
+        );
+        // Release: the handle may reach another *process* through memory the
+        // compiler knows nothing about, so the slot writes and this count are
+        // published here rather than relying solely on the ring's release
+        // edge.
+        meta.outstanding.store(1, Ordering::Release);
+        SlabHandle {
+            slab,
+            len,
+            generation: meta.generation.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Borrow `len` items of `slab` starting at `start`.
+    ///
+    /// # Safety
+    /// The caller must hold a live handle/range covering `start..start+len`
+    /// of a sealed slab (rule 3), and must not use the slice after calling
+    /// [`SegArena::finish_consumer`] for that range.  Every slot in the
+    /// range must have been written before the seal.
+    #[inline]
+    pub unsafe fn slice(&self, slab: u32, start: u32, len: u32) -> &[T] {
+        debug_assert!(start as usize + len as usize <= self.slab_capacity);
+        let base = slab as usize * self.slab_capacity + start as usize;
+        // SAFETY: initialised, stable range per the function contract.
+        unsafe { std::slice::from_raw_parts(self.slots.add(base).cast_const(), len as usize) }
+    }
+
+    /// Borrow `len` items of `slab` starting at `start`, mutably — the
+    /// destination grouping pass reorders a process-addressed slab in place
+    /// before splitting it into per-worker ranges.
+    ///
+    /// # Safety
+    /// As for [`SegArena::slice`], plus: the caller must be the *sole*
+    /// consumer of the whole slab (`outstanding == 1`, before any ranges are
+    /// forwarded), so no other thread can observe the reordering.
+    #[expect(
+        clippy::mut_from_ref,
+        reason = "exclusive access is the function's safety contract"
+    )]
+    #[inline]
+    pub unsafe fn slice_mut(&self, slab: u32, start: u32, len: u32) -> &mut [T] {
+        debug_assert!(start as usize + len as usize <= self.slab_capacity);
+        debug_assert_eq!(
+            self.meta(slab).outstanding.load(Ordering::Relaxed),
+            1,
+            "in-place reordering requires the sole consumer"
+        );
+        let base = slab as usize * self.slab_capacity + start as usize;
+        // SAFETY: initialised range + exclusive access per the contract.
+        unsafe { std::slice::from_raw_parts_mut(self.slots.add(base), len as usize) }
+    }
+
+    /// Register `extra` additional consumers of a sealed slab *before*
+    /// forwarding their ranges (the add must be visible before any forwarded
+    /// consumer can finish).
+    pub fn add_consumers(&self, slab: u32, extra: u32) {
+        if extra == 0 {
+            return;
+        }
+        // Relaxed would do for the counter itself (the forwarding ring
+        // push/pop orders it against the new consumer), but AcqRel keeps the
+        // protocol uniform with `finish_consumer`.
+        let prev = self
+            .meta(slab)
+            .outstanding
+            .fetch_add(extra, Ordering::AcqRel);
+        debug_assert!(prev >= 1, "adding consumers to an unsealed slab");
+    }
+
+    /// A consumer is done with its range.  Returns `true` for the last
+    /// consumer, which must [`SegArena::release`] the slab.
+    pub fn finish_consumer(&self, slab: u32) -> bool {
+        // AcqRel: the release half orders this consumer's reads before the
+        // decrement; the acquire half makes every earlier consumer's reads
+        // visible to the last consumer (and, transitively through its
+        // free-list push, to the next claim).
+        let prev = self.meta(slab).outstanding.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(prev >= 1, "finish without a matching consumer");
+        prev == 1
+    }
+
+    /// Reopen a finished slab: bump the generation and push it back on the
+    /// free list.  Called once, after `outstanding` hit zero, by the thread
+    /// whose `finish_consumer` got there (rule 4); the supervisor calls it
+    /// for slabs of dead workers.
+    pub fn release(&self, slab: u32) {
+        let meta = self.meta(slab);
+        debug_assert_eq!(
+            meta.outstanding.load(Ordering::Relaxed),
+            0,
+            "releasing a slab that still has consumers"
+        );
+        meta.generation.fetch_add(1, Ordering::Relaxed);
+        let ctl = self.ctl();
+        ctl.releases.fetch_add(1, Ordering::Relaxed);
+        let mut head = ctl.free_head.load(Ordering::Acquire);
+        loop {
+            meta.next_free
+                .store((head & 0xFFFF_FFFF) as u32, Ordering::Relaxed);
+            let tag = head >> 32;
+            let new_head = ((tag.wrapping_add(1)) << 32) | slab as u64;
+            match ctl.free_head.compare_exchange_weak(
+                head,
+                new_head,
+                // Release publishes the generation bump (and, transitively,
+                // the consumers' finished reads) to the next claimant.
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return,
+                Err(actual) => head = actual,
+            }
+        }
+    }
+
+    /// Mark the slabs on the free list; stops at a cycle (a slab pushed
+    /// twice) and returns how many it met twice (0 or 1).  O(n) and
+    /// unsynchronized: a quiescent arena only.
+    fn walk_free_list(&self, on_free: &mut [bool]) -> u32 {
+        let mut cur = (self.ctl().free_head.load(Ordering::Acquire) & 0xFFFF_FFFF) as u32;
+        while cur != FREE_NIL {
+            if on_free[cur as usize] {
+                return 1;
+            }
+            on_free[cur as usize] = true;
+            cur = self.meta(cur).next_free.load(Ordering::Relaxed);
+        }
+        0
+    }
+
+    /// Number of slabs currently on the free list (O(n) walk; debugging and
+    /// tests only — the hot path never needs it).
+    pub fn free_slabs(&self) -> usize {
+        let mut on_free = vec![false; self.slab_count];
+        self.walk_free_list(&mut on_free);
+        on_free.iter().filter(|free| **free).count()
+    }
+
+    /// Reclamation audit: classify every slab as free, in flight, or leaked,
+    /// and flag free-list corruption.
+    ///
+    /// Walks the free list (marking each slab, counting a repeat as
+    /// `double_released`), then classifies every off-list slab by its
+    /// `outstanding` refcount: positive means a consumer still holds it
+    /// (in flight), zero means the owner lost it without releasing (leaked).
+    /// `free + in_flight + leaked == slabs` whenever the books balance — the
+    /// invariant a non-clean teardown and a dead worker's settlement must
+    /// reconcile.
+    ///
+    /// The walk is O(n) and unsynchronized; call it only on a quiescent
+    /// arena (after every worker has stopped).
+    pub fn audit(&self) -> SlabAudit {
+        let mut on_free = vec![false; self.slab_count];
+        let mut audit = SlabAudit {
+            slabs: self.slab_count as u32,
+            double_released: self.walk_free_list(&mut on_free),
+            ..SlabAudit::default()
+        };
+        for (s, free) in on_free.iter().enumerate() {
+            if *free {
+                audit.free += 1;
+            } else if self.meta(s as u32).outstanding.load(Ordering::Relaxed) > 0 {
+                audit.in_flight += 1;
+            } else {
+                audit.leaked += 1;
+            }
+        }
+        audit
+    }
+
+    /// Supervisor-side settlement: put every off-list slab back on the free
+    /// list, regardless of its `outstanding` count, and return how many were
+    /// reclaimed — a killed worker's claimed-but-unsealed slabs (audit class
+    /// *leaked*) and stranded in-flight slabs both come home here.
+    ///
+    /// Call only on a **quiescent** arena (all workers stopped or dead, every
+    /// ring drained): the walk is unsynchronized and a live consumer would
+    /// race the forced release.
+    pub fn force_release_leaked(&self) -> u32 {
+        let mut on_free = vec![false; self.slab_count];
+        // A corrupt list: reclaim what the walk can see.
+        self.walk_free_list(&mut on_free);
+        let mut reclaimed = 0;
+        for (s, free) in on_free.iter().enumerate() {
+            if *free {
+                continue;
+            }
+            self.meta(s as u32).outstanding.store(0, Ordering::Relaxed);
+            self.release(s as u32);
+            reclaimed += 1;
+        }
+        reclaimed
+    }
+}
+
+impl<T: Copy> std::fmt::Debug for SegArena<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlabArena")
-            .field("slab_count", &self.slab_count())
+        f.debug_struct("SegArena")
+            .field("slab_count", &self.slab_count)
             .field("slab_capacity", &self.slab_capacity)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
+/// A [`SegArena`] in a heap region of its own: the threaded engine's
+/// per-worker arenas.  Derefs to the arena; dropping it frees the region.
+pub struct SlabArena<T> {
+    arena: SegArena<T>,
+    _region: HeapRegion,
+}
+
+impl<T: Copy> SlabArena<T> {
+    /// Create an arena of `slab_count` slabs of `slab_capacity` items each,
+    /// all initially free.
+    pub fn new(slab_count: usize, slab_capacity: usize) -> Self {
+        let region = HeapRegion::new(
+            SegArena::<T>::bytes_for(slab_count, slab_capacity),
+            SegArena::<T>::ALIGN,
+        );
+        // SAFETY: a fresh region of the arena's size and alignment, owned
+        // next to the view for the arena's whole life.
+        let arena = unsafe { SegArena::init(region.base(), slab_count, slab_capacity) };
+        Self {
+            arena,
+            _region: region,
+        }
+    }
+}
+
+impl<T> Deref for SlabArena<T> {
+    type Target = SegArena<T>;
+
+    fn deref(&self) -> &SegArena<T> {
+        &self.arena
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{SegHeader, Segment, SegmentLayout};
+    use std::sync::Arc;
 
     #[test]
     fn claim_fill_seal_borrow_release_round_trip() {
@@ -682,5 +824,95 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _: SlabArena<u8> = SlabArena::new(4, 0);
+    }
+
+    #[test]
+    fn force_release_reclaims_leaked_and_in_flight_slabs() {
+        let arena: SlabArena<u64> = SlabArena::new(4, 2);
+        // A dead worker's wake: one claimed-never-sealed (leaked), one sealed
+        // and stranded in flight.
+        let _lost = arena.try_claim().unwrap();
+        let stranded = arena.try_claim().unwrap();
+        arena.seal(stranded, 1);
+        let before = arena.audit();
+        assert_eq!((before.free, before.in_flight, before.leaked), (2, 1, 1));
+        assert_eq!(arena.force_release_leaked(), 2);
+        let after = arena.audit();
+        assert_eq!(
+            (
+                after.free,
+                after.in_flight,
+                after.leaked,
+                after.unaccounted()
+            ),
+            (4, 0, 0, 0),
+            "settlement must balance the books: {after:?}"
+        );
+        assert_eq!(arena.free_slabs(), 4);
+    }
+
+    #[test]
+    fn concurrent_claim_release_across_threads_conserves_slabs() {
+        // Hammer the free list from several threads: consumers release
+        // slabs they do not own, so the list must be MPMC-safe.
+        let arena: Arc<SlabArena<u64>> = Arc::new(SlabArena::new(8, 1));
+        let rounds = 20_000;
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let arena = arena.clone();
+                std::thread::spawn(move || {
+                    let mut claimed = 0u64;
+                    for _ in 0..rounds {
+                        if let Some(h) = arena.fill(&[7]) {
+                            claimed += 1;
+                            assert!(arena.finish_consumer(h.slab));
+                            arena.release(h.slab);
+                        }
+                    }
+                    claimed
+                })
+            })
+            .collect();
+        let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert!(total > 0);
+        assert_eq!(arena.free_slabs(), 8, "every slab back on the free list");
+        let audit = arena.audit();
+        assert_eq!((audit.leaked, audit.double_released), (0, 0));
+    }
+
+    fn arena_segment(slabs: usize, cap: usize) -> (Segment, usize) {
+        let mut layout = SegmentLayout::new();
+        let off = layout.reserve(
+            SegArena::<u64>::bytes_for(slabs, cap),
+            SegArena::<u64>::ALIGN,
+        );
+        let seg = Segment::create(layout.total(), SegHeader::new(1, std::process::id()))
+            .expect("create segment");
+        (seg, off)
+    }
+
+    #[test]
+    fn attach_checks_geometry() {
+        let (seg, off) = arena_segment(2, 4);
+        // SAFETY: fresh region reserved for this arena; `seg` outlives both
+        // views.
+        let arena: SegArena<u64> = unsafe { SegArena::init(seg.at(off), 2, 4) };
+        let handle = arena.fill(&[5, 6]).unwrap();
+        // SAFETY: attaching to the region init'd above, same geometry.
+        let view: SegArena<u64> = unsafe { SegArena::attach(seg.at(off), 2, 4) };
+        assert_eq!((view.slab_count(), view.slab_capacity()), (2, 4));
+        // SAFETY: live handle over a sealed slab, filled through `arena`.
+        assert_eq!(unsafe { view.slice(handle.slab, 0, handle.len) }, &[5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arena slab capacity mismatch")]
+    fn attach_rejects_a_geometry_mismatch() {
+        let (seg, off) = arena_segment(2, 4);
+        // SAFETY: fresh region reserved for this arena.
+        let _arena: SegArena<u64> = unsafe { SegArena::init(seg.at(off), 2, 4) };
+        // SAFETY: the region was initialised above; the capacity differs on
+        // purpose and attach must refuse it before touching a slab.
+        let _view: SegArena<u64> = unsafe { SegArena::attach(seg.at(off), 2, 2) };
     }
 }

@@ -1,7 +1,8 @@
-//! Property tests for the lock-free [`shmem::ClaimBuffer`]: for any
-//! (capacity, inserter count, items-per-inserter, flush cadence) combination,
-//! racing inserters and an explicit `seal_flush` caller must conserve every
-//! item exactly once.
+//! Property tests for the lock-free [`shmem::ClaimBuffer`] — the one PP
+//! protocol of `shmem::SegClaim`, stamps and drain lock, on a heap region:
+//! for any (capacity, inserter count, items-per-inserter, flush cadence)
+//! combination, racing inserters and an explicit `seal_flush` caller must
+//! conserve every item exactly once.
 
 use proptest::prelude::*;
 use shmem::{ClaimBuffer, ClaimResult};

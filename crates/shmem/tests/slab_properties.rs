@@ -1,4 +1,5 @@
-//! Property and stress tests for the [`shmem::SlabArena`]: for any
+//! Property and stress tests for the [`shmem::SlabArena`] (the one arena
+//! protocol of `shmem::SegArena`, on a heap region): for any
 //! (capacity, claimant count) combination, racing claim → fill → seal →
 //! cross-thread release cycles must conserve every item exactly once, never
 //! hand one slab to two claimants at a time, and keep the generation

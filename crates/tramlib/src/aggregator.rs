@@ -11,7 +11,7 @@ use crate::pool::{PoolStats, VecPool};
 use crate::scheme::Scheme;
 use crate::stats::TramStats;
 use net_model::{ProcId, WorkerId};
-use shmem::SlabArena;
+use shmem::SegArena;
 
 /// Who owns this aggregator: a worker PE (WW, WPs, WsP, NoAgg) or a whole
 /// process (PP — the buffer is shared by all workers of the process).
@@ -417,14 +417,14 @@ impl<T: Clone> Aggregator<T> {
 
 /// The vector path with the slab copy attached: one call from an item to a
 /// shippable slab, for callers that want one.  The engines do the same two
-/// steps themselves — [`Aggregator::insert_at`], then [`SlabArena::fill`] on
+/// steps themselves — [`Aggregator::insert_at`], then [`SegArena::fill`] on
 /// the emitted message.
 impl<T: Copy> Aggregator<T> {
     /// [`Aggregator::insert_at`], then copy a ready message into one slab of
     /// `arena`.  A dry arena returns the message as [`EmittedMessage::Vec`].
     pub fn insert_slab_at(
         &mut self,
-        arena: &SlabArena<Item<T>>,
+        arena: &SegArena<Item<T>>,
         item: Item<T>,
         now_ns: u64,
     ) -> SlabInsertOutcome<T> {
@@ -454,6 +454,7 @@ impl<T: Copy> Aggregator<T> {
 mod tests {
     use super::*;
     use net_model::Topology;
+    use shmem::SlabArena;
 
     /// 2 nodes x 2 procs x 2 workers = 8 workers, 4 procs.
     fn topo() -> Topology {

@@ -57,10 +57,10 @@ pub struct OutboundMessage<T> {
     pub grouped_at_source: bool,
 }
 
-/// An aggregated message whose items live in a [`shmem::SlabArena`] slab
+/// An aggregated message whose items live in a [`shmem::SegArena`] slab
 /// instead of a heap vector: the shared-memory counterpart of
 /// [`OutboundMessage`].  The items were buffered privately and copied into
-/// the slab once, when the message shipped ([`shmem::SlabArena::fill`]);
+/// the slab once, when the message shipped ([`shmem::SegArena::fill`]);
 /// after that only this 32-byte descriptor moves, and every consumer
 /// borrows the items in place.
 #[derive(Debug, Clone, Copy)]
