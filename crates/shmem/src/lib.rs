@@ -41,6 +41,18 @@ pub mod ring;
 pub mod segment;
 pub mod slab;
 
+// Cases over the ring and arena views laid out in a shared-memory
+// `Segment`, the placement the process engine uses; each primitive's own
+// test module drives its heap owner.
+#[cfg(test)]
+mod seg_ring {
+    mod tests;
+}
+#[cfg(test)]
+mod seg_slab {
+    mod tests;
+}
+
 pub use claim::{ClaimBuffer, ClaimResult, SegClaim, SegClaimInsert};
 pub use counter::PaddedCounter;
 pub use ring::{SegRing, SpscRing};

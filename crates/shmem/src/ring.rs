@@ -271,7 +271,6 @@ impl<T> Drop for SpscRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{SegHeader, Segment, SegmentLayout};
     use std::sync::Arc;
 
     #[test]
@@ -442,37 +441,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _: SpscRing<u32> = SpscRing::new(0);
-    }
-
-    fn ring_segment(capacity: usize) -> (Segment, usize) {
-        let mut layout = SegmentLayout::new();
-        let off = layout.reserve(SegRing::<u64>::bytes_for(capacity), SegRing::<u64>::ALIGN);
-        let seg = Segment::create(layout.total(), SegHeader::new(1, std::process::id()))
-            .expect("create segment");
-        (seg, off)
-    }
-
-    #[test]
-    fn attach_sees_initialised_state_and_checks_capacity() {
-        let (seg, off) = ring_segment(8);
-        // SAFETY: fresh region reserved for this ring; `seg` outlives both
-        // views.
-        let producer: SegRing<u64> = unsafe { SegRing::init(seg.at(off), 8) };
-        producer.push(7).unwrap();
-        // SAFETY: attaching to the region init'd above, same capacity/type.
-        let consumer: SegRing<u64> = unsafe { SegRing::attach(seg.at(off), 8) };
-        assert_eq!(consumer.pop(), Some(7));
-        assert_eq!(consumer.pop(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "ring capacity mismatch")]
-    fn attach_rejects_a_capacity_mismatch() {
-        let (seg, off) = ring_segment(8);
-        // SAFETY: fresh region reserved for this ring.
-        let _ring: SegRing<u64> = unsafe { SegRing::init(seg.at(off), 8) };
-        // SAFETY: the region was initialised above; the capacity differs on
-        // purpose and attach must refuse it before touching a slot.
-        let _view: SegRing<u64> = unsafe { SegRing::attach(seg.at(off), 4) };
     }
 }

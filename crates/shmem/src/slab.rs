@@ -668,8 +668,6 @@ impl<T> Deref for SlabArena<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{SegHeader, Segment, SegmentLayout};
-    use std::sync::Arc;
 
     #[test]
     fn claim_fill_seal_borrow_release_round_trip() {
@@ -824,95 +822,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _: SlabArena<u8> = SlabArena::new(4, 0);
-    }
-
-    #[test]
-    fn force_release_reclaims_leaked_and_in_flight_slabs() {
-        let arena: SlabArena<u64> = SlabArena::new(4, 2);
-        // A dead worker's wake: one claimed-never-sealed (leaked), one sealed
-        // and stranded in flight.
-        let _lost = arena.try_claim().unwrap();
-        let stranded = arena.try_claim().unwrap();
-        arena.seal(stranded, 1);
-        let before = arena.audit();
-        assert_eq!((before.free, before.in_flight, before.leaked), (2, 1, 1));
-        assert_eq!(arena.force_release_leaked(), 2);
-        let after = arena.audit();
-        assert_eq!(
-            (
-                after.free,
-                after.in_flight,
-                after.leaked,
-                after.unaccounted()
-            ),
-            (4, 0, 0, 0),
-            "settlement must balance the books: {after:?}"
-        );
-        assert_eq!(arena.free_slabs(), 4);
-    }
-
-    #[test]
-    fn concurrent_claim_release_across_threads_conserves_slabs() {
-        // Hammer the free list from several threads: consumers release
-        // slabs they do not own, so the list must be MPMC-safe.
-        let arena: Arc<SlabArena<u64>> = Arc::new(SlabArena::new(8, 1));
-        let rounds = 20_000;
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let arena = arena.clone();
-                std::thread::spawn(move || {
-                    let mut claimed = 0u64;
-                    for _ in 0..rounds {
-                        if let Some(h) = arena.fill(&[7]) {
-                            claimed += 1;
-                            assert!(arena.finish_consumer(h.slab));
-                            arena.release(h.slab);
-                        }
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert!(total > 0);
-        assert_eq!(arena.free_slabs(), 8, "every slab back on the free list");
-        let audit = arena.audit();
-        assert_eq!((audit.leaked, audit.double_released), (0, 0));
-    }
-
-    fn arena_segment(slabs: usize, cap: usize) -> (Segment, usize) {
-        let mut layout = SegmentLayout::new();
-        let off = layout.reserve(
-            SegArena::<u64>::bytes_for(slabs, cap),
-            SegArena::<u64>::ALIGN,
-        );
-        let seg = Segment::create(layout.total(), SegHeader::new(1, std::process::id()))
-            .expect("create segment");
-        (seg, off)
-    }
-
-    #[test]
-    fn attach_checks_geometry() {
-        let (seg, off) = arena_segment(2, 4);
-        // SAFETY: fresh region reserved for this arena; `seg` outlives both
-        // views.
-        let arena: SegArena<u64> = unsafe { SegArena::init(seg.at(off), 2, 4) };
-        let handle = arena.fill(&[5, 6]).unwrap();
-        // SAFETY: attaching to the region init'd above, same geometry.
-        let view: SegArena<u64> = unsafe { SegArena::attach(seg.at(off), 2, 4) };
-        assert_eq!((view.slab_count(), view.slab_capacity()), (2, 4));
-        // SAFETY: live handle over a sealed slab, filled through `arena`.
-        assert_eq!(unsafe { view.slice(handle.slab, 0, handle.len) }, &[5, 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "arena slab capacity mismatch")]
-    fn attach_rejects_a_geometry_mismatch() {
-        let (seg, off) = arena_segment(2, 4);
-        // SAFETY: fresh region reserved for this arena.
-        let _arena: SegArena<u64> = unsafe { SegArena::init(seg.at(off), 2, 4) };
-        // SAFETY: the region was initialised above; the capacity differs on
-        // purpose and attach must refuse it before touching a slab.
-        let _view: SegArena<u64> = unsafe { SegArena::attach(seg.at(off), 2, 2) };
     }
 }
