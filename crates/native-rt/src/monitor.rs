@@ -87,7 +87,8 @@ pub(crate) struct Books {
     /// Injected worker faults that fired (wire faults are counted from
     /// `node_reports`).
     pub(crate) faults_fired: u64,
-    /// One audit per slab arena, in worker order.
+    /// One audit per slab arena, in worker order, then one per node leader
+    /// on the threaded node tier.
     pub(crate) arenas: Vec<SlabAudit>,
     /// Abort reasons of lost workers, the first one first.
     pub(crate) losses: Vec<String>,

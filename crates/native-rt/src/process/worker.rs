@@ -61,7 +61,7 @@ use tramlib::group::{group_in_place, GroupScratch};
 use tramlib::{Item, MessageDest, Scheme, TramConfig};
 
 use super::layout::{self, RunCtl, WorkerStatus};
-use crate::envelope::Envelope;
+use crate::envelope::{consume_range, Envelope};
 use crate::quantum::{self, QuietTracker, SelfClocked};
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 use crate::sys;
@@ -756,14 +756,8 @@ fn group_and_forward(
 /// Deliver `range` of a sealed slab of worker `owner`'s arena, then drop
 /// this consumer's reference.
 fn deliver_range(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, owner: u32, range: SlabRange) {
-    let world = ctx.world;
-    let arena = &world.arenas[owner as usize];
-    // SAFETY: sealed slab; this worker holds a consumer reference.
-    let items = unsafe { arena.slice(range.slab, range.start, range.len) };
-    deliver(app, ctx, items);
-    if arena.finish_consumer(range.slab) {
-        arena.release(range.slab);
-    }
+    let arena = &ctx.world.arenas[owner as usize];
+    consume_range(arena, range, |items| deliver(app, ctx, items));
 }
 
 /// Dispatch one inbound envelope.

@@ -3,10 +3,11 @@
 //! The threaded engine ([`crate::run_threaded`]) and the process engine
 //! ([`crate::run_process`]) build the same resources from the same rules:
 //! per-pair delivery rings, per-worker slab arenas, an inbox budget per
-//! scheduling quantum and a stash limit that pauses generation.  None of
-//! them is a user option; every size follows from the scheme and the worker
-//! count.  `docs/DESIGN.md` §6 tabulates them with the node tier's fixed
-//! sizes.
+//! scheduling quantum and a stash limit that pauses generation; the threaded
+//! engine's node tier adds one arena per node leader and sizes its
+//! worker↔leader rings like the mesh.  None of them is a user option; every
+//! size follows from the scheme and the topology.  `docs/DESIGN.md` §6
+//! tabulates them with the node tier's fixed sizes.
 
 use tramlib::{Scheme, TramConfig};
 
@@ -35,7 +36,8 @@ pub(crate) fn uses_arena(scheme: Scheme) -> bool {
 }
 
 /// The per-pair delivery ring capacity (in envelopes) for `scheme` on
-/// `workers` worker PEs.
+/// `workers` worker PEs — also the depth of every uplink and downlink
+/// between a worker and its node leader.
 ///
 /// Arena rings are shallow: every envelope is a whole sealed buffer (`g`
 /// items), so a few dozen slots per pair already buffer tens of thousands of
@@ -73,7 +75,12 @@ pub(crate) fn ring_capacity(scheme: Scheme, workers: usize) -> usize {
 /// (c) envelopes a consumer has popped but not yet finished (bounded per
 /// quantum by [`INBOX_BUDGET`]), and (d) the sender-side stash, whose growth
 /// [`STASH_THROTTLE`] caps (handler-generated sends can overshoot it, which
-/// the multiplier absorbs).  The bound is deliberately generous — arena
+/// the multiplier absorbs).  On the node tier a worker's cross-node messages
+/// take slabs too, on its uplink (a ring as deep as a mesh ring) and its wire
+/// stash; (b) already covers the uplink, because the worker's mesh rows
+/// toward workers on other nodes are never used — that traffic leaves
+/// through the uplink — and (d) covers the wire stash, which the same
+/// throttle caps.  The bound is deliberately generous — arena
 /// memory is cheap next to rings — and when a pathological schedule still
 /// runs the arena dry, messages fall back to inline singles: a throughput
 /// dip recorded in the `arena_claim_misses` counter, never a stall or a
@@ -84,6 +91,23 @@ pub(crate) fn arena_slabs(tram: &TramConfig, workers: usize) -> usize {
         _ => tram.topology.total_procs() as usize,
     };
     dests + workers * ring_capacity(tram.scheme, workers) + INBOX_BUDGET + 4 * STASH_THROTTLE
+}
+
+/// The arena size (in slabs of `buffer_items` items) of one node leader on
+/// the node tier, or `None` under NoAgg, whose downlinks carry inline
+/// singles.
+///
+/// A leader copies what it received for a local worker into slabs of its own
+/// arena and ships them on that worker's downlink.  Each of those slabs sits
+/// in the downlink (a ring of [`ring_capacity`] slots) or among the
+/// envelopes the worker has popped and not yet finished (at most
+/// [`INBOX_BUDGET`]), so `local workers × (ring depth + INBOX_BUDGET)` slabs
+/// never run dry.  Were the arena dry anyway, the items would wait in the
+/// leader's queue for a release — backpressure, never singles.
+pub(crate) fn leader_arena_slabs(tram: &TramConfig) -> Option<usize> {
+    let topo = tram.topology;
+    let depth = ring_capacity(tram.scheme, topo.total_workers() as usize);
+    uses_arena(tram.scheme).then(|| topo.workers_per_node() as usize * (depth + INBOX_BUDGET))
 }
 
 /// A per-thread ring-capacity override for tests that need constant
@@ -147,28 +171,35 @@ mod tests {
     #[test]
     fn benchmark_cells_resolve_the_same_sizes() {
         // Every (scheme, cluster) the repo benchmark runs, with the ring
-        // depth and slab count its recorded baselines were measured on —
-        // changing one moves those baselines: two workers in one process
-        // (threaded and forked cells alike) and two single-worker nodes
-        // (the wire cells).
+        // depth, worker-arena and leader-arena slab counts its recorded
+        // baselines were measured on — changing one moves those baselines:
+        // two workers in one process (threaded and forked cells alike) and
+        // two single-worker nodes (the wire cells, whose leaders have an
+        // arena each).
         let one_proc = Topology::smp(1, 1, 2);
         let two_nodes = Topology::smp(2, 1, 1);
         let cells = [
-            (Scheme::WPs, one_proc, 128, Some(897)),
-            (Scheme::WW, one_proc, 128, Some(898)),
-            (Scheme::WsP, one_proc, 128, Some(897)),
-            (Scheme::WPs, two_nodes, 128, Some(898)),
-            (Scheme::PP, one_proc, 128, Some(897)),
-            (Scheme::NoAgg, one_proc, 4096, None),
+            (Scheme::WPs, one_proc, 128, Some(897), None),
+            (Scheme::WW, one_proc, 128, Some(898), None),
+            (Scheme::WsP, one_proc, 128, Some(897), None),
+            (Scheme::WPs, two_nodes, 128, Some(898), Some(256)),
+            (Scheme::PP, one_proc, 128, Some(897), None),
+            (Scheme::NoAgg, one_proc, 4096, None, None),
         ];
-        for (scheme, topo, depth, slabs) in cells {
+        for (scheme, topo, depth, slabs, leader) in cells {
             let workers = topo.total_workers() as usize;
             assert_eq!(ring_capacity(scheme, workers), depth, "{scheme}");
             assert_eq!(uses_arena(scheme), slabs.is_some(), "{scheme}");
+            let tram = TramConfig::new(scheme, topo);
             if let Some(slabs) = slabs {
-                let tram = TramConfig::new(scheme, topo);
                 assert_eq!(arena_slabs(&tram, workers), slabs, "{scheme}");
             }
+            if topo.nodes() > 1 {
+                assert_eq!(leader_arena_slabs(&tram), leader, "{scheme}");
+            }
         }
+        // NoAgg's leaders ship singles and keep no arena.
+        let noagg = TramConfig::new(Scheme::NoAgg, two_nodes);
+        assert_eq!(leader_arena_slabs(&noagg), None);
     }
 }

@@ -5,8 +5,9 @@
 //! emitted messages onto the per-pair SPSC rings of the delivery mesh, as
 //! slab descriptors or inline singles.  Every message is buffered privately
 //! and copied into one slab of this worker's arena when it ships
-//! ([`NativeWorkerCtx::ship_slab`]) — or, on the node tier, onto the uplink
-//! staging buffer when its receiver is on another cluster node.
+//! ([`NativeWorkerCtx::ship_slab`]); on the node tier, the envelope of a
+//! message whose receiver is on another cluster node goes up the worker's
+//! uplink to its node leader instead of onto the mesh.
 //!
 //! `send` decides the local bypass once, before tramlib, for every scheme: a
 //! same-process item is staged for its destination worker and only remote
@@ -27,7 +28,7 @@ use tramlib::{
     Aggregator, EmitReason, Item, MessageDest, OutboundMessage, Owner, Scheme, TramStats,
 };
 
-use super::{Batch, Shared, SPARE_BATCHES};
+use super::Shared;
 use crate::envelope::Envelope;
 use crate::quantum::{self, SelfClocked};
 use crate::tally::Tally;
@@ -87,10 +88,7 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// batch is copied into a slab and ships at the end of each loop
     /// iteration, busy or idle ([`NativeWorkerCtx::flush_local`]), and
     /// inside a quantum only when it reaches the run's own `buffer_items`.
-    pub(crate) local_out: Vec<Batch>,
-    /// Spare batch vectors recycled from delivered downlink batches; the
-    /// wire staging buffer draws from them.
-    pub(crate) spare_batches: Vec<Batch>,
+    pub(crate) local_out: Vec<Vec<Item<Payload>>>,
     /// Cached wall-clock offset, refreshed once per delivered batch / loop
     /// iteration instead of per item: at millions of items per second the
     /// two per-item clock reads (creation stamp + latency span) would
@@ -149,7 +147,7 @@ pub(crate) struct NativeWorkerCtx<'a> {
     pub(crate) arena: Option<&'a SlabArena<Item<Payload>>>,
     /// Vectors of messages shipped while a flush has the aggregator out,
     /// returned to its pool when the flush ends.
-    pub(crate) spent: Vec<Batch>,
+    pub(crate) spent: Vec<Vec<Item<Payload>>>,
     /// This worker's predicted NUMA node (0 on unpinned/single-node runs).
     pub(crate) my_node: u16,
     /// Mesh envelopes pushed towards a worker on a different NUMA node.
@@ -163,14 +161,11 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// This worker's *cluster* node (`Topology::node_of_worker`) — distinct
     /// from `my_node`, which is the NUMA node of the host thread.
     pub(crate) my_cluster_node: u32,
-    /// Node tier only: items bound for workers on other cluster nodes,
-    /// staged here and shipped to the local leader's uplink under the same
-    /// quantum rule as `local_out`.  Every item in it was already counted
-    /// sent (publish-before-ship).
-    pub(crate) wire_out: Batch,
-    /// Node tier only: wire batches whose uplink ring was full, retried by
-    /// [`NativeWorkerCtx::flush_wire_stash`] every loop iteration.
-    pub(crate) wire_stash: VecDeque<Batch>,
+    /// Node tier only: envelopes for workers on other cluster nodes whose
+    /// uplink ring was full (or had earlier envelopes stashed ahead of
+    /// them), retried by [`NativeWorkerCtx::flush_wire_stash`] every loop
+    /// iteration — FIFO toward the leader, as the mesh stash is per pair.
+    pub(crate) wire_stash: VecDeque<Envelope>,
     /// Delivered-batch sizes (items per handler call), counted per length:
     /// `batch_lens[n]` is how many n-item slices were delivered.  Folded into
     /// the report's sketch at exit ([`NativeWorkerCtx::take_batch_len`]) —
@@ -218,7 +213,6 @@ impl<'a> NativeWorkerCtx<'a> {
             } else {
                 Vec::new()
             },
-            spare_batches: Vec::new(),
             now_cache: 0,
             pending_sent: 0,
             local_sent: 0,
@@ -245,7 +239,6 @@ impl<'a> NativeWorkerCtx<'a> {
                 order
             },
             my_cluster_node: shared.topo.node_of_worker(me).0,
-            wire_out: Vec::new(),
             wire_stash: VecDeque::new(),
             batch_lens: Vec::new(),
         }
@@ -305,14 +298,12 @@ impl<'a> NativeWorkerCtx<'a> {
     /// For a receiver on another cluster node the lane is the uplink, and
     /// its consumer is the node leader: a poller that naps between polls,
     /// takes everything queued when it wakes and re-aggregates per node.
-    /// Batches still queued there say where the leader is in its nap, not
+    /// Envelopes still queued there say where the leader is in its nap, not
     /// that it is behind, and a buffer held back for them misses the next
-    /// poll — so only a *full* uplink (batches stashed behind it) holds.
+    /// poll — so only a *full* uplink (envelopes stashed behind it) holds.
     fn lane_drained(&self, dest: MessageDest) -> bool {
         let target = self.receiver_of(dest);
-        if self.shared.node_plane.is_some()
-            && self.shared.topo.node_of_worker(target).0 != self.my_cluster_node
-        {
+        if self.on_other_node(target) {
             return self.wire_stash.is_empty();
         }
         let ring = self.shared.plane.ring(self.me.idx(), target.idx());
@@ -360,12 +351,12 @@ impl<'a> NativeWorkerCtx<'a> {
     /// forwards singles too).
     ///
     /// On the node tier a message whose `target` lives on another cluster
-    /// node takes no slab: its items are copied straight onto the uplink
-    /// staging buffer (`wire_out`), which ships at `buffer_items` or at the
-    /// end of the quantum.  Every item was already counted sent, and each
-    /// names its final destination worker, so the remote leader's regroup
-    /// (and the remote worker's delivery) is exact — no grouping state
-    /// crosses the node boundary, only payloads.
+    /// node follows the same rule, but its envelopes go up this worker's
+    /// uplink to the node leader, which reads the slab in place and frees
+    /// it.  Every item was already counted sent, and each names its final
+    /// destination worker, so the remote leader's per-worker queues (and the
+    /// remote worker's delivery) are exact — no grouping state crosses the
+    /// node boundary, only payloads.
     fn ship_slab(
         &mut self,
         target: WorkerId,
@@ -373,39 +364,30 @@ impl<'a> NativeWorkerCtx<'a> {
         grouped_at_source: bool,
         items: &[Item<Payload>],
     ) {
-        if self.shared.node_plane.is_some()
-            && self.shared.topo.node_of_worker(target).0 != self.my_cluster_node
-        {
-            self.stage_wire(items);
-            return;
+        let uplink = self.on_other_node(target);
+        if uplink {
+            self.tally.wire_node_msgs += 1;
         }
         let Some(handle) = self.arena.and_then(|arena| arena.fill(items)) else {
             for &item in items {
-                self.push_mesh(target, Envelope::Single(item));
+                self.push_toward(uplink, target, Envelope::Single(item));
             }
             return;
         };
-        self.push_mesh(
-            target,
-            Envelope::Slab {
-                owner: self.me.0,
-                handle,
-                dest,
-                grouped_at_source,
-            },
-        );
+        let envelope = Envelope::Slab {
+            owner: self.me.0,
+            handle,
+            dest,
+            grouped_at_source,
+        };
+        self.push_toward(uplink, target, envelope);
     }
 
-    /// Copy one cross-node message onto the uplink staging buffer, shipping
-    /// it once it holds `buffer_items`.  Out of line: single-node runs never
-    /// take it.
-    #[inline(never)]
-    fn stage_wire(&mut self, items: &[Item<Payload>]) {
-        self.tally.wire_node_msgs += 1;
-        self.wire_out.extend_from_slice(items);
-        if self.wire_out.len() >= self.shared.tram.buffer_items {
-            self.ship_wire();
-        }
+    /// Whether worker `w` lives on another cluster node of a node-tier run
+    /// (never on a single-node run): its traffic leaves through the uplink.
+    fn on_other_node(&self, w: WorkerId) -> bool {
+        self.shared.node_plane.is_some()
+            && self.shared.topo.node_of_worker(w).0 != self.my_cluster_node
     }
 
     /// The wire counters of one emitted message (the ones the simulator
@@ -427,11 +409,7 @@ impl<'a> NativeWorkerCtx<'a> {
     /// ([`NativeWorkerCtx::ship_slab`]), and every envelope forwarded or
     /// staged here stays inside its destination's process.
     pub(crate) fn push_mesh(&mut self, dst: WorkerId, envelope: Envelope) {
-        debug_assert!(
-            self.shared.node_plane.is_none()
-                || self.shared.topo.node_of_worker(dst).0 == self.my_cluster_node,
-            "cross-node envelope on the mesh"
-        );
+        debug_assert!(!self.on_other_node(dst), "cross-node envelope on the mesh");
         let d = dst.idx();
         if self.shared.worker_node[d] != self.my_node {
             self.cross_socket_msgs += 1;
@@ -447,34 +425,27 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Push the pending wire batch onto this worker's uplink ring (stashing
-    /// it when the ring is full — the leader may be mid-drain).  The next
-    /// wire batch fills a recycled vector: downlink deliveries refill
-    /// `spare_batches`, so symmetric cross-node traffic allocates nothing
-    /// here however small the per-quantum batches get.
-    pub(crate) fn ship_wire(&mut self) {
-        if self.wire_out.is_empty() {
-            return;
+    /// Push one envelope for `target` onto this worker's mesh row or, when
+    /// `uplink`, up its uplink to the node leader — stashed when that ring
+    /// is full (nobody has pumped the node yet) or when earlier envelopes
+    /// are already stashed: FIFO toward the leader.
+    fn push_toward(&mut self, uplink: bool, target: WorkerId, envelope: Envelope) {
+        if !uplink {
+            return self.push_mesh(target, envelope);
         }
-        self.publish_sent();
-        let spare = self.spare_batches.pop().unwrap_or_default();
-        let batch = std::mem::replace(&mut self.wire_out, spare);
         let plane = self
             .shared
             .node_plane
             .as_ref()
-            .expect("wire ship without a node plane");
-        if self.wire_stash.is_empty() {
-            if let Err(rejected) = plane.uplink[self.me.idx()].push(batch) {
-                self.wire_stash.push_back(rejected);
-            }
-        } else {
-            // Preserve per-worker FIFO towards the leader.
-            self.wire_stash.push_back(batch);
+            .expect("uplink push without a node plane");
+        if !self.wire_stash.is_empty() {
+            self.wire_stash.push_back(envelope);
+        } else if let Err(rejected) = plane.uplink[self.me.idx()].push(envelope) {
+            self.wire_stash.push_back(rejected);
         }
     }
 
-    /// Retry stashed wire batches.  Returns true if any batch moved.
+    /// Retry stashed uplink envelopes.  Returns true if any moved.
     pub(crate) fn flush_wire_stash(&mut self) -> bool {
         if self.wire_stash.is_empty() {
             return false;
@@ -582,24 +553,14 @@ impl<'a> NativeWorkerCtx<'a> {
         self.local_out[dest].clear();
     }
 
-    /// Quantum end: ship every non-empty staging buffer — the local-bypass
-    /// batches and, on the node tier, the wire batch.  Runs once per loop
-    /// iteration whether or not the iteration did work: a worker whose
+    /// Quantum end: ship every non-empty local-bypass batch.  Runs once per
+    /// loop iteration whether or not the iteration did work: a worker whose
     /// `on_idle` never returns `false` is never idle, and its peers must not
     /// wait on it for that.  With nothing staged this is one length check
     /// per destination worker (none at all with the bypass off).
     pub(crate) fn flush_local(&mut self) {
         for dest in 0..self.local_out.len() {
             self.ship_local(dest);
-        }
-        self.ship_wire();
-    }
-
-    /// Keep a delivered downlink batch's vector for future wire batches.
-    pub(crate) fn retain_spare(&mut self, mut batch: Batch) {
-        if self.spare_batches.len() < SPARE_BATCHES && batch.capacity() > 0 {
-            batch.clear();
-            self.spare_batches.push(batch);
         }
     }
 
@@ -619,9 +580,10 @@ impl<'a> NativeWorkerCtx<'a> {
     }
 
     /// Quarantine entry: drop everything this worker produced but had not
-    /// shipped — aggregator buffers, local-bypass batches, stashed
-    /// envelopes.  Unshipped items hold no slab: a slab is claimed only when
-    /// its message ships.  Every dropped item was already counted
+    /// shipped — aggregator buffers, local-bypass batches, envelopes stashed
+    /// for the mesh or the uplink.  Unshipped items hold no slab: a slab is
+    /// claimed only when its message ships, and a stashed one is finished
+    /// like any other envelope.  Every dropped item was already counted
     /// sent (publish-before-ship), so counting it dropped keeps the
     /// conservation ledger exact.  Returns the number of items dropped.
     pub(crate) fn abandon_production(&mut self) -> u64 {
@@ -639,13 +601,8 @@ impl<'a> NativeWorkerCtx<'a> {
                 dropped += self.drop_envelope(envelope);
             }
         }
-        // Unshipped cross-node traffic: the wire buffer and its stash hold
-        // raw already-counted-sent items, so dropping them is pure ledger.
-        dropped += self.wire_out.len() as u64;
-        self.wire_out.clear();
-        while let Some(batch) = self.wire_stash.pop_front() {
-            dropped += batch.len() as u64;
-            self.retain_spare(batch);
+        while let Some(envelope) = self.wire_stash.pop_front() {
+            dropped += self.drop_envelope(envelope);
         }
         dropped
     }
@@ -903,7 +860,7 @@ impl SelfClocked for NativeWorkerCtx<'_> {
 
 /// Run one borrowed slice of delivered items through the application's
 /// slice-based handler.  The items are read **in place** — from a slab in
-/// some worker's arena, or from a downlink batch vector — and never moved.
+/// some worker's or node leader's arena — and never moved.
 /// The delivered counter is bumped once per slice, strictly after the
 /// handlers: any sends the handlers made are already counted by then, so
 /// `sent sum == delivered sum` still implies global quiescence.
@@ -938,15 +895,4 @@ pub(crate) fn deliver_slice(
     );
     app.on_item_slice(items, ctx);
     ctx.pending_delivered += count;
-}
-
-/// [`deliver_slice`] over an owned batch vector, leaving the (emptied)
-/// vector in place so its allocation can be recycled.
-pub(crate) fn deliver_batch(
-    app: &mut dyn WorkerApp,
-    ctx: &mut NativeWorkerCtx<'_>,
-    batch: &mut Batch,
-) {
-    deliver_slice(app, ctx, batch);
-    batch.clear();
 }

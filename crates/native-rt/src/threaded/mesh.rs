@@ -2,7 +2,8 @@
 //! no central thread on the data path.
 //!
 //! Each worker drains its column of the N×N envelope grid (one bounded SPSC
-//! ring per source worker), runs the receive-side grouping pass *locally*
+//! ring per source worker, plus its downlink from the node leader on the
+//! node tier), runs the receive-side grouping pass *locally*
 //! with its own [`PooledReceiver`], delivers its items inline and forwards
 //! process peers' ranges as slice descriptors over its own row.  The last
 //! consumer of a slab releases it straight into the arena of the worker
@@ -22,13 +23,13 @@ use std::time::Duration;
 
 use net_model::WorkerId;
 use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::{SlabHandle, SlabRange};
+use shmem::{SlabHandle, SlabRange, SpscRing};
 use tramlib::{MessageDest, PooledReceiver};
 
-use super::ctx::{deliver_batch, deliver_slice};
+use super::ctx::deliver_slice;
 use super::faults::ActiveFaults;
 use super::{NativeWorkerCtx, Shared, WorkerOutput};
-use crate::envelope::Envelope;
+use crate::envelope::{consume_range, Envelope};
 use crate::quantum::QuietTracker;
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 
@@ -145,8 +146,6 @@ fn mesh_loop(
     receiver: &mut PooledReceiver<Payload>,
     faults: &mut Option<ActiveFaults>,
 ) {
-    let workers = shared.topo.total_workers() as usize;
-    let mesh = &shared.plane;
     let me_i = me.idx();
     let mut idle_rounds = 0u32;
     let mut quiet = QuietTracker::new(shared.tram.flush_policy.on_idle);
@@ -180,33 +179,23 @@ fn mesh_loop(
             faults.poll(ctx);
         }
         let mut did_work = ctx.flush_stash_backoff();
-        // Wire batches parked on a full uplink ring (leader mid-drain) are
-        // retried like the mesh stash: a sender never blocks on its leader.
+        // Envelopes parked on a full uplink ring (nobody pumped the node yet)
+        // are retried like the mesh stash: a sender never blocks on its
+        // leader.
         did_work |= ctx.flush_wire_stash();
         // A ring-burst fault closes the inbox for its window: senders back up
         // into their stashes, exercising the backpressure path end to end.
         if !faults.as_ref().is_some_and(ActiveFaults::skip_inbox) {
-            for src in 0..workers {
+            for ring in inbox_rings(shared, me_i) {
                 // One budgeted drain per source per iteration — a hot source
                 // gets the next helping only after every other ring (and the
                 // stash retry at the loop top) has had its turn.
-                if mesh.ring(src, me_i).pop_into(&mut inbox, INBOX_BUDGET) > 0 {
+                if ring.pop_into(&mut inbox, INBOX_BUDGET) > 0 {
                     for envelope in inbox.drain(..) {
                         handle_envelope(app, ctx, receiver, envelope);
                     }
                     did_work = true;
                 }
-            }
-        }
-        // Node tier: deliver cross-node traffic the leader regrouped for us.
-        // The downlink carries worker-addressed raw batches — by the time an
-        // item crosses the wire every grouping decision is already made, so
-        // delivery here is the plain batch path.
-        if let Some(plane) = &shared.node_plane {
-            while let Some(mut batch) = plane.downlink[me_i].pop() {
-                deliver_batch(app, ctx, &mut batch);
-                ctx.retain_spare(batch);
-                did_work = true;
             }
         }
         // A graceful-shutdown request (delivered SIGINT/SIGTERM): stop
@@ -251,10 +240,8 @@ fn mesh_loop(
         // The self-clocked flush (`crate::quantum`): on a quiet quantum a
         // partial buffer ships if its lane is drained.
         quiet.end_quantum(ctx, moved);
-        // Quantum end, busy or idle: no staging buffer (local-bypass batch,
-        // wire batch) outlives the iteration that filled it.  Last, so that
-        // cross-node messages the timeout poll and the quiet flush just
-        // emitted leave with this quantum too, not after the nap.
+        // Quantum end, busy or idle: no local-bypass batch outlives the
+        // iteration that filled it.
         ctx.flush_local();
         // Node tier: a quantum that moved nothing inbound has time to pump
         // the node's wire itself, so what it just shipped leaves now and
@@ -303,8 +290,6 @@ fn mesh_loop(
 /// shared dropped ledger.  Once `sent == delivered + dropped` and all
 /// survivors are done, the monitor ends the run `Aborted`.
 fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
-    let workers = shared.topo.total_workers() as usize;
-    let mesh = &shared.plane;
     let me_i = me.idx();
     // Drop unshipped production (all of it already counted sent), then push
     // out the process-shared PP buffers: items this worker inserted there
@@ -313,10 +298,6 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
     // flush is a no-op (the aggregator was just abandoned).
     ctx.pending_dropped += ctx.abandon_production();
     ctx.flush();
-    // The PP flush above may have emitted cross-node messages into the wire
-    // buffer (the group receiver can live on another node); ship them — a
-    // quarantined worker forwards, it only stops delivering.
-    ctx.ship_wire();
     ctx.publish_sent();
     ctx.publish_dropped();
     let mut beats = shared.heartbeats[me_i].load(Ordering::Relaxed);
@@ -331,19 +312,9 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
         ctx.refresh_now();
         let mut did_work = ctx.flush_stash();
         did_work |= ctx.flush_wire_stash();
-        for src in 0..workers {
-            while let Some(envelope) = mesh.ring(src, me_i).pop() {
+        for ring in inbox_rings(shared, me_i) {
+            while let Some(envelope) = ring.pop() {
                 ctx.pending_dropped += ctx.drop_envelope(envelope);
-                did_work = true;
-            }
-        }
-        // Cross-node traffic the leader regrouped for this (now dead)
-        // worker: undeliverable, so it joins the dropped ledger like any
-        // other inbound envelope.
-        if let Some(plane) = &shared.node_plane {
-            while let Some(batch) = plane.downlink[me_i].pop() {
-                ctx.pending_dropped += batch.len() as u64;
-                ctx.retain_spare(batch);
                 did_work = true;
             }
         }
@@ -354,6 +325,17 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
             std::thread::sleep(Duration::from_micros(50));
         }
     }
+}
+
+/// Every ring worker `me` consumes: its mesh column, one ring per source
+/// worker, then on the node tier its downlink from the node's leader, which
+/// carries worker-addressed slabs of the leader's arena (NoAgg: singles).
+fn inbox_rings(shared: &Shared, me: usize) -> impl Iterator<Item = &SpscRing<Envelope>> {
+    let workers = shared.topo.total_workers() as usize;
+    let downlink = shared.node_plane.as_ref().map(|plane| &plane.downlink[me]);
+    (0..workers)
+        .map(move |src| shared.plane.ring(src, me))
+        .chain(downlink)
 }
 
 /// Process one envelope popped from an inbox ring.
@@ -404,14 +386,7 @@ fn deliver_range(
     range: SlabRange,
 ) {
     let arena = &ctx.shared.arenas[owner as usize];
-    debug_assert_eq!(arena.generation(range.slab), range.generation);
-    // SAFETY: this worker holds a consumer reference to a sealed slab; the
-    // owner cannot reuse it until every consumer finished.
-    let items = unsafe { arena.slice(range.slab, range.start, range.len) };
-    deliver_slice(app, ctx, items);
-    if arena.finish_consumer(range.slab) {
-        arena.release(range.slab);
-    }
+    consume_range(arena, range, |items| deliver_slice(app, ctx, items));
 }
 
 /// The receive-side grouping pass for a process-addressed slab of worker

@@ -15,20 +15,27 @@
 //!               ship: one copy into a slab of the sender's arena ◀───┘
 //!               (inline singles under NoAgg or when the arena is dry)
 //!                                    │ Copy envelope
-//!                                    ▼
-//!               mesh[src][dst] SPSC ring
-//!                                    │
-//!                                    ▼
-//!               destination worker: grouping pass runs HERE (per-worker
-//!               PooledReceiver); the last consumer of a slab frees it
-//!               into its owner's arena
+//!                  ┌─────────────────┴──────────┐ receiver on another
+//!                  ▼                            ▼ node (node tier)
+//!      mesh[src][dst] SPSC ring       uplink[src] SPSC ring
+//!                  │                            │ the leader reads the slab in
+//!                  │                            │ place, releases it, frames
+//!                  │                            │ per node ══ wire ══▶ remote
+//!                  │                            │ leader: one slab of its own
+//!                  │                            ▼ arena per buffer_items
+//!                  │                  downlink[dst] SPSC ring
+//!                  ▼                            │
+//!      destination worker ◀─────────────────────┘
+//!      the grouping pass runs HERE (per-worker PooledReceiver); the last
+//!      consumer of a slab frees it into its owner's arena
 //! ```
 //!
 //! `send` decides the local bypass before tramlib, for every scheme: a
 //! same-process item is staged for its destination worker, and only remote
-//! items reach the aggregator or the PP claim buffers.  Every ring carries
-//! the one `Envelope` of both native engines: an inline item or the
-//! descriptor of a slab in some worker's arena.  A process-addressed slab
+//! items reach the aggregator or the PP claim buffers.  Every ring — mesh,
+//! uplink and downlink alike — carries the one `Envelope` of both native
+//! engines: an inline item or the descriptor of a slab in some worker's (or
+//! node leader's) arena.  A process-addressed slab
 //! (WPs/WsP/PP) is routed to the destination worker chosen by
 //! [`net_model::Topology::group_receiver`] — the same rule the simulator
 //! uses — which groups it in place and forwards peer workers' ranges as
@@ -89,15 +96,6 @@ use crate::sizing;
 
 pub(crate) use ctx::NativeWorkerCtx;
 pub use node::ACK_DELAY;
-
-/// A vector of items, all addressed to the same worker: the node tier's
-/// uplink and downlink batches (the wire copies them anyway).
-pub(crate) type Batch = Vec<Item<Payload>>;
-
-/// How many spare batch vectors a worker keeps for its wire staging buffer
-/// (refilled by delivered downlink batches) before dropping further ones; a
-/// node leader keeps as many emptied uplink vectors for its downlink batches.
-pub(crate) const SPARE_BATCHES: usize = 32;
 
 /// The delivery plane: per-pair envelope rings, flattened
 /// `src * workers + dst`.
@@ -167,10 +165,12 @@ pub(crate) struct Shared {
     pub(crate) faults: Option<FaultPlan>,
     /// PP only: `pp[src_proc][dst_proc]` shared claim buffers.
     pub(crate) pp: Vec<Vec<ClaimBuffer<Item<Payload>>>>,
-    /// Every scheme but NoAgg: one arena per worker, indexed by worker id.
-    /// Every thread can borrow slices from every arena.  Claims stay with
-    /// the owning worker; a slab's last consumer, on whichever thread,
-    /// releases it.
+    /// Every scheme but NoAgg: one arena per worker, indexed by worker id,
+    /// then, on the node tier, one per node leader (index `workers + node`),
+    /// which fills the node's downlinks.  Every thread can borrow slices
+    /// from every arena.  A worker's arena is claimed by that worker alone,
+    /// a leader's by whoever holds the node's leader lock; a slab's last
+    /// consumer, on whichever thread, releases it.
     pub(crate) arenas: Vec<SlabArena<Item<Payload>>>,
     /// Pin worker threads to cores (`--pin`).
     pub(crate) pin_workers: bool,
@@ -198,7 +198,8 @@ impl Shared {
         let topo = tram.topology;
         let workers = topo.total_workers() as usize;
         let scheme = tram.scheme;
-        let plane = MeshPlane::new(workers, sizing::ring_capacity(scheme, workers));
+        let depth = sizing::ring_capacity(scheme, workers);
+        let plane = MeshPlane::new(workers, depth);
         let pp = if scheme == Scheme::PP {
             (0..topo.total_procs())
                 .map(|_| {
@@ -210,14 +211,16 @@ impl Shared {
         } else {
             Vec::new()
         };
-        let arenas = if sizing::uses_arena(scheme) {
+        let mut arenas = Vec::new();
+        if sizing::uses_arena(scheme) {
             let slabs = sizing::arena_slabs(&tram, workers);
-            (0..workers)
-                .map(|_| SlabArena::new(slabs, tram.buffer_items))
-                .collect()
-        } else {
-            Vec::new()
-        };
+            arenas.extend((0..workers).map(|_| SlabArena::new(slabs, tram.buffer_items)));
+        }
+        // The node tier's leaders fill their downlinks from arenas of their
+        // own, indexed after the workers'.
+        if let Some(slabs) = sizing::leader_arena_slabs(&tram).filter(|_| node_tier) {
+            arenas.extend((0..topo.nodes()).map(|_| SlabArena::new(slabs, tram.buffer_items)));
+        }
         // Predict each pinned worker's NUMA node from the pinning layout (the
         // same `allowed[w % allowed.len()]` rule `pin_current_thread` applies).
         // Unpinned runs get no prediction: the scheduler may move threads
@@ -266,7 +269,7 @@ impl Shared {
             numa_aware: worker_node.iter().any(|&n| n != 0),
             worker_node,
             plane,
-            node_plane: node_tier.then(|| node::NodePlane::new(topo.nodes(), workers)),
+            node_plane: node_tier.then(|| node::NodePlane::new(topo.nodes(), workers, depth)),
         }
     }
 
@@ -545,7 +548,7 @@ mod tests {
 
     /// A threaded spec: `make` on `cluster` under `scheme`, with
     /// `buffer`-item buffers.
-    fn spec<F>(scheme: Scheme, cluster: ClusterSpec, buffer: usize, make: F) -> RunSpec
+    pub(super) fn spec<F>(scheme: Scheme, cluster: ClusterSpec, buffer: usize, make: F) -> RunSpec
     where
         F: FnMut(WorkerId) -> Box<dyn WorkerApp> + Clone + 'static,
     {

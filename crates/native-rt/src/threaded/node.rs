@@ -2,14 +2,23 @@
 //!
 //! When a run spans more than one cluster node and a transport is
 //! configured, each node gains one *leader* thread alongside its workers.
-//! Workers keep the intra-node mesh exactly as before; any message whose
-//! receiving worker lives on another node is copied as raw items (no slab)
-//! and handed to the local leader over a per-worker SPSC uplink.  The
-//! leader re-aggregates that traffic per destination *node* — the same
-//! economics as the WsP grouping pass, one tier up — seals it into framed
-//! batches, and ships them over the [`transport::Transport`] wire.  The
-//! receiving leader dedups redelivery, regroups per destination worker,
-//! and feeds its workers over per-worker SPSC downlinks.
+//! Workers keep the intra-node mesh exactly as before; a message whose
+//! receiving worker lives on another node ships by the same fill rule as
+//! any other — one slab of the sender's arena, or inline singles under NoAgg
+//! or from a dry arena — but its envelope goes up a per-worker SPSC uplink
+//! to the local leader instead of onto the mesh.  The leader reads each slab
+//! in place, hands it back to its owner's arena, re-aggregates the items per
+//! destination *node* — the same economics as the WsP grouping pass, one
+//! tier up — seals them into framed batches, and ships them over the
+//! [`transport::Transport`] wire.  The receiving leader dedups redelivery,
+//! queues the items per destination worker, and feeds its workers over
+//! per-worker SPSC downlinks: one slab of the node's own *leader arena*
+//! (`Shared::arenas[workers + node]`) of at most `buffer_items` items per
+//! envelope, while the downlink has room and the arena a free slab —
+//! otherwise the items wait in the queue (NoAgg: no arena, inline singles).
+//! Uplinks and downlinks carry the mesh's `Envelope`s, so a worker drains
+//! its downlink as one more source ring and the last consumer of a leader
+//! slab releases it like any other.
 //!
 //! Failure is the design center, not an afterthought:
 //!
@@ -45,13 +54,16 @@
 //! seal and send frames, drain the wire, retransmit, heartbeat, feed the
 //! downlinks — is [`Leader::pump`], and the leader's state sits in the
 //! [`NodePlane`] behind a per-node mutex so that more than one thread can run
-//! it.  A mesh worker that ends a quantum having moved nothing inbound pumps
-//! its own node once ([`Helper::help`]: `try_lock`, never blocks), so what the
-//! quantum just shipped leaves with it instead of waiting for a napping
-//! thread to wake.  The leader thread runs the same pump on a 20 µs nap and is
-//! the backstop: it alone covers workers that are asleep, stuck in handlers,
-//! saturated by intra-node traffic or quarantined, and it stands down (parks)
-//! only while some local worker is awake *and* pumping.
+//! it.  Whoever holds that mutex is the leader arena's one claimer and the
+//! uplinks' and downlinks' one consumer and producer; the mutex orders
+//! successive holders.  A mesh worker that ends a quantum having moved
+//! nothing inbound pumps its own node once ([`Helper::help`]: `try_lock`,
+//! never blocks), so what the quantum just shipped leaves with it instead of
+//! waiting for a napping thread to wake.  The leader thread runs the same
+//! pump on a 20 µs nap and is the backstop: it alone covers workers that are
+//! asleep, stuck in handlers, saturated by intra-node traffic or
+//! quarantined, and it stands down (parks) only while some local worker is
+//! awake *and* pumping.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -63,17 +75,14 @@ use crossbeam_utils::CachePadded;
 use net_model::WorkerId;
 use runtime_api::{FaultKind, FaultPlan, FaultTrigger, LinkReport, NodeDiag, Payload};
 use shmem::SpscRing;
-use tramlib::Item;
+use tramlib::{Item, MessageDest};
 use transport::{
     Backoff, FailureDetector, Frame, FrameKind, HeartbeatConfig, ReplayGuard, SendVerdict,
     Transport, WireFault, WireFaultInjector, WireFaultKind, SEND_RETRY_BASE_NS,
 };
 
-use super::{Batch, Shared, SPARE_BATCHES};
-
-/// Capacity (in batches) of each worker↔leader ring.  Batches are whole
-/// vectors, so a few hundred slots buffer tens of thousands of items.
-pub(crate) const NODE_RING_CAPACITY: usize = 512;
+use super::Shared;
+use crate::envelope::{consume_range, Envelope};
 
 /// Max items per outbound batch frame — far below the protocol's
 /// `MAX_ITEMS_PER_FRAME`, chosen so one frame stays well under the loopback
@@ -158,14 +167,14 @@ impl LeaderPost {
 /// The node tier's data plane, shared by workers and leaders.
 pub(crate) struct NodePlane {
     nodes: u32,
-    /// `uplink[w]`: cross-node batches from worker `w` to its node's
-    /// leader.  Producer: worker `w`; consumer: whoever holds its node's
-    /// leader lock.
-    pub(crate) uplink: Vec<SpscRing<Batch>>,
-    /// `downlink[w]`: regrouped batches from worker `w`'s node leader to
+    /// `uplink[w]`: envelopes of worker `w`'s cross-node messages, to its
+    /// node's leader.  Producer: worker `w`; consumer: whoever holds its
+    /// node's leader lock.
+    pub(crate) uplink: Vec<SpscRing<Envelope>>,
+    /// `downlink[w]`: worker-addressed envelopes from `w`'s node leader to
     /// `w`.  Producer: whoever holds the node's leader lock; consumer:
     /// worker `w`.
-    pub(crate) downlink: Vec<SpscRing<Batch>>,
+    pub(crate) downlink: Vec<SpscRing<Envelope>>,
     /// Directed link control blocks, indexed `src * nodes + dst`.
     links: Vec<LinkCtl>,
     /// Per-node drop ledgers (leader-owned writes); the monitor's
@@ -176,16 +185,15 @@ pub(crate) struct NodePlane {
 }
 
 impl NodePlane {
-    pub(crate) fn new(nodes: u32, workers: usize) -> Self {
+    /// The plane of `nodes` nodes and `workers` workers, with uplinks and
+    /// downlinks `ring_capacity` envelopes deep.
+    pub(crate) fn new(nodes: u32, workers: usize, ring_capacity: usize) -> Self {
         let n = nodes as usize;
+        let rings = || (0..workers).map(|_| SpscRing::new(ring_capacity)).collect();
         NodePlane {
             nodes,
-            uplink: (0..workers)
-                .map(|_| SpscRing::new(NODE_RING_CAPACITY))
-                .collect(),
-            downlink: (0..workers)
-                .map(|_| SpscRing::new(NODE_RING_CAPACITY))
-                .collect(),
+            uplink: rings(),
+            downlink: rings(),
             links: (0..n * n).map(|_| LinkCtl::default()).collect(),
             node_dropped: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -377,14 +385,13 @@ struct Leader {
     peers: Vec<Option<PeerState>>,
     /// Global worker indices living on this node.
     my_workers: Vec<usize>,
-    /// Per-local-worker downlink batches waiting for ring space.
-    pending_down: Vec<VecDeque<Batch>>,
-    /// Per-worker buckets of the frame being regrouped (empty between
-    /// frames).
-    regroup: Vec<Batch>,
-    /// Emptied uplink vectors, reused as the next downlink batches: with
-    /// traffic in both directions the leader allocates no batch vectors.
-    spare_batches: Vec<Batch>,
+    /// Per-worker FIFOs (indexed by global worker id, filled only for this
+    /// node's workers) of accepted items waiting for downlink room and a
+    /// free slab of the leader arena.
+    pending_down: Vec<VecDeque<Item<Payload>>>,
+    /// This leader's index in `Shared::arenas` (`workers + node`); the arena
+    /// exists under every scheme but NoAgg.
+    arena_owner: u32,
     /// Frames held by a delay fault: (release deadline, destination, frame).
     delayed: Vec<(Instant, u32, Frame)>,
     /// When the previous pump ran — a large gap means every thread that
@@ -566,8 +573,7 @@ impl Leader {
                 .filter(|&w| topo.node_of_worker(WorkerId(w as u32)).0 == node)
                 .collect(),
             pending_down: (0..workers_total).map(|_| VecDeque::new()).collect(),
-            regroup: (0..workers_total).map(|_| Vec::new()).collect(),
-            spare_batches: Vec::new(),
+            arena_owner: workers_total as u32 + node,
             delayed: Vec::new(),
             last_iter: now,
             next_heartbeat: now + hb.interval,
@@ -705,39 +711,47 @@ impl Leader {
         }
     }
 
-    /// Drain local workers' uplinks, bucketing items per destination node
-    /// (post-cut traffic goes straight to the ledger).
+    /// Drain local workers' uplinks into the per-peer staging.  The leader
+    /// is a slab's one consumer: it reads the items in place, then finishes
+    /// the slab, which goes straight back to the sending worker's arena.
     fn drain_uplinks(&mut self, cx: Cx<'_>) -> bool {
         let mut did_work = false;
         for wi in 0..self.my_workers.len() {
             let w = self.my_workers[wi];
-            while let Some(mut batch) = cx.plane.uplink[w].pop() {
+            while let Some(envelope) = cx.plane.uplink[w].pop() {
                 did_work = true;
-                for item in &batch {
-                    let dst_node = cx.shared.topo.node_of_worker(item.dest).0;
-                    debug_assert_ne!(dst_node, self.node, "intra-node item on the uplink");
-                    if cx.plane.link_cut(self.node, dst_node) {
-                        cx.plane.charge_dropped(self.node, 1);
-                        self.diag.items_dropped += 1;
-                        continue;
-                    }
-                    let state = self.peers[dst_node as usize]
-                        .as_mut()
-                        .expect("uplink item addressed to own node");
-                    state.staging.push(transport::WireItem {
-                        dest: item.dest.0 as u64,
-                        a: item.data.a,
-                        b: item.data.b,
-                        created_at_ns: item.created_at_ns,
-                    });
-                }
-                if self.spare_batches.len() < SPARE_BATCHES {
-                    batch.clear();
-                    self.spare_batches.push(batch);
+                if let Envelope::Single(item) = envelope {
+                    self.stage(cx, &[item]);
+                } else if let Some((owner, range)) = envelope.slab_range() {
+                    let arena = &cx.shared.arenas[owner];
+                    consume_range(arena, range, |items| self.stage(cx, items));
                 }
             }
         }
         did_work
+    }
+
+    /// Stage uplink items per destination node; post-cut traffic goes
+    /// straight to the ledger.
+    fn stage(&mut self, cx: Cx<'_>, items: &[Item<Payload>]) {
+        for item in items {
+            let dst_node = cx.shared.topo.node_of_worker(item.dest).0;
+            debug_assert_ne!(dst_node, self.node, "intra-node item on the uplink");
+            if cx.plane.link_cut(self.node, dst_node) {
+                cx.plane.charge_dropped(self.node, 1);
+                self.diag.items_dropped += 1;
+                continue;
+            }
+            let state = self.peers[dst_node as usize]
+                .as_mut()
+                .expect("uplink item addressed to own node");
+            state.staging.push(transport::WireItem {
+                dest: item.dest.0 as u64,
+                a: item.data.a,
+                b: item.data.b,
+                created_at_ns: item.created_at_ns,
+            });
+        }
     }
 
     /// Seal staged items into frames and send them (first transmission:
@@ -971,8 +985,8 @@ impl Leader {
         self.arm_rto(cx, peer);
     }
 
-    /// Accept (or reject as replay) one inbound batch, regroup per
-    /// destination worker and queue to downlinks.  An accepted batch is
+    /// Accept (or reject as replay) one inbound batch and queue its items
+    /// per destination worker for the downlinks.  An accepted batch is
     /// owed an ack, which the ack clock sends cumulatively with every other
     /// batch accepted from that peer within [`ACK_DELAY`]; a replay is
     /// re-acked at once, since its sender is retransmitting for want of
@@ -997,9 +1011,7 @@ impl Leader {
             .items_accepted
             .fetch_add(frame.items.len() as u64, Ordering::AcqRel);
         self.diag.items_received += frame.items.len() as u64;
-        // Regroup per destination worker — the node tier's grouping pass.
-        // Buckets start from recycled uplink vectors and grow on demand;
-        // none is sized to the whole frame.
+        // Queue per destination worker — the node tier's grouping pass.
         for wire in &frame.items {
             let dest = WorkerId(wire.dest as u32);
             debug_assert_eq!(
@@ -1007,20 +1019,11 @@ impl Leader {
                 self.node,
                 "frame item routed to the wrong node"
             );
-            let bucket = &mut self.regroup[dest.idx()];
-            if bucket.capacity() == 0 {
-                *bucket = self.spare_batches.pop().unwrap_or_default();
-            }
-            bucket.push(Item::new(
+            self.pending_down[dest.idx()].push_back(Item::new(
                 dest,
                 Payload::new(wire.a, wire.b),
                 wire.created_at_ns,
             ));
-        }
-        for &w in &self.my_workers {
-            if !self.regroup[w].is_empty() {
-                self.pending_down[w].push_back(std::mem::take(&mut self.regroup[w]));
-            }
         }
     }
 
@@ -1068,21 +1071,42 @@ impl Leader {
         }
     }
 
-    /// Push queued downlink batches into worker rings as space frees up.
+    /// Ship queued items down to local workers, front first: while a
+    /// worker's downlink has room, one slab of the leader arena holding up
+    /// to `buffer_items` of its items (NoAgg: one inline single).  A full
+    /// downlink or a dry arena leaves the items queued, in order, for a
+    /// later pump — backpressure, never a fallback to singles.
     fn pump_downlinks(&mut self, cx: Cx<'_>) -> bool {
+        let arena = cx.shared.arenas.get(self.arena_owner as usize);
+        let grain = cx.shared.tram.buffer_items;
         let mut did_work = false;
-        for wi in 0..self.my_workers.len() {
-            let w = self.my_workers[wi];
-            while let Some(batch) = self.pending_down[w].front() {
-                debug_assert!(!batch.is_empty());
-                let batch = self.pending_down[w].pop_front().expect("front checked");
-                match cx.plane.downlink[w].push(batch) {
-                    Ok(()) => did_work = true,
-                    Err(batch) => {
-                        self.pending_down[w].push_front(batch);
-                        break;
+        for &w in &self.my_workers {
+            let queue = &mut self.pending_down[w];
+            let ring = &cx.plane.downlink[w];
+            while !queue.is_empty() && ring.len() < ring.capacity() {
+                let envelope = match arena {
+                    None => Envelope::Single(queue.pop_front().expect("a queued item")),
+                    Some(arena) => {
+                        let take = queue.len().min(grain);
+                        if queue.as_slices().0.len() < take {
+                            queue.make_contiguous();
+                        }
+                        let Some(handle) = arena.fill(&queue.as_slices().0[..take]) else {
+                            break;
+                        };
+                        queue.drain(..take);
+                        Envelope::Slab {
+                            owner: self.arena_owner,
+                            handle,
+                            dest: MessageDest::Worker(WorkerId(w as u32)),
+                            grouped_at_source: false,
+                        }
                     }
-                }
+                };
+                // The lock holder is the downlink's one producer, so the
+                // room seen above cannot shrink.
+                ring.push(envelope).expect("downlink room checked");
+                did_work = true;
             }
         }
         did_work
@@ -1174,9 +1198,9 @@ impl Leader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::MeshPlane;
-    use std::sync::Mutex;
-    use tramlib::{Scheme, TramConfig};
+    use crate::sizing;
+    use runtime_api::{ClusterSpec, TransportKind, WorkerApp};
+    use tramlib::Scheme;
     use transport::SimTransport;
 
     #[test]
@@ -1192,41 +1216,15 @@ mod tests {
         assert_eq!(leader_next(false, 9, 3, 0), LeaderNext::Nap);
     }
 
-    /// A 2-node × 1-worker run's shared state with nothing running on it.
+    /// A WPs run of 2 nodes × 1 worker with 8-item buffers, over the
+    /// simulated wire: its shared state (worker arenas 0 and 1, leader
+    /// arenas 2 and 3) with nothing running on it.
     fn two_node_shared() -> Shared {
-        let topo = net_model::Topology::smp(2, 1, 1);
-        let pads = || {
-            (0..2)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect()
-        };
-        let flags = || (0..2).map(|_| AtomicBool::new(false)).collect();
-        Shared {
-            tram: TramConfig::new(Scheme::NoAgg, topo),
-            topo,
-            seed: 9,
-            epoch: Instant::now(),
-            go: AtomicBool::new(true),
-            stop: AtomicBool::new(false),
-            quiesce: AtomicBool::new(false),
-            items_sent: pads(),
-            items_delivered: pads(),
-            workers_done: flags(),
-            items_dropped: pads(),
-            heartbeats: pads(),
-            stash_depth: pads(),
-            panicked: flags(),
-            panic_notes: Mutex::new(Vec::new()),
-            faults_fired: AtomicU64::new(0),
-            faults: None,
-            pp: Vec::new(),
-            arenas: Vec::new(),
-            pin_workers: false,
-            worker_node: vec![0; 2],
-            numa_aware: false,
-            plane: MeshPlane::new(2, 4),
-            node_plane: Some(NodePlane::new(2, 2)),
-        }
+        let idle = |_: WorkerId| -> Box<dyn WorkerApp> { unreachable!("no worker runs") };
+        let spec = crate::threaded::tests::spec(Scheme::WPs, ClusterSpec::smp(2, 1, 1), 8, idle)
+            .transport(TransportKind::Sim)
+            .seed(9);
+        Shared::new(&spec.resolve().expect("a valid spec"), true)
     }
 
     /// Both nodes' leaders over the in-memory wire, not posted: the test is
@@ -1238,13 +1236,50 @@ mod tests {
         (leader(0), leader(1))
     }
 
-    /// Worker 0 hands its leader one uplink batch of `n` items for worker 1.
-    fn ship(shared: &Shared, n: u64) {
-        let batch = (0..n)
+    /// Worker 0 ships one message of `n` items for worker 1, payloads
+    /// `first..first + n`: one slab of its arena up its uplink.
+    fn ship(shared: &Shared, first: u64, n: u64) {
+        let items: Vec<_> = (first..first + n)
             .map(|i| Item::new(WorkerId(1), Payload::new(i, 0), 0))
             .collect();
+        let handle = shared.arenas[0].fill(&items).expect("a free slab");
+        let envelope = Envelope::Slab {
+            owner: 0,
+            handle,
+            dest: MessageDest::Worker(WorkerId(1)),
+            grouped_at_source: false,
+        };
         let plane = Cx::of(shared).plane;
-        assert!(plane.uplink[0].push(batch).is_ok(), "uplink full");
+        assert!(plane.uplink[0].push(envelope).is_ok(), "uplink full");
+    }
+
+    /// Worker 1 drains its downlink as its mesh loop does: reads every slab
+    /// in place and finishes it.  Returns the payloads in arrival order; a
+    /// single on the downlink fails the test.
+    fn take_downlink(shared: &Shared) -> Vec<u64> {
+        let plane = Cx::of(shared).plane;
+        let mut payloads = Vec::new();
+        while let Some(envelope) = plane.downlink[1].pop() {
+            let Envelope::Slab { owner, handle, .. } = envelope else {
+                panic!("a single on the downlink: {envelope:?}");
+            };
+            assert_eq!(owner, 3, "not node 1's leader arena");
+            let arena = &shared.arenas[owner as usize];
+            consume_range(arena, handle.range(), |items| {
+                payloads.extend(items.iter().map(|item| item.data.a));
+            });
+        }
+        payloads
+    }
+
+    /// Every arena of the run — both workers', both leaders' — has every
+    /// slab back on its free list.
+    fn assert_arenas_free(shared: &Shared) {
+        assert_eq!(shared.arenas.len(), 4, "two workers and two leaders");
+        for (index, arena) in shared.arenas.iter().enumerate() {
+            let audit = arena.audit();
+            assert_eq!(audit.free, audit.slabs, "arena {index}: {audit:?}");
+        }
     }
 
     #[test]
@@ -1254,8 +1289,8 @@ mod tests {
         // A clock that never reaches a heartbeat or a retransmit deadline:
         // every frame counted below is a batch or an ack.
         let now = l0.last_iter;
-        for _ in 0..3 {
-            ship(&shared, 5);
+        for k in 0..3 {
+            ship(&shared, 5 * k, 5);
             assert!(l0.pump(&shared, now));
         }
         assert_eq!(l0.diag.frames_sent, 3, "one batch frame per pump");
@@ -1264,11 +1299,11 @@ mod tests {
         assert_eq!(l1.diag.frames_received, 3);
         assert_eq!(l1.diag.items_received, 15);
         assert_eq!(l1.diag.frames_sent, 1, "three batches, one cumulative ack");
+        // 15 items in 8-item slabs of the leader's arena, in order.
         let plane = Cx::of(&shared).plane;
-        let delivered: usize = std::iter::from_fn(|| plane.downlink[1].pop())
-            .map(|batch| batch.len())
-            .sum();
-        assert_eq!(delivered, 15);
+        assert_eq!(plane.downlink[1].len(), 2);
+        assert_eq!(take_downlink(&shared), (0..15).collect::<Vec<_>>());
+        assert_arenas_free(&shared);
 
         assert!(l0.pump(&shared, now));
         let to_peer = l0.peers[1].as_ref().expect("peer state");
@@ -1291,6 +1326,48 @@ mod tests {
         assert_eq!(l1.diag.items_received, 15);
     }
 
+    #[test]
+    fn a_full_downlink_or_a_dry_leader_arena_keeps_items_queued_in_order() {
+        // One-slot rings: a downlink is full after one envelope.
+        let shared = sizing::test_ring::with_capacity(1, two_node_shared);
+        let (mut l0, mut l1) = leaders(&shared);
+        let now = l0.last_iter;
+        let plane = Cx::of(&shared).plane;
+        for k in 0..3 {
+            ship(&shared, 8 * k, 8);
+            l0.pump(&shared, now);
+        }
+        assert!(l1.pump(&shared, now));
+        assert_eq!(l1.diag.items_received, 24);
+
+        // A full downlink: one slab shipped, the rest waits in the leader.
+        assert_eq!(plane.downlink[1].len(), 1);
+        assert_eq!(l1.pending_down[1].len(), 16);
+        assert!(!l1.pump(&shared, now), "a full downlink moved something");
+        assert_eq!(take_downlink(&shared), (0..8).collect::<Vec<_>>());
+
+        // A dry leader arena: room on the downlink, no slab to fill.
+        let arena = &shared.arenas[3];
+        let held: Vec<u32> = std::iter::from_fn(|| arena.try_claim()).collect();
+        assert!(!held.is_empty());
+        assert!(!l1.pump(&shared, now), "a dry arena moved something");
+        assert!(plane.downlink[1].is_empty(), "shipped as singles");
+        assert_eq!(l1.pending_down[1].len(), 16, "items lost");
+
+        // One released slab carries the next 8 items, and the same slab,
+        // finished by the worker, the last 8.
+        arena.release(held[0]);
+        assert!(l1.pump(&shared, now));
+        assert_eq!(take_downlink(&shared), (8..16).collect::<Vec<_>>());
+        assert!(l1.pump(&shared, now));
+        assert_eq!(take_downlink(&shared), (16..24).collect::<Vec<_>>());
+        assert!(l1.pending_down[1].is_empty());
+        for &slab in &held[1..] {
+            arena.release(slab);
+        }
+        assert_arenas_free(&shared);
+    }
+
     /// Resend-buffer sequences `leader` still waits on node 1 to ack.
     fn unacked(leader: &Leader) -> Vec<u64> {
         let to_peer = leader.peers[1].as_ref().expect("peer state");
@@ -1306,7 +1383,7 @@ mod tests {
         let step = ACK_DELAY / 4;
 
         // A quiet link: the first owed ack goes out at once.
-        ship(&shared, 3);
+        ship(&shared, 0, 3);
         l0.pump(&shared, t0);
         assert!(l1.pump(&shared, t0));
         assert_eq!((l1.diag.acks_sent, l1.diag.frames_sent), (1, 1));
@@ -1315,7 +1392,7 @@ mod tests {
 
         // Batches accepted inside the window are delivered but not acked.
         for (k, seq) in [(1, 2), (2, 3)] {
-            ship(&shared, 4);
+            ship(&shared, 0, 4);
             l0.pump(&shared, t0 + step * k);
             assert!(l1.pump(&shared, t0 + step * k));
             assert_eq!(l1.diag.frames_sent, 1, "batch {seq} was acked early");
@@ -1340,10 +1417,10 @@ mod tests {
         let (mut l0, mut l1) = leaders(&shared);
         let t0 = l0.last_iter;
         let inside = t0 + ACK_DELAY / 2;
-        ship(&shared, 2);
+        ship(&shared, 0, 2);
         l0.pump(&shared, t0);
         l1.pump(&shared, t0);
-        ship(&shared, 2);
+        ship(&shared, 0, 2);
         l0.pump(&shared, inside);
         l1.pump(&shared, inside);
         assert_eq!(l1.diag.acks_sent, 1, "batch 2 rides on the next ack");
@@ -1380,7 +1457,7 @@ mod tests {
         let plane = Cx::of(&shared).plane;
         let (mut l0, mut l1) = leaders(&shared);
         let t0 = l0.last_iter;
-        ship(&shared, 7);
+        ship(&shared, 0, 7);
         l0.pump(&shared, t0);
         l0.cut_link(Cx::of(&shared), 1, "test cut");
 
@@ -1395,7 +1472,7 @@ mod tests {
             "settled before the receiver stopped"
         );
         // Post-cut traffic goes straight to the ledger meanwhile.
-        ship(&shared, 2);
+        ship(&shared, 0, 2);
         l0.pump(&shared, t0 + Duration::from_millis(2));
         assert_eq!(plane.dropped_sum(), 2);
 
@@ -1412,7 +1489,7 @@ mod tests {
         let shared = two_node_shared();
         let plane = Cx::of(&shared).plane;
         let (mut l0, _dead) = leaders(&shared);
-        ship(&shared, 4);
+        ship(&shared, 0, 4);
         l0.pump(&shared, t0);
         l0.cut_link(Cx::of(&shared), 1, "test cut");
         l0.pump(&shared, t0 + Duration::from_millis(1));

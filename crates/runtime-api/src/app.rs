@@ -42,8 +42,8 @@ pub trait WorkerApp: Send {
     ///
     /// This is the zero-copy delivery entry point both backends drive: the
     /// native runtime hands over slices borrowed straight from shared slab
-    /// arenas (or from pooled batch vectors), the simulator the per-worker
-    /// groups of each delivered message.  The items are only borrowed — an
+    /// arenas, the simulator the per-worker groups of each delivered
+    /// message.  The items are only borrowed — an
     /// implementation must copy out anything it wants to keep.
     ///
     /// The default forwards to [`WorkerApp::on_item`] per item; throughput-

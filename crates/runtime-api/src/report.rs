@@ -15,7 +15,8 @@ use crate::backend::Backend;
 /// multi-process cleanup will enforce on segment detach.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaAudit {
-    /// Owning worker PE.
+    /// Owning worker PE.  Past the last worker, on the threaded engine's
+    /// node tier, one arena per node leader: index `workers + node`.
     pub worker: u32,
     /// Total slabs in the arena.
     pub slabs: u32,

@@ -10,11 +10,10 @@
 //! path needs.  Batched variants ([`SegRing::push_from`],
 //! [`SegRing::pop_into`]) move bursts with a single counter publication.
 //!
-//! Items move through the slots by value, so a heap ring carries any `T`
-//! (the node tier's uplinks carry `Vec` batches) and [`SpscRing`] drops what
-//! is left unread.  A ring in shared segment memory ([`SegRing::init`],
-//! [`SegRing::attach`]) takes `Copy` plain old data only: its bytes must
-//! mean the same in every process — no pointers, no drop glue.
+//! Items move through the slots by value and are `Copy` plain old data
+//! only: a ring's bytes must mean the same in every process that maps it —
+//! no pointers, no drop glue — so an [`SpscRing`] frees its region without
+//! reading what is left in it.
 //!
 //! Crash safety: a producer killed between its slot write and its tail store
 //! never publishes the item, so the consumer cannot observe a torn entry.
@@ -59,7 +58,7 @@ pub struct SegRing<T> {
 unsafe impl<T: Send> Send for SegRing<T> {}
 unsafe impl<T: Send> Sync for SegRing<T> {}
 
-impl<T> SegRing<T> {
+impl<T: Copy> SegRing<T> {
     /// Required alignment of the reserved region.
     pub const ALIGN: usize = 64;
 
@@ -81,13 +80,14 @@ impl<T> SegRing<T> {
         }
     }
 
-    /// Lay an empty ring out at `base`, for any `T`.
+    /// Initialise a ring in its region (a segment offset, or an
+    /// [`SpscRing`]'s heap region).  Creator-side, once.
     ///
     /// # Safety
-    /// `base` must point at `bytes_for(capacity)` writable bytes reserved
-    /// for this ring, held exclusively until this returns, and alive for as
-    /// long as the view is used.
-    unsafe fn init_region(base: *mut u8, capacity: usize) -> Self {
+    /// `base` must point at `bytes_for(capacity)` writable bytes reserved for
+    /// this ring, no other thread or process may touch the region before
+    /// this returns, and the region must outlive every use of the view.
+    pub unsafe fn init(base: *mut u8, capacity: usize) -> Self {
         let ring = Self::view(base, capacity);
         // SAFETY: exclusive access during init per the function contract.
         unsafe {
@@ -100,6 +100,22 @@ impl<T> SegRing<T> {
                 _pad2: [0; 56],
             });
         }
+        ring
+    }
+
+    /// Attach to a ring another process initialised at the same offset.
+    ///
+    /// # Safety
+    /// `base` must point at a region a cooperating process passed to
+    /// [`SegRing::init`] with the same `capacity` and element type `T`, and
+    /// the region must outlive every use of the view.
+    pub unsafe fn attach(base: *mut u8, capacity: usize) -> Self {
+        let ring = Self::view(base, capacity);
+        assert_eq!(
+            ring.ctl().capacity,
+            capacity as u64,
+            "ring capacity mismatch"
+        );
         ring
     }
 
@@ -203,50 +219,20 @@ impl<T> SegRing<T> {
     }
 }
 
-impl<T: Copy> SegRing<T> {
-    /// Initialise a ring in shared segment memory.  Creator-side, once.
-    ///
-    /// # Safety
-    /// `base` must point at `bytes_for(capacity)` writable bytes reserved for
-    /// this ring, no other process may touch the region before this returns,
-    /// and the region must outlive every use of the view.
-    pub unsafe fn init(base: *mut u8, capacity: usize) -> Self {
-        // SAFETY: forwarded contract.
-        unsafe { Self::init_region(base, capacity) }
-    }
-
-    /// Attach to a ring another process initialised at the same offset.
-    ///
-    /// # Safety
-    /// `base` must point at a region a cooperating process passed to
-    /// [`SegRing::init`] with the same `capacity` and element type `T`, and
-    /// the region must outlive every use of the view.
-    pub unsafe fn attach(base: *mut u8, capacity: usize) -> Self {
-        let ring = Self::view(base, capacity);
-        assert_eq!(
-            ring.ctl().capacity,
-            capacity as u64,
-            "ring capacity mismatch"
-        );
-        ring
-    }
-}
-
 /// A [`SegRing`] in a heap region of its own: the threaded engine's mesh
-/// and node-tier rings.  Derefs to the ring; dropping it drops every unread
-/// item and frees the region.
+/// and node-tier rings.  Derefs to the ring; dropping it frees the region.
 pub struct SpscRing<T> {
     ring: SegRing<T>,
     _region: HeapRegion,
 }
 
-impl<T> SpscRing<T> {
+impl<T: Copy> SpscRing<T> {
     /// Create a ring that can hold up to `capacity` items.
     pub fn new(capacity: usize) -> Self {
         let region = HeapRegion::new(SegRing::<T>::bytes_for(capacity), SegRing::<T>::ALIGN);
         // SAFETY: a fresh region of the ring's size and alignment, owned
         // next to the view for the ring's whole life.
-        let ring = unsafe { SegRing::init_region(region.base(), capacity) };
+        let ring = unsafe { SegRing::init(region.base(), capacity) };
         Self {
             ring,
             _region: region,
@@ -259,12 +245,6 @@ impl<T> Deref for SpscRing<T> {
 
     fn deref(&self) -> &SegRing<T> {
         &self.ring
-    }
-}
-
-impl<T> Drop for SpscRing<T> {
-    fn drop(&mut self) {
-        while self.ring.pop().is_some() {}
     }
 }
 
@@ -410,31 +390,6 @@ mod tests {
             seen.windows(2).all(|w| w[0] + 1 == w[1]),
             "batched transfer must preserve FIFO order"
         );
-    }
-
-    #[test]
-    fn drops_leftover_items() {
-        // Ensure no leaks / double drops when items remain at drop time.
-        let ring = SpscRing::new(4);
-        ring.push(String::from("a")).unwrap();
-        ring.push(String::from("b")).unwrap();
-        drop(ring);
-    }
-
-    #[test]
-    fn dropping_the_ring_drops_every_unread_vec() {
-        // Each queued Vec holds one clone of `token`: the strong count is
-        // 1 + the number of Vecs still alive.
-        let token = Arc::new(0u64);
-        let ring: SpscRing<Vec<Arc<u64>>> = SpscRing::new(8);
-        for _ in 0..5 {
-            ring.push(vec![Arc::clone(&token)]).unwrap();
-        }
-        let read = ring.pop().expect("one queued batch");
-        drop(read);
-        assert_eq!(Arc::strong_count(&token), 5, "four unread, one read");
-        drop(ring);
-        assert_eq!(Arc::strong_count(&token), 1, "every unread Vec dropped");
     }
 
     #[test]

@@ -406,7 +406,7 @@ fn hot_worker_ping_pong_finishes_on_every_engine() {
     check("process", report);
 
     // 2 nodes x 1 worker over the simulated wire: every hop crosses the
-    // uplink staging buffer (NoAgg, so nothing else holds an item back).
+    // uplink and the node tier (NoAgg, so nothing else holds an item back).
     let over_the_wire = |spec: RunSpec| {
         spec.backend(Backend::Native)
             .transport(TransportKind::Sim)
@@ -566,7 +566,8 @@ fn runtime_counters_agree_with_the_aggregator_on_every_engine() {
         all
     };
     // Every process-addressed (WPs) message is grouped once by its receiver
-    // — unless it crossed to another node, where it travels as raw items.
+    // — unless it crossed to another node, where the leader reads its items
+    // into frames instead.
     let check_threaded = |label: &str, report: &RunReport| {
         assert!(report.clean(), "{label}");
         let shipped: u64 = report.node_reports.iter().map(|d| d.items_shipped).sum();

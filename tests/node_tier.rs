@@ -98,6 +98,13 @@ fn wire_runs_match_in_process() {
                 shipped, received,
                 "{scheme}/{transport}: wire lost or duplicated items"
             );
+            // Cross-node messages take slabs of the sender's arena too; a
+            // clean run never runs one dry.
+            assert_eq!(
+                report.counter("arena_claim_misses"),
+                0,
+                "{scheme}/{transport}: an arena ran dry"
+            );
             assert_eq!(
                 totals(&report),
                 reference,
@@ -332,9 +339,9 @@ impl WorkerApp for Echo {
 
     fn on_idle(&mut self, ctx: &mut dyn RunCtx) -> bool {
         if self.me.0 == 0 && self.held && self.to_send > 0 {
-            // A worker parked in a long handler: it ships a wire batch every
-            // `buffer_items` sends and never reaches the end of a quantum,
-            // so nobody on this node can pump but the leader thread.
+            // A worker parked in a long handler: every send goes up the
+            // uplink at once, but the worker never reaches the end of a
+            // quantum, so nobody on this node can pump but the leader thread.
             while self.to_send > 0 {
                 self.request(ctx);
                 if self.to_send % 16 == 0 {
@@ -378,8 +385,8 @@ impl WorkerApp for Echo {
 fn hot_workers_pump_and_the_leader_thread_alone_suffices() {
     let run = |held: bool| {
         let served_seen = Arc::new(AtomicU64::new(0));
-        // NoAgg, explicit flush only: nothing but the uplink staging buffer
-        // (16 items) and the wire tier sits between a send and its delivery.
+        // NoAgg: every send goes up the uplink at once as an inline single,
+        // so nothing but the wire tier sits between a send and its delivery.
         let defaults = AppDefaults {
             cluster: ClusterSpec::smp(2, 1, 1),
             scheme: Scheme::NoAgg,
