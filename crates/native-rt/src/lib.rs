@@ -14,14 +14,17 @@
 //! * delivery runs over a direct **worker↔worker mesh** of bounded
 //!   [`shmem::SegRing`]s: sealed/flushed messages go straight to the
 //!   destination worker, which runs the receive-side grouping pass
-//!   ([`tramlib::PooledReceiver`]) locally — no thread touches traffic it
-//!   does not own, and the only central component is the run monitor both
-//!   engines share (`monitor`: watchdog, counter sums, outcome);
+//!   ([`tramlib::group::group_in_place`]) locally — no thread touches
+//!   traffic it does not own, and the only central component is the run
+//!   monitor both engines share (`monitor`: watchdog, counter sums,
+//!   outcome);
 //! * same-process items bypass aggregation and travel worker-to-worker in
 //!   per-quantum batches copied into slabs, mirroring the simulator's
 //!   local-bypass path;
 //! * every ring carries one `Copy` envelope type on both engines — an
-//!   inline item or a slab descriptor, never a heap vector;
+//!   inline item or a slab descriptor, never a heap vector — and both
+//!   engines ship, receive, group, forward and drop it through one code
+//!   path (`envelope`);
 //! * both engines run the same `shmem` views, each primitive with one
 //!   protocol: the threaded engine owns them on the heap
 //!   ([`shmem::SpscRing`], [`shmem::SlabArena`], [`shmem::ClaimBuffer`]),

@@ -172,7 +172,7 @@ impl Children<'_> {
                 let dropped: u64 = self
                     .drain_buf
                     .drain(..)
-                    .map(|env| worker::drop_envelope(world, &env))
+                    .map(|env| env.discard(|owner| &world.arenas[owner]))
                     .sum();
                 if dropped > 0 {
                     world

@@ -43,9 +43,14 @@
 //! of [`crate::quantum`], shared with the threaded engine.  This engine
 //! polls no timeout.
 //!
-//! Every delivery failure path funnels through [`drop_envelope`], which
-//! charges the dropped items *and* returns slab storage to the owning arena
-//! — the bookkeeping the crash-cleanup audit verifies.
+//! What a child does with an inbound envelope — deliver, group, forward — is
+//! [`crate::envelope`]'s, the one receive path of both native engines:
+//! [`ProcCtx`] implements its [`EnvelopeCtx`], supplying delivery (publish
+//! the count after the handler) and the push (ring, stash, or a counted drop
+//! toward a dead peer).  Every delivery failure path funnels through
+//! [`Envelope::discard`], which charges the dropped items *and* returns slab
+//! storage to the owning arena — the bookkeeping the crash-cleanup audit
+//! verifies.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,13 +60,13 @@ use std::time::{Duration, Instant};
 use metrics::Counters;
 use net_model::{ProcId, Topology, WorkerId};
 use runtime_api::{FaultKind, FaultPlan, FaultTrigger, Payload, RunCtx, WorkerApp};
-use shmem::{SegArena, SegClaim, SegClaimInsert, SegRing, SlabHandle, SlabRange};
+use shmem::{SegArena, SegClaim, SegClaimInsert, SegRing};
 use sim_core::StreamRng;
 use tramlib::group::{group_in_place, GroupScratch};
 use tramlib::{Item, MessageDest, Scheme, TramConfig};
 
 use super::layout::{self, RunCtl, WorkerStatus};
-use crate::envelope::{consume_range, Envelope};
+use crate::envelope::{self, handle_envelope, Envelope, EnvelopeCtx};
 use crate::quantum::{self, QuietTracker, SelfClocked};
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 use crate::sys;
@@ -116,20 +121,6 @@ impl World {
     pub(super) fn dead_mask(&self) -> u64 {
         self.ctl().dead_mask.load(Ordering::Acquire)
     }
-}
-
-/// Account one undeliverable envelope (its consumer is dead or the run is
-/// settling): returns the item count to charge dropped, after giving any
-/// slab storage back to the owning arena.  Shared by children (dead-peer
-/// drops) and the supervisor (victim-inbox and settlement drains).
-pub(super) fn drop_envelope(world: &World, env: &Envelope) -> u64 {
-    if let Some((owner, range)) = env.slab_range() {
-        let arena = &world.arenas[owner];
-        if arena.finish_consumer(range.slab) {
-            arena.release(range.slab);
-        }
-    }
-    env.item_count()
 }
 
 /// The process backend's [`RunCtx`]: one per child, owning the private half
@@ -249,28 +240,9 @@ impl<'w> ProcCtx<'w> {
         }
     }
 
-    /// Ship one envelope to `dst`: dead destinations drop (with slab
-    /// bookkeeping), full rings overflow into the per-destination stash.
-    /// Envelopes behind stashed ones stash too, preserving order.
-    fn push_env(&mut self, dst: usize, env: Envelope) {
-        if self.is_dead(dst) {
-            let dropped = drop_envelope(self.world, &env);
-            self.add_dropped(dropped);
-            return;
-        }
-        if self.stash[dst].is_empty() {
-            if let Err(env) = self.world.ring(self.me.0 as usize, dst).push(env) {
-                self.stash[dst].push_back(env);
-                self.stash_len += 1;
-            }
-        } else {
-            self.stash[dst].push_back(env);
-            self.stash_len += 1;
-        }
-    }
-
-    /// Retry stashed envelopes; envelopes whose destination has died since
-    /// are dropped.  Returns whether anything moved.
+    /// Retry stashed envelopes, batched (one tail publication per
+    /// destination); envelopes whose destination has died since are
+    /// dropped.  Returns whether anything moved.
     pub(super) fn flush_stash(&mut self) -> bool {
         if self.stash_len == 0 {
             return false;
@@ -284,100 +256,54 @@ impl<'w> ProcCtx<'w> {
             if self.is_dead(dst) {
                 while let Some(env) = self.stash[dst].pop_front() {
                     self.stash_len -= 1;
-                    let dropped = drop_envelope(self.world, &env);
+                    let dropped = env.discard(|owner| &self.world.arenas[owner]);
                     self.add_dropped(dropped);
                 }
                 moved = true;
                 continue;
             }
-            while let Some(&env) = self.stash[dst].front() {
-                if self.world.ring(me, dst).push(env).is_err() {
-                    break;
-                }
-                self.stash[dst].pop_front();
-                self.stash_len -= 1;
-                moved = true;
-            }
+            let pushed = self.world.ring(me, dst).push_from(&mut self.stash[dst]);
+            self.stash_len -= pushed;
+            moved |= pushed > 0;
         }
         moved
     }
 
-    fn ship_single(&mut self, item: Item<Payload>) {
-        self.tally.wire_messages += 1;
-        self.tally.wire_items += 1;
-        let dst = item.dest.0 as usize;
-        self.push_env(dst, Envelope::Single(item));
-    }
-
-    /// Copy `buf` into a slab of this worker's arena and ship the descriptor
-    /// — a message for `dest` — to worker `dst`; a dry arena degrades to
-    /// singles for the same `dst` (a throughput dip recorded in
-    /// `arena_claim_misses`, never a loss or a reordering).  Whether the
-    /// message counts as wire traffic is the caller's call (local-bypass
-    /// batches do not).
-    fn ship_slab(
+    /// Ship `items` to worker `dst` as one wire message for `dest` — it
+    /// crosses a modelled process boundary — by the shared fill-or-singles
+    /// rule ([`envelope::ship`]).
+    fn ship_wire(
         &mut self,
-        dst: usize,
+        dst: WorkerId,
         dest: MessageDest,
         grouped_at_source: bool,
-        buf: &mut Vec<Item<Payload>>,
+        items: &[Item<Payload>],
     ) {
-        let me = self.me.0;
-        if let Some(handle) = self.world.arenas[me as usize].fill(buf) {
-            self.tally.arena_claims += 1;
-            self.push_env(
-                dst,
-                Envelope::Slab {
-                    owner: me,
-                    handle,
-                    dest,
-                    grouped_at_source,
-                },
-            );
-        } else {
-            self.counters.incr("arena_claim_misses");
-            for &item in buf.iter() {
-                self.push_env(dst, Envelope::Single(item));
-            }
-        }
-        buf.clear();
-    }
-
-    /// [`ProcCtx::ship_slab`] for aggregated traffic, which crosses a
-    /// modelled process boundary and is accounted as one wire message.
-    fn ship_wire_slab(
-        &mut self,
-        dst: usize,
-        dest: MessageDest,
-        grouped_at_source: bool,
-        buf: &mut Vec<Item<Payload>>,
-    ) {
-        self.tally.wire_items += buf.len() as u64;
+        self.tally.wire_items += items.len() as u64;
         self.tally.wire_messages += 1;
-        self.ship_slab(dst, dest, grouped_at_source, buf);
+        envelope::ship(self, dst, dest, grouped_at_source, items);
     }
 
     fn emit_worker(&mut self, dst: usize) {
         let mut buf = std::mem::take(&mut self.bufs_worker[dst]);
         if !buf.is_empty() {
-            let dest = MessageDest::Worker(WorkerId(dst as u32));
-            self.ship_wire_slab(dst, dest, false, &mut buf);
+            let to = WorkerId(dst as u32);
+            self.ship_wire(to, MessageDest::Worker(to), false, &buf);
+            buf.clear();
         }
         self.bufs_worker[dst] = buf;
     }
 
-    /// Ship the local-bypass batch staged for worker `dst`.
+    /// Ship the local-bypass batch staged for worker `dst`; it is not wire
+    /// traffic.
     fn emit_local(&mut self, dst: usize) {
         let mut buf = std::mem::take(&mut self.bufs_local[dst]);
         if !buf.is_empty() {
             self.tally.local_batches += 1;
             self.tally.local_deliveries += buf.len() as u64;
-            self.ship_slab(
-                dst,
-                MessageDest::Worker(WorkerId(dst as u32)),
-                false,
-                &mut buf,
-            );
+            let to = WorkerId(dst as u32);
+            envelope::ship(self, to, MessageDest::Worker(to), false, &buf);
+            buf.clear();
         }
         self.bufs_local[dst] = buf;
     }
@@ -399,23 +325,19 @@ impl<'w> ProcCtx<'w> {
                 let wpp = self.world.topo.workers_per_proc() as usize;
                 group_in_place(&mut buf, wpp, &mut self.group_scratch);
             }
-            self.ship_to_proc(dst_proc, grouped, &mut buf);
+            self.ship_to_proc(dst_proc, grouped, &buf);
+            buf.clear();
         }
         self.bufs_proc[dst_proc] = buf;
     }
 
-    /// Ship `buf` as one process-addressed wire message to the group
+    /// Ship `items` as one process-addressed wire message to the group
     /// receiver of process `dst_proc`.
-    fn ship_to_proc(
-        &mut self,
-        dst_proc: usize,
-        grouped_at_source: bool,
-        buf: &mut Vec<Item<Payload>>,
-    ) {
+    fn ship_to_proc(&mut self, dst_proc: usize, grouped_at_source: bool, items: &[Item<Payload>]) {
         let dst_proc = ProcId(dst_proc as u32);
         let receiver = self.world.topo.group_receiver(self.my_proc, dst_proc);
         let dest = MessageDest::Process(dst_proc);
-        self.ship_wire_slab(receiver.0 as usize, dest, grouped_at_source, buf);
+        self.ship_wire(receiver, dest, grouped_at_source, items);
     }
 
     /// PP insert with the shared claim buffer's full protocol: `Stored` is
@@ -479,7 +401,7 @@ impl<'w> ProcCtx<'w> {
         self.counters.incr("pp_seal_flushes");
         let shipped = !out.is_empty();
         if shipped {
-            self.ship_to_proc(dst_proc, false, &mut out);
+            self.ship_to_proc(dst_proc, false, &out);
         }
         self.drain_buf = out;
         shipped
@@ -583,7 +505,7 @@ impl<'w> ProcCtx<'w> {
         for dst in 0..self.world.workers {
             while let Some(env) = self.stash[dst].pop_front() {
                 self.stash_len -= 1;
-                dropped += drop_envelope(self.world, &env);
+                dropped += env.discard(|owner| &self.world.arenas[owner]);
             }
         }
         dropped
@@ -628,7 +550,7 @@ impl RunCtx for ProcCtx<'_> {
             if self.bufs_local.is_empty() {
                 // No arena to copy a batch into (NoAgg): singles.
                 self.tally.local_deliveries += 1;
-                self.push_env(dst, Envelope::Single(item));
+                self.push(dest, Envelope::Single(item));
                 return;
             }
             self.bufs_local[dst].push(item);
@@ -638,7 +560,9 @@ impl RunCtx for ProcCtx<'_> {
             return;
         }
         match self.scheme {
-            Scheme::NoAgg => self.ship_single(item),
+            Scheme::NoAgg => {
+                self.ship_wire(dest, MessageDest::Worker(dest), false, &[item]);
+            }
             Scheme::WW => {
                 let dst = dest.0 as usize;
                 self.bufs_worker[dst].push(item);
@@ -688,95 +612,52 @@ impl SelfClocked for ProcCtx<'_> {
     }
 }
 
-/// Deliver a batch to the application and publish the count — strictly after
-/// the handler, so handler-generated sends are always counted first.
-fn deliver(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, items: &[Item<Payload>]) {
-    if items.is_empty() {
-        return;
+impl<'w> EnvelopeCtx<'w> for ProcCtx<'w> {
+    fn arena(&self, owner: u32) -> &'w SegArena<Item<Payload>> {
+        &self.world.arenas[owner as usize]
     }
-    app.on_item_slice(items, ctx);
-    ctx.status()
-        .delivered
-        .fetch_add(items.len() as u64, Ordering::Release);
-}
 
-/// Receive-side grouping pass for a process-addressed slab of worker
-/// `owner`'s arena: group it in place (a no-op on a source-grouped WsP slab),
-/// forward peer ranges (consumer refcount bumped first), deliver the own
-/// range, drop this consumer's reference.
-fn group_and_forward(
-    app: &mut dyn WorkerApp,
-    ctx: &mut ProcCtx<'_>,
-    owner: u32,
-    handle: SlabHandle,
-) {
-    let me = ctx.me;
-    let world = ctx.world;
-    let arena = &world.arenas[owner as usize];
-    let wpp = ctx.world.topo.workers_per_proc() as usize;
-    // Out of `ctx` while its ranges are read, so `push_env` can borrow it.
-    let mut scratch = std::mem::take(&mut ctx.group_scratch);
-    let ranges = {
-        // SAFETY: outstanding == 1 here — this worker is the slab's sole
-        // consumer until `add_consumers` below — so the mutable view is
-        // exclusive.
-        let items = unsafe { arena.slice_mut(handle.slab, 0, handle.len) };
-        group_in_place(items, wpp, &mut scratch)
-    };
-    ctx.tally.grouping_passes += 1;
-    ctx.tally.grouped_items += u64::from(handle.len);
-    let forwards = ranges.iter().filter(|&&(dest, _, _)| dest != me).count() as u32;
-    if forwards > 0 {
-        // Before any forward leaves: a fast peer must never drive the
-        // refcount to zero while ranges are still being pushed.
-        arena.add_consumers(handle.slab, forwards);
+    fn own_arena(&self) -> Option<&'w SegArena<Item<Payload>>> {
+        self.world.arenas.get(self.me.idx())
     }
-    for &(dest, start, len) in ranges {
-        if dest == me {
-            continue;
+
+    /// Dead destinations drop (with slab bookkeeping), full rings overflow
+    /// into the per-destination stash.  Envelopes behind stashed ones stash
+    /// too, preserving order.
+    fn push(&mut self, dst: WorkerId, env: Envelope) {
+        let dst = dst.idx();
+        if self.is_dead(dst) {
+            let dropped = env.discard(|owner| &self.world.arenas[owner]);
+            self.add_dropped(dropped);
+            return;
         }
-        let range = SlabRange {
-            start,
-            len,
-            ..handle.range()
-        };
-        ctx.push_env(dest.0 as usize, Envelope::Slice { owner, range });
-    }
-    if let Some(&(_, start, len)) = ranges.iter().find(|&&(dest, _, _)| dest == me) {
-        // SAFETY: same sealed slab; the range came from the grouping pass.
-        let mine = unsafe { arena.slice(handle.slab, start, len) };
-        deliver(app, ctx, mine);
-    }
-    ctx.group_scratch = scratch;
-    if arena.finish_consumer(handle.slab) {
-        arena.release(handle.slab);
-    }
-}
-
-/// Deliver `range` of a sealed slab of worker `owner`'s arena, then drop
-/// this consumer's reference.
-fn deliver_range(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, owner: u32, range: SlabRange) {
-    let arena = &ctx.world.arenas[owner as usize];
-    consume_range(arena, range, |items| deliver(app, ctx, items));
-}
-
-/// Dispatch one inbound envelope.
-fn handle_envelope(app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>, env: Envelope) {
-    match env {
-        // A single addressed to a peer is an arena-miss fallback that
-        // reached its group receiver: forward it, in order.
-        Envelope::Single(item) if item.dest != ctx.me => {
-            ctx.push_env(item.dest.0 as usize, env);
+        if self.stash[dst].is_empty() {
+            if let Err(env) = self.world.ring(self.me.idx(), dst).push(env) {
+                self.stash[dst].push_back(env);
+                self.stash_len += 1;
+            }
+        } else {
+            self.stash[dst].push_back(env);
+            self.stash_len += 1;
         }
-        Envelope::Single(item) => deliver(app, ctx, &[item]),
-        Envelope::Slab {
-            owner,
-            handle,
-            dest: MessageDest::Process(_),
-            ..
-        } => group_and_forward(app, ctx, owner, handle),
-        Envelope::Slab { owner, handle, .. } => deliver_range(app, ctx, owner, handle.range()),
-        Envelope::Slice { owner, range } => deliver_range(app, ctx, owner, range),
+    }
+
+    /// Hand the batch to the application and publish the count — strictly
+    /// after the handler, so handler-generated sends are always counted
+    /// first.
+    fn deliver(&mut self, app: &mut dyn WorkerApp, items: &[Item<Payload>]) {
+        app.on_item_slice(items, self);
+        self.status()
+            .delivered
+            .fetch_add(items.len() as u64, Ordering::Release);
+    }
+
+    fn tally(&mut self) -> &mut Tally {
+        &mut self.tally
+    }
+
+    fn group_scratch(&mut self) -> &mut GroupScratch<Payload> {
+        &mut self.group_scratch
     }
 }
 
@@ -928,7 +809,8 @@ pub(super) fn child_main(world: &World, me: WorkerId, mut app: Box<dyn WorkerApp
     }));
     // Before `on_finalize` and on every exit path: the serialized counters
     // (and what the app sees at finalize) include the runtime tallies.
-    ctx.tally.fold_into(&mut ctx.counters);
+    let arena = world.arenas.get(me.idx()).map(SegArena::stats);
+    ctx.tally.fold_into(&mut ctx.counters, arena);
     let region = world.result_region(me.0 as usize);
     let code = match result {
         Ok(()) => {

@@ -5,9 +5,12 @@
 //! emitted messages onto the per-pair SPSC rings of the delivery mesh, as
 //! slab descriptors or inline singles.  Every message is buffered privately
 //! and copied into one slab of this worker's arena when it ships
-//! ([`NativeWorkerCtx::ship_slab`]); on the node tier, the envelope of a
+//! ([`crate::envelope::ship`]); on the node tier, the envelope of a
 //! message whose receiver is on another cluster node goes up the worker's
-//! uplink to its node leader instead of onto the mesh.
+//! uplink to its node leader instead of onto the mesh.  What this context
+//! does with an inbound envelope is [`crate::envelope`]'s, shared with the
+//! process engine: the context supplies delivery ([`EnvelopeCtx::deliver`])
+//! and the ring choice ([`EnvelopeCtx::push`]).
 //!
 //! `send` decides the local bypass once, before tramlib, for every scheme: a
 //! same-process item is staged for its destination worker and only remote
@@ -22,14 +25,15 @@ use std::sync::atomic::Ordering;
 use metrics::{Counters, LatencyRecorder, QuantileSketch};
 use net_model::{ProcId, WorkerId};
 use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::{SegClaim, SegClaimInsert, SlabArena};
+use shmem::{SegArena, SegClaim, SegClaimInsert};
 use sim_core::StreamRng;
+use tramlib::group::GroupScratch;
 use tramlib::{
     Aggregator, EmitReason, Item, MessageDest, OutboundMessage, Owner, Scheme, TramStats,
 };
 
 use super::Shared;
-use crate::envelope::Envelope;
+use crate::envelope::{self, Envelope, EnvelopeCtx};
 use crate::quantum::{self, SelfClocked};
 use crate::tally::Tally;
 
@@ -138,13 +142,13 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// trigger reads this.
     pub(crate) flush_emits: u64,
     /// NoAgg only: route every envelope through the stash and publish
-    /// rings once per loop via the batched [`shmem::SpscRing::push_from`].
+    /// rings once per loop via the batched [`shmem::SegRing::push_from`].
     /// NoAgg ships one envelope per item; pushing each individually would pay
     /// a cold ring-slot write and a tail publication per item.
     pub(crate) defer_pushes: bool,
     /// Every scheme but NoAgg: this worker's shared arena.  Claims are ours
     /// alone; consumers borrow and decrement, and the last one releases.
-    pub(crate) arena: Option<&'a SlabArena<Item<Payload>>>,
+    pub(crate) arena: Option<&'a SegArena<Item<Payload>>>,
     /// Vectors of messages shipped while a flush has the aggregator out,
     /// returned to its pool when the flush ends.
     pub(crate) spent: Vec<Vec<Item<Payload>>>,
@@ -173,6 +177,8 @@ pub(crate) struct NativeWorkerCtx<'a> {
     /// distribution is the per-scheme evidence for throughput ceilings
     /// (NoAgg delivers single items; aggregated schemes whole buffers).
     pub(crate) batch_lens: Vec<u64>,
+    /// The receive-side grouping pass's reused scratch.
+    group_scratch: GroupScratch<Payload>,
 }
 
 impl<'a> NativeWorkerCtx<'a> {
@@ -224,7 +230,7 @@ impl<'a> NativeWorkerCtx<'a> {
             stash_skip: 0,
             flush_emits: 0,
             defer_pushes: shared.tram.scheme == Scheme::NoAgg,
-            arena: shared.arenas.get(me.idx()),
+            arena: shared.arenas.get(me.idx()).map(|arena| &**arena),
             spent: Vec::new(),
             my_node: shared.worker_node.get(me.idx()).copied().unwrap_or(0),
             cross_socket_msgs: 0,
@@ -241,6 +247,7 @@ impl<'a> NativeWorkerCtx<'a> {
             my_cluster_node: shared.topo.node_of_worker(me).0,
             wire_stash: VecDeque::new(),
             batch_lens: Vec::new(),
+            group_scratch: GroupScratch::default(),
         }
     }
 
@@ -342,13 +349,9 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Copy `items` into one slab of this worker's arena and ship it to
-    /// `target` as a message for `dest`: aggregator messages, PP drains and
-    /// local-bypass batches alike.  Without an arena (NoAgg), or when it is
-    /// dry, the items go to the same `target` as inline singles — a dry
-    /// arena is a throughput dip recorded in `arena_claim_misses`, never a
-    /// loss or a reordering (a process-addressed message's group receiver
-    /// forwards singles too).
+    /// Ship `items` to `target` as one message for `dest` — aggregator
+    /// messages, PP drains and local-bypass batches alike — by the shared
+    /// fill-or-singles rule ([`envelope::ship`]).
     ///
     /// On the node tier a message whose `target` lives on another cluster
     /// node follows the same rule, but its envelopes go up this worker's
@@ -364,23 +367,10 @@ impl<'a> NativeWorkerCtx<'a> {
         grouped_at_source: bool,
         items: &[Item<Payload>],
     ) {
-        let uplink = self.on_other_node(target);
-        if uplink {
+        if self.on_other_node(target) {
             self.tally.wire_node_msgs += 1;
         }
-        let Some(handle) = self.arena.and_then(|arena| arena.fill(items)) else {
-            for &item in items {
-                self.push_toward(uplink, target, Envelope::Single(item));
-            }
-            return;
-        };
-        let envelope = Envelope::Slab {
-            owner: self.me.0,
-            handle,
-            dest,
-            grouped_at_source,
-        };
-        self.push_toward(uplink, target, envelope);
+        envelope::ship(self, target, dest, grouped_at_source, items);
     }
 
     /// Whether worker `w` lives on another cluster node of a node-tier run
@@ -406,8 +396,8 @@ impl<'a> NativeWorkerCtx<'a> {
     /// is full (or if earlier envelopes for the same destination are already
     /// stashed — per-pair FIFO order is preserved).  `dst` is always on this
     /// worker's cluster node: cross-node messages leave through the uplink
-    /// ([`NativeWorkerCtx::ship_slab`]), and every envelope forwarded or
-    /// staged here stays inside its destination's process.
+    /// ([`EnvelopeCtx::push`]), and every envelope forwarded or staged here
+    /// stays inside its destination's process.
     pub(crate) fn push_mesh(&mut self, dst: WorkerId, envelope: Envelope) {
         debug_assert!(!self.on_other_node(dst), "cross-node envelope on the mesh");
         let d = dst.idx();
@@ -425,14 +415,10 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Push one envelope for `target` onto this worker's mesh row or, when
-    /// `uplink`, up its uplink to the node leader — stashed when that ring
-    /// is full (nobody has pumped the node yet) or when earlier envelopes
-    /// are already stashed: FIFO toward the leader.
-    fn push_toward(&mut self, uplink: bool, target: WorkerId, envelope: Envelope) {
-        if !uplink {
-            return self.push_mesh(target, envelope);
-        }
+    /// Push one envelope up this worker's uplink to the node leader —
+    /// stashed when that ring is full (nobody has pumped the node yet) or
+    /// when earlier envelopes are already stashed: FIFO toward the leader.
+    fn push_uplink(&mut self, envelope: Envelope) {
         let plane = self
             .shared
             .node_plane
@@ -564,21 +550,6 @@ impl<'a> NativeWorkerCtx<'a> {
         }
     }
 
-    /// Quarantine path: account one undeliverable envelope and finish its
-    /// slab.  The refcount dance runs exactly as on delivery — only the
-    /// handler call is skipped, and the last consumer still frees the slab —
-    /// so a panicked consumer never strands a peer's slab.  Returns the
-    /// number of items dropped.
-    pub(crate) fn drop_envelope(&mut self, envelope: Envelope) -> u64 {
-        if let Some((owner, range)) = envelope.slab_range() {
-            let arena = &self.shared.arenas[owner];
-            if arena.finish_consumer(range.slab) {
-                arena.release(range.slab);
-            }
-        }
-        envelope.item_count()
-    }
-
     /// Quarantine entry: drop everything this worker produced but had not
     /// shipped — aggregator buffers, local-bypass batches, envelopes stashed
     /// for the mesh or the uplink.  Unshipped items hold no slab: a slab is
@@ -587,6 +558,7 @@ impl<'a> NativeWorkerCtx<'a> {
     /// sent (publish-before-ship), so counting it dropped keeps the
     /// conservation ledger exact.  Returns the number of items dropped.
     pub(crate) fn abandon_production(&mut self) -> u64 {
+        let arenas = &self.shared.arenas;
         let mut dropped = 0u64;
         if let Some(agg) = self.aggregator.as_mut() {
             dropped += agg.abandon();
@@ -598,11 +570,11 @@ impl<'a> NativeWorkerCtx<'a> {
         for lane in 0..self.stash.len() {
             while let Some(envelope) = self.stash[lane].pop_front() {
                 self.stash_len -= 1;
-                dropped += self.drop_envelope(envelope);
+                dropped += envelope.discard(|owner| &arenas[owner]);
             }
         }
         while let Some(envelope) = self.wire_stash.pop_front() {
-            dropped += self.drop_envelope(envelope);
+            dropped += envelope.discard(|owner| &arenas[owner]);
         }
         dropped
     }
@@ -733,19 +705,12 @@ impl<'a> NativeWorkerCtx<'a> {
     /// the arena's claim statistics into this worker's counters before the
     /// thread exits.
     pub(crate) fn export_counters(&mut self) {
-        self.tally.fold_into(&mut self.counters);
+        self.tally
+            .fold_into(&mut self.counters, self.arena.map(SegArena::stats));
         if let Some(agg) = &self.aggregator {
             let pool = agg.pool_stats();
             self.counters.add("agg_pool_hits", pool.hits);
             self.counters.add("agg_pool_misses", pool.misses);
-        }
-        if let Some(arena) = self.arena {
-            let stats = arena.stats();
-            self.counters.add("arena_claims", stats.claims);
-            // Zero across a run = the steady state never fell back to
-            // singles; gated by `benchmark/run.sh` and the threaded
-            // engine's unit tests.
-            self.counters.add("arena_claim_misses", stats.misses);
         }
         // 0 whenever placement is unknown (unpinned) or single-node.
         self.counters
@@ -753,7 +718,7 @@ impl<'a> NativeWorkerCtx<'a> {
     }
 
     /// Count one delivered slice of `len` items (`len > 0`).
-    pub(crate) fn count_batch(&mut self, len: usize) {
+    fn count_batch(&mut self, len: usize) {
         if len >= self.batch_lens.len() {
             self.batch_lens.resize(len + 1, 0);
         }
@@ -858,41 +823,63 @@ impl SelfClocked for NativeWorkerCtx<'_> {
     }
 }
 
-/// Run one borrowed slice of delivered items through the application's
-/// slice-based handler.  The items are read **in place** — from a slab in
-/// some worker's or node leader's arena — and never moved.
-/// The delivered counter is bumped once per slice, strictly after the
-/// handlers: any sends the handlers made are already counted by then, so
-/// `sent sum == delivered sum` still implies global quiescence.
-///
-/// Latency is **sampled once per slice** (its first item, which is the
-/// oldest of the cohort: buffers fill in FIFO order): a per-item log-bucket
-/// sketch update costs more than the delivery itself at mesh throughput, and
-/// the native backend's latency numbers are a distribution summary, not a
-/// per-item trace.
-pub(crate) fn deliver_slice(
-    app: &mut dyn WorkerApp,
-    ctx: &mut NativeWorkerCtx<'_>,
-    items: &[Item<Payload>],
-) {
-    let count = items.len() as u64;
-    if count > 1 {
-        // One clock read per real batch keeps handler-visible timestamps
-        // honest across long drain bursts; single-item batches (NoAgg) stay
-        // on the per-quantum cache — a clock read per item is exactly the
-        // cost the inline envelope avoids.
-        ctx.refresh_now();
+impl<'a> EnvelopeCtx<'a> for NativeWorkerCtx<'a> {
+    fn arena(&self, owner: u32) -> &'a SegArena<Item<Payload>> {
+        &self.shared.arenas[owner as usize]
     }
-    if let Some(first) = items.first() {
-        ctx.latency.record_span(first.created_at_ns, ctx.now_cache);
+
+    fn own_arena(&self) -> Option<&'a SegArena<Item<Payload>>> {
+        self.arena
     }
-    if count > 0 {
-        ctx.count_batch(items.len());
+
+    /// The mesh row, or on the node tier the uplink for a `dst` on another
+    /// cluster node.
+    #[inline]
+    fn push(&mut self, dst: WorkerId, envelope: Envelope) {
+        if self.on_other_node(dst) {
+            self.push_uplink(envelope);
+        } else {
+            self.push_mesh(dst, envelope);
+        }
     }
-    debug_assert!(
-        items.iter().all(|i| i.dest == ctx.me),
-        "items delivered to wrong worker"
-    );
-    app.on_item_slice(items, ctx);
-    ctx.pending_delivered += count;
+
+    /// Run one borrowed slice of delivered items through the application's
+    /// slice-based handler.  The items are read **in place** — from a slab
+    /// in some worker's or node leader's arena — and never moved.  The
+    /// delivered counter is bumped once per slice, strictly after the
+    /// handlers: any sends the handlers made are already counted by then, so
+    /// `sent sum == delivered sum` still implies global quiescence.
+    ///
+    /// Latency is **sampled once per slice** (its first item, which is the
+    /// oldest of the cohort: buffers fill in FIFO order): a per-item
+    /// log-bucket sketch update costs more than the delivery itself at mesh
+    /// throughput, and the native backend's latency numbers are a
+    /// distribution summary, not a per-item trace.
+    #[inline]
+    fn deliver(&mut self, app: &mut dyn WorkerApp, items: &[Item<Payload>]) {
+        if items.len() > 1 {
+            // One clock read per real batch keeps handler-visible timestamps
+            // honest across long drain bursts; single-item batches (NoAgg)
+            // stay on the per-quantum cache — a clock read per item is
+            // exactly the cost the inline envelope avoids.
+            self.refresh_now();
+        }
+        self.latency
+            .record_span(items[0].created_at_ns, self.now_cache);
+        self.count_batch(items.len());
+        debug_assert!(
+            items.iter().all(|i| i.dest == self.me),
+            "items delivered to wrong worker"
+        );
+        app.on_item_slice(items, self);
+        self.pending_delivered += items.len() as u64;
+    }
+
+    fn tally(&mut self) -> &mut Tally {
+        &mut self.tally
+    }
+
+    fn group_scratch(&mut self) -> &mut GroupScratch<Payload> {
+        &mut self.group_scratch
+    }
 }

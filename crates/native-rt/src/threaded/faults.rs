@@ -17,7 +17,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use runtime_api::{FaultKind, FaultPlan, FaultTrigger, Payload};
-use shmem::SlabArena;
+use shmem::SegArena;
 use tramlib::Item;
 
 use super::NativeWorkerCtx;
@@ -130,7 +130,7 @@ impl ActiveFaults {
                     ctx.counters.incr("fault_arena_dry");
                     if let Some(arena) = ctx.arena {
                         // Claim every free slab and sit on them: subsequent
-                        // inserts miss and fall back to pooled heap vectors
+                        // messages miss and ship as inline singles
                         // (`arena_claim_misses`), never stall or lose items.
                         while let Some(slab) = arena.try_claim() {
                             self.held.push(slab);
@@ -158,7 +158,7 @@ impl ActiveFaults {
     /// Release anything the fault machinery still holds (an arena-dry hold
     /// interrupted by run end or a panic) so the teardown audit never charges
     /// injected faults with a leak.
-    pub(crate) fn disarm(&mut self, arena: Option<&SlabArena<Item<Payload>>>) {
+    pub(crate) fn disarm(&mut self, arena: Option<&SegArena<Item<Payload>>>) {
         if let Some(arena) = arena {
             for slab in self.held.drain(..) {
                 arena.release(slab);

@@ -3,11 +3,12 @@
 //!
 //! Each worker drains its column of the N×N envelope grid (one bounded SPSC
 //! ring per source worker, plus its downlink from the node leader on the
-//! node tier), runs the receive-side grouping pass *locally*
-//! with its own [`PooledReceiver`], delivers its items inline and forwards
-//! process peers' ranges as slice descriptors over its own row.  The last
-//! consumer of a slab releases it straight into the arena of the worker
-//! that owns it — a lock-free free-list push, safe from any thread.
+//! node tier) and hands every envelope to [`crate::envelope`], the receive
+//! path both native engines share: it runs the grouping pass *locally*,
+//! delivers this worker's items inline and forwards process peers' ranges as
+//! slice descriptors over its own row.  The last consumer of a slab releases
+//! it straight into the arena of the worker that owns it — a lock-free
+//! free-list push, safe from any thread.
 //!
 //! Progress / deadlock freedom: a push onto a full ring never blocks — the
 //! envelope goes to the sender's per-destination stash and is retried at the
@@ -22,14 +23,12 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use net_model::WorkerId;
-use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::{SlabHandle, SlabRange, SpscRing};
-use tramlib::{MessageDest, PooledReceiver};
+use runtime_api::{RunCtx, WorkerApp};
+use shmem::SpscRing;
 
-use super::ctx::deliver_slice;
 use super::faults::ActiveFaults;
 use super::{NativeWorkerCtx, Shared, WorkerOutput};
-use crate::envelope::{consume_range, Envelope};
+use crate::envelope::{handle_envelope, Envelope};
 use crate::quantum::QuietTracker;
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 
@@ -59,7 +58,6 @@ pub(crate) fn worker_main(
     mut app: Box<dyn WorkerApp>,
 ) -> WorkerOutput {
     let mut ctx = NativeWorkerCtx::new(shared, me);
-    let mut receiver: PooledReceiver<Payload> = PooledReceiver::new(shared.tram);
     if shared.pin_workers {
         // Pin before the barrier so placement never counts as run time.
         crate::affinity::pin_current_thread(me.idx());
@@ -88,14 +86,7 @@ pub(crate) fn worker_main(
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         app.on_start(&mut ctx);
-        mesh_loop(
-            shared,
-            me,
-            app.as_mut(),
-            &mut ctx,
-            &mut receiver,
-            &mut faults,
-        );
+        mesh_loop(shared, me, app.as_mut(), &mut ctx, &mut faults);
     }));
     let panicked = match outcome {
         Ok(()) => false,
@@ -143,7 +134,6 @@ fn mesh_loop(
     me: WorkerId,
     app: &mut dyn WorkerApp,
     ctx: &mut NativeWorkerCtx<'_>,
-    receiver: &mut PooledReceiver<Payload>,
     faults: &mut Option<ActiveFaults>,
 ) {
     let me_i = me.idx();
@@ -192,7 +182,7 @@ fn mesh_loop(
                 // stash retry at the loop top) has had its turn.
                 if ring.pop_into(&mut inbox, INBOX_BUDGET) > 0 {
                     for envelope in inbox.drain(..) {
-                        handle_envelope(app, ctx, receiver, envelope);
+                        handle_envelope(app, ctx, envelope);
                     }
                     did_work = true;
                 }
@@ -314,7 +304,7 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
         did_work |= ctx.flush_wire_stash();
         for ring in inbox_rings(shared, me_i) {
             while let Some(envelope) = ring.pop() {
-                ctx.pending_dropped += ctx.drop_envelope(envelope);
+                ctx.pending_dropped += envelope.discard(|owner| &shared.arenas[owner]);
                 did_work = true;
             }
         }
@@ -336,108 +326,4 @@ fn inbox_rings(shared: &Shared, me: usize) -> impl Iterator<Item = &SpscRing<Env
     (0..workers)
         .map(move |src| shared.plane.ring(src, me))
         .chain(downlink)
-}
-
-/// Process one envelope popped from an inbox ring.
-fn handle_envelope(
-    app: &mut dyn WorkerApp,
-    ctx: &mut NativeWorkerCtx<'_>,
-    receiver: &mut PooledReceiver<Payload>,
-    envelope: Envelope,
-) {
-    match envelope {
-        // A single addressed to a peer is an arena-miss fallback of a
-        // process-addressed message that reached its group receiver: forward
-        // it, behind whatever this receiver forwarded before.
-        Envelope::Single(item) if item.dest != ctx.me => {
-            ctx.tally.local_forwards += 1;
-            ctx.push_mesh(item.dest, envelope);
-        }
-        Envelope::Single(item) => {
-            ctx.latency.record_span(item.created_at_ns, ctx.now_cache);
-            app.on_item(item.data, item.created_at_ns, ctx);
-            ctx.pending_delivered += 1;
-            ctx.count_batch(1);
-        }
-        Envelope::Slab {
-            owner,
-            handle,
-            dest: MessageDest::Process(p),
-            grouped_at_source,
-        } => {
-            debug_assert_eq!(p, ctx.my_proc, "slab routed to wrong process");
-            group_and_forward(app, ctx, receiver, owner, handle, grouped_at_source);
-        }
-        // WW and the local bypass: the slab already names its final worker.
-        Envelope::Slab { owner, handle, .. } => deliver_range(app, ctx, owner, handle.range()),
-        // A pre-grouped index range of a peer's slab, forwarded by the
-        // worker that ran the grouping pass.
-        Envelope::Slice { owner, range } => deliver_range(app, ctx, owner, range),
-    }
-}
-
-/// Deliver `range` of a sealed slab of worker `owner`'s arena — borrowed in
-/// place, zero moves — then drop this consumer's reference; the last
-/// consumer frees the slab.
-fn deliver_range(
-    app: &mut dyn WorkerApp,
-    ctx: &mut NativeWorkerCtx<'_>,
-    owner: u32,
-    range: SlabRange,
-) {
-    let arena = &ctx.shared.arenas[owner as usize];
-    consume_range(arena, range, |items| deliver_slice(app, ctx, items));
-}
-
-/// The receive-side grouping pass for a process-addressed slab of worker
-/// `owner`'s arena: group it *in place* (this worker is its sole consumer
-/// until it forwards), deliver its own index range, and forward the peers'
-/// ranges as borrowed sub-slices of the same slab — the items never move
-/// out.
-fn group_and_forward(
-    app: &mut dyn WorkerApp,
-    ctx: &mut NativeWorkerCtx<'_>,
-    receiver: &mut PooledReceiver<Payload>,
-    owner: u32,
-    handle: SlabHandle,
-    grouped_at_source: bool,
-) {
-    let arena = &ctx.shared.arenas[owner as usize];
-    debug_assert_eq!(arena.generation(handle.slab), handle.generation);
-    {
-        // SAFETY: sole consumer of the sealed slab (no range has been
-        // forwarded yet), all `len` slots written before seal.
-        let items = unsafe { arena.slice_mut(handle.slab, 0, handle.len) };
-        let outcome = receiver.group_ranges(items, grouped_at_source);
-        if outcome.grouping_performed {
-            ctx.tally.grouping_passes += 1;
-            ctx.tally.grouped_items += outcome.item_count as u64;
-        }
-    }
-    let ranges = receiver.take_ranges();
-    let me = ctx.me;
-    // Register every forwarded consumer *before* any range ships: a
-    // forwarded peer may finish before we do.
-    let forwards = ranges.iter().filter(|&&(w, _, _)| w != me).count() as u32;
-    arena.add_consumers(handle.slab, forwards);
-    for &(w, start, len) in &ranges {
-        if w == me {
-            // SAFETY: our own range of the sealed slab, stable until the
-            // slab's last consumer finishes.
-            let slice = unsafe { arena.slice(handle.slab, start, len) };
-            deliver_slice(app, ctx, slice);
-        } else {
-            ctx.tally.local_forwards += 1;
-            let range = SlabRange {
-                start,
-                len,
-                ..handle.range()
-            };
-            ctx.push_mesh(w, Envelope::Slice { owner, range });
-        }
-    }
-    receiver.put_ranges(ranges);
-    if arena.finish_consumer(handle.slab) {
-        arena.release(handle.slab);
-    }
 }

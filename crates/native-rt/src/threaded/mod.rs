@@ -26,8 +26,9 @@
 //!                  │                  downlink[dst] SPSC ring
 //!                  ▼                            │
 //!      destination worker ◀─────────────────────┘
-//!      the grouping pass runs HERE (per-worker PooledReceiver); the last
-//!      consumer of a slab frees it into its owner's arena
+//!      the grouping pass runs HERE (crate::envelope, shared with the
+//!      process engine); the last consumer of a slab frees it into its
+//!      owner's arena
 //! ```
 //!
 //! `send` decides the local bypass before tramlib, for every scheme: a

@@ -546,7 +546,8 @@ fn runtime_counters_agree_with_the_aggregator_on_every_engine() {
         "wire_messages",
         "wire_messages_flush",
     ];
-    const PROCESS: [&str; 12] = [
+    const PROCESS: [&str; 14] = [
+        "arena_claim_misses",
         "arena_claims",
         "faults_injected",
         "grouped_items",
@@ -555,6 +556,7 @@ fn runtime_counters_agree_with_the_aggregator_on_every_engine() {
         "leaked_slabs",
         "local_batches",
         "local_deliveries",
+        "local_forwards",
         "orphan_segments_reclaimed",
         "slabs_reclaimed",
         "wire_items",
@@ -771,6 +773,13 @@ fn message_counts_agree_across_engines() {
     // stay within 2 % of the simulator's and carry at least `g / 2` items a
     // message.  Both native engines stage the local bypass per quantum, the
     // same way, so their `local_batches` agree exactly.
+    //
+    // Off PP, the receive side is fixed by the messages too, and both native
+    // engines run one receive path: every engine charges a grouping pass per
+    // process-addressed message not grouped at its source (none under WsP),
+    // both native engines count the same `local_forwards`, and both attempt
+    // the same number of slab fills (`arena_claims + arena_claim_misses`:
+    // one per message or bypass batch, whichever way the claim went).
     const G: u64 = 64;
     let mut broken = Vec::new();
     for bypass in [false, true] {
@@ -817,6 +826,34 @@ fn message_counts_agree_across_engines() {
                     "{label}: local_batches threaded {} process {}",
                     local(&threaded),
                     local(&process)
+                ));
+            }
+            if scheme == Scheme::PP {
+                continue;
+            }
+            let passes = |r: &RunReport| r.counter("grouping_passes");
+            if passes(&threaded) != passes(&sim) || passes(&process) != passes(&sim) {
+                broken.push(format!(
+                    "{label}: grouping_passes sim {} threaded {} process {}",
+                    passes(&sim),
+                    passes(&threaded),
+                    passes(&process)
+                ));
+            }
+            let forwards = |r: &RunReport| r.counter("local_forwards");
+            if forwards(&threaded) != forwards(&process) {
+                broken.push(format!(
+                    "{label}: local_forwards threaded {} process {}",
+                    forwards(&threaded),
+                    forwards(&process)
+                ));
+            }
+            let fills = |r: &RunReport| r.counter("arena_claims") + r.counter("arena_claim_misses");
+            if fills(&threaded) != fills(&process) {
+                broken.push(format!(
+                    "{label}: slab fills (claims + misses) threaded {} process {}",
+                    fills(&threaded),
+                    fills(&process)
                 ));
             }
         }
