@@ -13,7 +13,7 @@
 //!
 //! Both engines' worker contexts implement [`EnvelopeCtx`], and the code
 //! that acts on an envelope is written once over it, statically dispatched
-//! ([`ship`], [`handle_envelope`], [`Envelope::discard`]).  What stays per
+//! ([`ship`], [`handle_inbox`], [`Envelope::discard`]).  What stays per
 //! engine is how a delivered slice is handed to the application and
 //! published ([`EnvelopeCtx::deliver`]) and which ring an envelope takes
 //! ([`EnvelopeCtx::push`]: mesh, uplink, or a counted drop toward a dead
@@ -140,13 +140,29 @@ pub(crate) fn ship<'w>(
     ctx.push(target, envelope);
 }
 
+/// Act on every envelope of `inbox` — one budgeted pop of an inbox ring —
+/// emptying it; returns whether there were any.  Both engines' worker loops
+/// drain every ring through here: their inbox sweep and their quantum-end
+/// drain of their own diagonal ring.
+pub(crate) fn handle_inbox<'w>(
+    app: &mut dyn WorkerApp,
+    ctx: &mut impl EnvelopeCtx<'w>,
+    inbox: &mut Vec<Envelope>,
+) -> bool {
+    let popped = !inbox.is_empty();
+    for envelope in inbox.drain(..) {
+        handle_envelope(app, ctx, envelope);
+    }
+    popped
+}
+
 /// Act on one envelope popped from an inbox ring: deliver what is addressed
 /// to this worker, group a process-addressed slab, forward what belongs to a
-/// peer.  Inlined, with its helpers, into each engine's drain loop, its one
-/// caller there: an outlined call per envelope cost the threaded `hist_g16`
-/// a few percent of its throughput.
+/// peer.  Inlined, with its helpers, into [`handle_inbox`], its one caller:
+/// an outlined call per envelope cost the threaded `hist_g16` a few percent
+/// of its throughput.
 #[inline]
-pub(crate) fn handle_envelope<'w>(
+fn handle_envelope<'w>(
     app: &mut dyn WorkerApp,
     ctx: &mut impl EnvelopeCtx<'w>,
     envelope: Envelope,

@@ -15,7 +15,8 @@
 //!   a slab of the sender's arena and shipped as one worker-addressed
 //!   [`Envelope::Slab`].
 //! * **WPs** — per-destination-process buffers shipped ungrouped, as a
-//!   process-addressed slab, to the destination's group receiver, which
+//!   process-addressed slab, to the sender's group receiver in the
+//!   destination process (its rank-mate there, itself at home), which
 //!   groups the slab in place with tramlib's stable kernel (it is the sole
 //!   consumer at that point), delivers its own range and forwards peer
 //!   ranges as [`Envelope::Slice`] descriptors after bumping the slab's
@@ -26,7 +27,7 @@
 //!   one per destination process.  Drains (buffer-full `MustDrain` and
 //!   explicit flushes alike) serialize through the buffer's drain lock and
 //!   copy the collected items into one slab of the drainer's arena, shipped
-//!   to the group receiver exactly as WPs ships.
+//!   to the drainer's group receiver exactly as WPs ships.
 //!
 //! **Local bypass** (same-process traffic, `local_bypass` on) skips all of
 //! the above: items stage in per-destination-worker buffers that never
@@ -66,7 +67,7 @@ use tramlib::group::{group_in_place, GroupScratch};
 use tramlib::{Item, MessageDest, Scheme, TramConfig};
 
 use super::layout::{self, RunCtl, WorkerStatus};
-use crate::envelope::{self, handle_envelope, Envelope, EnvelopeCtx};
+use crate::envelope::{self, handle_inbox, Envelope, EnvelopeCtx};
 use crate::quantum::{self, QuietTracker, SelfClocked};
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 use crate::sys;
@@ -331,11 +332,11 @@ impl<'w> ProcCtx<'w> {
         self.bufs_proc[dst_proc] = buf;
     }
 
-    /// Ship `items` as one process-addressed wire message to the group
-    /// receiver of process `dst_proc`.
+    /// Ship `items` as one process-addressed wire message to this worker's
+    /// group receiver in process `dst_proc`.
     fn ship_to_proc(&mut self, dst_proc: usize, grouped_at_source: bool, items: &[Item<Payload>]) {
         let dst_proc = ProcId(dst_proc as u32);
-        let receiver = self.world.topo.group_receiver(self.my_proc, dst_proc);
+        let receiver = self.world.topo.group_receiver(self.me, dst_proc);
         let dest = MessageDest::Process(dst_proc);
         self.ship_wire(receiver, dest, grouped_at_source, items);
     }
@@ -458,7 +459,7 @@ impl<'w> ProcCtx<'w> {
                     let receiver = self
                         .world
                         .topo
-                        .group_receiver(self.my_proc, ProcId(dst_proc as u32));
+                        .group_receiver(self.me, ProcId(dst_proc as u32));
                     if gated && !self.lane_drained(receiver.0 as usize) {
                         held = true;
                         continue;
@@ -728,6 +729,7 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
     let ctl = world.ctl();
     let mut faults = ChildFaults::compile(world.faults.as_ref(), ctx.me.0);
     let mut inbox: Vec<Envelope> = Vec::with_capacity(INBOX_BUDGET);
+    let diagonal = world.ring(me, me);
     let mut beats = 0u64;
     let mut idle_rounds = 0u32;
     let mut quiet = QuietTracker::new(world.tram.flush_policy.on_idle);
@@ -744,14 +746,8 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
         }
         let mut did_work = ctx.flush_stash();
         for src in 0..world.workers {
-            let popped = world.ring(src, me).pop_into(&mut inbox, INBOX_BUDGET);
-            if popped == 0 {
-                continue;
-            }
-            for env in inbox.drain(..) {
-                handle_envelope(app, ctx, env);
-            }
-            did_work = true;
+            world.ring(src, me).pop_into(&mut inbox, INBOX_BUDGET);
+            did_work |= handle_inbox(app, ctx, &mut inbox);
         }
         // A graceful-shutdown request: stop generating, one final flush,
         // count as done (the same protocol as the threaded backend).
@@ -774,6 +770,12 @@ fn child_loop(world: &World, app: &mut dyn WorkerApp, ctx: &mut ProcCtx<'_>) {
         // Quantum end, busy or idle: no local-bypass batch outlives the
         // iteration that filled it.
         ctx.flush_local();
+        // This worker is the group receiver of its own process-addressed
+        // messages to its own process (and the target of its own bypass
+        // batches): one more budgeted pop of its diagonal ring hands what
+        // this quantum shipped to itself on now, not a loop turn later.
+        diagonal.pop_into(&mut inbox, INBOX_BUDGET);
+        did_work |= handle_inbox(app, ctx, &mut inbox);
         let done = (app.local_done() || quiesced) && ctx.buffers_empty();
         ctx.status()
             .stash

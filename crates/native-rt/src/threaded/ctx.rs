@@ -289,13 +289,13 @@ impl<'a> NativeWorkerCtx<'a> {
         self.now_cache = self.shared.now_ns();
     }
 
-    /// The worker a message for `dest` is shipped to.  Same spread rule as
-    /// the simulator: the (src proc, dst proc) pair pins the worker that
-    /// runs the grouping pass of a process-addressed message.
+    /// The worker a message for `dest` is shipped to.  Same rule as the
+    /// simulator: a process-addressed message goes to the worker of `dest`
+    /// with this worker's local rank, which runs its grouping pass.
     fn receiver_of(&self, dest: MessageDest) -> WorkerId {
         match dest {
             MessageDest::Worker(w) => w,
-            MessageDest::Process(p) => self.shared.topo.group_receiver(self.my_proc, p),
+            MessageDest::Process(p) => self.shared.topo.group_receiver(self.me, p),
         }
     }
 

@@ -28,7 +28,7 @@ use shmem::SpscRing;
 
 use super::faults::ActiveFaults;
 use super::{NativeWorkerCtx, Shared, WorkerOutput};
-use crate::envelope::{handle_envelope, Envelope};
+use crate::envelope::{handle_inbox, Envelope};
 use crate::quantum::QuietTracker;
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 
@@ -144,6 +144,7 @@ fn mesh_loop(
     let mut quiesced = false;
     // Reused drain buffer: one batched head publication per source ring.
     let mut inbox: Vec<Envelope> = Vec::with_capacity(INBOX_BUDGET);
+    let diagonal = shared.plane.ring(me_i, me_i);
     // Node tier: while this loop runs and is not napping, the worker counts
     // as awake for its node's leader and pumps it on unmoved quanta.  The
     // handle drops with the loop — `stop`, or an unwind into quarantine.
@@ -175,17 +176,14 @@ fn mesh_loop(
         did_work |= ctx.flush_wire_stash();
         // A ring-burst fault closes the inbox for its window: senders back up
         // into their stashes, exercising the backpressure path end to end.
-        if !faults.as_ref().is_some_and(ActiveFaults::skip_inbox) {
+        let inbox_open = !faults.as_ref().is_some_and(ActiveFaults::skip_inbox);
+        if inbox_open {
             for ring in inbox_rings(shared, me_i) {
                 // One budgeted drain per source per iteration — a hot source
                 // gets the next helping only after every other ring (and the
                 // stash retry at the loop top) has had its turn.
-                if ring.pop_into(&mut inbox, INBOX_BUDGET) > 0 {
-                    for envelope in inbox.drain(..) {
-                        handle_envelope(app, ctx, envelope);
-                    }
-                    did_work = true;
-                }
+                ring.pop_into(&mut inbox, INBOX_BUDGET);
+                did_work |= handle_inbox(app, ctx, &mut inbox);
             }
         }
         // A graceful-shutdown request (delivered SIGINT/SIGTERM): stop
@@ -233,6 +231,14 @@ fn mesh_loop(
         // Quantum end, busy or idle: no local-bypass batch outlives the
         // iteration that filled it.
         ctx.flush_local();
+        // This worker is the group receiver of its own process-addressed
+        // messages to its own process (and the target of its own bypass
+        // batches): one more budgeted pop of its diagonal ring hands what
+        // this quantum shipped to itself on now, not a loop turn later.
+        if inbox_open {
+            diagonal.pop_into(&mut inbox, INBOX_BUDGET);
+            did_work |= handle_inbox(app, ctx, &mut inbox);
+        }
         // Node tier: a quantum that moved nothing inbound has time to pump
         // the node's wire itself, so what it just shipped leaves now and
         // what is waiting on the socket is in the downlink next quantum —

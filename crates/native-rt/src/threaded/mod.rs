@@ -26,9 +26,10 @@
 //!                  │                  downlink[dst] SPSC ring
 //!                  ▼                            │
 //!      destination worker ◀─────────────────────┘
-//!      the grouping pass runs HERE (crate::envelope, shared with the
-//!      process engine); the last consumer of a slab frees it into its
-//!      owner's arena
+//!      the grouping pass runs HERE, on the sender's rank-mate in the
+//!      destination process (crate::envelope, shared with the process
+//!      engine); the last consumer of a slab frees it into its owner's
+//!      arena
 //! ```
 //!
 //! `send` decides the local bypass before tramlib, for every scheme: a
@@ -37,12 +38,16 @@
 //! uplink and downlink alike — carries the one `Envelope` of both native
 //! engines: an inline item or the descriptor of a slab in some worker's (or
 //! node leader's) arena.  A process-addressed slab
-//! (WPs/WsP/PP) is routed to the destination worker chosen by
-//! [`net_model::Topology::group_receiver`] — the same rule the simulator
-//! uses — which groups it in place and forwards peer workers' ranges as
-//! slice descriptors over its own mesh rows.  The consumer that finishes a
-//! slab last releases it straight into its owner's arena (a lock-free
-//! free-list push, safe from any thread), as the process engine does.  A
+//! (WPs/WsP/PP) is routed to the worker of the destination process with the
+//! sender's local rank, [`net_model::Topology::group_receiver`] — the same
+//! rule the simulator and the process engine use — which groups it in place
+//! and forwards peer workers' ranges as slice descriptors over its own mesh
+//! rows.  A sender in the destination process is its own group receiver:
+//! the slab takes its diagonal ring, which its loop pops once more at
+//! quantum end, so it is grouped in the quantum that shipped it.  The
+//! consumer that finishes a slab last releases it straight into its
+//! owner's arena (a lock-free free-list push, safe from any thread), as the
+//! process engine does.  A
 //! full mesh ring never blocks the sender: after one failed push the
 //! envelope parks in a per-destination stash that is retried every loop
 //! iteration — backpressure without the deadlock a blocking N×N
@@ -92,7 +97,7 @@ use tramlib::{Item, Scheme, TramConfig, TramStats};
 use transport::Transport;
 
 use crate::envelope::Envelope;
-use crate::monitor::{panic_message, Books, Gone, Monitor, RunView};
+use crate::monitor::{panic_message, Books, Gone, Monitor, RunView, Verdict};
 use crate::sizing;
 
 pub(crate) use ctx::NativeWorkerCtx;
@@ -405,61 +410,12 @@ pub fn run_threaded(
     let shared = Shared::new(run, !transports.is_empty());
     let apps: Vec<Box<dyn WorkerApp>> = shared.topo.all_workers().map(&mut make_app).collect();
     let mut monitor = Monitor::new(run);
-    let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(apps.len());
-    let mut teardown_failures: Vec<String> = Vec::new();
-    let mut node_reports: Vec<NodeDiag> = Vec::new();
-    let verdict = std::thread::scope(|scope| {
-        let mut shared = &shared;
-        // Node leaders spawn alongside the workers and exit on the same
-        // `stop` flag; they never gate the start barrier because they move
-        // no traffic until workers feed their uplinks.
-        let leader_handles: Vec<_> = transports
-            .into_iter()
-            .enumerate()
-            .map(|(n, t)| scope.spawn(move || node::leader_main(shared, n as u32, t)))
-            .collect();
-        let handles: Vec<_> = shared
-            .topo
-            .all_workers()
-            .zip(apps)
-            .map(|(w, app)| scope.spawn(move || mesh::worker_main(shared, w, app)))
-            .collect();
-
-        // Release the start barrier only once every thread exists: the
-        // measured window is pure run time, not OS thread creation (whose
-        // cost scales with the worker count and would bias cluster sweeps).
-        let start = Instant::now();
-        shared.go.store(true, Ordering::Release);
-        let verdict = monitor.watch(&mut shared, start);
-        shared.stop.store(true, Ordering::Release);
-        // A leader standing down for its workers sleeps on a park, not a nap.
-        if let Some(plane) = &shared.node_plane {
-            plane.unpark_leaders();
-        }
-        // Joins must not unwind: the containment boundary already converts
-        // worker panics into quarantines, so a join failure here means a
-        // panic *outside* that boundary (setup/teardown) — fold it into the
-        // abort reason instead of poisoning the caller.
-        for (w, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(output) => outputs.push(output),
-                Err(payload) => teardown_failures.push(format!(
-                    "worker {w} thread died outside containment: {}",
-                    panic_message(payload.as_ref())
-                )),
-            }
-        }
-        for (n, handle) in leader_handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(diag) => node_reports.push(diag),
-                Err(payload) => teardown_failures.push(format!(
-                    "node {n} leader thread died: {}",
-                    panic_message(payload.as_ref())
-                )),
-            }
-        }
-        verdict
-    });
+    let Joined {
+        verdict,
+        outputs,
+        teardown_failures,
+        node_reports,
+    } = drive(&shared, transports, apps, &mut monitor);
 
     let mut books = Books::default();
     let mut app_latency = LatencyRecorder::new();
@@ -515,6 +471,86 @@ pub fn run_threaded(
             ..books
         },
     )
+}
+
+/// What the threads of one run hand back when they have all joined.
+struct Joined {
+    verdict: Verdict,
+    /// One per worker that joined, in worker order, before any merge.
+    outputs: Vec<WorkerOutput>,
+    teardown_failures: Vec<String>,
+    node_reports: Vec<NodeDiag>,
+}
+
+/// Run the threads of one run over `shared` — one per worker running its
+/// app, one leader per transport — until `monitor` ends it, then join them.
+fn drive(
+    shared: &Shared,
+    transports: Vec<Box<dyn Transport>>,
+    apps: Vec<Box<dyn WorkerApp>>,
+    monitor: &mut Monitor,
+) -> Joined {
+    let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(apps.len());
+    let mut teardown_failures: Vec<String> = Vec::new();
+    let mut node_reports: Vec<NodeDiag> = Vec::new();
+    let verdict = std::thread::scope(|scope| {
+        let mut shared = shared;
+        // Node leaders spawn alongside the workers and exit on the same
+        // `stop` flag; they never gate the start barrier because they move
+        // no traffic until workers feed their uplinks.
+        let leader_handles: Vec<_> = transports
+            .into_iter()
+            .enumerate()
+            .map(|(n, t)| scope.spawn(move || node::leader_main(shared, n as u32, t)))
+            .collect();
+        let handles: Vec<_> = shared
+            .topo
+            .all_workers()
+            .zip(apps)
+            .map(|(w, app)| scope.spawn(move || mesh::worker_main(shared, w, app)))
+            .collect();
+
+        // Release the start barrier only once every thread exists: the
+        // measured window is pure run time, not OS thread creation (whose
+        // cost scales with the worker count and would bias cluster sweeps).
+        let start = Instant::now();
+        shared.go.store(true, Ordering::Release);
+        let verdict = monitor.watch(&mut shared, start);
+        shared.stop.store(true, Ordering::Release);
+        // A leader standing down for its workers sleeps on a park, not a nap.
+        if let Some(plane) = &shared.node_plane {
+            plane.unpark_leaders();
+        }
+        // Joins must not unwind: the containment boundary already converts
+        // worker panics into quarantines, so a join failure here means a
+        // panic *outside* that boundary (setup/teardown) — fold it into the
+        // abort reason instead of poisoning the caller.
+        for (w, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(output) => outputs.push(output),
+                Err(payload) => teardown_failures.push(format!(
+                    "worker {w} thread died outside containment: {}",
+                    panic_message(payload.as_ref())
+                )),
+            }
+        }
+        for (n, handle) in leader_handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(diag) => node_reports.push(diag),
+                Err(payload) => teardown_failures.push(format!(
+                    "node {n} leader thread died: {}",
+                    panic_message(payload.as_ref())
+                )),
+            }
+        }
+        verdict
+    });
+    Joined {
+        verdict,
+        outputs,
+        teardown_failures,
+        node_reports,
+    }
 }
 
 #[cfg(test)]
@@ -822,6 +858,35 @@ mod tests {
                 "{scheme}: the sweep must actually cross the wire"
             );
         }
+    }
+
+    #[test]
+    fn every_worker_of_a_process_groups_its_share() {
+        // One process of two workers, bypass off: every message is addressed
+        // to the one process, and each worker is the group receiver of its
+        // own.  Each worker's own count, read before the merge, shows both
+        // run the grouping pass on a like share of the traffic.
+        let spec = spec(Scheme::WPs, ClusterSpec::smp(1, 1, 2), 64, updates(20_000))
+            .local_bypass(false)
+            .seed(5);
+        let run = spec.resolve().expect("a valid test spec");
+        let shared = Shared::new(&run, false);
+        let apps = shared
+            .topo
+            .all_workers()
+            .map(spec.app().factory(&run))
+            .collect();
+        let joined = drive(&shared, Vec::new(), apps, &mut Monitor::new(&run));
+        assert_eq!(joined.verdict, Verdict::Quiescent);
+        let passes: Vec<u64> = joined
+            .outputs
+            .iter()
+            .map(|output| output.counters.get("grouping_passes"))
+            .collect();
+        assert_eq!(passes.len(), 2);
+        let (low, high) = (passes[0].min(passes[1]), passes[0].max(passes[1]));
+        assert!(low > 0, "a worker never grouped: {passes:?}");
+        assert!(high <= 2 * low, "grouping is lopsided: {passes:?}");
     }
 
     #[test]

@@ -755,31 +755,32 @@ impl Leader {
     }
 
     /// Seal staged items into frames and send them (first transmission:
-    /// through the fault injector, into the resend buffer).
+    /// through the fault injector, into the resend buffer).  One flush cuts
+    /// every frame of a peer's staging in order, copying each item once,
+    /// and leaves the staging empty with its capacity kept for the next.
     fn flush_staging(&mut self, cx: Cx<'_>) -> bool {
         let mut did_work = false;
         for peer in self.others() {
             if cx.plane.link_cut(self.node, peer) {
                 continue;
             }
-            while let Some(state) = self.peers[peer as usize].as_mut() {
-                if state.staging.is_empty() {
-                    break;
-                }
-                let take = state.staging.len().min(FRAME_ITEMS);
-                let rest = state.staging.split_off(take);
-                let items = std::mem::replace(&mut state.staging, rest);
+            let Some(state) = self.peers[peer as usize].as_mut() else {
+                continue;
+            };
+            let mut staged = std::mem::take(&mut state.staging);
+            for chunk in staged.chunks(FRAME_ITEMS) {
+                let state = self.peers[peer as usize].as_mut().expect("peer state");
                 let seq = state.next_seq;
                 state.next_seq += 1;
-                state.framed_items += items.len() as u64;
-                self.diag.items_shipped += items.len() as u64;
+                state.framed_items += chunk.len() as u64;
+                self.diag.items_shipped += chunk.len() as u64;
                 let frame = Frame {
                     kind: FrameKind::Batch,
                     session: self.session,
                     src: self.node,
                     dst: peer,
                     seq,
-                    items,
+                    items: chunk.to_vec(),
                 };
                 did_work = true;
                 self.send_first_time(cx, peer, &frame);
@@ -792,6 +793,11 @@ impl Leader {
                     .insert(seq, frame);
                 self.arm_rto(cx, peer);
             }
+            staged.clear();
+            self.peers[peer as usize]
+                .as_mut()
+                .expect("peer state")
+                .staging = staged;
         }
         did_work
     }
@@ -1366,6 +1372,38 @@ mod tests {
             arena.release(slab);
         }
         assert_arenas_free(&shared);
+    }
+
+    #[test]
+    fn one_flush_cuts_every_frame_in_order_and_keeps_the_staging() {
+        let shared = two_node_shared();
+        let (mut l0, _l1) = leaders(&shared);
+        let staged = 2 * FRAME_ITEMS + 7;
+        let items: Vec<_> = (0..staged as u64)
+            .map(|i| Item::new(WorkerId(1), Payload::new(i, 0), 0))
+            .collect();
+        l0.stage(Cx::of(&shared), &items);
+        assert!(l0.flush_staging(Cx::of(&shared)));
+
+        let to_peer = l0.peers[1].as_ref().expect("peer state");
+        let frames: Vec<&Frame> = to_peer.unacked.values().collect();
+        let seqs: Vec<u64> = frames.iter().map(|frame| frame.seq).collect();
+        let lens: Vec<usize> = frames.iter().map(|frame| frame.items.len()).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(lens, vec![FRAME_ITEMS, FRAME_ITEMS, 7]);
+        let payloads: Vec<u64> = frames
+            .iter()
+            .flat_map(|frame| frame.items.iter().map(|item| item.a))
+            .collect();
+        assert_eq!(payloads, (0..staged as u64).collect::<Vec<_>>());
+        assert_eq!(to_peer.next_seq, 4);
+        assert_eq!(to_peer.framed_items, staged as u64);
+        assert!(to_peer.staging.is_empty());
+        assert!(
+            to_peer.staging.capacity() >= staged,
+            "the flush dropped the staging's capacity"
+        );
+        assert_eq!(l0.diag.frames_sent, 3);
     }
 
     /// Resend-buffer sequences `leader` still waits on node 1 to ack.

@@ -191,19 +191,22 @@ impl Topology {
     }
 
     /// The worker of process `dst` that receives (and runs the grouping pass
-    /// for) process-addressed messages sent by process `src`.
+    /// for) the process-addressed messages worker `src` sends: the one with
+    /// `src`'s local rank.
     ///
-    /// Process-addressed traffic is spread across the destination process's
-    /// workers by source process, mirroring how TramLib instantiates a
-    /// receiver chare per PE.  Both execution backends use this one rule —
-    /// the simulator when it enqueues a `DeliveryBatch`, the native mesh when
-    /// it picks the inbox ring — so a (src process, dst process) pair always
-    /// maps to the same receiving worker and cross-backend runs stay
-    /// bit-identical.
-    pub fn group_receiver(&self, src: ProcId, dst: ProcId) -> WorkerId {
-        debug_assert!(src.0 < self.total_procs());
+    /// Every worker of a process is the group receiver of its rank-mates in
+    /// every source process, so the grouping work of a destination process
+    /// is spread over all of its workers even when only one process sends
+    /// to it (a sender in the destination process itself is its own group
+    /// receiver).  The receiver is fixed per (source worker, destination
+    /// process) pair, so a source's messages to one process all take one
+    /// lane and keep their order.  The simulator (when it enqueues a
+    /// `DeliveryBatch`) and both native engines (when they pick the ring)
+    /// use this one rule, so cross-backend runs stay bit-identical.
+    pub fn group_receiver(&self, src: WorkerId, dst: ProcId) -> WorkerId {
+        debug_assert!(src.0 < self.total_workers());
         debug_assert!(dst.0 < self.total_procs());
-        self.worker_of(dst, src.0 % self.workers_per_proc)
+        self.worker_of(dst, self.local_rank(src))
     }
 
     /// True if two workers live in the same process (items between them never
@@ -279,19 +282,25 @@ mod tests {
     #[test]
     fn group_receiver_spreads_by_source_and_stays_in_dst_proc() {
         let t = Topology::smp(2, 2, 3);
-        for src in t.all_procs() {
+        for src in t.all_workers() {
             for dst in t.all_procs() {
                 let w = t.group_receiver(src, dst);
                 assert_eq!(t.proc_of_worker(w), dst);
-                assert_eq!(t.local_rank(w), src.0 % t.workers_per_proc());
+                assert_eq!(t.local_rank(w), t.local_rank(src));
             }
         }
-        // Different source processes land on different receiver workers
-        // (modulo the process width), spreading the grouping work.
-        assert_ne!(
-            t.group_receiver(ProcId(0), ProcId(2)),
-            t.group_receiver(ProcId(1), ProcId(2))
-        );
+        // The workers of one source process land on different receiver
+        // workers, spreading the grouping work over the destination process.
+        let receivers: Vec<u32> = t
+            .workers_of(ProcId(0))
+            .map(|src| t.group_receiver(src, ProcId(2)).0)
+            .collect();
+        assert_eq!(receivers, vec![6, 7, 8]);
+        // One process of two workers: each worker is its own receiver.
+        let t = Topology::smp(1, 1, 2);
+        for w in t.all_workers() {
+            assert_eq!(t.group_receiver(w, ProcId(0)), w);
+        }
     }
 
     #[test]

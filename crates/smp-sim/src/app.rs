@@ -56,7 +56,7 @@ impl WorkerCtx<'_, '_> {
             let emit = self.now_ns();
             let cpu = self
                 .cluster
-                .route_outbound(self.ev, src_proc, emit, message);
+                .route_outbound(self.ev, self.worker, emit, message);
             self.charged_ns += cpu;
         }
     }
@@ -157,7 +157,7 @@ impl RunCtx for WorkerCtx<'_, '_> {
             let emit = self.now_ns();
             let cpu = self
                 .cluster
-                .route_outbound(self.ev, src_proc, emit, message);
+                .route_outbound(self.ev, self.worker, emit, message);
             self.charged_ns += cpu;
         }
     }

@@ -1,7 +1,7 @@
 //! Simulation state: workers, processes, communication threads, counters.
 
 use metrics::{Counters, LatencyRecorder};
-use net_model::{ProcId, WorkerId};
+use net_model::WorkerId;
 use runtime_api::{Payload, ResolvedRunSpec, WorkerApp};
 use sim_core::{EventCtx, StreamRng};
 use tramlib::{Aggregator, OutboundMessage, Owner, PooledReceiver, Scheme, TramConfig, TramStats};
@@ -54,7 +54,7 @@ pub struct Cluster {
     pub config: SimConfig,
     /// Per-worker state, indexed by [`WorkerId::idx`].
     pub workers: Vec<WorkerState>,
-    /// Per-process state, indexed by [`ProcId::idx`].
+    /// Per-process state, indexed by [`ProcId::idx`](net_model::ProcId::idx).
     pub procs: Vec<ProcState>,
     /// Destination-side message processor (shared; owns the vector pool that
     /// recycles message and batch allocations across deliveries).
@@ -187,19 +187,21 @@ impl Cluster {
         self.receiver.recycle(items);
     }
 
-    /// Route one aggregated message from `src_proc`, emitted at `emit_ns`,
-    /// through the comm thread (SMP) or the worker's own progress engine
-    /// (non-SMP), across the wire, and schedule its delivery at the
-    /// destination.  Returns the CPU nanoseconds the *sending worker* must be
-    /// charged for initiating the send.
+    /// Route one aggregated message that worker `src`'s insert or flush
+    /// emitted at `emit_ns` through the comm thread of its process (SMP) or
+    /// the worker's own progress engine (non-SMP), across the wire, and
+    /// schedule its delivery at the destination — for a process-addressed
+    /// message, at the group receiver of `src`.  Returns the CPU nanoseconds
+    /// the *sending worker* must be charged for initiating the send.
     pub fn route_outbound(
         &mut self,
         ev: &mut EventCtx<Cluster>,
-        src_proc: ProcId,
+        src: WorkerId,
         emit_ns: u64,
         message: OutboundMessage<Payload>,
     ) -> u64 {
         let topo = self.tram.topology;
+        let src_proc = topo.proc_of_worker(src);
         let costs = self.config.costs;
         let bytes = message.bytes;
         let item_count = message.items.len() as u64;
@@ -223,7 +225,7 @@ impl Cluster {
         // Destination process and the worker that will receive the batch.
         let (dst_proc, recv_worker) = match message.dest {
             tramlib::MessageDest::Worker(w) => (topo.proc_of_worker(w), w),
-            tramlib::MessageDest::Process(p) => (p, topo.group_receiver(src_proc, p)),
+            tramlib::MessageDest::Process(p) => (p, topo.group_receiver(src, p)),
         };
         let same_node = topo.node_of_proc(src_proc) == topo.node_of_proc(dst_proc);
         let wire_ns = costs.link_for(same_node).one_way_nanos(bytes);

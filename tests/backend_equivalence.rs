@@ -694,9 +694,10 @@ fn per_destination_order_holds_on_both_native_engines() {
     // one-process cluster takes its scheme's aggregation path.
     //
     // One more threaded WPs cell runs with worker 1's arena held dry for a
-    // stretch: its messages degrade to singles, which must travel to the
-    // group receiver (worker 0) behind the slabs already waiting there, not
-    // straight to their worker past them.
+    // stretch: its messages degrade to singles.  Worker 1 is its own group
+    // receiver, so the singles go through its diagonal ring behind its own
+    // earlier slabs, and are forwarded from there, not straight to their
+    // worker past the slices of those slabs.
     const ITEMS: u64 = 20_000;
     const WORKERS: usize = 2;
     let arena_dry = FaultPlan::from_specs(
