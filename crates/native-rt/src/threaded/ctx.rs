@@ -304,7 +304,8 @@ impl<'a> NativeWorkerCtx<'a> {
     ///
     /// For a receiver on another cluster node the lane is the uplink, and
     /// its consumer is the node leader: a poller that naps between polls,
-    /// takes everything queued when it wakes and re-aggregates per node.
+    /// takes what is queued (up to `INBOX_BUDGET` envelopes) when it wakes
+    /// and re-aggregates per node.
     /// Envelopes still queued there say where the leader is in its nap, not
     /// that it is behind, and a buffer held back for them misses the next
     /// poll — so only a *full* uplink (envelopes stashed behind it) holds.

@@ -670,11 +670,12 @@ mod tests {
         run_spec(churn(scheme, updates).seed(seed))
     }
 
-    /// Every worker sends `chunk` items to pseudo-random destinations per
-    /// idle call and flushes after each chunk, `remaining` items in all.
+    /// Every worker sends `chunk` items to pseudo-random workers of `dests`
+    /// per idle call and flushes after each chunk, `remaining` items in all.
     struct FlushEveryChunk {
         remaining: u64,
         chunk: u64,
+        dests: std::ops::Range<u32>,
     }
 
     impl WorkerApp for FlushEveryChunk {
@@ -687,10 +688,10 @@ mod tests {
             if self.remaining == 0 {
                 return false;
             }
-            let total = ctx.total_workers() as u64;
+            let width = u64::from(self.dests.len() as u32);
             for _ in 0..self.chunk.min(self.remaining) {
                 let value = ctx.rng().below(1_000);
-                let dest = WorkerId(ctx.rng().below(total) as u32);
+                let dest = WorkerId(self.dests.start + ctx.rng().below(width) as u32);
                 ctx.counter("app_sent_checksum", value);
                 ctx.send(dest, Payload::new(value, 0));
             }
@@ -706,21 +707,50 @@ mod tests {
 
     #[test]
     fn pp_flushes_racing_full_buffer_seals_conserve_items() {
-        // Two workers per process share each claim buffer; a 7-item chunk
-        // against 8-slot buffers means one sibling's explicit flush keeps
-        // meeting the other's full-buffer seal at the drain lock.  Arena
-        // misses are not asserted: a flush per 7 sends outruns the arena
-        // sizing on every scheme (a dry arena ships singles, still
+        // Two workers per process share each claim buffer, and 8-slot
+        // buffers meet explicit flushes at the drain lock.  Process 1's
+        // workers send 7-item chunks anywhere and flush after each, so one
+        // sibling's flush keeps meeting the other's full-buffer seal.  That
+        // race needs both inserting at once, and a whole run can fit in one
+        // time slice, so the drain-kind premises below rest on process 0
+        // instead, where they hold on every schedule.  Under the
+        // explicit-only policy the claim buffer 0 → 1 is drained only by an
+        // insert that fills it (a full seal) or by a flush call of process
+        // 0's workers.  Worker 1 sends only inside its process and calls
+        // flush `flushes` times in all; worker 0 sends `bulk` items to
+        // process 1 in one idle call and flushes only after the last.
+        // - Full seal: worker 1's flushes split worker 0's bulk into at most
+        //   `flushes + 1` runs, one of which holds 9 inserts with no flush
+        //   between them; the 8th fills the buffer and its filler seals it.
+        // - Flush drain: were every drain a full seal, each would carry 8
+        //   items, but `bulk` is 1 more than a multiple of 8.
+        // Arena misses are not asserted: a flush per 7 sends outruns the
+        // arena sizing on every scheme (a dry arena ships singles, still
         // conserved).
-        let per_worker = 20_000;
-        let make = move |_: WorkerId| -> Box<dyn WorkerApp> {
-            Box::new(FlushEveryChunk {
-                remaining: per_worker,
-                chunk: 7,
+        let per_worker: u64 = 20_000;
+        let flushes = per_worker.div_ceil(7);
+        let bulk = 8 * (flushes + 1) + 1;
+        let make = move |me: WorkerId| -> Box<dyn WorkerApp> {
+            Box::new(match me.0 {
+                0 => FlushEveryChunk {
+                    remaining: bulk,
+                    chunk: bulk,
+                    dests: 2..4,
+                },
+                1 => FlushEveryChunk {
+                    remaining: per_worker,
+                    chunk: 7,
+                    dests: 0..2,
+                },
+                _ => FlushEveryChunk {
+                    remaining: per_worker,
+                    chunk: 7,
+                    dests: 0..4,
+                },
             })
         };
         let report = run_spec(spec(Scheme::PP, ClusterSpec::smp(1, 2, 2), 8, make).seed(3));
-        let expected = per_worker * 4;
+        let expected = bulk + per_worker * 3;
         assert!(report.clean(), "{}", report.summary());
         assert_eq!(report.items_sent, expected);
         assert_eq!(report.items_delivered, expected, "items lost or duplicated");

@@ -83,6 +83,7 @@ use transport::{
 
 use super::Shared;
 use crate::envelope::{consume_range, Envelope};
+use crate::sizing::INBOX_BUDGET;
 
 /// Max items per outbound batch frame — far below the protocol's
 /// `MAX_ITEMS_PER_FRAME`, chosen so one frame stays well under the loopback
@@ -392,6 +393,9 @@ struct Leader {
     /// This leader's index in `Shared::arenas` (`workers + node`); the arena
     /// exists under every scheme but NoAgg.
     arena_owner: u32,
+    /// Reused batch of one uplink's envelopes, popped at most
+    /// [`INBOX_BUDGET`] at a time ([`Leader::drain_uplinks`]).
+    uplink_batch: Vec<Envelope>,
     /// Frames held by a delay fault: (release deadline, destination, frame).
     delayed: Vec<(Instant, u32, Frame)>,
     /// When the previous pump ran — a large gap means every thread that
@@ -574,6 +578,7 @@ impl Leader {
                 .collect(),
             pending_down: (0..workers_total).map(|_| VecDeque::new()).collect(),
             arena_owner: workers_total as u32 + node,
+            uplink_batch: Vec::with_capacity(INBOX_BUDGET),
             delayed: Vec::new(),
             last_iter: now,
             next_heartbeat: now + hb.interval,
@@ -711,15 +716,24 @@ impl Leader {
         }
     }
 
-    /// Drain local workers' uplinks into the per-peer staging.  The leader
-    /// is a slab's one consumer: it reads the items in place, then finishes
-    /// the slab, which goes straight back to the sending worker's arena.
+    /// Drain local workers' uplinks into the per-peer staging: one batched
+    /// pop of at most [`INBOX_BUDGET`] envelopes per uplink per pump, the
+    /// mesh's own budget.  A worker that keeps its uplink busy therefore
+    /// cannot hold the leader here or grow the staging without bound: what
+    /// the budget leaves queued fills the uplink, and the worker's
+    /// `wire_stash` throttle pushes back on its application.  The leader is
+    /// a slab's one consumer: it reads the items in place, then finishes the
+    /// slab, which goes straight back to the sending worker's arena.
     fn drain_uplinks(&mut self, cx: Cx<'_>) -> bool {
         let mut did_work = false;
+        let mut batch = std::mem::take(&mut self.uplink_batch);
         for wi in 0..self.my_workers.len() {
             let w = self.my_workers[wi];
-            while let Some(envelope) = cx.plane.uplink[w].pop() {
-                did_work = true;
+            if cx.plane.uplink[w].pop_into(&mut batch, INBOX_BUDGET) == 0 {
+                continue;
+            }
+            did_work = true;
+            for envelope in batch.drain(..) {
                 if let Envelope::Single(item) = envelope {
                     self.stage(cx, &[item]);
                 } else if let Some((owner, range)) = envelope.slab_range() {
@@ -728,6 +742,7 @@ impl Leader {
                 }
             }
         }
+        self.uplink_batch = batch;
         did_work
     }
 
@@ -1404,6 +1419,47 @@ mod tests {
             "the flush dropped the staging's capacity"
         );
         assert_eq!(l0.diag.frames_sent, 3);
+    }
+
+    #[test]
+    fn one_pump_takes_at_most_a_budget_of_envelopes_from_an_uplink() {
+        // Uplinks twice the budget deep, so one can queue more than a pump
+        // may take: 40 envelopes past the budget, 8 items each.
+        let shared = sizing::test_ring::with_capacity(2 * INBOX_BUDGET, two_node_shared);
+        let (mut l0, mut l1) = leaders(&shared);
+        let now = l0.last_iter;
+        let plane = Cx::of(&shared).plane;
+        let queued = INBOX_BUDGET + 40;
+        let slab = shared.tram.buffer_items as u64;
+        for k in 0..queued as u64 {
+            ship(&shared, k * slab, slab);
+        }
+        let total = queued as u64 * slab;
+
+        assert!(l0.pump(&shared, now));
+        let to_peer = l0.peers[1].as_ref().expect("peer state");
+        assert_eq!(
+            to_peer.framed_items,
+            INBOX_BUDGET as u64 * slab,
+            "one pump staged more than a budget of envelopes"
+        );
+        assert_eq!(plane.uplink[0].len(), queued - INBOX_BUDGET);
+
+        // Pumps on both sides ship the rest: every item once, in order.
+        let mut payloads = Vec::new();
+        for _ in 0..3 {
+            l0.pump(&shared, now);
+            l1.pump(&shared, now);
+            payloads.extend(take_downlink(&shared));
+        }
+        assert!(plane.uplink[0].is_empty());
+        assert_eq!(
+            l0.peers[1].as_ref().expect("peer state").framed_items,
+            total
+        );
+        assert_eq!(l1.diag.items_received, total);
+        assert_eq!(payloads, (0..total).collect::<Vec<_>>());
+        assert_arenas_free(&shared);
     }
 
     /// Resend-buffer sequences `leader` still waits on node 1 to ack.

@@ -51,9 +51,10 @@ pub struct SlabInsertOutcome<T> {
 pub struct Aggregator<T> {
     config: TramConfig,
     owner: Owner,
-    /// Destination buffers, indexed by destination worker (WW) or destination
-    /// process (WPs/WsP/PP).  Allocated lazily.
-    buffers: Vec<Option<ItemBuffer<T>>>,
+    /// One buffer per destination slot: destination worker (WW) or
+    /// destination process (WPs/WsP/PP).  Each is created empty and
+    /// allocates its storage on its first push.
+    buffers: Box<[ItemBuffer<T>]>,
     /// Buffer slot per destination worker, precomputed so the per-item hot
     /// path is one table load instead of a `proc_of_worker` division.
     /// Empty under NoAgg (no buffering).
@@ -127,7 +128,9 @@ impl<T: Clone> Aggregator<T> {
         Ok(Self {
             config,
             owner,
-            buffers: (0..slots).map(|_| None).collect(),
+            buffers: (0..slots)
+                .map(|_| ItemBuffer::new(config.buffer_items))
+                .collect(),
             slot_of,
             pool: VecPool::default(),
             group_scratch: GroupScratch::default(),
@@ -166,22 +169,12 @@ impl<T: Clone> Aggregator<T> {
 
     /// Total number of items currently sitting in buffers.
     pub fn buffered_items(&self) -> usize {
-        self.buffers.iter().flatten().map(|b| b.len()).sum()
+        self.buffers.iter().map(ItemBuffer::len).sum()
     }
 
     /// Number of destination buffers that currently hold at least one item.
     pub fn non_empty_buffers(&self) -> usize {
-        self.buffers
-            .iter()
-            .flatten()
-            .filter(|b| !b.is_empty())
-            .count()
-    }
-
-    /// The buffer slot index an item for `dest` belongs to, or `None` when the
-    /// scheme does not buffer (NoAgg).
-    fn slot_for(&self, dest: WorkerId) -> Option<usize> {
-        self.slot_of.get(dest.idx()).map(|slot| *slot as usize)
+        self.buffers.iter().filter(|b| !b.is_empty()).count()
     }
 
     /// The message destination for a buffer slot.
@@ -225,10 +218,7 @@ impl<T: Clone> Aggregator<T> {
     /// next fill cycle of that destination does not allocate.
     fn drain_slot(&mut self, slot: usize) -> Vec<Item<T>> {
         let replacement = self.pool.take();
-        self.buffers[slot]
-            .as_mut()
-            .expect("drained slot has a buffer")
-            .drain_with(replacement)
+        self.buffers[slot].drain_with(replacement)
     }
 
     /// Insert one item created at `now_ns`.
@@ -242,40 +232,47 @@ impl<T: Clone> Aggregator<T> {
 
     /// Insert one item, using `now_ns` as the insertion time for timeout
     /// accounting (usually the same as the item's creation time).
+    ///
+    /// The per-item path is one slot-table load, one buffer push and the
+    /// full check; draining a full buffer into a message is out of line
+    /// (`emit_full`).
+    #[inline]
     pub fn insert_at(&mut self, item: Item<T>, now_ns: u64) -> InsertOutcome<T> {
         self.stats.record_insert();
-        let message = match self.slot_for(item.dest) {
-            Some(slot) => self.push_slot(slot, item, now_ns),
-            None => Some(self.emit_single(item)),
+        let Some(&slot) = self.slot_of.get(item.dest.idx()) else {
+            return InsertOutcome {
+                message: Some(self.emit_single(item)),
+            };
         };
+        let slot = slot as usize;
+        let message = self.buffers[slot]
+            .push(item, now_ns)
+            .then(|| self.emit_full(slot));
         InsertOutcome { message }
+    }
+
+    /// The buffer of `slot` just filled: drain it into a
+    /// [`EmitReason::BufferFull`] message.  Once per `g` inserts, so kept
+    /// out of the insert path.
+    #[cold]
+    #[inline(never)]
+    fn emit_full(&mut self, slot: usize) -> OutboundMessage<T> {
+        let items = self.drain_slot(slot);
+        let dest = self.dest_for_slot(slot);
+        self.make_message(dest, items, EmitReason::BufferFull)
     }
 
     /// NoAgg: the item is its own message.  The single-item vector comes from
     /// the pool, so a substrate that returns spent vectors (the native
     /// engines recycle it at emit time, the simulator after delivery) makes
-    /// even the unaggregated scheme allocation-free in steady state.
+    /// even the unaggregated scheme allocation-free in steady state.  Out of
+    /// line, like [`Self::emit_full`], so the inlined insert stays small.
+    #[inline(never)]
     fn emit_single(&mut self, item: Item<T>) -> OutboundMessage<T> {
         let dest = MessageDest::Worker(item.dest);
         let mut items = self.pool.take();
         items.push(item);
         self.make_message(dest, items, EmitReason::Unaggregated)
-    }
-
-    /// Push one item into slot `slot`'s buffer, returning the drained
-    /// message if the push filled it.
-    fn push_slot(&mut self, slot: usize, item: Item<T>, now_ns: u64) -> Option<OutboundMessage<T>> {
-        let capacity = self.config.buffer_items;
-        let full = self.buffers[slot]
-            .get_or_insert_with(|| ItemBuffer::new(capacity))
-            .push(item, now_ns);
-        if full {
-            let items = self.drain_slot(slot);
-            let dest = self.dest_for_slot(slot);
-            Some(self.make_message(dest, items, EmitReason::BufferFull))
-        } else {
-            None
-        }
     }
 
     /// Drain every non-empty buffer whose destination `release` lets go,
@@ -292,9 +289,8 @@ impl<T: Clone> Aggregator<T> {
         mut sink: impl FnMut(&mut C, OutboundMessage<T>),
     ) {
         for slot in 0..self.buffers.len() {
-            match self.buffers[slot].as_ref() {
-                Some(buffer) if !buffer.is_empty() => {}
-                _ => continue,
+            if self.buffers[slot].is_empty() {
+                continue;
             }
             let dest = self.dest_for_slot(slot);
             if !release(cx, dest) {
@@ -372,9 +368,9 @@ impl<T: Clone> Aggregator<T> {
             return;
         };
         for slot in 0..self.buffers.len() {
-            match self.buffers[slot].as_ref() {
-                Some(buffer) if !buffer.is_empty() && buffer.oldest_age_ns(now_ns) >= timeout => {}
-                _ => continue,
+            let buffer = &self.buffers[slot];
+            if buffer.is_empty() || buffer.oldest_age_ns(now_ns) < timeout {
+                continue;
             }
             let items = self.drain_slot(slot);
             let dest = self.dest_for_slot(slot);
@@ -389,8 +385,7 @@ impl<T: Clone> Aggregator<T> {
         let timeout = self.config.flush_policy.timeout_ns?;
         self.buffers
             .iter()
-            .flatten()
-            .filter_map(|b| b.oldest_insert_ns())
+            .filter_map(ItemBuffer::oldest_insert_ns)
             .min()
             .map(|oldest| oldest.saturating_add(timeout))
     }
@@ -404,12 +399,9 @@ impl<T: Clone> Aggregator<T> {
     /// dropped — they were already counted sent).
     pub fn abandon(&mut self) -> u64 {
         let mut dropped = 0u64;
-        for slot in 0..self.buffers.len() {
-            if let Some(buffer) = self.buffers[slot].as_mut() {
-                dropped += buffer.len() as u64;
-                let items = buffer.drain_with(Vec::new());
-                self.pool.put(items);
-            }
+        for buffer in self.buffers.iter_mut().filter(|b| !b.is_empty()) {
+            dropped += buffer.len() as u64;
+            self.pool.put(buffer.drain_with(Vec::new()));
         }
         dropped
     }

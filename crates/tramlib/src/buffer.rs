@@ -11,12 +11,14 @@ use crate::item::Item;
 pub struct ItemBuffer<T> {
     items: Vec<Item<T>>,
     capacity: usize,
-    /// Insertion timestamp of the oldest item currently in the buffer.
-    oldest_insert_ns: Option<u64>,
+    /// Insertion timestamp of the oldest item currently in the buffer;
+    /// meaningless while the buffer is empty.
+    oldest_insert_ns: u64,
 }
 
 impl<T> ItemBuffer<T> {
-    /// Create an empty buffer with capacity for `capacity` items.
+    /// Create an empty buffer with capacity for `capacity` items.  Nothing
+    /// is allocated until the first push.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
         Self {
@@ -25,7 +27,7 @@ impl<T> ItemBuffer<T> {
             // reserve the full capacity then so no reallocation happens later.
             items: Vec::new(),
             capacity,
-            oldest_insert_ns: None,
+            oldest_insert_ns: 0,
         }
     }
 
@@ -56,14 +58,13 @@ impl<T> ItemBuffer<T> {
 
     /// Timestamp at which the oldest currently-buffered item was inserted.
     pub fn oldest_insert_ns(&self) -> Option<u64> {
-        self.oldest_insert_ns
+        (!self.is_empty()).then_some(self.oldest_insert_ns)
     }
 
     /// Age of the oldest buffered item at time `now_ns` (0 if empty).
     pub fn oldest_age_ns(&self, now_ns: u64) -> u64 {
-        self.oldest_insert_ns
-            .map(|t| now_ns.saturating_sub(t))
-            .unwrap_or(0)
+        self.oldest_insert_ns()
+            .map_or(0, |t| now_ns.saturating_sub(t))
     }
 
     /// Push an item inserted at `now_ns`.  Returns `true` if the buffer is full
@@ -72,12 +73,13 @@ impl<T> ItemBuffer<T> {
     /// # Panics
     /// Panics if the buffer is already full — callers must drain full buffers
     /// before inserting more.
+    #[inline]
     pub fn push(&mut self, item: Item<T>, now_ns: u64) -> bool {
         assert!(!self.is_full(), "pushing into a full aggregation buffer");
         if self.items.is_empty() {
             // No-op when recycled storage already carries enough capacity.
             self.items.reserve_exact(self.capacity);
-            self.oldest_insert_ns = Some(now_ns);
+            self.oldest_insert_ns = now_ns;
         }
         self.items.push(item);
         self.is_full()
@@ -93,7 +95,6 @@ impl<T> ItemBuffer<T> {
     /// fill cycle does not have to allocate.
     pub fn drain_with(&mut self, replacement: Vec<Item<T>>) -> Vec<Item<T>> {
         debug_assert!(replacement.is_empty(), "replacement storage must be empty");
-        self.oldest_insert_ns = None;
         std::mem::replace(&mut self.items, replacement)
     }
 

@@ -4,12 +4,18 @@
 //! every item the application inserts must come out exactly once, addressed to
 //! its original destination worker, regardless of scheme, buffer size, flush
 //! pattern or topology.  The second family of properties checks the §III-C
-//! analytical bounds against measured message counts.
+//! analytical bounds against measured message counts.  The third pins the
+//! emission sequence itself — every message's destination, items, reason and
+//! size, in order — against a naive reference model: the simulator's
+//! bit-identity rests on that sequence.
 
 use net_model::{ProcId, Topology, WorkerId};
 use proptest::prelude::*;
 use tramlib::group::{group_in_place, scan_runs, GroupScratch};
-use tramlib::{analysis, Aggregator, Item, MessageDest, Owner, PooledReceiver, Scheme, TramConfig};
+use tramlib::{
+    analysis, Aggregator, EmitReason, FlushPolicy, Item, MessageDest, OutboundMessage, Owner,
+    PooledReceiver, Scheme, TramConfig,
+};
 
 /// A compact description of a randomly generated scenario.
 #[derive(Debug, Clone)]
@@ -392,4 +398,335 @@ fn pp_interleaved_workers_exactly_once() {
         delivered += receiver.process_owned(msg).item_count;
     }
     assert_eq!(delivered, total as usize);
+}
+
+/// One step of an aggregator's life, applied at a clock that only moves
+/// forward.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `insert_at` an item for worker selector `dest`, `dt` after the
+    /// previous step.
+    Insert { dest: u32, payload: u32, dt: u64 },
+    /// `flush_each`.
+    Flush,
+    /// `flush_on_idle_where`, releasing destination slot `i` iff bit
+    /// `i % 32` of `gate` is set.
+    Idle { gate: u32 },
+    /// `poll_timeout_each`, `dt` after the previous step.
+    Poll { dt: u64 },
+    /// `abandon`.
+    Abandon,
+}
+
+/// Mostly inserts, with every other operation mixed in.
+fn op_strategy() -> impl Strategy<Value = Op> {
+    (0u32..16, any::<u32>(), any::<u32>(), 0u64..40).prop_map(|(kind, a, b, dt)| match kind {
+        0..=9 => Op::Insert {
+            dest: a,
+            payload: b,
+            dt,
+        },
+        10 => Op::Flush,
+        11 | 12 => Op::Idle { gate: a },
+        13 | 14 => Op::Poll { dt: dt * 4 },
+        _ => Op::Abandon,
+    })
+}
+
+/// What the model emits: `OutboundMessage` without the pooled vector.
+#[derive(Debug, Clone, PartialEq)]
+struct Emitted {
+    dest: MessageDest,
+    items: Vec<Item<u32>>,
+    reason: EmitReason,
+    bytes: u64,
+    grouped_at_source: bool,
+}
+
+impl Emitted {
+    fn of(message: &OutboundMessage<u32>) -> Self {
+        Emitted {
+            dest: message.dest,
+            items: message.items.clone(),
+            reason: message.reason,
+            bytes: message.bytes,
+            grouped_at_source: message.grouped_at_source,
+        }
+    }
+}
+
+/// The aggregator's tallies as one comparable value: inserts, messages,
+/// items and bytes sent, messages per reason (full, explicit, idle,
+/// timeout, unaggregated), flush calls.
+type Tallies = [u64; 10];
+
+fn tallies(agg: &Aggregator<u32>) -> Tallies {
+    let stats = agg.stats();
+    let named = stats.counters();
+    [
+        stats.items_inserted(),
+        stats.messages_sent(),
+        stats.items_sent(),
+        stats.bytes_sent(),
+        stats.messages_full(),
+        named.get("messages_explicit_flush"),
+        named.get("messages_idle_flush"),
+        named.get("messages_timeout_flush"),
+        named.get("messages_unaggregated"),
+        stats.flush_calls(),
+    ]
+}
+
+/// The naive aggregator: one `Vec` and one oldest-insert stamp per
+/// destination slot, scanned in slot order by every flush.
+struct Model {
+    config: TramConfig,
+    slots: Vec<(Vec<Item<u32>>, u64)>,
+    tallies: Tallies,
+}
+
+impl Model {
+    fn new(config: TramConfig) -> Self {
+        let topo = config.topology;
+        let slots = match config.scheme {
+            Scheme::NoAgg => 0,
+            Scheme::WW => topo.total_workers(),
+            _ => topo.total_procs(),
+        };
+        Model {
+            config,
+            slots: vec![(Vec::new(), 0); slots as usize],
+            tallies: [0; 10],
+        }
+    }
+
+    fn dest_of(&self, slot: usize) -> MessageDest {
+        match self.config.scheme {
+            Scheme::WW => MessageDest::Worker(WorkerId(slot as u32)),
+            _ => MessageDest::Process(ProcId(slot as u32)),
+        }
+    }
+
+    /// Build (and tally) one message; WsP sorts by destination worker,
+    /// stably, at the source.
+    fn message(
+        &mut self,
+        dest: MessageDest,
+        mut items: Vec<Item<u32>>,
+        reason: EmitReason,
+    ) -> Emitted {
+        let grouped_at_source = self.config.scheme == Scheme::WsP;
+        if grouped_at_source {
+            items.sort_by_key(|item| item.dest);
+        }
+        let bytes = self.config.message_bytes(items.len());
+        let by_reason = match reason {
+            EmitReason::BufferFull => 4,
+            EmitReason::ExplicitFlush => 5,
+            EmitReason::IdleFlush => 6,
+            EmitReason::TimeoutFlush => 7,
+            EmitReason::Unaggregated => 8,
+        };
+        self.tallies[1] += 1;
+        self.tallies[2] += items.len() as u64;
+        self.tallies[3] += bytes;
+        self.tallies[by_reason] += 1;
+        Emitted {
+            dest,
+            items,
+            reason,
+            bytes,
+            grouped_at_source,
+        }
+    }
+
+    fn insert(&mut self, item: Item<u32>, now: u64) -> Option<Emitted> {
+        self.tallies[0] += 1;
+        let topo = self.config.topology;
+        let slot = match self.config.scheme {
+            Scheme::NoAgg => {
+                return Some(self.message(
+                    MessageDest::Worker(item.dest),
+                    vec![item],
+                    EmitReason::Unaggregated,
+                ))
+            }
+            Scheme::WW => item.dest.idx(),
+            _ => topo.proc_of_worker(item.dest).idx(),
+        };
+        let (items, oldest) = &mut self.slots[slot];
+        if items.is_empty() {
+            *oldest = now;
+        }
+        items.push(item);
+        (items.len() == self.config.buffer_items).then(|| self.drain(slot, EmitReason::BufferFull))
+    }
+
+    fn drain(&mut self, slot: usize, reason: EmitReason) -> Emitted {
+        let items = std::mem::take(&mut self.slots[slot].0);
+        self.message(self.dest_of(slot), items, reason)
+    }
+
+    /// Drain, in slot order, every non-empty slot `due` lets go.
+    fn drain_where(
+        &mut self,
+        reason: EmitReason,
+        due: impl Fn(&Self, usize) -> bool,
+    ) -> Vec<Emitted> {
+        (0..self.slots.len())
+            .filter(|&slot| !self.slots[slot].0.is_empty() && due(self, slot))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|slot| self.drain(slot, reason))
+            .collect()
+    }
+
+    fn buffered(&self) -> usize {
+        self.slots.iter().map(|(items, _)| items.len()).sum()
+    }
+
+    fn next_deadline(&self) -> Option<u64> {
+        let timeout = self.config.flush_policy.timeout_ns?;
+        self.slots
+            .iter()
+            .filter(|(items, _)| !items.is_empty())
+            .map(|&(_, oldest)| oldest + timeout)
+            .min()
+    }
+}
+
+/// The release decision of an `Op::Idle` gate for a message destination.
+fn gate_releases(gate: u32, dest: MessageDest) -> bool {
+    let slot = match dest {
+        MessageDest::Worker(w) => w.0,
+        MessageDest::Process(p) => p.0,
+    };
+    gate >> (slot % 32) & 1 == 1
+}
+
+/// Apply `ops` to an aggregator and to the model side by side, comparing
+/// every emission and the observable state after each step.
+fn check_against_model(config: TramConfig, owner: Owner, ops: &[Op]) -> TestCaseResult {
+    let mut agg = Aggregator::new(config, owner);
+    let mut model = Model::new(config);
+    let workers = config.topology.total_workers();
+    let mut now = 0u64;
+    for (step, &op) in ops.iter().enumerate() {
+        let mut got = Vec::new();
+        let mut sink = |message: OutboundMessage<u32>| got.push(message);
+        let (expected, abandoned) = match op {
+            Op::Insert { dest, payload, dt } => {
+                now += dt;
+                let item = Item::new(WorkerId(dest % workers), payload, now);
+                if let Some(message) = agg.insert_at(item, now).message {
+                    sink(message);
+                }
+                (model.insert(item, now).into_iter().collect(), None)
+            }
+            Op::Flush => {
+                agg.flush_each(&mut sink);
+                model.tallies[9] += 1;
+                (
+                    model.drain_where(EmitReason::ExplicitFlush, |_, _| true),
+                    None,
+                )
+            }
+            Op::Idle { gate } => {
+                agg.flush_on_idle_where(
+                    &mut sink,
+                    |_, dest| gate_releases(gate, dest),
+                    |sink, message| sink(message),
+                );
+                let expected = if config.flush_policy.on_idle {
+                    model.drain_where(EmitReason::IdleFlush, |model, slot| {
+                        gate_releases(gate, model.dest_of(slot))
+                    })
+                } else {
+                    Vec::new()
+                };
+                (expected, None)
+            }
+            Op::Poll { dt } => {
+                now += dt;
+                agg.poll_timeout_each(now, &mut sink);
+                let expected = match config.flush_policy.timeout_ns {
+                    Some(timeout) => model.drain_where(EmitReason::TimeoutFlush, |model, slot| {
+                        now - model.slots[slot].1 >= timeout
+                    }),
+                    None => Vec::new(),
+                };
+                (expected, None)
+            }
+            Op::Abandon => {
+                let buffered = model.buffered() as u64;
+                for (items, _) in &mut model.slots {
+                    items.clear();
+                }
+                (Vec::new(), Some((agg.abandon(), buffered)))
+            }
+        };
+        let emitted: Vec<Emitted> = got.iter().map(Emitted::of).collect();
+        prop_assert_eq!(
+            &emitted,
+            &expected,
+            "step {step} ({op:?}): emissions differ"
+        );
+        if let Some((dropped, buffered)) = abandoned {
+            prop_assert_eq!(dropped, buffered, "step {step}: abandoned item count");
+        }
+        for message in got {
+            agg.recycle(message.items);
+        }
+        prop_assert_eq!(
+            agg.buffered_items(),
+            model.buffered(),
+            "step {step} ({op:?}): buffered items"
+        );
+        prop_assert_eq!(
+            agg.next_timeout_deadline(),
+            model.next_deadline(),
+            "step {step} ({op:?}): next timeout deadline"
+        );
+        prop_assert_eq!(tallies(&agg), model.tallies, "step {step} ({op:?}): stats");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The aggregator emits exactly what a per-slot `Vec` model emits, in the
+    /// same order, for every scheme and `g` in {1, 3, 16}, and agrees with
+    /// it on buffered items, the next timeout deadline and every tally after
+    /// each step.
+    #[test]
+    fn emissions_match_the_reference_model(
+        shape in (1u32..4, 1u32..5, any::<u32>()),
+        policy in (any::<bool>(), 0u64..3, 1u64..300),
+        sizes in (1u32..32, 0u32..64),
+        ops in prop::collection::vec(op_strategy(), 0..160),
+    ) {
+        let (procs, wpp, owner_sel) = shape;
+        let topo = Topology::smp(1, procs, wpp);
+        let flush_policy = FlushPolicy {
+            on_idle: policy.0,
+            // A third of the cases run without a timeout.
+            timeout_ns: (policy.1 != 0).then_some(policy.2),
+        };
+        for scheme in Scheme::ALL {
+            for g in [1, 3, 16] {
+                let config = TramConfig::new(scheme, topo)
+                    .with_buffer_items(g)
+                    .with_item_bytes(sizes.0)
+                    .with_header_bytes(sizes.1)
+                    .with_flush_policy(flush_policy);
+                let owner = if scheme == Scheme::PP {
+                    Owner::Process(ProcId(owner_sel % procs))
+                } else {
+                    Owner::Worker(WorkerId(owner_sel % topo.total_workers()))
+                };
+                check_against_model(config, owner, &ops)?;
+            }
+        }
+    }
 }
