@@ -13,7 +13,8 @@
 //!
 //! Both engines' worker contexts implement [`EnvelopeCtx`], and the code
 //! that acts on an envelope is written once over it, statically dispatched
-//! ([`ship`], [`handle_inbox`], [`Envelope::discard`]).  What stays per
+//! ([`ship`], [`handle_inbox`], [`Envelope::discard`]; the send side that
+//! stages, stashes, counts and ships is [`crate::send`]).  What stays per
 //! engine is how a delivered slice is handed to the application and
 //! published ([`EnvelopeCtx::deliver`]) and which ring an envelope takes
 //! ([`EnvelopeCtx::push`]: mesh, uplink, or a counted drop toward a dead
@@ -22,13 +23,13 @@
 //! every forwarded [`Envelope::Slice`] or peer-addressed
 //! [`Envelope::Single`] counts one `local_forwards`.
 
-use net_model::WorkerId;
+use net_model::{ProcId, WorkerId};
 use runtime_api::{Payload, RunCtx, WorkerApp};
-use shmem::{SegArena, SlabHandle, SlabRange};
-use tramlib::group::{group_in_place, GroupScratch};
-use tramlib::{Item, MessageDest};
+use shmem::{SegArena, SegClaim, SlabHandle, SlabRange};
+use tramlib::group::group_in_place;
+use tramlib::{Item, MessageDest, TramStats};
 
-use crate::tally::Tally;
+use crate::send::WorkerIo;
 
 /// One unit of worker↔worker traffic.
 #[derive(Debug, Clone, Copy)]
@@ -106,10 +107,23 @@ pub(crate) trait EnvelopeCtx<'w>: RunCtx + Sized {
     /// Run `items` (all addressed to this worker, never empty) through the
     /// application and count them delivered.
     fn deliver(&mut self, app: &mut dyn WorkerApp, items: &[Item<Payload>]);
-    /// The worker's hot-path tallies.
-    fn tally(&mut self) -> &mut Tally;
-    /// The grouping pass's reused scratch.
-    fn group_scratch(&mut self) -> &mut GroupScratch<Payload>;
+    /// The state the shared paths keep between calls: tallies, grouping
+    /// scratch and the send side's lanes and stash ([`WorkerIo`]).
+    fn io(&mut self) -> &mut WorkerIo;
+    /// PP: the shared claim buffer of this worker's process toward `dst`.
+    fn claim(&self, dst: ProcId) -> &'w SegClaim<Item<Payload>>;
+    /// PP: whether a claim buffer of this process can no longer drain (a
+    /// sibling died holding a slot, or the run is stopping).
+    fn claim_stalled(&self) -> bool {
+        false
+    }
+    /// Charge `items` dropped before they reached a ring.
+    fn count_dropped(&mut self, items: u64);
+    /// Where a wire message no aggregator recorded is recorded: the
+    /// threaded engine's NoAgg and PP statistics.
+    fn tram_stats(&mut self) -> Option<&mut TramStats> {
+        None
+    }
 }
 
 /// The fill-or-singles rule of every outbound message: copy `items` into one
@@ -172,7 +186,7 @@ fn handle_envelope<'w>(
         // process-addressed message that reached its group receiver: forward
         // it, behind whatever this receiver forwarded before.
         Envelope::Single(item) if item.dest != ctx.my_id() => {
-            ctx.tally().local_forwards += 1;
+            ctx.io().tally.local_forwards += 1;
             ctx.push(item.dest, envelope);
         }
         Envelope::Single(item) => ctx.deliver(app, &[item]),
@@ -228,7 +242,7 @@ fn group_and_forward<'w>(
     debug_assert_eq!(arena.generation(handle.slab), handle.generation);
     let wpp = ctx.topology().workers_per_proc() as usize;
     // Out of `ctx` while its ranges are read, so `push` can borrow it.
-    let mut scratch = std::mem::take(ctx.group_scratch());
+    let mut scratch = std::mem::take(&mut ctx.io().group_scratch);
     let ranges = {
         // SAFETY: sole consumer of the sealed slab (outstanding == 1 until
         // `add_consumers` below), all `len` slots written before seal.
@@ -236,7 +250,7 @@ fn group_and_forward<'w>(
         group_in_place(items, wpp, &mut scratch)
     };
     if !grouped_at_source {
-        let tally = ctx.tally();
+        let tally = &mut ctx.io().tally;
         tally.grouping_passes += 1;
         tally.grouped_items += u64::from(handle.len);
     }
@@ -245,7 +259,7 @@ fn group_and_forward<'w>(
     // finished before the last range ships.
     let forwards = ranges.iter().filter(|&&(w, _, _)| w != me).count();
     arena.add_consumers(handle.slab, forwards as u32);
-    ctx.tally().local_forwards += forwards as u64;
+    ctx.io().tally.local_forwards += forwards as u64;
     let mut delivered = false;
     for &(w, start, len) in ranges {
         let range = SlabRange {
@@ -260,7 +274,7 @@ fn group_and_forward<'w>(
             ctx.push(w, Envelope::Slice { owner, range });
         }
     }
-    *ctx.group_scratch() = scratch;
+    ctx.io().group_scratch = scratch;
     if !delivered {
         finish(arena, handle.slab);
     }

@@ -5,8 +5,9 @@
 //! applications* on real shared memory, one OS thread ([`run_threaded`]) or
 //! one forked process ([`run_process`]) per worker PE of the topology:
 //!
-//! * workers running the **WW / WPs / WsP / NoAgg** schemes own real
-//!   [`tramlib::Aggregator`]s and insert into private per-destination buffers;
+//! * workers running the **WW / WPs / WsP** schemes own real
+//!   [`tramlib::Aggregator`]s and insert into private per-destination buffers
+//!   (**NoAgg** ships every item as its own message);
 //! * under **PP** all workers of a process insert into shared
 //!   [`shmem::SegClaim`]s with atomic slot claiming and per-slot stamps —
 //!   one buffer per destination process, exactly the contended path §III-C
@@ -23,8 +24,8 @@
 //!   local-bypass path;
 //! * every ring carries one `Copy` envelope type on both engines — an
 //!   inline item or a slab descriptor, never a heap vector — and both
-//!   engines ship, receive, group, forward and drop it through one code
-//!   path (`envelope`);
+//!   engines stage, stash, count and ship it through one send side (`send`)
+//!   and receive, group, forward and drop it through one path (`envelope`);
 //! * both engines run the same `shmem` views, each primitive with one
 //!   protocol: the threaded engine owns them on the heap
 //!   ([`shmem::SpscRing`], [`shmem::SlabArena`], [`shmem::ClaimBuffer`]),
@@ -43,6 +44,7 @@ pub(crate) mod monitor;
 pub mod numa;
 pub mod process;
 pub(crate) mod quantum;
+pub(crate) mod send;
 pub mod signals;
 pub(crate) mod sizing;
 #[cfg(all(

@@ -51,6 +51,7 @@ use super::layout::{self, RunCtl, WorkerStatus};
 use super::worker::{self, World};
 use crate::envelope::Envelope;
 use crate::monitor::{Books, Gone, Monitor, RunView};
+use crate::send;
 use crate::sizing::{self, INBOX_BUDGET};
 use crate::sys;
 
@@ -162,25 +163,15 @@ impl Children<'_> {
     /// items to `dst` and honouring the slab-return protocol.  Only for a
     /// `dst` whose consumer seat is vacant: the worker is reaped.
     fn drain_inbox(&mut self, dst: usize) {
-        let world = self.world;
-        for src in 0..world.workers {
-            while world
-                .ring(src, dst)
-                .pop_into(&mut self.drain_buf, INBOX_BUDGET)
-                > 0
-            {
-                let dropped: u64 = self
-                    .drain_buf
-                    .drain(..)
-                    .map(|env| env.discard(|owner| &world.arenas[owner]))
-                    .sum();
-                if dropped > 0 {
-                    world
-                        .status(dst)
-                        .dropped
-                        .fetch_add(dropped, Ordering::Release);
-                }
-            }
+        let (world, buf) = (self.world, &mut self.drain_buf);
+        let dropped: u64 = (0..world.workers)
+            .map(|src| send::discard_ring(world.ring(src, dst), buf, |o| &world.arenas[o]))
+            .sum();
+        if dropped > 0 {
+            world
+                .status(dst)
+                .dropped
+                .fetch_add(dropped, Ordering::Release);
         }
     }
 

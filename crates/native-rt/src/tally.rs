@@ -16,7 +16,7 @@ use shmem::ArenaStats;
 pub(crate) struct Tally {
     /// Aggregated messages handed to the delivery plane.
     pub(crate) wire_messages: u64,
-    /// Modelled bytes of those messages (threaded engine only).
+    /// Modelled bytes of those messages.
     pub(crate) wire_bytes: u64,
     /// Items those messages carried.
     pub(crate) wire_items: u64,

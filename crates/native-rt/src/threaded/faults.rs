@@ -91,7 +91,7 @@ impl ActiveFaults {
             }
             let due = match self.faults[i].trigger {
                 FaultTrigger::Items(n) => ctx.local_sent >= n,
-                FaultTrigger::Flushes(n) => ctx.flush_emits >= n,
+                FaultTrigger::Flushes(n) => ctx.io.tally.wire_messages_flush >= n,
                 // Wire faults are node-scoped: `FaultPlan::for_worker` filters
                 // them out, so a worker never compiles one in.
                 FaultTrigger::Sends(_) => {

@@ -30,6 +30,7 @@ use super::faults::ActiveFaults;
 use super::{NativeWorkerCtx, Shared, WorkerOutput};
 use crate::envelope::{handle_inbox, Envelope};
 use crate::quantum::QuietTracker;
+use crate::send;
 use crate::sizing::{INBOX_BUDGET, STASH_THROTTLE};
 
 /// Idle backoff: yield the CPU for the first rounds (on an oversubscribed
@@ -107,13 +108,13 @@ pub(crate) fn worker_main(
     ctx.publish_dropped();
     ctx.export_counters();
     let batch_len = ctx.take_batch_len();
-    let mut tram = ctx.pp_stats;
+    let mut tram = ctx.tram_stats;
     if let Some(agg) = &ctx.aggregator {
         tram.merge(agg.stats());
     }
     // `send` decides the bypass before tramlib, so the engine's tally is
     // the bypass count.
-    tram.record_local_bypass_items(ctx.tally.local_deliveries);
+    tram.record_local_bypass_items(ctx.io.tally.local_deliveries);
     WorkerOutput {
         // A quarantined worker's application state is untrustworthy:
         // `on_finalize` is skipped for it (the monitor reports the panic).
@@ -162,7 +163,7 @@ fn mesh_loop(
         // the monitor's soft-stall scan at its 200µs poll granularity.
         beats += 1;
         shared.heartbeats[me_i].store(beats, Ordering::Relaxed);
-        shared.stash_depth[me_i].store(ctx.stash_len as u64, Ordering::Relaxed);
+        shared.stash_depth[me_i].store(ctx.io.stash.len() as u64, Ordering::Relaxed);
         ctx.refresh_now();
         // One `Option` branch on a fault-free run; on a faulted one this is
         // where panics, stalls, arena holds and ring bursts begin.
@@ -203,7 +204,8 @@ fn mesh_loop(
         // grows its stash without bound (and dries its slab arena); pausing
         // generation — while still draining, flushing and retrying — is the
         // backpressure that keeps in-flight storage bounded.
-        let throttled = ctx.stash_len >= STASH_THROTTLE || ctx.wire_stash.len() >= STASH_THROTTLE;
+        let throttled =
+            ctx.io.stash.len() >= STASH_THROTTLE || ctx.wire_stash.len() >= STASH_THROTTLE;
         // What the quantum moved, before the app has its say: `on_idle`'s
         // return value decides napping below, never flushing.
         let moved = did_work;
@@ -230,7 +232,7 @@ fn mesh_loop(
         quiet.end_quantum(ctx, moved);
         // Quantum end, busy or idle: no local-bypass batch outlives the
         // iteration that filled it.
-        ctx.flush_local();
+        send::flush_local(ctx);
         // This worker is the group receiver of its own process-addressed
         // messages to its own process (and the target of its own bypass
         // batches): one more budgeted pop of its diagonal ring hands what
@@ -296,6 +298,7 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
     ctx.flush();
     ctx.publish_sent();
     ctx.publish_dropped();
+    let mut inbox: Vec<Envelope> = Vec::with_capacity(INBOX_BUDGET);
     let mut beats = shared.heartbeats[me_i].load(Ordering::Relaxed);
     loop {
         if shared.stop.load(Ordering::Acquire) {
@@ -304,16 +307,15 @@ fn quarantine(shared: &Shared, me: WorkerId, ctx: &mut NativeWorkerCtx<'_>) {
         // Keep the heartbeat alive: quarantined is contained, not stalled.
         beats += 1;
         shared.heartbeats[me_i].store(beats, Ordering::Relaxed);
-        shared.stash_depth[me_i].store(ctx.stash_len as u64, Ordering::Relaxed);
+        shared.stash_depth[me_i].store(ctx.io.stash.len() as u64, Ordering::Relaxed);
         ctx.refresh_now();
         let mut did_work = ctx.flush_stash();
         did_work |= ctx.flush_wire_stash();
-        for ring in inbox_rings(shared, me_i) {
-            while let Some(envelope) = ring.pop() {
-                ctx.pending_dropped += envelope.discard(|owner| &shared.arenas[owner]);
-                did_work = true;
-            }
-        }
+        let dropped: u64 = inbox_rings(shared, me_i)
+            .map(|ring| send::discard_ring(ring, &mut inbox, |owner| &shared.arenas[owner]))
+            .sum();
+        ctx.pending_dropped += dropped;
+        did_work |= dropped > 0;
         // Publish strictly after the drops they account for (the monitor's
         // conservation check reads dropped like delivered).
         ctx.publish_dropped();

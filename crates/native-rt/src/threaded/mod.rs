@@ -8,8 +8,9 @@
 //! ```text
 //! send ─┬─ same process (bypass on) ──▶ per-quantum staging batch ───┐
 //!       │                                                            │
-//!       └─ remote ──insert──▶ Aggregator (WW/WPs/WsP/NoAgg, private) │
+//!       └─ remote ──insert──▶ Aggregator (WW/WPs/WsP, private)       │
 //!                             SegClaim (PP, shared, lock-free)       │
+//!                             none (NoAgg: one message per item)     │
 //!                                    │ message ready                 │
 //!                                    ▼                               │
 //!               ship: one copy into a slab of the sender's arena ◀───┘

@@ -546,7 +546,7 @@ fn runtime_counters_agree_with_the_aggregator_on_every_engine() {
         "wire_messages",
         "wire_messages_flush",
     ];
-    const PROCESS: [&str; 14] = [
+    const PROCESS: [&str; 16] = [
         "arena_claim_misses",
         "arena_claims",
         "faults_injected",
@@ -559,8 +559,10 @@ fn runtime_counters_agree_with_the_aggregator_on_every_engine() {
         "local_forwards",
         "orphan_segments_reclaimed",
         "slabs_reclaimed",
+        "wire_bytes",
         "wire_items",
         "wire_messages",
+        "wire_messages_flush",
     ];
     let expect = |runtime: &[&'static str]| -> Vec<&'static str> {
         let mut all: Vec<&'static str> = HISTOGRAM.iter().chain(runtime).copied().collect();
@@ -780,7 +782,10 @@ fn message_counts_agree_across_engines() {
     // process-addressed message not grouped at its source (none under WsP),
     // both native engines count the same `local_forwards`, and both attempt
     // the same number of slab fills (`arena_claims + arena_claim_misses`:
-    // one per message or bypass batch, whichever way the claim went).
+    // one per message or bypass batch, whichever way the claim went).  Both
+    // also count every wire message by one rule, so their `wire_bytes` and
+    // `wire_messages_flush` agree: under the default explicit-only flush
+    // policy both are fixed by the traffic.
     const G: u64 = 64;
     let mut broken = Vec::new();
     for bypass in [false, true] {
@@ -848,6 +853,12 @@ fn message_counts_agree_across_engines() {
                     forwards(&threaded),
                     forwards(&process)
                 ));
+            }
+            for name in ["wire_bytes", "wire_messages_flush"] {
+                let (t, p) = (threaded.counter(name), process.counter(name));
+                if t != p {
+                    broken.push(format!("{label}: {name} threaded {t} process {p}"));
+                }
             }
             let fills = |r: &RunReport| r.counter("arena_claims") + r.counter("arena_claim_misses");
             if fills(&threaded) != fills(&process) {
